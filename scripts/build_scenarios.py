@@ -39,12 +39,12 @@ def main() -> int:
         out = SCENARIOS / name
         if out.exists():
             shutil.rmtree(out)
-        cmd = [sys.executable, "-m", "ngs", *argv, "--out", str(out)]
+        # relative to ROOT, so manifests do not record the checkout location
+        rel = str(out.relative_to(ROOT))
+        cmd = [sys.executable, "-m", "ngs", *argv, "--out", rel]
         print("+", " ".join(cmd[2:]))
         subprocess.run(cmd, cwd=ROOT, check=True)
-        subprocess.run([sys.executable, "-m", "ngs", *argv,
-                        "--out", str(out), "--verify"],
-                       cwd=ROOT, check=True)
+        subprocess.run([*cmd, "--verify"], cwd=ROOT, check=True)
     print(f"\nrebuilt {len(RUNS)} scenarios under {SCENARIOS}")
     return 0
 

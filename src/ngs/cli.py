@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .curves import (
+    bisect_threshold,
     quadratic_form_infimum,
     read_curve_csv,
     scan,
@@ -35,7 +36,7 @@ from .curves import (
     write_subadditivity_csv,
 )
 from .energy import evaluate
-from .errors import BracketError, ModelFormatError, StagnationError
+from .errors import BracketError, ModelFormatError
 from .flow import SolverConfig, minimize
 from .grids import RadialGrid, load_profile, save_profile
 from .models import classify_V, classify_g, load_model, make_model
@@ -298,7 +299,7 @@ def _cmd_spectrum(args, model) -> int:
     t0 = time.perf_counter()
     try:
         value = quadratic_form_infimum(model, grid)
-    except (StagnationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"spectrum failed: {exc}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - t0
@@ -468,29 +469,25 @@ def _verify_semantics(out_dir: Path, manifest: dict) -> list:
 
 
 def _replay_threshold(stored: dict) -> list:
-    """Re-run the bisection decisions from the recorded probe energies."""
-    deadband = stored["deadband"]
-    evals = {e["a"]: e["J"] for e in stored["evaluations"]}
-    a_lo, a_hi = stored["bracket"]
-    if stored.get("below_lower_bracket"):
-        ok = evals.get(a_lo, 0.0) < -deadband
-        return [] if ok else ["below-bracket flag contradicts recorded energies"]
-    lo, hi = a_lo, a_hi
-    used = {a_lo, a_hi}
-    while True:
-        mid = 0.5 * (lo + hi)
-        match = [a for a in evals if math.isclose(a, mid, rel_tol=1e-9)]
-        if not match:
-            break
-        used.add(match[0])
-        if evals[match[0]] < -deadband:
-            hi = mid
-        else:
-            lo = mid
-    a0 = 0.5 * (lo + hi)
+    """Re-run the bisection on the recorded probe energies."""
+    def recorded(a: float) -> float:
+        for e in stored["evaluations"]:
+            if math.isclose(e["a"], a, rel_tol=1e-9):
+                return e["J"]
+        raise LookupError(f"no recorded probe at a = {a:.12g}")
+
+    try:
+        a0, half_width, below = bisect_threshold(
+            recorded, tuple(stored["bracket"]), stored["deadband"])
+    except (BracketError, LookupError) as exc:
+        return [f"bisection replay failed: {exc}"]
     out = []
-    if not math.isclose(a0, stored["a0"], rel_tol=1e-9, abs_tol=1e-12):
-        out.append(f"bisection replay gives a0 = {a0:.12g}, stored {stored['a0']:.12g}")
+    if below != stored["below_lower_bracket"]:
+        out.append(f"bisection replay gives below_lower_bracket = {below}")
+    for key, value in (("a0", a0), ("half_width", half_width)):
+        if not math.isclose(value, stored[key], rel_tol=1e-9, abs_tol=1e-12):
+            out.append(f"bisection replay gives {key} = {value:.12g}, "
+                       f"stored {stored[key]:.12g}")
     return out
 
 

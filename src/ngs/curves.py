@@ -17,12 +17,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg import eigh_tridiagonal
 
-from .errors import BracketError, StagnationError
+from .errors import BracketError
 from .flow import SolverConfig, minimize
-from .grids import GridFunction, RadialGrid, kinetic, laplacian_tridiagonal
+from .grids import GridFunction, RadialGrid
 from .models import Model, make_model
 
 
@@ -286,10 +285,42 @@ class ThresholdResult:
         }
 
 
+# stopping width of the threshold bisection, relative to the bracket midpoint
+THRESHOLD_REL_WIDTH = 1e-2
+
+
+def bisect_threshold(energy_at, bracket: tuple, deadband: float,
+                     rel_width: float = THRESHOLD_REL_WIDTH) -> tuple[float, float, bool]:
+    """Bisect for the smallest mass a with energy_at(a) < -deadband.
+
+    Probes the upper bracket first, which must be decisively negative, then
+    the lower one; if that is already negative the threshold is at or below
+    it. Returns (a0, half_width, below_lower_bracket).
+    """
+    a_lo, a_hi = bracket
+    c_hi = energy_at(a_hi)
+    if not c_hi < -10.0 * deadband:
+        raise BracketError(
+            f"energy at the upper bracket mass {a_hi:g} is {c_hi:.3g}, not "
+            f"decisively negative; enlarge the bracket (the curve dives "
+            f"below zero only past the threshold mass)"
+        )
+    if energy_at(a_lo) < -deadband:
+        return a_lo, a_lo, True
+    lo, hi = a_lo, a_hi
+    while (hi - lo) > rel_width * 0.5 * (hi + lo):
+        mid = 0.5 * (lo + hi)
+        if energy_at(mid) < -deadband:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), 0.5 * (hi - lo), False
+
+
 def threshold_a0(model: Model, grid: RadialGrid,
                  config: SolverConfig | None = None,
                  bracket: tuple = (1e-3, 8.0), deadband: float = 1e-6,
-                 rel_width: float = 1e-2,
+                 rel_width: float = THRESHOLD_REL_WIDTH,
                  eval_max_iters: int = 30_000) -> ThresholdResult:
     """Bisect for the smallest mass at which the minimal energy is negative.
 
@@ -319,69 +350,34 @@ def threshold_a0(model: Model, grid: RadialGrid,
         evaluations.append((a, res.energy, res.converged, res.reason))
         return res.energy
 
-    c_hi = probe(a_hi)
-    if not c_hi < -10.0 * deadband:
-        raise BracketError(
-            f"energy at the upper bracket mass {a_hi:g} is {c_hi:.3g}, not "
-            f"decisively negative; enlarge the bracket (the curve dives "
-            f"below zero only past the threshold mass)"
-        )
-    c_lo = probe(a_lo)
-    if c_lo < -deadband:
-        return ThresholdResult(
-            a0=a_lo, half_width=a_lo, below_lower_bracket=True,
-            bracket=(a_lo, a_hi), deadband=deadband,
-            evaluations=tuple(evaluations),
-            note="energy already negative at the lower bracket; the "
-                 "threshold is at or below a_lo",
-        )
-    lo, hi = a_lo, a_hi
-    while (hi - lo) > rel_width * 0.5 * (hi + lo):
-        mid = 0.5 * (lo + hi)
-        if probe(mid) < -deadband:
-            hi = mid
-        else:
-            lo = mid
+    a0, half_width, below = bisect_threshold(probe, (a_lo, a_hi), deadband, rel_width)
+    note = ("energy already negative at the lower bracket; the threshold is "
+            "at or below a_lo") if below else ""
     return ThresholdResult(
-        a0=0.5 * (lo + hi), half_width=0.5 * (hi - lo),
-        below_lower_bracket=False, bracket=(a_lo, a_hi), deadband=deadband,
-        evaluations=tuple(evaluations), note="",
+        a0=a0, half_width=half_width, below_lower_bracket=below,
+        bracket=(a_lo, a_hi), deadband=deadband,
+        evaluations=tuple(evaluations), note=note,
     )
 
 
-def quadratic_form_infimum(model: Model, grid: RadialGrid,
-                           tol: float = 1e-12,
-                           max_iters: int = 10_000) -> float:
-    """Infimum of (|grad u|^2 + int V u^2) / |u|^2 by inverse power iteration.
+def quadratic_form_infimum(model: Model, grid: RadialGrid) -> float:
+    """Infimum of (|grad u|^2 + int V u^2) / |u|^2 on the grid, exactly.
 
-    The reported value is the Rayleigh quotient of the final iterate in the
-    symmetric (summed-by-parts) form, so it is a genuine value of the
-    quadratic form and in particular never undershoots the exact infimum of
-    V by more than the discretization allows.
+    The form is the edge-sum kinetic energy of grids.kinetic plus the
+    weighted potential term: v^T (K + W V) v over v^T W v, with K the
+    symmetric tridiagonal stiffness of the grid's kinetic edge weights and
+    W the quadrature weights. Its infimum is the lowest eigenvalue of the
+    tridiagonal W^-1/2 (K + W V) W^-1/2, which LAPACK returns to machine
+    precision. Since K >= 0 it never undershoots the infimum of V.
     """
     V = model.potential.V(grid.r)
     if not np.all(np.isfinite(V)):
         raise ValueError("potential must be finite on the grid")
-    lo_band, di, up = laplacian_tridiagonal(grid)
-    shift = model.potential.c_ell - 1.0
-    A = sp.diags(
-        [lo_band[1:], di + V - shift, up[:-1]], offsets=(-1, 0, 1), format="csc"
-    )
-    solve = splu(A).solve
-
-    x = np.exp(-0.5 * grid.r**2)
-    x /= math.sqrt(float(grid.w @ x**2))
-    q_prev = math.inf
-    for _ in range(max_iters):
-        y = solve(x)
-        y /= math.sqrt(float(grid.w @ y**2))
-        x = y
-        u = GridFunction(grid, x)
-        q = kinetic(u) + float(grid.w @ (V * x**2))
-        if abs(q - q_prev) <= tol * max(1.0, abs(q)):
-            return q
-        q_prev = q
-    raise StagnationError(
-        f"inverse power iteration stagnated after {max_iters} steps "
-        f"(last change {abs(q - q_prev):.3g})"
-    )
+    w, edge = grid.w, grid.edge_weights
+    diag = w * V
+    diag[:-1] += edge
+    diag[1:] += edge
+    diag[-1] += grid.edge_weight_R
+    return float(eigh_tridiagonal(
+        diag / w, -edge / np.sqrt(w[:-1] * w[1:]),
+        eigvals_only=True, select="i", select_range=(0, 0))[0])

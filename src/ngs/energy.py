@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
 
 from . import grids
@@ -57,96 +56,111 @@ class IdentityResiduals:
         }
 
 
+class Discretization:
+    """The discrete functionals of one model on one grid, on node arrays.
+
+    Built once per (grid, model) from the grid's quadrature and kinetic edge
+    weights, the rows of the discrete -Laplacian and V at the nodes. Two
+    discrete quadratic forms are in use and agree to O(h^2): the edge-sum
+    kinetic energy of the grid (J, Pohozaev, spectrum) and the pointwise
+    stencil <u, -Lap u>_w (flow, multiplier, residual, Nehari). The flow
+    holds one instance for its per-step work; the GridFunction functions
+    below wrap a fresh one, so both report bit-identical values.
+    """
+
+    def __init__(self, grid: grids.RadialGrid, model):
+        if grid.N != model.N:
+            raise ValueError("grid dimension disagrees with model dimension")
+        self.grid = grid
+        self.model = model
+        self.w = grid.w
+        self.V = model.potential.V(grid.r)
+        self.lap = grids.laplacian_tridiagonal(grid)
+
+    def apply_lap(self, v: np.ndarray) -> np.ndarray:
+        """The discrete -Laplacian of v."""
+        return grids.tridiagonal_apply(self.lap, v)
+
+    def energy(self, v: np.ndarray) -> EnergyReport:
+        """J of v, its parts and the mass."""
+        usq = v * v
+        kin = 0.5 * grids.kinetic_values(self.grid, v)
+        pot = 0.5 * float(self.w @ (self.V * usq))
+        nonlin = float(self.w @ self.model.nonlinearity.G(v))
+        I = kin - nonlin
+        return EnergyReport(kinetic=kin, potential_term=pot, nonlinear_term=nonlin,
+                            J=I + pot, I=I, mass=float(self.w @ usq))
+
+    def _nehari_terms(self, v: np.ndarray) -> tuple[float, float, float]:
+        # <v, -Lap v>_w + int V v^2, int g(v) v, and the mass of v
+        usq = v * v
+        quad = float(self.w @ (v * self.apply_lap(v))) + float(self.w @ (self.V * usq))
+        gu = float(self.w @ self.model.nonlinearity.g_times_s(v))
+        return quad, gu, float(self.w @ usq)
+
+    def multiplier(self, v: np.ndarray) -> float:
+        """The lam solving <v, -Lap v> + int (V + lam) v^2 = int g(v) v.
+
+        Uses the stencil form (not the edge-sum gradient norm), so the value
+        is exactly the least-squares minimizer of the residual over lam.
+        """
+        quad, gu, m = self._nehari_terms(v)
+        if m <= 0.0:
+            raise ValueError("multiplier needs a field with positive mass")
+        return (gu - quad) / m
+
+    def nehari(self, v: np.ndarray, lam: float) -> float:
+        """Signed defect of <v, -Lap v> + int (V + lam) v^2 - int g(v) v."""
+        quad, gu, m = self._nehari_terms(v)
+        return quad + lam * m - gu
+
+    def residual(self, v: np.ndarray, lam: float) -> float:
+        """Weighted L2 norm of -Lap v + (V + lam) v - g(v), relative to ||v||."""
+        m = float(self.w @ (v * v))
+        if m <= 0.0:
+            raise ValueError("residual needs a field with positive mass")
+        res = self.apply_lap(v) + (self.V + lam) * v - self.model.nonlinearity.g(v)
+        return float(np.sqrt((self.w @ (res * res)) / m))
+
+
 def evaluate(u: GridFunction, model) -> EnergyReport:
     """All functional values of u under the given model."""
     if np.isnan(u.values).any():
         raise ValueError("field contains NaN")
-    g = u.grid
-    usq = u.values * u.values
-    kin = 0.5 * grids.kinetic(u)
-    nonlin = grids.integrate(g, model.nonlinearity.G(u.values))
-    if model.potential.is_zero():
-        pot = 0.0
-    else:
-        pot = 0.5 * grids.integrate(g, model.potential.V(g.r) * usq)
-    I = kin - nonlin
-    return EnergyReport(
-        kinetic=kin,
-        potential_term=pot,
-        nonlinear_term=nonlin,
-        J=I + pot,
-        I=I,
-        mass=float(g.w @ usq),
-    )
+    return Discretization(u.grid, model).energy(u.values)
 
 
 def lagrange_multiplier(u: GridFunction, model) -> float:
-    """The multiplier solving <u, -Lap u> + int (V + lam) u^2 = int g(u) u.
-
-    Uses the quadratic form of the discrete operator (not the edge-sum
-    gradient norm) so the returned value is exactly the least-squares
-    minimizer of the stationarity residual over lam.
-    """
-    m = grids.mass(u)
-    if m <= 0.0:
-        raise ValueError("multiplier needs a field with positive mass")
-    g = u.grid
-    quad = grids.laplacian_quadratic_form(u)
-    gu = grids.integrate(g, model.nonlinearity.g_times_s(u.values))
-    if model.potential.is_zero():
-        vterm = 0.0
-    else:
-        vterm = grids.integrate(g, model.potential.V(g.r) * u.values**2)
-    return (gu - quad - vterm) / m
+    """See Discretization.multiplier."""
+    return Discretization(u.grid, model).multiplier(u.values)
 
 
 def euler_lagrange_residual(u: GridFunction, model, lam: float) -> float:
-    """Weighted L2 norm of -Lap u + (V + lam) u - g(u), relative to ||u||."""
-    m = grids.mass(u)
-    if m <= 0.0:
-        raise ValueError("residual needs a field with positive mass")
-    g = u.grid
-    res = grids.laplacian_apply(u).values + lam * u.values
-    if not model.potential.is_zero():
-        res = res + model.potential.V(g.r) * u.values
-    res = res - model.nonlinearity.g(u.values)
-    return float(np.sqrt((g.w @ (res * res)) / m))
+    """See Discretization.residual."""
+    return Discretization(u.grid, model).residual(u.values, lam)
 
 
 def nehari_residual(u: GridFunction, model, lam: float) -> float:
-    """Signed defect of <u, -Lap u> + int (V + lam) u^2 - int g(u) u."""
-    g = u.grid
-    quad = grids.laplacian_quadratic_form(u)
-    gu = grids.integrate(g, model.nonlinearity.g_times_s(u.values))
-    vterm = 0.0
-    if not model.potential.is_zero():
-        vterm = grids.integrate(g, model.potential.V(g.r) * u.values**2)
-    return quad + vterm + lam * grids.mass(u) - gu
+    """See Discretization.nehari."""
+    return Discretization(u.grid, model).nehari(u.values, lam)
 
 
 def pohozaev_residual(u: GridFunction, model) -> float:
     """Signed defect of the multiplier-free stationarity identity.
 
-    P(u) = |grad u|^2 - (1/2) int <grad V, x> u^2 + N int [G(u) - g(u)u/2].
-    Computed with the edge-sum gradient norm, which makes P(u) exactly the
-    t-derivative of the discrete fiber energy at t = 1.
+    P(u) = |grad u|^2 - (1/2) int <grad V, x> u^2 + N int [G(u) - g(u)u/2],
+    with the edge-sum gradient norm: exactly the t-derivative of the
+    discrete fiber energy at t = 1, which is how it is computed.
     """
-    g = u.grid
-    N = g.N
-    usq = u.values * u.values
-    val = grids.kinetic(u)
-    if not model.potential.is_zero():
-        val -= 0.5 * grids.integrate(g, model.potential.dV_dot_x(g.r) * usq)
-    gv = model.nonlinearity.G(u.values) - 0.5 * model.nonlinearity.g_times_s(u.values)
-    val += N * grids.integrate(g, gv)
-    return val
+    return fiber_energy_derivative(u, 1.0, model)
 
 
 def identity_residuals(u: GridFunction, model, lam: float | None = None) -> IdentityResiduals:
+    op = Discretization(u.grid, model)
     if lam is None:
-        lam = lagrange_multiplier(u, model)
+        lam = op.multiplier(u.values)
     return IdentityResiduals(
-        nehari=nehari_residual(u, model, lam),
+        nehari=op.nehari(u.values, lam),
         pohozaev=pohozaev_residual(u, model),
         lagrange_lambda=lam,
     )
@@ -160,15 +174,6 @@ def _check_t(t: float, t_min: float, t_max: float):
         raise ValueError(f"fiber parameter {t} outside [{t_min}, {t_max}]")
 
 
-def _even_spline(u: GridFunction) -> CubicSpline:
-    # knots augmented with the even-reflection origin value and the hard
-    # zero at R; clamped to zero slope at the origin
-    g = u.grid
-    x = np.concatenate(([0.0], g.r, [g.R]))
-    y = np.concatenate(([(4.0 * u.values[0] - u.values[1]) / 3.0], u.values, [0.0]))
-    return CubicSpline(x, y, bc_type=((1, 0.0), (2, 0.0)))
-
-
 def fiber_energy(u: GridFunction, t: float, model,
                  t_min: float = FIBER_T_MIN, t_max: float = FIBER_T_MAX) -> float:
     """J[u_t] evaluated analytically in t on the original grid."""
@@ -179,10 +184,9 @@ def fiber_energy(u: GridFunction, t: float, model,
 def _fiber_energy_cached(u, t, model, kin) -> float:
     g = u.grid
     N = g.N
+    usq = u.values * u.values
     val = 0.5 * t * t * kin
-    if not model.potential.is_zero():
-        usq = u.values * u.values
-        val += 0.5 * grids.integrate(g, model.potential.V(g.r / t) * usq)
+    val += 0.5 * grids.integrate(g, model.potential.V(g.r / t) * usq)
     scaled = t ** (0.5 * N) * u.values
     val -= t ** (-N) * grids.integrate(g, model.nonlinearity.G(scaled))
     return val
@@ -196,8 +200,7 @@ def fiber_energy_derivative(u: GridFunction, t: float, model,
     N = g.N
     val = t * grids.kinetic(u)
     usq = u.values * u.values
-    if not model.potential.is_zero():
-        val -= grids.integrate(g, model.potential.dV_dot_x(g.r / t) * usq) / (2.0 * t)
+    val -= grids.integrate(g, model.potential.dV_dot_x(g.r / t) * usq) / (2.0 * t)
     scaled = t ** (0.5 * N) * u.values
     gv = model.nonlinearity.G(scaled) - 0.5 * model.nonlinearity.g_times_s(scaled)
     val += N * t ** (-N - 1.0) * grids.integrate(g, gv)
@@ -213,10 +216,7 @@ def fiber_map(u: GridFunction, t: float,
     """
     _check_t(t, t_min, t_max)
     g = u.grid
-    spline = _even_spline(u)
-    arg = t * g.r
-    vals = t ** (0.5 * g.N) * np.where(arg <= g.R, spline(np.minimum(arg, g.R)), 0.0)
-    out = GridFunction(g, vals)
+    out = GridFunction(g, t ** (0.5 * g.N) * grids.even_extension(u)(t * g.r))
     m_new = grids.mass(out)
     if m_new <= 0.0:
         raise ValueError("fiber map produced a vanishing field")
@@ -266,14 +266,14 @@ def dilate(u: GridFunction, tau: float) -> GridFunction:
     if tau == 1.0:
         return u
     stretch = tau ** (1.0 / g.N)
-    spline = _even_spline(u)
-    edge = abs(float(spline(g.R / stretch)))
+    profile = grids.even_extension(u)
+    edge = abs(float(profile(g.R / stretch)))
     if edge > 1e-8:
         raise SupportOverflowError(
             f"dilated support leaves the domain: |u| = {edge:.3g} at the "
             f"preimage of R"
         )
-    out = GridFunction(g, spline(g.r / stretch))
+    out = GridFunction(g, profile(g.r / stretch))
     target = tau * grids.mass(u)
     m_new = grids.mass(out)
     if m_new <= 0.0:

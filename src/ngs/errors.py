@@ -20,7 +20,3 @@ class BracketError(RuntimeError):
 
 class MassCriticalError(ValueError):
     """Requested scaling inversion at the mass-critical exponent."""
-
-
-class StagnationError(RuntimeError):
-    """An iterative method stopped making progress before converging."""

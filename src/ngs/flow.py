@@ -1,12 +1,18 @@
 """Constrained gradient-flow minimizer of J on the mass sphere.
 
-One step solves the linearly implicit system
+The flow is the normalized implicit gradient flow of Bao & Du (SIAM J. Sci.
+Comput. 25, 2004). One step solves the linearly implicit system
     (I + dt (-Lap + V + shift)) u+ = u + dt (g(u) + (shift + mu) u)
 with shift = max(0, -min V) keeping the operator an M-matrix, and the scalar
 mu chosen in closed form so the new iterate has the target mass exactly.
-Fixed points of the step are exact discrete constrained critical points; a
-plain rescale-after-step variant instead converges to an O(dt)-biased
-profile, which is why the multiplier enters inside the solve.
+Fixed points of the step are exact discrete constrained critical points of
+the stencil form; a plain rescale-after-step variant instead converges to an
+O(dt)-biased profile, which is why the multiplier enters inside the solve.
+
+Every value the flow reports (J, multiplier, residual, Nehari) comes from
+one energy.Discretization, the same code energy.evaluate and the identity
+functions run, so they agree bit for bit. J uses the edge-sum kinetic form,
+which differs from the stencil form by O(h^2).
 """
 from __future__ import annotations
 
@@ -109,21 +115,15 @@ class GroundStateResult:
 
 
 class _Workspace:
-    """Precomputed operators and weights for one (grid, model, dt, a) run."""
+    """A Discretization plus the factorized implicit step for one (dt, a)."""
 
     def __init__(self, grid: RadialGrid, model, dt: float, a: float):
-        if grid.N != model.N:
-            raise ValueError("grid dimension disagrees with model dimension")
-        self.grid = grid
-        self.model = model
+        self.op = energy_mod.Discretization(grid, model)
         self.dt = dt
         self.a = a
-        self.w = grid.w
-        self.V = model.potential.V(grid.r)
         self.shift = max(0.0, -model.potential.c_ell)
-        lo, di, up = grids.laplacian_tridiagonal(grid)
-        self.lap = (lo, di, up)
-        diag = 1.0 + dt * (di + self.V + self.shift)
+        lo, di, up = self.op.lap
+        diag = 1.0 + dt * (di + self.op.V + self.shift)
         if np.any(diag <= 0.0):
             raise ValueError(
                 "implicit operator lost positivity; dt too large for this potential"
@@ -132,59 +132,23 @@ class _Workspace:
             [dt * lo[1:], diag, dt * up[:-1]], [-1, 0, 1], format="csc"
         )
         self.solve = spla.splu(matrix).solve
-        # edge-sum kinetic weights, gradient-squared form
-        om = grids.SPHERE_MEASURE[grid.N]
-        h = grid.h
-        mid = 0.5 * (grid.r[:-1] + grid.r[1:])
-        self.ew_mid = om * mid ** (grid.N - 1) / h
-        self.ew_last = om * (grid.r[-1] + 0.5 * h) ** (grid.N - 1) / h
-        self.ew_first = om * (0.5 * h) ** (grid.N - 1) / h
-
-    def apply_lap(self, v: np.ndarray) -> np.ndarray:
-        lo, di, up = self.lap
-        out = di * v
-        out[:-1] += up[:-1] * v[1:]
-        out[1:] += lo[1:] * v[:-1]
-        return out
-
-    def kinetic(self, v: np.ndarray) -> float:
-        dv = np.diff(v)
-        k = float(self.ew_mid @ (dv * dv))
-        k += self.ew_last * v[-1] * v[-1]
-        k += self.ew_first * ((v[1] - v[0]) / 3.0) ** 2
-        return k
-
-    def energy_J(self, v: np.ndarray) -> float:
-        val = 0.5 * self.kinetic(v)
-        val += 0.5 * float(self.w @ (self.V * v * v))
-        val -= float(self.w @ self.model.nonlinearity.G(v))
-        return val
-
-    def multiplier(self, v: np.ndarray) -> float:
-        quad = float(self.w @ (v * self.apply_lap(v)))
-        gu = float(self.w @ self.model.nonlinearity.g_times_s(v))
-        vterm = float(self.w @ (self.V * v * v))
-        return (gu - quad - vterm) / float(self.w @ (v * v))
-
-    def residual(self, v: np.ndarray, lam: float) -> float:
-        res = self.apply_lap(v) + (self.V + lam) * v - self.model.nonlinearity.g(v)
-        return float(np.sqrt((self.w @ (res * res)) / (self.w @ (v * v))))
 
     def step(self, v: np.ndarray) -> np.ndarray:
         dt = self.dt
-        gv = self.model.nonlinearity.g(v)
+        w = self.op.w
+        gv = self.op.model.nonlinearity.g(v)
         v0 = self.solve(v + dt * (gv + self.shift * v))
         q = dt * self.solve(v)
-        a2 = float(self.w @ (q * q))
-        a1 = 2.0 * float(self.w @ (v0 * q))
-        a0 = float(self.w @ (v0 * v0)) - self.a
+        a2 = float(w @ (q * q))
+        a1 = 2.0 * float(w @ (v0 * q))
+        a0 = float(w @ (v0 * v0)) - self.a
         disc = a1 * a1 - 4.0 * a2 * a0
         if disc >= 0.0 and a2 > 0.0:
             mu = (-a1 + math.sqrt(disc)) / (2.0 * a2)
             out = v0 + mu * q
         else:
             out = v0
-        m = float(self.w @ (out * out))
+        m = float(w @ (out * out))
         if not m > 0.0 or not math.isfinite(m):
             raise ValueError("flow step produced a degenerate field")
         return out * math.sqrt(self.a / m)
@@ -227,7 +191,8 @@ class _StartOutcome:
 
 
 def _run_start(ws: _Workspace, v: np.ndarray, config: SolverConfig) -> _StartOutcome:
-    J = ws.energy_J(v)
+    op = ws.op
+    J = op.energy(v).J
     trace = [(0, J)]
     stalled_iters = 0
     res_best = math.inf
@@ -235,13 +200,13 @@ def _run_start(ws: _Workspace, v: np.ndarray, config: SolverConfig) -> _StartOut
     warnings = []
     converged = False
     reason = None
-    lam = ws.multiplier(v)
+    lam = op.multiplier(v)
     res = math.inf
     it = 0
     J_best = J
     for it in range(1, config.max_iters + 1):
         v = ws.step(v)
-        J_new = ws.energy_J(v)
+        J_new = op.energy(v).J
         trace.append((it, J_new))
         if not math.isfinite(J_new):
             reason = "diverged"
@@ -265,8 +230,8 @@ def _run_start(ws: _Workspace, v: np.ndarray, config: SolverConfig) -> _StartOut
             reason = "energy-floor"
             break
         if it % config.residual_check_every == 0:
-            lam = ws.multiplier(v)
-            res = ws.residual(v, lam)
+            lam = op.multiplier(v)
+            res = op.residual(v, lam)
             if res <= config.tol_grad:
                 converged = True
                 break
@@ -283,8 +248,8 @@ def _run_start(ws: _Workspace, v: np.ndarray, config: SolverConfig) -> _StartOut
     else:
         reason = "max-iters"
     if not converged:
-        lam = ws.multiplier(v)
-        res = ws.residual(v, lam)
+        lam = op.multiplier(v)
+        res = op.residual(v, lam)
         if res <= config.tol_grad:
             converged = True
             reason = None
@@ -329,7 +294,7 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
     u = GridFunction(grid, out.values)
 
     residuals = energy_mod.IdentityResiduals(
-        nehari=energy_mod.nehari_residual(u, model, out.lam),
+        nehari=ws.op.nehari(out.values, out.lam),
         pohozaev=energy_mod.pohozaev_residual(u, model),
         lagrange_lambda=out.lam,
     )

@@ -1,4 +1,4 @@
-"""Radial grids, quadrature, and the discrete radial Laplacian.
+"""Radial grids, quadrature, the kinetic form and the discrete radial Laplacian.
 
 Fields live on interior nodes r_j = j*h, j = 1..n, with h = R/(n+1).
 Boundary conventions: even reflection at r = 0 (zero slope), hard zero at
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 # surface measure of the unit sphere; the N = 1 entry is 2 because a radius
 # pairs the points {-r, +r} under the full-line convention
@@ -28,12 +29,20 @@ GN_DEFAULT = {1: 0.4053, 2: 0.1710, 3: 0.1045}
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform radial grid with shell-volume quadrature weights.
+    """Uniform radial grid with shell-volume quadrature and kinetic edge weights.
 
     The weight of node j is the exact volume of the shell
     [r_j - h/2, r_j + h/2] (end cells absorb the stubs at 0 and R), so the
     weights sum to the exact ball volume and midpoint quadrature keeps its
     second-order accuracy for profiles with zero slope at the origin.
+
+    The edge weights define the kinetic form
+        |grad u|^2 = sum_j edge_weights[j] (u_{j+1} - u_j)^2 + edge_weight_R u_n^2,
+    a midpoint sum of shell measure times squared slope over every edge.
+    The last edge runs to the Dirichlet zero at R. The origin edge has slope
+    (u_1 - u(0))/h = (u_2 - u_1)/(3h) through the even-reflection ghost
+    value (see even_extension), so it folds into the first interior edge
+    with a factor 1/9.
     """
 
     N: int
@@ -53,11 +62,16 @@ class RadialGrid:
         hi = r + 0.5 * h
         lo[0] = 0.0
         hi[-1] = self.R
-        w = (SPHERE_MEASURE[self.N] / self.N) * (hi**self.N - lo**self.N)
-        for name, val in (("h", h), ("r", r), ("w", w)):
+        om = SPHERE_MEASURE[self.N]
+        w = (om / self.N) * (hi**self.N - lo**self.N)
+        edge = om * (0.5 * (r[:-1] + r[1:])) ** (self.N - 1) / h
+        edge[0] += om * (0.5 * h) ** (self.N - 1) / h / 9.0
+        edge_R = om * (r[-1] + 0.5 * h) ** (self.N - 1) / h
+        for name, val in (("h", h), ("r", r), ("w", w), ("edge_weights", edge),
+                          ("edge_weight_R", edge_R)):
             object.__setattr__(self, name, val)
-        self.r.flags.writeable = False
-        self.w.flags.writeable = False
+        for arr in (self.r, self.w, self.edge_weights):
+            arr.flags.writeable = False
 
     def ball_volume(self) -> float:
         return SPHERE_MEASURE[self.N] / self.N * self.R**self.N
@@ -115,32 +129,19 @@ def mass(u: GridFunction) -> float:
     return float(u.grid.w @ (u.values * u.values))
 
 
-def _ghost_origin(values: np.ndarray) -> float:
-    # quadratic even extension through the first two nodes: u(0) to O(h^4)
-    return (4.0 * values[0] - values[1]) / 3.0
+def kinetic_values(grid: RadialGrid, values: np.ndarray) -> float:
+    """The kinetic form of RadialGrid on a node array; exactly nonnegative."""
+    dv = np.diff(values)
+    return float(grid.edge_weights @ (dv * dv)
+                 + grid.edge_weight_R * values[-1] * values[-1])
 
 
 def kinetic(u: GridFunction) -> float:
-    """Squared L2 norm of the gradient, by edge-midpoint summation.
+    """Squared L2 norm of the gradient: the edge-sum form of RadialGrid.
 
-    Includes the boundary edge (zero Dirichlet value at R) and the origin
-    edge, whose slope comes from the even-reflection ghost value, so the
-    result is exactly nonnegative and consistent with the quadratic form
-    of laplacian_apply to second order.
+    Agrees with the quadratic form <u, -Lap u> of laplacian_apply to O(h^2).
     """
-    g = u.grid
-    v = u.values
-    om = SPHERE_MEASURE[g.N]
-    h = g.h
-    du = np.diff(v) / h
-    mid = 0.5 * (g.r[:-1] + g.r[1:])
-    k = om * h * float(np.sum(mid ** (g.N - 1) * du * du))
-    # edge from the last node to the Dirichlet zero at R
-    k += om * h * (g.r[-1] + 0.5 * h) ** (g.N - 1) * (v[-1] / h) ** 2
-    # origin edge; slope (u_1 - u(0))/h = (u_2 - u_1)/(3h)
-    if g.n >= 2:
-        k += om * h * (0.5 * h) ** (g.N - 1) * ((v[1] - v[0]) / (3.0 * h)) ** 2
-    return float(k)
+    return kinetic_values(u.grid, u.values)
 
 
 def laplacian_tridiagonal(grid: RadialGrid):
@@ -165,19 +166,37 @@ def laplacian_tridiagonal(grid: RadialGrid):
     return lower, diag, upper
 
 
+def tridiagonal_apply(rows, values: np.ndarray) -> np.ndarray:
+    """Product of the matrix with (lower, diag, upper) rows and a node array."""
+    lower, diag, upper = rows
+    out = diag * values
+    out[:-1] += upper[:-1] * values[1:]
+    out[1:] += lower[1:] * values[:-1]
+    return out
+
+
 def laplacian_apply(u: GridFunction) -> GridFunction:
     """Apply the discrete -Laplacian (with the radial first-order term)."""
-    lower, diag, upper = laplacian_tridiagonal(u.grid)
-    v = u.values
-    out = diag * v
-    out[:-1] += upper[:-1] * v[1:]
-    out[1:] += lower[1:] * v[:-1]
-    return u.with_values(out)
+    return u.with_values(tridiagonal_apply(laplacian_tridiagonal(u.grid), u.values))
 
 
-def laplacian_quadratic_form(u: GridFunction) -> float:
-    """Weighted quadratic form <u, -Lap u>; equals kinetic(u) to O(h^2)."""
-    return float(u.grid.w @ (u.values * laplacian_apply(u).values))
+def even_extension(u: GridFunction):
+    """u as a function of radius: even at the origin, zero from R on.
+
+    A cubic spline through the nodes, the hard zero at R and the ghost value
+    u(0) = (4 u_1 - u_2)/3 of the quadratic even extension through the first
+    two nodes, clamped to zero slope at the origin.
+    """
+    g = u.grid
+    x = np.concatenate(([0.0], g.r, [g.R]))
+    y = np.concatenate(([(4.0 * u.values[0] - u.values[1]) / 3.0], u.values, [0.0]))
+    spline = CubicSpline(x, y, bc_type=((1, 0.0), (2, 0.0)))
+
+    def fn(r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r <= g.R, spline(np.minimum(r, g.R)), 0.0)
+
+    return fn
 
 
 @dataclass(frozen=True)

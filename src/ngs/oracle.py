@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 from scipy.special import k0
 
-from . import grids
+from . import energy, grids
 from .errors import BracketError, MassCriticalError, SupportOverflowError
 from .grids import GridFunction, RadialGrid
 from .models import Model, NonlinearityModel, PotentialModel
@@ -51,28 +50,18 @@ class PowerSolution:
 
     def free_model(self) -> Model:
         """The matching potential-free model (g = |u|^(p-1) u)."""
-        nl = NonlinearityModel(
-            kind="power_sum", terms=((1.0, self.p - 1.0),), N=self.N
-        )
-        return Model(N=self.N, nonlinearity=nl, potential=PotentialModel.zero())
+        return _free_model(self.p, self.N)
 
     def callable_profile(self):
         """Profile as a function of radius; spline fallback for loaded data."""
         if self.profile_fn is not None:
             return self.profile_fn
-        g = self.profile.grid
-        x = np.concatenate(([0.0], g.r, [g.R]))
-        y = np.concatenate(
-            ([(4.0 * self.profile.values[0] - self.profile.values[1]) / 3.0],
-             self.profile.values, [0.0])
-        )
-        spline = CubicSpline(x, y, bc_type=((1, 0.0), (2, 0.0)))
+        return grids.even_extension(self.profile)
 
-        def fn(r):
-            r = np.asarray(r, dtype=float)
-            return np.where(r <= g.R, spline(np.minimum(r, g.R)), 0.0)
 
-        return fn
+def _free_model(p: float, N: int) -> Model:
+    nl = NonlinearityModel(kind="power_sum", terms=((1.0, p - 1.0),), N=N)
+    return Model(N=N, nonlinearity=nl, potential=PotentialModel.zero())
 
 
 def _integrate_profile(N: int, p: float, b: float, r_max: float, dense: bool):
@@ -196,12 +185,10 @@ def shoot_Up(p: float, N: int, grid: RadialGrid, r_max: float = 40.0,
 
 def _package(p, N, lam, profile_fn, center, r_star, grid) -> PowerSolution:
     u = GridFunction.from_callable(grid, profile_fn)
-    m = grids.mass(u)
-    kin = grids.kinetic(u)
-    gterm = grids.integrate(grid, np.abs(u.values) ** (p + 1.0) / (p + 1.0))
+    rep = energy.evaluate(u, _free_model(p, N))
     resid = _stencil_residual(profile_fn, N, p, lam, min(r_star + 5.0, 0.9 * grid.R + 5.0))
     return PowerSolution(
-        p=p, N=N, lam=lam, profile=u, mass=m, energy_I=0.5 * kin - gterm,
+        p=p, N=N, lam=lam, profile=u, mass=rep.mass, energy_I=rep.I,
         center_value=center, matching_radius=r_star,
         highorder_residual=resid, profile_fn=profile_fn,
     )

@@ -285,6 +285,45 @@ def test_threshold_cli_bad_bracket_fails(tmp_path):
     assert "enlarge" in proc.stderr
 
 
+# a consistent bisection record: bracket (2, 2.1), sign change near 2.06
+THRESHOLD_RECORD = {
+    "bracket": [2.0, 2.1], "deadband": 1e-6, "below_lower_bracket": False,
+    "a0": 2.05625, "half_width": 0.00625,
+    "evaluations": [
+        {"a": a, "J": j, "converged": True, "reason": None}
+        for a, j in ((2.1, -0.01), (2.0, 0.0), (2.05, 0.0), (2.075, -0.004),
+                     (2.0625, -0.001))
+    ],
+}
+
+
+def _verify_threshold_record(out, record):
+    out.mkdir()
+    (out / "threshold.json").write_text(json.dumps(record))
+    digest = hashlib.sha256((out / "threshold.json").read_bytes()).hexdigest()
+    (out / "manifest.json").write_text(json.dumps(
+        {"subcommand": "threshold", "outputs": {"threshold.json": digest}}))
+    return run_cli("threshold", "--model", MODELS_DIR / "quintic_free.json",
+                   "--out", out, "--verify")
+
+
+@pytest.mark.parametrize("path,value", [
+    (("evaluations", 1, "J"), -0.5),   # negative at a_lo, yet not flagged below it
+    (("evaluations", 0, "J"), 0.3),    # upper bracket not negative
+    (("half_width",), 9.0),            # wider than the bracket
+], ids=["negative-lower-bracket", "nonnegative-upper-bracket", "wide-half-width"])
+def test_threshold_verify_rejects_impossible_record(tmp_path, path, value):
+    assert _verify_threshold_record(tmp_path / "ok", THRESHOLD_RECORD).returncode == 0
+    record = json.loads(json.dumps(THRESHOLD_RECORD))
+    target = record
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    proc = _verify_threshold_record(tmp_path / "bad", record)
+    assert proc.returncode == 1
+    assert "bisection replay" in proc.stderr
+
+
 def test_spectrum_harmonic(tmp_path):
     out = tmp_path / "spec"
     proc = run_cli("spectrum", "--model", MODELS_DIR / "harmonic.json",

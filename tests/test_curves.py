@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from helpers import ZERO_G, free_power, harmonic_v, power_g, well_v
 from ngs.curves import (
@@ -20,7 +21,7 @@ from ngs.curves import (
 from ngs.energy import dilate
 from ngs.errors import BracketError
 from ngs.flow import SolverConfig, minimize
-from ngs.grids import GridFunction, RadialGrid, mass
+from ngs.grids import GridFunction, RadialGrid, kinetic, mass
 from ngs.models import make_model
 
 
@@ -236,6 +237,26 @@ def test_spectral_floor_deep_well_binds():
     q = quadratic_form_infimum(model, grid)
     assert q < -2.0
     assert q >= model.potential.c_ell
+
+
+@pytest.mark.parametrize("potential", [harmonic_v(1.0), well_v(depth=4.0, width=1.0)])
+def test_spectral_floor_is_exact_generalized_eigenvalue(potential):
+    # K by polarization of the kinetic form on unit vectors; the infimum is
+    # the lowest eigenvalue of K + W V against the quadrature weights W
+    grid = RadialGrid(1, 12.0, 128)
+    model = make_model(1, ZERO_G, potential)
+
+    def kin(v):
+        return kinetic(GridFunction(grid, v))
+
+    unit = np.eye(grid.n)
+    K = np.diag([kin(e) for e in unit])
+    for i in range(grid.n):
+        for j in range(i + 1, grid.n):
+            K[i, j] = K[j, i] = 0.5 * (kin(unit[i] + unit[j]) - K[i, i] - K[j, j])
+    A = K + np.diag(grid.w * model.potential.V(grid.r))
+    exact = scipy.linalg.eigh(A, np.diag(grid.w), eigvals_only=True)[0]
+    assert abs(quadratic_form_infimum(model, grid) - exact) <= 1e-10
 
 
 def test_spectral_floor_never_undershoots_potential_floor(small_grid, well_cubic):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import ZERO_G, free_power, harmonic_v, power_g, well_v
-from ngs.energy import evaluate
+from ngs.energy import evaluate, lagrange_multiplier
 from ngs.flow import SolverConfig, flow_step, gaussian_start, minimize
 from ngs.grids import GridFunction, RadialGrid, mass
 from ngs.models import make_model
@@ -26,6 +26,15 @@ def well_solution(small_grid, well_cubic):
     res = minimize(1.0, well_cubic, small_grid)
     assert res.converged
     return res
+
+
+@pytest.fixture(scope="module")
+def cubic_free_solution(small_grid):
+    # g = u^3 without potential at the exactly solvable mass a = 4
+    model = free_power(1, 2.0)
+    res = minimize(4.0, model, small_grid)
+    assert res.converged
+    return res, model
 
 
 # --- configuration ---
@@ -156,8 +165,12 @@ def test_rejects_warm_start_on_other_grid(small_grid, well_cubic):
         minimize(1.0, well_cubic, small_grid, warm_start=warm)
 
 
-def test_nehari_pohozaev_hold_at_convergence(well_solution, well_cubic):
-    assert abs(well_solution.residuals.nehari) <= 1e-4
-    assert abs(well_solution.residuals.pohozaev) <= 1e-3
-    rep = evaluate(well_solution.u, well_cubic)
-    assert math.isclose(rep.J, well_solution.energy, rel_tol=1e-12)
+def test_nehari_pohozaev_hold_at_convergence(well_solution, well_cubic,
+                                            cubic_free_solution):
+    for res, model in ((well_solution, well_cubic), cubic_free_solution):
+        assert abs(res.residuals.nehari) <= 1e-4
+        assert abs(res.residuals.pohozaev) <= 1e-3
+        # the reported energy and multiplier are those of the reported
+        # profile, bit for bit
+        assert res.energy == evaluate(res.u, model).J
+        assert res.lam == lagrange_multiplier(res.u, model)
