@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -86,7 +85,6 @@ def _add_common(parser: argparse.ArgumentParser, *, needs_out: bool) -> None:
     parser.add_argument("--dt", type=float, default=None, help="flow step size")
     parser.add_argument("--tol", type=float, default=None,
                         help="stationarity residual tolerance")
-    parser.add_argument("--seed", type=int, default=0, help="run seed (recorded)")
     parser.add_argument("--max-iters", type=int, default=None,
                         help="iteration cap per start")
     parser.add_argument("--starts", type=int, default=None,
@@ -143,18 +141,16 @@ def _grid_from_args(args, model) -> RadialGrid:
     return RadialGrid(N=model.N, R=R, n=n)
 
 
+# command-line flag (argparse dest) -> the SolverConfig field it sets
+_CONFIG_FLAGS = {"dt": "dt", "tol": "tol_grad", "max_iters": "max_iters",
+                  "starts": "starts"}
+
+
 def _config_from_args(args) -> SolverConfig:
-    overrides = {}
-    if args.dt is not None:
-        overrides["dt"] = args.dt
-    if args.tol is not None:
-        overrides["tol_grad"] = args.tol
-    if args.max_iters is not None:
-        overrides["max_iters"] = args.max_iters
-    if args.starts is not None:
-        overrides["starts"] = args.starts
-    overrides["seed"] = args.seed
-    return SolverConfig(**overrides)
+    return SolverConfig(**{
+        name: getattr(args, dest) for dest, name in _CONFIG_FLAGS.items()
+        if getattr(args, dest) is not None
+    })
 
 
 def _write_manifest(out_dir: Path, args, model, grid, config,
@@ -369,25 +365,28 @@ def _verify_dir(args) -> int:
         print(f"verification failed: no {MANIFEST_NAME} in {out_dir}",
               file=sys.stderr)
         return 1
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    # a truncated or incomplete record fails verification; it is no crash
+    try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        failures = []
+        for name, recorded in manifest.get("outputs", {}).items():
+            item = out_dir / name
+            if not item.is_file():
+                failures.append(f"missing output file {name}")
+                continue
+            actual = sha256_file(item)
+            if actual != recorded:
+                failures.append(f"hash mismatch for {name}")
+        listed = set(manifest.get("outputs", {}))
+        for item in sorted(out_dir.iterdir()):
+            if item.is_file() and item.name != MANIFEST_NAME and item.name not in listed:
+                failures.append(f"unlisted file {item.name}")
 
-    failures = []
-    for name, recorded in manifest.get("outputs", {}).items():
-        item = out_dir / name
-        if not item.is_file():
-            failures.append(f"missing output file {name}")
-            continue
-        actual = sha256_file(item)
-        if actual != recorded:
-            failures.append(f"hash mismatch for {name}")
-    listed = set(manifest.get("outputs", {}))
-    for item in sorted(out_dir.iterdir()):
-        if item.is_file() and item.name != MANIFEST_NAME and item.name not in listed:
-            failures.append(f"unlisted file {item.name}")
-
-    if not failures:
-        failures.extend(_verify_semantics(out_dir, manifest))
+        if not failures:
+            failures.extend(_verify_semantics(out_dir, manifest))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        failures = [f"cannot replay the run record: {type(exc).__name__}: {exc}"]
 
     if failures:
         for f in failures:
@@ -396,12 +395,6 @@ def _verify_dir(args) -> int:
     print(f"verification OK: {len(manifest.get('outputs', {}))} files match "
           f"({manifest.get('subcommand')} run)")
     return 0
-
-
-def _manifest_model(manifest):
-    d = manifest["model"]
-    return make_model(N=d["N"], nonlinearity=d["nonlinearity"],
-                      potential=d["potential"])
 
 
 def _manifest_grid(manifest) -> RadialGrid:
@@ -413,7 +406,7 @@ def _verify_semantics(out_dir: Path, manifest: dict) -> list:
     sub = manifest.get("subcommand")
     failures: list[str] = []
     if sub == "solve":
-        model = _manifest_model(manifest)
+        model = make_model(**manifest["model"])
         with open(out_dir / "result.json") as fh:
             stored = json.load(fh)
         u = load_profile(out_dir / "profile.csv")
@@ -425,9 +418,12 @@ def _verify_semantics(out_dir: Path, manifest: dict) -> list:
                 f"{stored['C_a_estimate']:.12g}"
             )
     elif sub == "scan":
-        model = _manifest_model(manifest)
+        model = make_model(**manifest["model"])
         grid = _manifest_grid(manifest)
-        config = SolverConfig(**manifest["config"])
+        # rebuilt from the fields the command line sets alone, so manifests
+        # that record further (older) config keys still replay
+        config = SolverConfig(**{name: manifest["config"][name]
+                                 for name in _CONFIG_FLAGS.values()})
         points = read_curve_csv(out_dir / "curve.csv")
         usable = [pt for pt in points if pt.converged]
         picks = []
@@ -447,7 +443,7 @@ def _verify_semantics(out_dir: Path, manifest: dict) -> list:
             stored = json.load(fh)
         failures.extend(_replay_threshold(stored))
     elif sub == "spectrum":
-        model = _manifest_model(manifest)
+        model = make_model(**manifest["model"])
         grid = _manifest_grid(manifest)
         with open(out_dir / "spectrum.json") as fh:
             stored = json.load(fh)
@@ -458,7 +454,7 @@ def _verify_semantics(out_dir: Path, manifest: dict) -> list:
                 f"{stored['infimum']:.12g}"
             )
     elif sub == "validate":
-        model = _manifest_model(manifest)
+        model = make_model(**manifest["model"])
         grid = _manifest_grid(manifest)
         with open(out_dir / "classification.json") as fh:
             stored = json.load(fh)

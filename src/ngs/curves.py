@@ -20,13 +20,16 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import BracketError
-from .flow import SolverConfig, minimize
+from .flow import DEADBAND, SolverConfig, minimize
 from .grids import GridFunction, RadialGrid
-from .models import Model, make_model
+from .models import Model
+
+# radius of the balls whose largest captured mass is the vanishing diagnostic
+VANISHING_RADIUS = 1.0
 
 
-def vanishing_diagnostic(u: GridFunction, radius: float = 1.0) -> float:
-    """Largest mass any ball of the given radius captures.
+def vanishing_diagnostic(u: GridFunction) -> float:
+    """Largest mass any ball of radius VANISHING_RADIUS captures.
 
     Small values flag spreading: the density is everywhere locally thin,
     the discrete signature of a vanishing minimizing sequence.
@@ -35,8 +38,8 @@ def vanishing_diagnostic(u: GridFunction, radius: float = 1.0) -> float:
     dens = g.w * u.values**2
     cum = np.concatenate(([0.0], np.cumsum(dens)))
     centers = np.concatenate(([0.0], g.r))
-    lo = np.searchsorted(g.r, centers - radius, side="left")
-    hi = np.searchsorted(g.r, centers + radius, side="right")
+    lo = np.searchsorted(g.r, centers - VANISHING_RADIUS, side="left")
+    hi = np.searchsorted(g.r, centers + VANISHING_RADIUS, side="right")
     return float((cum[hi] - cum[lo]).max())
 
 
@@ -109,13 +112,8 @@ def _point_from_result(a, res) -> CurvePoint:
 
 
 def _scan_worker(payload):
-    a, model_dict, grid_desc, config_dict = payload
-    model = make_model(N=model_dict["N"], nonlinearity=model_dict["nonlinearity"],
-                       potential=model_dict["potential"])
-    grid = RadialGrid(N=grid_desc[0], R=grid_desc[1], n=grid_desc[2])
-    config = SolverConfig(**config_dict)
-    res = minimize(a, model, grid, config)
-    return _point_from_result(a, res)
+    a, model, grid_desc, config = payload
+    return _point_from_result(a, minimize(a, model, RadialGrid(*grid_desc), config))
 
 
 def scan(a_values, model: Model, grid: RadialGrid,
@@ -139,11 +137,7 @@ def scan(a_values, model: Model, grid: RadialGrid,
         config = SolverConfig()
 
     if parallel:
-        payloads = [
-            (a, model.to_dict(), (grid.N, grid.R, grid.n),
-             dataclasses.asdict(config))
-            for a in a_values
-        ]
+        payloads = [(a, model, (grid.N, grid.R, grid.n), config) for a in a_values]
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             points = list(pool.map(_scan_worker, payloads))
         used_warm = False
@@ -287,10 +281,13 @@ class ThresholdResult:
 
 # stopping width of the threshold bisection, relative to the bracket midpoint
 THRESHOLD_REL_WIDTH = 1e-2
+# iteration cap of one threshold probe: a probe needs only the sign of the
+# minimum, and a negative one stops early at its energy floor
+THRESHOLD_PROBE_MAX_ITERS = 30_000
 
 
-def bisect_threshold(energy_at, bracket: tuple, deadband: float,
-                     rel_width: float = THRESHOLD_REL_WIDTH) -> tuple[float, float, bool]:
+def bisect_threshold(energy_at, bracket: tuple,
+                     deadband: float) -> tuple[float, float, bool]:
     """Bisect for the smallest mass a with energy_at(a) < -deadband.
 
     Probes the upper bracket first, which must be decisively negative, then
@@ -308,7 +305,7 @@ def bisect_threshold(energy_at, bracket: tuple, deadband: float,
     if energy_at(a_lo) < -deadband:
         return a_lo, a_lo, True
     lo, hi = a_lo, a_hi
-    while (hi - lo) > rel_width * 0.5 * (hi + lo):
+    while (hi - lo) > THRESHOLD_REL_WIDTH * 0.5 * (hi + lo):
         mid = 0.5 * (lo + hi)
         if energy_at(mid) < -deadband:
             hi = mid
@@ -319,12 +316,10 @@ def bisect_threshold(energy_at, bracket: tuple, deadband: float,
 
 def threshold_a0(model: Model, grid: RadialGrid,
                  config: SolverConfig | None = None,
-                 bracket: tuple = (1e-3, 8.0), deadband: float = 1e-6,
-                 rel_width: float = THRESHOLD_REL_WIDTH,
-                 eval_max_iters: int = 30_000) -> ThresholdResult:
+                 bracket: tuple = (1e-3, 8.0)) -> ThresholdResult:
     """Bisect for the smallest mass at which the minimal energy is negative.
 
-    Energies inside the dead band around zero count as "not yet negative";
+    Energies above -flow.DEADBAND count as "not yet negative";
     this keeps quadrature noise from steering the bisection. Each probe runs
     a capped minimization with an early exit once the energy is decisively
     negative, since the probe only needs a sign.
@@ -334,12 +329,12 @@ def threshold_a0(model: Model, grid: RadialGrid,
         raise ValueError("bracket must satisfy 0 < a_lo < a_hi")
     if config is None:
         config = SolverConfig()
-    floor = -15.0 * deadband
+    floor = -15.0 * DEADBAND
     if config.stop_energy_below is not None:
         floor = max(floor, config.stop_energy_below)
     probe_config = dataclasses.replace(
         config,
-        max_iters=min(config.max_iters, eval_max_iters),
+        max_iters=min(config.max_iters, THRESHOLD_PROBE_MAX_ITERS),
         stop_energy_below=floor,
     )
 
@@ -350,12 +345,12 @@ def threshold_a0(model: Model, grid: RadialGrid,
         evaluations.append((a, res.energy, res.converged, res.reason))
         return res.energy
 
-    a0, half_width, below = bisect_threshold(probe, (a_lo, a_hi), deadband, rel_width)
+    a0, half_width, below = bisect_threshold(probe, (a_lo, a_hi), DEADBAND)
     note = ("energy already negative at the lower bracket; the threshold is "
             "at or below a_lo") if below else ""
     return ThresholdResult(
         a0=a0, half_width=half_width, below_lower_bracket=below,
-        bracket=(a_lo, a_hi), deadband=deadband,
+        bracket=(a_lo, a_hi), deadband=DEADBAND,
         evaluations=tuple(evaluations), note=note,
     )
 

@@ -17,9 +17,11 @@ from . import grids
 from .errors import BracketError, SupportOverflowError
 from .grids import GridFunction
 
-# admissible range for the fiber-map parameter t
+# admissible range for the fiber-map parameter t, which is also the bracket
+# fiber_minimize scans on FIBER_SAMPLES log-spaced points
 FIBER_T_MIN = 1e-2
 FIBER_T_MAX = 1e2
+FIBER_SAMPLES = 41
 
 
 @dataclass(frozen=True)
@@ -169,15 +171,14 @@ def identity_residuals(u: GridFunction, model, lam: float | None = None) -> Iden
 # --- fiber map u_t(x) = t^(N/2) u(tx) and mass-multiplying dilation ---
 
 
-def _check_t(t: float, t_min: float, t_max: float):
-    if not (t_min <= t <= t_max):
-        raise ValueError(f"fiber parameter {t} outside [{t_min}, {t_max}]")
+def _check_t(t: float):
+    if not (FIBER_T_MIN <= t <= FIBER_T_MAX):
+        raise ValueError(f"fiber parameter {t} outside [{FIBER_T_MIN}, {FIBER_T_MAX}]")
 
 
-def fiber_energy(u: GridFunction, t: float, model,
-                 t_min: float = FIBER_T_MIN, t_max: float = FIBER_T_MAX) -> float:
+def fiber_energy(u: GridFunction, t: float, model) -> float:
     """J[u_t] evaluated analytically in t on the original grid."""
-    _check_t(t, t_min, t_max)
+    _check_t(t)
     return _fiber_energy_cached(u, t, model, grids.kinetic(u))
 
 
@@ -192,10 +193,9 @@ def _fiber_energy_cached(u, t, model, kin) -> float:
     return val
 
 
-def fiber_energy_derivative(u: GridFunction, t: float, model,
-                            t_min: float = FIBER_T_MIN, t_max: float = FIBER_T_MAX) -> float:
+def fiber_energy_derivative(u: GridFunction, t: float, model) -> float:
     """Exact t-derivative of the discrete fiber energy."""
-    _check_t(t, t_min, t_max)
+    _check_t(t)
     g = u.grid
     N = g.N
     val = t * grids.kinetic(u)
@@ -207,14 +207,13 @@ def fiber_energy_derivative(u: GridFunction, t: float, model,
     return val
 
 
-def fiber_map(u: GridFunction, t: float,
-              t_min: float = FIBER_T_MIN, t_max: float = FIBER_T_MAX) -> GridFunction:
+def fiber_map(u: GridFunction, t: float) -> GridFunction:
     """Resample t^(N/2) u(t r) onto the grid of u, then restore the mass.
 
     The analytic map preserves mass; cubic resampling does not quite, so the
     result is renormalized to the exact discrete mass of u.
     """
-    _check_t(t, t_min, t_max)
+    _check_t(t)
     g = u.grid
     out = GridFunction(g, t ** (0.5 * g.N) * grids.even_extension(u)(t * g.r))
     m_new = grids.mass(out)
@@ -223,9 +222,7 @@ def fiber_map(u: GridFunction, t: float,
     return out.with_values(out.values * np.sqrt(grids.mass(u) / m_new))
 
 
-def fiber_minimize(u: GridFunction, model,
-                   t_lo: float = FIBER_T_MIN, t_hi: float = FIBER_T_MAX,
-                   samples: int = 41) -> tuple[float, float]:
+def fiber_minimize(u: GridFunction, model) -> tuple[float, float]:
     """Locate the interior minimum of t -> J[u_t].
 
     Scans a log-spaced bracket (ties resolved toward smaller t), then
@@ -236,10 +233,10 @@ def fiber_minimize(u: GridFunction, model,
     if grids.mass(u) <= 0.0:
         raise ValueError("fiber minimization needs a nonzero field")
     kin = grids.kinetic(u)
-    ts = np.geomspace(t_lo, t_hi, samples)
+    ts = np.geomspace(FIBER_T_MIN, FIBER_T_MAX, FIBER_SAMPLES)
     js = np.array([_fiber_energy_cached(u, t, model, kin) for t in ts])
     i = int(np.argmin(js))
-    if i == 0 or i == samples - 1:
+    if i == 0 or i == FIBER_SAMPLES - 1:
         raise BracketError(
             "no interior fiber minimum in the bracket: the energy does not "
             "dip below its spreading limit for this field"

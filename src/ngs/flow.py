@@ -17,7 +17,7 @@ which differs from the stencil form by O(h^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,55 +27,48 @@ from . import energy as energy_mod
 from . import grids
 from .grids import GridFunction, RadialGrid
 
+# Fixed constants of the flow. They shape how a run is carried out and
+# judged, not the problem; no caller needs other values, so they stay out
+# of SolverConfig and of the manifests that record it.
 # fraction of the t = 0.95 R .. R window whose amplitude triggers the
 # boundary-contact diagnostic, relative to the profile maximum
 BOUNDARY_REL_TOL = 1e-6
+# base of the start widths 1, 2, 1/2, 4, ...: SolverConfig.starts widens them
+INITIAL_WIDTH = 1.0
+# steps between residual checks, which only decide when to stop
+RESIDUAL_CHECK_EVERY = 10
+# steps without a 0.1% residual gain before a start ends as "stall"
+STALL_WINDOW = 5000
+# below this fraction of a in every unit ball, the profile has spread out
+VANISHING_FRACTION = 0.05
+# energies above -DEADBAND are "not negative" here and in threshold_a0, so
+# that quadrature noise cannot decide a sign
+DEADBAND = 1e-6
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Step, residual tolerance, iteration cap and starts of one minimization.
+
+    stop_energy_below ends a start once J is below it, for callers that
+    only need the sign of the minimum (curves.threshold_a0).
+    """
+
     dt: float = 1e-2
     tol_grad: float = 1e-8
-    tol_energy: float = 1e-12
     max_iters: int = 200_000
     starts: int = 3
-    seed: int = 0
-    initial_width_scale: float = 1.0
-    residual_check_every: int = 10
-    # iterations without relative residual progress before giving up
-    stall_window: int = 5000
     stop_energy_below: float | None = None
-    vanishing_fraction: float = 0.05
-    deadband: float = 1e-6
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if not (self.tol_grad > 0 and self.tol_energy > 0):
-            raise ValueError("tolerances must be positive")
+        if not self.tol_grad > 0:
+            raise ValueError("tolerance must be positive")
         if self.starts < 1:
             raise ValueError("need at least one start")
-        if not self.initial_width_scale > 0:
-            raise ValueError("initial width scale must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.residual_check_every < 1 or self.stall_window < 1:
-            raise ValueError("check cadence and stall window must be positive")
-        if not 0.0 < self.vanishing_fraction < 1.0:
-            raise ValueError("vanishing_fraction must lie in (0, 1)")
-        if self.deadband < 0:
-            raise ValueError("deadband must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return {
-            "dt": self.dt,
-            "tol_grad": self.tol_grad,
-            "tol_energy": self.tol_energy,
-            "max_iters": self.max_iters,
-            "starts": self.starts,
-            "seed": self.seed,
-            "initial_width_scale": self.initial_width_scale,
-        }
 
 
 @dataclass
@@ -168,12 +161,12 @@ def gaussian_start(grid: RadialGrid, width: float, a: float) -> GridFunction:
     return GridFunction(grid, vals * math.sqrt(a / m))
 
 
-def _start_widths(count: int, scale: float) -> list[float]:
-    # 1, 2, 1/2, 4, 1/4, ... times the base scale
+def _start_widths(count: int) -> list[float]:
+    # 1, 2, 1/2, 4, 1/4, ... times the base width
     out = []
     for i in range(count):
         k = (i + 1) // 2
-        out.append(scale * (2.0**k if i % 2 == 1 else 2.0**-k))
+        out.append(INITIAL_WIDTH * (2.0**k if i % 2 == 1 else 2.0**-k))
     return out
 
 
@@ -229,20 +222,20 @@ def _run_start(ws: _Workspace, v: np.ndarray, config: SolverConfig) -> _StartOut
         if config.stop_energy_below is not None and J < config.stop_energy_below:
             reason = "energy-floor"
             break
-        if it % config.residual_check_every == 0:
+        if it % RESIDUAL_CHECK_EVERY == 0:
             lam = op.multiplier(v)
             res = op.residual(v, lam)
             if res <= config.tol_grad:
                 converged = True
                 break
             # stall = the residual has stopped improving: no 0.1% gain on
-            # the best value seen over a stall_window stretch of iterations
+            # the best value seen over a STALL_WINDOW stretch of iterations
             if res < (1.0 - 1e-3) * res_best:
                 stalled_iters = 0
             else:
-                stalled_iters += config.residual_check_every
+                stalled_iters += RESIDUAL_CHECK_EVERY
             res_best = min(res_best, res)
-            if stalled_iters >= config.stall_window:
+            if stalled_iters >= STALL_WINDOW:
                 reason = "stall"
                 break
     else:
@@ -280,7 +273,7 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
         if m <= 0:
             raise ValueError("warm start has zero mass")
         starts.append(warm_start.values * math.sqrt(a / m))
-    for width in _start_widths(config.starts - len(starts), config.initial_width_scale):
+    for width in _start_widths(config.starts - len(starts)):
         starts.append(gaussian_start(grid, width, a).values.copy())
 
     outcomes = [_run_start(ws, v.copy(), config) for v in starts]
@@ -326,10 +319,10 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
         from .curves import vanishing_diagnostic
 
         vd_frac = vanishing_diagnostic(u) / a
-        if vd_frac < config.vanishing_fraction and out.J < -config.deadband:
+        if vd_frac < VANISHING_FRACTION and out.J < -DEADBAND:
             converged = False
             reason = "vanishing-suspected"
-        elif (vd_frac < config.vanishing_fraction or contact) and out.J >= -config.deadband:
+        elif (vd_frac < VANISHING_FRACTION or contact) and out.J >= -DEADBAND:
             converged = False
             reason = "no-minimizer-regime"
 

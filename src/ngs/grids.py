@@ -52,8 +52,8 @@ class RadialGrid:
     def __post_init__(self):
         if self.N not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2, or 3, got {self.N}")
-        if not self.R > 0:
-            raise ValueError("domain radius must be positive")
+        if not 0 < self.R < np.inf:
+            raise ValueError("domain radius must be positive and finite")
         if self.n < 64:
             raise ValueError(f"need at least 64 interior nodes, got {self.n}")
         h = self.R / (self.n + 1)

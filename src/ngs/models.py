@@ -23,7 +23,7 @@ from .grids import RadialGrid
 # relative tolerance for declaring a tabulated potential settled at its tail
 TAIL_TOL = 1e-3
 
-# mass in the outer-10% window above which the decay flag is withheld
+# largest |<grad V, x>| on the outer 10% of the grid that still counts as decayed
 DVX_DECAY_TOL = 1e-6
 
 
@@ -47,10 +47,10 @@ class NonlinearityModel:
         if not self.terms:
             raise ValueError("power_sum needs at least one term")
         for coef, sigma in self.terms:
-            if not coef > 0:
-                raise ValueError(f"coefficients must be positive, got {coef}")
-            if not sigma > 0:
-                raise ValueError(f"exponents must be positive, got {sigma}")
+            if not 0 < coef < math.inf:
+                raise ValueError(f"coefficients must be positive and finite, got {coef}")
+            if not 0 < sigma < math.inf:
+                raise ValueError(f"exponents must be positive and finite, got {sigma}")
             if self.N >= 3 and sigma >= 4.0 / (self.N - 2):
                 raise ValueError(
                     f"exponent {sigma} reaches the energy-critical rate "
@@ -137,11 +137,15 @@ class PotentialModel:
             rr = np.asarray(self.table_r)
             if rr[0] != 0.0:
                 raise ValueError("tabulated radii must start at 0")
+            if not (np.all(np.isfinite(rr)) and np.all(np.isfinite(self.table_v))):
+                raise ValueError("tabulated radii and values must be finite")
             if np.any(np.diff(rr) <= 0):
                 raise ValueError("tabulated radii must be strictly increasing")
             object.__setattr__(self, "params", ())
         else:
             object.__setattr__(self, "params", ())
+        if not np.all(np.isfinite(self.params)):
+            raise ValueError("potential parameters must be finite")
 
     # --- evaluation ---
 
@@ -417,8 +421,7 @@ class VClassification:
         }
 
 
-def classify_V(model: PotentialModel, grid: RadialGrid,
-               dvx_tol: float = DVX_DECAY_TOL) -> VClassification:
+def classify_V(model: PotentialModel, grid: RadialGrid) -> VClassification:
     vals = model.V(grid.r)
     v_inf = model.V_inf
     c_ell = model.c_ell
@@ -430,7 +433,7 @@ def classify_V(model: PotentialModel, grid: RadialGrid,
     v0 = float(model.V(0.0))
     v2 = bool(np.all(vals >= c_ell - 1e-12 * scale)) and abs(v0 - c_ell) <= 1e-9 * scale
     outer = grid.r >= 0.9 * grid.R
-    decay = bool(np.max(np.abs(model.dV_dot_x(grid.r[outer]))) < dvx_tol)
+    decay = bool(np.max(np.abs(model.dV_dot_x(grid.r[outer]))) < DVX_DECAY_TOL)
     return VClassification(
         v1=v1, v2=v2, decay_of_dVx=decay, coercive=model.coercive
     )

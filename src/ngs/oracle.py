@@ -23,6 +23,14 @@ from .grids import GridFunction, RadialGrid
 from .models import Model, NonlinearityModel, PotentialModel
 
 _SERIES_R = 1e-6
+# end of the shooting interval, and the stopping width of the bisection on
+# the center value relative to its lower bound
+SHOOT_R_MAX = 40.0
+SHOOT_REL_TOL = 1e-14
+# where the profile has decayed to this fraction of its center value it hands
+# over to the exact linearized tail: past that point the neglected
+# nonlinearity is below the bisection noise floor
+TAIL_FRAC = 1e-5
 
 
 def _sobolev_limit(N: int) -> float:
@@ -64,7 +72,7 @@ def _free_model(p: float, N: int) -> Model:
     return Model(N=N, nonlinearity=nl, potential=PotentialModel.zero())
 
 
-def _integrate_profile(N: int, p: float, b: float, r_max: float, dense: bool):
+def _integrate_profile(N: int, p: float, b: float, dense: bool):
     def rhs(r, y):
         u, du = y
         return [du, u - np.sign(u) * abs(u) ** p - (N - 1) / r * du]
@@ -84,7 +92,7 @@ def _integrate_profile(N: int, p: float, b: float, r_max: float, dense: bool):
     r0 = _SERIES_R
     y0 = [b + r0 * r0 * (b - b**p) / (2.0 * N), r0 * (b - b**p) / N]
     sol = solve_ivp(
-        rhs, (r0, r_max), y0, method="DOP853", rtol=1e-12, atol=1e-14,
+        rhs, (r0, SHOOT_R_MAX), y0, method="DOP853", rtol=1e-12, atol=1e-14,
         events=[crosses_zero, turns_around], dense_output=dense,
     )
     overshoot = len(sol.t_events[0]) > 0
@@ -105,8 +113,7 @@ def _stencil_residual(fn, N: int, p: float, lam: float, r_hi: float) -> float:
     return float(np.sqrt(np.sum(wgt * res * res) / np.sum(wgt * Uc * Uc)))
 
 
-def shoot_Up(p: float, N: int, grid: RadialGrid, r_max: float = 40.0,
-             bracket_rel_tol: float = 1e-14, tail_frac: float = 1e-5) -> PowerSolution:
+def shoot_Up(p: float, N: int, grid: RadialGrid) -> PowerSolution:
     """Frequency-1 profile for exponent p in dimension N, sampled on grid."""
     if grid.N != N:
         raise ValueError("grid dimension disagrees with requested dimension")
@@ -120,7 +127,7 @@ def shoot_Up(p: float, N: int, grid: RadialGrid, r_max: float = 40.0,
     beta0 = ((p + 1.0) / 2.0) ** (1.0 / (p - 1.0))
     if N == 1:
         lo, hi = 0.9 * beta0, 1.1 * beta0
-        overshoot, _sol = _integrate_profile(N, p, hi, r_max, dense=False)
+        overshoot, _sol = _integrate_profile(N, p, hi, dense=False)
         if not overshoot:
             raise BracketError("upper shooting bracket fails to overshoot")
     else:
@@ -128,30 +135,27 @@ def shoot_Up(p: float, N: int, grid: RadialGrid, r_max: float = 40.0,
         hi = beta0
         for _ in range(64):
             hi *= 1.3
-            overshoot, _sol = _integrate_profile(N, p, hi, r_max, dense=False)
+            overshoot, _sol = _integrate_profile(N, p, hi, dense=False)
             if overshoot:
                 break
         else:
             raise BracketError("could not bracket the shooting parameter from above")
-    overshoot, _sol = _integrate_profile(N, p, lo, r_max, dense=False)
+    overshoot, _sol = _integrate_profile(N, p, lo, dense=False)
     if overshoot:
         raise BracketError("lower shooting bracket unexpectedly overshoots")
     for _ in range(200):
-        if hi - lo <= bracket_rel_tol * beta0:
+        if hi - lo <= SHOOT_REL_TOL * beta0:
             break
         mid = 0.5 * (lo + hi)
-        overshoot, _sol = _integrate_profile(N, p, mid, r_max, dense=False)
+        overshoot, _sol = _integrate_profile(N, p, mid, dense=False)
         if overshoot:
             hi = mid
         else:
             lo = mid
     b = 0.5 * (lo + hi)
-    _overshoot, sol = _integrate_profile(N, p, b, r_max, dense=True)
+    _overshoot, sol = _integrate_profile(N, p, b, dense=True)
 
-    # hand over to the exact linearized tail where the profile has decayed
-    # to tail_frac of its center value; past that point the neglected
-    # nonlinearity is below the bisection noise floor
-    above = np.where(sol.y[0] >= tail_frac * b)[0]
+    above = np.where(sol.y[0] >= TAIL_FRAC * b)[0]
     r_star = sol.t[above[-1]] if len(above) else sol.t[-1]
     r_star = min(r_star, sol.t[-1] - 1e-9)
     u_star = float(sol.sol(r_star)[0])

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -81,6 +82,13 @@ def test_solve_oracle_case_artifacts(solve_dir):
     assert manifest["subcommand"] == "solve"
     assert set(manifest["outputs"]) == {
         "result.json", "profile.csv", "profile.json", "trace.csv"
+    }
+
+
+def test_manifest_records_the_solver_settings(solve_dir):
+    manifest = json.loads((solve_dir / "manifest.json").read_text())
+    assert set(manifest["config"]) == {
+        "dt", "tol_grad", "max_iters", "starts", "stop_energy_below"
     }
 
 
@@ -203,6 +211,35 @@ def test_malformed_json_reports_position(tmp_path):
     assert "column" in proc.stderr
 
 
+NAN_TABLE = {"potential": {"kind": "tabulated", "table": {
+    "r": list(range(12)), "V": [-1.0, float("nan")] + [0.0] * 10}}}
+INFINITE_WELL = {"potential": {"kind": "gaussian_well", "params": [float("inf"), 1.0]}}
+INFINITE_COEF = {"nonlinearity": {"kind": "power_sum",
+                                  "terms": [{"coef": float("inf"), "sigma": 2.0}]}}
+
+
+@pytest.mark.parametrize("override,argv", [
+    (NAN_TABLE, ("solve", "--mass", "1", *SMALL)),
+    (NAN_TABLE, ("validate",)),
+    (INFINITE_WELL, ("solve", "--mass", "1", *SMALL)),
+    (INFINITE_COEF, ("validate",)),
+    (None, ("solve", "--mass", "1", "--grid-R", "inf")),
+    (None, ("spectrum", "--grid-R", "inf")),
+], ids=["nan-table-solve", "nan-table-validate", "infinite-well-solve",
+        "infinite-coefficient-validate", "infinite-radius-solve",
+        "infinite-radius-spectrum"])
+def test_nonfinite_input_is_usage_error(tmp_path, override, argv):
+    model = MODELS_DIR / "gaussian_well_cubic.json"
+    if override is not None:
+        model_json = json.loads(model.read_text())
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({**model_json, **override}))
+    proc = run_cli(argv[0], "--model", model, *argv[1:], "--out", tmp_path / "x")
+    assert proc.returncode == 64, proc.stdout + proc.stderr
+    assert "finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_scan_needs_three_steps(tmp_path):
     proc = run_cli("scan", "--model", MODELS_DIR / "gaussian_well_cubic.json",
                    "--a-min", "1", "--a-max", "2", "--steps", "2",
@@ -249,6 +286,51 @@ def test_scan_verify_spot_check(scan_dirs):
                     "--out", scan_dirs[0], "--verify")
     assert check.returncode == 0
     assert "verification OK" in check.stdout
+
+
+def _copy_scan(scan_dir, tmp_path):
+    out = tmp_path / "copy"
+    shutil.copytree(scan_dir, out)
+    return out, json.loads((out / "manifest.json").read_text())
+
+
+def _verify_scan(out):
+    return run_cli("scan", "--model", MODELS_DIR / "gaussian_well_cubic.json",
+                   "--a-min", "0.5", "--a-max", "1.5", "--steps", "3",
+                   "--out", out, "--verify")
+
+
+def test_scan_verify_accepts_manifest_with_former_config_keys(scan_dirs, tmp_path):
+    out, manifest = _copy_scan(scan_dirs[0], tmp_path)
+    # every SolverConfig field of earlier versions, at its default
+    manifest["config"] = {
+        "dt": 0.01, "tol_grad": 1e-08, "tol_energy": 1e-12, "max_iters": 200000,
+        "starts": 3, "seed": 0, "initial_width_scale": 1.0,
+        "residual_check_every": 10, "stall_window": 5000,
+        "stop_energy_below": None, "vanishing_fraction": 0.05, "deadband": 1e-06,
+    }
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    check = _verify_scan(out)
+    assert check.returncode == 0, check.stderr
+    assert "verification OK" in check.stdout
+
+
+@pytest.mark.parametrize("drop", [None, ("config", "dt"), (None, "model"), (None, "grid")],
+                         ids=["truncated", "config-without-dt", "without-model",
+                              "without-grid"])
+def test_scan_verify_reports_malformed_manifest(scan_dirs, tmp_path, drop):
+    out, manifest = _copy_scan(scan_dirs[0], tmp_path)
+    if drop is None:
+        text = json.dumps(manifest)[:40]
+    else:
+        section, key = drop
+        del (manifest[section] if section else manifest)[key]
+        text = json.dumps(manifest)
+    (out / "manifest.json").write_text(text)
+    check = _verify_scan(out)
+    assert check.returncode == 1
+    assert check.stderr.startswith("verification failed: ")
+    assert "Traceback" not in check.stderr
 
 
 def test_scan_partial_curve_exits_1(tmp_path):
@@ -322,6 +404,18 @@ def test_threshold_verify_rejects_impossible_record(tmp_path, path, value):
     proc = _verify_threshold_record(tmp_path / "bad", record)
     assert proc.returncode == 1
     assert "bisection replay" in proc.stderr
+
+
+@pytest.mark.parametrize("key,value", [("bracket", 2.0), ("a0", None)],
+                         ids=["bracket-not-a-pair", "without-a0"])
+def test_threshold_verify_reports_malformed_record(tmp_path, key, value):
+    record = {k: v for k, v in THRESHOLD_RECORD.items() if k != key}
+    if value is not None:
+        record[key] = value
+    proc = _verify_threshold_record(tmp_path / "bad", record)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("verification failed: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_spectrum_harmonic(tmp_path):

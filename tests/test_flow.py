@@ -46,14 +46,6 @@ def test_config_rejects_bad_fields():
         SolverConfig(starts=0)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=-1)
-    with pytest.raises(ValueError):
-        SolverConfig(vanishing_fraction=1.5)
-
-
-def test_config_roundtrips_to_dict():
-    cfg = SolverConfig(dt=0.5, starts=2, seed=7)
-    d = cfg.to_dict()
-    assert d["dt"] == 0.5 and d["starts"] == 2 and d["seed"] == 7
 
 
 # --- single step mechanics ---
