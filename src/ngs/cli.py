@@ -183,7 +183,7 @@ def _prepare_out(args) -> Path:
 
 def _cmd_solve(args, model) -> int:
     if not args.mass > 0:
-        raise _Usage("mass must be positive")
+        raise ValueError("mass must be positive")
     grid = _grid_from_args(args, model)
     config = _config_from_args(args)
     out_dir = _prepare_out(args)
@@ -220,11 +220,11 @@ def _cmd_solve(args, model) -> int:
 
 def _cmd_scan(args, model) -> int:
     if not (args.a_min < args.a_max):
-        raise _Usage("--a-min must be below --a-max")
+        raise ValueError("--a-min must be below --a-max")
     if args.a_min <= 0:
-        raise _Usage("masses must be positive")
+        raise ValueError("masses must be positive")
     if args.steps < 3:
-        raise _Usage("--steps must be at least 3")
+        raise ValueError("--steps must be at least 3")
     grid = _grid_from_args(args, model)
     config = _config_from_args(args)
     out_dir = _prepare_out(args)
@@ -240,7 +240,6 @@ def _cmd_scan(args, model) -> int:
     _write_gnuplot_script(out_dir / "curve.gp")
     _write_manifest(out_dir, args, model, grid, config, wall, extra={
         "masses": [round_floats(a) for a in masses.tolist()],
-        "curve_fingerprint": curve.fingerprint(),
         "warm_start": curve.warm_start,
     })
 
@@ -349,10 +348,6 @@ def _write_gnuplot_script(path: Path) -> None:
     )
 
 
-class _Usage(Exception):
-    pass
-
-
 def _verify_dir(args) -> int:
     """Check outputs in --out against the manifest, then spot-recompute."""
     out_dir = Path(args.out) if args.out else None
@@ -370,6 +365,11 @@ def _verify_dir(args) -> int:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
         failures = []
+        sub = manifest.get("subcommand")
+        # a record replays only under the command that wrote it
+        if sub != args.command:
+            failures.append(f"{MANIFEST_NAME} records a {sub!r} run, "
+                            f"not a {args.command!r} run")
         for name, recorded in manifest.get("outputs", {}).items():
             item = out_dir / name
             if not item.is_file():
@@ -506,9 +506,6 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args, model)
-    except _Usage as exc:
-        print(f"ngs: {exc}", file=sys.stderr)
-        return 64
     except ValueError as exc:
         print(f"ngs: {exc}", file=sys.stderr)
         return 64

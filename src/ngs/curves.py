@@ -10,8 +10,6 @@ the small-mass behavior.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -21,26 +19,9 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import BracketError
 from .flow import DEADBAND, SolverConfig, minimize
-from .grids import GridFunction, RadialGrid
+from .flow import vanishing_diagnostic  # noqa: F401  (re-exported)
+from .grids import RadialGrid
 from .models import Model
-
-# radius of the balls whose largest captured mass is the vanishing diagnostic
-VANISHING_RADIUS = 1.0
-
-
-def vanishing_diagnostic(u: GridFunction) -> float:
-    """Largest mass any ball of radius VANISHING_RADIUS captures.
-
-    Small values flag spreading: the density is everywhere locally thin,
-    the discrete signature of a vanishing minimizing sequence.
-    """
-    g = u.grid
-    dens = g.w * u.values**2
-    cum = np.concatenate(([0.0], np.cumsum(dens)))
-    centers = np.concatenate(([0.0], g.r))
-    lo = np.searchsorted(g.r, centers - VANISHING_RADIUS, side="left")
-    hi = np.searchsorted(g.r, centers + VANISHING_RADIUS, side="right")
-    return float((cum[hi] - cum[lo]).max())
 
 
 @dataclass(frozen=True)
@@ -56,12 +37,9 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class EnergyCurve:
-    """Scan output plus the fingerprints that pin down how it was made."""
+    """Scan output: one point per mass, and whether masses were warm-started."""
 
     points: tuple
-    model_fingerprint: str
-    grid_fingerprint: str
-    config_fingerprint: str
     warm_start: bool
 
     @property
@@ -72,35 +50,12 @@ class EnergyCurve:
     def failed_masses(self) -> tuple:
         return tuple(pt.a for pt in self.points if not pt.converged)
 
-    def masses(self) -> np.ndarray:
-        return np.array([pt.a for pt in self.points])
-
     def energies(self) -> np.ndarray:
         return np.array([pt.energy for pt in self.points])
 
     def monotone_violations(self, tol: float = 0.0) -> int:
         e = self.energies()
         return int(np.sum(np.diff(e) > tol))
-
-    def fingerprint(self) -> str:
-        payload = {
-            "model": self.model_fingerprint,
-            "grid": self.grid_fingerprint,
-            "config": self.config_fingerprint,
-            "mode": "warm-start" if self.warm_start else "parallel-cold",
-            "points": [
-                [pt.a, pt.energy, pt.lam, pt.converged, pt.nehari, pt.pohozaev]
-                for pt in self.points
-            ],
-        }
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-def _config_fingerprint(config: SolverConfig) -> str:
-    text = json.dumps(dataclasses.asdict(config), sort_keys=True,
-                      separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _point_from_result(a, res) -> CurvePoint:
@@ -151,13 +106,7 @@ def scan(a_values, model: Model, grid: RadialGrid,
                 prev = res.u
         used_warm = warm_start
 
-    return EnergyCurve(
-        points=tuple(points),
-        model_fingerprint=model.fingerprint(),
-        grid_fingerprint=grid.fingerprint(),
-        config_fingerprint=_config_fingerprint(config),
-        warm_start=used_warm,
-    )
+    return EnergyCurve(points=tuple(points), warm_start=used_warm)
 
 
 def write_curve_csv(curve: EnergyCurve, path) -> None:

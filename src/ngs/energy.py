@@ -112,7 +112,13 @@ class Discretization:
         return (gu - quad) / m
 
     def nehari(self, v: np.ndarray, lam: float) -> float:
-        """Signed defect of <v, -Lap v> + int (V + lam) v^2 - int g(v) v."""
+        """Signed defect of <v, -Lap v> + int (V + lam) v^2 - int g(v) v.
+
+        At lam = multiplier(v) the defect is zero for every v by construction,
+        so it then checks only the arithmetic. Evidence of stationarity comes
+        from residual and the Pohozaev identity, or from the defect at a lam
+        found independently of v (an oracle's, say).
+        """
         quad, gu, m = self._nehari_terms(v)
         return quad + lam * m - gu
 

@@ -39,8 +39,10 @@ INITIAL_WIDTH = 1.0
 RESIDUAL_CHECK_EVERY = 10
 # steps without a 0.1% residual gain before a start ends as "stall"
 STALL_WINDOW = 5000
-# below this fraction of a in every unit ball, the profile has spread out
+# below this fraction of a in every ball of radius VANISHING_RADIUS, the
+# profile has spread out
 VANISHING_FRACTION = 0.05
+VANISHING_RADIUS = 1.0
 # energies above -DEADBAND are "not negative" here and in threshold_a0, so
 # that quadrature noise cannot decide a sign
 DEADBAND = 1e-6
@@ -155,6 +157,21 @@ def flow_step(u: GridFunction, model, dt: float, a: float | None = None) -> Grid
     return u.with_values(ws.step(u.values.copy()))
 
 
+def vanishing_diagnostic(u: GridFunction) -> float:
+    """Largest mass any ball of radius VANISHING_RADIUS captures.
+
+    Small values flag spreading: the density is everywhere locally thin,
+    the discrete signature of a vanishing minimizing sequence.
+    """
+    g = u.grid
+    dens = g.w * u.values**2
+    cum = np.concatenate(([0.0], np.cumsum(dens)))
+    centers = np.concatenate(([0.0], g.r))
+    lo = np.searchsorted(g.r, centers - VANISHING_RADIUS, side="left")
+    hi = np.searchsorted(g.r, centers + VANISHING_RADIUS, side="right")
+    return float((cum[hi] - cum[lo]).max())
+
+
 def gaussian_start(grid: RadialGrid, width: float, a: float) -> GridFunction:
     vals = np.exp(-grid.r**2 / (2.0 * width * width))
     m = float(grid.w @ (vals * vals))
@@ -193,9 +210,6 @@ def _run_start(ws: _Workspace, v: np.ndarray, config: SolverConfig) -> _StartOut
     warnings = []
     converged = False
     reason = None
-    lam = op.multiplier(v)
-    res = math.inf
-    it = 0
     J_best = J
     for it in range(1, config.max_iters + 1):
         v = ws.step(v)
@@ -316,8 +330,6 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
     converged = out.converged
     reason = out.reason
     if math.isfinite(model.potential.V_inf):
-        from .curves import vanishing_diagnostic
-
         vd_frac = vanishing_diagnostic(u) / a
         if vd_frac < VANISHING_FRACTION and out.J < -DEADBAND:
             converged = False

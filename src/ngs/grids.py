@@ -8,7 +8,6 @@ integrals match integrals over the whole real line.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,10 +78,6 @@ class RadialGrid:
     def descriptor(self) -> dict:
         return {"N": self.N, "R": self.R, "n": self.n}
 
-    def fingerprint(self) -> str:
-        text = f"N={self.N},R={self.R:.12g},n={self.n}"
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
-
 
 class GridFunction:
     """Immutable field sampled on a RadialGrid."""
@@ -101,10 +96,6 @@ class GridFunction:
 
     def __setattr__(self, name, value):
         raise AttributeError("GridFunction is immutable")
-
-    @classmethod
-    def from_callable(cls, grid: RadialGrid, fn) -> "GridFunction":
-        return cls(grid, fn(grid.r))
 
     def with_values(self, values) -> "GridFunction":
         return GridFunction(self.grid, values)

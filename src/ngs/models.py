@@ -134,6 +134,11 @@ class PotentialModel:
                 raise ValueError(
                     f"tabulated potential needs at least 8 samples, got {len(self.table_r)}"
                 )
+            if len(self.table_v) != len(self.table_r):
+                raise ValueError(
+                    f"tabulated potential has {len(self.table_r)} radii but "
+                    f"{len(self.table_v)} values"
+                )
             rr = np.asarray(self.table_r)
             if rr[0] != 0.0:
                 raise ValueError("tabulated radii must start at 0")

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.special import k0
 
-from . import energy, grids
+from . import energy
 from .errors import BracketError, MassCriticalError, SupportOverflowError
 from .grids import GridFunction, RadialGrid
 from .models import Model, NonlinearityModel, PotentialModel
@@ -54,17 +54,12 @@ class PowerSolution:
     # integrator output; the grid operator's own truncation error does not
     # enter this number
     highorder_residual: float
-    profile_fn: object = field(repr=False, compare=False, default=None)
+    # the shooting profile as a function of radius, off the grid too
+    profile_fn: object = field(repr=False, compare=False)
 
     def free_model(self) -> Model:
         """The matching potential-free model (g = |u|^(p-1) u)."""
         return _free_model(self.p, self.N)
-
-    def callable_profile(self):
-        """Profile as a function of radius; spline fallback for loaded data."""
-        if self.profile_fn is not None:
-            return self.profile_fn
-        return grids.even_extension(self.profile)
 
 
 def _free_model(p: float, N: int) -> Model:
@@ -188,7 +183,7 @@ def shoot_Up(p: float, N: int, grid: RadialGrid) -> PowerSolution:
 
 
 def _package(p, N, lam, profile_fn, center, r_star, grid) -> PowerSolution:
-    u = GridFunction.from_callable(grid, profile_fn)
+    u = GridFunction(grid, profile_fn(grid.r))
     rep = energy.evaluate(u, _free_model(p, N))
     resid = _stencil_residual(profile_fn, N, p, lam, min(r_star + 5.0, 0.9 * grid.R + 5.0))
     return PowerSolution(
@@ -213,7 +208,7 @@ def scale_solution(sol: PowerSolution, lam: float,
         grid = sol.profile.grid
     if lam == 1.0 and grid is sol.profile.grid:
         return sol
-    base = sol.callable_profile()
+    base = sol.profile_fn
     p = sol.p
     amp = lam ** (1.0 / (p - 1.0))
     root = math.sqrt(lam)

@@ -272,6 +272,8 @@ def test_scan_outputs_and_summary(scan_dirs):
     assert (out / "subadditivity.csv").read_text().splitlines()[0] == "a,b,gap"
     gp = (out / "curve.gp").read_text()
     assert "curve.csv" in gp
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "curve_fingerprint" not in manifest
 
 
 def test_scan_outputs_are_deterministic(scan_dirs):
@@ -309,6 +311,8 @@ def test_scan_verify_accepts_manifest_with_former_config_keys(scan_dirs, tmp_pat
         "residual_check_every": 10, "stall_window": 5000,
         "stop_energy_below": None, "vanishing_fraction": 0.05, "deadband": 1e-06,
     }
+    # a digest of the curve that scans wrote before; nothing reads it
+    manifest["curve_fingerprint"] = "0123456789abcdef"
     (out / "manifest.json").write_text(json.dumps(manifest))
     check = _verify_scan(out)
     assert check.returncode == 0, check.stderr
@@ -428,6 +432,53 @@ def test_spectrum_harmonic(tmp_path):
     check = run_cli("spectrum", "--model", MODELS_DIR / "harmonic.json",
                     "--out", out, "--verify")
     assert check.returncode == 0
+
+
+@pytest.mark.parametrize("command,recorded,infimum", [
+    ("spectrum", "bogus", 123.0),    # unknown command, doctored infimum
+    ("spectrum", None, 123.0),       # no command recorded, doctored infimum
+    ("validate", "spectrum", None),  # an intact spectrum record
+], ids=["unknown-subcommand", "missing-subcommand", "mismatched-command"])
+def test_verify_rejects_record_of_another_command(tmp_path, command, recorded,
+                                                  infimum):
+    out = tmp_path / "spec"
+    shutil.copytree(MODELS_DIR.parent / "scenarios" / "spectrum_harmonic", out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    if infimum is not None:
+        report = json.loads((out / "spectrum.json").read_text())
+        report["infimum"] = infimum
+        (out / "spectrum.json").write_text(json.dumps(report))
+        manifest["outputs"]["spectrum.json"] = hashlib.sha256(
+            (out / "spectrum.json").read_bytes()).hexdigest()
+    if recorded is None:
+        del manifest["subcommand"]
+    else:
+        manifest["subcommand"] = recorded
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    proc = run_cli(command, "--model", MODELS_DIR / "harmonic.json",
+                   "--out", out, "--verify")
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stderr.startswith("verification failed: ")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+TABLE_LENGTH_MISMATCH = {"potential": {"kind": "tabulated", "table": {
+    "r": list(range(12)), "V": [-1.0] + [0.0] * 10}}}
+
+
+@pytest.mark.parametrize("argv", [("validate",), ("spectrum", *SMALL)],
+                         ids=["validate", "spectrum"])
+def test_table_length_mismatch_is_bad_model_file(tmp_path, argv):
+    model_json = json.loads((MODELS_DIR / "gaussian_well_cubic.json").read_text())
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({**model_json, **TABLE_LENGTH_MISMATCH}))
+    out = tmp_path / "x"
+    proc = run_cli(argv[0], "--model", model, *argv[1:], "--out", out)
+    assert proc.returncode == 64, proc.stdout + proc.stderr
+    assert "bad model file" in proc.stderr
+    assert "12 radii but 11 values" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_env_grid_default_recorded(tmp_path):

@@ -130,8 +130,7 @@ def test_synthetic_flat_curve_has_zero_gaps():
                    nehari=0.0, pohozaev=0.0)
         for a in (1, 2, 3, 4)
     )
-    curve = EnergyCurve(points=pts, model_fingerprint="x", grid_fingerprint="y",
-                        config_fingerprint="z", warm_start=False)
+    curve = EnergyCurve(points=pts, warm_start=False)
     report = subadditivity_check(curve)
     assert report.ok
     assert len(report.rows) == 4

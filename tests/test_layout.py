@@ -1,0 +1,93 @@
+"""Architecture checks on the package source, by static analysis alone.
+
+The import graph of src/ngs must be acyclic, imports inside functions
+included, and every module-level import must be used. An import kept only
+to re-export a name carries "# noqa: F401" on its line.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "ngs"
+TREES = {path.stem: (path.read_text(), ast.parse(path.read_text(), str(path)))
+         for path in sorted(SRC.glob("*.py"))}
+
+
+def _package_imports(tree) -> set:
+    """Modules of the package that a module imports, anywhere in its body."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                parts = node.module.split(".") if node.module else []
+            elif (node.module or "").split(".")[0] == "ngs":
+                parts = node.module.split(".")[1:]
+            else:
+                continue
+            if parts:
+                out.add(parts[0])
+            else:
+                # "from . import x": a module, or a name of the package itself
+                out.update(a.name if a.name in TREES else "__init__"
+                           for a in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "ngs":
+                    out.add(parts[1] if len(parts) > 1 else "__init__")
+    return out
+
+
+def _find_cycle(graph: dict) -> list | None:
+    state = dict.fromkeys(graph, 0)  # 0 unseen, 1 on the path, 2 done
+    path = []
+
+    def visit(node):
+        state[node] = 1
+        path.append(node)
+        for nxt in sorted(graph[node]):
+            if state[nxt] == 1:
+                return path[path.index(nxt):] + [nxt]
+            if state[nxt] == 0:
+                found = visit(nxt)
+                if found:
+                    return found
+        path.pop()
+        state[node] = 2
+        return None
+
+    for node in sorted(graph):
+        if state[node] == 0:
+            found = visit(node)
+            if found:
+                return found
+    return None
+
+
+def test_package_import_graph_has_no_cycle():
+    graph = {name: _package_imports(tree) for name, (_, tree) in TREES.items()}
+    assert set().union(*graph.values()) <= set(graph)
+    cycle = _find_cycle(graph)
+    assert cycle is None, "import cycle: " + " -> ".join(cycle)
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_unused_module_level_import(module):
+    source, tree = TREES[module]
+    lines = source.splitlines()
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("noqa: F401" in line
+               for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in used:
+                unused.append(f"line {node.lineno}: {bound}")
+    assert not unused, f"unused imports in {module}.py: {unused}"
