@@ -6,9 +6,9 @@ change of the curve), spectrum (infimum of the quadratic form), validate
 also writes a manifest with content hashes; --verify replays a directory
 against its manifest instead of recomputing from scratch.
 
-Exit codes: 0 success/converged, 1 failure or partial result, 2 converged
-to the spread no-minimizer regime, 3 vanishing suspected, 64 usage errors
-including malformed model files.
+Exit codes: 0 success/converged, 1 failure, partial result or numerical
+breakdown, 2 converged to the spread no-minimizer regime, 3 vanishing
+suspected, 64 usage errors including malformed model files.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from .curves import (
     write_subadditivity_csv,
 )
 from .energy import evaluate
-from .errors import BracketError, ModelFormatError
+from .errors import BracketError, ModelFormatError, NumericalError
 from .flow import SolverConfig, minimize
 from .grids import RadialGrid, load_profile, save_profile
 from .models import classify_V, classify_g, load_model, make_model
@@ -176,6 +176,7 @@ def _write_manifest(out_dir: Path, args, model, grid, config,
 
 
 def _prepare_out(args) -> Path:
+    # called once the results are in, so a failed run leaves no directory
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -186,10 +187,10 @@ def _cmd_solve(args, model) -> int:
         raise ValueError("mass must be positive")
     grid = _grid_from_args(args, model)
     config = _config_from_args(args)
-    out_dir = _prepare_out(args)
     t0 = time.perf_counter()
     result = minimize(args.mass, model, grid, config)
     wall = time.perf_counter() - t0
+    out_dir = _prepare_out(args)
 
     payload = result.to_dict()
     payload["model_fingerprint"] = model.fingerprint()
@@ -227,12 +228,12 @@ def _cmd_scan(args, model) -> int:
         raise ValueError("--steps must be at least 3")
     grid = _grid_from_args(args, model)
     config = _config_from_args(args)
-    out_dir = _prepare_out(args)
     masses = np.linspace(args.a_min, args.a_max, args.steps)
 
     t0 = time.perf_counter()
     curve = scan(masses, model, grid, config, parallel=args.parallel)
     wall = time.perf_counter() - t0
+    out_dir = _prepare_out(args)
 
     write_curve_csv(curve, out_dir / "curve.csv")
     report = subadditivity_check(curve)
@@ -269,7 +270,6 @@ def _cmd_scan(args, model) -> int:
 def _cmd_threshold(args, model) -> int:
     grid = _grid_from_args(args, model)
     config = _config_from_args(args)
-    out_dir = _prepare_out(args)
     t0 = time.perf_counter()
     try:
         found = threshold_a0(model, grid, config, bracket=(args.a_lo, args.a_hi))
@@ -277,6 +277,7 @@ def _cmd_threshold(args, model) -> int:
         print(f"threshold failed: {exc}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - t0
+    out_dir = _prepare_out(args)
     payload = found.to_dict()
     payload["model_fingerprint"] = model.fingerprint()
     payload["grid"] = grid.descriptor()
@@ -290,7 +291,6 @@ def _cmd_threshold(args, model) -> int:
 
 def _cmd_spectrum(args, model) -> int:
     grid = _grid_from_args(args, model)
-    out_dir = _prepare_out(args)
     t0 = time.perf_counter()
     try:
         value = quadratic_form_infimum(model, grid)
@@ -298,6 +298,7 @@ def _cmd_spectrum(args, model) -> int:
         print(f"spectrum failed: {exc}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - t0
+    out_dir = _prepare_out(args)
     payload = {
         "infimum": value,
         "potential_lower_bound": model.potential.c_ell,
@@ -497,6 +498,10 @@ def main(argv=None) -> int:
     except ModelFormatError as exc:
         print(f"ngs: bad model file: {exc}", file=sys.stderr)
         return 64
+    # results go to --out only once computed; a file in the way fails now
+    if args.out is not None and Path(args.out).exists() and not Path(args.out).is_dir():
+        print(f"ngs: --out {args.out} exists and is not a directory", file=sys.stderr)
+        return 64
     handler = {
         "solve": _cmd_solve,
         "scan": _cmd_scan,
@@ -509,6 +514,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"ngs: {exc}", file=sys.stderr)
         return 64
+    except NumericalError as exc:
+        print(f"ngs: numerical failure: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

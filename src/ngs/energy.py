@@ -122,12 +122,16 @@ class Discretization:
         quad, gu, m = self._nehari_terms(v)
         return quad + lam * m - gu
 
+    def defect(self, v: np.ndarray, lam: float) -> np.ndarray:
+        """-Lap v + (V + lam) v - g(v) at the nodes."""
+        return self.apply_lap(v) + (self.V + lam) * v - self.model.nonlinearity.g(v)
+
     def residual(self, v: np.ndarray, lam: float) -> float:
-        """Weighted L2 norm of -Lap v + (V + lam) v - g(v), relative to ||v||."""
+        """Weighted L2 norm of the defect, relative to ||v||."""
         m = float(self.w @ (v * v))
         if m <= 0.0:
             raise ValueError("residual needs a field with positive mass")
-        res = self.apply_lap(v) + (self.V + lam) * v - self.model.nonlinearity.g(v)
+        res = self.defect(v, lam)
         return float(np.sqrt((self.w @ (res * res)) / m))
 
 

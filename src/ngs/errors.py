@@ -20,3 +20,10 @@ class BracketError(RuntimeError):
 
 class MassCriticalError(ValueError):
     """Requested scaling inversion at the mass-critical exponent."""
+
+
+class NumericalError(ArithmeticError):
+    """The computation itself broke down (degenerate field, lost positivity).
+
+    Not a ValueError: the input was well formed, so this is no usage error.
+    """

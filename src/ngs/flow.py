@@ -9,6 +9,22 @@ Fixed points of the step are exact discrete constrained critical points of
 the stencil form; a plain rescale-after-step variant instead converges to an
 O(dt)-biased profile, which is why the multiplier enters inside the solve.
 
+The flow converges only linearly. Once its residual is below NEWTON_BELOW,
+a start tries a Newton finish (after Altmann, Henning & Peterseim, "The
+J-method for the Gross-Pitaevskii eigenvalue problem", Numer. Math. 2021):
+Newton steps on F = (-Lap + V + lam) u - g(u) = 0 with the mass w^T u^2 = a,
+on the same stencil rows, so its fixed point is the flow's. One step factors
+the tridiagonal L = -Lap + V + lam - g'(u), solves for the right-hand sides
+-F and u, gets the multiplier update by bordering, and rescales to mass a.
+A step counts only if the factorization succeeds, the field stays finite,
+J does not rise beyond rounding and no entry turns negative that was not.
+The attempt ends the start once the residual meets tol_grad (or J falls
+below stop_energy_below); if a step fails a guard or NEWTON_MAX_STEPS steps
+do not get there, every iterate of the attempt is dropped and the flow goes
+on from where it was, bit for bit, until its residual is below half that of
+the failed attempt. A finish typically takes one or two steps from 1e-3
+and ends at residual 1e-10 or below, well inside tol_grad.
+
 Every value the flow reports (J, multiplier, residual, Nehari) comes from
 one energy.Discretization, the same code energy.evaluate and the identity
 functions run, so they agree bit for bit. J uses the edge-sum kinetic form,
@@ -25,6 +41,7 @@ import scipy.sparse.linalg as spla
 
 from . import energy as energy_mod
 from . import grids
+from .errors import NumericalError
 from .grids import GridFunction, RadialGrid
 
 # Fixed constants of the flow. They shape how a run is carried out and
@@ -39,6 +56,10 @@ INITIAL_WIDTH = 1.0
 RESIDUAL_CHECK_EVERY = 10
 # steps without a 0.1% residual gain before a start ends as "stall"
 STALL_WINDOW = 5000
+# residual below which a start tries a Newton finish, and the most Newton
+# steps one attempt takes: from there Newton converges in a few steps
+NEWTON_BELOW = 1e-3
+NEWTON_MAX_STEPS = 8
 # below this fraction of a in every ball of radius VANISHING_RADIUS, the
 # profile has spread out
 VANISHING_FRACTION = 0.05
@@ -85,6 +106,7 @@ class GroundStateResult:
     start_index: int
     reason: str | None = None
     iterations: int = 0
+    newton_steps: int = 0            # of the iterations, those of the Newton finish
     residual_norm: float = math.inf
     all_start_energies: list = field(default_factory=list)
     start_disagreement: bool = False
@@ -101,6 +123,7 @@ class GroundStateResult:
             "reason": self.reason,
             "start_index": self.start_index,
             "iterations": self.iterations,
+            "newton_steps": self.newton_steps,
             "residual_norm": self.residual_norm,
             "all_start_energies": list(self.all_start_energies),
             "start_disagreement": self.start_disagreement,
@@ -120,13 +143,10 @@ class _Workspace:
         lo, di, up = self.op.lap
         diag = 1.0 + dt * (di + self.op.V + self.shift)
         if np.any(diag <= 0.0):
-            raise ValueError(
+            raise NumericalError(
                 "implicit operator lost positivity; dt too large for this potential"
             )
-        matrix = sp.diags(
-            [dt * lo[1:], diag, dt * up[:-1]], [-1, 0, 1], format="csc"
-        )
-        self.solve = spla.splu(matrix).solve
+        self.solve = _factor((dt * lo, diag, dt * up)).solve
 
     def step(self, v: np.ndarray) -> np.ndarray:
         dt = self.dt
@@ -145,8 +165,31 @@ class _Workspace:
             out = v0
         m = float(w @ (out * out))
         if not m > 0.0 or not math.isfinite(m):
-            raise ValueError("flow step produced a degenerate field")
+            raise NumericalError("flow step produced a degenerate field")
         return out * math.sqrt(self.a / m)
+
+
+def _factor(rows):
+    """SuperLU factor of the tridiagonal matrix with (lower, diag, upper) rows."""
+    lower, diag, upper = rows
+    return spla.splu(sp.diags([lower[1:], diag, upper[:-1]], [-1, 0, 1], format="csc"))
+
+
+def bordered_solve(rows, u: np.ndarray, w: np.ndarray,
+                   rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve [L, u; 2 (w u)^T, 0] [x; mu] = [rhs; 0] for tridiagonal L.
+
+    L has the (lower, diag, upper) rows. One factorization of L serves both
+    right-hand sides, L p = rhs and L q = u; the border row then gives mu
+    and x = p - mu q. Raises RuntimeError if L or the border is singular.
+    """
+    p, q = _factor(rows).solve(np.column_stack((rhs, u))).T
+    c = 2.0 * w * u
+    den = float(c @ q)
+    if den == 0.0:
+        raise RuntimeError("bordered system is singular")
+    mu = float(c @ p) / den
+    return p - mu * q, mu
 
 
 def flow_step(u: GridFunction, model, dt: float, a: float | None = None) -> GridFunction:
@@ -198,6 +241,47 @@ class _StartOutcome:
     iterations: int
     trace: list
     warnings: list
+    newton_steps: int
+
+
+def _newton_finish(ws: _Workspace, v: np.ndarray, J: float, config: SolverConfig,
+                   budget: int):
+    """Newton steps on the bordered (u, lam) system from the flow iterate v.
+
+    Returns (field, J after each step, multiplier, residual) once the
+    residual meets tol_grad or J is below stop_energy_below, and None once
+    a step fails a guard or the steps (at most budget) run out.
+    """
+    op = ws.op
+    nl = op.model.nonlinearity
+    lower, diag, upper = op.lap
+    floor = config.stop_energy_below
+    energies = []
+    for _ in range(min(NEWTON_MAX_STEPS, budget)):
+        lam = op.multiplier(v)
+        rows = (lower, diag + op.V + lam - nl.dg(v), upper)
+        try:
+            du, _ = bordered_solve(rows, v, op.w, -op.defect(v, lam))
+        except RuntimeError:
+            return None
+        new = v + du
+        m = float(op.w @ (new * new))
+        # a finite mass means every entry is finite
+        if not (m > 0.0 and math.isfinite(m)):
+            return None
+        new *= math.sqrt(ws.a / m)
+        J_new = op.energy(new).J
+        if not J_new <= J + 1e-12 * (1.0 + abs(J)):
+            return None
+        if np.any((new < 0.0) & (v >= 0.0)):
+            return None
+        v, J = new, J_new
+        energies.append(J)
+        lam = op.multiplier(v)
+        res = op.residual(v, lam)
+        if res <= config.tol_grad or (floor is not None and J < floor):
+            return v, energies, lam, res
+    return None
 
 
 def _run_start(ws: _Workspace, v: np.ndarray, config: SolverConfig) -> _StartOutcome:
@@ -206,6 +290,8 @@ def _run_start(ws: _Workspace, v: np.ndarray, config: SolverConfig) -> _StartOut
     trace = [(0, J)]
     stalled_iters = 0
     res_best = math.inf
+    res_rejected = math.inf
+    newton_steps = 0
     violations = 0
     warnings = []
     converged = False
@@ -242,6 +328,18 @@ def _run_start(ws: _Workspace, v: np.ndarray, config: SolverConfig) -> _StartOut
             if res <= config.tol_grad:
                 converged = True
                 break
+            if res < NEWTON_BELOW and res < 0.5 * res_rejected:
+                finish = _newton_finish(ws, v, J, config, config.max_iters - it)
+                if finish is not None:
+                    v, energies, lam, res = finish
+                    trace.extend(enumerate(energies, it + 1))
+                    newton_steps = len(energies)
+                    it += newton_steps
+                    J = energies[-1]
+                    converged = res <= config.tol_grad
+                    reason = None if converged else "energy-floor"
+                    break
+                res_rejected = res
             # stall = the residual has stopped improving: no 0.1% gain on
             # the best value seen over a STALL_WINDOW stretch of iterations
             if res < (1.0 - 1e-3) * res_best:
@@ -263,6 +361,7 @@ def _run_start(ws: _Workspace, v: np.ndarray, config: SolverConfig) -> _StartOut
     return _StartOutcome(
         values=v, J=J, lam=lam, residual=res, converged=converged,
         reason=reason, iterations=it, trace=trace, warnings=warnings,
+        newton_steps=newton_steps,
     )
 
 
@@ -349,6 +448,7 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
         start_index=best,
         reason=None if converged else reason,
         iterations=out.iterations,
+        newton_steps=out.newton_steps,
         residual_norm=out.residual,
         all_start_energies=all_J,
         start_disagreement=disagreement,

@@ -72,6 +72,14 @@ class NonlinearityModel:
             out += coef * np.abs(s) ** (sigma + 2.0) / (sigma + 2.0)
         return out
 
+    def dg(self, s):
+        """Derivative g'(s) = sum coef_i (sigma_i + 1) |s|^sigma_i."""
+        s = np.asarray(s, dtype=float)
+        out = np.zeros_like(s)
+        for coef, sigma in self.terms:
+            out += coef * (sigma + 1.0) * np.abs(s) ** sigma
+        return out
+
     def g_times_s(self, s):
         s = np.asarray(s, dtype=float)
         out = np.zeros_like(s)

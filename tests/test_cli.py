@@ -371,6 +371,38 @@ def test_threshold_cli_bad_bracket_fails(tmp_path):
     assert "enlarge" in proc.stderr
 
 
+def test_failed_threshold_leaves_no_out_directory(tmp_path):
+    out = tmp_path / "d"
+    proc = run_cli("threshold", "--model", MODELS_DIR / "harmonic_cubic.json",
+                   *SMALL, "--a-lo", "0.5", "--a-hi", "1.0", "--out", out)
+    assert proc.returncode == 1
+    assert not out.exists()
+
+
+def test_out_naming_a_file_is_usage_error(tmp_path):
+    out = tmp_path / "taken"
+    out.write_text("")
+    proc = run_cli("spectrum", "--model", MODELS_DIR / "harmonic.json",
+                   *SMALL, "--out", out)
+    assert proc.returncode == 64
+    assert "not a directory" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_numerical_failure_exits_1(tmp_path):
+    # g = 1e300 u^3 overflows in the first flow step
+    model_json = json.loads((MODELS_DIR / "power3_free.json").read_text())
+    model_json["nonlinearity"]["terms"][0]["coef"] = 1e300
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(model_json))
+    out = tmp_path / "x"
+    proc = run_cli("solve", "--model", model, "--mass", "4", *SMALL, "--out", out)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "degenerate field" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 # a consistent bisection record: bracket (2, 2.1), sign change near 2.06
 THRESHOLD_RECORD = {
     "bracket": [2.0, 2.1], "deadband": 1e-6, "below_lower_bracket": False,

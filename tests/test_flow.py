@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import ZERO_G, free_power, harmonic_v, power_g, well_v
+from ngs import flow
 from ngs.energy import evaluate, lagrange_multiplier
-from ngs.flow import SolverConfig, flow_step, gaussian_start, minimize
+from ngs.flow import SolverConfig, bordered_solve, flow_step, gaussian_start, minimize
 from ngs.grids import GridFunction, RadialGrid, mass
 from ngs.models import make_model
 
@@ -166,3 +168,61 @@ def test_nehari_pohozaev_hold_at_convergence(well_solution, well_cubic,
         # profile, bit for bit
         assert res.energy == evaluate(res.u, model).J
         assert res.lam == lagrange_multiplier(res.u, model)
+
+
+# --- Newton finish ---
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10**6), st.integers(2, 40))
+def test_bordered_solve_matches_dense_solve(seed, n):
+    rng = np.random.default_rng(seed)
+    lower, upper = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    diag = np.abs(lower) + np.abs(upper) + rng.uniform(0.1, 2.0, n)
+    u, w = rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 2.0, n)
+    rhs = rng.normal(size=n)
+    x, mu = bordered_solve((lower, diag, upper), u, w, rhs)
+    dense = np.zeros((n + 1, n + 1))
+    dense[:n, :n] = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+    dense[:n, n] = u
+    dense[n, :n] = 2.0 * w * u
+    ref = np.linalg.solve(dense, np.append(rhs, 0.0))
+    err = np.max(np.abs(np.append(x, mu) - ref))
+    assert err <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_newton_finish_converges_free_cubic(cubic_free_solution):
+    res, model = cubic_free_solution
+    assert res.converged
+    assert res.residual_norm <= SolverConfig().tol_grad
+    assert res.newton_steps >= 1
+    spread = max(res.all_start_energies) - min(res.all_start_energies)
+    assert spread <= 1e-12
+    tail = [J for i, J in res.energy_trace if i >= 10]
+    for a, b in zip(tail, tail[1:]):
+        assert b <= a + 1e-9 * (1.0 + abs(a))
+    d = res.to_dict()
+    assert d["trace_length"] == res.iterations + 1
+    assert d["newton_steps"] == res.newton_steps
+    assert res.energy == evaluate(res.u, model).J
+
+
+def test_failed_newton_attempts_leave_the_flow_bit_for_bit(monkeypatch, small_grid,
+                                                          well_cubic):
+    cfg = SolverConfig(starts=1)
+    monkeypatch.setattr(flow, "NEWTON_BELOW", 0.0)
+    plain = minimize(1.0, well_cubic, small_grid, cfg)
+    monkeypatch.undo()
+    attempts = []
+
+    def singular(*args):
+        attempts.append(args)
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(flow, "bordered_solve", singular)
+    rejected = minimize(1.0, well_cubic, small_grid, cfg)
+    assert len(attempts) >= 2
+    assert rejected.newton_steps == plain.newton_steps == 0
+    assert rejected.iterations == plain.iterations
+    assert rejected.energy_trace == plain.energy_trace
+    assert np.array_equal(rejected.u.values, plain.u.values)
+    assert rejected.residual_norm == plain.residual_norm

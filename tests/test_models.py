@@ -61,6 +61,16 @@ def test_g_is_odd_and_vanishes_at_zero():
     assert m.G(0.0) == 0.0
 
 
+def test_dg_is_the_derivative_of_g():
+    m = NonlinearityModel(kind="power_sum", terms=((0.5, 1.0), (1.0, 2.5)), N=1)
+    s = np.linspace(-3, 3, 41)
+    h = 1e-6
+    assert np.allclose(m.dg(s), (m.g(s + h) - m.g(s - h)) / (2 * h),
+                       rtol=1e-6, atol=1e-5)
+    zero = NonlinearityModel(kind="zero", terms=(), N=1)
+    assert np.array_equal(zero.dg(s), np.zeros_like(s))
+
+
 # --- growth classification ---
 
 def test_classify_single_subcritical_term():

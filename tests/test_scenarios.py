@@ -59,12 +59,23 @@ def test_spectrum_scenario_matches_eigenvalue():
     assert abs(stored["infimum"] - 1.0) <= 1e-3
 
 
-def test_solve_scenario_rebuild_is_deterministic(tmp_path):
-    cmd, model, *rest = REPLAY["solve_cubic_free"]
-    out = tmp_path / "rebuild"
+def _assert_rebuild_matches(scenario, files, out):
+    cmd, model, *rest = REPLAY[scenario]
     proc = run_cli(cmd, "--model", model, *rest, "--out", out)
     assert proc.returncode == 0, proc.stderr
-    for name in ("result.json", "profile.csv", "trace.csv"):
+    for name in files:
         fresh = (out / name).read_bytes()
-        committed = (SCENARIOS / "solve_cubic_free" / name).read_bytes()
+        committed = (SCENARIOS / scenario / name).read_bytes()
         assert fresh == committed, f"{name} drifted from the committed fixture"
+
+
+def test_solve_scenario_rebuild_is_deterministic(tmp_path):
+    _assert_rebuild_matches("solve_cubic_free",
+                            ("result.json", "profile.csv", "trace.csv"),
+                            tmp_path / "rebuild")
+
+
+def test_threshold_scenario_rebuild_is_deterministic(tmp_path):
+    # the sign probes must not change with the solver's convergence path
+    _assert_rebuild_matches("threshold_gaussian_well", ("threshold.json",),
+                            tmp_path / "rebuild")
