@@ -8,8 +8,13 @@ lower bracket), and the quadratic-form eigenvalue (harmonic potential).
 
 Rebuilding is deterministic: the solver takes no random input, so a rebuild
 on the same platform reproduces the committed files byte for byte.
+
+Run it from any directory as `python scripts/build_scenarios.py`; it runs
+the package from this checkout's src/. A scenario's old directory is moved
+aside until its new run and --verify succeed, and restored if either fails.
 """
 
+import os
 import shutil
 import subprocess
 import sys
@@ -34,17 +39,50 @@ RUNS = {
 }
 
 
-def main() -> int:
-    for name, argv in RUNS.items():
-        out = SCENARIOS / name
+def _child_env() -> dict:
+    """The environment with the checkout's src first on PYTHONPATH."""
+    env = os.environ.copy()
+    paths = [str(ROOT / "src"), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    return env
+
+
+def rebuild(name: str, argv: list, env: dict) -> None:
+    """Run one scenario and verify it; on failure the old directory stays."""
+    out = SCENARIOS / name
+    old = out.with_name(f".{name}.old")
+    if old.exists() and not out.exists():
+        old.rename(out)       # left behind by an interrupted rebuild
+    if old.exists():
+        shutil.rmtree(old)
+    if out.exists():
+        out.rename(old)
+    # relative to ROOT, so manifests do not record the checkout location
+    rel = str(out.relative_to(ROOT))
+    cmd = [sys.executable, "-m", "ngs", *argv, "--out", rel]
+    print("+", " ".join(cmd[2:]))
+    try:
+        subprocess.run(cmd, cwd=ROOT, env=env, check=True)
+        subprocess.run([*cmd, "--verify"], cwd=ROOT, env=env, check=True)
+    except BaseException:
         if out.exists():
             shutil.rmtree(out)
-        # relative to ROOT, so manifests do not record the checkout location
-        rel = str(out.relative_to(ROOT))
-        cmd = [sys.executable, "-m", "ngs", *argv, "--out", rel]
-        print("+", " ".join(cmd[2:]))
-        subprocess.run(cmd, cwd=ROOT, check=True)
-        subprocess.run([*cmd, "--verify"], cwd=ROOT, check=True)
+        if old.exists():
+            old.rename(out)
+        raise
+    if old.exists():
+        shutil.rmtree(old)
+
+
+def main() -> int:
+    env = _child_env()
+    for name, argv in RUNS.items():
+        try:
+            rebuild(name, argv, env)
+        except subprocess.CalledProcessError as exc:
+            print(f"scenario {name} failed (exit {exc.returncode}); "
+                  f"its previous directory was kept", file=sys.stderr)
+            return 1
     print(f"\nrebuilt {len(RUNS)} scenarios under {SCENARIOS}")
     return 0
 

@@ -9,21 +9,25 @@ Fixed points of the step are exact discrete constrained critical points of
 the stencil form; a plain rescale-after-step variant instead converges to an
 O(dt)-biased profile, which is why the multiplier enters inside the solve.
 
-The flow converges only linearly. Once its residual is below NEWTON_BELOW,
-a start tries a Newton finish (after Altmann, Henning & Peterseim, "The
-J-method for the Gross-Pitaevskii eigenvalue problem", Numer. Math. 2021):
-Newton steps on F = (-Lap + V + lam) u - g(u) = 0 with the mass w^T u^2 = a,
-on the same stencil rows, so its fixed point is the flow's. One step factors
-the tridiagonal L = -Lap + V + lam - g'(u), solves for the right-hand sides
--F and u, gets the multiplier update by bordering, and rescales to mass a.
+The flow converges only linearly, so it serves only as the globalizer of a
+Newton method (after Altmann, Henning & Peterseim, "The J-method for the
+Gross-Pitaevskii eigenvalue problem", Numer. Math. 2021). At every residual
+check a start tries a Newton finish: Newton steps on
+F = (-Lap + V + lam) u - g(u) = 0 with the mass w^T u^2 = a, on the same
+stencil rows, so its fixed point is the flow's. One step factors the
+tridiagonal L = -Lap + V + lam - g'(u), solves for the right-hand sides -F
+and u, gets the multiplier update by bordering, and rescales to mass a.
 A step counts only if the factorization succeeds, the field stays finite,
-J does not rise beyond rounding and no entry turns negative that was not.
-The attempt ends the start once the residual meets tol_grad (or J falls
-below stop_energy_below); if a step fails a guard or NEWTON_MAX_STEPS steps
-do not get there, every iterate of the attempt is dropped and the flow goes
-on from where it was, bit for bit, until its residual is below half that of
-the failed attempt. A finish typically takes one or two steps from 1e-3
-and ends at residual 1e-10 or below, well inside tol_grad.
+J does not rise beyond rounding and no entry that was nonnegative falls
+below -SIGN_REL_TOL times the field's peak; these guards keep a start from
+jumping to a sign-changing or higher-energy critical point. The attempt
+ends the start once the residual meets tol_grad (or J falls below
+stop_energy_below); if a step fails a guard or NEWTON_MAX_STEPS steps do
+not get there, every iterate of the attempt is dropped and the flow goes on
+from where it was, bit for bit, and tries again only once its residual is
+below half that of the failed attempt. Most starts finish within the first
+two or three checks and end at residual 1e-10 or below, well inside
+tol_grad.
 
 Every value the flow reports (J, multiplier, residual, Nehari) comes from
 one energy.Discretization, the same code energy.evaluate and the identity
@@ -56,10 +60,16 @@ INITIAL_WIDTH = 1.0
 RESIDUAL_CHECK_EVERY = 10
 # steps without a 0.1% residual gain before a start ends as "stall"
 STALL_WINDOW = 5000
-# residual below which a start tries a Newton finish, and the most Newton
-# steps one attempt takes: from there Newton converges in a few steps
-NEWTON_BELOW = 1e-3
+# the most Newton steps one attempt takes: near the ground state Newton
+# converges in a few steps, so a longer attempt is going elsewhere
 NEWTON_MAX_STEPS = 8
+# a Newton step may not turn an entry negative that was not, beyond this
+# fraction of the new field's peak: exponentially small tail entries round
+# to either sign, a negative lobe is a jump to another critical point
+SIGN_REL_TOL = 1e-6
+# the guards that can reject a Newton attempt, as counted in
+# GroundStateResult.newton_rejections
+NEWTON_GUARDS = ("singular", "non-finite", "energy-rise", "sign", "out-of-steps")
 # below this fraction of a in every ball of radius VANISHING_RADIUS, the
 # profile has spread out
 VANISHING_FRACTION = 0.05
@@ -107,6 +117,8 @@ class GroundStateResult:
     reason: str | None = None
     iterations: int = 0
     newton_steps: int = 0            # of the iterations, those of the Newton finish
+    newton_attempts: int = 0
+    newton_rejections: dict = field(default_factory=dict)   # guard -> attempts it ended
     residual_norm: float = math.inf
     all_start_energies: list = field(default_factory=list)
     start_disagreement: bool = False
@@ -124,6 +136,8 @@ class GroundStateResult:
             "start_index": self.start_index,
             "iterations": self.iterations,
             "newton_steps": self.newton_steps,
+            "newton_attempts": self.newton_attempts,
+            "newton_rejections": dict(self.newton_rejections),
             "residual_norm": self.residual_norm,
             "all_start_energies": list(self.all_start_energies),
             "start_disagreement": self.start_disagreement,
@@ -242,15 +256,24 @@ class _StartOutcome:
     trace: list
     warnings: list
     newton_steps: int
+    newton_attempts: int
+    newton_rejections: dict
+
+
+def _keeps_sign(old: np.ndarray, new: np.ndarray) -> bool:
+    """No entry that was nonnegative in old is below -SIGN_REL_TOL max|new|."""
+    floor = -SIGN_REL_TOL * float(np.max(np.abs(new)))
+    return not np.any((new < floor) & (old >= 0.0))
 
 
 def _newton_finish(ws: _Workspace, v: np.ndarray, J: float, config: SolverConfig,
-                   budget: int):
+                   budget: int, rejections: dict):
     """Newton steps on the bordered (u, lam) system from the flow iterate v.
 
     Returns (field, J after each step, multiplier, residual) once the
-    residual meets tol_grad or J is below stop_energy_below, and None once
-    a step fails a guard or the steps (at most budget) run out.
+    residual meets tol_grad or J is below stop_energy_below. Returns None
+    once a step fails a guard or the steps (at most budget) run out, and
+    then counts the attempt in rejections under that guard's name.
     """
     op = ws.op
     nl = op.model.nonlinearity
@@ -263,24 +286,31 @@ def _newton_finish(ws: _Workspace, v: np.ndarray, J: float, config: SolverConfig
         try:
             du, _ = bordered_solve(rows, v, op.w, -op.defect(v, lam))
         except RuntimeError:
-            return None
+            guard = "singular"
+            break
         new = v + du
         m = float(op.w @ (new * new))
         # a finite mass means every entry is finite
         if not (m > 0.0 and math.isfinite(m)):
-            return None
+            guard = "non-finite"
+            break
         new *= math.sqrt(ws.a / m)
         J_new = op.energy(new).J
         if not J_new <= J + 1e-12 * (1.0 + abs(J)):
-            return None
-        if np.any((new < 0.0) & (v >= 0.0)):
-            return None
+            guard = "energy-rise"
+            break
+        if not _keeps_sign(v, new):
+            guard = "sign"
+            break
         v, J = new, J_new
         energies.append(J)
         lam = op.multiplier(v)
         res = op.residual(v, lam)
         if res <= config.tol_grad or (floor is not None and J < floor):
             return v, energies, lam, res
+    else:
+        guard = "out-of-steps"
+    rejections[guard] += 1
     return None
 
 
@@ -292,6 +322,8 @@ def _run_start(ws: _Workspace, v: np.ndarray, config: SolverConfig) -> _StartOut
     res_best = math.inf
     res_rejected = math.inf
     newton_steps = 0
+    newton_attempts = 0
+    rejections = dict.fromkeys(NEWTON_GUARDS, 0)
     violations = 0
     warnings = []
     converged = False
@@ -328,8 +360,10 @@ def _run_start(ws: _Workspace, v: np.ndarray, config: SolverConfig) -> _StartOut
             if res <= config.tol_grad:
                 converged = True
                 break
-            if res < NEWTON_BELOW and res < 0.5 * res_rejected:
-                finish = _newton_finish(ws, v, J, config, config.max_iters - it)
+            if res < 0.5 * res_rejected:
+                newton_attempts += 1
+                finish = _newton_finish(ws, v, J, config, config.max_iters - it,
+                                        rejections)
                 if finish is not None:
                     v, energies, lam, res = finish
                     trace.extend(enumerate(energies, it + 1))
@@ -361,7 +395,8 @@ def _run_start(ws: _Workspace, v: np.ndarray, config: SolverConfig) -> _StartOut
     return _StartOutcome(
         values=v, J=J, lam=lam, residual=res, converged=converged,
         reason=reason, iterations=it, trace=trace, warnings=warnings,
-        newton_steps=newton_steps,
+        newton_steps=newton_steps, newton_attempts=newton_attempts,
+        newton_rejections=rejections,
     )
 
 
@@ -389,7 +424,10 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
     for width in _start_widths(config.starts - len(starts)):
         starts.append(gaussian_start(grid, width, a).values.copy())
 
-    outcomes = [_run_start(ws, v.copy(), config) for v in starts]
+    # an overflow surfaces as a non-finite mass or energy, which the flow
+    # reports or raises as NumericalError; NumPy need not warn about it too
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcomes = [_run_start(ws, v.copy(), config) for v in starts]
 
     converged_idx = [i for i, o in enumerate(outcomes) if o.converged]
     if converged_idx:
@@ -449,6 +487,8 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
         reason=None if converged else reason,
         iterations=out.iterations,
         newton_steps=out.newton_steps,
+        newton_attempts=out.newton_attempts,
+        newton_rejections=out.newton_rejections,
         residual_norm=out.residual,
         all_start_energies=all_J,
         start_disagreement=disagreement,

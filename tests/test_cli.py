@@ -71,6 +71,9 @@ def test_solve_oracle_case_artifacts(solve_dir):
     assert abs(result["lambda"] - 1.0) <= 1e-3
     assert abs(result["mass"] - 4.0) <= 1e-12 * 4.0
     assert set(result["residuals"]) == {"nehari", "pohozaev", "lambda"}
+    rejections = result["newton_rejections"]
+    accepted = 1 if result["newton_steps"] else 0
+    assert sum(rejections.values()) == result["newton_attempts"] - accepted
 
     assert (solve_dir / "profile.csv").is_file()
     assert (solve_dir / "profile.json").is_file()
@@ -338,10 +341,11 @@ def test_scan_verify_reports_malformed_manifest(scan_dirs, tmp_path, drop):
 
 
 def test_scan_partial_curve_exits_1(tmp_path):
+    # a budget below flow.RESIDUAL_CHECK_EVERY: no mass can converge
     out = tmp_path / "partial"
     proc = run_cli("scan", "--model", MODELS_DIR / "gaussian_well_cubic.json",
                    "--a-min", "0.5", "--a-max", "1.5", "--steps", "3",
-                   *SMALL, "--max-iters", "25", "--out", out)
+                   *SMALL, "--max-iters", "9", "--out", out)
     assert proc.returncode == 1
     assert "partial curve" in proc.stdout
     lines = (out / "curve.csv").read_text().splitlines()[1:]
@@ -400,6 +404,7 @@ def test_numerical_failure_exits_1(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "degenerate field" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     assert not out.exists()
 
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from helpers import ZERO_G, free_power, harmonic_v, power_g, well_v
 from ngs import flow
 from ngs.energy import evaluate, lagrange_multiplier
-from ngs.flow import SolverConfig, bordered_solve, flow_step, gaussian_start, minimize
+from ngs.flow import (RESIDUAL_CHECK_EVERY, SolverConfig, bordered_solve, flow_step,
+                      gaussian_start, minimize)
 from ngs.grids import GridFunction, RadialGrid, mass
 from ngs.models import make_model
 
@@ -101,7 +102,9 @@ def test_energy_trace_monotone_after_burn_in(well_solution):
 
 
 def test_iteration_budget_reports_not_raises(small_grid, well_cubic):
-    cfg = SolverConfig(max_iters=60)
+    # below RESIDUAL_CHECK_EVERY, so no residual check (and no Newton
+    # finish) can end the run first
+    cfg = SolverConfig(max_iters=9)
     res = minimize(1.0, well_cubic, small_grid, config=cfg)
     assert not res.converged
     assert res.reason == "max-iters"
@@ -206,10 +209,55 @@ def test_newton_finish_converges_free_cubic(cubic_free_solution):
     assert res.energy == evaluate(res.u, model).J
 
 
+def test_newton_finishes_a_cold_start_within_a_few_checks(cubic_free_solution):
+    # the flow only globalizes: Newton takes over at an early residual check
+    # instead of after hundreds of linear flow steps
+    res, _ = cubic_free_solution
+    assert res.converged
+    assert res.iterations <= 5 * RESIDUAL_CHECK_EVERY
+    assert res.residual_norm <= SolverConfig().tol_grad
+
+
+def test_sign_guard_is_relative_to_the_field():
+    old = np.exp(-np.linspace(0.0, 10.0, 50) ** 2)
+    tail = old.copy()
+    tail[-5:] = -1e-40
+    assert flow._keeps_sign(old, tail)
+    lobe = old.copy()
+    lobe[30:35] = -1e-3 * old.max()
+    assert not flow._keeps_sign(old, lobe)
+    # an entry that was already negative may stay so
+    assert flow._keeps_sign(lobe, lobe)
+
+
+def test_newton_attempts_and_rejections_are_reported(cubic_free_solution, monkeypatch,
+                                                    small_grid, well_cubic):
+    res, _ = cubic_free_solution
+    assert res.newton_attempts >= 1
+    assert tuple(res.newton_rejections) == flow.NEWTON_GUARDS
+    accepted = 1 if res.newton_steps else 0
+    assert sum(res.newton_rejections.values()) == res.newton_attempts - accepted
+    d = res.to_dict()
+    assert d["newton_attempts"] == res.newton_attempts
+    assert d["newton_rejections"] == res.newton_rejections
+
+    def singular(*args):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(flow, "bordered_solve", singular)
+    rejected = minimize(1.0, well_cubic, small_grid, SolverConfig(starts=1))
+    assert rejected.newton_steps == 0
+    assert rejected.newton_attempts >= 2
+    assert rejected.newton_rejections == {
+        guard: rejected.newton_attempts if guard == "singular" else 0
+        for guard in flow.NEWTON_GUARDS
+    }
+
+
 def test_failed_newton_attempts_leave_the_flow_bit_for_bit(monkeypatch, small_grid,
                                                           well_cubic):
     cfg = SolverConfig(starts=1)
-    monkeypatch.setattr(flow, "NEWTON_BELOW", 0.0)
+    monkeypatch.setattr(flow, "_newton_finish", lambda *args: None)
     plain = minimize(1.0, well_cubic, small_grid, cfg)
     monkeypatch.undo()
     attempts = []

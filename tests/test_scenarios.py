@@ -1,4 +1,5 @@
 """Replay the bundled regression scenarios and pin their key numbers."""
+import importlib.util
 import json
 import os
 import subprocess
@@ -79,3 +80,20 @@ def test_threshold_scenario_rebuild_is_deterministic(tmp_path):
     # the sign probes must not change with the solver's convergence path
     _assert_rebuild_matches("threshold_gaussian_well", ("threshold.json",),
                             tmp_path / "rebuild")
+
+
+def test_failed_rebuild_keeps_the_previous_scenario(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "build_scenarios", ROOT / "scripts" / "build_scenarios.py")
+    build = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(build)
+    env = build._child_env()
+    monkeypatch.setattr(build, "ROOT", tmp_path)
+    monkeypatch.setattr(build, "SCENARIOS", tmp_path / "scenarios")
+    kept = tmp_path / "scenarios" / "s"
+    kept.mkdir(parents=True)
+    (kept / "spectrum.json").write_text("kept")
+    with pytest.raises(subprocess.CalledProcessError):
+        build.rebuild("s", ["spectrum", "--model", "missing.json"], env)
+    assert (kept / "spectrum.json").read_text() == "kept"
+    assert sorted(p.name for p in (tmp_path / "scenarios").iterdir()) == ["s"]
