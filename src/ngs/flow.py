@@ -17,17 +17,20 @@ F = (-Lap + V + lam) u - g(u) = 0 with the mass w^T u^2 = a, on the same
 stencil rows, so its fixed point is the flow's. One step factors the
 tridiagonal L = -Lap + V + lam - g'(u), solves for the right-hand sides -F
 and u, gets the multiplier update by bordering, and rescales to mass a.
-A step counts only if the factorization succeeds, the field stays finite,
-J does not rise beyond rounding and no entry that was nonnegative falls
-below -SIGN_REL_TOL times the field's peak; these guards keep a start from
-jumping to a sign-changing or higher-energy critical point. The attempt
-ends the start once the residual meets tol_grad (or J falls below
-stop_energy_below); if a step fails a guard or NEWTON_MAX_STEPS steps do
-not get there, every iterate of the attempt is dropped and the flow goes on
-from where it was, bit for bit, and tries again only once its residual is
-below half that of the failed attempt. Most starts finish within the first
-two or three checks and end at residual 1e-10 or below, well inside
-tol_grad.
+A step counts only if the factorization succeeds, the field stays finite
+and no entry that was nonnegative falls below -SIGN_REL_TOL times the
+field's peak. The attempt ends the start once the residual meets tol_grad
+(or J falls below stop_energy_below), provided its final J is not above
+the J of the flow iterate it began from, beyond rounding. J is judged at
+the endpoint only, the one iterate a start keeps: on the way, J may
+zigzag, as it does along the slow dilation mode of a mass-critical
+problem. The sign and energy guards keep a start from jumping to a
+sign-changing or higher-energy critical point. If a step fails a guard,
+NEWTON_MAX_STEPS steps do not reach tol_grad or the endpoint's J has
+risen, every iterate of the attempt is dropped and the flow goes on from
+where it was, bit for bit, and tries again only once its residual is below
+half that of the failed attempt. Most starts finish within the first two
+or three checks and end at residual 1e-10 or below, well inside tol_grad.
 
 Every value the flow reports (J, multiplier, residual, Nehari) comes from
 one energy.Discretization, the same code energy.evaluate and the identity
@@ -58,11 +61,14 @@ BOUNDARY_REL_TOL = 1e-6
 INITIAL_WIDTH = 1.0
 # steps between residual checks, which only decide when to stop
 RESIDUAL_CHECK_EVERY = 10
-# steps without a 0.1% residual gain before a start ends as "stall"
+# steps without a residual check that beats the best residual so far by
+# 0.1% before a start ends as "stall"; a residual that keeps falling by
+# less than 0.1% per check therefore stalls too
 STALL_WINDOW = 5000
 # the most Newton steps one attempt takes: near the ground state Newton
-# converges in a few steps, so a longer attempt is going elsewhere
-NEWTON_MAX_STEPS = 8
+# converges in a few steps, and a mass-critical start takes 9-11 as J
+# zigzags; a longer attempt is going elsewhere
+NEWTON_MAX_STEPS = 12
 # a Newton step may not turn an entry negative that was not, beyond this
 # fraction of the new field's peak: exponentially small tail entries round
 # to either sign, a negative lobe is a jump to another critical point
@@ -271,14 +277,17 @@ def _newton_finish(ws: _Workspace, v: np.ndarray, J: float, config: SolverConfig
     """Newton steps on the bordered (u, lam) system from the flow iterate v.
 
     Returns (field, J after each step, multiplier, residual) once the
-    residual meets tol_grad or J is below stop_energy_below. Returns None
-    once a step fails a guard or the steps (at most budget) run out, and
-    then counts the attempt in rejections under that guard's name.
+    residual meets tol_grad or J is below stop_energy_below, if that final
+    J is not above the start's J beyond rounding. Returns None if a step
+    fails a guard, the steps (at most budget) run out or the final J has
+    risen ("energy-rise"), and then counts the attempt in rejections under
+    that guard's name.
     """
     op = ws.op
     nl = op.model.nonlinearity
     lower, diag, upper = op.lap
     floor = config.stop_energy_below
+    J_start = J
     energies = []
     for _ in range(min(NEWTON_MAX_STEPS, budget)):
         lam = op.multiplier(v)
@@ -295,19 +304,19 @@ def _newton_finish(ws: _Workspace, v: np.ndarray, J: float, config: SolverConfig
             guard = "non-finite"
             break
         new *= math.sqrt(ws.a / m)
-        J_new = op.energy(new).J
-        if not J_new <= J + 1e-12 * (1.0 + abs(J)):
-            guard = "energy-rise"
-            break
         if not _keeps_sign(v, new):
             guard = "sign"
             break
-        v, J = new, J_new
+        v = new
+        J = op.energy(v).J
         energies.append(J)
         lam = op.multiplier(v)
         res = op.residual(v, lam)
         if res <= config.tol_grad or (floor is not None and J < floor):
-            return v, energies, lam, res
+            if J <= J_start + 1e-12 * (1.0 + abs(J_start)):
+                return v, energies, lam, res
+            guard = "energy-rise"
+            break
     else:
         guard = "out-of-steps"
     rejections[guard] += 1
@@ -374,8 +383,9 @@ def _run_start(ws: _Workspace, v: np.ndarray, config: SolverConfig) -> _StartOut
                     reason = None if converged else "energy-floor"
                     break
                 res_rejected = res
-            # stall = the residual has stopped improving: no 0.1% gain on
-            # the best value seen over a STALL_WINDOW stretch of iterations
+            # stall = STALL_WINDOW iterations in which no single check
+            # beat the best residual seen by 0.1%; a slow steady decrease
+            # below 0.1% per check counts as a stall
             if res < (1.0 - 1e-3) * res_best:
                 stalled_iters = 0
             else:

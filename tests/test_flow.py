@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 
 from helpers import ZERO_G, free_power, harmonic_v, power_g, well_v
 from ngs import flow
+from ngs.curves import THRESHOLD_PROBE_MAX_ITERS
 from ngs.energy import evaluate, lagrange_multiplier
 from ngs.flow import (RESIDUAL_CHECK_EVERY, SolverConfig, bordered_solve, flow_step,
                       gaussian_start, minimize)
@@ -274,3 +276,56 @@ def test_failed_newton_attempts_leave_the_flow_bit_for_bit(monkeypatch, small_gr
     assert rejected.energy_trace == plain.energy_trace
     assert np.array_equal(rejected.u.values, plain.u.values)
     assert rejected.residual_norm == plain.residual_norm
+
+
+# --- Newton on the mass-critical quintic, below the soliton mass ---
+
+QUINTIC_SUB_A = 2.685      # just below sqrt(3) pi / 2 = 2.7207
+QUINTIC_PROBE = SolverConfig(max_iters=THRESHOLD_PROBE_MAX_ITERS,
+                             stop_energy_below=-15.0 * flow.DEADBAND)
+
+
+def test_newton_attempt_is_judged_by_its_endpoint(grid20):
+    # J zigzags along the slow dilation mode on the way to the minimum, so
+    # only the endpoint of an attempt is held against the energy it began at
+    ws = flow._Workspace(grid20, free_power(1, 4.0), QUINTIC_PROBE.dt, QUINTIC_SUB_A)
+    v = gaussian_start(grid20, 1.0, QUINTIC_SUB_A).values.copy()
+    for _ in range(100):
+        v = ws.step(v)
+    J_start = ws.op.energy(v).J
+    rejections = dict.fromkeys(flow.NEWTON_GUARDS, 0)
+    finish = flow._newton_finish(ws, v, J_start, QUINTIC_PROBE, 10**6, rejections)
+    assert finish is not None
+    _, energies, _, res = finish
+    assert res <= QUINTIC_PROBE.tol_grad
+    assert energies[-1] <= J_start
+    assert np.any(np.diff(energies) > 0)
+    assert len(energies) <= flow.NEWTON_MAX_STEPS
+    assert not any(rejections.values())
+
+    # the same path from a start claimed to lie at J = 0 ends above it
+    finish = flow._newton_finish(ws, v, 0.0, QUINTIC_PROBE, 10**6, rejections)
+    assert finish is None
+    assert rejections == {g: int(g == "energy-rise") for g in flow.NEWTON_GUARDS}
+
+
+def test_subthreshold_quintic_starts_reach_one_local_minimizer(grid20):
+    model = free_power(1, 4.0)
+    res = minimize(QUINTIC_SUB_A, model, grid20, QUINTIC_PROBE)
+    # the minimum is positive, so boundary contact still labels the regime
+    assert res.reason == "no-minimizer-regime"
+    assert res.residual_norm <= QUINTIC_PROBE.tol_grad
+    J = res.all_start_energies
+    assert max(J) - min(J) <= 1e-12 * abs(min(J))
+
+    # second-order condition: L = -Lap + V + lam - g'(u) has one negative
+    # eigenvalue and <u, L^-1 u>_w < 0, so the tangent Morse index is 0
+    op = flow._Workspace(grid20, model, QUINTIC_PROBE.dt, QUINTIC_SUB_A).op
+    u = res.u.values
+    lower, diag, upper = op.lap
+    diag = diag + op.V + res.lam - model.nonlinearity.dg(u)
+    negative = eigvalsh_tridiagonal(diag, -np.sqrt(lower[1:] * upper[:-1]),
+                                    select="v", select_range=(-np.inf, 0.0))
+    assert len(negative) == 1
+    q = flow._factor((lower, diag, upper)).solve(u)
+    assert 2.0 * float((op.w * u) @ q) < 0.0
