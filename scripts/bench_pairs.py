@@ -1,24 +1,29 @@
 """Run perfbench on a parent revision and on this checkout, in alternated pairs.
 
     python3 scripts/bench_pairs.py --parent <rev> --out BENCH_<n>.json \\
-        [--workload W ...] [--pairs 10] [--trace-seed 11] \\
         [--claim threshold:wall_s:10]
 
-The parent is unpacked with `git archive <rev>` into a temporary
-directory; the change is this checkout's working tree as it stands. For
-each workload and seed 1..pairs the script runs the command that
-BENCHMARK.json declares, with `--workload W --seed S --seconds T --trace 0`
-(T is its `run_seconds`, 15), once from each tree: odd seeds parent first,
-even seeds change first, so a drift in host load falls on both sides alike. With --trace-seed it also runs
-one `--trace 1` pass per tree and workload and keeps the per-layer metrics.
+<rev> is the commit the change is based on: HEAD while the change is
+uncommitted, HEAD~1 once it is one commit on top. The parent is unpacked
+with `git archive <rev>` into a temporary directory; the change is this
+checkout's working tree as it stands. The script refuses to run when the
+working tree's tracked files equal <rev>, since it would then compare a
+tree with itself. For every workload of BENCHMARK.json and seeds 1..10 the
+script runs the command that BENCHMARK.json declares, with
+`--workload W --seed S --seconds T --trace 0` (T is its `run_seconds`, 15),
+once from each tree: odd seeds parent first, even seeds change first, so a
+drift in host load falls on both sides alike. It then runs one
+`--trace 1` pass per tree and workload at seed 11 and keeps the per-layer
+metrics.
 
 The output file holds the host, both revisions and source digests, the
 claim and whether it holds, per workload and side the median and quartiles
 of every end-to-end metric, `fail_frac`, how many pairs the change won on
-`wall_s`, and every run. The claim rule: the change wins at least 9 of 10
-pairs on the metric (the same share of other pair counts), the gap between
-the medians exceeds the parent's interquartile range, and the parent's
-median is at least the claimed factor times the change's.
+`wall_s`, and every run. Every end-to-end metric of BENCHMARK.json is
+better when lower. The claim rule: the change wins at least 9 of the 10
+pairs on the metric, the gap between the medians exceeds the parent's
+interquartile range, and the parent's median is at least the claimed
+factor times the change's.
 
 perfbench itself is only run, never changed.
 """
@@ -26,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import statistics
 import subprocess
 import sys
@@ -37,8 +41,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 HOST_KEYS = ("nproc", "cpus_allowed", "python", "numpy", "scipy", "blas", "blas_threads")
 RUN_COLUMNS = ("seed", "attempted", "failed")
-# share of pairs the change must win for a claimed gain
-WIN_SHARE = 0.9
+PAIRS = 10
+# pairs the change must win for a claimed gain
+PAIRS_TO_WIN = 9
+TRACE_SEED = 11
 
 
 def _git(*args: str) -> str:
@@ -73,10 +79,7 @@ def _run(command: list, tree: Path, workload: str, seed: int, seconds: float,
 
 
 def _quartiles(values: list) -> dict:
-    if len(values) == 1:
-        q1 = q3 = values[0]
-    else:
-        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": round(statistics.median(values), 4),
             "q1": round(q1, 4), "q3": round(q3, 4)}
 
@@ -94,69 +97,57 @@ def _summary(runs: list, metrics: list) -> dict:
     return out
 
 
-def _pairs_won(parent_runs: list, change_runs: list, metric: str, better: str) -> int:
-    won = 0
-    for p, c in zip(parent_runs, change_runs):
-        p, c = p["metrics"][metric]["value"], c["metrics"][metric]["value"]
-        won += c < p if better == "lower" else c > p
-    return won
+def _pairs_won(parent_runs: list, change_runs: list, metric: str) -> int:
+    return sum(c["metrics"][metric]["value"] < p["metrics"][metric]["value"]
+               for p, c in zip(parent_runs, change_runs))
 
 
-def _claim(workload: str, metric: str, factor: float, entry: dict, won: int,
-           better: str) -> dict:
+def _claim(workload: str, metric: str, factor: float, entry: dict, won: int) -> dict:
     parent, change = entry["parent"][metric], entry["change"][metric]
-    pairs = entry["pairs"]
-    need = math.ceil(WIN_SHARE * pairs)
     gap = parent["median"] - change["median"]
-    if better != "lower":
-        gap = -gap
     iqr = parent["q3"] - parent["q1"]
-    ratio = (parent["median"] / change["median"] if better == "lower"
-             else change["median"] / parent["median"])
+    ratio = parent["median"] / change["median"]
     return {
         "workload": workload,
         "metric": metric,
-        "target": f"at least {factor:g}x {better}",
-        "rule": f"change wins >= {need} of {pairs} pairs and the median gap "
+        "target": f"at least {factor:g}x lower",
+        "rule": f"change wins >= {PAIRS_TO_WIN} of {PAIRS} pairs and the median gap "
                 "exceeds the parent's interquartile range",
         "pairs_won": won,
         "median_gap": round(gap, 4),
         "parent_iqr": round(iqr, 4),
         "factor": round(ratio, 2),
-        "met": bool(won >= need and gap > iqr and ratio >= factor),
+        "met": bool(won >= PAIRS_TO_WIN and gap > iqr and ratio >= factor),
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    parser.add_argument("--parent", required=True,
+                        help="the commit the change is based on (HEAD~1 once committed)")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--workload", action="append",
-                        help="workload to run (repeatable; default: all of BENCHMARK.json)")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--trace-seed", type=int, default=None,
-                        help="also run one --trace 1 pass per tree with this seed")
     parser.add_argument("--claim", default=None, metavar="WORKLOAD:METRIC:FACTOR",
                         help="the gain claimed, e.g. threshold:wall_s:10")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     command = bench["command"]
     seconds = bench["run_seconds"]
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    workloads = [w["name"] for w in bench["workloads"]]
     metrics = [m["name"] for m in bench["end_to_end"]]
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     layers = [m["name"] for m in bench["per_layer"]]
     claim = None
     if args.claim is not None:
         c_workload, c_metric, c_factor = args.claim.split(":")
         if c_workload not in workloads or c_metric not in metrics:
-            parser.error(f"--claim names a workload or metric not run: {args.claim}")
+            parser.error(f"--claim names a workload or end-to-end metric not in "
+                         f"BENCHMARK.json: {args.claim}")
     parent_rev = _git("rev-parse", "--verify", args.parent + "^{commit}")
+    if not _git("diff", "--name-only", parent_rev):
+        parser.error(f"the working tree equals {args.parent}; pass the commit the "
+                     "change is based on (HEAD~1 once the change is committed)")
     head = _git("rev-parse", "HEAD")
-    dirty = bool(_git("status", "--porcelain", "--", "src", "perfbench", "models"))
+    dirty = bool(_git("status", "--porcelain", "--untracked-files=no"))
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         trees = {"parent": Path(tmp), "change": ROOT}
@@ -165,7 +156,7 @@ def main(argv=None) -> int:
         report = {}
         for workload in workloads:
             runs = {"parent": [], "change": []}
-            for seed in range(1, args.pairs + 1):
+            for seed in range(1, PAIRS + 1):
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
                 for side in order:
                     out = _run(command, trees[side], workload, seed, seconds, 0)
@@ -175,30 +166,27 @@ def main(argv=None) -> int:
                           f"{out['metrics']['wall_s']['value']:.4g}, "
                           f"{out['failed']}/{out['attempted']} failed", file=sys.stderr)
             report[workload] = {
-                "seeds": list(range(1, args.pairs + 1)),
-                "pairs": args.pairs,
+                "seeds": list(range(1, PAIRS + 1)),
+                "pairs": PAIRS,
                 "wall_s_pairs_won_by_change": _pairs_won(
-                    runs["parent"], runs["change"], "wall_s", better["wall_s"]),
+                    runs["parent"], runs["change"], "wall_s"),
                 "parent": _summary(runs["parent"], metrics),
                 "change": _summary(runs["change"], metrics),
             }
             if args.claim is not None and workload == c_workload:
                 claim = _claim(workload, c_metric, float(c_factor), report[workload],
-                               _pairs_won(runs["parent"], runs["change"], c_metric,
-                                          better[c_metric]),
-                               better[c_metric])
-            if args.trace_seed is not None:
-                traced = {}
-                for side in ("parent", "change"):
-                    out = _run(command, trees[side], workload, args.trace_seed, seconds, 1)
-                    traced[side] = {
-                        **{name: out["metrics"][name]["value"] for name in layers
-                           if name in out["metrics"]},
-                        "correct": out["correct"],
-                    }
-                    print(f"{workload} traced seed {args.trace_seed} {side}: "
-                          f"correct {out['correct']}", file=sys.stderr)
-                report[workload][f"traced_seed{args.trace_seed}_per_pass"] = traced
+                               _pairs_won(runs["parent"], runs["change"], c_metric))
+            traced = {}
+            for side in ("parent", "change"):
+                out = _run(command, trees[side], workload, TRACE_SEED, seconds, 1)
+                traced[side] = {
+                    **{name: out["metrics"][name]["value"] for name in layers
+                       if name in out["metrics"]},
+                    "correct": out["correct"],
+                }
+                print(f"{workload} traced seed {TRACE_SEED} {side}: "
+                      f"correct {out['correct']}", file=sys.stderr)
+            report[workload][f"traced_seed{TRACE_SEED}_per_pass"] = traced
 
     result = {
         "what": "perfbench end-to-end metrics of the parent commit and of this change, "
