@@ -14,10 +14,10 @@ Newton method (after Altmann, Henning & Peterseim, "The J-method for the
 Gross-Pitaevskii eigenvalue problem", Numer. Math. 2021). At every residual
 check a start tries a Newton finish: Newton steps on
 F = (-Lap + V + lam) u - g(u) = 0 with the mass w^T u^2 = a, on the same
-stencil rows, so its fixed point is the flow's. One step factors the
-tridiagonal L = -Lap + V + lam - g'(u), solves for the right-hand sides -F
-and u, gets the multiplier update by bordering, and rescales to mass a.
-A step counts only if the factorization succeeds, the field stays finite
+stencil rows, so its fixed point is the flow's. One step solves the
+tridiagonal L = -Lap + V + lam - g'(u) for -F and u in one LAPACK dgtsv
+call, gets the multiplier update by bordering, and rescales to mass a.
+A step counts only if L has no exactly zero pivot, the field stays finite
 and no entry that was nonnegative falls below -SIGN_REL_TOL times the
 field's peak. The attempt ends the start once the residual meets tol_grad
 (or J falls below stop_energy_below), provided its final J is not above
@@ -43,8 +43,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgtsv
 
 from . import energy as energy_mod
 from . import grids
@@ -153,7 +152,7 @@ class GroundStateResult:
 
 
 class _Workspace:
-    """A Discretization plus the factorized implicit step for one (dt, a)."""
+    """A Discretization plus the implicit step's dgtsv rows for one (dt, a)."""
 
     def __init__(self, grid: RadialGrid, model, dt: float, a: float):
         self.op = energy_mod.Discretization(grid, model)
@@ -166,14 +165,18 @@ class _Workspace:
             raise NumericalError(
                 "implicit operator lost positivity; dt too large for this potential"
             )
-        self.solve = _factor((dt * lo, diag, dt * up)).solve
+        self.rows = (dt * lo, diag, dt * up)
 
     def step(self, v: np.ndarray) -> np.ndarray:
         dt = self.dt
         w = self.op.w
         gv = self.op.model.nonlinearity.g(v)
-        v0 = self.solve(v + dt * (gv + self.shift * v))
-        q = dt * self.solve(v)
+        try:
+            v0, q = solve_tridiagonal(
+                self.rows, np.column_stack((v + dt * (gv + self.shift * v), v))).T
+        except RuntimeError as exc:
+            raise NumericalError(f"implicit step failed: {exc}") from None
+        q = dt * q
         a2 = float(w @ (q * q))
         a1 = 2.0 * float(w @ (v0 * q))
         a0 = float(w @ (v0 * v0)) - self.a
@@ -189,21 +192,28 @@ class _Workspace:
         return out * math.sqrt(self.a / m)
 
 
-def _factor(rows):
-    """SuperLU factor of the tridiagonal matrix with (lower, diag, upper) rows."""
+def solve_tridiagonal(rows, rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system with (lower, diag, upper) rows for rhs.
+
+    rhs holds one right-hand side or one per column; LAPACK dgtsv leaves
+    rows and rhs unchanged. Raises RuntimeError on an exactly zero pivot.
+    """
     lower, diag, upper = rows
-    return spla.splu(sp.diags([lower[1:], diag, upper[:-1]], [-1, 0, 1], format="csc"))
+    x, info = dgtsv(lower[1:], diag, upper[:-1], rhs)[3:]
+    if info > 0:
+        raise RuntimeError(f"tridiagonal system is singular: zero pivot at row {info}")
+    return x
 
 
 def bordered_solve(rows, u: np.ndarray, w: np.ndarray,
                    rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve [L, u; 2 (w u)^T, 0] [x; mu] = [rhs; 0] for tridiagonal L.
 
-    L has the (lower, diag, upper) rows. One factorization of L serves both
-    right-hand sides, L p = rhs and L q = u; the border row then gives mu
-    and x = p - mu q. Raises RuntimeError if L or the border is singular.
+    L has the (lower, diag, upper) rows. One solve serves both right-hand
+    sides, L p = rhs and L q = u; the border row then gives mu and
+    x = p - mu q. Raises RuntimeError if L or the border is singular.
     """
-    p, q = _factor(rows).solve(np.column_stack((rhs, u))).T
+    p, q = solve_tridiagonal(rows, np.column_stack((rhs, u))).T
     c = 2.0 * w * u
     den = float(c @ q)
     if den == 0.0:

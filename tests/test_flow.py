@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
-from helpers import ZERO_G, free_power, harmonic_v, power_g, well_v
+from helpers import ZERO_G, ZERO_V, free_power, harmonic_v, power_g, well_v
 from ngs import flow
 from ngs.curves import THRESHOLD_PROBE_MAX_ITERS
 from ngs.energy import evaluate, lagrange_multiplier
@@ -178,6 +178,37 @@ def test_nehari_pohozaev_hold_at_convergence(well_solution, well_cubic,
 # --- Newton finish ---
 
 @settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10**6), st.integers(2, 40), st.sampled_from([None, 1, 2]))
+def test_solve_tridiagonal_matches_dense_solve(seed, n, columns):
+    rng = np.random.default_rng(seed)
+    lower, upper = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    diag = np.abs(lower) + np.abs(upper) + rng.uniform(0.1, 2.0, n)
+    rows = (lower.copy(), diag.copy(), upper.copy())
+    rhs = rng.normal(size=n if columns is None else (n, columns))
+    x = flow.solve_tridiagonal(rows, rhs)
+    dense = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+    ref = np.linalg.solve(dense, rhs)
+    assert x.shape == rhs.shape
+    assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+    # the rows are shared with the Discretization and must not be overwritten
+    assert all(np.array_equal(a, b) for a, b in zip(rows, (lower, diag, upper)))
+
+
+def test_exactly_singular_tridiagonal_is_a_singular_newton_attempt(small_grid):
+    # two equal rows: elimination meets an exactly zero pivot in row 2
+    rows = (np.array([0.0, 1.0, 0.0]), np.ones(3), np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(RuntimeError, match="singular"):
+        flow.solve_tridiagonal(rows, np.ones(3))
+    # with no stencil, no potential and g = 0, L = -Lap + V + lam - g'(u) = 0
+    ws = flow._Workspace(small_grid, make_model(1, ZERO_G, ZERO_V), 1e-2, 1.0)
+    ws.op.lap = (np.zeros(small_grid.n),) * 3
+    v = gaussian_start(small_grid, 1.0, 1.0).values
+    rejections = dict.fromkeys(flow.NEWTON_GUARDS, 0)
+    assert flow._newton_finish(ws, v, 0.0, SolverConfig(), 10, rejections) is None
+    assert rejections == {g: int(g == "singular") for g in flow.NEWTON_GUARDS}
+
+
+@settings(deadline=None, max_examples=60)
 @given(st.integers(0, 10**6), st.integers(2, 40))
 def test_bordered_solve_matches_dense_solve(seed, n):
     rng = np.random.default_rng(seed)
@@ -327,5 +358,5 @@ def test_subthreshold_quintic_starts_reach_one_local_minimizer(grid20):
     negative = eigvalsh_tridiagonal(diag, -np.sqrt(lower[1:] * upper[:-1]),
                                     select="v", select_range=(-np.inf, 0.0))
     assert len(negative) == 1
-    q = flow._factor((lower, diag, upper)).solve(u)
+    q = flow.solve_tridiagonal((lower, diag, upper), u)
     assert 2.0 * float((op.w * u) @ q) < 0.0

@@ -2,7 +2,9 @@
 
 The import graph of src/ngs must be acyclic, imports inside functions
 included, and every module-level import must be used. An import kept only
-to re-export a name carries "# noqa: F401" on its line.
+to re-export a name carries "# noqa: F401" on its line. No module imports
+scipy.sparse: every linear system of the package is tridiagonal and goes
+through flow.solve_tridiagonal.
 """
 import ast
 from pathlib import Path
@@ -91,3 +93,24 @@ def test_no_unused_module_level_import(module):
             if bound not in used:
                 unused.append(f"line {node.lineno}: {bound}")
     assert not unused, f"unused imports in {module}.py: {unused}"
+
+
+def _imported_modules(tree) -> set:
+    """Absolute names of the modules a module imports, anywhere in its body."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module)
+            out.update(f"{node.module}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Import):
+            out.update(a.name for a in node.names)
+    return out
+
+
+def test_no_module_imports_scipy_sparse():
+    offenders = sorted(
+        f"{name}: {mod}" for name, (_, tree) in TREES.items()
+        for mod in _imported_modules(tree)
+        if mod == "scipy.sparse" or mod.startswith("scipy.sparse.")
+    )
+    assert not offenders, f"scipy.sparse imported: {offenders}"
