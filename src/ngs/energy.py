@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import grids
 from .errors import BracketError, SupportOverflowError
@@ -238,8 +237,12 @@ def fiber_minimize(u: GridFunction, model) -> tuple[float, float]:
     Scans a log-spaced bracket (ties resolved toward smaller t), then
     refines with a bounded scalar minimizer. Raises BracketError when no
     interior minimum exists in the bracket, which is the discrete signature
-    of the spreading limit dominating the energy.
+    of the spreading limit dominating the energy. The SciPy minimizer is
+    imported on first call, so that ngs start-up stays at numpy plus
+    scipy.linalg.
     """
+    from scipy.optimize import minimize_scalar
+
     if grids.mass(u) <= 0.0:
         raise ValueError("fiber minimization needs a nonzero field")
     kin = grids.kinetic(u)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 # surface measure of the unit sphere; the N = 1 entry is 2 because a radius
 # pairs the points {-r, +r} under the full-line convention
@@ -176,8 +175,12 @@ def even_extension(u: GridFunction):
 
     A cubic spline through the nodes, the hard zero at R and the ghost value
     u(0) = (4 u_1 - u_2)/3 of the quadratic even extension through the first
-    two nodes, clamped to zero slope at the origin.
+    two nodes, clamped to zero slope at the origin. The SciPy spline is
+    imported on first call, so that ngs start-up stays at numpy plus
+    scipy.linalg.
     """
+    from scipy.interpolate import CubicSpline
+
     g = u.grid
     x = np.concatenate(([0.0], g.r, [g.R]))
     y = np.concatenate(([(4.0 * u.values[0] - u.values[1]) / 3.0], u.values, [0.0]))

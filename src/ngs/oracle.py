@@ -1,8 +1,9 @@
 """Shooting-based reference solutions for the pure power nonlinearity.
 
-Solves the radial profile equation U'' + (N-1)/r U' = U - U^p by bisection
-on the center value, selecting the separatrix between profiles that cross
-zero (overshoot) and profiles that turn around while positive (undershoot).
+Solves the radial profile equation U'' + (N-1)/r U' = U - U^p by shooting
+from the center value: for N = 1 the first integral gives it exactly, for
+N >= 2 bisection finds the separatrix between profiles that cross zero
+(overshoot) and profiles that turn around while positive (undershoot).
 Beyond the matching radius the profile continues with the exact solution of
 the linearized far-field equation, so mass integrals see no blow-up
 contamination. Scaled copies and the mass/energy scaling laws they obey are
@@ -138,6 +139,9 @@ def shoot_Up(p: float, N: int, grid: RadialGrid) -> PowerSolution:
     overshoot, _sol = _integrate_profile(N, p, lo, dense=False)
     if overshoot:
         raise BracketError("lower shooting bracket unexpectedly overshoots")
+    if N == 1:
+        # exact: the first integral u'^2 = u^2 - 2|u|^(p+1)/(p+1) vanishes at beta0
+        lo = hi = beta0
     for _ in range(200):
         if hi - lo <= SHOOT_REL_TOL * beta0:
             break

@@ -4,9 +4,12 @@ The import graph of src/ngs must be acyclic, imports inside functions
 included, and every module-level import must be used. An import kept only
 to re-export a name carries "# noqa: F401" on its line. No module imports
 scipy.sparse: every linear system of the package is tridiagonal and goes
-through flow.solve_tridiagonal.
+through flow.solve_tridiagonal. Importing the CLI loads no SciPy subpackage
+that only the tests and the oracle call.
 """
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -114,3 +117,16 @@ def test_no_module_imports_scipy_sparse():
         if mod == "scipy.sparse" or mod.startswith("scipy.sparse.")
     )
     assert not offenders, f"scipy.sparse imported: {offenders}"
+
+
+def test_cli_import_skips_unused_scipy_subpackages():
+    code = (
+        "import sys; import ngs.cli; "
+        "print(' '.join(m for m in ('scipy.optimize', 'scipy.interpolate', "
+        "'scipy.integrate') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=SRC.parent, capture_output=True,
+        text=True, check=True,
+    ).stdout.split()
+    assert out == [], f"import ngs.cli loaded {out}"

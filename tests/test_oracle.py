@@ -9,6 +9,7 @@ from ngs.errors import BracketError, MassCriticalError, SupportOverflowError
 from ngs.flow import minimize
 from ngs.grids import RadialGrid
 from ngs.oracle import (
+    _integrate_profile,
     energy_scaling_check,
     lambda_for_mass,
     scale_solution,
@@ -29,6 +30,21 @@ def test_cubic_line_soliton(sech_sol):
 def test_quadratic_line_profile(sech2_sol):
     assert abs(sech2_sol.center_value - 1.5) <= 1e-4
     assert abs(sech2_sol.mass - 6.0) <= 1e-3
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 5.0])
+def test_line_center_is_first_integral_value(p):
+    # the N = 1 center is beta0 = ((p+1)/2)^(1/(p-1)), where the first integral
+    # u'^2 = u^2 - 2|u|^(p+1)/(p+1) vanishes; the shooting integrator must put
+    # its own separatrix there and trace the closed-form sech profile from it
+    beta0 = ((p + 1.0) / 2.0) ** (1.0 / (p - 1.0))
+    sol = shoot_Up(p, 1, RadialGrid(1, 20.0, 2000))
+    assert sol.center_value == beta0
+    r = sol.profile.grid.r
+    ref = beta0 / np.cosh((p - 1.0) * r / 2.0) ** (2.0 / (p - 1.0))
+    assert np.max(np.abs(sol.profile.values - ref)) <= 1e-8
+    assert _integrate_profile(1, p, beta0 * (1 + 1e-12), dense=False)[0]
+    assert not _integrate_profile(1, p, beta0 * (1 - 1e-12), dense=False)[0]
 
 
 def test_three_d_profile_shape(n3_sol):
