@@ -17,20 +17,22 @@ F = (-Lap + V + lam) u - g(u) = 0 with the mass w^T u^2 = a, on the same
 stencil rows, so its fixed point is the flow's. One step solves the
 tridiagonal L = -Lap + V + lam - g'(u) for -F and u in one LAPACK dgtsv
 call, gets the multiplier update by bordering, and rescales to mass a.
-A step counts only if L has no exactly zero pivot, the field stays finite
-and no entry that was nonnegative falls below -SIGN_REL_TOL times the
-field's peak. The attempt ends the start once the residual meets tol_grad
-(or J falls below stop_energy_below), provided its final J is not above
-the J of the flow iterate it began from, beyond rounding. J is judged at
-the endpoint only, the one iterate a start keeps: on the way, J may
-zigzag, as it does along the slow dilation mode of a mass-critical
-problem. The sign and energy guards keep a start from jumping to a
-sign-changing or higher-energy critical point. If a step fails a guard,
-NEWTON_MAX_STEPS steps do not reach tol_grad or the endpoint's J has
-risen, every iterate of the attempt is dropped and the flow goes on from
-where it was, bit for bit, and tries again only once its residual is below
-half that of the failed attempt. Most starts finish within the first two
-or three checks and end at residual 1e-10 or below, well inside tol_grad.
+A step counts only if L has no exactly zero pivot and the field stays
+finite. The attempt ends the start once the residual meets tol_grad (or J
+falls below stop_energy_below), provided that at its endpoint no entry
+that was nonnegative in the flow iterate it began from is below
+-SIGN_REL_TOL times the field's peak, and its J is not above that
+iterate's J, beyond rounding. Sign and J are judged at the endpoint only,
+the one iterate a start keeps: on the way, a wide start may undershoot its
+tail by a few percent of the peak, and J may zigzag, as it does along the
+slow dilation mode of a mass-critical problem. The sign and energy guards
+keep a start from ending on a sign-changing or higher-energy critical
+point. If a step fails a guard, NEWTON_MAX_STEPS steps do not reach
+tol_grad or the endpoint fails a guard, every iterate of the attempt is
+dropped and the flow goes on from where it was, bit for bit, and tries
+again only once its residual is below half that of the failed attempt.
+Most starts finish at the first check and end at residual 1e-10 or below,
+well inside tol_grad.
 
 Every value the flow reports (J, multiplier, residual, Nehari) comes from
 one energy.Discretization, the same code energy.evaluate and the identity
@@ -68,9 +70,9 @@ STALL_WINDOW = 5000
 # converges in a few steps, and a mass-critical start takes 9-11 as J
 # zigzags; a longer attempt is going elsewhere
 NEWTON_MAX_STEPS = 12
-# a Newton step may not turn an entry negative that was not, beyond this
-# fraction of the new field's peak: exponentially small tail entries round
-# to either sign, a negative lobe is a jump to another critical point
+# a Newton attempt may not end with an entry negative that was not at its
+# start, beyond this fraction of the end field's peak: exponentially small
+# tail entries round to either sign, a negative lobe is another critical point
 SIGN_REL_TOL = 1e-6
 # the guards that can reject a Newton attempt, as counted in
 # GroundStateResult.newton_rejections
@@ -126,6 +128,7 @@ class GroundStateResult:
     newton_rejections: dict = field(default_factory=dict)   # guard -> attempts it ended
     residual_norm: float = math.inf
     all_start_energies: list = field(default_factory=list)
+    all_start_iterations: list = field(default_factory=list)
     start_disagreement: bool = False
     warnings: list = field(default_factory=list)
 
@@ -145,6 +148,7 @@ class GroundStateResult:
             "newton_rejections": dict(self.newton_rejections),
             "residual_norm": self.residual_norm,
             "all_start_energies": list(self.all_start_energies),
+            "all_start_iterations": list(self.all_start_iterations),
             "start_disagreement": self.start_disagreement,
             "warnings": list(self.warnings),
             "trace_length": len(self.energy_trace),
@@ -288,16 +292,17 @@ def _newton_finish(ws: _Workspace, v: np.ndarray, J: float, config: SolverConfig
 
     Returns (field, J after each step, multiplier, residual) once the
     residual meets tol_grad or J is below stop_energy_below, if that final
-    J is not above the start's J beyond rounding. Returns None if a step
-    fails a guard, the steps (at most budget) run out or the final J has
-    risen ("energy-rise"), and then counts the attempt in rejections under
-    that guard's name.
+    field keeps the sign of v and its J is not above the start's J beyond
+    rounding. Returns None if a step is singular or non-finite, the steps
+    (at most budget) run out, or the final field changed sign ("sign") or
+    has risen in J ("energy-rise"), and then counts the attempt in
+    rejections under that guard's name.
     """
     op = ws.op
     nl = op.model.nonlinearity
     lower, diag, upper = op.lap
     floor = config.stop_energy_below
-    J_start = J
+    v_start, J_start = v, J
     energies = []
     for _ in range(min(NEWTON_MAX_STEPS, budget)):
         lam = op.multiplier(v)
@@ -313,19 +318,18 @@ def _newton_finish(ws: _Workspace, v: np.ndarray, J: float, config: SolverConfig
         if not (m > 0.0 and math.isfinite(m)):
             guard = "non-finite"
             break
-        new *= math.sqrt(ws.a / m)
-        if not _keeps_sign(v, new):
-            guard = "sign"
-            break
-        v = new
+        v = new * math.sqrt(ws.a / m)
         J = op.energy(v).J
         energies.append(J)
         lam = op.multiplier(v)
         res = op.residual(v, lam)
         if res <= config.tol_grad or (floor is not None and J < floor):
-            if J <= J_start + 1e-12 * (1.0 + abs(J_start)):
+            if not _keeps_sign(v_start, v):
+                guard = "sign"
+            elif J > J_start + 1e-12 * (1.0 + abs(J_start)):
+                guard = "energy-rise"
+            else:
                 return v, energies, lam, res
-            guard = "energy-rise"
             break
     else:
         guard = "out-of-steps"
@@ -511,6 +515,7 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
         newton_rejections=out.newton_rejections,
         residual_norm=out.residual,
         all_start_energies=all_J,
+        all_start_iterations=[o.iterations for o in outcomes],
         start_disagreement=disagreement,
         warnings=warnings,
     )

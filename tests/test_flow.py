@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
-from helpers import ZERO_G, ZERO_V, free_power, harmonic_v, power_g, well_v
+from helpers import MODELS_DIR, ZERO_G, ZERO_V, free_power, harmonic_v, power_g, well_v
 from ngs import flow
 from ngs.curves import THRESHOLD_PROBE_MAX_ITERS
 from ngs.energy import evaluate, lagrange_multiplier
 from ngs.flow import (RESIDUAL_CHECK_EVERY, SolverConfig, bordered_solve, flow_step,
                       gaussian_start, minimize)
 from ngs.grids import GridFunction, RadialGrid, mass
-from ngs.models import make_model
+from ngs.models import load_model, make_model
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +249,25 @@ def test_newton_finishes_a_cold_start_within_a_few_checks(cubic_free_solution):
     assert res.converged
     assert res.iterations <= 5 * RESIDUAL_CHECK_EVERY
     assert res.residual_norm <= SolverConfig().tol_grad
+    # every start, not only the winner
+    assert len(res.all_start_iterations) == SolverConfig().starts
+    assert res.iterations == res.all_start_iterations[res.start_index]
+    assert max(res.all_start_iterations) <= 5 * RESIDUAL_CHECK_EVERY
+    assert res.to_dict()["all_start_iterations"] == res.all_start_iterations
+
+
+@pytest.mark.parametrize("name, a", [("power3_free", 4.0), ("gaussian_well_cubic", 3.0),
+                                     ("harmonic_cubic", 2.0)])
+def test_wide_start_converges_at_its_first_newton_attempt(small_grid, name, a):
+    # on its way from a width-2 Gaussian, Newton undershoots the tail by a
+    # few percent of the peak; only the endpoint is held to the sign guard
+    ws = flow._Workspace(small_grid, load_model(MODELS_DIR / f"{name}.json"), 1e-2, a)
+    v = gaussian_start(small_grid, 2.0, a).values.copy()
+    out = flow._run_start(ws, v, SolverConfig())
+    assert out.converged
+    assert out.iterations <= 2 * RESIDUAL_CHECK_EVERY
+    assert out.newton_attempts == 1
+    assert not any(out.newton_rejections.values())
 
 
 def test_sign_guard_is_relative_to_the_field():
@@ -261,6 +280,22 @@ def test_sign_guard_is_relative_to_the_field():
     assert not flow._keeps_sign(old, lobe)
     # an entry that was already negative may stay so
     assert flow._keeps_sign(lobe, lobe)
+
+
+def test_sign_changing_newton_endpoint_is_rejected(small_grid):
+    # in the linear harmonic trap Newton from |psi_2| converges to the
+    # sign-changing eigenvector psi_2 itself: the endpoint must not be kept
+    ws = flow._Workspace(small_grid, load_model(MODELS_DIR / "harmonic.json"), 1e-2, 1.0)
+    op = ws.op
+    lower, diag, upper = op.lap
+    A = np.diag(diag + op.V) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+    eigvals, eigvecs = np.linalg.eig(A)
+    v = np.abs(eigvecs[:, np.argsort(eigvals.real)[1]].real)
+    v *= math.sqrt(1.0 / float(op.w @ (v * v)))
+    rejections = dict.fromkeys(flow.NEWTON_GUARDS, 0)
+    assert flow._newton_finish(ws, v, op.energy(v).J, SolverConfig(), 10**6,
+                               rejections) is None
+    assert rejections == {g: int(g == "sign") for g in flow.NEWTON_GUARDS}
 
 
 def test_newton_attempts_and_rejections_are_reported(cubic_free_solution, monkeypatch,
