@@ -20,7 +20,7 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import BracketError
 from .flow import DEADBAND, SolverConfig, minimize
 from .flow import vanishing_diagnostic  # noqa: F401  (re-exported)
-from .grids import RadialGrid
+from .grids import RadialGrid, laplacian_tridiagonal
 from .models import Model
 
 
@@ -307,21 +307,17 @@ def threshold_a0(model: Model, grid: RadialGrid,
 def quadratic_form_infimum(model: Model, grid: RadialGrid) -> float:
     """Infimum of (|grad u|^2 + int V u^2) / |u|^2 on the grid, exactly.
 
-    The form is the edge-sum kinetic energy of grids.kinetic plus the
-    weighted potential term: v^T (K + W V) v over v^T W v, with K the
-    symmetric tridiagonal stiffness of the grid's kinetic edge weights and
-    W the quadrature weights. Its infimum is the lowest eigenvalue of the
-    tridiagonal W^-1/2 (K + W V) W^-1/2, which LAPACK returns to machine
-    precision. Since K >= 0 it never undershoots the infimum of V.
+    The form is the kinetic form of grids.kinetic plus the weighted
+    potential term: v^T (K + W V) v over v^T W v. Its infimum is the lowest
+    eigenvalue of -Lap + V = W^-1 (K + W V), which the diagonal similarity
+    W^1/2 turns into the symmetric tridiagonal W^-1/2 (K + W V) W^-1/2 that
+    LAPACK solves to machine precision. Since K >= 0 it never undershoots
+    the infimum of V.
     """
     V = model.potential.V(grid.r)
     if not np.all(np.isfinite(V)):
         raise ValueError("potential must be finite on the grid")
-    w, edge = grid.w, grid.edge_weights
-    diag = w * V
-    diag[:-1] += edge
-    diag[1:] += edge
-    diag[-1] += grid.edge_weight_R
+    lower, diag, upper = laplacian_tridiagonal(grid)
     return float(eigh_tridiagonal(
-        diag / w, -edge / np.sqrt(w[:-1] * w[1:]),
+        diag + V, -np.sqrt(upper[:-1] * lower[1:]),
         eigvals_only=True, select="i", select_range=(0, 0))[0])

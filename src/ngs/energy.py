@@ -60,13 +60,13 @@ class IdentityResiduals:
 class Discretization:
     """The discrete functionals of one model on one grid, on node arrays.
 
-    Built once per (grid, model) from the grid's quadrature and kinetic edge
-    weights, the rows of the discrete -Laplacian and V at the nodes. Two
-    discrete quadratic forms are in use and agree to O(h^2): the edge-sum
-    kinetic energy of the grid (J, Pohozaev, spectrum) and the pointwise
-    stencil <u, -Lap u>_w (flow, multiplier, residual, Nehari). The flow
-    holds one instance for its per-step work; the GridFunction functions
-    below wrap a fresh one, so both report bit-identical values.
+    Built once per (grid, model) from the grid's quadrature weights W, the
+    rows of the discrete -Laplacian W^-1 K and V at the nodes. J, Pohozaev
+    and the spectrum use the kinetic form u^T K u of the grid; the defect,
+    multiplier, residual and Nehari use -Lap = W^-1 K of the same K, so a
+    zero of the defect is an exact constrained critical point of J. The
+    flow holds one instance for its per-step work; the GridFunction
+    functions below wrap a fresh one, so both report bit-identical values.
     """
 
     def __init__(self, grid: grids.RadialGrid, model):
@@ -93,17 +93,18 @@ class Discretization:
                             J=I + pot, I=I, mass=float(self.w @ usq))
 
     def _nehari_terms(self, v: np.ndarray) -> tuple[float, float, float]:
-        # <v, -Lap v>_w + int V v^2, int g(v) v, and the mass of v
+        # <v, -Lap v>_w + int V v^2, int g(v) v, and the mass of v; the first
+        # is |grad v|^2 up to rounding
         usq = v * v
         quad = float(self.w @ (v * self.apply_lap(v))) + float(self.w @ (self.V * usq))
         gu = float(self.w @ self.model.nonlinearity.g_times_s(v))
         return quad, gu, float(self.w @ usq)
 
     def multiplier(self, v: np.ndarray) -> float:
-        """The lam solving <v, -Lap v> + int (V + lam) v^2 = int g(v) v.
+        """The lam solving |grad v|^2 + int (V + lam) v^2 = int g(v) v.
 
-        Uses the stencil form (not the edge-sum gradient norm), so the value
-        is exactly the least-squares minimizer of the residual over lam.
+        |grad v|^2 is taken as <v, -Lap v>_w, so the value is exactly the
+        least-squares minimizer of the residual over lam.
         """
         quad, gu, m = self._nehari_terms(v)
         if m <= 0.0:
@@ -111,7 +112,7 @@ class Discretization:
         return (gu - quad) / m
 
     def nehari(self, v: np.ndarray, lam: float) -> float:
-        """Signed defect of <v, -Lap v> + int (V + lam) v^2 - int g(v) v.
+        """Signed defect of |grad v|^2 + int (V + lam) v^2 - int g(v) v.
 
         At lam = multiplier(v) the defect is zero for every v by construction,
         so it then checks only the arithmetic. Evidence of stationarity comes
@@ -160,8 +161,8 @@ def pohozaev_residual(u: GridFunction, model) -> float:
     """Signed defect of the multiplier-free stationarity identity.
 
     P(u) = |grad u|^2 - (1/2) int <grad V, x> u^2 + N int [G(u) - g(u)u/2],
-    with the edge-sum gradient norm: exactly the t-derivative of the
-    discrete fiber energy at t = 1, which is how it is computed.
+    exactly the t-derivative of the discrete fiber energy at t = 1, which is
+    how it is computed.
     """
     return fiber_energy_derivative(u, 1.0, model)
 

@@ -5,16 +5,17 @@ Comput. 25, 2004). One step solves the linearly implicit system
     (I + dt (-Lap + V + shift)) u+ = u + dt (g(u) + (shift + mu) u)
 with shift = max(0, -min V) keeping the operator an M-matrix, and the scalar
 mu chosen in closed form so the new iterate has the target mass exactly.
-Fixed points of the step are exact discrete constrained critical points of
-the stencil form; a plain rescale-after-step variant instead converges to an
-O(dt)-biased profile, which is why the multiplier enters inside the solve.
+Fixed points of the step are exact constrained critical points of the
+discrete J, because -Lap is W^-1 K of the kinetic form J uses; a plain
+rescale-after-step variant instead converges to an O(dt)-biased profile,
+which is why the multiplier enters inside the solve.
 
 The flow converges only linearly, so it serves only as the globalizer of a
 Newton method (after Altmann, Henning & Peterseim, "The J-method for the
 Gross-Pitaevskii eigenvalue problem", Numer. Math. 2021). At every residual
 check a start tries a Newton finish: Newton steps on
 F = (-Lap + V + lam) u - g(u) = 0 with the mass w^T u^2 = a, on the same
-stencil rows, so its fixed point is the flow's. One step solves the
+rows, so its fixed point is the flow's. One step solves the
 tridiagonal L = -Lap + V + lam - g'(u) for -F and u in one LAPACK dgtsv
 call, gets the multiplier update by bordering, and rescales to mass a.
 A step counts only if L has no exactly zero pivot and the field stays
@@ -36,8 +37,7 @@ well inside tol_grad.
 
 Every value the flow reports (J, multiplier, residual, Nehari) comes from
 one energy.Discretization, the same code energy.evaluate and the identity
-functions run, so they agree bit for bit. J uses the edge-sum kinetic form,
-which differs from the stencil form by O(h^2).
+functions run, so they agree bit for bit.
 """
 from __future__ import annotations
 
@@ -429,8 +429,11 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
     """Best-of-starts constrained minimization of J at mass a.
 
     Initial profiles are mass-a Gaussians of staggered widths, optionally
-    preceded by a caller-supplied warm start (rescaled to mass a). Never
-    raises on non-convergence; inspect converged/reason on the result.
+    preceded by a caller-supplied warm start (rescaled to mass a). The
+    winner is the first start, in start order, whose J is within
+    1e-12 (1 + |J_min|) of the lowest, among the converged starts if any
+    converged. Never raises on non-convergence; inspect converged/reason on
+    the result.
     """
     if not a > 0:
         raise ValueError(f"mass must be positive, got {a}")
@@ -454,10 +457,13 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
         outcomes = [_run_start(ws, v.copy(), config) for v in starts]
 
     converged_idx = [i for i, o in enumerate(outcomes) if o.converged]
-    if converged_idx:
-        best = min(converged_idx, key=lambda i: outcomes[i].J)
-    else:
-        best = min(range(len(outcomes)), key=lambda i: outcomes[i].J)
+    pool = converged_idx or range(len(outcomes))
+    best = min(pool, key=lambda i: outcomes[i].J)
+    # the first start within rounding of the lowest J wins, so that rounding
+    # noise does not choose among starts that reached the same state
+    J_min = outcomes[best].J
+    best = next((i for i in pool
+                 if outcomes[i].J <= J_min + 1e-12 * (1.0 + abs(J_min))), best)
     out = outcomes[best]
     u = GridFunction(grid, out.values)
 

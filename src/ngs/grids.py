@@ -1,9 +1,11 @@
-"""Radial grids, quadrature, the kinetic form and the discrete radial Laplacian.
+"""Radial grids, quadrature and the one discrete kinetic form with its -Laplacian.
 
-Fields live on interior nodes r_j = j*h, j = 1..n, with h = R/(n+1).
-Boundary conventions: even reflection at r = 0 (zero slope), hard zero at
-r = R. Dimension N = 1 uses the symmetric full-line convention, so all
-integrals match integrals over the whole real line.
+The grid is cell-centred: n cells of width h = R/n between the faces jh,
+j = 0..n, with fields at the cell centres r_j = (j - 1/2) h. Boundary
+conventions: even reflection at r = 0 (no flux through the face at 0), hard
+zero at r = R. Dimension N = 1 uses the symmetric full-line convention, so
+all integrals match integrals over the whole real line; mirrored about 0 the
+N = 1 grid is the plain uniform grid of the line.
 """
 from __future__ import annotations
 
@@ -27,20 +29,17 @@ GN_DEFAULT = {1: 0.4053, 2: 0.1710, 3: 0.1045}
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform radial grid with shell-volume quadrature and kinetic edge weights.
+    """Cell-centred radial grid with shell-volume quadrature and face weights.
 
-    The weight of node j is the exact volume of the shell
-    [r_j - h/2, r_j + h/2] (end cells absorb the stubs at 0 and R), so the
-    weights sum to the exact ball volume and midpoint quadrature keeps its
-    second-order accuracy for profiles with zero slope at the origin.
+    The weight of node j is the exact volume of its cell, the shell between
+    the faces (j - 1)h and jh, so the weights sum to the exact ball volume.
 
-    The edge weights define the kinetic form
+    The face weights |S^{N-1}| (jh)^{N-1} / h define the kinetic form
         |grad u|^2 = sum_j edge_weights[j] (u_{j+1} - u_j)^2 + edge_weight_R u_n^2,
-    a midpoint sum of shell measure times squared slope over every edge.
-    The last edge runs to the Dirichlet zero at R. The origin edge has slope
-    (u_1 - u(0))/h = (u_2 - u_1)/(3h) through the even-reflection ghost
-    value (see even_extension), so it folds into the first interior edge
-    with a factor 1/9.
+    shell measure times squared slope, summed over the interior faces. The
+    Dirichlet zero sits on the face at R, half a cell beyond the last node,
+    so the slope there is u_n / (h/2) over half a cell: edge_weight_R is
+    2 |S^{N-1}| R^{N-1} / h. No flux crosses the face at the origin.
     """
 
     N: int
@@ -53,18 +52,14 @@ class RadialGrid:
         if not 0 < self.R < np.inf:
             raise ValueError("domain radius must be positive and finite")
         if self.n < 64:
-            raise ValueError(f"need at least 64 interior nodes, got {self.n}")
-        h = self.R / (self.n + 1)
-        r = h * np.arange(1, self.n + 1)
-        lo = r - 0.5 * h
-        hi = r + 0.5 * h
-        lo[0] = 0.0
-        hi[-1] = self.R
+            raise ValueError(f"need at least 64 nodes, got {self.n}")
+        h = self.R / self.n
+        faces = np.linspace(0.0, self.R, self.n + 1)
+        r = 0.5 * (faces[:-1] + faces[1:])
         om = SPHERE_MEASURE[self.N]
-        w = (om / self.N) * (hi**self.N - lo**self.N)
-        edge = om * (0.5 * (r[:-1] + r[1:])) ** (self.N - 1) / h
-        edge[0] += om * (0.5 * h) ** (self.N - 1) / h / 9.0
-        edge_R = om * (r[-1] + 0.5 * h) ** (self.N - 1) / h
+        w = (om / self.N) * np.diff(faces**self.N)
+        edge = om * faces[1:-1] ** (self.N - 1) / h
+        edge_R = 2.0 * om * self.R ** (self.N - 1) / h
         for name, val in (("h", h), ("r", r), ("w", w), ("edge_weights", edge),
                           ("edge_weight_R", edge_R)):
             object.__setattr__(self, name, val)
@@ -127,32 +122,24 @@ def kinetic_values(grid: RadialGrid, values: np.ndarray) -> float:
 
 
 def kinetic(u: GridFunction) -> float:
-    """Squared L2 norm of the gradient: the edge-sum form of RadialGrid.
-
-    Agrees with the quadratic form <u, -Lap u> of laplacian_apply to O(h^2).
-    """
+    """Squared L2 norm of the gradient: the kinetic form of RadialGrid."""
     return kinetic_values(u.grid, u.values)
 
 
 def laplacian_tridiagonal(grid: RadialGrid):
-    """Rows of the discrete -Laplacian: (lower, diag, upper) coefficient arrays.
+    """Rows of the discrete -Laplacian W^-1 K: (lower, diag, upper) arrays.
 
-    Interior rows discretize -u'' - (N-1)/r u' with second-order central
-    differences. The first row folds in the even-reflection ghost value at
-    the origin, which for every N reduces to the consistent coefficient
-    (2N/3)/h^2 on (u_1 - u_2). Sign pattern is an M-matrix: diag > 0,
-    off-diagonals <= 0.
+    K is the symmetric stiffness of the kinetic form (u^T K u = kinetic) and
+    W the cell volumes, so <u, -Lap v>_w = u^T K v: the operator is the
+    gradient of the kinetic form and W-symmetric. Row j is the flux balance
+    of cell j. Sign pattern is an M-matrix: diag > 0, off-diagonals <= 0.
     """
-    n = grid.n
-    h = grid.h
-    inv = 1.0 / (h * h)
-    c = (grid.N - 1) / (2.0 * h * grid.r)
-    lower = -inv + c
-    diag = np.full(n, 2.0 * inv)
-    upper = -inv - c
-    diag[0] = 2.0 * grid.N / 3.0 * inv
-    upper[0] = -2.0 * grid.N / 3.0 * inv
-    lower[0] = 0.0
+    # faces 0..R: no flux at the origin; the Dirichlet face at R is diagonal only
+    face = np.concatenate(([0.0], grid.edge_weights, [0.0]))
+    lower = -face[:-1] / grid.w
+    upper = -face[1:] / grid.w
+    diag = -(lower + upper)
+    diag[-1] += grid.edge_weight_R / grid.w[-1]
     return lower, diag, upper
 
 
@@ -166,15 +153,15 @@ def tridiagonal_apply(rows, values: np.ndarray) -> np.ndarray:
 
 
 def laplacian_apply(u: GridFunction) -> GridFunction:
-    """Apply the discrete -Laplacian (with the radial first-order term)."""
+    """Apply the discrete -Laplacian W^-1 K of laplacian_tridiagonal."""
     return u.with_values(tridiagonal_apply(laplacian_tridiagonal(u.grid), u.values))
 
 
 def even_extension(u: GridFunction):
     """u as a function of radius: even at the origin, zero from R on.
 
-    A cubic spline through the nodes, the hard zero at R and the ghost value
-    u(0) = (4 u_1 - u_2)/3 of the quadratic even extension through the first
+    A cubic spline through the nodes, the hard zero at R and the value
+    u(0) = (9 u_1 - u_2)/8 of the quadratic even extension through the first
     two nodes, clamped to zero slope at the origin. The SciPy spline is
     imported on first call, so that ngs start-up stays at numpy plus
     scipy.linalg.
@@ -183,7 +170,7 @@ def even_extension(u: GridFunction):
 
     g = u.grid
     x = np.concatenate(([0.0], g.r, [g.R]))
-    y = np.concatenate(([(4.0 * u.values[0] - u.values[1]) / 3.0], u.values, [0.0]))
+    y = np.concatenate(([(9.0 * u.values[0] - u.values[1]) / 8.0], u.values, [0.0]))
     spline = CubicSpline(x, y, bc_type=((1, 0.0), (2, 0.0)))
 
     def fn(r):

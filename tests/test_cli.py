@@ -1,5 +1,14 @@
-"""End-to-end command-line runs against the bundled model files."""
+"""End-to-end command-line runs against the bundled model files.
+
+Most runs call ngs.cli.main in this process (run_cli), which spares each
+the interpreter and SciPy start-up. A few run `python -m ngs` in a child
+process (run_module): one per exit code 0, 1 and 64, and the numerical
+failure, whose stderr must be free of the RuntimeWarnings that pytest
+would capture in process.
+"""
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -10,16 +19,46 @@ import numpy as np
 import pytest
 
 from helpers import MODELS_DIR
+from ngs import cli
 
 
 def run_cli(*argv, env_extra=None, cwd=None):
-    env = os.environ.copy()
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "ngs", *map(str, argv)],
-        capture_output=True, text=True, env=env, cwd=cwd,
-    )
+    """Run ngs.cli.main(argv) in process, with the result shape of run_module.
+
+    Output goes to the returned stdout and stderr. The exit code is what the
+    interpreter makes of main's return value or SystemExit: an int is the
+    code, a message is printed and gives 1. os.environ, the working
+    directory and sys.argv, which the manifest records, are restored
+    afterwards.
+    """
+    argv = [str(a) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    saved = os.environ.copy(), os.getcwd(), sys.argv
+    os.environ.update(env_extra or {})
+    sys.argv = ["ngs", *argv]
+    try:
+        if cwd is not None:
+            os.chdir(cwd)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+                if code is not None and not isinstance(code, int):
+                    print(code, file=sys.stderr)
+                    code = 1
+    finally:
+        os.environ.clear()
+        os.environ.update(saved[0])
+        os.chdir(saved[1])
+        sys.argv = saved[2]
+    return subprocess.CompletedProcess(argv, code or 0, out.getvalue(), err.getvalue())
+
+
+def run_module(*argv):
+    """Run `python -m ngs` with argv in a child process."""
+    return subprocess.run([sys.executable, "-m", "ngs", *map(str, argv)],
+                          capture_output=True, text=True)
 
 
 SMALL = ("--grid-R", "16", "--grid-n", "400")
@@ -28,7 +67,7 @@ SMALL = ("--grid-R", "16", "--grid-n", "400")
 # --- validate ---
 
 def test_validate_cubic_free_model():
-    proc = run_cli("validate", "--model", MODELS_DIR / "power3_free.json")
+    proc = run_module("validate", "--model", MODELS_DIR / "power3_free.json")
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     g = report["nonlinearity"]
@@ -193,7 +232,7 @@ def test_nonpositive_mass_is_usage_error(tmp_path):
 
 
 def test_unknown_flag_is_usage_error(tmp_path):
-    proc = run_cli("solve", "--model", MODELS_DIR / "power3_free.json",
+    proc = run_module("solve", "--model", MODELS_DIR / "power3_free.json",
                    "--mass", "1", "--out", tmp_path / "x", "--frobnicate")
     assert proc.returncode == 64
 
@@ -400,7 +439,7 @@ def test_numerical_failure_exits_1(tmp_path):
     model = tmp_path / "model.json"
     model.write_text(json.dumps(model_json))
     out = tmp_path / "x"
-    proc = run_cli("solve", "--model", model, "--mass", "4", *SMALL, "--out", out)
+    proc = run_module("solve", "--model", model, "--mass", "4", *SMALL, "--out", out)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "degenerate field" in proc.stderr
     assert "Traceback" not in proc.stderr

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
-from helpers import MODELS_DIR, ZERO_G, ZERO_V, free_power, harmonic_v, power_g, well_v
+from helpers import (MODELS_DIR, ZERO_G, ZERO_V, bumps, free_power, harmonic_v, power_g,
+                     well_v)
 from ngs import flow
 from ngs.curves import THRESHOLD_PROBE_MAX_ITERS
 from ngs.energy import evaluate, lagrange_multiplier
 from ngs.flow import (RESIDUAL_CHECK_EVERY, SolverConfig, bordered_solve, flow_step,
                       gaussian_start, minimize)
-from ngs.grids import GridFunction, RadialGrid, mass
+from ngs.grids import GridFunction, RadialGrid, kinetic, mass
 from ngs.models import load_model, make_model
 
 
@@ -254,6 +255,37 @@ def test_newton_finishes_a_cold_start_within_a_few_checks(cubic_free_solution):
     assert res.iterations == res.all_start_iterations[res.start_index]
     assert max(res.all_start_iterations) <= 5 * RESIDUAL_CHECK_EVERY
     assert res.to_dict()["all_start_iterations"] == res.all_start_iterations
+
+
+@pytest.mark.parametrize("name, a", [("gaussian_well_cubic", 3.0), ("power3_free", 4.0)])
+def test_converged_profile_is_a_critical_point_of_reported_J(small_grid, name, a):
+    # J'(u) phi + lam <u, phi>_w = 0 in every direction phi, with the kinetic
+    # part u^T K phi taken from the reported kinetic form by polarization
+    model = load_model(MODELS_DIR / f"{name}.json")
+    res = minimize(a, model, small_grid)
+    assert res.converged
+    u = res.u
+    grad = ((model.potential.V(small_grid.r) + res.lam) * u.values
+            - model.nonlinearity.g(u.values))
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        phi = bumps(small_grid, rng)
+        kin = 0.25 * (kinetic(u.with_values(u.values + phi.values))
+                      - kinetic(u.with_values(u.values - phi.values)))
+        dJ = kin + float(small_grid.w @ (grad * phi.values))
+        assert abs(dJ) <= 1e-7 * math.sqrt(mass(u) * mass(phi)), dJ
+
+
+def test_tied_starts_report_the_first(grid20):
+    # starts that reach one state tie in J to rounding; the first of them
+    # wins, whichever is lowest in the last bit
+    res = minimize(3.0, load_model(MODELS_DIR / "gaussian_well_mixed.json"), grid20)
+    assert res.converged
+    assert res.start_index == 0
+    assert res.iterations == 13
+    res = minimize(4.0, load_model(MODELS_DIR / "power3_free.json"), grid20)
+    assert res.converged
+    assert res.start_index == 0
 
 
 @pytest.mark.parametrize("name, a", [("power3_free", 4.0), ("gaussian_well_cubic", 3.0),
