@@ -9,6 +9,7 @@ constrained critical point with multiplier lam solves
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +58,15 @@ class IdentityResiduals:
         }
 
 
+class Stationarity(NamedTuple):
+    """Multiplier, defect vector, residual and Nehari defect of one field."""
+
+    lam: float
+    defect: np.ndarray
+    residual: float
+    nehari: float
+
+
 class Discretization:
     """The discrete functionals of one model on one grid, on node arrays.
 
@@ -82,57 +92,44 @@ class Discretization:
         """The discrete -Laplacian of v."""
         return grids.tridiagonal_apply(self.lap, v)
 
-    def energy(self, v: np.ndarray) -> EnergyReport:
-        """J of v, its parts and the mass."""
+    def energy(self, v: np.ndarray, G: np.ndarray | None = None) -> EnergyReport:
+        """J of v, its parts and the mass; G is G(v), if the caller has it."""
+        if G is None:
+            G = self.model.nonlinearity.G(v)
         usq = v * v
         kin = 0.5 * grids.kinetic_values(self.grid, v)
         pot = 0.5 * float(self.w @ (self.V * usq))
-        nonlin = float(self.w @ self.model.nonlinearity.G(v))
+        nonlin = float(self.w @ G)
         I = kin - nonlin
         return EnergyReport(kinetic=kin, potential_term=pot, nonlinear_term=nonlin,
                             J=I + pot, I=I, mass=float(self.w @ usq))
 
-    def _nehari_terms(self, v: np.ndarray) -> tuple[float, float, float]:
-        # <v, -Lap v>_w + int V v^2, int g(v) v, and the mass of v; the first
-        # is |grad v|^2 up to rounding
+    def stationarity(self, v: np.ndarray, lam: float | None = None,
+                     nl=None) -> Stationarity:
+        """The multiplier (unless lam is given), defect, residual and Nehari of v.
+
+        The defect is -Lap v + (V + lam) v - g(v), the residual its weighted
+        L2 norm relative to ||v||, and the Nehari defect
+        |grad v|^2 + int (V + lam) v^2 - int g(v) v, with |grad v|^2 taken as
+        <v, -Lap v>_w from the one -Lap v the defect needs. The multiplier
+        zeroes that Nehari defect, so it is exactly the least-squares
+        minimizer of the residual over lam. nl holds the nonlinearity's
+        values at v (models.NonlinearValues), if the caller has them.
+        """
+        if nl is None:
+            nl = self.model.nonlinearity.evaluate(v)
         usq = v * v
-        quad = float(self.w @ (v * self.apply_lap(v))) + float(self.w @ (self.V * usq))
-        gu = float(self.w @ self.model.nonlinearity.g_times_s(v))
-        return quad, gu, float(self.w @ usq)
-
-    def multiplier(self, v: np.ndarray) -> float:
-        """The lam solving |grad v|^2 + int (V + lam) v^2 = int g(v) v.
-
-        |grad v|^2 is taken as <v, -Lap v>_w, so the value is exactly the
-        least-squares minimizer of the residual over lam.
-        """
-        quad, gu, m = self._nehari_terms(v)
+        m = float(self.w @ usq)
         if m <= 0.0:
-            raise ValueError("multiplier needs a field with positive mass")
-        return (gu - quad) / m
-
-    def nehari(self, v: np.ndarray, lam: float) -> float:
-        """Signed defect of |grad v|^2 + int (V + lam) v^2 - int g(v) v.
-
-        At lam = multiplier(v) the defect is zero for every v by construction,
-        so it then checks only the arithmetic. Evidence of stationarity comes
-        from residual and the Pohozaev identity, or from the defect at a lam
-        found independently of v (an oracle's, say).
-        """
-        quad, gu, m = self._nehari_terms(v)
-        return quad + lam * m - gu
-
-    def defect(self, v: np.ndarray, lam: float) -> np.ndarray:
-        """-Lap v + (V + lam) v - g(v) at the nodes."""
-        return self.apply_lap(v) + (self.V + lam) * v - self.model.nonlinearity.g(v)
-
-    def residual(self, v: np.ndarray, lam: float) -> float:
-        """Weighted L2 norm of the defect, relative to ||v||."""
-        m = float(self.w @ (v * v))
-        if m <= 0.0:
-            raise ValueError("residual needs a field with positive mass")
-        res = self.defect(v, lam)
-        return float(np.sqrt((self.w @ (res * res)) / m))
+            raise ValueError("stationarity needs a field with positive mass")
+        lap_v = self.apply_lap(v)
+        quad = float(self.w @ (v * lap_v)) + float(self.w @ (self.V * usq))
+        gu = float(self.w @ nl.gs)
+        if lam is None:
+            lam = (gu - quad) / m
+        defect = lap_v + (self.V + lam) * v - nl.g
+        res = float(np.sqrt((self.w @ (defect * defect)) / m))
+        return Stationarity(lam, defect, res, quad + lam * m - gu)
 
 
 def evaluate(u: GridFunction, model) -> EnergyReport:
@@ -143,18 +140,27 @@ def evaluate(u: GridFunction, model) -> EnergyReport:
 
 
 def lagrange_multiplier(u: GridFunction, model) -> float:
-    """See Discretization.multiplier."""
-    return Discretization(u.grid, model).multiplier(u.values)
+    """The lam solving |grad u|^2 + int (V + lam) u^2 = int g(u) u.
+
+    See Discretization.stationarity.
+    """
+    return Discretization(u.grid, model).stationarity(u.values).lam
 
 
 def euler_lagrange_residual(u: GridFunction, model, lam: float) -> float:
-    """See Discretization.residual."""
-    return Discretization(u.grid, model).residual(u.values, lam)
+    """Weighted L2 norm of -Lap u + (V + lam) u - g(u), relative to ||u||."""
+    return Discretization(u.grid, model).stationarity(u.values, lam).residual
 
 
 def nehari_residual(u: GridFunction, model, lam: float) -> float:
-    """See Discretization.nehari."""
-    return Discretization(u.grid, model).nehari(u.values, lam)
+    """Signed defect of |grad u|^2 + int (V + lam) u^2 - int g(u) u.
+
+    At lam = lagrange_multiplier(u) the defect is zero for every u by
+    construction, so it then checks only the arithmetic. Evidence of
+    stationarity comes from the residual and the Pohozaev identity, or from
+    the defect at a lam found independently of u (an oracle's, say).
+    """
+    return Discretization(u.grid, model).stationarity(u.values, lam).nehari
 
 
 def pohozaev_residual(u: GridFunction, model) -> float:
@@ -168,13 +174,11 @@ def pohozaev_residual(u: GridFunction, model) -> float:
 
 
 def identity_residuals(u: GridFunction, model, lam: float | None = None) -> IdentityResiduals:
-    op = Discretization(u.grid, model)
-    if lam is None:
-        lam = op.multiplier(u.values)
+    st = Discretization(u.grid, model).stationarity(u.values, lam)
     return IdentityResiduals(
-        nehari=op.nehari(u.values, lam),
+        nehari=st.nehari,
         pohozaev=pohozaev_residual(u, model),
-        lagrange_lambda=lam,
+        lagrange_lambda=st.lam,
     )
 
 

@@ -8,7 +8,10 @@ mu chosen in closed form so the new iterate has the target mass exactly.
 Fixed points of the step are exact constrained critical points of the
 discrete J, because -Lap is W^-1 K of the kinetic form J uses; a plain
 rescale-after-step variant instead converges to an O(dt)-biased profile,
-which is why the multiplier enters inside the solve.
+which is why the multiplier enters inside the solve. The operator
+I + dt (-Lap + V + shift) is the same at every step, so each minimize
+factors its symmetric form once (LAPACK dpttrf) and each step is one
+dpttrs solve for both right-hand sides.
 
 The flow converges only linearly, so it serves only as the globalizer of a
 Newton method (after Altmann, Henning & Peterseim, "The J-method for the
@@ -16,8 +19,9 @@ Gross-Pitaevskii eigenvalue problem", Numer. Math. 2021). At every residual
 check a start tries a Newton finish: Newton steps on
 F = (-Lap + V + lam) u - g(u) = 0 with the mass w^T u^2 = a, on the same
 rows, so its fixed point is the flow's. One step solves the
-tridiagonal L = -Lap + V + lam - g'(u) for -F and u in one LAPACK dgtsv
-call, gets the multiplier update by bordering, and rescales to mass a.
+tridiagonal L = -Lap + V + lam - g'(u), which is indefinite, for -F and u
+in one LAPACK dgtsv call, gets the multiplier update by bordering, and
+rescales to mass a.
 A step counts only if L has no exactly zero pivot and the field stays
 finite. The attempt ends the start once the residual meets tol_grad (or J
 falls below stop_energy_below), provided that at its endpoint no entry
@@ -37,7 +41,10 @@ well inside tol_grad.
 
 Every value the flow reports (J, multiplier, residual, Nehari) comes from
 one energy.Discretization, the same code energy.evaluate and the identity
-functions run, so they agree bit for bit.
+functions run, so they agree bit for bit. Each iterate, flow or Newton,
+evaluates the nonlinearity once (models.NonlinearityModel.evaluate) and,
+where a residual is needed, -Lap once (Discretization.stationarity); the
+next step reuses both.
 """
 from __future__ import annotations
 
@@ -45,7 +52,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from . import energy as energy_mod
 from . import grids
@@ -156,30 +163,41 @@ class GroundStateResult:
 
 
 class _Workspace:
-    """A Discretization plus the implicit step's dgtsv rows for one (dt, a)."""
+    """A Discretization plus the factored implicit operator for one (dt, a).
+
+    The implicit operator A = I + dt (-Lap + V + shift) does not change
+    between steps. W A = W + dt (K + W (V + shift)) is symmetric positive
+    definite and tridiagonal, so it is factored once, by LAPACK dpttrf, and
+    every step solves W A x = W rhs for both right-hand sides with one
+    dpttrs call.
+    """
 
     def __init__(self, grid: RadialGrid, model, dt: float, a: float):
         self.op = energy_mod.Discretization(grid, model)
         self.dt = dt
         self.a = a
         self.shift = max(0.0, -model.potential.c_ell)
-        lo, di, up = self.op.lap
-        diag = 1.0 + dt * (di + self.op.V + self.shift)
-        if np.any(diag <= 0.0):
+        w = self.op.w
+        _, di, up = self.op.lap
+        d, e, info = dpttrf(w * (1.0 + dt * (di + self.op.V + self.shift)),
+                            dt * (w * up)[:-1])
+        if info != 0:
             raise NumericalError(
                 "implicit operator lost positivity; dt too large for this potential"
             )
-        self.rows = (dt * lo, diag, dt * up)
+        self.factor = (d, e)
+        self.rhs = np.empty((grid.n, 2), order="F")
 
-    def step(self, v: np.ndarray) -> np.ndarray:
+    def step(self, v: np.ndarray, gv: np.ndarray | None = None) -> np.ndarray:
+        """The next flow iterate from v; gv is g(v), if the caller has it."""
         dt = self.dt
         w = self.op.w
-        gv = self.op.model.nonlinearity.g(v)
-        try:
-            v0, q = solve_tridiagonal(
-                self.rows, np.column_stack((v + dt * (gv + self.shift * v), v))).T
-        except RuntimeError as exc:
-            raise NumericalError(f"implicit step failed: {exc}") from None
+        if gv is None:
+            gv = self.op.model.nonlinearity.g(v)
+        rhs = self.rhs
+        np.multiply(w, v + dt * (gv + self.shift * v), out=rhs[:, 0])
+        np.multiply(w, v, out=rhs[:, 1])
+        v0, q = dpttrs(*self.factor, rhs, overwrite_b=1)[0].T
         q = dt * q
         a2 = float(w @ (q * q))
         a1 = 2.0 * float(w @ (v0 * q))
@@ -231,7 +249,7 @@ def flow_step(u: GridFunction, model, dt: float, a: float | None = None) -> Grid
     if a is None:
         a = grids.mass(u)
     ws = _Workspace(u.grid, model, dt, a)
-    return u.with_values(ws.step(u.values.copy()))
+    return u.with_values(ws.step(u.values))
 
 
 def vanishing_diagnostic(u: GridFunction) -> float:
@@ -299,16 +317,19 @@ def _newton_finish(ws: _Workspace, v: np.ndarray, J: float, config: SolverConfig
     rejections under that guard's name.
     """
     op = ws.op
-    nl = op.model.nonlinearity
+    nonlinearity = op.model.nonlinearity
     lower, diag, upper = op.lap
     floor = config.stop_energy_below
     v_start, J_start = v, J
+    # each iterate's nonlinearity and stationarity are computed once and
+    # carried into the step from it
+    nl = nonlinearity.evaluate(v, derivative=True)
+    lam, defect, _, _ = op.stationarity(v, nl=nl)
     energies = []
     for _ in range(min(NEWTON_MAX_STEPS, budget)):
-        lam = op.multiplier(v)
-        rows = (lower, diag + op.V + lam - nl.dg(v), upper)
+        rows = (lower, diag + op.V + lam - nl.dg, upper)
         try:
-            du, _ = bordered_solve(rows, v, op.w, -op.defect(v, lam))
+            du, _ = bordered_solve(rows, v, op.w, -defect)
         except RuntimeError:
             guard = "singular"
             break
@@ -319,10 +340,10 @@ def _newton_finish(ws: _Workspace, v: np.ndarray, J: float, config: SolverConfig
             guard = "non-finite"
             break
         v = new * math.sqrt(ws.a / m)
-        J = op.energy(v).J
+        nl = nonlinearity.evaluate(v, derivative=True)
+        J = op.energy(v, nl.G).J
         energies.append(J)
-        lam = op.multiplier(v)
-        res = op.residual(v, lam)
+        lam, defect, res, _ = op.stationarity(v, nl=nl)
         if res <= config.tol_grad or (floor is not None and J < floor):
             if not _keeps_sign(v_start, v):
                 guard = "sign"
@@ -339,7 +360,10 @@ def _newton_finish(ws: _Workspace, v: np.ndarray, J: float, config: SolverConfig
 
 def _run_start(ws: _Workspace, v: np.ndarray, config: SolverConfig) -> _StartOutcome:
     op = ws.op
-    J = op.energy(v).J
+    nonlinearity = op.model.nonlinearity
+    # g(v) of the energy evaluation feeds the next step
+    nl = nonlinearity.evaluate(v)
+    J = op.energy(v, nl.G).J
     trace = [(0, J)]
     stalled_iters = 0
     res_best = math.inf
@@ -353,8 +377,9 @@ def _run_start(ws: _Workspace, v: np.ndarray, config: SolverConfig) -> _StartOut
     reason = None
     J_best = J
     for it in range(1, config.max_iters + 1):
-        v = ws.step(v)
-        J_new = op.energy(v).J
+        v = ws.step(v, nl.g)
+        nl = nonlinearity.evaluate(v)
+        J_new = op.energy(v, nl.G).J
         trace.append((it, J_new))
         if not math.isfinite(J_new):
             reason = "diverged"
@@ -378,8 +403,7 @@ def _run_start(ws: _Workspace, v: np.ndarray, config: SolverConfig) -> _StartOut
             reason = "energy-floor"
             break
         if it % RESIDUAL_CHECK_EVERY == 0:
-            lam = op.multiplier(v)
-            res = op.residual(v, lam)
+            lam, _, res, _ = op.stationarity(v, nl=nl)
             if res <= config.tol_grad:
                 converged = True
                 break
@@ -410,11 +434,12 @@ def _run_start(ws: _Workspace, v: np.ndarray, config: SolverConfig) -> _StartOut
                 break
     else:
         reason = "max-iters"
-    if not converged:
-        lam = op.multiplier(v)
-        res = op.residual(v, lam)
-        if res <= config.tol_grad:
-            converged = True
+    # an accepted Newton finish returned the multiplier and residual of its
+    # endpoint; otherwise take them at the flow iterate the start ended on
+    if not converged and newton_steps == 0:
+        lam, _, res, _ = op.stationarity(v, nl=nl)
+        converged = res <= config.tol_grad
+        if converged:
             reason = None
     return _StartOutcome(
         values=v, J=J, lam=lam, residual=res, converged=converged,
@@ -442,8 +467,8 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
     ws = _Workspace(grid, model, config.dt, a)
     starts: list[np.ndarray] = []
     if warm_start is not None:
-        if warm_start.grid.n != grid.n or warm_start.grid.N != grid.N:
-            raise ValueError("warm start lives on an incompatible grid")
+        if warm_start.grid != grid:
+            raise ValueError("warm start lives on another grid")
         m = grids.mass(warm_start)
         if m <= 0:
             raise ValueError("warm start has zero mass")
@@ -468,7 +493,7 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
     u = GridFunction(grid, out.values)
 
     residuals = energy_mod.IdentityResiduals(
-        nehari=ws.op.nehari(out.values, out.lam),
+        nehari=ws.op.stationarity(out.values, out.lam).nehari,
         pohozaev=energy_mod.pohozaev_residual(u, model),
         lagrange_lambda=out.lam,
     )

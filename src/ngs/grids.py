@@ -116,7 +116,7 @@ def mass(u: GridFunction) -> float:
 
 def kinetic_values(grid: RadialGrid, values: np.ndarray) -> float:
     """The kinetic form of RadialGrid on a node array; exactly nonnegative."""
-    dv = np.diff(values)
+    dv = values[1:] - values[:-1]
     return float(grid.edge_weights @ (dv * dv)
                  + grid.edge_weight_R * values[-1] * values[-1])
 

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,15 @@ TAIL_TOL = 1e-3
 
 # largest |<grad V, x>| on the outer 10% of the grid that still counts as decayed
 DVX_DECAY_TOL = 1e-6
+
+
+class NonlinearValues(NamedTuple):
+    """A nonlinearity at the nodes: g, G, g(s) s and g' (None unless asked)."""
+
+    g: np.ndarray
+    G: np.ndarray
+    gs: np.ndarray
+    dg: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -57,35 +67,42 @@ class NonlinearityModel:
                     f"{4.0 / (self.N - 2):g} in dimension {self.N}"
                 )
 
-    def g(self, s):
+    def evaluate(self, s, derivative: bool = False) -> NonlinearValues:
+        """g(s), G(s), g(s) s and, if derivative, g'(s), from one power per term.
+
+        Per term, p = coef |s|^sigma gives g = p s, g s = p s^2,
+        G = p s^2 / (sigma + 2) and g' = (sigma + 1) p. The methods g, G,
+        g_times_s and dg return these same arrays, bit for bit.
+        """
         s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
+        if not self.terms:
+            return NonlinearValues(*(np.zeros_like(s) for _ in range(3)),
+                                   np.zeros_like(s) if derivative else None)
+        g = G = gs = dg = 0.0
         for coef, sigma in self.terms:
-            out += coef * np.abs(s) ** sigma * s
-        return out
+            p = coef * np.abs(s) ** sigma
+            ps = p * s
+            pss = ps * s
+            g = g + ps
+            G = G + pss / (sigma + 2.0)
+            gs = gs + pss
+            if derivative:
+                dg = dg + (sigma + 1.0) * p
+        return NonlinearValues(g, G, gs, dg if derivative else None)
+
+    def g(self, s):
+        return self.evaluate(s).g
 
     def G(self, s):
         """Exact antiderivative of g with G(0) = 0."""
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        for coef, sigma in self.terms:
-            out += coef * np.abs(s) ** (sigma + 2.0) / (sigma + 2.0)
-        return out
+        return self.evaluate(s).G
 
     def dg(self, s):
         """Derivative g'(s) = sum coef_i (sigma_i + 1) |s|^sigma_i."""
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        for coef, sigma in self.terms:
-            out += coef * (sigma + 1.0) * np.abs(s) ** sigma
-        return out
+        return self.evaluate(s, derivative=True).dg
 
     def g_times_s(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        for coef, sigma in self.terms:
-            out += coef * np.abs(s) ** (sigma + 2.0)
-        return out
+        return self.evaluate(s).gs
 
     def is_zero(self) -> bool:
         return self.kind == "zero" or not self.terms

@@ -8,7 +8,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from helpers import (MODELS_DIR, ZERO_G, ZERO_V, bumps, free_power, harmonic_v, power_g,
                      well_v)
-from ngs import flow
+from ngs import flow, grids
 from ngs.curves import THRESHOLD_PROBE_MAX_ITERS
 from ngs.energy import evaluate, lagrange_multiplier
 from ngs.flow import (RESIDUAL_CHECK_EVERY, SolverConfig, bordered_solve, flow_step,
@@ -159,21 +159,91 @@ def test_rejects_nonpositive_mass(small_grid, well_cubic):
 
 
 def test_rejects_warm_start_on_other_grid(small_grid, well_cubic):
-    other = RadialGrid(1, 16.0, 800)
-    warm = gaussian_start(other, 1.0, a=1.0)
-    with pytest.raises(ValueError):
-        minimize(1.0, well_cubic, small_grid, warm_start=warm)
+    # other n, and the same n on another R: node values at other radii
+    for other in (RadialGrid(1, 16.0, 800), RadialGrid(1, 40.0, 400)):
+        warm = gaussian_start(other, 1.0, a=1.0)
+        with pytest.raises(ValueError):
+            minimize(1.0, well_cubic, small_grid, warm_start=warm)
 
 
 def test_nehari_pohozaev_hold_at_convergence(well_solution, well_cubic,
-                                            cubic_free_solution):
-    for res, model in ((well_solution, well_cubic), cubic_free_solution):
+                                            cubic_free_solution, small_grid):
+    # the two-term model covers the sum over terms of the nonlinearity
+    mixed = load_model(MODELS_DIR / "gaussian_well_mixed.json")
+    mixed_solution = (minimize(3.0, mixed, small_grid), mixed)
+    assert mixed_solution[0].converged
+    for res, model in ((well_solution, well_cubic), cubic_free_solution, mixed_solution):
         assert abs(res.residuals.nehari) <= 1e-4
         assert abs(res.residuals.pohozaev) <= 1e-3
         # the reported energy and multiplier are those of the reported
         # profile, bit for bit
         assert res.energy == evaluate(res.u, model).J
         assert res.lam == lagrange_multiplier(res.u, model)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from([1, 2, 3]), st.integers(64, 128), st.integers(0, 10**6))
+def test_flow_step_matches_dense_implicit_solve(N, n, seed):
+    # the step solves the symmetrized system W A x = W rhs; compare it with a
+    # dense solve of A = I + dt (-Lap + V + shift) itself. A well makes
+    # shift > 0, and for N = 3 the weights W span many orders of magnitude
+    grid = RadialGrid(N, 10.0, n)
+    model = make_model(N, power_g((1.0, 1.0)), well_v(depth=2.0, width=1.5))
+    dt, a = 0.05, 2.0
+    ws = flow._Workspace(grid, model, dt, a)
+    assert ws.shift > 0.0
+    v = bumps(grid, np.random.default_rng(seed)).values
+    v = v * math.sqrt(a / float(grid.w @ (v * v)))
+    lower, diag, upper = ws.op.lap
+    A = np.eye(n) + dt * (np.diag(diag + ws.op.V + ws.shift)
+                          + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1))
+    gv = model.nonlinearity.g(v)
+    v0 = np.linalg.solve(A, v + dt * (gv + ws.shift * v))
+    q = dt * np.linalg.solve(A, v)
+    # the multiplier mu of the step puts v0 + mu q on the mass sphere
+    a2, a1 = float(grid.w @ (q * q)), 2.0 * float(grid.w @ (v0 * q))
+    a0 = float(grid.w @ (v0 * v0)) - a
+    ref = v0 + (-a1 + math.sqrt(a1 * a1 - 4.0 * a2 * a0)) / (2.0 * a2) * q
+    ref *= math.sqrt(a / float(grid.w @ (ref * ref)))
+    out = ws.step(v)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(ws.step(v, gv), out)
+
+
+def test_unit_costs_of_minimize(monkeypatch, small_grid):
+    # one factorization per minimize, one two-column solve per flow step,
+    # one bordered solve per Newton step and one -Lap v per evaluated iterate
+    counts = dict.fromkeys(("dpttrf", "dpttrs", "dgtsv", "tridiagonal_apply"), 0)
+    for module, name in ((flow, "dpttrf"), (flow, "dpttrs"), (flow, "dgtsv"),
+                         (grids, "tridiagonal_apply")):
+        def spy(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    outcomes = []
+    run_start = flow._run_start
+
+    def record(*args):
+        outcomes.append(run_start(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(flow, "_run_start", record)
+    res = minimize(4.0, load_model(MODELS_DIR / "power3_free.json"), small_grid)
+    assert res.converged
+    # every start converges at its first Newton attempt, made at the residual
+    # check after its last flow step
+    assert all(o.converged and o.newton_attempts == 1 and o.newton_steps >= 1
+               for o in outcomes)
+    flow_steps = [o.iterations - o.newton_steps for o in outcomes]
+    assert all(f % RESIDUAL_CHECK_EVERY == 0 for f in flow_steps)
+    newton_steps = sum(o.newton_steps for o in outcomes)
+    assert counts["dpttrf"] == 1
+    assert counts["dpttrs"] == sum(flow_steps)
+    assert counts["dgtsv"] == newton_steps
+    # -Lap v once per residual check, once per Newton iterate (the start of
+    # the attempt and the end of each step), once for the reported Nehari
+    checks = sum(flow_steps) // RESIDUAL_CHECK_EVERY
+    assert counts["tridiagonal_apply"] == checks + newton_steps + len(outcomes) + 1
 
 
 # --- Newton finish ---

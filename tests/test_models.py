@@ -114,6 +114,32 @@ term_lists = st.lists(
 
 
 @settings(deadline=None, max_examples=60)
+@given(st.one_of(st.just(()), term_lists.filter(lambda t: len(t) <= 2)),
+       st.lists(st.one_of(st.floats(-50.0, 50.0),
+                          st.sampled_from([0.0, -0.0, 1e-200, -1e-200, 1e10, -1e10])),
+                min_size=1, max_size=40),
+       st.booleans())
+def test_fused_evaluation_is_bitwise_the_separate_methods(terms, values, derivative):
+    # one power per term serves g, G, g s and g'; the methods that return
+    # one of them must give exactly the fused bits
+    m = NonlinearityModel(kind="power_sum" if terms else "zero", terms=tuple(terms), N=1)
+    s = np.array(values)
+    fused = m.evaluate(s, derivative=derivative)
+    for got, method in ((fused.g, m.g), (fused.G, m.G), (fused.gs, m.g_times_s)):
+        assert got.tobytes() == method(s).tobytes()
+    if derivative:
+        assert fused.dg.tobytes() == m.dg(s).tobytes()
+    else:
+        assert fused.dg is None
+    # and they are the closed forms, to rounding
+    gs = sum((c * np.abs(s) ** (sigma + 2.0) for c, sigma in terms), np.zeros_like(s))
+    G = sum((c * np.abs(s) ** (sigma + 2.0) / (sigma + 2.0) for c, sigma in terms),
+            np.zeros_like(s))
+    assert np.allclose(fused.gs, gs, rtol=1e-13, atol=1e-300)
+    assert np.allclose(fused.G, G, rtol=1e-13, atol=1e-300)
+
+
+@settings(deadline=None, max_examples=60)
 @given(term_lists)
 def test_lower_growth_bound_holds_pointwise(terms):
     # g(s) s >= alpha G(s) with alpha = 2 + min sigma, exact for power sums
