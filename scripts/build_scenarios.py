@@ -10,10 +10,12 @@ Rebuilding is deterministic: the solver takes no random input, so a rebuild
 on the same platform reproduces the committed files byte for byte.
 
 Run it from any directory as `python scripts/build_scenarios.py`; it runs
-the package from this checkout's src/. A scenario's old directory is moved
-aside until its new run and --verify succeed, and restored if either fails.
+the package from this checkout's src/ and takes no arguments besides
+--help. A scenario's old directory is moved aside until its new run and
+--verify succeed, and restored if either fails.
 """
 
+import argparse
 import os
 import shutil
 import subprocess
@@ -74,7 +76,10 @@ def rebuild(name: str, argv: list, env: dict) -> None:
         shutil.rmtree(old)
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter,
+    ).parse_args(argv)
     env = _child_env()
     for name, argv in RUNS.items():
         try:

@@ -15,17 +15,17 @@ dpttrs solve for both right-hand sides.
 
 The flow converges only linearly, so it serves only as the globalizer of a
 Newton method (after Altmann, Henning & Peterseim, "The J-method for the
-Gross-Pitaevskii eigenvalue problem", Numer. Math. 2021). At every residual
-check a start tries a Newton finish: Newton steps on
-F = (-Lap + V + lam) u - g(u) = 0 with the mass w^T u^2 = a, on the same
-rows, so its fixed point is the flow's. One step solves the
+Gross-Pitaevskii eigenvalue problem", Numer. Math. 2021). Before its first
+flow step and at every residual check a start tries a Newton finish: Newton
+steps on F = (-Lap + V + lam) u - g(u) = 0 with the mass w^T u^2 = a, on
+the same rows, so its fixed point is the flow's. One step solves the
 tridiagonal L = -Lap + V + lam - g'(u), which is indefinite, for -F and u
 in one LAPACK dgtsv call, gets the multiplier update by bordering, and
 rescales to mass a.
 A step counts only if L has no exactly zero pivot and the field stays
 finite. The attempt ends the start once the residual meets tol_grad (or J
 falls below stop_energy_below), provided that at its endpoint no entry
-that was nonnegative in the flow iterate it began from is below
+that was nonnegative in the iterate it began from is below
 -SIGN_REL_TOL times the field's peak, and its J is not above that
 iterate's J, beyond rounding. Sign and J are judged at the endpoint only,
 the one iterate a start keeps: on the way, a wide start may undershoot its
@@ -36,8 +36,12 @@ point. If a step fails a guard, NEWTON_MAX_STEPS steps do not reach
 tol_grad or the endpoint fails a guard, every iterate of the attempt is
 dropped and the flow goes on from where it was, bit for bit, and tries
 again only once its residual is below half that of the failed attempt.
-Most starts finish at the first check and end at residual 1e-10 or below,
-well inside tol_grad.
+The attempt from the start field (a Gaussian or the rescaled warm start)
+also ends, as "residual-rise", once a step raises the residual (Deuflhard's
+monotonicity test), and its failure sets no halving bar; from flow
+iterates, a mass-critical attempt's residual zigzags yet converges. Most
+starts finish from their start field in 3-5 Newton steps, the rest at the
+first check, at residual 1e-10 or below, well inside tol_grad.
 
 Every value the flow reports (J, multiplier, residual, Nehari) comes from
 one energy.Discretization, the same code energy.evaluate and the identity
@@ -83,7 +87,8 @@ NEWTON_MAX_STEPS = 12
 SIGN_REL_TOL = 1e-6
 # the guards that can reject a Newton attempt, as counted in
 # GroundStateResult.newton_rejections
-NEWTON_GUARDS = ("singular", "non-finite", "energy-rise", "sign", "out-of-steps")
+NEWTON_GUARDS = ("singular", "non-finite", "residual-rise", "energy-rise", "sign",
+                 "out-of-steps")
 # below this fraction of a in every ball of radius VANISHING_RADIUS, the
 # profile has spread out
 VANISHING_FRACTION = 0.05
@@ -136,6 +141,8 @@ class GroundStateResult:
     residual_norm: float = math.inf
     all_start_energies: list = field(default_factory=list)
     all_start_iterations: list = field(default_factory=list)
+    all_start_newton_attempts: list = field(default_factory=list)
+    all_start_newton_steps: list = field(default_factory=list)   # taken, one dgtsv each
     start_disagreement: bool = False
     warnings: list = field(default_factory=list)
 
@@ -156,6 +163,8 @@ class GroundStateResult:
             "residual_norm": self.residual_norm,
             "all_start_energies": list(self.all_start_energies),
             "all_start_iterations": list(self.all_start_iterations),
+            "all_start_newton_attempts": list(self.all_start_newton_attempts),
+            "all_start_newton_steps": list(self.all_start_newton_steps),
             "start_disagreement": self.start_disagreement,
             "warnings": list(self.warnings),
             "trace_length": len(self.energy_trace),
@@ -187,6 +196,7 @@ class _Workspace:
             )
         self.factor = (d, e)
         self.rhs = np.empty((grid.n, 2), order="F")
+        self.newton_steps = 0     # Newton steps taken, accepted or not
 
     def step(self, v: np.ndarray, gv: np.ndarray | None = None) -> np.ndarray:
         """The next flow iterate from v; gv is g(v), if the caller has it."""
@@ -295,6 +305,7 @@ class _StartOutcome:
     warnings: list
     newton_steps: int
     newton_attempts: int
+    newton_steps_taken: int
     newton_rejections: dict
 
 
@@ -305,16 +316,17 @@ def _keeps_sign(old: np.ndarray, new: np.ndarray) -> bool:
 
 
 def _newton_finish(ws: _Workspace, v: np.ndarray, J: float, config: SolverConfig,
-                   budget: int, rejections: dict):
-    """Newton steps on the bordered (u, lam) system from the flow iterate v.
+                   budget: int, rejections: dict, monotone: bool = False):
+    """Newton steps on the bordered (u, lam) system from the iterate v.
 
     Returns (field, J after each step, multiplier, residual) once the
     residual meets tol_grad or J is below stop_energy_below, if that final
     field keeps the sign of v and its J is not above the start's J beyond
     rounding. Returns None if a step is singular or non-finite, the steps
-    (at most budget) run out, or the final field changed sign ("sign") or
-    has risen in J ("energy-rise"), and then counts the attempt in
-    rejections under that guard's name.
+    (at most budget) run out, the final field changed sign ("sign") or
+    has risen in J ("energy-rise"), or, if monotone, a step raised the
+    residual ("residual-rise"), and then counts the attempt in rejections
+    under that guard's name; ws.newton_steps counts every step taken.
     """
     op = ws.op
     nonlinearity = op.model.nonlinearity
@@ -324,9 +336,10 @@ def _newton_finish(ws: _Workspace, v: np.ndarray, J: float, config: SolverConfig
     # each iterate's nonlinearity and stationarity are computed once and
     # carried into the step from it
     nl = nonlinearity.evaluate(v, derivative=True)
-    lam, defect, _, _ = op.stationarity(v, nl=nl)
+    lam, defect, res, _ = op.stationarity(v, nl=nl)
     energies = []
     for _ in range(min(NEWTON_MAX_STEPS, budget)):
+        ws.newton_steps += 1
         rows = (lower, diag + op.V + lam - nl.dg, upper)
         try:
             du, _ = bordered_solve(rows, v, op.w, -defect)
@@ -343,6 +356,7 @@ def _newton_finish(ws: _Workspace, v: np.ndarray, J: float, config: SolverConfig
         nl = nonlinearity.evaluate(v, derivative=True)
         J = op.energy(v, nl.G).J
         energies.append(J)
+        res_before = res
         lam, defect, res, _ = op.stationarity(v, nl=nl)
         if res <= config.tol_grad or (floor is not None and J < floor):
             if not _keeps_sign(v_start, v):
@@ -351,6 +365,9 @@ def _newton_finish(ws: _Workspace, v: np.ndarray, J: float, config: SolverConfig
                 guard = "energy-rise"
             else:
                 return v, energies, lam, res
+            break
+        if monotone and res > res_before:
+            guard = "residual-rise"
             break
     else:
         guard = "out-of-steps"
@@ -369,74 +386,81 @@ def _run_start(ws: _Workspace, v: np.ndarray, config: SolverConfig) -> _StartOut
     res_best = math.inf
     res_rejected = math.inf
     newton_steps = 0
-    newton_attempts = 0
+    steps_before = ws.newton_steps
     rejections = dict.fromkeys(NEWTON_GUARDS, 0)
     violations = 0
     warnings = []
     converged = False
     reason = None
     J_best = J
-    for it in range(1, config.max_iters + 1):
-        v = ws.step(v, nl.g)
-        nl = nonlinearity.evaluate(v)
-        J_new = op.energy(v, nl.G).J
-        trace.append((it, J_new))
-        if not math.isfinite(J_new):
-            reason = "diverged"
-            warnings.append(f"energy became non-finite at iteration {it}")
-            break
-        # transient O(dt^2) wiggles are normal; sustained excursions above
-        # the best energy seen mean the step size is unstable here
-        if J_new > J_best + 1e-6 * (1.0 + abs(J_best)):
-            violations += 1
-            if violations > 25:
-                reason = "descent-violation"
-                warnings.append(
-                    f"energy rose {J_new - J_best:.3e} above its running "
-                    f"minimum at iteration {it}; aborted (reduce dt)"
-                )
-                J = J_new
+    # Newton from the start field itself; a residual rise ends this attempt
+    # early, and its failure leaves the flow below exactly as without it
+    it = 0
+    newton_attempts = 1
+    finish = _newton_finish(ws, v, J, config, config.max_iters, rejections, monotone=True)
+    if finish is None:
+        for it in range(1, config.max_iters + 1):
+            v = ws.step(v, nl.g)
+            nl = nonlinearity.evaluate(v)
+            J_new = op.energy(v, nl.G).J
+            trace.append((it, J_new))
+            if not math.isfinite(J_new):
+                reason = "diverged"
+                warnings.append(f"energy became non-finite at iteration {it}")
                 break
-        J = J_new
-        J_best = min(J_best, J_new)
-        if config.stop_energy_below is not None and J < config.stop_energy_below:
-            reason = "energy-floor"
-            break
-        if it % RESIDUAL_CHECK_EVERY == 0:
-            lam, _, res, _ = op.stationarity(v, nl=nl)
-            if res <= config.tol_grad:
-                converged = True
-                break
-            if res < 0.5 * res_rejected:
-                newton_attempts += 1
-                finish = _newton_finish(ws, v, J, config, config.max_iters - it,
-                                        rejections)
-                if finish is not None:
-                    v, energies, lam, res = finish
-                    trace.extend(enumerate(energies, it + 1))
-                    newton_steps = len(energies)
-                    it += newton_steps
-                    J = energies[-1]
-                    converged = res <= config.tol_grad
-                    reason = None if converged else "energy-floor"
+            # transient O(dt^2) wiggles are normal; sustained excursions above
+            # the best energy seen mean the step size is unstable here
+            if J_new > J_best + 1e-6 * (1.0 + abs(J_best)):
+                violations += 1
+                if violations > 25:
+                    reason = "descent-violation"
+                    warnings.append(
+                        f"energy rose {J_new - J_best:.3e} above its running "
+                        f"minimum at iteration {it}; aborted (reduce dt)"
+                    )
+                    J = J_new
                     break
-                res_rejected = res
-            # stall = STALL_WINDOW iterations in which no single check
-            # beat the best residual seen by 0.1%; a slow steady decrease
-            # below 0.1% per check counts as a stall
-            if res < (1.0 - 1e-3) * res_best:
-                stalled_iters = 0
-            else:
-                stalled_iters += RESIDUAL_CHECK_EVERY
-            res_best = min(res_best, res)
-            if stalled_iters >= STALL_WINDOW:
-                reason = "stall"
+            J = J_new
+            J_best = min(J_best, J_new)
+            if config.stop_energy_below is not None and J < config.stop_energy_below:
+                reason = "energy-floor"
                 break
-    else:
-        reason = "max-iters"
+            if it % RESIDUAL_CHECK_EVERY == 0:
+                lam, _, res, _ = op.stationarity(v, nl=nl)
+                if res <= config.tol_grad:
+                    converged = True
+                    break
+                if res < 0.5 * res_rejected:
+                    newton_attempts += 1
+                    finish = _newton_finish(ws, v, J, config, config.max_iters - it,
+                                            rejections)
+                    if finish is not None:
+                        break
+                    res_rejected = res
+                # stall = STALL_WINDOW iterations in which no single check
+                # beat the best residual seen by 0.1%; a slow steady decrease
+                # below 0.1% per check counts as a stall
+                if res < (1.0 - 1e-3) * res_best:
+                    stalled_iters = 0
+                else:
+                    stalled_iters += RESIDUAL_CHECK_EVERY
+                res_best = min(res_best, res)
+                if stalled_iters >= STALL_WINDOW:
+                    reason = "stall"
+                    break
+        else:
+            reason = "max-iters"
     # an accepted Newton finish returned the multiplier and residual of its
     # endpoint; otherwise take them at the flow iterate the start ended on
-    if not converged and newton_steps == 0:
+    if finish is not None:
+        v, energies, lam, res = finish
+        trace.extend(enumerate(energies, it + 1))
+        newton_steps = len(energies)
+        it += newton_steps
+        J = energies[-1]
+        converged = res <= config.tol_grad
+        reason = None if converged else "energy-floor"
+    elif not converged:
         lam, _, res, _ = op.stationarity(v, nl=nl)
         converged = res <= config.tol_grad
         if converged:
@@ -445,6 +469,7 @@ def _run_start(ws: _Workspace, v: np.ndarray, config: SolverConfig) -> _StartOut
         values=v, J=J, lam=lam, residual=res, converged=converged,
         reason=reason, iterations=it, trace=trace, warnings=warnings,
         newton_steps=newton_steps, newton_attempts=newton_attempts,
+        newton_steps_taken=ws.newton_steps - steps_before,
         newton_rejections=rejections,
     )
 
@@ -547,6 +572,8 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
         residual_norm=out.residual,
         all_start_energies=all_J,
         all_start_iterations=[o.iterations for o in outcomes],
+        all_start_newton_attempts=[o.newton_attempts for o in outcomes],
+        all_start_newton_steps=[o.newton_steps_taken for o in outcomes],
         start_disagreement=disagreement,
         warnings=warnings,
     )

@@ -106,8 +106,9 @@ def test_energy_trace_monotone_after_burn_in(well_solution):
 
 def test_iteration_budget_reports_not_raises(small_grid, well_cubic):
     # below RESIDUAL_CHECK_EVERY, so no residual check (and no Newton
-    # finish) can end the run first
-    cfg = SolverConfig(max_iters=9)
+    # finish from a flow iterate) can end the run first, and below the three
+    # Newton steps each start's first attempt, from its Gaussian, needs
+    cfg = SolverConfig(max_iters=2)
     res = minimize(1.0, well_cubic, small_grid, config=cfg)
     assert not res.converged
     assert res.reason == "max-iters"
@@ -230,20 +231,23 @@ def test_unit_costs_of_minimize(monkeypatch, small_grid):
     monkeypatch.setattr(flow, "_run_start", record)
     res = minimize(4.0, load_model(MODELS_DIR / "power3_free.json"), small_grid)
     assert res.converged
-    # every start converges at its first Newton attempt, made at the residual
-    # check after its last flow step
-    assert all(o.converged and o.newton_attempts == 1 and o.newton_steps >= 1
-               for o in outcomes)
+    # every start ends on an accepted Newton finish, made from its Gaussian
+    # or at a residual check after its last flow step
+    assert all(o.converged and o.newton_steps >= 1 for o in outcomes)
     flow_steps = [o.iterations - o.newton_steps for o in outcomes]
     assert all(f % RESIDUAL_CHECK_EVERY == 0 for f in flow_steps)
-    newton_steps = sum(o.newton_steps for o in outcomes)
+    # the result counts every Newton step taken, in rejected attempts too
+    newton_steps = sum(res.all_start_newton_steps)
+    assert newton_steps > sum(o.newton_steps for o in outcomes)
+    assert res.all_start_newton_attempts == [o.newton_attempts for o in outcomes]
     assert counts["dpttrf"] == 1
     assert counts["dpttrs"] == sum(flow_steps)
     assert counts["dgtsv"] == newton_steps
     # -Lap v once per residual check, once per Newton iterate (the start of
-    # the attempt and the end of each step), once for the reported Nehari
+    # each attempt and the end of each step), once for the reported Nehari
     checks = sum(flow_steps) // RESIDUAL_CHECK_EVERY
-    assert counts["tridiagonal_apply"] == checks + newton_steps + len(outcomes) + 1
+    attempts = sum(res.all_start_newton_attempts)
+    assert counts["tridiagonal_apply"] == checks + newton_steps + attempts + 1
 
 
 # --- Newton finish ---
@@ -352,24 +356,30 @@ def test_tied_starts_report_the_first(grid20):
     res = minimize(3.0, load_model(MODELS_DIR / "gaussian_well_mixed.json"), grid20)
     assert res.converged
     assert res.start_index == 0
-    assert res.iterations == 13
+    assert res.iterations == 4
     res = minimize(4.0, load_model(MODELS_DIR / "power3_free.json"), grid20)
     assert res.converged
     assert res.start_index == 0
 
 
-@pytest.mark.parametrize("name, a", [("power3_free", 4.0), ("gaussian_well_cubic", 3.0),
-                                     ("harmonic_cubic", 2.0)])
-def test_wide_start_converges_at_its_first_newton_attempt(small_grid, name, a):
+@pytest.mark.parametrize("name, a, rises", [("power3_free", 4.0, 1),
+                                            ("gaussian_well_cubic", 3.0, 1),
+                                            ("harmonic_cubic", 2.0, 0)],
+                         ids=["power3_free-4.0", "gaussian_well_cubic-3.0",
+                              "harmonic_cubic-2.0"])
+def test_wide_start_converges_at_its_first_newton_attempt(small_grid, name, a, rises):
     # on its way from a width-2 Gaussian, Newton undershoots the tail by a
-    # few percent of the peak; only the endpoint is held to the sign guard
+    # few percent of the peak; only the endpoint is held to the sign guard.
+    # The attempt from the Gaussian itself either converges or ends on a
+    # residual rise; then the attempt from the first flow iterate converges
     ws = flow._Workspace(small_grid, load_model(MODELS_DIR / f"{name}.json"), 1e-2, a)
     v = gaussian_start(small_grid, 2.0, a).values.copy()
     out = flow._run_start(ws, v, SolverConfig())
     assert out.converged
     assert out.iterations <= 2 * RESIDUAL_CHECK_EVERY
-    assert out.newton_attempts == 1
-    assert not any(out.newton_rejections.values())
+    assert out.newton_attempts == 1 + rises
+    assert out.newton_rejections == {g: rises * (g == "residual-rise")
+                                     for g in flow.NEWTON_GUARDS}
 
 
 def test_sign_guard_is_relative_to_the_field():
@@ -427,7 +437,7 @@ def test_newton_attempts_and_rejections_are_reported(cubic_free_solution, monkey
 def test_failed_newton_attempts_leave_the_flow_bit_for_bit(monkeypatch, small_grid,
                                                           well_cubic):
     cfg = SolverConfig(starts=1)
-    monkeypatch.setattr(flow, "_newton_finish", lambda *args: None)
+    monkeypatch.setattr(flow, "_newton_finish", lambda *args, **kwargs: None)
     plain = minimize(1.0, well_cubic, small_grid, cfg)
     monkeypatch.undo()
     attempts = []
@@ -444,6 +454,30 @@ def test_failed_newton_attempts_leave_the_flow_bit_for_bit(monkeypatch, small_gr
     assert rejected.energy_trace == plain.energy_trace
     assert np.array_equal(rejected.u.values, plain.u.values)
     assert rejected.residual_norm == plain.residual_norm
+
+
+def _no_initial_attempt(monkeypatch):
+    """Make _run_start skip the Newton attempt from the start field."""
+    finish = flow._newton_finish
+    monkeypatch.setattr(flow, "_newton_finish",
+                        lambda *args, monotone=False: None if monotone else finish(*args))
+
+
+def test_rejected_initial_attempt_leaves_the_start_bit_for_bit(monkeypatch, small_grid):
+    # the width-2 power3_free start's attempt from its Gaussian ends on a
+    # residual rise; the start then runs as one that never made the attempt
+    ws = flow._Workspace(small_grid, load_model(MODELS_DIR / "power3_free.json"),
+                         1e-2, 4.0)
+    v = gaussian_start(small_grid, 2.0, 4.0).values
+    tried = flow._run_start(ws, v.copy(), SolverConfig())
+    assert tried.converged
+    assert tried.newton_rejections["residual-rise"] == 1
+    _no_initial_attempt(monkeypatch)
+    plain = flow._run_start(ws, v.copy(), SolverConfig())
+    assert tried.trace == plain.trace
+    assert tried.iterations == plain.iterations
+    assert np.array_equal(tried.values, plain.values)
+    assert tried.residual == plain.residual
 
 
 # --- Newton on the mass-critical quintic, below the soliton mass ---
@@ -475,6 +509,28 @@ def test_newton_attempt_is_judged_by_its_endpoint(grid20):
     finish = flow._newton_finish(ws, v, 0.0, QUINTIC_PROBE, 10**6, rejections)
     assert finish is None
     assert rejections == {g: int(g == "energy-rise") for g in flow.NEWTON_GUARDS}
+
+
+def test_subthreshold_quintic_initial_attempts_end_on_a_residual_rise(monkeypatch,
+                                                                     grid20):
+    # from each start's Gaussian the residual rises within two Newton
+    # steps, and the probe then runs as it would without those attempts
+    model = free_power(1, 4.0)
+    ws = flow._Workspace(grid20, model, QUINTIC_PROBE.dt, QUINTIC_SUB_A)
+    for width in flow._start_widths(QUINTIC_PROBE.starts):
+        v = gaussian_start(grid20, width, QUINTIC_SUB_A).values
+        rejections = dict.fromkeys(flow.NEWTON_GUARDS, 0)
+        taken = ws.newton_steps
+        assert flow._newton_finish(ws, v, ws.op.energy(v).J, QUINTIC_PROBE, 10**6,
+                                   rejections, monotone=True) is None
+        assert rejections == {g: int(g == "residual-rise") for g in flow.NEWTON_GUARDS}
+        assert ws.newton_steps - taken <= 2
+    tried = minimize(QUINTIC_SUB_A, model, grid20, QUINTIC_PROBE)
+    _no_initial_attempt(monkeypatch)
+    plain = minimize(QUINTIC_SUB_A, model, grid20, QUINTIC_PROBE)
+    assert tried.all_start_energies == plain.all_start_energies
+    assert tried.all_start_iterations == plain.all_start_iterations
+    assert tried.reason == plain.reason == "no-minimizer-regime"
 
 
 def test_subthreshold_quintic_starts_reach_one_local_minimizer(grid20):

@@ -1,4 +1,5 @@
 """Replay the bundled regression scenarios and pin their key numbers."""
+import hashlib
 import importlib.util
 import json
 import os
@@ -97,3 +98,24 @@ def test_failed_rebuild_keeps_the_previous_scenario(tmp_path, monkeypatch):
         build.rebuild("s", ["spectrum", "--model", "missing.json"], env)
     assert (kept / "spectrum.json").read_text() == "kept"
     assert sorted(p.name for p in (tmp_path / "scenarios").iterdir()) == ["s"]
+
+
+def _scenario_files():
+    return {(str(p.relative_to(SCENARIOS)), p.stat().st_mtime_ns,
+             hashlib.sha256(p.read_bytes()).hexdigest())
+            for p in SCENARIOS.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["--bogus"], 2)],
+                         ids=["help", "unknown"])
+def test_build_scenarios_arguments_do_not_rebuild(argv, code):
+    # --help prints usage and an unknown argument is a usage error; neither
+    # may touch the committed scenarios
+    before = _scenario_files()
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "build_scenarios.py"), *argv],
+        capture_output=True, text=True, cwd=ROOT, env=os.environ.copy(),
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "usage:" in (proc.stdout if code == 0 else proc.stderr)
+    assert _scenario_files() == before
