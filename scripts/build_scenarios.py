@@ -7,7 +7,8 @@ solvable mass), the threshold bisection (well model that is negative at the
 lower bracket), and the quadratic-form eigenvalue (harmonic potential).
 
 Rebuilding is deterministic: the solver takes no random input, so a rebuild
-on the same platform reproduces the committed files byte for byte.
+on the same platform reproduces the output files byte for byte. Each
+manifest.json differs only in wall_seconds, the run's measured time.
 
 Run it from any directory as `python scripts/build_scenarios.py`; it runs
 the package from this checkout's src/ and takes no arguments besides

@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -53,33 +52,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(64)
 
 
-def _env_grid_defaults() -> dict:
-    spec = os.environ.get("NGS_DEFAULT_GRID", "")
-    out = dict(DEFAULT_GRID)
-    if not spec.strip():
-        return out
-    try:
-        for part in spec.split(","):
-            key, _, value = part.strip().partition("=")
-            key = key.strip()
-            if key == "R":
-                out["R"] = float(value)
-            elif key == "n":
-                out["n"] = int(value)
-            else:
-                raise ValueError(f"unknown key {key!r}")
-    except ValueError as exc:
-        raise SystemExit(
-            f"ngs: cannot parse NGS_DEFAULT_GRID={spec!r}: {exc} "
-            f"(expected e.g. 'R=20,n=2000')"
-        ) from exc
-    return out
-
-
 def _add_common(parser: argparse.ArgumentParser, *, needs_out: bool) -> None:
     parser.add_argument("--model", required=True, help="model JSON file")
     parser.add_argument("--grid-R", type=float, default=None, metavar="X",
-                        help="domain radius (default from NGS_DEFAULT_GRID or 20)")
+                        help="domain radius (default 20)")
     parser.add_argument("--grid-n", type=int, default=None, metavar="K",
                         help="number of interior grid nodes (default 2000)")
     parser.add_argument("--dt", type=float, default=None, help="flow step size")
@@ -114,9 +90,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--a-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True,
                    help="number of masses (at least 3)")
-    p.add_argument("--parallel", action="store_true",
-                   help="independent cold starts in worker processes "
-                        "(disables warm starting)")
 
     p = sub.add_parser("threshold",
                        help="bisect for the mass where the curve turns negative")
@@ -135,9 +108,8 @@ def _build_parser() -> _Parser:
 
 
 def _grid_from_args(args, model) -> RadialGrid:
-    env = _env_grid_defaults()
-    R = args.grid_R if args.grid_R is not None else env["R"]
-    n = args.grid_n if args.grid_n is not None else env["n"]
+    R = args.grid_R if args.grid_R is not None else DEFAULT_GRID["R"]
+    n = args.grid_n if args.grid_n is not None else DEFAULT_GRID["n"]
     return RadialGrid(N=model.N, R=R, n=n)
 
 
@@ -183,8 +155,6 @@ def _prepare_out(args) -> Path:
 
 
 def _cmd_solve(args, model) -> int:
-    if not args.mass > 0:
-        raise ValueError("mass must be positive")
     grid = _grid_from_args(args, model)
     config = _config_from_args(args)
     t0 = time.perf_counter()
@@ -231,7 +201,7 @@ def _cmd_scan(args, model) -> int:
     masses = np.linspace(args.a_min, args.a_max, args.steps)
 
     t0 = time.perf_counter()
-    curve = scan(masses, model, grid, config, parallel=args.parallel)
+    curve = scan(masses, model, grid, config)
     wall = time.perf_counter() - t0
     out_dir = _prepare_out(args)
 
@@ -241,7 +211,6 @@ def _cmd_scan(args, model) -> int:
     _write_gnuplot_script(out_dir / "curve.gp")
     _write_manifest(out_dir, args, model, grid, config, wall, extra={
         "masses": [round_floats(a) for a in masses.tolist()],
-        "warm_start": curve.warm_start,
     })
 
     n_conv = sum(1 for pt in curve.points if pt.converged)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +36,9 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class EnergyCurve:
-    """Scan output: one point per mass, and whether masses were warm-started."""
+    """Scan output: one point per mass, in increasing mass order."""
 
     points: tuple
-    warm_start: bool
 
     @property
     def partial(self) -> bool:
@@ -58,28 +56,13 @@ class EnergyCurve:
         return int(np.sum(np.diff(e) > tol))
 
 
-def _point_from_result(a, res) -> CurvePoint:
-    return CurvePoint(
-        a=a, energy=res.energy, lam=res.lam, converged=res.converged,
-        nehari=res.residuals.nehari, pohozaev=res.residuals.pohozaev,
-        reason=res.reason,
-    )
-
-
-def _scan_worker(payload):
-    a, model, grid_desc, config = payload
-    return _point_from_result(a, minimize(a, model, RadialGrid(*grid_desc), config))
-
-
 def scan(a_values, model: Model, grid: RadialGrid,
-         config: SolverConfig | None = None, warm_start: bool = True,
-         parallel: bool = False, max_workers: int | None = None) -> EnergyCurve:
+         config: SolverConfig | None = None) -> EnergyCurve:
     """Minimize at each mass in a_values and assemble the energy curve.
 
-    Sequential scans reuse the previous minimizer (rescaled to the next
-    mass) as a warm start, which keeps the solver on the same branch along
-    the curve. Parallel scans run every mass cold from gaussian starts, in
-    separate processes; results arrive in mass order either way.
+    Each mass is warm-started from the last converged minimizer (rescaled
+    to the new mass), which keeps the solver on the same branch along the
+    curve.
     """
     a_values = [float(a) for a in a_values]
     if len(a_values) < 3:
@@ -91,22 +74,18 @@ def scan(a_values, model: Model, grid: RadialGrid,
     if config is None:
         config = SolverConfig()
 
-    if parallel:
-        payloads = [(a, model, (grid.N, grid.R, grid.n), config) for a in a_values]
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            points = list(pool.map(_scan_worker, payloads))
-        used_warm = False
-    else:
-        points = []
-        prev = None
-        for a in a_values:
-            res = minimize(a, model, grid, config, warm_start=prev)
-            points.append(_point_from_result(a, res))
-            if warm_start and res.converged:
-                prev = res.u
-        used_warm = warm_start
-
-    return EnergyCurve(points=tuple(points), warm_start=used_warm)
+    points = []
+    prev = None
+    for a in a_values:
+        res = minimize(a, model, grid, config, warm_start=prev)
+        points.append(CurvePoint(
+            a=a, energy=res.energy, lam=res.lam, converged=res.converged,
+            nehari=res.residuals.nehari, pohozaev=res.residuals.pohozaev,
+            reason=res.reason,
+        ))
+        if res.converged:
+            prev = res.u
+    return EnergyCurve(points=tuple(points))
 
 
 def write_curve_csv(curve: EnergyCurve, path) -> None:
@@ -271,20 +250,18 @@ def threshold_a0(model: Model, grid: RadialGrid,
     Energies above -flow.DEADBAND count as "not yet negative";
     this keeps quadrature noise from steering the bisection. Each probe runs
     a capped minimization with an early exit once the energy is decisively
-    negative, since the probe only needs a sign.
+    negative (below -15 DEADBAND, in place of config.stop_energy_below),
+    since the probe only needs a sign.
     """
     a_lo, a_hi = float(bracket[0]), float(bracket[1])
     if not 0 < a_lo < a_hi:
         raise ValueError("bracket must satisfy 0 < a_lo < a_hi")
     if config is None:
         config = SolverConfig()
-    floor = -15.0 * DEADBAND
-    if config.stop_energy_below is not None:
-        floor = max(floor, config.stop_energy_below)
     probe_config = dataclasses.replace(
         config,
         max_iters=min(config.max_iters, THRESHOLD_PROBE_MAX_ITERS),
-        stop_energy_below=floor,
+        stop_energy_below=-15.0 * DEADBAND,
     )
 
     evaluations = []

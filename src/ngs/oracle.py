@@ -242,13 +242,12 @@ def scaling_exponent(p: float, N: int) -> float:
     return (4.0 - (p - 1.0) * N) / (2.0 * (p - 1.0))
 
 
-def lambda_for_mass(p: float, N: int, a: float,
-                    base_mass: float | None = None) -> float:
+def lambda_for_mass(p: float, N: int, a: float, base_mass: float) -> float:
     """Frequency whose scaled profile has squared norm a.
 
-    Inverts the mass scaling law around the frequency-1 profile. base_mass
-    is the squared norm of that profile; if omitted it is computed once by
-    shooting on a default grid and cached.
+    Inverts the mass scaling law around the frequency-1 profile, whose
+    squared norm is base_mass (the mass of shoot_Up(p, N, grid) on the
+    caller's grid).
     """
     if not a > 0:
         raise ValueError("target mass must be positive")
@@ -257,27 +256,16 @@ def lambda_for_mass(p: float, N: int, a: float,
             "mass-critical exponent: every frequency gives the same mass, "
             "no unique lambda exists"
         )
-    if base_mass is None:
-        base_mass = _base_solution(p, N).mass
     return (a / base_mass) ** (1.0 / scaling_exponent(p, N))
 
 
-_BASE_CACHE: dict = {}
-
-
-def _base_solution(p: float, N: int) -> PowerSolution:
-    key = (round(p, 12), N)
-    if key not in _BASE_CACHE:
-        _BASE_CACHE[key] = shoot_Up(p, N, RadialGrid(N=N, R=20.0, n=2000))
-    return _BASE_CACHE[key]
-
-
 def energy_scaling_check(p: float, N: int, a1: float, a2: float,
-                         base: PowerSolution | None = None) -> tuple[float, float]:
+                         base: PowerSolution) -> tuple[float, float]:
     """Measured vs closed-form exponent of the potential-free energy curve.
 
-    Both energies come from scaled copies of the frequency-1 profile; the
-    closed-form exponent is (2(p+1) - N(p-1)) / (4 - (p-1)N).
+    Both energies come from scaled copies of base = shoot_Up(p, N, grid), on
+    its grid widened for small frequencies; the closed-form exponent is
+    (2(p+1) - N(p-1)) / (4 - (p-1)N).
     """
     if a1 == a2:
         raise ValueError("energy-scaling exponent needs two distinct masses")
@@ -287,8 +275,6 @@ def energy_scaling_check(p: float, N: int, a1: float, a2: float,
         raise ValueError(
             "energy scaling check applies to mass-subcritical exponents only"
         )
-    if base is None:
-        base = _base_solution(p, N)
     energies = []
     base_grid = base.profile.grid
     for a in (a1, a2):

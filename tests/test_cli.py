@@ -22,19 +22,17 @@ from helpers import MODELS_DIR
 from ngs import cli
 
 
-def run_cli(*argv, env_extra=None, cwd=None):
+def run_cli(*argv, cwd=None):
     """Run ngs.cli.main(argv) in process, with the result shape of run_module.
 
     Output goes to the returned stdout and stderr. The exit code is what the
     interpreter makes of main's return value or SystemExit: an int is the
-    code, a message is printed and gives 1. os.environ, the working
-    directory and sys.argv, which the manifest records, are restored
-    afterwards.
+    code, a message is printed and gives 1. The working directory and
+    sys.argv, which the manifest records, are restored afterwards.
     """
     argv = [str(a) for a in argv]
     out, err = io.StringIO(), io.StringIO()
-    saved = os.environ.copy(), os.getcwd(), sys.argv
-    os.environ.update(env_extra or {})
+    saved = os.getcwd(), sys.argv
     sys.argv = ["ngs", *argv]
     try:
         if cwd is not None:
@@ -48,10 +46,8 @@ def run_cli(*argv, env_extra=None, cwd=None):
                     print(code, file=sys.stderr)
                     code = 1
     finally:
-        os.environ.clear()
-        os.environ.update(saved[0])
-        os.chdir(saved[1])
-        sys.argv = saved[2]
+        os.chdir(saved[0])
+        sys.argv = saved[1]
     return subprocess.CompletedProcess(argv, code or 0, out.getvalue(), err.getvalue())
 
 
@@ -556,21 +552,3 @@ def test_table_length_mismatch_is_bad_model_file(tmp_path, argv):
     assert "12 radii but 11 values" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
-
-
-def test_env_grid_default_recorded(tmp_path):
-    out = tmp_path / "envspec"
-    proc = run_cli("spectrum", "--model", MODELS_DIR / "harmonic.json",
-                   "--out", out, env_extra={"NGS_DEFAULT_GRID": "R=12,n=400"})
-    assert proc.returncode == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["grid"]["R"] == 12.0
-    assert manifest["grid"]["n"] == 400
-
-
-def test_env_grid_garbage_rejected(tmp_path):
-    proc = run_cli("spectrum", "--model", MODELS_DIR / "harmonic.json",
-                   "--out", tmp_path / "x",
-                   env_extra={"NGS_DEFAULT_GRID": "bogus=1"})
-    assert proc.returncode != 0
-    assert "NGS_DEFAULT_GRID" in proc.stderr

@@ -130,7 +130,7 @@ def test_synthetic_flat_curve_has_zero_gaps():
                    nehari=0.0, pohozaev=0.0)
         for a in (1, 2, 3, 4)
     )
-    curve = EnergyCurve(points=pts, warm_start=False)
+    curve = EnergyCurve(points=pts)
     report = subadditivity_check(curve)
     assert report.ok
     assert len(report.rows) == 4
@@ -158,18 +158,6 @@ def test_subadditivity_csv_format(free_curve, tmp_path):
     a, b, gap = (float(x) for x in lines[1].split(","))
     assert (a, b) == (2.0, 2.0)
     assert gap < 0
-
-
-def test_parallel_scan_matches_cold_sequential(well_cubic):
-    grid = RadialGrid(1, 16.0, 400)
-    masses = [0.5, 1.0, 1.5]
-    seq = scan(masses, well_cubic, grid, warm_start=False)
-    par = scan(masses, well_cubic, grid, parallel=True, max_workers=3)
-    assert not par.warm_start
-    for s, p in zip(seq.points, par.points):
-        assert s.converged and p.converged
-        assert math.isclose(s.energy, p.energy, rel_tol=1e-9)
-        assert math.isclose(s.lam, p.lam, rel_tol=1e-9)
 
 
 # --- threshold bisection ---

@@ -6,7 +6,8 @@ to re-export a name carries "# noqa: F401" on its line. No module imports
 scipy.sparse: every linear system of the package is tridiagonal, solved by
 LAPACK directly (dpttrs on the flow's factored positive definite operator,
 dgtsv through flow.solve_tridiagonal for the rest). Importing the CLI loads
-no SciPy subpackage that only the tests and the oracle call.
+no SciPy subpackage that only the tests and the oracle call, and no
+process-pool machinery: every command runs in one process.
 """
 import ast
 import subprocess
@@ -124,7 +125,8 @@ def test_cli_import_skips_unused_scipy_subpackages():
     code = (
         "import sys; import ngs.cli; "
         "print(' '.join(m for m in ('scipy.optimize', 'scipy.interpolate', "
-        "'scipy.integrate') if m in sys.modules))"
+        "'scipy.integrate', 'multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], cwd=SRC.parent, capture_output=True,

@@ -125,9 +125,9 @@ def test_lambda_for_mass_inverts_scaling(sech_sol):
 
 def test_lambda_for_mass_critical_is_an_error():
     with pytest.raises(MassCriticalError):
-        lambda_for_mass(5.0, 1, 2.0)
+        lambda_for_mass(5.0, 1, 2.0, base_mass=1.0)
     with pytest.raises(ValueError):
-        lambda_for_mass(3.0, 1, -1.0)
+        lambda_for_mass(3.0, 1, -1.0, base_mass=1.0)
 
 
 def test_energy_curve_exponent(sech_sol):
@@ -136,11 +136,11 @@ def test_energy_curve_exponent(sech_sol):
     assert abs(measured - expected) <= 1e-2
 
 
-def test_energy_scaling_check_input_validation(sech_sol):
+def test_energy_scaling_check_input_validation(sech_sol, n3_sol):
     with pytest.raises(ValueError):
         energy_scaling_check(3.0, 1, 2.0, 2.0, base=sech_sol)
     with pytest.raises(ValueError):
-        energy_scaling_check(3.0, 3, 2.0, 4.0)
+        energy_scaling_check(3.0, 3, 2.0, 4.0, base=n3_sol)
 
 
 def test_strict_binding_inequality(sech_sol):
