@@ -58,11 +58,10 @@ def _add_common(parser: argparse.ArgumentParser, *, needs_out: bool) -> None:
                         help="domain radius (default 20)")
     parser.add_argument("--grid-n", type=int, default=None, metavar="K",
                         help="number of interior grid nodes (default 2000)")
-    parser.add_argument("--dt", type=float, default=None, help="flow step size")
     parser.add_argument("--tol", type=float, default=None,
                         help="stationarity residual tolerance")
     parser.add_argument("--max-iters", type=int, default=None,
-                        help="iteration cap per start")
+                        help="cap on the linear solves of one start")
     parser.add_argument("--starts", type=int, default=None,
                         help="number of initial profiles")
     parser.add_argument("--out", required=needs_out, default=None, metavar="DIR",
@@ -114,8 +113,7 @@ def _grid_from_args(args, model) -> RadialGrid:
 
 
 # command-line flag (argparse dest) -> the SolverConfig field it sets
-_CONFIG_FLAGS = {"dt": "dt", "tol": "tol_grad", "max_iters": "max_iters",
-                  "starts": "starts"}
+_CONFIG_FLAGS = {"tol": "tol_grad", "max_iters": "max_iters", "starts": "starts"}
 
 
 def _config_from_args(args) -> SolverConfig:
@@ -177,7 +175,7 @@ def _cmd_solve(args, model) -> int:
     tag = "converged" if result.converged else (result.reason or "not converged")
     print(f"a = {args.mass:.12g}: J = {result.energy:.12g}, "
           f"lambda = {result.lam:.12g}, residual = {result.residual_norm:.3g} "
-          f"({tag}, {result.iterations} iterations)")
+          f"({tag}, {result.iterations} solves)")
     for note in result.warnings:
         print(f"note: {note}")
     if result.converged:

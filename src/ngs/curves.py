@@ -209,7 +209,7 @@ class ThresholdResult:
 
 # stopping width of the threshold bisection, relative to the bracket midpoint
 THRESHOLD_REL_WIDTH = 1e-2
-# iteration cap of one threshold probe: a probe needs only the sign of the
+# solve cap of one threshold probe: a probe needs only the sign of the
 # minimum, and a negative one stops early at its energy floor
 THRESHOLD_PROBE_MAX_ITERS = 30_000
 
@@ -251,7 +251,10 @@ def threshold_a0(model: Model, grid: RadialGrid,
     this keeps quadrature noise from steering the bisection. Each probe runs
     a capped minimization with an early exit once the energy is decisively
     negative (below -15 DEADBAND, in place of config.stop_energy_below),
-    since the probe only needs a sign.
+    since the probe only needs a sign. A probe's energy is the lowest J any
+    start reached, converged or not: every field on the mass sphere bounds
+    the infimum from above, so one start below -DEADBAND proves the
+    minimum negative. Its converged and reason are minimize's.
     """
     a_lo, a_hi = float(bracket[0]), float(bracket[1])
     if not 0 < a_lo < a_hi:
@@ -268,8 +271,9 @@ def threshold_a0(model: Model, grid: RadialGrid,
 
     def probe(a: float) -> float:
         res = minimize(a, model, grid, probe_config)
-        evaluations.append((a, res.energy, res.converged, res.reason))
-        return res.energy
+        J = min(res.all_start_energies)
+        evaluations.append((a, J, res.converged, res.reason))
+        return J
 
     a0, half_width, below = bisect_threshold(probe, (a_lo, a_hi), DEADBAND)
     note = ("energy already negative at the lower bracket; the threshold is "

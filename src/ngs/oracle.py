@@ -247,7 +247,9 @@ def lambda_for_mass(p: float, N: int, a: float, base_mass: float) -> float:
 
     Inverts the mass scaling law around the frequency-1 profile, whose
     squared norm is base_mass (the mass of shoot_Up(p, N, grid) on the
-    caller's grid).
+    caller's grid). Only that mass is passed, so nothing here can check
+    that it belongs to the same (p, N); energy_scaling_check, which holds
+    the whole base solution, does.
     """
     if not a > 0:
         raise ValueError("target mass must be positive")
@@ -265,8 +267,12 @@ def energy_scaling_check(p: float, N: int, a1: float, a2: float,
 
     Both energies come from scaled copies of base = shoot_Up(p, N, grid), on
     its grid widened for small frequencies; the closed-form exponent is
-    (2(p+1) - N(p-1)) / (4 - (p-1)N).
+    (2(p+1) - N(p-1)) / (4 - (p-1)N). Raises ValueError if base was shot
+    for another (p, N).
     """
+    if (base.p, base.N) != (p, N):
+        raise ValueError(f"base profile solves (p, N) = ({base.p:g}, {base.N}), "
+                         f"not ({p:g}, {N})")
     if a1 == a2:
         raise ValueError("energy-scaling exponent needs two distinct masses")
     if not (a1 > 0 and a2 > 0):

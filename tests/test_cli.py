@@ -106,9 +106,10 @@ def test_solve_oracle_case_artifacts(solve_dir):
     assert abs(result["lambda"] - 1.0) <= 1e-3
     assert abs(result["mass"] - 4.0) <= 1e-12 * 4.0
     assert set(result["residuals"]) == {"nehari", "pohozaev", "lambda"}
-    rejections = result["newton_rejections"]
-    accepted = 1 if result["newton_steps"] else 0
-    assert sum(rejections.values()) == result["newton_attempts"] - accepted
+    # the winner's solves are its iterations; every solve is accepted or not
+    assert result["iterations"] == result["all_start_solves"][result["start_index"]]
+    rejected = result["all_start_rejected_steps"][result["start_index"]]
+    assert result["trace_length"] == result["iterations"] - rejected + 1
 
     assert (solve_dir / "profile.csv").is_file()
     assert (solve_dir / "profile.json").is_file()
@@ -126,7 +127,7 @@ def test_solve_oracle_case_artifacts(solve_dir):
 def test_manifest_records_the_solver_settings(solve_dir):
     manifest = json.loads((solve_dir / "manifest.json").read_text())
     assert set(manifest["config"]) == {
-        "dt", "tol_grad", "max_iters", "starts", "stop_energy_below"
+        "tol_grad", "max_iters", "starts", "stop_energy_below"
     }
 
 
@@ -211,7 +212,7 @@ def test_solve_flat_runaway_exits_3(tmp_path):
     model_path.write_text(json.dumps(model))
     out = tmp_path / "run"
     proc = run_cli("solve", "--model", model_path, "--mass", "0.25",
-                   "--grid-R", "120", "--grid-n", "1000", "--dt", "2",
+                   "--grid-R", "120", "--grid-n", "1000",
                    "--max-iters", "80000", "--starts", "1", "--out", out)
     assert proc.returncode == 3, proc.stdout + proc.stderr
     result = json.loads((out / "result.json").read_text())
@@ -357,8 +358,9 @@ def test_scan_verify_accepts_manifest_with_former_config_keys(scan_dirs, tmp_pat
     assert "verification OK" in check.stdout
 
 
-@pytest.mark.parametrize("drop", [None, ("config", "dt"), (None, "model"), (None, "grid")],
-                         ids=["truncated", "config-without-dt", "without-model",
+@pytest.mark.parametrize("drop", [None, ("config", "tol_grad"), (None, "model"),
+                                  (None, "grid")],
+                         ids=["truncated", "config-without-tol_grad", "without-model",
                               "without-grid"])
 def test_scan_verify_reports_malformed_manifest(scan_dirs, tmp_path, drop):
     out, manifest = _copy_scan(scan_dirs[0], tmp_path)
@@ -376,8 +378,8 @@ def test_scan_verify_reports_malformed_manifest(scan_dirs, tmp_path, drop):
 
 
 def test_scan_partial_curve_exits_1(tmp_path):
-    # a budget below flow.RESIDUAL_CHECK_EVERY and below the three Newton
-    # steps each start's first attempt needs: no mass can converge
+    # a budget below the 3-5 solves each cold start needs: no mass can
+    # converge, so none warm-starts the next
     out = tmp_path / "partial"
     proc = run_cli("scan", "--model", MODELS_DIR / "gaussian_well_cubic.json",
                    "--a-min", "0.5", "--a-max", "1.5", "--steps", "3",
@@ -430,7 +432,7 @@ def test_out_naming_a_file_is_usage_error(tmp_path):
 
 
 def test_numerical_failure_exits_1(tmp_path):
-    # g = 1e300 u^3 overflows in the first flow step
+    # g = 1e300 u^3 overflows at the start field: its residual is infinite
     model_json = json.loads((MODELS_DIR / "power3_free.json").read_text())
     model_json["nonlinearity"]["terms"][0]["coef"] = 1e300
     model = tmp_path / "model.json"

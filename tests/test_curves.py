@@ -7,6 +7,7 @@ import scipy.linalg
 
 from helpers import ZERO_G, free_power, harmonic_v, power_g, well_v
 from ngs.curves import (
+    THRESHOLD_PROBE_MAX_ITERS,
     CurvePoint,
     EnergyCurve,
     quadratic_form_infimum,
@@ -20,7 +21,7 @@ from ngs.curves import (
 )
 from ngs.energy import dilate
 from ngs.errors import BracketError
-from ngs.flow import SolverConfig, minimize
+from ngs.flow import DEADBAND, SolverConfig, minimize
 from ngs.grids import GridFunction, RadialGrid, kinetic, mass
 from ngs.models import make_model
 
@@ -186,6 +187,21 @@ def test_threshold_brackets_quintic_soliton_mass(small_grid):
     assert first_a == 6.0
     signs = {a: (J < -out.deadband) for a, J, _, _ in out.evaluations}
     assert signs[6.0] and not signs[1e-3]
+
+
+def test_threshold_probe_keeps_the_lowest_start(grid20):
+    # at this mass one quintic start converges to J = +4.0e-6 and wins in
+    # minimize, while the others stop below the probe's floor; any of their
+    # fields proves the minimum negative, so the probe records the lowest J
+    model = free_power(1, 4.0)
+    a = 2.720640427521
+    probe = SolverConfig(max_iters=THRESHOLD_PROBE_MAX_ITERS,
+                         stop_energy_below=-15.0 * DEADBAND)
+    res = minimize(a, model, grid20, probe)
+    assert res.energy > 0
+    assert min(res.all_start_energies) < -15.0 * DEADBAND
+    out = threshold_a0(model, grid20, bracket=(2.70, a))
+    assert out.evaluations[0][:2] == (a, min(res.all_start_energies))
 
 
 def test_threshold_bracket_validation(small_grid, well_cubic):

@@ -1,4 +1,4 @@
-"""Constrained descent: step mechanics, convergence, failure reporting."""
+"""Constrained minimizer: step mechanics, convergence, failure reporting."""
 import math
 
 import numpy as np
@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
-from helpers import (MODELS_DIR, ZERO_G, ZERO_V, bumps, free_power, harmonic_v, power_g,
-                     well_v)
+from helpers import MODELS_DIR, ZERO_G, bumps, free_power, harmonic_v, power_g, well_v
 from ngs import flow, grids
 from ngs.curves import THRESHOLD_PROBE_MAX_ITERS
-from ngs.energy import evaluate, lagrange_multiplier
-from ngs.flow import (RESIDUAL_CHECK_EVERY, SolverConfig, bordered_solve, flow_step,
-                      gaussian_start, minimize)
+from ngs.energy import Discretization, evaluate, lagrange_multiplier
+from ngs.flow import SolverConfig, bordered_solve, gaussian_start, minimize
 from ngs.grids import GridFunction, RadialGrid, kinetic, mass
 from ngs.models import load_model, make_model
 
@@ -47,7 +45,7 @@ def cubic_free_solution(small_grid):
 
 def test_config_rejects_bad_fields():
     with pytest.raises(ValueError):
-        SolverConfig(dt=0.0)
+        SolverConfig(tol_grad=0.0)
     with pytest.raises(ValueError):
         SolverConfig(starts=0)
     with pytest.raises(ValueError):
@@ -57,26 +55,50 @@ def test_config_rejects_bad_fields():
 # --- single step mechanics ---
 
 def test_converged_profile_is_a_fixed_point(well_solution, well_cubic):
+    # a converged profile, given as the warm start, ends its start unmoved
     u = well_solution.u
-    v = flow_step(u, well_cubic, dt=1e-2)
-    rel = float(np.max(np.abs(v.values - u.values)) / np.max(np.abs(u.values)))
-    assert rel <= 1e-5
-
-
-def test_step_spreads_positivity(small_grid, well_cubic):
-    # nonnegative data with dead zones: the implicit solve fills them in
-    vals = np.abs(np.sin(small_grid.r)) * np.exp(-0.3 * small_grid.r**2)
-    u = GridFunction(small_grid, vals)
-    u = u.with_values(u.values / math.sqrt(mass(u)))
-    v = flow_step(u, well_cubic, dt=1e-2, a=1.0)
-    assert np.all(v.values > 0)
+    res = minimize(1.0, well_cubic, u.grid, SolverConfig(starts=1), warm_start=u)
+    assert res.converged
+    assert res.iterations == 0
+    rel = float(np.max(np.abs(res.u.values - u.values)) / np.max(np.abs(u.values)))
+    assert rel <= 1e-14
 
 
 def test_steps_hold_mass_to_machine_precision(small_grid, well_cubic):
-    u = gaussian_start(small_grid, 1.3, a=2.0)
-    for _ in range(50):
-        u = flow_step(u, well_cubic, dt=1e-2, a=2.0)
-        assert abs(mass(u) - 2.0) <= 1e-12 * 2.0
+    op = Discretization(small_grid, well_cubic)
+    v = gaussian_start(small_grid, 1.3, a=2.0).values
+    for k in range(1, 4):
+        out = flow._run_start(op, v, 2.0, SolverConfig(max_iters=k))
+        assert out.solves == k
+        assert abs(float(small_grid.w @ out.values**2) - 2.0) <= 1e-12 * 2.0
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from([1, 2, 3]), st.integers(64, 128), st.integers(0, 10**6))
+def test_step_matches_dense_shifted_bordered_solve(N, n, seed):
+    # the first step solves [L + res, v; 2 (w v)^T, 0] [du; mu] = [-F; 0]
+    # with L = -Lap + V + lam - g'(v), then rescales v + du to mass a;
+    # compare it with a dense solve. For N = 3 the weights W span many
+    # orders of magnitude
+    grid = RadialGrid(N, 10.0, n)
+    model = make_model(N, power_g((1.0, 1.0)), well_v(depth=2.0, width=1.5))
+    a = 2.0
+    op = Discretization(grid, model)
+    v = bumps(grid, np.random.default_rng(seed)).values
+    v = v * math.sqrt(a / float(grid.w @ (v * v)))
+    lam, defect, res, _ = op.stationarity(v)
+    lower, diag, upper = op.lap
+    dense = np.zeros((n + 1, n + 1))
+    dense[:n, :n] = (np.diag(diag + op.V + lam - model.nonlinearity.dg(v) + res)
+                     + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1))
+    dense[:n, n] = v
+    dense[n, :n] = 2.0 * grid.w * v
+    ref = v + np.linalg.solve(dense, np.append(-defect, 0.0))[:n]
+    ref *= math.sqrt(a / float(grid.w @ (ref * ref)))
+    out = flow._run_start(op, v, a, SolverConfig(max_iters=1))
+    assert (out.solves, out.rejected) == (1, 0)
+    assert np.max(np.abs(out.values - ref)) <= 1e-10 * np.max(np.abs(ref))
+    assert out.trace[1] == (1, op.energy(out.values).J)
 
 
 # --- linear limit ---
@@ -104,10 +126,39 @@ def test_energy_trace_monotone_after_burn_in(well_solution):
         assert b <= a + 1e-9 * (1.0 + abs(a))
 
 
+@pytest.mark.parametrize("name, N, a, config", [
+    ("gaussian_well_mixed", 1, 3.0, SolverConfig()),
+    ("power2_free_3d", 3, 20.0, SolverConfig()),
+    ("quintic_free", 1, 2.71, SolverConfig(max_iters=THRESHOLD_PROBE_MAX_ITERS,
+                                            stop_energy_below=-15.0 * flow.DEADBAND)),
+], ids=["gaussian_well_mixed-3.0", "power2_free_3d-20.0", "quintic_free-2.71-probe"])
+def test_accepted_steps_never_raise_J(name, N, a, config):
+    # the trace holds the start and every accepted step, indexed by solve
+    grid = RadialGrid(N, 20.0, 2000)
+    op = Discretization(grid, load_model(MODELS_DIR / f"{name}.json"))
+    for width in flow._start_widths(3):
+        out = flow._run_start(op, gaussian_start(grid, width, a).values, a, config)
+        assert len(out.trace) == out.solves - out.rejected + 1
+        solves, J = zip(*out.trace)
+        assert solves[0] == 0 and all(np.diff(solves) >= 1) and solves[-1] <= out.solves
+        for x, y in zip(J, J[1:]):
+            assert y <= x + 1e-12 * (1.0 + abs(x))
+
+
+@pytest.mark.parametrize("name, N, a, most", [("power2_free_3d", 3, 20.0, 15),
+                                              ("gaussian_well_mixed", 1, 3.0, 10)],
+                         ids=["power2_free_3d-20.0", "gaussian_well_mixed-3.0"])
+def test_every_start_converges_in_a_few_solves(name, N, a, most):
+    res = minimize(a, load_model(MODELS_DIR / f"{name}.json"), RadialGrid(N, 20.0, 2000))
+    assert res.converged
+    assert len(res.all_start_solves) == 3
+    assert max(res.all_start_solves) <= most
+    J = res.all_start_energies
+    assert max(J) - min(J) <= 1e-12 * abs(min(J))
+
+
 def test_iteration_budget_reports_not_raises(small_grid, well_cubic):
-    # below RESIDUAL_CHECK_EVERY, so no residual check (and no Newton
-    # finish from a flow iterate) can end the run first, and below the three
-    # Newton steps each start's first attempt, from its Gaussian, needs
+    # below the 4-5 solves each start, from its Gaussian, needs
     cfg = SolverConfig(max_iters=2)
     res = minimize(1.0, well_cubic, small_grid, config=cfg)
     assert not res.converged
@@ -134,7 +185,8 @@ def test_warm_start_cuts_iterations(small_grid, well_cubic, well_solution):
 def test_result_serialization_keys(well_solution):
     d = well_solution.to_dict()
     for key in ("a", "mass", "lambda", "C_a_estimate", "residuals", "converged",
-                "reason", "iterations", "residual_norm", "all_start_energies"):
+                "reason", "iterations", "residual_norm", "all_start_energies",
+                "all_start_solves", "all_start_rejected_steps", "trace_length"):
         assert key in d
     assert set(d["residuals"]) == {"nehari", "pohozaev", "lambda"}
     assert d["converged"] is True
@@ -182,75 +234,26 @@ def test_nehari_pohozaev_hold_at_convergence(well_solution, well_cubic,
         assert res.lam == lagrange_multiplier(res.u, model)
 
 
-@settings(deadline=None, max_examples=30)
-@given(st.sampled_from([1, 2, 3]), st.integers(64, 128), st.integers(0, 10**6))
-def test_flow_step_matches_dense_implicit_solve(N, n, seed):
-    # the step solves the symmetrized system W A x = W rhs; compare it with a
-    # dense solve of A = I + dt (-Lap + V + shift) itself. A well makes
-    # shift > 0, and for N = 3 the weights W span many orders of magnitude
-    grid = RadialGrid(N, 10.0, n)
-    model = make_model(N, power_g((1.0, 1.0)), well_v(depth=2.0, width=1.5))
-    dt, a = 0.05, 2.0
-    ws = flow._Workspace(grid, model, dt, a)
-    assert ws.shift > 0.0
-    v = bumps(grid, np.random.default_rng(seed)).values
-    v = v * math.sqrt(a / float(grid.w @ (v * v)))
-    lower, diag, upper = ws.op.lap
-    A = np.eye(n) + dt * (np.diag(diag + ws.op.V + ws.shift)
-                          + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1))
-    gv = model.nonlinearity.g(v)
-    v0 = np.linalg.solve(A, v + dt * (gv + ws.shift * v))
-    q = dt * np.linalg.solve(A, v)
-    # the multiplier mu of the step puts v0 + mu q on the mass sphere
-    a2, a1 = float(grid.w @ (q * q)), 2.0 * float(grid.w @ (v0 * q))
-    a0 = float(grid.w @ (v0 * v0)) - a
-    ref = v0 + (-a1 + math.sqrt(a1 * a1 - 4.0 * a2 * a0)) / (2.0 * a2) * q
-    ref *= math.sqrt(a / float(grid.w @ (ref * ref)))
-    out = ws.step(v)
-    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert np.array_equal(ws.step(v, gv), out)
-
-
 def test_unit_costs_of_minimize(monkeypatch, small_grid):
-    # one factorization per minimize, one two-column solve per flow step,
-    # one bordered solve per Newton step and one -Lap v per evaluated iterate
-    counts = dict.fromkeys(("dpttrf", "dpttrs", "dgtsv", "tridiagonal_apply"), 0)
-    for module, name in ((flow, "dpttrf"), (flow, "dpttrs"), (flow, "dgtsv"),
-                         (grids, "tridiagonal_apply")):
+    # one dgtsv call per solve, accepted or rejected, and one -Lap v per
+    # start field and per accepted step; no positive definite factor is left
+    assert not any(hasattr(flow, name) for name in ("dpttrf", "dpttrs"))
+    counts = dict.fromkeys(("dgtsv", "tridiagonal_apply"), 0)
+    for module, name in ((flow, "dgtsv"), (grids, "tridiagonal_apply")):
         def spy(*args, _fn=getattr(module, name), _name=name, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, spy)
-    outcomes = []
-    run_start = flow._run_start
-
-    def record(*args):
-        outcomes.append(run_start(*args))
-        return outcomes[-1]
-
-    monkeypatch.setattr(flow, "_run_start", record)
     res = minimize(4.0, load_model(MODELS_DIR / "power3_free.json"), small_grid)
     assert res.converged
-    # every start ends on an accepted Newton finish, made from its Gaussian
-    # or at a residual check after its last flow step
-    assert all(o.converged and o.newton_steps >= 1 for o in outcomes)
-    flow_steps = [o.iterations - o.newton_steps for o in outcomes]
-    assert all(f % RESIDUAL_CHECK_EVERY == 0 for f in flow_steps)
-    # the result counts every Newton step taken, in rejected attempts too
-    newton_steps = sum(res.all_start_newton_steps)
-    assert newton_steps > sum(o.newton_steps for o in outcomes)
-    assert res.all_start_newton_attempts == [o.newton_attempts for o in outcomes]
-    assert counts["dpttrf"] == 1
-    assert counts["dpttrs"] == sum(flow_steps)
-    assert counts["dgtsv"] == newton_steps
-    # -Lap v once per residual check, once per Newton iterate (the start of
-    # each attempt and the end of each step), once for the reported Nehari
-    checks = sum(flow_steps) // RESIDUAL_CHECK_EVERY
-    attempts = sum(res.all_start_newton_attempts)
-    assert counts["tridiagonal_apply"] == checks + newton_steps + attempts + 1
+    solves = sum(res.all_start_solves)
+    assert counts["dgtsv"] == solves
+    accepted = solves - sum(res.all_start_rejected_steps)
+    # and once for the reported Nehari defect
+    assert counts["tridiagonal_apply"] == len(res.all_start_solves) + accepted + 1
 
 
-# --- Newton finish ---
+# --- shifted bordered Newton ---
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 10**6), st.integers(2, 40), st.sampled_from([None, 1, 2]))
@@ -269,18 +272,13 @@ def test_solve_tridiagonal_matches_dense_solve(seed, n, columns):
     assert all(np.array_equal(a, b) for a, b in zip(rows, (lower, diag, upper)))
 
 
-def test_exactly_singular_tridiagonal_is_a_singular_newton_attempt(small_grid):
+def test_exactly_singular_tridiagonal_is_a_singular_newton_attempt():
     # two equal rows: elimination meets an exactly zero pivot in row 2
     rows = (np.array([0.0, 1.0, 0.0]), np.ones(3), np.array([1.0, 0.0, 0.0]))
     with pytest.raises(RuntimeError, match="singular"):
         flow.solve_tridiagonal(rows, np.ones(3))
-    # with no stencil, no potential and g = 0, L = -Lap + V + lam - g'(u) = 0
-    ws = flow._Workspace(small_grid, make_model(1, ZERO_G, ZERO_V), 1e-2, 1.0)
-    ws.op.lap = (np.zeros(small_grid.n),) * 3
-    v = gaussian_start(small_grid, 1.0, 1.0).values
-    rejections = dict.fromkeys(flow.NEWTON_GUARDS, 0)
-    assert flow._newton_finish(ws, v, 0.0, SolverConfig(), 10, rejections) is None
-    assert rejections == {g: int(g == "singular") for g in flow.NEWTON_GUARDS}
+    with pytest.raises(RuntimeError, match="singular"):
+        bordered_solve(rows, np.ones(3), np.ones(3), np.ones(3))
 
 
 @settings(deadline=None, max_examples=60)
@@ -305,30 +303,29 @@ def test_newton_finish_converges_free_cubic(cubic_free_solution):
     res, model = cubic_free_solution
     assert res.converged
     assert res.residual_norm <= SolverConfig().tol_grad
-    assert res.newton_steps >= 1
     spread = max(res.all_start_energies) - min(res.all_start_energies)
     assert spread <= 1e-12
     tail = [J for i, J in res.energy_trace if i >= 10]
     for a, b in zip(tail, tail[1:]):
         assert b <= a + 1e-9 * (1.0 + abs(a))
     d = res.to_dict()
-    assert d["trace_length"] == res.iterations + 1
-    assert d["newton_steps"] == res.newton_steps
+    rejected = res.all_start_rejected_steps[res.start_index]
+    assert d["trace_length"] == res.iterations - rejected + 1
     assert res.energy == evaluate(res.u, model).J
 
 
 def test_newton_finishes_a_cold_start_within_a_few_checks(cubic_free_solution):
-    # the flow only globalizes: Newton takes over at an early residual check
-    # instead of after hundreds of linear flow steps
+    # the shift falls with the residual, so a Gaussian start converges in a
+    # few solves instead of hundreds of linear flow steps
     res, _ = cubic_free_solution
     assert res.converged
-    assert res.iterations <= 5 * RESIDUAL_CHECK_EVERY
+    assert res.iterations <= 10
     assert res.residual_norm <= SolverConfig().tol_grad
     # every start, not only the winner
-    assert len(res.all_start_iterations) == SolverConfig().starts
-    assert res.iterations == res.all_start_iterations[res.start_index]
-    assert max(res.all_start_iterations) <= 5 * RESIDUAL_CHECK_EVERY
-    assert res.to_dict()["all_start_iterations"] == res.all_start_iterations
+    assert len(res.all_start_solves) == SolverConfig().starts
+    assert res.iterations == res.all_start_solves[res.start_index]
+    assert max(res.all_start_solves) <= 10
+    assert res.to_dict()["all_start_solves"] == res.all_start_solves
 
 
 @pytest.mark.parametrize("name, a", [("gaussian_well_cubic", 3.0), ("power3_free", 4.0)])
@@ -362,24 +359,19 @@ def test_tied_starts_report_the_first(grid20):
     assert res.start_index == 0
 
 
-@pytest.mark.parametrize("name, a, rises", [("power3_free", 4.0, 1),
-                                            ("gaussian_well_cubic", 3.0, 1),
-                                            ("harmonic_cubic", 2.0, 0)],
+@pytest.mark.parametrize("name, a", [("power3_free", 4.0), ("gaussian_well_cubic", 3.0),
+                                     ("harmonic_cubic", 2.0)],
                          ids=["power3_free-4.0", "gaussian_well_cubic-3.0",
                               "harmonic_cubic-2.0"])
-def test_wide_start_converges_at_its_first_newton_attempt(small_grid, name, a, rises):
-    # on its way from a width-2 Gaussian, Newton undershoots the tail by a
-    # few percent of the peak; only the endpoint is held to the sign guard.
-    # The attempt from the Gaussian itself either converges or ends on a
-    # residual rise; then the attempt from the first flow iterate converges
-    ws = flow._Workspace(small_grid, load_model(MODELS_DIR / f"{name}.json"), 1e-2, a)
-    v = gaussian_start(small_grid, 2.0, a).values.copy()
-    out = flow._run_start(ws, v, SolverConfig())
+def test_wide_start_converges_at_its_first_newton_attempt(small_grid, name, a):
+    # a start makes one run of shifted Newton steps, with no flow step and
+    # no second attempt: from a width-2 Gaussian every step is accepted
+    op = Discretization(small_grid, load_model(MODELS_DIR / f"{name}.json"))
+    out = flow._run_start(op, gaussian_start(small_grid, 2.0, a).values, a, SolverConfig())
     assert out.converged
-    assert out.iterations <= 2 * RESIDUAL_CHECK_EVERY
-    assert out.newton_attempts == 1 + rises
-    assert out.newton_rejections == {g: rises * (g == "residual-rise")
-                                     for g in flow.NEWTON_GUARDS}
+    assert out.reason is None
+    assert out.rejected == 0
+    assert out.solves <= 6
 
 
 def test_sign_guard_is_relative_to_the_field():
@@ -395,89 +387,59 @@ def test_sign_guard_is_relative_to_the_field():
 
 
 def test_sign_changing_newton_endpoint_is_rejected(small_grid):
-    # in the linear harmonic trap Newton from |psi_2| converges to the
-    # sign-changing eigenvector psi_2 itself: the endpoint must not be kept
-    ws = flow._Workspace(small_grid, load_model(MODELS_DIR / "harmonic.json"), 1e-2, 1.0)
-    op = ws.op
+    # in the linear harmonic trap, start from the third eigenvector with its
+    # deepest negative entry set to 0: the steps end on the sign-changing
+    # second eigenvector, a critical point that is no ground state
+    model = load_model(MODELS_DIR / "harmonic.json")
+    op = Discretization(small_grid, model)
     lower, diag, upper = op.lap
     A = np.diag(diag + op.V) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
     eigvals, eigvecs = np.linalg.eig(A)
-    v = np.abs(eigvecs[:, np.argsort(eigvals.real)[1]].real)
+    order = np.argsort(eigvals.real)
+    psi = eigvecs[:, order[2]].real
+    psi *= np.sign(psi[0])
+    v = psi.copy()
+    v[np.argmin(psi)] = 0.0
     v *= math.sqrt(1.0 / float(op.w @ (v * v)))
-    rejections = dict.fromkeys(flow.NEWTON_GUARDS, 0)
-    assert flow._newton_finish(ws, v, op.energy(v).J, SolverConfig(), 10**6,
-                               rejections) is None
-    assert rejections == {g: int(g == "sign") for g in flow.NEWTON_GUARDS}
+    out = flow._run_start(op, v, 1.0, SolverConfig())
+    assert out.residual <= SolverConfig().tol_grad
+    assert abs(2.0 * out.J - eigvals.real[order[1]]) <= 1e-9
+    assert not out.converged
+    assert out.reason == "sign-change"
+    # as a warm start it loses to the Gaussians, which reach the ground state
+    res = minimize(1.0, model, small_grid, warm_start=GridFunction(small_grid, v))
+    assert res.converged
+    assert res.start_index > 0
+    assert abs(2.0 * res.energy - eigvals.real[order[0]]) <= 1e-9
 
 
-def test_newton_attempts_and_rejections_are_reported(cubic_free_solution, monkeypatch,
-                                                    small_grid, well_cubic):
+def test_newton_attempts_and_rejections_are_reported(cubic_free_solution, grid20):
     res, _ = cubic_free_solution
-    assert res.newton_attempts >= 1
-    assert tuple(res.newton_rejections) == flow.NEWTON_GUARDS
-    accepted = 1 if res.newton_steps else 0
-    assert sum(res.newton_rejections.values()) == res.newton_attempts - accepted
     d = res.to_dict()
-    assert d["newton_attempts"] == res.newton_attempts
-    assert d["newton_rejections"] == res.newton_rejections
-
-    def singular(*args):
-        raise RuntimeError("Factor is exactly singular")
-
-    monkeypatch.setattr(flow, "bordered_solve", singular)
-    rejected = minimize(1.0, well_cubic, small_grid, SolverConfig(starts=1))
-    assert rejected.newton_steps == 0
-    assert rejected.newton_attempts >= 2
-    assert rejected.newton_rejections == {
-        guard: rejected.newton_attempts if guard == "singular" else 0
-        for guard in flow.NEWTON_GUARDS
-    }
+    assert d["all_start_solves"] == res.all_start_solves
+    assert d["all_start_rejected_steps"] == res.all_start_rejected_steps == [0, 0, 0]
+    assert not any(key.startswith(("newton", "all_start_newton")) for key in d)
+    # below its threshold the quintic rejects steps on the way, each still a solve
+    res = minimize(2.71, free_power(1, 4.0), grid20, QUINTIC_PROBE)
+    rejected, solves = res.all_start_rejected_steps, res.all_start_solves
+    assert sum(rejected) > 0
+    assert all(0 <= r < s for r, s in zip(rejected, solves))
+    assert res.iterations == solves[res.start_index]
+    assert len(res.energy_trace) == res.iterations - rejected[res.start_index] + 1
 
 
-def test_failed_newton_attempts_leave_the_flow_bit_for_bit(monkeypatch, small_grid,
-                                                          well_cubic):
-    cfg = SolverConfig(starts=1)
-    monkeypatch.setattr(flow, "_newton_finish", lambda *args, **kwargs: None)
-    plain = minimize(1.0, well_cubic, small_grid, cfg)
-    monkeypatch.undo()
-    attempts = []
-
-    def singular(*args):
-        attempts.append(args)
-        raise RuntimeError("Factor is exactly singular")
-
-    monkeypatch.setattr(flow, "bordered_solve", singular)
-    rejected = minimize(1.0, well_cubic, small_grid, cfg)
-    assert len(attempts) >= 2
-    assert rejected.newton_steps == plain.newton_steps == 0
-    assert rejected.iterations == plain.iterations
-    assert rejected.energy_trace == plain.energy_trace
-    assert np.array_equal(rejected.u.values, plain.u.values)
-    assert rejected.residual_norm == plain.residual_norm
-
-
-def _no_initial_attempt(monkeypatch):
-    """Make _run_start skip the Newton attempt from the start field."""
-    finish = flow._newton_finish
-    monkeypatch.setattr(flow, "_newton_finish",
-                        lambda *args, monotone=False: None if monotone else finish(*args))
-
-
-def test_rejected_initial_attempt_leaves_the_start_bit_for_bit(monkeypatch, small_grid):
-    # the width-2 power3_free start's attempt from its Gaussian ends on a
-    # residual rise; the start then runs as one that never made the attempt
-    ws = flow._Workspace(small_grid, load_model(MODELS_DIR / "power3_free.json"),
-                         1e-2, 4.0)
-    v = gaussian_start(small_grid, 2.0, 4.0).values
-    tried = flow._run_start(ws, v.copy(), SolverConfig())
-    assert tried.converged
-    assert tried.newton_rejections["residual-rise"] == 1
-    _no_initial_attempt(monkeypatch)
-    plain = flow._run_start(ws, v.copy(), SolverConfig())
-    assert tried.trace == plain.trace
-    assert tried.iterations == plain.iterations
-    assert np.array_equal(tried.values, plain.values)
-    assert tried.residual == plain.residual
+def test_rejected_initial_attempt_leaves_the_start_bit_for_bit(monkeypatch, small_grid,
+                                                              well_cubic):
+    # with every solve meeting a zero pivot, each step is rejected, not an
+    # error, and the start ends on its own field, energy and residual
+    monkeypatch.setattr(flow, "dgtsv", lambda *args: (None, None, None, None, 2))
+    op = Discretization(small_grid, well_cubic)
+    v = gaussian_start(small_grid, 1.0, 1.0).values
+    out = flow._run_start(op, v, 1.0, SolverConfig(max_iters=3))
+    assert (out.solves, out.rejected, out.reason) == (3, 3, "max-iters")
+    assert np.array_equal(out.values, v)
+    assert out.trace == [(0, op.energy(v).J)]
+    assert out.residual == op.stationarity(v).residual
 
 
 # --- Newton on the mass-critical quintic, below the soliton mass ---
@@ -485,52 +447,6 @@ def test_rejected_initial_attempt_leaves_the_start_bit_for_bit(monkeypatch, smal
 QUINTIC_SUB_A = 2.685      # just below sqrt(3) pi / 2 = 2.7207
 QUINTIC_PROBE = SolverConfig(max_iters=THRESHOLD_PROBE_MAX_ITERS,
                              stop_energy_below=-15.0 * flow.DEADBAND)
-
-
-def test_newton_attempt_is_judged_by_its_endpoint(grid20):
-    # J zigzags along the slow dilation mode on the way to the minimum, so
-    # only the endpoint of an attempt is held against the energy it began at
-    ws = flow._Workspace(grid20, free_power(1, 4.0), QUINTIC_PROBE.dt, QUINTIC_SUB_A)
-    v = gaussian_start(grid20, 1.0, QUINTIC_SUB_A).values.copy()
-    for _ in range(100):
-        v = ws.step(v)
-    J_start = ws.op.energy(v).J
-    rejections = dict.fromkeys(flow.NEWTON_GUARDS, 0)
-    finish = flow._newton_finish(ws, v, J_start, QUINTIC_PROBE, 10**6, rejections)
-    assert finish is not None
-    _, energies, _, res = finish
-    assert res <= QUINTIC_PROBE.tol_grad
-    assert energies[-1] <= J_start
-    assert np.any(np.diff(energies) > 0)
-    assert len(energies) <= flow.NEWTON_MAX_STEPS
-    assert not any(rejections.values())
-
-    # the same path from a start claimed to lie at J = 0 ends above it
-    finish = flow._newton_finish(ws, v, 0.0, QUINTIC_PROBE, 10**6, rejections)
-    assert finish is None
-    assert rejections == {g: int(g == "energy-rise") for g in flow.NEWTON_GUARDS}
-
-
-def test_subthreshold_quintic_initial_attempts_end_on_a_residual_rise(monkeypatch,
-                                                                     grid20):
-    # from each start's Gaussian the residual rises within two Newton
-    # steps, and the probe then runs as it would without those attempts
-    model = free_power(1, 4.0)
-    ws = flow._Workspace(grid20, model, QUINTIC_PROBE.dt, QUINTIC_SUB_A)
-    for width in flow._start_widths(QUINTIC_PROBE.starts):
-        v = gaussian_start(grid20, width, QUINTIC_SUB_A).values
-        rejections = dict.fromkeys(flow.NEWTON_GUARDS, 0)
-        taken = ws.newton_steps
-        assert flow._newton_finish(ws, v, ws.op.energy(v).J, QUINTIC_PROBE, 10**6,
-                                   rejections, monotone=True) is None
-        assert rejections == {g: int(g == "residual-rise") for g in flow.NEWTON_GUARDS}
-        assert ws.newton_steps - taken <= 2
-    tried = minimize(QUINTIC_SUB_A, model, grid20, QUINTIC_PROBE)
-    _no_initial_attempt(monkeypatch)
-    plain = minimize(QUINTIC_SUB_A, model, grid20, QUINTIC_PROBE)
-    assert tried.all_start_energies == plain.all_start_energies
-    assert tried.all_start_iterations == plain.all_start_iterations
-    assert tried.reason == plain.reason == "no-minimizer-regime"
 
 
 def test_subthreshold_quintic_starts_reach_one_local_minimizer(grid20):
@@ -544,7 +460,7 @@ def test_subthreshold_quintic_starts_reach_one_local_minimizer(grid20):
 
     # second-order condition: L = -Lap + V + lam - g'(u) has one negative
     # eigenvalue and <u, L^-1 u>_w < 0, so the tangent Morse index is 0
-    op = flow._Workspace(grid20, model, QUINTIC_PROBE.dt, QUINTIC_SUB_A).op
+    op = Discretization(grid20, model)
     u = res.u.values
     lower, diag, upper = op.lap
     diag = diag + op.V + res.lam - model.nonlinearity.dg(u)

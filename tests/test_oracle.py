@@ -143,6 +143,15 @@ def test_energy_scaling_check_input_validation(sech_sol, n3_sol):
         energy_scaling_check(3.0, 3, 2.0, 4.0, base=n3_sol)
 
 
+def test_energy_scaling_check_rejects_a_base_of_another_power(sech_sol, sech2_sol):
+    # a p = 3 base scaled as if it solved p = 2 gave the exponent 1.0
+    with pytest.raises(ValueError, match="base profile"):
+        energy_scaling_check(2.0, 1, 2.0, 6.0, base=sech_sol)
+    measured, expected = energy_scaling_check(2.0, 1, 2.0, 6.0, base=sech2_sol)
+    assert abs(expected - 5.0 / 3.0) <= 1e-12
+    assert abs(measured - expected) <= 1e-2
+
+
 def test_strict_binding_inequality(sech_sol):
     # E_{2a} < 2 E_a for the subcritical free problem
     lam2 = lambda_for_mass(3.0, 1, 2.0, base_mass=sech_sol.mass)
