@@ -1,4 +1,4 @@
-"""Energy functionals, stationarity identities, fiber and dilation maps.
+"""Energy functionals, stationarity identities and the fiber map.
 
 Conventions: the full energy of a field u is
     J[u] = (1/2)|grad u|^2 + (1/2) int V u^2 - int G(u),
@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import grids
-from .errors import BracketError, SupportOverflowError
+from .errors import BracketError
 from .grids import GridFunction
 
 # admissible range for the fiber-map parameter t, which is also the bracket
@@ -88,24 +88,26 @@ class Discretization:
         self.V = model.potential.V(grid.r)
         self.lap = grids.laplacian_tridiagonal(grid)
 
-    def apply_lap(self, v: np.ndarray) -> np.ndarray:
-        """The discrete -Laplacian of v."""
-        return grids.tridiagonal_apply(self.lap, v)
+    def masses(self, v: np.ndarray) -> tuple[float, float]:
+        """The mass w^T v^2 of v and w^T (V v^2), which energy and stationarity share."""
+        usq = v * v
+        return float(self.w @ usq), float(self.w @ (self.V * usq))
 
-    def energy(self, v: np.ndarray, G: np.ndarray | None = None) -> EnergyReport:
+    def energy(self, v: np.ndarray, G: np.ndarray | None = None,
+               masses: tuple[float, float] | None = None) -> EnergyReport:
         """J of v, its parts and the mass; G is G(v), if the caller has it."""
         if G is None:
             G = self.model.nonlinearity.G(v)
-        usq = v * v
+        m, vm = self.masses(v) if masses is None else masses
         kin = 0.5 * grids.kinetic_values(self.grid, v)
-        pot = 0.5 * float(self.w @ (self.V * usq))
+        pot = 0.5 * vm
         nonlin = float(self.w @ G)
         I = kin - nonlin
         return EnergyReport(kinetic=kin, potential_term=pot, nonlinear_term=nonlin,
-                            J=I + pot, I=I, mass=float(self.w @ usq))
+                            J=I + pot, I=I, mass=m)
 
     def stationarity(self, v: np.ndarray, lam: float | None = None,
-                     nl=None) -> Stationarity:
+                     nl=None, masses: tuple[float, float] | None = None) -> Stationarity:
         """The multiplier (unless lam is given), defect, residual and Nehari of v.
 
         The defect is -Lap v + (V + lam) v - g(v), the residual its weighted
@@ -114,20 +116,23 @@ class Discretization:
         <v, -Lap v>_w from the one -Lap v the defect needs. The multiplier
         zeroes that Nehari defect, so it is exactly the least-squares
         minimizer of the residual over lam. nl holds the nonlinearity's
-        values at v (models.NonlinearValues), if the caller has them.
+        values at v (models.NonlinearValues), if the caller has them; so
+        does masses for masses(v).
         """
         if nl is None:
             nl = self.model.nonlinearity.evaluate(v)
-        usq = v * v
-        m = float(self.w @ usq)
+        m, vm = self.masses(v) if masses is None else masses
         if m <= 0.0:
             raise ValueError("stationarity needs a field with positive mass")
-        lap_v = self.apply_lap(v)
-        quad = float(self.w @ (v * lap_v)) + float(self.w @ (self.V * usq))
+        lap_v = grids.tridiagonal_apply(self.lap, v)
+        quad = float(self.w @ (v * lap_v)) + vm
         gu = float(self.w @ nl.gs)
         if lam is None:
             lam = (gu - quad) / m
-        defect = lap_v + (self.V + lam) * v - nl.g
+        defect = self.V + lam   # -Lap v + (V + lam) v - g(v), in one array
+        defect *= v
+        defect += lap_v
+        defect -= nl.g
         res = float(np.sqrt((self.w @ (defect * defect)) / m))
         return Stationarity(lam, defect, res, quad + lam * m - gu)
 
@@ -163,26 +168,29 @@ def nehari_residual(u: GridFunction, model, lam: float) -> float:
     return Discretization(u.grid, model).stationarity(u.values, lam).nehari
 
 
-def pohozaev_residual(u: GridFunction, model) -> float:
+def pohozaev_residual(u: GridFunction, model, nl=None) -> float:
     """Signed defect of the multiplier-free stationarity identity.
 
     P(u) = |grad u|^2 - (1/2) int <grad V, x> u^2 + N int [G(u) - g(u)u/2],
     exactly the t-derivative of the discrete fiber energy at t = 1, which is
-    how it is computed.
+    how it is computed. nl holds the nonlinearity's values at u, if the
+    caller has them.
     """
-    return fiber_energy_derivative(u, 1.0, model)
+    return fiber_energy_derivative(u, 1.0, model, nl)
 
 
 def identity_residuals(u: GridFunction, model, lam: float | None = None) -> IdentityResiduals:
-    st = Discretization(u.grid, model).stationarity(u.values, lam)
+    """Nehari and Pohozaev defects of u from one evaluation of the nonlinearity."""
+    nl = model.nonlinearity.evaluate(u.values)
+    st = Discretization(u.grid, model).stationarity(u.values, lam, nl=nl)
     return IdentityResiduals(
         nehari=st.nehari,
-        pohozaev=pohozaev_residual(u, model),
+        pohozaev=pohozaev_residual(u, model, nl),
         lagrange_lambda=st.lam,
     )
 
 
-# --- fiber map u_t(x) = t^(N/2) u(tx) and mass-multiplying dilation ---
+# --- fiber map u_t(x) = t^(N/2) u(tx) ---
 
 
 def _check_t(t: float):
@@ -207,17 +215,18 @@ def _fiber_energy_cached(u, t, model, kin) -> float:
     return val
 
 
-def fiber_energy_derivative(u: GridFunction, t: float, model) -> float:
-    """Exact t-derivative of the discrete fiber energy."""
+def fiber_energy_derivative(u: GridFunction, t: float, model, nl=None) -> float:
+    """Exact t-derivative of the discrete fiber energy; nl is the
+    nonlinearity at t^(N/2) u, if the caller has it."""
     _check_t(t)
     g = u.grid
     N = g.N
     val = t * grids.kinetic(u)
     usq = u.values * u.values
     val -= grids.integrate(g, model.potential.dV_dot_x(g.r / t) * usq) / (2.0 * t)
-    scaled = t ** (0.5 * N) * u.values
-    gv = model.nonlinearity.G(scaled) - 0.5 * model.nonlinearity.g_times_s(scaled)
-    val += N * t ** (-N - 1.0) * grids.integrate(g, gv)
+    if nl is None:
+        nl = model.nonlinearity.evaluate(t ** (0.5 * N) * u.values)
+    val += N * t ** (-N - 1.0) * grids.integrate(g, nl.G - 0.5 * nl.gs)
     return val
 
 
@@ -267,30 +276,3 @@ def fiber_minimize(u: GridFunction, model) -> tuple[float, float]:
     )
     t0 = float(res.x)
     return t0, float(res.fun)
-
-
-def dilate(u: GridFunction, tau: float) -> GridFunction:
-    """Mass-multiplying stretch u(r / tau^(1/N)); mass becomes tau * mass(u).
-
-    Requires tau >= 1 and a profile that has decayed below 1e-8 at the
-    radius that lands on the boundary after stretching.
-    """
-    if tau < 1.0:
-        raise ValueError(f"dilation factor must be >= 1, got {tau}")
-    g = u.grid
-    if tau == 1.0:
-        return u
-    stretch = tau ** (1.0 / g.N)
-    profile = grids.even_extension(u)
-    edge = abs(float(profile(g.R / stretch)))
-    if edge > 1e-8:
-        raise SupportOverflowError(
-            f"dilated support leaves the domain: |u| = {edge:.3g} at the "
-            f"preimage of R"
-        )
-    out = GridFunction(g, profile(g.r / stretch))
-    target = tau * grids.mass(u)
-    m_new = grids.mass(out)
-    if m_new <= 0.0:
-        raise ValueError("dilation produced a vanishing field")
-    return out.with_values(out.values * np.sqrt(target / m_new))

@@ -28,14 +28,17 @@ sign-changing field is not converged ("sign-change"), since it has reached
 another critical point. A non-finite J, residual or shift, or a trial
 field of zero or non-finite mass, raises NumericalError.
 
-Every value the solver reports (J, multiplier, residual, Nehari) comes from
-one energy.Discretization, the same code energy.evaluate and the identity
-functions run, so they agree bit for bit. Each trial field evaluates the
-nonlinearity once (models.NonlinearityModel.evaluate), and each accepted
-one -Lap once (Discretization.stationarity); the next step reuses both.
+Every value the solver reports comes from one energy.Discretization, the
+same code energy.evaluate and the identity functions run, so they agree bit
+for bit. Each trial field evaluates its nonlinearity g, G, g s, g'
+(models.NonlinearityModel.evaluate), masses w^T u^2, w^T (V u^2) and kinetic
+form once; an accepted one adds one -Lap u for its stationarity. The
+winner's last stationarity and nonlinearity give the reported Nehari and
+Pohozaev defects, so nothing is evaluated after the loop.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -46,6 +49,7 @@ from . import energy as energy_mod
 from . import grids
 from .errors import NumericalError
 from .grids import GridFunction, RadialGrid
+from .models import NonlinearValues
 
 # Fixed constants of the solver. They shape how a run is carried out and
 # judged, not the problem; no caller needs other values, so they stay out
@@ -156,7 +160,13 @@ def bordered_solve(rows, u: np.ndarray, w: np.ndarray,
     sides, L p = rhs and L q = u; the border row then gives mu and
     x = p - mu q. Raises RuntimeError if L or the border is singular.
     """
-    p, q = solve_tridiagonal(rows, np.column_stack((rhs, u))).T
+    lower, diag, upper = rows
+    # dgtsv overwrites this Fortran-ordered buffer of ours, not a copy of it
+    x, info = dgtsv(lower[1:], diag, upper[:-1], np.array((rhs, u)).T,
+                    overwrite_b=True)[3:]
+    if info > 0:
+        raise RuntimeError(f"tridiagonal system is singular: zero pivot at row {info}")
+    p, q = x.T
     c = 2.0 * w * u
     den = float(c @ q)
     if den == 0.0:
@@ -165,18 +175,24 @@ def bordered_solve(rows, u: np.ndarray, w: np.ndarray,
     return p - mu * q, mu
 
 
+@functools.lru_cache(maxsize=16)
+def _ball_bounds(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Node ranges [lo, hi) of vanishing_diagnostic's balls; shared, so read-only."""
+    centers = np.concatenate(([0.0], grid.r))
+    lo = np.searchsorted(grid.r, centers - VANISHING_RADIUS, side="left")
+    hi = np.searchsorted(grid.r, centers + VANISHING_RADIUS, side="right")
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi
+
+
 def vanishing_diagnostic(u: GridFunction) -> float:
     """Largest mass any ball of radius VANISHING_RADIUS captures.
 
     Small values flag spreading: the density is everywhere locally thin,
     the discrete signature of a vanishing minimizing sequence.
     """
-    g = u.grid
-    dens = g.w * u.values**2
-    cum = np.concatenate(([0.0], np.cumsum(dens)))
-    centers = np.concatenate(([0.0], g.r))
-    lo = np.searchsorted(g.r, centers - VANISHING_RADIUS, side="left")
-    hi = np.searchsorted(g.r, centers + VANISHING_RADIUS, side="right")
+    cum = np.concatenate(([0.0], np.cumsum(u.grid.w * u.values**2)))
+    lo, hi = _ball_bounds(u.grid)
     return float((cum[hi] - cum[lo]).max())
 
 
@@ -201,6 +217,8 @@ class _StartOutcome:
     J: float
     lam: float
     residual: float
+    nehari: float
+    nl: NonlinearValues      # the nonlinearity at values
     converged: bool
     reason: str | None
     solves: int
@@ -227,11 +245,12 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
     fixed = diag + op.V
     floor = config.stop_energy_below
     start = v
-    # each iterate's nonlinearity and stationarity are computed once and
-    # carried into the step from it
+    # each iterate's nonlinearity, masses and stationarity are computed once
+    # and carried into the step from it
     nl = nonlinearity.evaluate(v, derivative=True)
-    J = op.energy(v, nl.G).J
-    lam, defect, res, _ = op.stationarity(v, nl=nl)
+    masses = op.masses(v)
+    J = op.energy(v, nl.G, masses).J
+    lam, defect, res, nehari = op.stationarity(v, nl=nl, masses=masses)
     sigma = res
     trace = [(0, J)]
     solves = rejected = 0
@@ -248,9 +267,11 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
             reason = "max-iters"
             break
         solves += 1
+        shifted = fixed + lam       # the step's diagonal, built in place
+        shifted -= nl.dg
+        shifted += sigma
         try:
-            du, _ = bordered_solve((lower, fixed + lam - nl.dg + sigma, upper),
-                                   v, op.w, -defect)
+            du, _ = bordered_solve((lower, shifted, upper), v, op.w, -defect)
         except RuntimeError:
             J_new = math.nan    # a singular system is a rejected step
         else:
@@ -261,10 +282,11 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
                 raise _degenerate()
             new *= math.sqrt(a / m)
             nl_new = nonlinearity.evaluate(new, derivative=True)
-            J_new = op.energy(new, nl_new.G).J
+            masses_new = op.masses(new)
+            J_new = op.energy(new, nl_new.G, masses_new).J
         if J_new <= J + 1e-12 * (1.0 + abs(J)):
-            v, nl, J = new, nl_new, J_new
-            lam, defect, res, _ = op.stationarity(v, nl=nl)
+            v, nl, masses, J = new, nl_new, masses_new, J_new
+            lam, defect, res, nehari = op.stationarity(v, nl=nl, masses=masses)
             sigma = min(sigma / SHIFT_FACTOR, res)
             trace.append((solves, J))
         else:
@@ -273,8 +295,9 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
     converged = reason is None
     if reason in (None, "energy-floor") and not _keeps_sign(start, v):
         converged, reason = False, "sign-change"
-    return _StartOutcome(values=v, J=J, lam=lam, residual=res, converged=converged,
-                         reason=reason, solves=solves, rejected=rejected, trace=trace)
+    return _StartOutcome(values=v, J=J, lam=lam, residual=res, nehari=nehari, nl=nl,
+                         converged=converged, reason=reason, solves=solves,
+                         rejected=rejected, trace=trace)
 
 
 def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = None,
@@ -320,11 +343,9 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
     out = outcomes[best]
     u = GridFunction(grid, out.values)
 
+    # the winner's last stationarity and nonlinearity give its identities
     residuals = energy_mod.IdentityResiduals(
-        nehari=op.stationarity(out.values, out.lam).nehari,
-        pohozaev=energy_mod.pohozaev_residual(u, model),
-        lagrange_lambda=out.lam,
-    )
+        out.nehari, energy_mod.pohozaev_residual(u, model, out.nl), out.lam)
 
     disagreement = False
     if len(converged_idx) > 1:

@@ -152,11 +152,6 @@ def tridiagonal_apply(rows, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def laplacian_apply(u: GridFunction) -> GridFunction:
-    """Apply the discrete -Laplacian W^-1 K of laplacian_tridiagonal."""
-    return u.with_values(tridiagonal_apply(laplacian_tridiagonal(u.grid), u.values))
-
-
 def even_extension(u: GridFunction):
     """u as a function of radius: even at the origin, zero from R on.
 

@@ -90,17 +90,18 @@ class NonlinearityModel:
         if not self.terms:
             return NonlinearValues(*(np.zeros_like(s) for _ in range(3)),
                                    np.zeros_like(s) if derivative else None)
-        g = G = gs = dg = 0.0
+        g = G = gs = dg = None
         for coef, sigma in self.terms:
             p = coef * _abs_power(s, sigma)
             ps = p * s
             pss = ps * s
-            g = g + ps
-            G = G + pss / (sigma + 2.0)
-            gs = gs + pss
-            if derivative:
-                dg = dg + (sigma + 1.0) * p
-        return NonlinearValues(g, G, gs, dg if derivative else None)
+            Gs = pss / (sigma + 2.0)
+            g = ps if g is None else g + ps
+            G = Gs if G is None else G + Gs
+            gs = pss if gs is None else gs + pss
+            dp = (sigma + 1.0) * p if derivative else None
+            dg = dp if dg is None else dg + dp
+        return NonlinearValues(g, G, gs, dg)
 
     def g(self, s):
         return self.evaluate(s).g

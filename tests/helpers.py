@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 
 from ngs.energy import evaluate
-from ngs.grids import GridFunction, RadialGrid
+from ngs.errors import SupportOverflowError
+from ngs.grids import GridFunction, RadialGrid, even_extension, mass
 from ngs.models import Model, make_model
 
 MODELS_DIR = Path(__file__).resolve().parents[1] / "models"
@@ -65,6 +66,33 @@ def crank_negative(u: GridFunction, model: Model,
     if rng is not None:
         s *= rng.uniform(1.0, 1.5)
     return u.with_values(s * u.values)
+
+
+def dilate(u: GridFunction, tau: float) -> GridFunction:
+    """Mass-multiplying stretch u(r / tau^(1/N)); mass becomes tau * mass(u).
+
+    Requires tau >= 1 and a profile that has decayed below 1e-8 at the
+    radius that lands on the boundary after stretching.
+    """
+    if tau < 1.0:
+        raise ValueError(f"dilation factor must be >= 1, got {tau}")
+    g = u.grid
+    if tau == 1.0:
+        return u
+    stretch = tau ** (1.0 / g.N)
+    profile = even_extension(u)
+    edge = abs(float(profile(g.R / stretch)))
+    if edge > 1e-8:
+        raise SupportOverflowError(
+            f"dilated support leaves the domain: |u| = {edge:.3g} at the "
+            f"preimage of R"
+        )
+    out = GridFunction(g, profile(g.r / stretch))
+    target = tau * mass(u)
+    m_new = mass(out)
+    if m_new <= 0.0:
+        raise ValueError("dilation produced a vanishing field")
+    return out.with_values(out.values * np.sqrt(target / m_new))
 
 
 # acceptance summary lines, printed by the conftest terminal hook

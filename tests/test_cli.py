@@ -329,6 +329,24 @@ def test_scan_verify_spot_check(scan_dirs):
     assert "verification OK" in check.stdout
 
 
+def test_in_process_calls_leak_no_flag_between_calls(scan_dirs, tmp_path):
+    # a plain scan right after a --verify in the same process still
+    # recomputes and writes its outputs
+    argv = ("scan", "--model", MODELS_DIR / "gaussian_well_cubic.json",
+            "--a-min", "0.5", "--a-max", "1.5", "--steps", "3", *SMALL)
+    check = run_cli(*argv, "--out", scan_dirs[0], "--verify")
+    assert check.returncode == 0
+    assert "verification OK" in check.stdout
+    out = tmp_path / "again"
+    proc = run_cli(*argv, "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    assert "verification OK" not in proc.stdout
+    assert "curve: 3 masses" in proc.stdout
+    assert (out / "manifest.json").is_file()
+    for name in ("curve.csv", "subadditivity.csv"):
+        assert (out / name).read_bytes() == (scan_dirs[0] / name).read_bytes()
+
+
 def _copy_scan(scan_dir, tmp_path):
     out = tmp_path / "copy"
     shutil.copytree(scan_dir, out)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import ZERO_G, free_power, harmonic_v, power_g, well_v
+from helpers import ZERO_G, dilate, free_power, harmonic_v, power_g, well_v
 from ngs.curves import (
     THRESHOLD_PROBE_MAX_ITERS,
     CurvePoint,
@@ -19,7 +19,7 @@ from ngs.curves import (
     write_curve_csv,
     write_subadditivity_csv,
 )
-from ngs.energy import dilate
+from ngs import flow
 from ngs.errors import BracketError
 from ngs.flow import DEADBAND, SolverConfig, minimize
 from ngs.grids import GridFunction, RadialGrid, kinetic, mass
@@ -49,6 +49,22 @@ def test_diagnostic_captures_compact_support(small_grid):
     vals = np.where(small_grid.r <= 1.0, 1.0 - small_grid.r, 0.0)
     u = GridFunction(small_grid, vals)
     assert math.isclose(vanishing_diagnostic(u), mass(u), rel_tol=1e-12)
+
+
+def test_cached_ball_bounds_match_a_fresh_search():
+    # the bounds are cached per grid; R = 16, n = 400 has 1/h = 25, so ball
+    # edges fall on node radii up to rounding
+    shapes = ((1, 16.0, 400), (2, 20.0, 1000), (3, 12.5, 333), (1, 16.0, 400 * 2))
+    for _ in range(2):    # the second round reads the cache
+        for N, R, n in shapes:
+            grid = RadialGrid(N, R, n)
+            centers = np.concatenate(([0.0], grid.r))
+            lo, hi = flow._ball_bounds(grid)
+            assert np.array_equal(lo, np.searchsorted(
+                grid.r, centers - flow.VANISHING_RADIUS, side="left"))
+            assert np.array_equal(hi, np.searchsorted(
+                grid.r, centers + flow.VANISHING_RADIUS, side="right"))
+            assert not (lo.flags.writeable or hi.flags.writeable)
 
 
 def test_diagnostic_decreases_under_spreading():

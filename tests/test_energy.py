@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import ZERO_V, bumps, crank_negative, free_power, harmonic_v, power_g
+from helpers import ZERO_V, bumps, crank_negative, dilate, free_power, harmonic_v, power_g
 from ngs.energy import (
-    dilate,
     euler_lagrange_residual,
     evaluate,
     fiber_energy,

@@ -9,10 +9,16 @@ from scipy.linalg import eigvalsh_tridiagonal
 from helpers import MODELS_DIR, ZERO_G, bumps, free_power, harmonic_v, power_g, well_v
 from ngs import flow, grids
 from ngs.curves import THRESHOLD_PROBE_MAX_ITERS
-from ngs.energy import Discretization, evaluate, lagrange_multiplier
+from ngs.energy import (
+    Discretization,
+    evaluate,
+    lagrange_multiplier,
+    nehari_residual,
+    pohozaev_residual,
+)
 from ngs.flow import SolverConfig, bordered_solve, gaussian_start, minimize
 from ngs.grids import GridFunction, RadialGrid, kinetic, mass
-from ngs.models import load_model, make_model
+from ngs.models import NonlinearityModel, load_model, make_model
 
 
 @pytest.fixture(scope="module")
@@ -232,25 +238,36 @@ def test_nehari_pohozaev_hold_at_convergence(well_solution, well_cubic,
         # profile, bit for bit
         assert res.energy == evaluate(res.u, model).J
         assert res.lam == lagrange_multiplier(res.u, model)
+        # the identities minimize reads off the winner's last stationarity
+        # are those the identity functions compute afresh, bit for bit
+        assert res.residuals.nehari == nehari_residual(res.u, model, res.lam)
+        assert res.residuals.pohozaev == pohozaev_residual(res.u, model)
 
 
 def test_unit_costs_of_minimize(monkeypatch, small_grid):
-    # one dgtsv call per solve, accepted or rejected, and one -Lap v per
-    # start field and per accepted step; no positive definite factor is left
+    # one dgtsv call per solve, accepted or rejected, one -Lap v per start
+    # field and per accepted step, and one nonlinearity evaluation per start
+    # field and per trial field of a non-singular solve; nothing is
+    # evaluated again after the loop. No positive definite factor is left
     assert not any(hasattr(flow, name) for name in ("dpttrf", "dpttrs"))
-    counts = dict.fromkeys(("dgtsv", "tridiagonal_apply"), 0)
-    for module, name in ((flow, "dgtsv"), (grids, "tridiagonal_apply")):
-        def spy(*args, _fn=getattr(module, name), _name=name, **kwargs):
+    counts = dict.fromkeys(("dgtsv", "tridiagonal_apply", "evaluate", "singular"), 0)
+    for owner, name in ((flow, "dgtsv"), (grids, "tridiagonal_apply"),
+                        (NonlinearityModel, "evaluate")):
+        def spy(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             counts[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(module, name, spy)
+            out = _fn(*args, **kwargs)
+            if _name == "dgtsv" and out[-1] > 0:
+                counts["singular"] += 1
+            return out
+        monkeypatch.setattr(owner, name, spy)
     res = minimize(4.0, load_model(MODELS_DIR / "power3_free.json"), small_grid)
     assert res.converged
     solves = sum(res.all_start_solves)
+    starts = len(res.all_start_solves)
     assert counts["dgtsv"] == solves
     accepted = solves - sum(res.all_start_rejected_steps)
-    # and once for the reported Nehari defect
-    assert counts["tridiagonal_apply"] == len(res.all_start_solves) + accepted + 1
+    assert counts["tridiagonal_apply"] == starts + accepted
+    assert counts["evaluate"] == starts + solves - counts["singular"]
 
 
 # --- shifted bordered Newton ---
@@ -432,7 +449,7 @@ def test_rejected_initial_attempt_leaves_the_start_bit_for_bit(monkeypatch, smal
                                                               well_cubic):
     # with every solve meeting a zero pivot, each step is rejected, not an
     # error, and the start ends on its own field, energy and residual
-    monkeypatch.setattr(flow, "dgtsv", lambda *args: (None, None, None, None, 2))
+    monkeypatch.setattr(flow, "dgtsv", lambda *args, **kwargs: (None, None, None, None, 2))
     op = Discretization(small_grid, well_cubic)
     v = gaussian_start(small_grid, 1.0, 1.0).values
     out = flow._run_start(op, v, 1.0, SolverConfig(max_iters=3))

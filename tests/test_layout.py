@@ -4,9 +4,9 @@ The import graph of src/ngs must be acyclic, imports inside functions
 included, and every module-level import must be used. An import kept only
 to re-export a name carries "# noqa: F401" on its line. No module imports
 scipy.sparse: every linear system of the package is tridiagonal, solved by
-LAPACK dgtsv through flow.solve_tridiagonal. Importing the CLI loads
-no SciPy subpackage that only the tests and the oracle call, and no
-process-pool machinery: every command runs in one process.
+LAPACK dgtsv in flow.solve_tridiagonal and flow.bordered_solve. Importing
+the CLI loads no SciPy subpackage that only the tests and the oracle call,
+and no process-pool machinery: every command runs in one process.
 """
 import ast
 import subprocess
