@@ -35,7 +35,7 @@ DEEP_WELL = {
 
 
 def study(name: str, model, grid: RadialGrid) -> None:
-    regime = classify_g(model.nonlinearity, model.N).small_s_regime
+    regime = classify_g(model.nonlinearity).small_s_regime
     q = quadratic_form_infimum(model, grid)
     found = threshold_a0(model, grid)
     print(f"{name}: small-s regime {regime}, form infimum {q:+.4f}")

@@ -3,8 +3,8 @@
 Library layout:
     models   nonlinearity / potential definitions and hypothesis classifiers
     grids    radial grids, quadrature, discrete Laplacian
-    energy   functionals, identity residuals, fiber and dilation maps
-    flow     constrained gradient-flow minimizer
+    energy   functionals, identity residuals, fiber map
+    flow     constrained minimizer: shifted bordered Newton on the mass sphere
     oracle   shooting-based reference solutions for pure power nonlinearities
     curves   energy-curve scans, threshold bisection, spectral infimum
     cli      command-line front end

@@ -40,7 +40,6 @@ from .grids import RadialGrid, load_profile, save_profile
 from .models import classify_V, classify_g, load_model, make_model
 from .utils import round_floats, sha256_file, write_json
 
-DEFAULT_GRID = {"R": 20.0, "n": 2000}
 MANIFEST_NAME = "manifest.json"
 
 
@@ -54,9 +53,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(parser: argparse.ArgumentParser, *, needs_out: bool) -> None:
     parser.add_argument("--model", required=True, help="model JSON file")
-    parser.add_argument("--grid-R", type=float, default=None, metavar="X",
+    parser.add_argument("--grid-R", type=float, default=20.0, metavar="X",
                         help="domain radius (default 20)")
-    parser.add_argument("--grid-n", type=int, default=None, metavar="K",
+    parser.add_argument("--grid-n", type=int, default=2000, metavar="K",
                         help="number of interior grid nodes (default 2000)")
     parser.add_argument("--tol", type=float, default=None,
                         help="stationarity residual tolerance")
@@ -107,9 +106,7 @@ def _build_parser() -> _Parser:
 
 
 def _grid_from_args(args, model) -> RadialGrid:
-    R = args.grid_R if args.grid_R is not None else DEFAULT_GRID["R"]
-    n = args.grid_n if args.grid_n is not None else DEFAULT_GRID["n"]
-    return RadialGrid(N=model.N, R=R, n=n)
+    return RadialGrid(N=model.N, R=args.grid_R, n=args.grid_n)
 
 
 # command-line flag (argparse dest) -> the SolverConfig field it sets
@@ -280,7 +277,7 @@ def _cmd_spectrum(args, model) -> int:
 
 
 def _classification_payload(model, grid) -> dict:
-    gc = classify_g(model.nonlinearity, model.N)
+    gc = classify_g(model.nonlinearity)
     vc = classify_V(model.potential, grid)
     return {
         "model_fingerprint": model.fingerprint(),

@@ -31,7 +31,6 @@ class CurvePoint:
     converged: bool
     nehari: float
     pohozaev: float
-    reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,6 @@ def scan(a_values, model: Model, grid: RadialGrid,
         points.append(CurvePoint(
             a=a, energy=res.energy, lam=res.lam, converged=res.converged,
             nehari=res.residuals.nehari, pohozaev=res.residuals.pohozaev,
-            reason=res.reason,
         ))
         if res.converged:
             prev = res.u
@@ -123,7 +121,6 @@ def read_curve_csv(path) -> list:
 class SubadditivityRow:
     a: float
     b: float
-    total: float
     gap: float
     all_converged: bool
 
@@ -166,7 +163,7 @@ def subadditivity_check(curve: EnergyCurve, tol: float = 1e-6) -> SubadditivityR
                 continue
             gap = pts[k].energy - pts[i].energy - pts[j].energy
             rows.append(SubadditivityRow(
-                a=pts[i].a, b=pts[j].a, total=pts[k].a, gap=gap,
+                a=pts[i].a, b=pts[j].a, gap=gap,
                 all_converged=(pts[i].converged and pts[j].converged
                                and pts[k].converged),
             ))
@@ -209,9 +206,6 @@ class ThresholdResult:
 
 # stopping width of the threshold bisection, relative to the bracket midpoint
 THRESHOLD_REL_WIDTH = 1e-2
-# solve cap of one threshold probe: a probe needs only the sign of the
-# minimum, and a negative one stops early at its energy floor
-THRESHOLD_PROBE_MAX_ITERS = 30_000
 
 
 def bisect_threshold(energy_at, bracket: tuple,
@@ -249,30 +243,32 @@ def threshold_a0(model: Model, grid: RadialGrid,
 
     Energies above -flow.DEADBAND count as "not yet negative";
     this keeps quadrature noise from steering the bisection. Each probe runs
-    a capped minimization with an early exit once the energy is decisively
+    a minimization with an early exit once the energy is decisively
     negative (below -15 DEADBAND, in place of config.stop_energy_below),
     since the probe only needs a sign. A probe's energy is the lowest J any
     start reached, converged or not: every field on the mass sphere bounds
     the infimum from above, so one start below -DEADBAND proves the
-    minimum negative. Its converged and reason are minimize's.
+    minimum negative. Its converged and reason are those of the start that
+    reached it: minimize's, unless that start's J is below the winner's
+    beyond 1e-12 (1 + |J|).
     """
     a_lo, a_hi = float(bracket[0]), float(bracket[1])
     if not 0 < a_lo < a_hi:
         raise ValueError("bracket must satisfy 0 < a_lo < a_hi")
     if config is None:
         config = SolverConfig()
-    probe_config = dataclasses.replace(
-        config,
-        max_iters=min(config.max_iters, THRESHOLD_PROBE_MAX_ITERS),
-        stop_energy_below=-15.0 * DEADBAND,
-    )
+    probe_config = dataclasses.replace(config, stop_energy_below=-15.0 * DEADBAND)
 
     evaluations = []
 
     def probe(a: float) -> float:
         res = minimize(a, model, grid, probe_config)
         J = min(res.all_start_energies)
-        evaluations.append((a, J, res.converged, res.reason))
+        converged, reason = res.converged, res.reason
+        if J < res.energy - 1e-12 * (1.0 + abs(J)):
+            reason = res.all_start_reasons[res.all_start_energies.index(J)]
+            converged = reason is None
+        evaluations.append((a, J, converged, reason))
         return J
 
     a0, half_width, below = bisect_threshold(probe, (a_lo, a_hi), DEADBAND)

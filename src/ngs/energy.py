@@ -33,16 +33,6 @@ class EnergyReport:
     I: float
     mass: float
 
-    def to_dict(self) -> dict:
-        return {
-            "kinetic": self.kinetic,
-            "potential_term": self.potential_term,
-            "nonlinear_term": self.nonlinear_term,
-            "J": self.J,
-            "I": self.I,
-            "mass": self.mass,
-        }
-
 
 @dataclass(frozen=True)
 class IdentityResiduals:

@@ -115,6 +115,8 @@ class GroundStateResult:
     all_start_energies: list = field(default_factory=list)
     all_start_solves: list = field(default_factory=list)           # one dgtsv each
     all_start_rejected_steps: list = field(default_factory=list)
+    # each start's own end reason, None if it converged; not in to_dict
+    all_start_reasons: list = field(default_factory=list)
     start_disagreement: bool = False
     warnings: list = field(default_factory=list)
 
@@ -137,19 +139,6 @@ class GroundStateResult:
             "warnings": list(self.warnings),
             "trace_length": len(self.energy_trace),
         }
-
-
-def solve_tridiagonal(rows, rhs: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system with (lower, diag, upper) rows for rhs.
-
-    rhs holds one right-hand side or one per column; LAPACK dgtsv leaves
-    rows and rhs unchanged. Raises RuntimeError on an exactly zero pivot.
-    """
-    lower, diag, upper = rows
-    x, info = dgtsv(lower[1:], diag, upper[:-1], rhs)[3:]
-    if info > 0:
-        raise RuntimeError(f"tridiagonal system is singular: zero pivot at row {info}")
-    return x
 
 
 def bordered_solve(rows, u: np.ndarray, w: np.ndarray,
@@ -199,6 +188,9 @@ def vanishing_diagnostic(u: GridFunction) -> float:
 def gaussian_start(grid: RadialGrid, width: float, a: float) -> GridFunction:
     vals = np.exp(-grid.r**2 / (2.0 * width * width))
     m = float(grid.w @ (vals * vals))
+    if not m > 0.0:
+        raise ValueError(f"the start of width {width:g} has no mass on the grid: "
+                         f"its Gaussian underflows; use fewer starts")
     return GridFunction(grid, vals * math.sqrt(a / m))
 
 
@@ -357,15 +349,14 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
         warnings.append(
             "converged starts disagree beyond 1e-6; all basin energies reported"
         )
+    # out has mass a > 0, and n >= 64 puts the last node in the edge zone
     peak = float(np.max(np.abs(out.values)))
     edge_zone = grid.r >= 0.95 * grid.R
-    contact = False
-    if peak > 0 and np.any(edge_zone):
-        contact = float(np.max(np.abs(out.values[edge_zone]))) > BOUNDARY_REL_TOL * peak
-        if contact:
-            warnings.append(
-                "profile has not decayed near the domain edge; consider a larger R"
-            )
+    contact = float(np.max(np.abs(out.values[edge_zone]))) > BOUNDARY_REL_TOL * peak
+    if contact:
+        warnings.append(
+            "profile has not decayed near the domain edge; consider a larger R"
+        )
 
     converged = out.converged
     reason = out.reason
@@ -393,6 +384,7 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
         all_start_energies=[o.J for o in outcomes],
         all_start_solves=[o.solves for o in outcomes],
         all_start_rejected_steps=[o.rejected for o in outcomes],
+        all_start_reasons=[o.reason for o in outcomes],
         start_disagreement=disagreement,
         warnings=warnings,
     )

@@ -66,9 +66,6 @@ class RadialGrid:
         for arr in (self.r, self.w, self.edge_weights):
             arr.flags.writeable = False
 
-    def ball_volume(self) -> float:
-        return SPHERE_MEASURE[self.N] / self.N * self.R**self.N
-
     def descriptor(self) -> dict:
         return {"N": self.N, "R": self.R, "n": self.n}
 

@@ -83,8 +83,8 @@ class NonlinearityModel:
         """g(s), G(s), g(s) s and, if derivative, g'(s), from one power per term.
 
         Per term, p = coef |s|^sigma gives g = p s, g s = p s^2,
-        G = p s^2 / (sigma + 2) and g' = (sigma + 1) p. The methods g, G,
-        g_times_s and dg return these same arrays, bit for bit.
+        G = p s^2 / (sigma + 2) and g' = (sigma + 1) p. The methods g, G
+        and g_times_s return these same arrays, bit for bit.
         """
         s = np.asarray(s, dtype=float)
         if not self.terms:
@@ -109,10 +109,6 @@ class NonlinearityModel:
     def G(self, s):
         """Exact antiderivative of g with G(0) = 0."""
         return self.evaluate(s).G
-
-    def dg(self, s):
-        """Derivative g'(s) = sum coef_i (sigma_i + 1) |s|^sigma_i."""
-        return self.evaluate(s, derivative=True).dg
 
     def g_times_s(self, s):
         return self.evaluate(s).gs
@@ -412,20 +408,14 @@ class GClassification:
         }
 
 
-def classify_g(model: NonlinearityModel, N: int) -> GClassification:
-    if N not in (1, 2, 3):
-        raise ValueError(f"dimension must be 1, 2, or 3, got {N}")
+def classify_g(model: NonlinearityModel) -> GClassification:
     if model.is_zero():
         return GClassification(
             g1=True, g2=True, g3=True, g4=False, g5=False,
             alpha=None, small_s_regime="indeterminate",
         )
     sigmas = [s for _, s in model.terms]
-    if not sigmas:
-        raise ValueError("cannot classify an empty term list")
-    if min(sigmas) <= 0:
-        raise ValueError("exponents must be positive")
-    crit = 4.0 / N
+    crit = 4.0 / model.N
     sigma_min = min(sigmas)
     g3 = max(sigmas) < crit
     regime = "superfast" if sigma_min < crit else "finite_limsup"

@@ -118,17 +118,14 @@ def shoot_Up(p: float, N: int, grid: RadialGrid) -> PowerSolution:
             f"exponent p = {p} outside the admissible range "
             f"(1, {_sobolev_limit(N):g}) for N = {N}"
         )
-    # center value of the frictionless (N = 1) separatrix; a lower bound
-    # on the center value whenever the (N-1)/r damping term is present
+    # center value of the frictionless (N = 1) separatrix: exact for N = 1,
+    # where the first integral u'^2 = u^2 - 2|u|^(p+1)/(p+1) vanishes at
+    # beta0, and a lower bound whenever the (N-1)/r damping term is present
     beta0 = ((p + 1.0) / 2.0) ** (1.0 / (p - 1.0))
     if N == 1:
-        lo, hi = 0.9 * beta0, 1.1 * beta0
-        overshoot, _sol = _integrate_profile(N, p, hi, dense=False)
-        if not overshoot:
-            raise BracketError("upper shooting bracket fails to overshoot")
+        b = beta0
     else:
-        lo = beta0
-        hi = beta0
+        lo = hi = beta0
         for _ in range(64):
             hi *= 1.3
             overshoot, _sol = _integrate_profile(N, p, hi, dense=False)
@@ -136,22 +133,19 @@ def shoot_Up(p: float, N: int, grid: RadialGrid) -> PowerSolution:
                 break
         else:
             raise BracketError("could not bracket the shooting parameter from above")
-    overshoot, _sol = _integrate_profile(N, p, lo, dense=False)
-    if overshoot:
-        raise BracketError("lower shooting bracket unexpectedly overshoots")
-    if N == 1:
-        # exact: the first integral u'^2 = u^2 - 2|u|^(p+1)/(p+1) vanishes at beta0
-        lo = hi = beta0
-    for _ in range(200):
-        if hi - lo <= SHOOT_REL_TOL * beta0:
-            break
-        mid = 0.5 * (lo + hi)
-        overshoot, _sol = _integrate_profile(N, p, mid, dense=False)
+        overshoot, _sol = _integrate_profile(N, p, lo, dense=False)
         if overshoot:
-            hi = mid
-        else:
-            lo = mid
-    b = 0.5 * (lo + hi)
+            raise BracketError("lower shooting bracket unexpectedly overshoots")
+        for _ in range(200):
+            if hi - lo <= SHOOT_REL_TOL * beta0:
+                break
+            mid = 0.5 * (lo + hi)
+            overshoot, _sol = _integrate_profile(N, p, mid, dense=False)
+            if overshoot:
+                hi = mid
+            else:
+                lo = mid
+        b = 0.5 * (lo + hi)
     _overshoot, sol = _integrate_profile(N, p, b, dense=True)
 
     above = np.where(sol.y[0] >= TAIL_FRAC * b)[0]

@@ -279,6 +279,17 @@ def test_nonfinite_input_is_usage_error(tmp_path, override, argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_start_with_no_mass_on_the_grid_is_usage_error(tmp_path):
+    # the 27th start has width 2^-13: its Gaussian underflows to zero on the grid
+    out = tmp_path / "x"
+    proc = run_cli("solve", "--model", MODELS_DIR / "power3_free.json",
+                   "--mass", "4", "--starts", "27", "--out", out)
+    assert proc.returncode == 64, proc.stdout + proc.stderr
+    assert "width 0.00012207" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_scan_needs_three_steps(tmp_path):
     proc = run_cli("scan", "--model", MODELS_DIR / "gaussian_well_cubic.json",
                    "--a-min", "1", "--a-max", "2", "--steps", "2",

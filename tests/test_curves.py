@@ -7,7 +7,6 @@ import scipy.linalg
 
 from helpers import ZERO_G, dilate, free_power, harmonic_v, power_g, well_v
 from ngs.curves import (
-    THRESHOLD_PROBE_MAX_ITERS,
     CurvePoint,
     EnergyCurve,
     quadratic_form_infimum,
@@ -208,16 +207,16 @@ def test_threshold_brackets_quintic_soliton_mass(small_grid):
 def test_threshold_probe_keeps_the_lowest_start(grid20):
     # at this mass one quintic start converges to J = +4.0e-6 and wins in
     # minimize, while the others stop below the probe's floor; any of their
-    # fields proves the minimum negative, so the probe records the lowest J
+    # fields proves the minimum negative, so the probe records the lowest J,
+    # with the label of the start that reached it, not the winner's
     model = free_power(1, 4.0)
     a = 2.720640427521
-    probe = SolverConfig(max_iters=THRESHOLD_PROBE_MAX_ITERS,
-                         stop_energy_below=-15.0 * DEADBAND)
+    probe = SolverConfig(stop_energy_below=-15.0 * DEADBAND)
     res = minimize(a, model, grid20, probe)
     assert res.energy > 0
     assert min(res.all_start_energies) < -15.0 * DEADBAND
     out = threshold_a0(model, grid20, bracket=(2.70, a))
-    assert out.evaluations[0][:2] == (a, min(res.all_start_energies))
+    assert out.evaluations[0] == (a, min(res.all_start_energies), False, "energy-floor")
 
 
 def test_threshold_bracket_validation(small_grid, well_cubic):

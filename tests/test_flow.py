@@ -8,7 +8,6 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from helpers import MODELS_DIR, ZERO_G, bumps, free_power, harmonic_v, power_g, well_v
 from ngs import flow, grids
-from ngs.curves import THRESHOLD_PROBE_MAX_ITERS
 from ngs.energy import (
     Discretization,
     evaluate,
@@ -94,8 +93,9 @@ def test_step_matches_dense_shifted_bordered_solve(N, n, seed):
     v = v * math.sqrt(a / float(grid.w @ (v * v)))
     lam, defect, res, _ = op.stationarity(v)
     lower, diag, upper = op.lap
+    dg = model.nonlinearity.evaluate(v, derivative=True).dg
     dense = np.zeros((n + 1, n + 1))
-    dense[:n, :n] = (np.diag(diag + op.V + lam - model.nonlinearity.dg(v) + res)
+    dense[:n, :n] = (np.diag(diag + op.V + lam - dg + res)
                      + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1))
     dense[:n, n] = v
     dense[n, :n] = 2.0 * grid.w * v
@@ -135,8 +135,7 @@ def test_energy_trace_monotone_after_burn_in(well_solution):
 @pytest.mark.parametrize("name, N, a, config", [
     ("gaussian_well_mixed", 1, 3.0, SolverConfig()),
     ("power2_free_3d", 3, 20.0, SolverConfig()),
-    ("quintic_free", 1, 2.71, SolverConfig(max_iters=THRESHOLD_PROBE_MAX_ITERS,
-                                            stop_energy_below=-15.0 * flow.DEADBAND)),
+    ("quintic_free", 1, 2.71, SolverConfig(stop_energy_below=-15.0 * flow.DEADBAND)),
 ], ids=["gaussian_well_mixed-3.0", "power2_free_3d-20.0", "quintic_free-2.71-probe"])
 def test_accepted_steps_never_raise_J(name, N, a, config):
     # the trace holds the start and every accepted step, indexed by solve
@@ -272,28 +271,9 @@ def test_unit_costs_of_minimize(monkeypatch, small_grid):
 
 # --- shifted bordered Newton ---
 
-@settings(deadline=None, max_examples=60)
-@given(st.integers(0, 10**6), st.integers(2, 40), st.sampled_from([None, 1, 2]))
-def test_solve_tridiagonal_matches_dense_solve(seed, n, columns):
-    rng = np.random.default_rng(seed)
-    lower, upper = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
-    diag = np.abs(lower) + np.abs(upper) + rng.uniform(0.1, 2.0, n)
-    rows = (lower.copy(), diag.copy(), upper.copy())
-    rhs = rng.normal(size=n if columns is None else (n, columns))
-    x = flow.solve_tridiagonal(rows, rhs)
-    dense = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
-    ref = np.linalg.solve(dense, rhs)
-    assert x.shape == rhs.shape
-    assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
-    # the rows are shared with the Discretization and must not be overwritten
-    assert all(np.array_equal(a, b) for a, b in zip(rows, (lower, diag, upper)))
-
-
 def test_exactly_singular_tridiagonal_is_a_singular_newton_attempt():
     # two equal rows: elimination meets an exactly zero pivot in row 2
     rows = (np.array([0.0, 1.0, 0.0]), np.ones(3), np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(RuntimeError, match="singular"):
-        flow.solve_tridiagonal(rows, np.ones(3))
     with pytest.raises(RuntimeError, match="singular"):
         bordered_solve(rows, np.ones(3), np.ones(3), np.ones(3))
 
@@ -462,8 +442,7 @@ def test_rejected_initial_attempt_leaves_the_start_bit_for_bit(monkeypatch, smal
 # --- Newton on the mass-critical quintic, below the soliton mass ---
 
 QUINTIC_SUB_A = 2.685      # just below sqrt(3) pi / 2 = 2.7207
-QUINTIC_PROBE = SolverConfig(max_iters=THRESHOLD_PROBE_MAX_ITERS,
-                             stop_energy_below=-15.0 * flow.DEADBAND)
+QUINTIC_PROBE = SolverConfig(stop_energy_below=-15.0 * flow.DEADBAND)
 
 
 def test_subthreshold_quintic_starts_reach_one_local_minimizer(grid20):
@@ -480,9 +459,10 @@ def test_subthreshold_quintic_starts_reach_one_local_minimizer(grid20):
     op = Discretization(grid20, model)
     u = res.u.values
     lower, diag, upper = op.lap
-    diag = diag + op.V + res.lam - model.nonlinearity.dg(u)
+    diag = diag + op.V + res.lam - model.nonlinearity.evaluate(u, derivative=True).dg
     negative = eigvalsh_tridiagonal(diag, -np.sqrt(lower[1:] * upper[:-1]),
                                     select="v", select_range=(-np.inf, 0.0))
     assert len(negative) == 1
-    q = flow.solve_tridiagonal((lower, diag, upper), u)
+    L = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+    q = np.linalg.solve(L, u)
     assert 2.0 * float((op.w * u) @ q) < 0.0

@@ -4,18 +4,22 @@ The import graph of src/ngs must be acyclic, imports inside functions
 included, and every module-level import must be used. An import kept only
 to re-export a name carries "# noqa: F401" on its line. No module imports
 scipy.sparse: every linear system of the package is tridiagonal, solved by
-LAPACK dgtsv in flow.solve_tridiagonal and flow.bordered_solve. Importing
-the CLI loads no SciPy subpackage that only the tests and the oracle call,
-and no process-pool machinery: every command runs in one process.
+LAPACK dgtsv in flow.bordered_solve. Importing the CLI loads no SciPy
+subpackage that only the tests and the oracle call, and no process-pool
+machinery: every command runs in one process. Every module-level public
+function is named outside the tests, so no helper lives in the package for
+the tests alone.
 """
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "ngs"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "ngs"
 TREES = {path.stem: (path.read_text(), ast.parse(path.read_text(), str(path)))
          for path in sorted(SRC.glob("*.py"))}
 
@@ -132,3 +136,35 @@ def test_cli_import_skips_unused_scipy_subpackages():
         text=True, check=True,
     ).stdout.split()
     assert out == [], f"import ngs.cli loaded {out}"
+
+
+# public functions that only the tests call, by choice
+TEST_ONLY_FUNCTIONS = {
+    "energy.fiber_energy",      # acceptance 7's fiber API, which ROADMAP keeps
+    "energy.fiber_map",         # acceptance 7's fiber API, which ROADMAP keeps
+    "energy.fiber_minimize",    # acceptance 7's fiber API, which ROADMAP keeps
+}
+
+
+def test_every_public_function_is_named_outside_the_tests():
+    # named in the package other than in its own def, in scripts/ or in
+    # perfbench/ (whose tracer names functions in strings)
+    outside = [path.read_text() for folder in ("scripts", "perfbench")
+               for path in sorted((ROOT / folder).glob("*.py"))]
+    defined, unnamed = set(), []
+    for module, (source, tree) in TREES.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            qualified = f"{module}.{node.name}"
+            defined.add(qualified)
+            lines = source.splitlines()
+            del lines[node.lineno - 1:node.end_lineno]
+            texts = ["\n".join(lines), *outside,
+                     *(other for name, (other, _) in TREES.items() if name != module)]
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(word.search(text) for text in texts) \
+                    and qualified not in TEST_ONLY_FUNCTIONS:
+                unnamed.append(qualified)
+    assert TEST_ONLY_FUNCTIONS <= defined
+    assert not unnamed, f"public functions only the tests name: {unnamed}"

@@ -65,16 +65,16 @@ def test_dg_is_the_derivative_of_g():
     m = NonlinearityModel(kind="power_sum", terms=((0.5, 1.0), (1.0, 2.5)), N=1)
     s = np.linspace(-3, 3, 41)
     h = 1e-6
-    assert np.allclose(m.dg(s), (m.g(s + h) - m.g(s - h)) / (2 * h),
-                       rtol=1e-6, atol=1e-5)
+    dg = m.evaluate(s, derivative=True).dg
+    assert np.allclose(dg, (m.g(s + h) - m.g(s - h)) / (2 * h), rtol=1e-6, atol=1e-5)
     zero = NonlinearityModel(kind="zero", terms=(), N=1)
-    assert np.array_equal(zero.dg(s), np.zeros_like(s))
+    assert np.array_equal(zero.evaluate(s, derivative=True).dg, np.zeros_like(s))
 
 
 # --- growth classification ---
 
 def test_classify_single_subcritical_term():
-    c = classify_g(NonlinearityModel(kind="power_sum", terms=((1.0, 1.0),), N=1), 1)
+    c = classify_g(NonlinearityModel(kind="power_sum", terms=((1.0, 1.0),), N=1))
     assert c.g1 and c.g2 and c.g3 and c.g4 and c.g5
     assert c.alpha == 3.0
     assert c.small_s_regime == "superfast"
@@ -83,28 +83,28 @@ def test_classify_single_subcritical_term():
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_classify_critical_exponent_fails_decay(N):
     sigma = 4.0 / N
-    c = classify_g(NonlinearityModel(kind="power_sum", terms=((1.0, sigma),), N=N), N)
+    c = classify_g(NonlinearityModel(kind="power_sum", terms=((1.0, sigma),), N=N))
     assert not c.g3
     assert c.small_s_regime == "finite_limsup"
 
 
 def test_classify_cubic_term():
-    c = classify_g(NonlinearityModel(kind="power_sum", terms=((1.0, 2.0),), N=1), 1)
+    c = classify_g(NonlinearityModel(kind="power_sum", terms=((1.0, 2.0),), N=1))
     assert c.g1 and c.g2 and c.g3 and c.g4 and c.g5
     assert c.alpha == 4.0
     assert c.small_s_regime == "superfast"
 
 
 def test_classify_zero_nonlinearity():
-    c = classify_g(NonlinearityModel(kind="zero", terms=(), N=1), 1)
+    c = classify_g(NonlinearityModel(kind="zero", terms=(), N=1))
     assert not c.g4
     assert c.alpha is None
 
 
-def test_classify_rejects_bad_dimension():
-    m = NonlinearityModel(kind="power_sum", terms=((1.0, 1.0),), N=1)
-    with pytest.raises(ValueError):
-        classify_g(m, 4)
+def test_nonlinearity_rejects_bad_dimension():
+    # so classify_g, which reads N from the model, never sees one
+    with pytest.raises(ValueError, match="dimension"):
+        NonlinearityModel(kind="power_sum", terms=((1.0, 1.0),), N=4)
 
 
 term_lists = st.lists(
@@ -135,9 +135,7 @@ def test_fused_evaluation_is_bitwise_the_separate_methods(terms, values, derivat
     fused = m.evaluate(s, derivative=derivative)
     for got, method in ((fused.g, m.g), (fused.G, m.G), (fused.gs, m.g_times_s)):
         assert got.tobytes() == method(s).tobytes()
-    if derivative:
-        assert fused.dg.tobytes() == m.dg(s).tobytes()
-    else:
+    if not derivative:
         assert fused.dg is None
     # and they are the closed forms, to rounding
     gs = sum((c * np.abs(s) ** (sigma + 2.0) for c, sigma in terms), np.zeros_like(s))
@@ -145,6 +143,10 @@ def test_fused_evaluation_is_bitwise_the_separate_methods(terms, values, derivat
             np.zeros_like(s))
     assert np.allclose(fused.gs, gs, rtol=1e-13, atol=1e-300)
     assert np.allclose(fused.G, G, rtol=1e-13, atol=1e-300)
+    if derivative:
+        dg = sum((c * (sigma + 1.0) * np.abs(s) ** sigma for c, sigma in terms),
+                 np.zeros_like(s))
+        assert np.allclose(fused.dg, dg, rtol=1e-13, atol=1e-300)
 
 
 @settings(deadline=None, max_examples=60)
@@ -152,7 +154,7 @@ def test_fused_evaluation_is_bitwise_the_separate_methods(terms, values, derivat
 def test_lower_growth_bound_holds_pointwise(terms):
     # g(s) s >= alpha G(s) with alpha = 2 + min sigma, exact for power sums
     m = NonlinearityModel(kind="power_sum", terms=tuple(terms), N=1)
-    c = classify_g(m, 1)
+    c = classify_g(m)
     s = np.linspace(0.0, 10.0, 200)
     gap = m.g_times_s(s) - c.alpha * m.G(s)
     assert np.all(gap >= -1e-10 * np.maximum(1.0, np.abs(m.G(s))))
@@ -164,7 +166,7 @@ def test_classification_invariant_under_coefficient_rescale(terms, c, N):
     m1 = NonlinearityModel(kind="power_sum", terms=tuple(terms), N=N)
     m2 = NonlinearityModel(
         kind="power_sum", terms=tuple((c * co, s) for co, s in terms), N=N)
-    c1, c2 = classify_g(m1, N), classify_g(m2, N)
+    c1, c2 = classify_g(m1), classify_g(m2)
     assert (c1.g1, c1.g2, c1.g3, c1.g4, c1.g5) == (c2.g1, c2.g2, c2.g3, c2.g4, c2.g5)
     assert c1.alpha == c2.alpha
     assert c1.small_s_regime == c2.small_s_regime

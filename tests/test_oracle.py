@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ngs import oracle
 from ngs.energy import evaluate, nehari_residual, pohozaev_residual
 from ngs.errors import BracketError, MassCriticalError, SupportOverflowError
 from ngs.flow import minimize
@@ -33,12 +34,21 @@ def test_quadratic_line_profile(sech2_sol):
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 5.0])
-def test_line_center_is_first_integral_value(p):
+def test_line_center_is_first_integral_value(p, monkeypatch):
     # the N = 1 center is beta0 = ((p+1)/2)^(1/(p-1)), where the first integral
     # u'^2 = u^2 - 2|u|^(p+1)/(p+1) vanishes; the shooting integrator must put
-    # its own separatrix there and trace the closed-form sech profile from it
+    # its own separatrix there and trace the closed-form sech profile from it,
+    # which takes one integration, the dense one
     beta0 = ((p + 1.0) / 2.0) ** (1.0 / (p - 1.0))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _integrate_profile(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_integrate_profile", counted)
     sol = shoot_Up(p, 1, RadialGrid(1, 20.0, 2000))
+    assert len(calls) == 1
     assert sol.center_value == beta0
     r = sol.profile.grid.r
     ref = beta0 / np.cosh((p - 1.0) * r / 2.0) ** (2.0 / (p - 1.0))
