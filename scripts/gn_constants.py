@@ -2,7 +2,7 @@
 
 The bound |u|_q^q <= C(N) |grad u|_2^2 |u|_2^(4/N) with q = 2 + 4/N is
 saturated by the positive radial solution of -Lap Q + Q = Q^(q-1), so the
-sharp constant is the ratio evaluated at the shooting profile. In 1d it has
+sharp constant is the ratio evaluated at the oracle profile. In 1d it has
 the closed form 4/pi^2, which makes a direct accuracy check possible.
 
 The constants bundled in grids.GN_DEFAULT are these ratios rounded UP in the

@@ -5,7 +5,7 @@ Library layout:
     grids    radial grids, quadrature, discrete Laplacian
     energy   functionals, identity residuals, fiber map
     flow     constrained minimizer: shifted bordered Newton on the mass sphere
-    oracle   shooting-based reference solutions for pure power nonlinearities
+    oracle   reference solutions for pure power nonlinearities (N = 1 closed form)
     curves   energy-curve scans, threshold bisection, spectral infimum
     cli      command-line front end
 """

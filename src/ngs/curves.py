@@ -154,13 +154,16 @@ def subadditivity_check(curve: EnergyCurve, tol: float = 1e-6) -> SubadditivityR
     """
     pts = curve.points
     a_arr = np.array([pt.a for pt in pts])
+    first, second = np.triu_indices(len(pts))
+    targets = a_arr[first] + a_arr[second]
+    # nearest scanned mass to each sum; of two equally near, the lower
+    hi = np.minimum(np.searchsorted(a_arr, targets), len(pts) - 1)
+    lo = np.maximum(hi - 1, 0)
+    nearest = np.where(np.abs(a_arr[lo] - targets) <= np.abs(a_arr[hi] - targets), lo, hi)
     rows = []
-    for i in range(len(pts)):
-        for j in range(i, len(pts)):
-            target = pts[i].a + pts[j].a
-            k = int(np.argmin(np.abs(a_arr - target)))
-            if not math.isclose(a_arr[k], target, rel_tol=1e-9, abs_tol=1e-12):
-                continue
+    for i, j, k, target in zip(first.tolist(), second.tolist(), nearest.tolist(),
+                               targets.tolist()):
+        if math.isclose(a_arr[k], target, rel_tol=1e-9, abs_tol=1e-12):
             gap = pts[k].energy - pts[i].energy - pts[j].energy
             rows.append(SubadditivityRow(
                 a=pts[i].a, b=pts[j].a, gap=gap,

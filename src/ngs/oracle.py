@@ -1,11 +1,12 @@
-"""Shooting-based reference solutions for the pure power nonlinearity.
+"""Reference solutions for the pure power nonlinearity.
 
-Solves the radial profile equation U'' + (N-1)/r U' = U - U^p by shooting
-from the center value: for N = 1 the first integral gives it exactly, for
-N >= 2 bisection finds the separatrix between profiles that cross zero
-(overshoot) and profiles that turn around while positive (undershoot).
-Beyond the matching radius the profile continues with the exact solution of
-the linearized far-field equation, so mass integrals see no blow-up
+Solves the radial profile equation U'' + (N-1)/r U' = U - U^p. For N = 1 the
+profile is the closed-form soliton beta0 sech^(2/(p-1))((p-1) r / 2) and
+nothing is integrated. For N >= 2 it is shot from the center value, which
+bisection places on the separatrix between profiles that cross zero
+(overshoot) and profiles that turn around while positive (undershoot);
+beyond the matching radius that profile continues with the exact solution
+of the linearized far-field equation, so mass integrals see no blow-up
 contamination. Scaled copies and the mass/energy scaling laws they obey are
 derived from the frequency-1 base profile analytically.
 """
@@ -28,9 +29,11 @@ _SERIES_R = 1e-6
 # the center value relative to its lower bound
 SHOOT_R_MAX = 40.0
 SHOOT_REL_TOL = 1e-14
-# where the profile has decayed to this fraction of its center value it hands
-# over to the exact linearized tail: past that point the neglected
-# nonlinearity is below the bisection noise floor
+# where the profile has decayed to this fraction of its center value is the
+# matching radius: for N >= 2 the shot profile hands over to the exact
+# linearized tail there, since past it the neglected nonlinearity is below
+# the bisection noise floor; for every N it bounds the residual's stencil
+# window and the grid radius a rescale asks for
 TAIL_FRAC = 1e-5
 
 
@@ -51,11 +54,11 @@ class PowerSolution:
     energy_I: float
     center_value: float
     matching_radius: float
-    # stationarity residual measured with 4th-order stencils on the dense
-    # integrator output; the grid operator's own truncation error does not
-    # enter this number
+    # stationarity residual measured with 4th-order stencils on profile_fn;
+    # the grid operator's own truncation error does not enter this number
     highorder_residual: float
-    # the shooting profile as a function of radius, off the grid too
+    # the profile as a function of radius, off the grid too: the closed form
+    # for N = 1, the dense integrator output and its tail for N >= 2
     profile_fn: object = field(repr=False, compare=False)
 
     def free_model(self) -> Model:
@@ -118,34 +121,43 @@ def shoot_Up(p: float, N: int, grid: RadialGrid) -> PowerSolution:
             f"exponent p = {p} outside the admissible range "
             f"(1, {_sobolev_limit(N):g}) for N = {N}"
         )
-    # center value of the frictionless (N = 1) separatrix: exact for N = 1,
-    # where the first integral u'^2 = u^2 - 2|u|^(p+1)/(p+1) vanishes at
-    # beta0, and a lower bound whenever the (N-1)/r damping term is present
+    # center value of the frictionless (N = 1) separatrix, where the first
+    # integral u'^2 = u^2 - 2|u|^(p+1)/(p+1) vanishes: exact for N = 1, and a
+    # lower bound whenever the (N-1)/r damping term is present
     beta0 = ((p + 1.0) / 2.0) ** (1.0 / (p - 1.0))
     if N == 1:
-        b = beta0
-    else:
-        lo = hi = beta0
-        for _ in range(64):
-            hi *= 1.3
-            overshoot, _sol = _integrate_profile(N, p, hi, dense=False)
-            if overshoot:
-                break
-        else:
-            raise BracketError("could not bracket the shooting parameter from above")
-        overshoot, _sol = _integrate_profile(N, p, lo, dense=False)
+        k = (p - 1.0) / 2.0
+
+        def soliton(r):
+            # sech(k r) = 2t / (1 + t^2) with t = exp(-k|r|): no overflow
+            t = np.exp(-k * np.abs(np.asarray(r, dtype=float)))
+            return beta0 * (2.0 * t / (1.0 + t * t)) ** (1.0 / k)
+
+        # U(r_star) = TAIL_FRAC * beta0
+        r_star = math.acosh(TAIL_FRAC ** -k) / k
+        return _package(p, N, 1.0, soliton, beta0, r_star, grid)
+
+    lo = hi = beta0
+    for _ in range(64):
+        hi *= 1.3
+        overshoot, _sol = _integrate_profile(N, p, hi, dense=False)
         if overshoot:
-            raise BracketError("lower shooting bracket unexpectedly overshoots")
-        for _ in range(200):
-            if hi - lo <= SHOOT_REL_TOL * beta0:
-                break
-            mid = 0.5 * (lo + hi)
-            overshoot, _sol = _integrate_profile(N, p, mid, dense=False)
-            if overshoot:
-                hi = mid
-            else:
-                lo = mid
-        b = 0.5 * (lo + hi)
+            break
+    else:
+        raise BracketError("could not bracket the shooting parameter from above")
+    overshoot, _sol = _integrate_profile(N, p, lo, dense=False)
+    if overshoot:
+        raise BracketError("lower shooting bracket unexpectedly overshoots")
+    for _ in range(200):
+        if hi - lo <= SHOOT_REL_TOL * beta0:
+            break
+        mid = 0.5 * (lo + hi)
+        overshoot, _sol = _integrate_profile(N, p, mid, dense=False)
+        if overshoot:
+            hi = mid
+        else:
+            lo = mid
+    b = 0.5 * (lo + hi)
     _overshoot, sol = _integrate_profile(N, p, b, dense=True)
 
     above = np.where(sol.y[0] >= TAIL_FRAC * b)[0]
@@ -153,10 +165,7 @@ def shoot_Up(p: float, N: int, grid: RadialGrid) -> PowerSolution:
     r_star = min(r_star, sol.t[-1] - 1e-9)
     u_star = float(sol.sol(r_star)[0])
 
-    if N == 1:
-        def tail(r):
-            return u_star * np.exp(-(r - r_star))
-    elif N == 2:
+    if N == 2:
         c = u_star / k0(r_star)
 
         def tail(r):

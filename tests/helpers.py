@@ -1,8 +1,10 @@
 """Shared builders for the test suite."""
+import math
 from pathlib import Path
 
 import numpy as np
 
+from ngs.curves import EnergyCurve, SubadditivityRow
 from ngs.energy import evaluate
 from ngs.errors import SupportOverflowError
 from ngs.grids import GridFunction, RadialGrid, even_extension, mass
@@ -93,6 +95,27 @@ def dilate(u: GridFunction, tau: float) -> GridFunction:
     if m_new <= 0.0:
         raise ValueError("dilation produced a vanishing field")
     return out.with_values(out.values * np.sqrt(target / m_new))
+
+
+def subadditivity_rows_by_scan(curve: EnergyCurve) -> tuple:
+    """Sub-additivity rows by the exhaustive rule: for each pair (i <= j),
+    the first mass of least distance to a_i + a_j, kept if it matches."""
+    pts = curve.points
+    a_arr = np.array([pt.a for pt in pts])
+    rows = []
+    for i in range(len(pts)):
+        for j in range(i, len(pts)):
+            target = pts[i].a + pts[j].a
+            k = int(np.argmin(np.abs(a_arr - target)))
+            if not math.isclose(a_arr[k], target, rel_tol=1e-9, abs_tol=1e-12):
+                continue
+            rows.append(SubadditivityRow(
+                a=pts[i].a, b=pts[j].a,
+                gap=pts[k].energy - pts[i].energy - pts[j].energy,
+                all_converged=(pts[i].converged and pts[j].converged
+                               and pts[k].converged),
+            ))
+    return tuple(rows)
 
 
 # acceptance summary lines, printed by the conftest terminal hook

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import ZERO_G, dilate, free_power, harmonic_v, power_g, well_v
+from helpers import (
+    ZERO_G,
+    dilate,
+    free_power,
+    harmonic_v,
+    power_g,
+    subadditivity_rows_by_scan,
+    well_v,
+)
 from ngs.curves import (
     CurvePoint,
     EnergyCurve,
@@ -152,6 +160,39 @@ def test_synthetic_flat_curve_has_zero_gaps():
     assert len(report.rows) == 4
     assert all(r.gap == 0.0 for r in report.rows)
     assert report.strict_count == 0
+
+
+def _synthetic_curve(masses, rng) -> EnergyCurve:
+    return EnergyCurve(points=tuple(
+        CurvePoint(a=float(a), energy=float(rng.normal()), lam=0.0,
+                   converged=bool(rng.random() < 0.8), nehari=0.0, pohozaev=0.0)
+        for a in masses
+    ))
+
+
+def test_subadditivity_pairs_match_the_exhaustive_rule():
+    rng = np.random.default_rng(7)
+    # linspace masses: many sums miss a scanned mass by a few ulp
+    masses = np.linspace(0.1, 1.2, 12)
+    off_by_ulps = [a + b for a in masses for b in masses
+                   if a + b not in masses
+                   and np.min(np.abs(masses - (a + b))) <= 4 * np.spacing(a + b)]
+    assert off_by_ulps
+    for grid in (masses, np.linspace(0.5, 6.0, 12), np.linspace(0.3, 3.6, 23)):
+        curve = _synthetic_curve(grid, rng)
+        rows = subadditivity_check(curve).rows
+        assert rows == subadditivity_rows_by_scan(curve)
+        assert len(rows) > 0
+
+
+def test_subadditivity_with_no_matching_sums_has_no_rows():
+    rng = np.random.default_rng(8)
+    # sums fall between the masses or past the last one
+    for masses in (1.0 + 0.9 * np.sqrt(np.arange(12.0)) / math.sqrt(11.0),
+                   np.geomspace(1.0, 50.0, 12) + 0.01 * np.arange(12.0)):
+        curve = _synthetic_curve(masses, rng)
+        assert subadditivity_rows_by_scan(curve) == ()
+        assert subadditivity_check(curve).rows == ()
 
 
 def test_curve_csv_roundtrip(free_curve, tmp_path):

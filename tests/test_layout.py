@@ -7,8 +7,8 @@ scipy.sparse: every linear system of the package is tridiagonal, solved by
 LAPACK dgtsv in flow.bordered_solve. Importing the CLI loads no SciPy
 subpackage that only the tests and the oracle call, and no process-pool
 machinery: every command runs in one process. Every module-level public
-function is named outside the tests, so no helper lives in the package for
-the tests alone.
+function is named in code outside the tests (a docstring or a comment does
+not count), so no helper lives in the package for the tests alone.
 """
 import ast
 import re
@@ -146,25 +146,64 @@ TEST_ONLY_FUNCTIONS = {
 }
 
 
+def _docstrings(tree) -> set:
+    """The docstring nodes of a module and of its classes and functions."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                out.add(first.value)
+    return out
+
+
+def _names_in_code(tree, skip=None) -> set:
+    """Identifiers a module names in code, outside the subtree skip.
+
+    Counted: names, attributes, imported names and the words of string
+    constants other than docstrings. Not counted: docstrings and comments.
+    """
+    docstrings = _docstrings(tree)
+    out, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip or node in docstrings:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+            if node.asname:
+                out.add(node.asname)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(re.findall(r"[A-Za-z_]\w*", node.value))
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
 def test_every_public_function_is_named_outside_the_tests():
-    # named in the package other than in its own def, in scripts/ or in
-    # perfbench/ (whose tracer names functions in strings)
-    outside = [path.read_text() for folder in ("scripts", "perfbench")
-               for path in sorted((ROOT / folder).glob("*.py"))]
+    # named in code of the package other than in its own def, of scripts/
+    # or of perfbench/ (whose tracer names functions in strings)
+    outside = set().union(*(
+        _names_in_code(ast.parse(path.read_text(), str(path)))
+        for folder in ("scripts", "perfbench")
+        for path in sorted((ROOT / folder).glob("*.py"))))
+    in_module = {module: _names_in_code(tree) for module, (_, tree) in TREES.items()}
     defined, unnamed = set(), []
-    for module, (source, tree) in TREES.items():
+    for module, (_, tree) in TREES.items():
+        elsewhere = outside.union(*(names for other, names in in_module.items()
+                                    if other != module))
         for node in tree.body:
             if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
                 continue
             qualified = f"{module}.{node.name}"
             defined.add(qualified)
-            lines = source.splitlines()
-            del lines[node.lineno - 1:node.end_lineno]
-            texts = ["\n".join(lines), *outside,
-                     *(other for name, (other, _) in TREES.items() if name != module)]
-            word = re.compile(rf"\b{node.name}\b")
-            if not any(word.search(text) for text in texts) \
-                    and qualified not in TEST_ONLY_FUNCTIONS:
+            named = elsewhere | _names_in_code(tree, skip=node)
+            if node.name not in named and qualified not in TEST_ONLY_FUNCTIONS:
                 unnamed.append(qualified)
     assert TEST_ONLY_FUNCTIONS <= defined
     assert not unnamed, f"public functions only the tests name: {unnamed}"

@@ -1,4 +1,5 @@
-"""Shooting oracle for the potential-free power equation, plus scaling laws."""
+"""Reference oracle for the potential-free power equation, plus scaling laws."""
+import hashlib
 import math
 
 import numpy as np
@@ -33,12 +34,20 @@ def test_quadratic_line_profile(sech2_sol):
     assert abs(sech2_sol.mass - 6.0) <= 1e-3
 
 
+def _line_soliton(p, lam, r):
+    # beta0 lam^(1/(p-1)) sech^(2/(p-1))((p-1) sqrt(lam) r / 2); cosh overflows
+    # to inf far out, where the profile is 0
+    beta0 = ((p + 1.0) / 2.0) ** (1.0 / (p - 1.0))
+    amp = lam ** (1.0 / (p - 1.0))
+    with np.errstate(over="ignore"):
+        return amp * beta0 / np.cosh((p - 1.0) * math.sqrt(lam) * r / 2.0) ** (2.0 / (p - 1.0))
+
+
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 5.0])
 def test_line_center_is_first_integral_value(p, monkeypatch):
     # the N = 1 center is beta0 = ((p+1)/2)^(1/(p-1)), where the first integral
-    # u'^2 = u^2 - 2|u|^(p+1)/(p+1) vanishes; the shooting integrator must put
-    # its own separatrix there and trace the closed-form sech profile from it,
-    # which takes one integration, the dense one
+    # u'^2 = u^2 - 2|u|^(p+1)/(p+1) vanishes, and the profile is the closed-form
+    # sech: neither the profile nor a rescale of it integrates anything
     beta0 = ((p + 1.0) / 2.0) ** (1.0 / (p - 1.0))
     calls = []
 
@@ -48,13 +57,48 @@ def test_line_center_is_first_integral_value(p, monkeypatch):
 
     monkeypatch.setattr(oracle, "_integrate_profile", counted)
     sol = shoot_Up(p, 1, RadialGrid(1, 20.0, 2000))
-    assert len(calls) == 1
+    scale_solution(sol, 2.0)
+    assert calls == []
     assert sol.center_value == beta0
     r = sol.profile.grid.r
-    ref = beta0 / np.cosh((p - 1.0) * r / 2.0) ** (2.0 / (p - 1.0))
-    assert np.max(np.abs(sol.profile.values - ref)) <= 1e-8
+    assert np.max(np.abs(sol.profile.values - _line_soliton(p, 1.0, r))) \
+        <= 4 * np.spacing(beta0)
+    # the integrator agrees that beta0 is the separatrix
     assert _integrate_profile(1, p, beta0 * (1 + 1e-12), dense=False)[0]
     assert not _integrate_profile(1, p, beta0 * (1 - 1e-12), dense=False)[0]
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 5.0])
+def test_scaled_line_soliton_is_the_closed_form_on_a_wide_grid(p):
+    # at r = 1000 the argument of cosh is far past its overflow; the oracle
+    # evaluates the sech through exp(-x) and must raise no floating-point error
+    base = shoot_Up(p, 1, RadialGrid(1, 20.0, 2000))
+    wide = RadialGrid(1, 1000.0, 20000)
+    lam = 4.0
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        scaled = scale_solution(base, lam, grid=wide)
+    ref = _line_soliton(p, lam, wide.r)
+    assert scaled.lam == lam
+    assert scaled.center_value == lam ** (1.0 / (p - 1.0)) * base.center_value
+    assert np.max(np.abs(scaled.profile.values - ref)) <= 8 * np.spacing(scaled.center_value)
+    assert scaled.profile.values[-1] == 0.0
+    assert scaled.highorder_residual <= 1e-6
+
+
+def test_line_matching_radius_is_where_the_tail_starts():
+    # U(r*) = TAIL_FRAC * beta0, which sets the stencil window and the
+    # grid-radius hint of SupportOverflowError
+    sol = shoot_Up(3.0, 1, RadialGrid(1, 20.0, 2000))
+    u_star = float(sol.profile_fn(sol.matching_radius))
+    assert math.isclose(u_star, oracle.TAIL_FRAC * sol.center_value, rel_tol=1e-12)
+
+
+def test_three_d_profile_is_pinned(n3_sol):
+    # the N >= 2 bisection is untouched by the N = 1 closed form; these pins
+    # are the center value and profile bytes it gave before that change
+    assert n3_sol.center_value.hex() == "0x1.1597c27ee4ceep+2"
+    digest = hashlib.sha256(n3_sol.profile.values.tobytes()).hexdigest()
+    assert digest == "41c2b1b53d369b61df5db86f9ce1b120c8ae88dc766b0085b052313fca6f66e0"
 
 
 def test_three_d_profile_shape(n3_sol):
