@@ -1,10 +1,14 @@
 """Regenerate the bundled regression scenarios under scenarios/.
 
-Each scenario is a command line run captured with its manifest, so
-`python -m ngs <cmd> --out <dir> --verify` can replay the hash and semantic
-checks offline. The three runs cover the solver (free cubic at the exactly
-solvable mass), the threshold bisection (well model that is negative at the
-lower bracket), and the quadratic-form eigenvalue (harmonic potential).
+Each scenario is a command line run captured with its manifest, so the
+same command with --verify replays the hash and semantic checks offline,
+for example `python -m ngs solve --model models/power3_free.json --mass 4
+--out scenarios/solve_cubic_free --verify`. The replay reads the model and
+grid from the manifest, but the parser still asks for --model and the
+command's other required flags. The three runs cover the solver (free cubic
+at the exactly solvable mass), the threshold bisection (well model that is
+negative at the lower bracket), and the quadratic-form eigenvalue (harmonic
+potential).
 
 Rebuilding is deterministic: the solver takes no random input, so a rebuild
 on the same platform reproduces the output files byte for byte. Each

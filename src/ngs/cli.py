@@ -51,18 +51,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(64)
 
 
-def _add_common(parser: argparse.ArgumentParser, *, needs_out: bool) -> None:
+def _add_common(parser: argparse.ArgumentParser, *, needs_out: bool,
+                solver: bool) -> None:
     parser.add_argument("--model", required=True, help="model JSON file")
     parser.add_argument("--grid-R", type=float, default=20.0, metavar="X",
                         help="domain radius (default 20)")
     parser.add_argument("--grid-n", type=int, default=2000, metavar="K",
                         help="number of interior grid nodes (default 2000)")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="stationarity residual tolerance")
-    parser.add_argument("--max-iters", type=int, default=None,
-                        help="cap on the linear solves of one start")
-    parser.add_argument("--starts", type=int, default=None,
-                        help="number of initial profiles")
+    if solver:
+        parser.add_argument("--tol", type=float, default=None,
+                            help="stationarity residual tolerance")
+        parser.add_argument("--max-iters", type=int, default=None,
+                            help="cap on the linear solves of one start")
+        parser.add_argument("--starts", type=int, default=None,
+                            help="number of initial profiles")
     parser.add_argument("--out", required=needs_out, default=None, metavar="DIR",
                         help="output directory")
     parser.add_argument("--verify", action="store_true",
@@ -78,12 +80,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve",
                        help="minimize at one mass and write the profile")
-    _add_common(p, needs_out=True)
+    _add_common(p, needs_out=True, solver=True)
     p.add_argument("--mass", type=float, required=True, help="constraint value a")
 
     p = sub.add_parser("scan",
                        help="energy curve over a mass grid")
-    _add_common(p, needs_out=True)
+    _add_common(p, needs_out=True, solver=True)
     p.add_argument("--a-min", type=float, required=True)
     p.add_argument("--a-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True,
@@ -91,17 +93,17 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("threshold",
                        help="bisect for the mass where the curve turns negative")
-    _add_common(p, needs_out=True)
+    _add_common(p, needs_out=True, solver=True)
     p.add_argument("--a-lo", type=float, default=1e-3)
     p.add_argument("--a-hi", type=float, default=8.0)
 
     p = sub.add_parser("spectrum",
                        help="infimum of the kinetic-plus-potential quadratic form")
-    _add_common(p, needs_out=True)
+    _add_common(p, needs_out=True, solver=False)
 
     p = sub.add_parser("validate",
                        help="structural classification of a model file")
-    _add_common(p, needs_out=False)
+    _add_common(p, needs_out=False, solver=False)
     return parser
 
 
@@ -128,11 +130,11 @@ def _write_manifest(out_dir: Path, args, model, grid, config,
             outputs[item.name] = sha256_file(item)
     payload = {
         "tool": f"ngs {__version__}",
-        "command": sys.argv[1:],
+        "command": args.argv,
         "subcommand": args.command,
         "model": model.to_dict(),
         "model_fingerprint": model.fingerprint(),
-        "grid": grid.descriptor() if grid is not None else None,
+        "grid": dataclasses.asdict(grid),
         "config": dataclasses.asdict(config) if config is not None else None,
         "wall_seconds": round(wall, 3),
         "outputs": outputs,
@@ -159,7 +161,7 @@ def _cmd_solve(args, model) -> int:
 
     payload = result.to_dict()
     payload["model_fingerprint"] = model.fingerprint()
-    payload["grid"] = grid.descriptor()
+    payload["grid"] = dataclasses.asdict(grid)
     write_json(out_dir / "result.json", payload)
     save_profile(result.u, out_dir / "profile.csv")
     with open(out_dir / "trace.csv", "w", newline="") as fh:
@@ -242,9 +244,9 @@ def _cmd_threshold(args, model) -> int:
         return 1
     wall = time.perf_counter() - t0
     out_dir = _prepare_out(args)
-    payload = found.to_dict()
+    payload = dataclasses.asdict(found)
     payload["model_fingerprint"] = model.fingerprint()
-    payload["grid"] = grid.descriptor()
+    payload["grid"] = dataclasses.asdict(grid)
     write_json(out_dir / "threshold.json", payload)
     _write_manifest(out_dir, args, model, grid, config, wall)
     qualifier = "at or below" if found.below_lower_bracket else "within"
@@ -267,7 +269,7 @@ def _cmd_spectrum(args, model) -> int:
         "infimum": value,
         "potential_lower_bound": model.potential.c_ell,
         "model_fingerprint": model.fingerprint(),
-        "grid": grid.descriptor(),
+        "grid": dataclasses.asdict(grid),
     }
     write_json(out_dir / "spectrum.json", payload)
     _write_manifest(out_dir, args, model, grid, None, wall)
@@ -277,13 +279,11 @@ def _cmd_spectrum(args, model) -> int:
 
 
 def _classification_payload(model, grid) -> dict:
-    gc = classify_g(model.nonlinearity)
-    vc = classify_V(model.potential, grid)
     return {
         "model_fingerprint": model.fingerprint(),
         "N": model.N,
-        "nonlinearity": gc.to_dict(),
-        "potential": vc.to_dict(),
+        "nonlinearity": dataclasses.asdict(classify_g(model.nonlinearity)),
+        "potential": dataclasses.asdict(classify_V(model.potential, grid)),
     }
 
 
@@ -453,8 +453,9 @@ def _replay_threshold(stored: dict) -> list:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(argv)
+    args.argv = argv   # the manifest's record of the command line
     if args.verify:
         return _verify_dir(args)
     try:

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from .energy import Discretization
 from .errors import BracketError
 from .flow import DEADBAND, SolverConfig, minimize
 from .flow import vanishing_diagnostic  # noqa: F401  (re-exported)
-from .grids import RadialGrid, laplacian_tridiagonal
+from .grids import RadialGrid
 from .models import Model
 
 
@@ -182,29 +183,15 @@ def write_subadditivity_csv(report: SubadditivityReport, path) -> None:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Bisection estimate of the mass where the energy curve turns negative."""
+    """Bisection estimate of the threshold mass; its fields are threshold.json's keys."""
 
     a0: float
     half_width: float
     below_lower_bracket: bool
     bracket: tuple
     deadband: float
-    evaluations: tuple
+    evaluations: tuple   # one {"a", "J", "converged", "reason"} dict per probe
     note: str
-
-    def to_dict(self) -> dict:
-        return {
-            "a0": self.a0,
-            "half_width": self.half_width,
-            "below_lower_bracket": self.below_lower_bracket,
-            "bracket": list(self.bracket),
-            "deadband": self.deadband,
-            "evaluations": [
-                {"a": a, "J": j, "converged": c, "reason": r}
-                for a, j, c, r in self.evaluations
-            ],
-            "note": self.note,
-        }
 
 
 # stopping width of the threshold bisection, relative to the bracket midpoint
@@ -271,7 +258,7 @@ def threshold_a0(model: Model, grid: RadialGrid,
         if J < res.energy - 1e-12 * (1.0 + abs(J)):
             reason = res.all_start_reasons[res.all_start_energies.index(J)]
             converged = reason is None
-        evaluations.append((a, J, converged, reason))
+        evaluations.append({"a": a, "J": J, "converged": converged, "reason": reason})
         return J
 
     a0, half_width, below = bisect_threshold(probe, (a_lo, a_hi), DEADBAND)
@@ -294,10 +281,10 @@ def quadratic_form_infimum(model: Model, grid: RadialGrid) -> float:
     LAPACK solves to machine precision. Since K >= 0 it never undershoots
     the infimum of V.
     """
-    V = model.potential.V(grid.r)
-    if not np.all(np.isfinite(V)):
+    disc = Discretization(grid, model)
+    if not np.all(np.isfinite(disc.V)):
         raise ValueError("potential must be finite on the grid")
-    lower, diag, upper = laplacian_tridiagonal(grid)
+    lower, diag, upper = disc.lap
     return float(eigh_tridiagonal(
-        diag + V, -np.sqrt(upper[:-1] * lower[1:]),
+        diag + disc.V, -np.sqrt(upper[:-1] * lower[1:]),
         eigvals_only=True, select="i", select_range=(0, 0))[0])

@@ -65,8 +65,8 @@ class Discretization:
     and the spectrum use the kinetic form u^T K u of the grid; the defect,
     multiplier, residual and Nehari use -Lap = W^-1 K of the same K, so a
     zero of the defect is an exact constrained critical point of J. The
-    flow holds one instance for its per-step work; the GridFunction
-    functions below wrap a fresh one, so both report bit-identical values.
+    solver and the spectrum build one instance each; the GridFunction
+    functions below wrap a fresh one, so all report bit-identical values.
     """
 
     def __init__(self, grid: grids.RadialGrid, model):

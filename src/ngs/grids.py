@@ -10,6 +10,7 @@ N = 1 grid is the plain uniform grid of the line.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,9 +67,6 @@ class RadialGrid:
         for arr in (self.r, self.w, self.edge_weights):
             arr.flags.writeable = False
 
-    def descriptor(self) -> dict:
-        return {"N": self.N, "R": self.R, "n": self.n}
-
 
 class GridFunction:
     """Immutable field sampled on a RadialGrid."""
@@ -92,17 +90,13 @@ class GridFunction:
         return GridFunction(self.grid, values)
 
 
-def _check_same_grid(grid: RadialGrid, values: np.ndarray):
+def integrate(grid: RadialGrid, values) -> float:
+    """Quadrature of a node-wise integrand over the ball (full space for N=1)."""
+    values = np.asarray(values, dtype=float)
     if values.shape != (grid.n,):
         raise ValueError(
             f"grid has {grid.n} nodes but field has shape {values.shape}"
         )
-
-
-def integrate(grid: RadialGrid, values) -> float:
-    """Quadrature of a node-wise integrand over the ball (full space for N=1)."""
-    values = np.asarray(values, dtype=float)
-    _check_same_grid(grid, values)
     return float(grid.w @ values)
 
 
@@ -214,7 +208,7 @@ def save_profile(u: GridFunction, path) -> list[Path]:
         for rj, vj in zip(u.grid.r, u.values):
             writer.writerow([f"{rj:.12g}", f"{vj:.12g}"])
     with open(side, "w") as fh:
-        json.dump(u.grid.descriptor(), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(u.grid), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return [path, side]
 

@@ -377,41 +377,31 @@ def load_model(path) -> Model:
 class GClassification:
     """Growth-hypothesis flags for a nonlinearity in dimension N.
 
-    g1: valid construction (odd, continuous, vanishing at 0)
-    g2: superlinear at the origin (g(s)/s -> 0), true for positive exponents
-    g3: strictly mass-subcritical growth at infinity (every sigma < 4/N)
-    g4: sign condition (nonempty sum, all coefficients positive)
-    g5: Ambrosetti-Rabinowitz-type lower bound g(s)s >= alpha G(s) with the
+    Fields are named after the paper's hypotheses; they are validate's keys.
+    G1: valid construction (odd, continuous, vanishing at 0)
+    G2: superlinear at the origin (g(s)/s -> 0), true for positive exponents
+    G3: strictly mass-subcritical growth at infinity (every sigma < 4/N)
+    G4: sign condition (nonempty sum, all coefficients positive)
+    G5: Ambrosetti-Rabinowitz-type lower bound g(s)s >= alpha G(s) with the
         reported alpha = 2 + min sigma (the largest exponent that works for
         the whole sum)
     small_s_regime: behavior of g(s)/s^(1+4/N) as s -> 0; "superfast" when
         the ratio blows up (min sigma < 4/N), "finite_limsup" otherwise
     """
 
-    g1: bool
-    g2: bool
-    g3: bool
-    g4: bool
-    g5: bool
+    G1: bool
+    G2: bool
+    G3: bool
+    G4: bool
+    G5: bool
     alpha: float | None
     small_s_regime: str
-
-    def to_dict(self) -> dict:
-        return {
-            "G1": self.g1,
-            "G2": self.g2,
-            "G3": self.g3,
-            "G4": self.g4,
-            "G5": self.g5,
-            "alpha": self.alpha,
-            "small_s_regime": self.small_s_regime,
-        }
 
 
 def classify_g(model: NonlinearityModel) -> GClassification:
     if model.is_zero():
         return GClassification(
-            g1=True, g2=True, g3=True, g4=False, g5=False,
+            G1=True, G2=True, G3=True, G4=False, G5=False,
             alpha=None, small_s_regime="indeterminate",
         )
     sigmas = [s for _, s in model.terms]
@@ -420,11 +410,11 @@ def classify_g(model: NonlinearityModel) -> GClassification:
     g3 = max(sigmas) < crit
     regime = "superfast" if sigma_min < crit else "finite_limsup"
     return GClassification(
-        g1=True,
-        g2=True,
-        g3=g3,
-        g4=all(c > 0 for c, _ in model.terms),
-        g5=True,
+        G1=True,
+        G2=True,
+        G3=g3,
+        G4=all(c > 0 for c, _ in model.terms),
+        G5=True,
         alpha=2.0 + sigma_min,
         small_s_regime=regime,
     )
@@ -434,24 +424,17 @@ def classify_g(model: NonlinearityModel) -> GClassification:
 class VClassification:
     """Potential-hypothesis flags, sampled on a grid.
 
-    v1: the value at infinity is well defined (settled tail for tables) and
+    Fields are named after the paper's hypotheses; they are validate's keys.
+    V1: the value at infinity is well defined (settled tail for tables) and
         bounds the sampled potential from above
-    v2: the minimum is attained at the origin and matches c_ell
+    V2: the minimum is attained at the origin and matches c_ell
     decay_of_dVx: <grad V, x> is negligible on the outer 10% of the grid
     """
 
-    v1: bool
-    v2: bool
+    V1: bool
+    V2: bool
     decay_of_dVx: bool
     coercive: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "V1": self.v1,
-            "V2": self.v2,
-            "decay_of_dVx": self.decay_of_dVx,
-            "coercive": self.coercive,
-        }
 
 
 def classify_V(model: PotentialModel, grid: RadialGrid) -> VClassification:
@@ -468,5 +451,5 @@ def classify_V(model: PotentialModel, grid: RadialGrid) -> VClassification:
     outer = grid.r >= 0.9 * grid.R
     decay = bool(np.max(np.abs(model.dV_dot_x(grid.r[outer]))) < DVX_DECAY_TOL)
     return VClassification(
-        v1=v1, v2=v2, decay_of_dVx=decay, coercive=model.coercive
+        V1=v1, V2=v2, decay_of_dVx=decay, coercive=model.coercive
     )

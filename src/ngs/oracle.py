@@ -61,10 +61,6 @@ class PowerSolution:
     # for N = 1, the dense integrator output and its tail for N >= 2
     profile_fn: object = field(repr=False, compare=False)
 
-    def free_model(self) -> Model:
-        """The matching potential-free model (g = |u|^(p-1) u)."""
-        return _free_model(self.p, self.N)
-
 
 def _free_model(p: float, N: int) -> Model:
     nl = NonlinearityModel(kind="power_sum", terms=((1.0, p - 1.0),), N=N)
@@ -236,10 +232,6 @@ def scale_solution(sol: PowerSolution, lam: float,
     )
 
 
-def _critical_exponent(N: int) -> float:
-    return 1.0 + 4.0 / N
-
-
 def scaling_exponent(p: float, N: int) -> float:
     """Exponent of the mass scaling law mass(lam) = lam^e * mass(1)."""
     return (4.0 - (p - 1.0) * N) / (2.0 * (p - 1.0))
@@ -256,7 +248,7 @@ def lambda_for_mass(p: float, N: int, a: float, base_mass: float) -> float:
     """
     if not a > 0:
         raise ValueError("target mass must be positive")
-    if abs(p - _critical_exponent(N)) < 1e-12:
+    if abs(p - (1.0 + 4.0 / N)) < 1e-12:
         raise MassCriticalError(
             "mass-critical exponent: every frequency gives the same mass, "
             "no unique lambda exists"
@@ -268,32 +260,27 @@ def energy_scaling_check(p: float, N: int, a1: float, a2: float,
                          base: PowerSolution) -> tuple[float, float]:
     """Measured vs closed-form exponent of the potential-free energy curve.
 
-    Both energies come from scaled copies of base = shoot_Up(p, N, grid), on
-    its grid widened for small frequencies; the closed-form exponent is
-    (2(p+1) - N(p-1)) / (4 - (p-1)N). Raises ValueError if base was shot
-    for another (p, N).
+    Both energies come from scaled copies of base = shoot_Up(p, N, grid) on
+    one grid, base's widened for the smaller frequency at base's spacing; the
+    closed-form exponent is (2(p+1) - N(p-1)) / (4 - (p-1)N). Raises
+    ValueError if base was shot for another (p, N) or a mass is not positive.
     """
     if (base.p, base.N) != (p, N):
         raise ValueError(f"base profile solves (p, N) = ({base.p:g}, {base.N}), "
                          f"not ({p:g}, {N})")
     if a1 == a2:
         raise ValueError("energy-scaling exponent needs two distinct masses")
-    if not (a1 > 0 and a2 > 0):
-        raise ValueError("masses must be positive")
     if p - 1.0 >= 4.0 / N:
         raise ValueError(
             "energy scaling check applies to mass-subcritical exponents only"
         )
-    energies = []
+    lams = [lambda_for_mass(p, N, a, base_mass=base.mass) for a in (a1, a2)]
+    # slow decay for small frequencies: widen the quadrature grid so the
+    # tail is resolved, instead of truncating it
+    stretch = max(1.0, 1.2 / math.sqrt(min(lams)))
     base_grid = base.profile.grid
-    for a in (a1, a2):
-        lam = lambda_for_mass(p, N, a, base_mass=base.mass)
-        # slow decay for small frequencies: widen the quadrature grid so the
-        # tail is resolved, instead of truncating it
-        stretch = max(1.0, 1.2 / math.sqrt(lam))
-        grid = RadialGrid(N=N, R=base_grid.R * stretch, n=base_grid.n)
-        energies.append(scale_solution(base, lam, grid=grid).energy_I)
-    e1, e2 = energies
+    grid = RadialGrid(N=N, R=base_grid.R * stretch, n=math.ceil(base_grid.n * stretch))
+    e1, e2 = (scale_solution(base, lam, grid=grid).energy_I for lam in lams)
     if not (e1 < 0 and e2 < 0):
         raise RuntimeError(
             f"oracle energies must be negative for subcritical powers, got "

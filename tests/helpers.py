@@ -1,9 +1,15 @@
 """Shared builders for the test suite."""
+import contextlib
+import io
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
+from ngs import cli
 from ngs.curves import EnergyCurve, SubadditivityRow
 from ngs.energy import evaluate
 from ngs.errors import SupportOverflowError
@@ -116,6 +122,33 @@ def subadditivity_rows_by_scan(curve: EnergyCurve) -> tuple:
                                and pts[k].converged),
             ))
     return tuple(rows)
+
+
+def run_cli(*argv, cwd=None):
+    """Run ngs.cli.main(argv) in process, with the result shape of subprocess.run.
+
+    Output goes to the returned stdout and stderr. The exit code is what the
+    interpreter makes of main's return value or SystemExit: an int is the
+    code, a message is printed and gives 1. The working directory is
+    restored afterwards.
+    """
+    argv = [str(a) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    saved = os.getcwd()
+    try:
+        if cwd is not None:
+            os.chdir(cwd)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+                if code is not None and not isinstance(code, int):
+                    print(code, file=sys.stderr)
+                    code = 1
+    finally:
+        os.chdir(saved)
+    return subprocess.CompletedProcess(argv, code or 0, out.getvalue(), err.getvalue())
 
 
 # acceptance summary lines, printed by the conftest terminal hook

@@ -1,16 +1,13 @@
 """End-to-end command-line runs against the bundled model files.
 
-Most runs call ngs.cli.main in this process (run_cli), which spares each
-the interpreter and SciPy start-up. A few run `python -m ngs` in a child
+Most runs call ngs.cli.main in this process (helpers.run_cli), which spares
+each the interpreter and SciPy start-up. A few run `python -m ngs` in a child
 process (run_module): one per exit code 0, 1 and 64, and the numerical
 failure, whose stderr must be free of the RuntimeWarnings that pytest
 would capture in process.
 """
-import contextlib
 import hashlib
-import io
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -18,37 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import MODELS_DIR
-from ngs import cli
-
-
-def run_cli(*argv, cwd=None):
-    """Run ngs.cli.main(argv) in process, with the result shape of run_module.
-
-    Output goes to the returned stdout and stderr. The exit code is what the
-    interpreter makes of main's return value or SystemExit: an int is the
-    code, a message is printed and gives 1. The working directory and
-    sys.argv, which the manifest records, are restored afterwards.
-    """
-    argv = [str(a) for a in argv]
-    out, err = io.StringIO(), io.StringIO()
-    saved = os.getcwd(), sys.argv
-    sys.argv = ["ngs", *argv]
-    try:
-        if cwd is not None:
-            os.chdir(cwd)
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:
-                code = exc.code
-                if code is not None and not isinstance(code, int):
-                    print(code, file=sys.stderr)
-                    code = 1
-    finally:
-        os.chdir(saved[0])
-        sys.argv = saved[1]
-    return subprocess.CompletedProcess(argv, code or 0, out.getvalue(), err.getvalue())
+from helpers import MODELS_DIR, run_cli
 
 
 def run_module(*argv):
@@ -122,6 +89,14 @@ def test_solve_oracle_case_artifacts(solve_dir):
     assert set(manifest["outputs"]) == {
         "result.json", "profile.csv", "profile.json", "trace.csv"
     }
+
+
+def test_manifest_records_the_parsed_command_line(solve_dir):
+    # main(argv) run in process records its own argv, not the host's sys.argv
+    manifest = json.loads((solve_dir / "manifest.json").read_text())
+    assert manifest["command"] == [
+        "solve", "--model", str(MODELS_DIR / "power3_free.json"), "--mass", "4",
+        "--grid-R", "20", "--grid-n", "1200", "--out", str(solve_dir)]
 
 
 def test_manifest_records_the_solver_settings(solve_dir):
@@ -232,6 +207,17 @@ def test_unknown_flag_is_usage_error(tmp_path):
     proc = run_module("solve", "--model", MODELS_DIR / "power3_free.json",
                    "--mass", "1", "--out", tmp_path / "x", "--frobnicate")
     assert proc.returncode == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--model", MODELS_DIR / "harmonic.json", "--tol", "1"),
+    ("validate", "--model", MODELS_DIR / "harmonic.json", "--starts", "2"),
+], ids=["spectrum-tol", "validate-starts"])
+def test_solver_flags_are_unknown_where_no_solver_runs(tmp_path, argv):
+    proc = run_cli(*argv, "--out", tmp_path / "x")
+    assert proc.returncode == 64
+    assert "unrecognized arguments" in proc.stderr
+    assert not (tmp_path / "x").exists()
 
 
 def test_missing_model_file_is_usage_error(tmp_path):

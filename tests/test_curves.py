@@ -239,9 +239,9 @@ def test_threshold_brackets_quintic_soliton_mass(small_grid):
     assert not out.below_lower_bracket
     assert 2.5 <= out.a0 <= 3.0
     assert out.half_width <= 0.02 * out.a0
-    first_a = out.evaluations[0][0]
+    first_a = out.evaluations[0]["a"]
     assert first_a == 6.0
-    signs = {a: (J < -out.deadband) for a, J, _, _ in out.evaluations}
+    signs = {e["a"]: (e["J"] < -out.deadband) for e in out.evaluations}
     assert signs[6.0] and not signs[1e-3]
 
 
@@ -257,7 +257,8 @@ def test_threshold_probe_keeps_the_lowest_start(grid20):
     assert res.energy > 0
     assert min(res.all_start_energies) < -15.0 * DEADBAND
     out = threshold_a0(model, grid20, bracket=(2.70, a))
-    assert out.evaluations[0] == (a, min(res.all_start_energies), False, "energy-floor")
+    assert out.evaluations[0] == {"a": a, "J": min(res.all_start_energies),
+                                  "converged": False, "reason": "energy-floor"}
 
 
 def test_threshold_bracket_validation(small_grid, well_cubic):

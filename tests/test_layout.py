@@ -7,8 +7,9 @@ scipy.sparse: every linear system of the package is tridiagonal, solved by
 LAPACK dgtsv in flow.bordered_solve. Importing the CLI loads no SciPy
 subpackage that only the tests and the oracle call, and no process-pool
 machinery: every command runs in one process. Every module-level public
-function is named in code outside the tests (a docstring or a comment does
-not count), so no helper lives in the package for the tests alone.
+function, method and property is named in code outside the tests (a
+docstring or a comment does not count), so no helper lives in the package
+for the tests alone.
 """
 import ast
 import re
@@ -197,13 +198,18 @@ def test_every_public_function_is_named_outside_the_tests():
     for module, (_, tree) in TREES.items():
         elsewhere = outside.union(*(names for other, names in in_module.items()
                                     if other != module))
-        for node in tree.body:
-            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+        # module-level functions, and the methods and properties of classes
+        public = [(f"{module}.{node.name}", node) for node in tree.body
+                  if isinstance(node, ast.FunctionDef)]
+        public += [(f"{module}.{cls.name}.{node.name}", node) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) for node in cls.body
+                   if isinstance(node, ast.FunctionDef)]
+        for qualified, node in public:
+            if node.name.startswith("_"):
                 continue
-            qualified = f"{module}.{node.name}"
             defined.add(qualified)
             named = elsewhere | _names_in_code(tree, skip=node)
             if node.name not in named and qualified not in TEST_ONLY_FUNCTIONS:
                 unnamed.append(qualified)
     assert TEST_ONLY_FUNCTIONS <= defined
-    assert not unnamed, f"public functions only the tests name: {unnamed}"
+    assert not unnamed, f"public functions or methods only the tests name: {unnamed}"

@@ -75,7 +75,7 @@ def test_dg_is_the_derivative_of_g():
 
 def test_classify_single_subcritical_term():
     c = classify_g(NonlinearityModel(kind="power_sum", terms=((1.0, 1.0),), N=1))
-    assert c.g1 and c.g2 and c.g3 and c.g4 and c.g5
+    assert c.G1 and c.G2 and c.G3 and c.G4 and c.G5
     assert c.alpha == 3.0
     assert c.small_s_regime == "superfast"
 
@@ -84,20 +84,20 @@ def test_classify_single_subcritical_term():
 def test_classify_critical_exponent_fails_decay(N):
     sigma = 4.0 / N
     c = classify_g(NonlinearityModel(kind="power_sum", terms=((1.0, sigma),), N=N))
-    assert not c.g3
+    assert not c.G3
     assert c.small_s_regime == "finite_limsup"
 
 
 def test_classify_cubic_term():
     c = classify_g(NonlinearityModel(kind="power_sum", terms=((1.0, 2.0),), N=1))
-    assert c.g1 and c.g2 and c.g3 and c.g4 and c.g5
+    assert c.G1 and c.G2 and c.G3 and c.G4 and c.G5
     assert c.alpha == 4.0
     assert c.small_s_regime == "superfast"
 
 
 def test_classify_zero_nonlinearity():
     c = classify_g(NonlinearityModel(kind="zero", terms=(), N=1))
-    assert not c.g4
+    assert not c.G4
     assert c.alpha is None
 
 
@@ -167,7 +167,7 @@ def test_classification_invariant_under_coefficient_rescale(terms, c, N):
     m2 = NonlinearityModel(
         kind="power_sum", terms=tuple((c * co, s) for co, s in terms), N=N)
     c1, c2 = classify_g(m1), classify_g(m2)
-    assert (c1.g1, c1.g2, c1.g3, c1.g4, c1.g5) == (c2.g1, c2.g2, c2.g3, c2.g4, c2.g5)
+    assert (c1.G1, c1.G2, c1.G3, c1.G4, c1.G5) == (c2.G1, c2.G2, c2.G3, c2.G4, c2.G5)
     assert c1.alpha == c2.alpha
     assert c1.small_s_regime == c2.small_s_regime
 
@@ -177,7 +177,7 @@ def test_classification_invariant_under_coefficient_rescale(terms, c, N):
 def test_classify_zero_potential(grid):
     p = PotentialModel.zero()
     c = classify_V(p, grid)
-    assert c.v1 and c.v2 and c.decay_of_dVx
+    assert c.V1 and c.V2 and c.decay_of_dVx
     assert p.V_inf == 0.0 and p.c_ell == 0.0
     assert not p.coercive
 
@@ -193,7 +193,7 @@ def test_classify_harmonic(grid):
 def test_classify_gaussian_well(grid):
     p = PotentialModel(kind="gaussian_well", params=(1.0, 1.0))
     c = classify_V(p, grid)
-    assert c.v1 and c.v2 and c.decay_of_dVx
+    assert c.V1 and c.V2 and c.decay_of_dVx
     assert p.V_inf == 0.0
     assert p.c_ell == -1.0
     assert p.V(0.0) == -1.0
@@ -247,7 +247,7 @@ def test_tabulated_unsettled_tail_flagged(grid):
     r = np.linspace(0.0, 20.0, 41)
     m = make_model(1, ZERO_V, tab_dict(r, -1.0 + 0.3 * np.sin(r)))
     assert not m.potential.tail_settled()
-    assert not classify_V(m.potential, grid).v1
+    assert not classify_V(m.potential, grid).V1
 
 
 # --- files and fingerprints ---

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import free_power
 from ngs import oracle
 from ngs.energy import evaluate, nehari_residual, pohozaev_residual
 from ngs.errors import BracketError, MassCriticalError, SupportOverflowError
@@ -109,7 +110,7 @@ def test_three_d_profile_shape(n3_sol):
 
 def test_stationarity_identities(sech_sol, sech2_sol, n3_sol):
     for sol in (sech_sol, sech2_sol, n3_sol):
-        model = sol.free_model()
+        model = free_power(sol.N, sol.p - 1.0)
         assert abs(nehari_residual(sol.profile, model, sol.lam)) <= 1e-4
         assert abs(pohozaev_residual(sol.profile, model)) <= 1e-4
 
@@ -206,6 +207,14 @@ def test_energy_scaling_check_rejects_a_base_of_another_power(sech_sol, sech2_so
     assert abs(measured - expected) <= 1e-2
 
 
+def test_energy_scaling_check_measures_the_quadrature(sech2_sol):
+    # both p = 2 masses need a wider grid; widened with the same node count,
+    # both sampled the base profile at the same points and the energies were
+    # exact powers of each other (measured 5/3 to the last digit)
+    measured, expected = energy_scaling_check(2.0, 1, 2.0, 6.0, base=sech2_sol)
+    assert 0.0 < abs(measured - 5.0 / 3.0) <= 1e-5
+
+
 def test_strict_binding_inequality(sech_sol):
     # E_{2a} < 2 E_a for the subcritical free problem
     lam2 = lambda_for_mass(3.0, 1, 2.0, base_mass=sech_sol.mass)
@@ -224,7 +233,7 @@ def test_descent_matches_oracle_energy_1d(p, N, a):
     sol = shoot_Up(p, N, grid)
     lam = lambda_for_mass(p, N, a, base_mass=sol.mass)
     oracle_E = scale_solution(sol, lam).energy_I
-    res = minimize(a, sol.free_model(), grid)
+    res = minimize(a, free_power(sol.N, sol.p - 1.0), grid)
     assert res.converged
     tol = max(1e-3, 10.0 * grid.h**2)
     assert abs(res.energy - oracle_E) <= tol * abs(oracle_E)
@@ -233,9 +242,9 @@ def test_descent_matches_oracle_energy_1d(p, N, a):
 def test_descent_matches_oracle_energy_3d():
     grid = RadialGrid(3, 20.0, 1000)
     sol = shoot_Up(2.0, 3, grid)
-    res = minimize(sol.mass, sol.free_model(), grid)
+    res = minimize(sol.mass, free_power(sol.N, sol.p - 1.0), grid)
     assert res.converged
     tol = max(1e-3, 10.0 * grid.h**2)
     assert abs(res.energy - sol.energy_I) <= tol * abs(sol.energy_I)
-    rep = evaluate(res.u, sol.free_model())
+    rep = evaluate(res.u, free_power(sol.N, sol.p - 1.0))
     assert math.isclose(rep.J, rep.I, rel_tol=1e-15)

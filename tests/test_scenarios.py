@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import run_cli
+
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 
@@ -22,18 +24,11 @@ REPLAY = {
 }
 
 
-def run_cli(*argv):
-    return subprocess.run(
-        [sys.executable, "-m", "ngs", *map(str, argv)],
-        capture_output=True, text=True, cwd=ROOT, env=os.environ.copy(),
-    )
-
-
 @pytest.mark.parametrize("name", sorted(REPLAY))
 def test_scenario_passes_offline_verification(name):
     cmd, model, *rest = REPLAY[name]
     proc = run_cli(cmd, "--model", model, *rest,
-                   "--out", SCENARIOS / name, "--verify")
+                   "--out", SCENARIOS / name, "--verify", cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     assert "verification OK" in proc.stdout
 
@@ -63,7 +58,7 @@ def test_spectrum_scenario_matches_eigenvalue():
 
 def _assert_rebuild_matches(scenario, files, out):
     cmd, model, *rest = REPLAY[scenario]
-    proc = run_cli(cmd, "--model", model, *rest, "--out", out)
+    proc = run_cli(cmd, "--model", model, *rest, "--out", out, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     for name in files:
         fresh = (out / name).read_bytes()
