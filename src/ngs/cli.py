@@ -362,11 +362,6 @@ def _verify_dir(args) -> int:
     return 0
 
 
-def _manifest_grid(manifest) -> RadialGrid:
-    g = manifest["grid"]
-    return RadialGrid(N=int(g["N"]), R=float(g["R"]), n=int(g["n"]))
-
-
 def _verify_semantics(out_dir: Path, manifest: dict) -> list:
     sub = manifest.get("subcommand")
     failures: list[str] = []
@@ -384,7 +379,7 @@ def _verify_semantics(out_dir: Path, manifest: dict) -> list:
             )
     elif sub == "scan":
         model = make_model(**manifest["model"])
-        grid = _manifest_grid(manifest)
+        grid = RadialGrid.from_dict(manifest["grid"])
         # rebuilt from the fields the command line sets alone, so manifests
         # that record further (older) config keys still replay
         config = SolverConfig(**{name: manifest["config"][name]
@@ -409,7 +404,7 @@ def _verify_semantics(out_dir: Path, manifest: dict) -> list:
         failures.extend(_replay_threshold(stored))
     elif sub == "spectrum":
         model = make_model(**manifest["model"])
-        grid = _manifest_grid(manifest)
+        grid = RadialGrid.from_dict(manifest["grid"])
         with open(out_dir / "spectrum.json") as fh:
             stored = json.load(fh)
         value = quadratic_form_infimum(model, grid)
@@ -420,7 +415,7 @@ def _verify_semantics(out_dir: Path, manifest: dict) -> list:
             )
     elif sub == "validate":
         model = make_model(**manifest["model"])
-        grid = _manifest_grid(manifest)
+        grid = RadialGrid.from_dict(manifest["grid"])
         with open(out_dir / "classification.json") as fh:
             stored = json.load(fh)
         fresh = round_floats(_classification_payload(model, grid))

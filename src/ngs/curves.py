@@ -14,11 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .energy import Discretization
-from .errors import BracketError
-from .flow import DEADBAND, SolverConfig, minimize
+from .errors import BracketError, NumericalError
+from .flow import DEADBAND, SolverConfig, dstebz, minimize
 from .flow import vanishing_diagnostic  # noqa: F401  (re-exported)
 from .grids import RadialGrid
 from .models import Model
@@ -280,11 +279,19 @@ def quadratic_form_infimum(model: Model, grid: RadialGrid) -> float:
     W^1/2 turns into the symmetric tridiagonal W^-1/2 (K + W V) W^-1/2 that
     LAPACK solves to machine precision. Since K >= 0 it never undershoots
     the infimum of V.
+
+    The call is dstebz's for the lowest eigenvalue alone, by index (range
+    2, il = iu = 1, absolute tolerance 0, eigenvalues in order "E"): the one
+    scipy.linalg.eigh_tridiagonal(eigvals_only=True, select="i",
+    select_range=(0, 0)) makes, so the value is the same to the bit. A
+    nonzero LAPACK info raises NumericalError.
     """
     disc = Discretization(grid, model)
     if not np.all(np.isfinite(disc.V)):
         raise ValueError("potential must be finite on the grid")
     lower, diag, upper = disc.lap
-    return float(eigh_tridiagonal(
-        diag + disc.V, -np.sqrt(upper[:-1] * lower[1:]),
-        eigvals_only=True, select="i", select_range=(0, 0))[0])
+    _, w, _, _, info = dstebz(diag + disc.V, -np.sqrt(upper[:-1] * lower[1:]),
+                              2, 0.0, 1.0, 1, 1, 0.0, "E")
+    if info != 0:
+        raise NumericalError(f"LAPACK dstebz failed: info = {info}")
+    return float(w[0])

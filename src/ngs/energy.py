@@ -242,8 +242,8 @@ def fiber_minimize(u: GridFunction, model) -> tuple[float, float]:
     refines with a bounded scalar minimizer. Raises BracketError when no
     interior minimum exists in the bracket, which is the discrete signature
     of the spreading limit dominating the energy. The SciPy minimizer is
-    imported on first call, so that ngs start-up stays at numpy plus
-    scipy.linalg.
+    imported on first call, and scipy.optimize brings in scipy.linalg with
+    it, so neither is part of ngs start-up.
     """
     from scipy.optimize import minimize_scalar
 

@@ -35,21 +35,64 @@ for bit. Each trial field evaluates its nonlinearity g, G, g s, g'
 form once; an accepted one adds one -Lap u for its stationarity. The
 winner's last stationarity and nonlinearity give the reported Nehari and
 Pohozaev defects, so nothing is evaluated after the loop.
+
+The package's two LAPACK routines, dgtsv here and dstebz for
+curves.quadratic_form_infimum, are those of SciPy's compiled extension
+scipy.linalg._flapack, which _load_flapack loads by itself: importing the
+scipy.linalg package around it (SciPy's array-API layer, numpy.f2py) would
+be most of the CLI's start-up. They are the same Fortran objects as
+scipy.linalg.lapack.dgtsv and scipy.linalg.lapack.dstebz.
 """
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+import scipy
 
 from . import energy as energy_mod
 from . import grids
 from .errors import NumericalError
 from .grids import GridFunction, RadialGrid
 from .models import NonlinearValues
+
+
+def _load_flapack():
+    """SciPy's LAPACK extension scipy.linalg._flapack, without scipy.linalg.
+
+    The extension is found in SciPy's linalg directory and registered in
+    sys.modules under its own name, or taken from there if an import of
+    scipy.linalg has loaded it already; either way one instance exists per
+    process, and a later "from scipy.linalg import _flapack" (which
+    scipy.linalg.lapack runs) resolves to it through sys.modules. Only the
+    package attribute scipy.linalg._flapack stays unset when ngs loads the
+    extension first, so code outside ngs reaches the routines through
+    scipy.linalg.lapack.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    finder = importlib.machinery.FileFinder(
+        os.path.join(scipy.__path__[0], "linalg"),
+        (importlib.machinery.ExtensionFileLoader,
+         importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"no {name} extension in the installed SciPy")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dgtsv, dstebz = _flapack.dgtsv, _flapack.dstebz
 
 # Fixed constants of the solver. They shape how a run is carried out and
 # judged, not the problem; no caller needs other values, so they stay out

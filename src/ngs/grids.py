@@ -67,6 +67,11 @@ class RadialGrid:
         for arr in (self.r, self.w, self.edge_weights):
             arr.flags.writeable = False
 
+    @classmethod
+    def from_dict(cls, fields) -> "RadialGrid":
+        """The grid that dataclasses.asdict wrote: a profile sidecar or a manifest's."""
+        return cls(N=int(fields["N"]), R=float(fields["R"]), n=int(fields["n"]))
+
 
 class GridFunction:
     """Immutable field sampled on a RadialGrid."""
@@ -149,8 +154,8 @@ def even_extension(u: GridFunction):
     A cubic spline through the nodes, the hard zero at R and the value
     u(0) = (9 u_1 - u_2)/8 of the quadratic even extension through the first
     two nodes, clamped to zero slope at the origin. The SciPy spline is
-    imported on first call, so that ngs start-up stays at numpy plus
-    scipy.linalg.
+    imported on first call, and scipy.interpolate brings in scipy.linalg
+    with it, so neither is part of ngs start-up.
     """
     from scipy.interpolate import CubicSpline
 
@@ -217,8 +222,7 @@ def load_profile(path) -> GridFunction:
     path = Path(path)
     side = path.with_suffix(".json")
     with open(side) as fh:
-        meta = json.load(fh)
-    grid = RadialGrid(N=int(meta["N"]), R=float(meta["R"]), n=int(meta["n"]))
+        grid = RadialGrid.from_dict(json.load(fh))
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from helpers import (
+    MODELS_DIR,
     ZERO_G,
     dilate,
     free_power,
@@ -26,11 +27,12 @@ from ngs.curves import (
     write_curve_csv,
     write_subadditivity_csv,
 )
-from ngs import flow
-from ngs.errors import BracketError
+from ngs import curves, flow
+from ngs.energy import Discretization
+from ngs.errors import BracketError, NumericalError
 from ngs.flow import DEADBAND, SolverConfig, minimize
 from ngs.grids import GridFunction, RadialGrid, kinetic, mass
-from ngs.models import make_model
+from ngs.models import load_model, make_model
 
 
 @pytest.fixture(scope="module")
@@ -317,6 +319,25 @@ def test_spectral_floor_is_exact_generalized_eigenvalue(potential):
     A = K + np.diag(grid.w * model.potential.V(grid.r))
     exact = scipy.linalg.eigh(A, np.diag(grid.w), eigvals_only=True)[0]
     assert abs(quadratic_form_infimum(model, grid) - exact) <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["harmonic", "gaussian_well_deep", "gaussian_well_cubic",
+                                  "harmonic_cubic", "tabulated_well"])
+def test_spectral_floor_is_scipy_eigh_tridiagonal_to_the_bit(name, grid20):
+    # the direct dstebz call makes the one eigh_tridiagonal makes
+    model = load_model(MODELS_DIR / f"{name}.json")
+    disc = Discretization(grid20, model)
+    lower, diag, upper = disc.lap
+    expected = scipy.linalg.eigh_tridiagonal(
+        diag + disc.V, -np.sqrt(upper[:-1] * lower[1:]),
+        eigvals_only=True, select="i", select_range=(0, 0))[0]
+    assert quadratic_form_infimum(model, grid20) == expected
+
+
+def test_spectral_floor_raises_on_lapack_failure(small_grid, well_cubic, monkeypatch):
+    monkeypatch.setattr(curves, "dstebz", lambda *args: (0, np.zeros(1), None, None, 3))
+    with pytest.raises(NumericalError, match="info = 3"):
+        quadratic_form_infimum(well_cubic, small_grid)
 
 
 def test_spectral_floor_never_undershoots_potential_floor(small_grid, well_cubic):

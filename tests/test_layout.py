@@ -5,11 +5,11 @@ included, and every module-level import must be used. An import kept only
 to re-export a name carries "# noqa: F401" on its line. No module imports
 scipy.sparse: every linear system of the package is tridiagonal, solved by
 LAPACK dgtsv in flow.bordered_solve. Importing the CLI loads no SciPy
-subpackage that only the tests and the oracle call, and no process-pool
-machinery: every command runs in one process. Every module-level public
-function, method and property is named in code outside the tests (a
-docstring or a comment does not count), so no helper lives in the package
-for the tests alone.
+subpackage, scipy.linalg included (flow loads its LAPACK extension alone),
+and no process-pool machinery: every command runs in one process. Every
+module-level public function, method and property is named in code outside
+the tests (a docstring or a comment does not count), so no helper lives in
+the package for the tests alone.
 """
 import ast
 import re
@@ -128,8 +128,9 @@ def test_no_module_imports_scipy_sparse():
 def test_cli_import_skips_unused_scipy_subpackages():
     code = (
         "import sys; import ngs.cli; "
-        "print(' '.join(m for m in ('scipy.optimize', 'scipy.interpolate', "
-        "'scipy.integrate', 'multiprocessing', 'concurrent.futures.process') "
+        "print(' '.join(m for m in ('scipy.linalg', 'scipy.special', "
+        "'scipy.optimize', 'scipy.interpolate', 'scipy.integrate', "
+        "'multiprocessing', 'concurrent.futures.process') "
         "if m in sys.modules))"
     )
     out = subprocess.run(
@@ -137,6 +138,21 @@ def test_cli_import_skips_unused_scipy_subpackages():
         text=True, check=True,
     ).stdout.split()
     assert out == [], f"import ngs.cli loaded {out}"
+
+
+def test_scipy_linalg_imported_after_the_cli_shares_its_lapack():
+    # ngs loads scipy.linalg._flapack by itself; a later scipy.linalg import
+    # must take that one instance from sys.modules and still work
+    code = (
+        "import numpy as np; import ngs.cli, ngs.flow; "
+        "import scipy.linalg.lapack, scipy.integrate; "
+        "from scipy.linalg import eigh_tridiagonal; "
+        "assert scipy.linalg.lapack.dgtsv is ngs.flow.dgtsv; "
+        "assert scipy.linalg.lapack.dstebz is ngs.flow.dstebz; "
+        "w = eigh_tridiagonal(np.full(3, 2.0), np.full(2, -1.0), eigvals_only=True); "
+        "assert np.allclose(w, 2.0 - np.sqrt(2.0) * np.array([1.0, 0.0, -1.0]))"
+    )
+    subprocess.run([sys.executable, "-c", code], cwd=SRC.parent, check=True)
 
 
 # public functions that only the tests call, by choice
