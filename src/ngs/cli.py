@@ -51,16 +51,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(64)
 
 
-def _add_common(parser: argparse.ArgumentParser, *, needs_out: bool,
+def _add_common(parser: argparse.ArgumentParser, handler, *, needs_out: bool,
                 solver: bool) -> None:
+    parser.set_defaults(handler=handler, solver=solver)
     parser.add_argument("--model", required=True, help="model JSON file")
     parser.add_argument("--grid-R", type=float, default=20.0, metavar="X",
                         help="domain radius (default 20)")
     parser.add_argument("--grid-n", type=int, default=2000, metavar="K",
                         help="number of interior grid nodes (default 2000)")
     if solver:
-        parser.add_argument("--tol", type=float, default=None,
-                            help="stationarity residual tolerance")
+        parser.add_argument("--tol", dest="tol_grad", type=float, default=None,
+                            metavar="TOL", help="stationarity residual tolerance")
         parser.add_argument("--max-iters", type=int, default=None,
                             help="cap on the linear solves of one start")
         parser.add_argument("--starts", type=int, default=None,
@@ -80,12 +81,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve",
                        help="minimize at one mass and write the profile")
-    _add_common(p, needs_out=True, solver=True)
+    _add_common(p, _cmd_solve, needs_out=True, solver=True)
     p.add_argument("--mass", type=float, required=True, help="constraint value a")
 
     p = sub.add_parser("scan",
                        help="energy curve over a mass grid")
-    _add_common(p, needs_out=True, solver=True)
+    _add_common(p, _cmd_scan, needs_out=True, solver=True)
     p.add_argument("--a-min", type=float, required=True)
     p.add_argument("--a-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True,
@@ -93,83 +94,86 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("threshold",
                        help="bisect for the mass where the curve turns negative")
-    _add_common(p, needs_out=True, solver=True)
+    _add_common(p, _cmd_threshold, needs_out=True, solver=True)
     p.add_argument("--a-lo", type=float, default=1e-3)
     p.add_argument("--a-hi", type=float, default=8.0)
 
     p = sub.add_parser("spectrum",
                        help="infimum of the kinetic-plus-potential quadratic form")
-    _add_common(p, needs_out=True, solver=False)
+    _add_common(p, _cmd_spectrum, needs_out=True, solver=False)
 
     p = sub.add_parser("validate",
                        help="structural classification of a model file")
-    _add_common(p, needs_out=False, solver=False)
+    _add_common(p, _cmd_validate, needs_out=False, solver=False)
     return parser
 
 
-def _grid_from_args(args, model) -> RadialGrid:
-    return RadialGrid(N=model.N, R=args.grid_R, n=args.grid_n)
+# the SolverConfig fields that the solver flags set, under the same names;
+# a scan replay rebuilds its config from these alone
+_CONFIG_FIELDS = ("tol_grad", "max_iters", "starts")
 
 
-# command-line flag (argparse dest) -> the SolverConfig field it sets
-_CONFIG_FLAGS = {"tol": "tol_grad", "max_iters": "max_iters", "starts": "starts"}
+def _hashes(out_dir: Path) -> dict:
+    """File name -> SHA-256 of every file in out_dir but the manifest."""
+    return {item.name: sha256_file(item) for item in sorted(out_dir.iterdir())
+            if item.is_file() and item.name != MANIFEST_NAME}
 
 
-def _config_from_args(args) -> SolverConfig:
-    return SolverConfig(**{
-        name: getattr(args, dest) for dest, name in _CONFIG_FLAGS.items()
-        if getattr(args, dest) is not None
-    })
+class _Run:
+    """What every computing run shares: model, grid, solver settings, clock, --out.
+
+    The clock runs from the resolved inputs to make_out, which a command
+    calls once its results are in, so a failed run leaves no directory.
+    """
+
+    def __init__(self, args, model):
+        self.args, self.model = args, model
+        self.grid = RadialGrid(N=model.N, R=args.grid_R, n=args.grid_n)
+        self.config = SolverConfig(**{
+            name: getattr(args, name) for name in _CONFIG_FIELDS
+            if getattr(args, name) is not None
+        }) if args.solver else None
+        self.out_dir = None
+        self.t0 = time.perf_counter()
+
+    def make_out(self, **extra) -> Path:
+        """Stop the clock and make --out; extra goes into the manifest."""
+        self.wall = time.perf_counter() - self.t0
+        self.extra = extra
+        self.out_dir = Path(self.args.out)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        return self.out_dir
+
+    def write_record(self, name: str, payload: dict) -> None:
+        """Write payload as JSON, stamped with the model fingerprint and grid."""
+        write_json(self.out_dir / name, {
+            **payload,
+            "model_fingerprint": self.model.fingerprint(),
+            "grid": dataclasses.asdict(self.grid),
+        })
+
+    def write_manifest(self) -> None:
+        self.write_record(MANIFEST_NAME, {
+            "tool": f"ngs {__version__}",
+            "command": self.args.argv,
+            "subcommand": self.args.command,
+            "model": self.model.to_dict(),
+            "config": dataclasses.asdict(self.config) if self.config else None,
+            "wall_seconds": round(self.wall, 3),
+            "outputs": _hashes(self.out_dir),
+            **self.extra,
+        })
 
 
-def _write_manifest(out_dir: Path, args, model, grid, config,
-                    wall: float, extra: dict | None = None) -> None:
-    outputs = {}
-    for item in sorted(out_dir.iterdir()):
-        if item.is_file() and item.name != MANIFEST_NAME:
-            outputs[item.name] = sha256_file(item)
-    payload = {
-        "tool": f"ngs {__version__}",
-        "command": args.argv,
-        "subcommand": args.command,
-        "model": model.to_dict(),
-        "model_fingerprint": model.fingerprint(),
-        "grid": dataclasses.asdict(grid),
-        "config": dataclasses.asdict(config) if config is not None else None,
-        "wall_seconds": round(wall, 3),
-        "outputs": outputs,
-    }
-    if extra:
-        payload.update(extra)
-    write_json(out_dir / MANIFEST_NAME, payload)
-
-
-def _prepare_out(args) -> Path:
-    # called once the results are in, so a failed run leaves no directory
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _cmd_solve(args, model) -> int:
-    grid = _grid_from_args(args, model)
-    config = _config_from_args(args)
-    t0 = time.perf_counter()
-    result = minimize(args.mass, model, grid, config)
-    wall = time.perf_counter() - t0
-    out_dir = _prepare_out(args)
-
-    payload = result.to_dict()
-    payload["model_fingerprint"] = model.fingerprint()
-    payload["grid"] = dataclasses.asdict(grid)
-    write_json(out_dir / "result.json", payload)
+def _cmd_solve(args, run: _Run) -> int:
+    result = minimize(args.mass, run.model, run.grid, run.config)
+    out_dir = run.make_out(mass=args.mass)
+    run.write_record("result.json", result.to_dict())
     save_profile(result.u, out_dir / "profile.csv")
     with open(out_dir / "trace.csv", "w", newline="") as fh:
         fh.write("iter,J\n")
         for it, j in result.energy_trace:
             fh.write(f"{it},{j:.12g}\n")
-    _write_manifest(out_dir, args, model, grid, config, wall,
-                    extra={"mass": args.mass})
 
     tag = "converged" if result.converged else (result.reason or "not converged")
     print(f"a = {args.mass:.12g}: J = {result.energy:.12g}, "
@@ -186,29 +190,21 @@ def _cmd_solve(args, model) -> int:
     return 1
 
 
-def _cmd_scan(args, model) -> int:
-    if not (args.a_min < args.a_max):
-        raise ValueError("--a-min must be below --a-max")
+def _cmd_scan(args, run: _Run) -> int:
+    if not args.a_min < args.a_max < math.inf:
+        raise ValueError("--a-min must be below --a-max, both finite")
     if args.a_min <= 0:
         raise ValueError("masses must be positive")
     if args.steps < 3:
         raise ValueError("--steps must be at least 3")
-    grid = _grid_from_args(args, model)
-    config = _config_from_args(args)
     masses = np.linspace(args.a_min, args.a_max, args.steps)
-
-    t0 = time.perf_counter()
-    curve = scan(masses, model, grid, config)
-    wall = time.perf_counter() - t0
-    out_dir = _prepare_out(args)
+    curve = scan(masses, run.model, run.grid, run.config)
+    out_dir = run.make_out(masses=masses.tolist())
 
     write_curve_csv(curve, out_dir / "curve.csv")
     report = subadditivity_check(curve)
     write_subadditivity_csv(report, out_dir / "subadditivity.csv")
     _write_gnuplot_script(out_dir / "curve.gp")
-    _write_manifest(out_dir, args, model, grid, config, wall, extra={
-        "masses": [round_floats(a) for a in masses.tolist()],
-    })
 
     n_conv = sum(1 for pt in curve.points if pt.converged)
     energies = curve.energies()
@@ -233,48 +229,23 @@ def _cmd_scan(args, model) -> int:
     return 0
 
 
-def _cmd_threshold(args, model) -> int:
-    grid = _grid_from_args(args, model)
-    config = _config_from_args(args)
-    t0 = time.perf_counter()
-    try:
-        found = threshold_a0(model, grid, config, bracket=(args.a_lo, args.a_hi))
-    except BracketError as exc:
-        print(f"threshold failed: {exc}", file=sys.stderr)
-        return 1
-    wall = time.perf_counter() - t0
-    out_dir = _prepare_out(args)
-    payload = dataclasses.asdict(found)
-    payload["model_fingerprint"] = model.fingerprint()
-    payload["grid"] = dataclasses.asdict(grid)
-    write_json(out_dir / "threshold.json", payload)
-    _write_manifest(out_dir, args, model, grid, config, wall)
+def _cmd_threshold(args, run: _Run) -> int:
+    found = threshold_a0(run.model, run.grid, run.config,
+                         bracket=(args.a_lo, args.a_hi))
+    run.make_out()
+    run.write_record("threshold.json", dataclasses.asdict(found))
     qualifier = "at or below" if found.below_lower_bracket else "within"
     print(f"a0 = {found.a0:.6g} ({qualifier} the bracket, half-width "
           f"{found.half_width:.3g}, {len(found.evaluations)} evaluations)")
     return 0
 
 
-def _cmd_spectrum(args, model) -> int:
-    grid = _grid_from_args(args, model)
-    t0 = time.perf_counter()
-    try:
-        value = quadratic_form_infimum(model, grid)
-    except ValueError as exc:
-        print(f"spectrum failed: {exc}", file=sys.stderr)
-        return 1
-    wall = time.perf_counter() - t0
-    out_dir = _prepare_out(args)
-    payload = {
-        "infimum": value,
-        "potential_lower_bound": model.potential.c_ell,
-        "model_fingerprint": model.fingerprint(),
-        "grid": dataclasses.asdict(grid),
-    }
-    write_json(out_dir / "spectrum.json", payload)
-    _write_manifest(out_dir, args, model, grid, None, wall)
-    print(f"quadratic form infimum = {value:.12g} "
-          f"(potential lower bound {model.potential.c_ell:.12g})")
+def _cmd_spectrum(args, run: _Run) -> int:
+    value = quadratic_form_infimum(run.model, run.grid)
+    run.make_out()
+    bound = run.model.potential.c_ell
+    run.write_record("spectrum.json", {"infimum": value, "potential_lower_bound": bound})
+    print(f"quadratic form infimum = {value:.12g} (potential lower bound {bound:.12g})")
     return 0
 
 
@@ -287,16 +258,11 @@ def _classification_payload(model, grid) -> dict:
     }
 
 
-def _cmd_validate(args, model) -> int:
-    grid = _grid_from_args(args, model)
-    payload = _classification_payload(model, grid)
+def _cmd_validate(args, run: _Run) -> int:
+    payload = _classification_payload(run.model, run.grid)
     if args.out:
-        out_dir = _prepare_out(args)
-        t0 = time.perf_counter()
-        write_json(out_dir / "classification.json", payload)
-        _write_manifest(out_dir, args, model, grid, None, time.perf_counter() - t0)
-    text = json.dumps(round_floats(payload), indent=2, sort_keys=True)
-    print(text)
+        write_json(run.make_out() / "classification.json", payload)
+    print(json.dumps(round_floats(payload), indent=2, sort_keys=True))
     return 0
 
 
@@ -335,18 +301,13 @@ def _verify_dir(args) -> int:
         if sub != args.command:
             failures.append(f"{MANIFEST_NAME} records a {sub!r} run, "
                             f"not a {args.command!r} run")
-        for name, recorded in manifest.get("outputs", {}).items():
-            item = out_dir / name
-            if not item.is_file():
+        listed, actual = manifest.get("outputs", {}), _hashes(out_dir)
+        for name, recorded in listed.items():
+            if name not in actual:
                 failures.append(f"missing output file {name}")
-                continue
-            actual = sha256_file(item)
-            if actual != recorded:
+            elif actual[name] != recorded:
                 failures.append(f"hash mismatch for {name}")
-        listed = set(manifest.get("outputs", {}))
-        for item in sorted(out_dir.iterdir()):
-            if item.is_file() and item.name != MANIFEST_NAME and item.name not in listed:
-                failures.append(f"unlisted file {item.name}")
+        failures.extend(f"unlisted file {name}" for name in actual if name not in listed)
 
         if not failures:
             failures.extend(_verify_semantics(out_dir, manifest))
@@ -357,8 +318,7 @@ def _verify_dir(args) -> int:
         for f in failures:
             print(f"verification failed: {f}", file=sys.stderr)
         return 1
-    print(f"verification OK: {len(manifest.get('outputs', {}))} files match "
-          f"({manifest.get('subcommand')} run)")
+    print(f"verification OK: {len(listed)} files match ({sub} run)")
     return 0
 
 
@@ -383,7 +343,7 @@ def _verify_semantics(out_dir: Path, manifest: dict) -> list:
         # rebuilt from the fields the command line sets alone, so manifests
         # that record further (older) config keys still replay
         config = SolverConfig(**{name: manifest["config"][name]
-                                 for name in _CONFIG_FLAGS.values()})
+                                 for name in _CONFIG_FIELDS})
         points = read_curve_csv(out_dir / "curve.csv")
         usable = [pt for pt in points if pt.converged]
         picks = []
@@ -455,28 +415,26 @@ def main(argv=None) -> int:
         return _verify_dir(args)
     try:
         model = load_model(args.model)
+        # results go to --out only once computed; a file in the way fails now
+        if args.out and Path(args.out).exists() and not Path(args.out).is_dir():
+            raise ValueError(f"--out {args.out} exists and is not a directory")
+        run = _Run(args, model)
+        code = args.handler(args, run)
     except ModelFormatError as exc:
         print(f"ngs: bad model file: {exc}", file=sys.stderr)
         return 64
-    # results go to --out only once computed; a file in the way fails now
-    if args.out is not None and Path(args.out).exists() and not Path(args.out).is_dir():
-        print(f"ngs: --out {args.out} exists and is not a directory", file=sys.stderr)
-        return 64
-    handler = {
-        "solve": _cmd_solve,
-        "scan": _cmd_scan,
-        "threshold": _cmd_threshold,
-        "spectrum": _cmd_spectrum,
-        "validate": _cmd_validate,
-    }[args.command]
-    try:
-        return handler(args, model)
     except ValueError as exc:
         print(f"ngs: {exc}", file=sys.stderr)
         return 64
+    except BracketError as exc:
+        print(f"ngs: {exc}", file=sys.stderr)
+        return 1
     except NumericalError as exc:
         print(f"ngs: numerical failure: {exc}", file=sys.stderr)
         return 1
+    if run.out_dir is not None:
+        run.write_manifest()
+    return code
 
 
 if __name__ == "__main__":

@@ -242,8 +242,8 @@ def threshold_a0(model: Model, grid: RadialGrid,
     beyond 1e-12 (1 + |J|).
     """
     a_lo, a_hi = float(bracket[0]), float(bracket[1])
-    if not 0 < a_lo < a_hi:
-        raise ValueError("bracket must satisfy 0 < a_lo < a_hi")
+    if not 0 < a_lo < a_hi < math.inf:
+        raise ValueError("bracket must satisfy 0 < a_lo < a_hi, both finite")
     if config is None:
         config = SolverConfig()
     probe_config = dataclasses.replace(config, stop_energy_below=-15.0 * DEADBAND)
@@ -287,8 +287,6 @@ def quadratic_form_infimum(model: Model, grid: RadialGrid) -> float:
     nonzero LAPACK info raises NumericalError.
     """
     disc = Discretization(grid, model)
-    if not np.all(np.isfinite(disc.V)):
-        raise ValueError("potential must be finite on the grid")
     lower, diag, upper = disc.lap
     _, w, _, _, info = dstebz(diag + disc.V, -np.sqrt(upper[:-1] * lower[1:]),
                               2, 0.0, 1.0, 1, 1, 0.0, "E")

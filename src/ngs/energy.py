@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import grids
-from .errors import BracketError
+from .errors import BracketError, NumericalError
 from .grids import GridFunction
 
 # admissible range for the fiber-map parameter t, which is also the bracket
@@ -67,6 +67,7 @@ class Discretization:
     zero of the defect is an exact constrained critical point of J. The
     solver and the spectrum build one instance each; the GridFunction
     functions below wrap a fresh one, so all report bit-identical values.
+    A potential that is not finite at every node raises NumericalError.
     """
 
     def __init__(self, grid: grids.RadialGrid, model):
@@ -75,7 +76,11 @@ class Discretization:
         self.grid = grid
         self.model = model
         self.w = grid.w
-        self.V = model.potential.V(grid.r)
+        # an overflow is reported below, as the one error it causes
+        with np.errstate(over="ignore"):
+            self.V = model.potential.V(grid.r)
+        if not np.all(np.isfinite(self.V)):
+            raise NumericalError("potential must be finite on the grid")
         self.lap = grids.laplacian_tridiagonal(grid)
 
     def masses(self, v: np.ndarray) -> tuple[float, float]:

@@ -134,8 +134,8 @@ class SolverConfig:
     stop_energy_below: float | None = None
 
     def __post_init__(self):
-        if not self.tol_grad > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tol_grad < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.starts < 1:
             raise ValueError("need at least one start")
         if self.max_iters < 1:
@@ -346,8 +346,8 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
     converged. Never raises on non-convergence; inspect converged/reason on
     the result. Raises NumericalError if a start reaches a degenerate field.
     """
-    if not a > 0:
-        raise ValueError(f"mass must be positive, got {a}")
+    if not 0 < a < math.inf:
+        raise ValueError(f"mass must be positive and finite, got {a}")
     if config is None:
         config = SolverConfig()
     op = energy_mod.Discretization(grid, model)

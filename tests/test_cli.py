@@ -11,6 +11,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,14 @@ def run_module(*argv):
 
 
 SMALL = ("--grid-R", "16", "--grid-n", "400")
+
+
+def model_with(tmp_path, override):
+    """gaussian_well_cubic with the top-level entries of override replaced."""
+    model_json = json.loads((MODELS_DIR / "gaussian_well_cubic.json").read_text())
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({**model_json, **override}))
+    return model
 
 
 # --- validate ---
@@ -250,15 +259,17 @@ INFINITE_COEF = {"nonlinearity": {"kind": "power_sum",
     (INFINITE_COEF, ("validate",)),
     (None, ("solve", "--mass", "1", "--grid-R", "inf")),
     (None, ("spectrum", "--grid-R", "inf")),
+    (None, ("solve", "--mass", "inf", *SMALL)),
+    (None, ("threshold", "--a-hi", "inf", *SMALL)),
+    (None, ("solve", "--mass", "1", "--tol", "inf", *SMALL)),
+    (None, ("scan", "--a-min", "1", "--a-max", "inf", "--steps", "3", *SMALL)),
 ], ids=["nan-table-solve", "nan-table-validate", "infinite-well-solve",
         "infinite-coefficient-validate", "infinite-radius-solve",
-        "infinite-radius-spectrum"])
+        "infinite-radius-spectrum", "infinite-mass-solve",
+        "infinite-bracket-threshold", "infinite-tolerance-solve",
+        "infinite-mass-range-scan"])
 def test_nonfinite_input_is_usage_error(tmp_path, override, argv):
-    model = MODELS_DIR / "gaussian_well_cubic.json"
-    if override is not None:
-        model_json = json.loads(model.read_text())
-        model = tmp_path / "model.json"
-        model.write_text(json.dumps({**model_json, **override}))
+    model = model_with(tmp_path, override or {})
     proc = run_cli(argv[0], "--model", model, *argv[1:], "--out", tmp_path / "x")
     assert proc.returncode == 64, proc.stdout + proc.stderr
     assert "finite" in proc.stderr
@@ -392,6 +403,17 @@ def test_scan_verify_reports_malformed_manifest(scan_dirs, tmp_path, drop):
     assert "Traceback" not in check.stderr
 
 
+@pytest.mark.parametrize("model,sign", [
+    ("harmonic.json", "sign: nonnegative throughout"),
+    ("harmonic_cubic.json", "sign: turns negative by a = 4.66667"),
+], ids=["nonnegative", "turns-negative"])
+def test_scan_sign_summary(tmp_path, model, sign):
+    proc = run_cli("scan", "--model", MODELS_DIR / model, "--a-min", "1",
+                   "--a-max", "12", "--steps", "4", *SMALL, "--out", tmp_path / "x")
+    assert proc.returncode == 0, proc.stderr
+    assert sign in proc.stdout.splitlines()
+
+
 def test_scan_partial_curve_exits_1(tmp_path):
     # a budget below the 3-5 solves each cold start needs: no mass can
     # converge, so none warm-starts the next
@@ -425,6 +447,7 @@ def test_threshold_cli_bad_bracket_fails(tmp_path):
                    *SMALL, "--a-lo", "0.5", "--a-hi", "1.0",
                    "--out", tmp_path / "thr")
     assert proc.returncode == 1
+    assert proc.stderr.startswith("ngs: ")
     assert "enlarge" in proc.stderr
 
 
@@ -458,6 +481,21 @@ def test_numerical_failure_exits_1(tmp_path):
     assert "degenerate field" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [("solve", "--mass", "1"), ("spectrum",), ("threshold",)],
+                         ids=["solve", "spectrum", "threshold"])
+def test_overflowing_potential_exits_1_without_warning(tmp_path, argv):
+    # r^300 leaves the float range beyond r = 10.6, well inside R = 16
+    model = model_with(tmp_path, {"potential": {"kind": "power_coercive",
+                                                "params": [1.0, 300.0]}})
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        proc = run_cli(argv[0], "--model", model, *argv[1:], *SMALL, "--out", out)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "finite on the grid" in proc.stderr
     assert not out.exists()
 
 
@@ -559,9 +597,7 @@ TABLE_LENGTH_MISMATCH = {"potential": {"kind": "tabulated", "table": {
 @pytest.mark.parametrize("argv", [("validate",), ("spectrum", *SMALL)],
                          ids=["validate", "spectrum"])
 def test_table_length_mismatch_is_bad_model_file(tmp_path, argv):
-    model_json = json.loads((MODELS_DIR / "gaussian_well_cubic.json").read_text())
-    model = tmp_path / "model.json"
-    model.write_text(json.dumps({**model_json, **TABLE_LENGTH_MISMATCH}))
+    model = model_with(tmp_path, TABLE_LENGTH_MISMATCH)
     out = tmp_path / "x"
     proc = run_cli(argv[0], "--model", model, *argv[1:], "--out", out)
     assert proc.returncode == 64, proc.stdout + proc.stderr

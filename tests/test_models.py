@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import MODELS_DIR, ZERO_V, harmonic_v, power_g, well_v
+from helpers import MODELS_DIR, ZERO_G, ZERO_V, harmonic_v, power_g, well_v
+from ngs.curves import quadratic_form_infimum
 from ngs.errors import ModelFormatError
 from ngs.grids import RadialGrid
 from ngs.models import (
@@ -206,6 +207,38 @@ def test_potential_bounds_sampled(grid):
         assert np.all(vals >= p.c_ell - 1e-12)
         if math.isfinite(p.V_inf):
             assert np.all(vals <= p.V_inf + 1e-12)
+
+
+# --- power-law coercive potentials ---
+
+def power_v(c: float, k: float) -> dict:
+    return {"kind": "power_coercive", "params": [c, k]}
+
+
+def test_power_coercive_values_and_limits(grid):
+    p = make_model(1, ZERO_G, power_v(0.5, 3.0)).potential
+    assert np.array_equal(p.V(grid.r), 0.5 * grid.r**3.0)
+    assert np.array_equal(p.dV_dot_x(grid.r), 0.5 * 3.0 * grid.r**3.0)
+    assert p.coercive and classify_V(p, grid).coercive
+    assert p.V_inf == math.inf
+    assert p.c_ell == 0.0
+
+
+@pytest.mark.parametrize("params", [[1.0], [0.0, 2.0], [1.0, 0.5]],
+                         ids=["one-parameter", "zero-strength", "exponent-below-1"])
+def test_power_coercive_parameter_validation(params):
+    with pytest.raises(ValueError):
+        make_model(1, ZERO_G, {"kind": "power_coercive", "params": params})
+
+
+def test_power_coercive_quadratic_is_harmonic():
+    grid = RadialGrid(1, 20.0, 2000)
+    power = make_model(1, ZERO_G, power_v(1.0, 2.0))
+    harmonic = make_model(1, ZERO_G, harmonic_v(1.0))
+    assert np.array_equal(power.potential.V(grid.r), harmonic.potential.V(grid.r))
+    assert np.array_equal(power.potential.dV_dot_x(grid.r),
+                          harmonic.potential.dV_dot_x(grid.r))
+    assert quadratic_form_infimum(power, grid) == quadratic_form_infimum(harmonic, grid)
 
 
 # --- tabulated potentials ---
