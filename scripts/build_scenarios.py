@@ -1,14 +1,12 @@
 """Regenerate the bundled regression scenarios under scenarios/.
 
 Each scenario is a command line run captured with its manifest, so the
-same command with --verify replays the hash and semantic checks offline,
-for example `python -m ngs solve --model models/power3_free.json --mass 4
---out scenarios/solve_cubic_free --verify`. The replay reads the model and
-grid from the manifest, but the parser still asks for --model and the
-command's other required flags. The three runs cover the solver (free cubic
-at the exactly solvable mass), the threshold bisection (well model that is
-negative at the lower bracket), and the quadratic-form eigenvalue (harmonic
-potential).
+command with its --out and --verify replays the hash and semantic checks
+offline, for example `python -m ngs solve --out scenarios/solve_cubic_free
+--verify`; the manifest supplies the model and grid. The three runs cover
+the solver (free cubic at the exactly solvable mass), the threshold
+bisection (well model that is negative at the lower bracket), and the
+quadratic-form eigenvalue (harmonic potential).
 
 Rebuilding is deterministic: the solver takes no random input, so a rebuild
 on the same platform reproduces the output files byte for byte. Each
@@ -66,11 +64,14 @@ def rebuild(name: str, argv: list, env: dict) -> None:
         out.rename(old)
     # relative to ROOT, so manifests do not record the checkout location
     rel = str(out.relative_to(ROOT))
-    cmd = [sys.executable, "-m", "ngs", *argv, "--out", rel]
+    ngs = [sys.executable, "-m", "ngs"]
+    cmd = [*ngs, *argv, "--out", rel]
     print("+", " ".join(cmd[2:]))
     try:
         subprocess.run(cmd, cwd=ROOT, env=env, check=True)
-        subprocess.run([*cmd, "--verify"], cwd=ROOT, env=env, check=True)
+        # the manifest supplies every other input of the replay
+        subprocess.run([*ngs, argv[0], "--out", rel, "--verify"],
+                       cwd=ROOT, env=env, check=True)
     except BaseException:
         if out.exists():
             shutil.rmtree(out)

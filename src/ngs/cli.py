@@ -3,8 +3,8 @@
 Subcommands: solve (one mass), scan (a curve of masses), threshold (sign
 change of the curve), spectrum (infimum of the quadratic form), validate
 (structural classification of a model file). Every run that writes files
-also writes a manifest with content hashes; --verify replays a directory
-against its manifest instead of recomputing from scratch.
+also writes a manifest with content hashes and every input; --verify with
+--out alone replays a directory against it instead of recomputing.
 
 Exit codes: 0 success/converged, 1 failure, partial result or numerical
 breakdown, 2 converged to the spread no-minimizer regime, 3 vanishing
@@ -51,9 +51,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(64)
 
 
-def _add_common(parser: argparse.ArgumentParser, handler, *, needs_out: bool,
-                solver: bool) -> None:
-    parser.set_defaults(handler=handler, solver=solver)
+class _Replay(argparse.Action):
+    """--verify: the record in --out supplies every input, so only --out is required."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, True)
+        for action in parser._actions:
+            action.required = action.dest == "out"
+
+
+def _add_common(parser: argparse.ArgumentParser, handler, replay, *,
+                needs_out: bool, solver: bool) -> None:
+    parser.set_defaults(handler=handler, replay=replay, solver=solver)
     parser.add_argument("--model", required=True, help="model JSON file")
     parser.add_argument("--grid-R", type=float, default=20.0, metavar="X",
                         help="domain radius (default 20)")
@@ -68,9 +77,9 @@ def _add_common(parser: argparse.ArgumentParser, handler, *, needs_out: bool,
                             help="number of initial profiles")
     parser.add_argument("--out", required=needs_out, default=None, metavar="DIR",
                         help="output directory")
-    parser.add_argument("--verify", action="store_true",
+    parser.add_argument("--verify", action=_Replay, nargs=0, default=False,
                         help="check an existing output directory against its "
-                             "manifest instead of recomputing")
+                             "manifest instead of recomputing; needs only --out")
 
 
 def _build_parser() -> _Parser:
@@ -81,12 +90,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve",
                        help="minimize at one mass and write the profile")
-    _add_common(p, _cmd_solve, needs_out=True, solver=True)
+    _add_common(p, _cmd_solve, _replay_solve, needs_out=True, solver=True)
     p.add_argument("--mass", type=float, required=True, help="constraint value a")
 
     p = sub.add_parser("scan",
                        help="energy curve over a mass grid")
-    _add_common(p, _cmd_scan, needs_out=True, solver=True)
+    _add_common(p, _cmd_scan, _replay_scan, needs_out=True, solver=True)
     p.add_argument("--a-min", type=float, required=True)
     p.add_argument("--a-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True,
@@ -94,17 +103,17 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("threshold",
                        help="bisect for the mass where the curve turns negative")
-    _add_common(p, _cmd_threshold, needs_out=True, solver=True)
+    _add_common(p, _cmd_threshold, _replay_threshold, needs_out=True, solver=True)
     p.add_argument("--a-lo", type=float, default=1e-3)
     p.add_argument("--a-hi", type=float, default=8.0)
 
     p = sub.add_parser("spectrum",
                        help="infimum of the kinetic-plus-potential quadratic form")
-    _add_common(p, _cmd_spectrum, needs_out=True, solver=False)
+    _add_common(p, _cmd_spectrum, _replay_spectrum, needs_out=True, solver=False)
 
     p = sub.add_parser("validate",
                        help="structural classification of a model file")
-    _add_common(p, _cmd_validate, needs_out=False, solver=False)
+    _add_common(p, _cmd_validate, _replay_validate, needs_out=False, solver=False)
     return parser
 
 
@@ -280,12 +289,8 @@ def _write_gnuplot_script(path: Path) -> None:
 
 
 def _verify_dir(args) -> int:
-    """Check outputs in --out against the manifest, then spot-recompute."""
-    out_dir = Path(args.out) if args.out else None
-    if out_dir is None:
-        print("ngs: --verify needs --out pointing at a previous run",
-              file=sys.stderr)
-        return 64
+    """Check --out against its manifest, then run the replay, which yields mismatches."""
+    out_dir = Path(args.out)
     manifest_path = out_dir / MANIFEST_NAME
     if not manifest_path.is_file():
         print(f"verification failed: no {MANIFEST_NAME} in {out_dir}",
@@ -293,8 +298,7 @@ def _verify_dir(args) -> int:
         return 1
     # a truncated or incomplete record fails verification; it is no crash
     try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
+        manifest = json.loads(manifest_path.read_text())
         failures = []
         sub = manifest.get("subcommand")
         # a record replays only under the command that wrote it
@@ -310,7 +314,7 @@ def _verify_dir(args) -> int:
         failures.extend(f"unlisted file {name}" for name in actual if name not in listed)
 
         if not failures:
-            failures.extend(_verify_semantics(out_dir, manifest))
+            failures.extend(args.replay(out_dir, manifest))
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         failures = [f"cannot replay the run record: {type(exc).__name__}: {exc}"]
 
@@ -322,70 +326,41 @@ def _verify_dir(args) -> int:
     return 0
 
 
-def _verify_semantics(out_dir: Path, manifest: dict) -> list:
-    sub = manifest.get("subcommand")
-    failures: list[str] = []
-    if sub == "solve":
-        model = make_model(**manifest["model"])
-        with open(out_dir / "result.json") as fh:
-            stored = json.load(fh)
-        u = load_profile(out_dir / "profile.csv")
-        j = evaluate(u, model).J
-        tol = max(1e-8, 1e-8 * abs(stored["C_a_estimate"]))
-        if abs(j - stored["C_a_estimate"]) > tol:
-            failures.append(
-                f"stored profile evaluates to J = {j:.12g}, result.json says "
-                f"{stored['C_a_estimate']:.12g}"
-            )
-    elif sub == "scan":
-        model = make_model(**manifest["model"])
-        grid = RadialGrid.from_dict(manifest["grid"])
-        # rebuilt from the fields the command line sets alone, so manifests
-        # that record further (older) config keys still replay
-        config = SolverConfig(**{name: manifest["config"][name]
-                                 for name in _CONFIG_FIELDS})
-        points = read_curve_csv(out_dir / "curve.csv")
-        usable = [pt for pt in points if pt.converged]
-        picks = []
-        if usable:
-            picks = sorted({0, len(usable) // 2, len(usable) - 1})
-        for idx in picks:
-            pt = usable[idx]
-            res = minimize(pt.a, model, grid, config)
-            tol = max(1e-7, 1e-5 * abs(pt.energy))
-            if abs(res.energy - pt.energy) > tol:
-                failures.append(
-                    f"spot check at a = {pt.a:.6g}: recomputed C = "
-                    f"{res.energy:.12g} vs stored {pt.energy:.12g}"
-                )
-    elif sub == "threshold":
-        with open(out_dir / "threshold.json") as fh:
-            stored = json.load(fh)
-        failures.extend(_replay_threshold(stored))
-    elif sub == "spectrum":
-        model = make_model(**manifest["model"])
-        grid = RadialGrid.from_dict(manifest["grid"])
-        with open(out_dir / "spectrum.json") as fh:
-            stored = json.load(fh)
-        value = quadratic_form_infimum(model, grid)
-        if abs(value - stored["infimum"]) > max(1e-9, 1e-9 * abs(value)):
-            failures.append(
-                f"recomputed infimum {value:.12g} vs stored "
-                f"{stored['infimum']:.12g}"
-            )
-    elif sub == "validate":
-        model = make_model(**manifest["model"])
-        grid = RadialGrid.from_dict(manifest["grid"])
-        with open(out_dir / "classification.json") as fh:
-            stored = json.load(fh)
-        fresh = round_floats(_classification_payload(model, grid))
-        if fresh != stored:
-            failures.append("classification no longer matches the stored report")
-    return failures
+def _recorded_inputs(manifest: dict) -> tuple:
+    """The model and grid that a run record was computed on."""
+    return make_model(**manifest["model"]), RadialGrid.from_dict(manifest["grid"])
 
 
-def _replay_threshold(stored: dict) -> list:
+def _replay_solve(out_dir: Path, manifest: dict):
+    """Re-evaluate the stored profile against the stored energy."""
+    model, _ = _recorded_inputs(manifest)
+    stored = json.loads((out_dir / "result.json").read_text())
+    j = evaluate(load_profile(out_dir / "profile.csv"), model).J
+    if abs(j - stored["C_a_estimate"]) > max(1e-8, 1e-8 * abs(stored["C_a_estimate"])):
+        yield (f"stored profile evaluates to J = {j:.12g}, result.json says "
+               f"{stored['C_a_estimate']:.12g}")
+
+
+def _replay_scan(out_dir: Path, manifest: dict):
+    """Re-minimize the first, middle and last converged masses."""
+    model, grid = _recorded_inputs(manifest)
+    # rebuilt from the fields the command line sets alone, so manifests
+    # that record further (older) config keys still replay
+    config = SolverConfig(**{name: manifest["config"][name]
+                             for name in _CONFIG_FIELDS})
+    usable = [pt for pt in read_curve_csv(out_dir / "curve.csv") if pt.converged]
+    for idx in sorted({0, len(usable) // 2, len(usable) - 1} if usable else ()):
+        pt = usable[idx]
+        res = minimize(pt.a, model, grid, config)
+        if abs(res.energy - pt.energy) > max(1e-7, 1e-5 * abs(pt.energy)):
+            yield (f"spot check at a = {pt.a:.6g}: recomputed C = "
+                   f"{res.energy:.12g} vs stored {pt.energy:.12g}")
+
+
+def _replay_threshold(out_dir: Path, manifest: dict):
     """Re-run the bisection on the recorded probe energies."""
+    stored = json.loads((out_dir / "threshold.json").read_text())
+
     def recorded(a: float) -> float:
         for e in stored["evaluations"]:
             if math.isclose(e["a"], a, rel_tol=1e-9):
@@ -396,15 +371,29 @@ def _replay_threshold(stored: dict) -> list:
         a0, half_width, below = bisect_threshold(
             recorded, tuple(stored["bracket"]), stored["deadband"])
     except (BracketError, LookupError) as exc:
-        return [f"bisection replay failed: {exc}"]
-    out = []
+        yield f"bisection replay failed: {exc}"
+        return
     if below != stored["below_lower_bracket"]:
-        out.append(f"bisection replay gives below_lower_bracket = {below}")
+        yield f"bisection replay gives below_lower_bracket = {below}"
     for key, value in (("a0", a0), ("half_width", half_width)):
         if not math.isclose(value, stored[key], rel_tol=1e-9, abs_tol=1e-12):
-            out.append(f"bisection replay gives {key} = {value:.12g}, "
-                       f"stored {stored[key]:.12g}")
-    return out
+            yield (f"bisection replay gives {key} = {value:.12g}, "
+                   f"stored {stored[key]:.12g}")
+
+
+def _replay_spectrum(out_dir: Path, manifest: dict):
+    """Recompute the infimum of the quadratic form."""
+    stored = json.loads((out_dir / "spectrum.json").read_text())
+    value = quadratic_form_infimum(*_recorded_inputs(manifest))
+    if abs(value - stored["infimum"]) > max(1e-9, 1e-9 * abs(value)):
+        yield f"recomputed infimum {value:.12g} vs stored {stored['infimum']:.12g}"
+
+
+def _replay_validate(out_dir: Path, manifest: dict):
+    """Reclassify the model and compare with the stored report."""
+    fresh = round_floats(_classification_payload(*_recorded_inputs(manifest)))
+    if fresh != json.loads((out_dir / "classification.json").read_text()):
+        yield "classification no longer matches the stored report"
 
 
 def main(argv=None) -> int:
@@ -416,8 +405,10 @@ def main(argv=None) -> int:
     try:
         model = load_model(args.model)
         # results go to --out only once computed; a file in the way fails now
-        if args.out and Path(args.out).exists() and not Path(args.out).is_dir():
-            raise ValueError(f"--out {args.out} exists and is not a directory")
+        out = Path(args.out or ".")
+        nearest = next(p for p in (out, *out.parents) if p.exists())
+        if not nearest.is_dir():
+            raise ValueError(f"--out {args.out}: {nearest} exists and is not a directory")
         run = _Run(args, model)
         code = args.handler(args, run)
     except ModelFormatError as exc:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import grids
-from .errors import BracketError, NumericalError
+from .errors import BracketError
 from .grids import GridFunction
 
 # admissible range for the fiber-map parameter t, which is also the bracket
@@ -76,11 +76,7 @@ class Discretization:
         self.grid = grid
         self.model = model
         self.w = grid.w
-        # an overflow is reported below, as the one error it causes
-        with np.errstate(over="ignore"):
-            self.V = model.potential.V(grid.r)
-        if not np.all(np.isfinite(self.V)):
-            raise NumericalError("potential must be finite on the grid")
+        self.V = model.potential.V_on(grid)
         self.lap = grids.laplacian_tridiagonal(grid)
 
     def masses(self, v: np.ndarray) -> tuple[float, float]:

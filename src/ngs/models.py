@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ModelFormatError
+from .errors import ModelFormatError, NumericalError
 from .grids import RadialGrid
 
 # relative tolerance for declaring a tabulated potential settled at its tail
@@ -201,6 +201,15 @@ class PotentialModel:
             c, k = self.params
             return c * r**k
         return np.interp(r, self.table_r, self.table_v)
+
+    def V_on(self, grid: RadialGrid) -> np.ndarray:
+        """V at the grid's nodes; NumericalError unless every value is finite."""
+        # an overflow is reported below, as the one error it causes
+        with np.errstate(over="ignore"):
+            vals = self.V(grid.r)
+        if not np.all(np.isfinite(vals)):
+            raise NumericalError("potential must be finite on the grid")
+        return vals
 
     def dV_dot_x(self, r):
         r = np.asarray(r, dtype=float)
@@ -438,7 +447,7 @@ class VClassification:
 
 
 def classify_V(model: PotentialModel, grid: RadialGrid) -> VClassification:
-    vals = model.V(grid.r)
+    vals = model.V_on(grid)
     v_inf = model.V_inf
     c_ell = model.c_ell
     scale = max(1.0, abs(c_ell))

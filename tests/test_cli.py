@@ -355,6 +355,33 @@ def test_in_process_calls_leak_no_flag_between_calls(scan_dirs, tmp_path):
         assert (out / name).read_bytes() == (scan_dirs[0] / name).read_bytes()
 
 
+@pytest.fixture(scope="module")
+def validate_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("validate") / "cls"
+    proc = run_cli("validate", "--model", MODELS_DIR / "harmonic_cubic.json", "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    return out
+
+
+# argparse resolves an abbreviation before the flag acts, so --verif relaxes
+# the required flags just as --verify does
+@pytest.mark.parametrize("command, flag", [("scan", "--verify"), ("validate", "--verify"),
+                                           ("validate", "--verif")],
+                         ids=["scan", "validate", "validate-abbreviated"])
+def test_verify_needs_only_out(scan_dirs, validate_dir, command, flag):
+    out = scan_dirs[0] if command == "scan" else validate_dir
+    check = run_cli(command, "--out", out, flag)
+    assert check.returncode == 0, check.stderr
+    assert "verification OK: " in check.stdout
+    assert f"({command} run)" in check.stdout
+
+
+def test_verify_without_out_is_usage_error():
+    proc = run_cli("validate", "--verify")
+    assert proc.returncode == 64
+    assert "the following arguments are required: --out" in proc.stderr
+
+
 def _copy_scan(scan_dir, tmp_path):
     out = tmp_path / "copy"
     shutil.copytree(scan_dir, out)
@@ -460,13 +487,17 @@ def test_failed_threshold_leaves_no_out_directory(tmp_path):
 
 
 def test_out_naming_a_file_is_usage_error(tmp_path):
-    out = tmp_path / "taken"
-    out.write_text("")
-    proc = run_cli("spectrum", "--model", MODELS_DIR / "harmonic.json",
-                   *SMALL, "--out", out)
-    assert proc.returncode == 64
-    assert "not a directory" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    # the file itself, or an ancestor of a directory still to be made
+    for out in (taken, taken / "sub" / "run"):
+        proc = run_cli("spectrum", "--model", MODELS_DIR / "harmonic.json",
+                       *SMALL, "--out", out)
+        assert proc.returncode == 64
+        assert f"{taken} exists and is not a directory" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""   # refused before the infimum is computed
+    assert taken.read_text() == ""
 
 
 def test_numerical_failure_exits_1(tmp_path):
@@ -484,8 +515,9 @@ def test_numerical_failure_exits_1(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [("solve", "--mass", "1"), ("spectrum",), ("threshold",)],
-                         ids=["solve", "spectrum", "threshold"])
+@pytest.mark.parametrize("argv", [("solve", "--mass", "1"), ("spectrum",), ("threshold",),
+                                  ("validate",)],
+                         ids=["solve", "spectrum", "threshold", "validate"])
 def test_overflowing_potential_exits_1_without_warning(tmp_path, argv):
     # r^300 leaves the float range beyond r = 10.6, well inside R = 16
     model = model_with(tmp_path, {"potential": {"kind": "power_coercive",
@@ -562,13 +594,18 @@ def test_spectrum_harmonic(tmp_path):
     assert check.returncode == 0
 
 
-@pytest.mark.parametrize("command,recorded,infimum", [
-    ("spectrum", "bogus", 123.0),    # unknown command, doctored infimum
-    ("spectrum", None, 123.0),       # no command recorded, doctored infimum
-    ("validate", "spectrum", None),  # an intact spectrum record
-], ids=["unknown-subcommand", "missing-subcommand", "mismatched-command"])
+HARMONIC = ("--model", MODELS_DIR / "harmonic.json")
+
+
+@pytest.mark.parametrize("command,recorded,infimum,flags", [
+    ("spectrum", "bogus", 123.0, HARMONIC),    # unknown command, doctored infimum
+    ("spectrum", None, 123.0, HARMONIC),       # no command recorded, doctored infimum
+    ("validate", "spectrum", None, HARMONIC),  # an intact spectrum record
+    ("validate", "spectrum", None, ()),
+], ids=["unknown-subcommand", "missing-subcommand", "mismatched-command",
+        "mismatched-command-out-only"])
 def test_verify_rejects_record_of_another_command(tmp_path, command, recorded,
-                                                  infimum):
+                                                  infimum, flags):
     out = tmp_path / "spec"
     shutil.copytree(MODELS_DIR.parent / "scenarios" / "spectrum_harmonic", out)
     manifest = json.loads((out / "manifest.json").read_text())
@@ -583,11 +620,78 @@ def test_verify_rejects_record_of_another_command(tmp_path, command, recorded,
     else:
         manifest["subcommand"] = recorded
     (out / "manifest.json").write_text(json.dumps(manifest))
-    proc = run_cli(command, "--model", MODELS_DIR / "harmonic.json",
-                   "--out", out, "--verify")
+    proc = run_cli(command, *flags, "--out", out, "--verify")
     assert proc.returncode == 1, proc.stdout
     assert proc.stderr.startswith("verification failed: ")
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def _tamper(out, name, edit):
+    """Rewrite out/name through edit and record its new hash in the manifest."""
+    path = out / name
+    path.write_text(edit(path.read_text()))
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["outputs"][name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    (out / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _edit_json(change):
+    def edit(text):
+        payload = json.loads(text)
+        change(payload)
+        return json.dumps(payload)
+    return edit
+
+
+def _lower_first_energy(text):
+    # C_a of the first (converged) mass, 0.1 lower than the replay finds
+    lines = text.splitlines()
+    row = lines[1].split(",")
+    row[1] = repr(float(row[1]) - 0.1)
+    lines[1] = ",".join(row)
+    return "\n".join(lines) + "\n"
+
+
+def test_verify_reports_missing_output(tmp_path):
+    out = tmp_path / "spec"
+    shutil.copytree(MODELS_DIR.parent / "scenarios" / "spectrum_harmonic", out)
+    (out / "spectrum.json").unlink()
+    proc = run_cli("spectrum", "--model", MODELS_DIR / "harmonic.json",
+                   "--out", out, "--verify")
+    assert proc.returncode == 1, proc.stdout
+    assert "missing output file spectrum.json" in proc.stderr
+
+
+def test_scan_verify_reports_spot_check_mismatch(scan_dirs, tmp_path):
+    out, _ = _copy_scan(scan_dirs[0], tmp_path)
+    _tamper(out, "curve.csv", _lower_first_energy)
+    check = _verify_scan(out)
+    assert check.returncode == 1, check.stdout
+    assert "verification failed: spot check at a = 0.5: recomputed C = " in check.stderr
+
+
+def test_spectrum_verify_reports_recomputed_infimum(tmp_path):
+    out = tmp_path / "spec"
+    shutil.copytree(MODELS_DIR.parent / "scenarios" / "spectrum_harmonic", out)
+    _tamper(out, "spectrum.json",
+            _edit_json(lambda report: report.update(infimum=report["infimum"] + 0.5)))
+    proc = run_cli("spectrum", "--model", MODELS_DIR / "harmonic.json",
+                   "--out", out, "--verify")
+    assert proc.returncode == 1, proc.stdout
+    assert "verification failed: recomputed infimum " in proc.stderr
+    assert " vs stored " in proc.stderr
+
+
+def test_validate_verify_reports_changed_classification(tmp_path):
+    out = tmp_path / "cls"
+    argv = ("validate", "--model", MODELS_DIR / "harmonic_cubic.json", "--out", out)
+    assert run_cli(*argv).returncode == 0
+    _tamper(out, "classification.json",
+            _edit_json(lambda report: report["nonlinearity"].update(G1=False)))
+    proc = run_cli(*argv, "--verify")
+    assert proc.returncode == 1, proc.stdout
+    assert ("verification failed: classification no longer matches the stored "
+            "report") in proc.stderr
 
 
 TABLE_LENGTH_MISMATCH = {"potential": {"kind": "tabulated", "table": {
