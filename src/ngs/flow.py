@@ -36,12 +36,12 @@ form once; an accepted one adds one -Lap u for its stationarity. The
 winner's last stationarity and nonlinearity give the reported Nehari and
 Pohozaev defects, so nothing is evaluated after the loop.
 
-The package's two LAPACK routines, dgtsv here and dstebz for
-curves.quadratic_form_infimum, are those of SciPy's compiled extension
-scipy.linalg._flapack, which _load_flapack loads by itself: importing the
-scipy.linalg package around it (SciPy's array-API layer, numpy.f2py) would
-be most of the CLI's start-up. They are the same Fortran objects as
-scipy.linalg.lapack.dgtsv and scipy.linalg.lapack.dstebz.
+The package's three LAPACK routines, dgtsv here and in
+curves.quadratic_form_infimum, which also calls dpttrf and dstebz, are
+those of SciPy's compiled extension scipy.linalg._flapack, loaded by
+_load_flapack alone: importing the scipy.linalg package around it (SciPy's
+array-API layer, numpy.f2py) would be most of the CLI's start-up. They are
+the same Fortran objects as scipy.linalg.lapack's dgtsv, dpttrf and dstebz.
 """
 from __future__ import annotations
 
@@ -92,7 +92,7 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-dgtsv, dstebz = _flapack.dgtsv, _flapack.dstebz
+dgtsv, dpttrf, dstebz = _flapack.dgtsv, _flapack.dpttrf, _flapack.dstebz
 
 # Fixed constants of the solver. They shape how a run is carried out and
 # judged, not the problem; no caller needs other values, so they stay out
@@ -129,7 +129,7 @@ class SolverConfig:
     """
 
     tol_grad: float = 1e-8
-    max_iters: int = 200_000
+    max_iters: int = 1_000
     starts: int = 3
     stop_energy_below: float | None = None
 

@@ -458,7 +458,8 @@ def classify_V(model: PotentialModel, grid: RadialGrid) -> VClassification:
     v0 = float(model.V(0.0))
     v2 = bool(np.all(vals >= c_ell - 1e-12 * scale)) and abs(v0 - c_ell) <= 1e-9 * scale
     outer = grid.r >= 0.9 * grid.R
-    decay = bool(np.max(np.abs(model.dV_dot_x(grid.r[outer]))) < DVX_DECAY_TOL)
+    with np.errstate(over="ignore"):   # an infinite |r V'| has not decayed
+        decay = bool(np.max(np.abs(model.dV_dot_x(grid.r[outer]))) < DVX_DECAY_TOL)
     return VClassification(
         V1=v1, V2=v2, decay_of_dVx=decay, coercive=model.coercive
     )

@@ -531,6 +531,16 @@ def test_overflowing_potential_exits_1_without_warning(tmp_path, argv):
     assert not out.exists()
 
 
+def test_validate_reads_an_overflowing_r_dV_as_not_decayed(tmp_path):
+    # r^300 is finite up to R = 10.64, but 300 r^300 is not
+    model = model_with(tmp_path, {"potential": {"kind": "power_coercive",
+                                                "params": [1.0, 300.0]}})
+    proc = run_module("validate", "--model", model, "--grid-R", "10.64", "--grid-n", "400")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["potential"] == {
+        "V1": True, "V2": True, "coercive": True, "decay_of_dVx": False}
+
+
 # a consistent bisection record: bracket (2, 2.1), sign change near 2.06
 THRESHOLD_RECORD = {
     "bracket": [2.0, 2.1], "deadband": 1e-6, "below_lower_bracket": False,

@@ -321,20 +321,86 @@ def test_spectral_floor_is_exact_generalized_eigenvalue(potential):
     assert abs(quadratic_form_infimum(model, grid) - exact) <= 1e-10
 
 
-@pytest.mark.parametrize("name", ["harmonic", "gaussian_well_deep", "gaussian_well_cubic",
-                                  "harmonic_cubic", "tabulated_well"])
-def test_spectral_floor_is_scipy_eigh_tridiagonal_to_the_bit(name, grid20):
-    # the direct dstebz call makes the one eigh_tridiagonal makes
-    model = load_model(MODELS_DIR / f"{name}.json")
-    disc = Discretization(grid20, model)
+BUNDLED_WITH_POTENTIAL = ["harmonic", "gaussian_well_deep", "gaussian_well_cubic",
+                          "harmonic_cubic", "tabulated_well"]
+
+
+def _tridiagonal(model, grid):
+    # the diagonal and off-diagonal of the T quadratic_form_infimum builds
+    disc = Discretization(grid, model)
     lower, diag, upper = disc.lap
-    expected = scipy.linalg.eigh_tridiagonal(
-        diag + disc.V, -np.sqrt(upper[:-1] * lower[1:]),
-        eigvals_only=True, select="i", select_range=(0, 0))[0]
-    assert quadratic_form_infimum(model, grid20) == expected
+    return diag + disc.V, -np.sqrt(upper[:-1] * lower[1:])
+
+
+def _eigh_tridiagonal_floor(model, grid):
+    return scipy.linalg.eigh_tridiagonal(*_tridiagonal(model, grid), eigvals_only=True,
+                                         select="i", select_range=(0, 0))[0]
+
+
+def _no_dstebz(*args):
+    raise AssertionError("the certified Rayleigh-quotient iteration fell back to dstebz")
+
+
+@pytest.mark.parametrize("name", BUNDLED_WITH_POTENTIAL)
+def test_spectral_floor_is_scipy_eigh_tridiagonal_to_the_bit(name, grid20, monkeypatch):
+    # with the certificate failing, the fallback makes the dstebz call
+    # eigh_tridiagonal makes
+    monkeypatch.setattr(curves, "dpttrf", lambda d, e: (d, e, 1))
+    model = load_model(MODELS_DIR / f"{name}.json")
+    assert quadratic_form_infimum(model, grid20) == _eigh_tridiagonal_floor(model, grid20)
+
+
+@pytest.mark.parametrize("name", [*BUNDLED_WITH_POTENTIAL, "N=2 well"])
+def test_spectral_floor_is_certified_rayleigh_quotient(name, monkeypatch):
+    # R = 20, n = 2000: every bundled model with a potential, and the N = 2
+    # well, is certified without dstebz
+    if name == "N=2 well":
+        model = make_model(2, ZERO_G, well_v(depth=3.0, width=1.0))
+        grid = RadialGrid(2, 20.0, 2000)
+    else:
+        model, grid = load_model(MODELS_DIR / f"{name}.json"), RadialGrid(1, 20.0, 2000)
+    shifted = []
+
+    def dpttrf(d, e):
+        shifted.append(d.copy())
+        return flow.dpttrf(d, e)
+
+    monkeypatch.setattr(curves, "dpttrf", dpttrf)
+    monkeypatch.setattr(curves, "dstebz", _no_dstebz)
+    q = quadratic_form_infimum(model, grid)
+    exact = _eigh_tridiagonal_floor(model, grid)
+    assert abs(q - exact) <= 1e-10
+    # the one certificate: T - s positive definite for s = q - delta < exact,
+    # with delta = 16 eps ||T|| of about 1.5e-10
+    (d,) = shifted
+    s = float(np.mean(_tridiagonal(model, grid)[0] - d))
+    assert s < exact and 1e-10 < q - s < 2e-10
+
+
+def test_spectral_floor_excited_state_falls_back_to_the_bit():
+    # from the width-1 Gaussian the iteration misses the barely bound N = 3
+    # ground state (-0.0094); the certificate rejects what it finds instead
+    model, grid = make_model(3, ZERO_G, well_v(depth=3.0, width=1.0)), RadialGrid(3, 20.0, 2000)
+    expected = _eigh_tridiagonal_floor(model, grid)
+    assert -0.01 < expected < -0.009
+    assert quadratic_form_infimum(model, grid) == expected
+
+
+@pytest.mark.parametrize("fault", ["zero-pivot", "cap", "underflow"])
+def test_spectral_floor_falls_back_to_the_bit(fault, grid20, monkeypatch):
+    grid = grid20
+    if fault == "zero-pivot":
+        monkeypatch.setattr(curves, "dgtsv", lambda dl, d, du, b, **kw: (None, d, du, b, 1))
+    elif fault == "cap":   # gaussian_well_deep needs 3 solves
+        monkeypatch.setattr(curves, "SPECTRUM_MAX_SOLVES", 2)
+    else:   # the Gaussian start is 0 at every node from r = h/2 = 78 on
+        grid = RadialGrid(1, 1e4, 64)
+    model = load_model(MODELS_DIR / "gaussian_well_deep.json")
+    assert quadratic_form_infimum(model, grid) == _eigh_tridiagonal_floor(model, grid)
 
 
 def test_spectral_floor_raises_on_lapack_failure(small_grid, well_cubic, monkeypatch):
+    monkeypatch.setattr(curves, "dpttrf", lambda d, e: (d, e, 1))
     monkeypatch.setattr(curves, "dstebz", lambda *args: (0, np.zeros(1), None, None, 3))
     with pytest.raises(NumericalError, match="info = 3"):
         quadratic_form_infimum(well_cubic, small_grid)

@@ -57,6 +57,15 @@ def test_config_rejects_bad_fields():
         SolverConfig(max_iters=-1)
 
 
+def test_default_solve_cap_ends_a_stalled_start():
+    # on R = 1e-3 the -Lap entries reach 1.2e10 (1.6e13 at n = 2000), so the
+    # residual stalls at its rounding floor above tol_grad; the default cap
+    # ends every start after 1 000 solves, not after minutes
+    res = minimize(4.0, free_power(1, 2.0), RadialGrid(1, 1e-3, 64))
+    assert res.all_start_solves == [SolverConfig().max_iters] * 3 == [1000] * 3
+    assert res.all_start_reasons == ["max-iters"] * 3
+
+
 # --- single step mechanics ---
 
 def test_converged_profile_is_a_fixed_point(well_solution, well_cubic):
@@ -247,10 +256,11 @@ def test_unit_costs_of_minimize(monkeypatch, small_grid):
     # one dgtsv call per solve, accepted or rejected, one -Lap v per start
     # field and per accepted step, and one nonlinearity evaluation per start
     # field and per trial field of a non-singular solve; nothing is
-    # evaluated again after the loop. No positive definite factor is left
-    assert not any(hasattr(flow, name) for name in ("dpttrf", "dpttrs"))
-    counts = dict.fromkeys(("dgtsv", "tridiagonal_apply", "evaluate", "singular"), 0)
-    for owner, name in ((flow, "dgtsv"), (grids, "tridiagonal_apply"),
+    # evaluated again after the loop. No positive definite factor is made:
+    # flow loads dpttrf for the spectrum's certificate alone
+    assert not hasattr(flow, "dpttrs")
+    counts = dict.fromkeys(("dgtsv", "dpttrf", "tridiagonal_apply", "evaluate", "singular"), 0)
+    for owner, name in ((flow, "dgtsv"), (flow, "dpttrf"), (grids, "tridiagonal_apply"),
                         (NonlinearityModel, "evaluate")):
         def spy(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             counts[_name] += 1
@@ -264,6 +274,7 @@ def test_unit_costs_of_minimize(monkeypatch, small_grid):
     solves = sum(res.all_start_solves)
     starts = len(res.all_start_solves)
     assert counts["dgtsv"] == solves
+    assert counts["dpttrf"] == 0
     accepted = solves - sum(res.all_start_rejected_steps)
     assert counts["tridiagonal_apply"] == starts + accepted
     assert counts["evaluate"] == starts + solves - counts["singular"]
