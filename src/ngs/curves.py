@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import Discretization
+from .energy import discretization
 from .errors import BracketError, NumericalError
 from .flow import DEADBAND, SolverConfig, dgtsv, dpttrf, dstebz, minimize
 from .flow import vanishing_diagnostic  # noqa: F401  (re-exported)
@@ -302,7 +302,7 @@ def quadratic_form_infimum(model: Model, grid: RadialGrid) -> float:
     "E"), as scipy.linalg.eigh_tridiagonal(select="i", select_range=(0, 0))
     computes it, to the bit. A nonzero dstebz info raises NumericalError.
     """
-    disc = Discretization(grid, model)
+    disc = discretization(grid, model)
     lower, diag, upper = disc.lap
     d, e = diag + disc.V, -np.sqrt(upper[:-1] * lower[1:])
     y, mu = np.exp(-0.5 * grid.r**2), math.nan

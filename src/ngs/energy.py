@@ -8,6 +8,8 @@ constrained critical point with multiplier lam solves
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,8 +26,9 @@ FIBER_T_MAX = 1e2
 FIBER_SAMPLES = 41
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(NamedTuple):
+    """J of one field, its parts and its mass."""
+
     kinetic: float          # (1/2) |grad u|_2^2
     potential_term: float   # (1/2) int V u^2
     nonlinear_term: float   # int G(u)
@@ -64,10 +67,12 @@ class Discretization:
     rows of the discrete -Laplacian W^-1 K and V at the nodes. J, Pohozaev
     and the spectrum use the kinetic form u^T K u of the grid; the defect,
     multiplier, residual and Nehari use -Lap = W^-1 K of the same K, so a
-    zero of the defect is an exact constrained critical point of J. The
-    solver and the spectrum build one instance each; the GridFunction
-    functions below wrap a fresh one, so all report bit-identical values.
-    A potential that is not finite at every node raises NumericalError.
+    zero of the defect is an exact constrained critical point of J. V and
+    the -Lap rows are read-only, so that one instance per (grid, model)
+    value can be shared: discretization() returns it, and the solver, the
+    spectrum and the GridFunction functions below all read that one
+    instance, so they report bit-identical values. A potential that is not
+    finite at every node raises NumericalError.
     """
 
     def __init__(self, grid: grids.RadialGrid, model):
@@ -78,11 +83,15 @@ class Discretization:
         self.w = grid.w
         self.V = model.potential.V_on(grid)
         self.lap = grids.laplacian_tridiagonal(grid)
+        for arr in (self.V, *self.lap):
+            arr.flags.writeable = False
 
     def masses(self, v: np.ndarray) -> tuple[float, float]:
         """The mass w^T v^2 of v and w^T (V v^2), which energy and stationarity share."""
         usq = v * v
-        return float(self.w @ usq), float(self.w @ (self.V * usq))
+        m = float(self.w.dot(usq))
+        usq *= self.V
+        return m, float(self.w.dot(usq))
 
     def energy(self, v: np.ndarray, G: np.ndarray | None = None,
                masses: tuple[float, float] | None = None) -> EnergyReport:
@@ -92,10 +101,9 @@ class Discretization:
         m, vm = self.masses(v) if masses is None else masses
         kin = 0.5 * grids.kinetic_values(self.grid, v)
         pot = 0.5 * vm
-        nonlin = float(self.w @ G)
+        nonlin = float(self.w.dot(G))
         I = kin - nonlin
-        return EnergyReport(kinetic=kin, potential_term=pot, nonlinear_term=nonlin,
-                            J=I + pot, I=I, mass=m)
+        return EnergyReport(kin, pot, nonlin, I + pot, I, m)
 
     def stationarity(self, v: np.ndarray, lam: float | None = None,
                      nl=None, masses: tuple[float, float] | None = None) -> Stationarity:
@@ -116,23 +124,31 @@ class Discretization:
         if m <= 0.0:
             raise ValueError("stationarity needs a field with positive mass")
         lap_v = grids.tridiagonal_apply(self.lap, v)
-        quad = float(self.w @ (v * lap_v)) + vm
-        gu = float(self.w @ nl.gs)
+        tmp = v * lap_v
+        quad = float(self.w.dot(tmp)) + vm
+        gu = float(self.w.dot(nl.gs))
         if lam is None:
             lam = (gu - quad) / m
         defect = self.V + lam   # -Lap v + (V + lam) v - g(v), in one array
         defect *= v
         defect += lap_v
         defect -= nl.g
-        res = float(np.sqrt((self.w @ (defect * defect)) / m))
+        np.multiply(defect, defect, out=tmp)
+        res = math.sqrt(self.w.dot(tmp) / m)
         return Stationarity(lam, defect, res, quad + lam * m - gu)
+
+
+@functools.lru_cache(maxsize=4)
+def discretization(grid: grids.RadialGrid, model) -> Discretization:
+    """The one shared, read-only Discretization of a (grid, model) value."""
+    return Discretization(grid, model)
 
 
 def evaluate(u: GridFunction, model) -> EnergyReport:
     """All functional values of u under the given model."""
     if np.isnan(u.values).any():
         raise ValueError("field contains NaN")
-    return Discretization(u.grid, model).energy(u.values)
+    return discretization(u.grid, model).energy(u.values)
 
 
 def lagrange_multiplier(u: GridFunction, model) -> float:
@@ -140,12 +156,12 @@ def lagrange_multiplier(u: GridFunction, model) -> float:
 
     See Discretization.stationarity.
     """
-    return Discretization(u.grid, model).stationarity(u.values).lam
+    return discretization(u.grid, model).stationarity(u.values).lam
 
 
 def euler_lagrange_residual(u: GridFunction, model, lam: float) -> float:
     """Weighted L2 norm of -Lap u + (V + lam) u - g(u), relative to ||u||."""
-    return Discretization(u.grid, model).stationarity(u.values, lam).residual
+    return discretization(u.grid, model).stationarity(u.values, lam).residual
 
 
 def nehari_residual(u: GridFunction, model, lam: float) -> float:
@@ -156,7 +172,7 @@ def nehari_residual(u: GridFunction, model, lam: float) -> float:
     stationarity comes from the residual and the Pohozaev identity, or from
     the defect at a lam found independently of u (an oracle's, say).
     """
-    return Discretization(u.grid, model).stationarity(u.values, lam).nehari
+    return discretization(u.grid, model).stationarity(u.values, lam).nehari
 
 
 def pohozaev_residual(u: GridFunction, model, nl=None) -> float:
@@ -173,7 +189,7 @@ def pohozaev_residual(u: GridFunction, model, nl=None) -> float:
 def identity_residuals(u: GridFunction, model, lam: float | None = None) -> IdentityResiduals:
     """Nehari and Pohozaev defects of u from one evaluation of the nonlinearity."""
     nl = model.nonlinearity.evaluate(u.values)
-    st = Discretization(u.grid, model).stationarity(u.values, lam, nl=nl)
+    st = discretization(u.grid, model).stationarity(u.values, lam, nl=nl)
     return IdentityResiduals(
         nehari=st.nehari,
         pohozaev=pohozaev_residual(u, model, nl),

@@ -28,13 +28,16 @@ sign-changing field is not converged ("sign-change"), since it has reached
 another critical point. A non-finite J, residual or shift, or a trial
 field of zero or non-finite mass, raises NumericalError.
 
-Every value the solver reports comes from one energy.Discretization, the
-same code energy.evaluate and the identity functions run, so they agree bit
-for bit. Each trial field evaluates its nonlinearity g, G, g s, g'
+Every value the solver reports comes from the one shared
+energy.Discretization of (grid, model) (energy.discretization), the instance
+energy.evaluate and the identity functions read, so they agree bit for bit.
+Each trial field evaluates its nonlinearity g, G, g s, g'
 (models.NonlinearityModel.evaluate), masses w^T u^2, w^T (V u^2) and kinetic
-form once; an accepted one adds one -Lap u for its stationarity. The
-winner's last stationarity and nonlinearity give the reported Nehari and
-Pohozaev defects, so nothing is evaluated after the loop.
+form once; an accepted one adds one -Lap u for its stationarity, and the
+step's unshifted diagonal L - sigma and right-hand side -F, which a
+rejected trial reuses with a larger sigma. The winner's last stationarity
+and nonlinearity give the reported Nehari and Pohozaev defects, so nothing
+is evaluated after the loop.
 
 The package's three LAPACK routines, dgtsv here and in
 curves.quadratic_form_infimum, which also calls dpttrf and dstebz, are
@@ -190,7 +193,8 @@ def bordered_solve(rows, u: np.ndarray, w: np.ndarray,
 
     L has the (lower, diag, upper) rows. One solve serves both right-hand
     sides, L p = rhs and L q = u; the border row then gives mu and
-    x = p - mu q. Raises RuntimeError if L or the border is singular.
+    x = p - mu q, formed in the buffer of q. Raises RuntimeError if L or the
+    border is singular.
     """
     lower, diag, upper = rows
     # dgtsv overwrites this Fortran-ordered buffer of ours, not a copy of it
@@ -199,12 +203,15 @@ def bordered_solve(rows, u: np.ndarray, w: np.ndarray,
     if info > 0:
         raise RuntimeError(f"tridiagonal system is singular: zero pivot at row {info}")
     p, q = x.T
-    c = 2.0 * w * u
-    den = float(c @ q)
+    c = 2.0 * w
+    c *= u
+    den = float(c.dot(q))
     if den == 0.0:
         raise RuntimeError("bordered system is singular")
-    mu = float(c @ p) / den
-    return p - mu * q, mu
+    mu = float(c.dot(p)) / den
+    q *= mu
+    np.subtract(p, q, out=q)
+    return q, mu
 
 
 @functools.lru_cache(maxsize=16)
@@ -228,9 +235,16 @@ def vanishing_diagnostic(u: GridFunction) -> float:
     return float((cum[hi] - cum[lo]).max())
 
 
-def gaussian_start(grid: RadialGrid, width: float, a: float) -> GridFunction:
+@functools.lru_cache(maxsize=16)
+def _gaussian_shape(grid: RadialGrid, width: float) -> tuple[np.ndarray, float]:
+    """The unit-peak Gaussian of a width on the grid and its mass; shared, so read-only."""
     vals = np.exp(-grid.r**2 / (2.0 * width * width))
-    m = float(grid.w @ (vals * vals))
+    vals.flags.writeable = False
+    return vals, float(grid.w @ (vals * vals))
+
+
+def gaussian_start(grid: RadialGrid, width: float, a: float) -> GridFunction:
+    vals, m = _gaussian_shape(grid, width)
     if not m > 0.0:
         raise ValueError(f"the start of width {width:g} has no mass on the grid: "
                          f"its Gaussian underflows; use fewer starts")
@@ -276,6 +290,7 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
                config: SolverConfig) -> _StartOutcome:
     """Shifted bordered Newton steps from the mass-a field v; see the module."""
     nonlinearity = op.model.nonlinearity
+    w = op.w
     lower, diag, upper = op.lap
     fixed = diag + op.V
     floor = config.stop_energy_below
@@ -290,6 +305,7 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
     trace = [(0, J)]
     solves = rejected = 0
     reason = None
+    unshifted = None    # the step's diagonal without sigma, once per iterate
     while True:
         if not (math.isfinite(J) and math.isfinite(res) and math.isfinite(sigma)):
             raise _degenerate()
@@ -302,16 +318,17 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
             reason = "max-iters"
             break
         solves += 1
-        shifted = fixed + lam       # the step's diagonal, built in place
-        shifted -= nl.dg
-        shifted += sigma
+        if unshifted is None:
+            unshifted = fixed + lam
+            unshifted -= nl.dg
+            rhs = -defect
         try:
-            du, _ = bordered_solve((lower, shifted, upper), v, op.w, -defect)
+            new, _ = bordered_solve((lower, unshifted + sigma, upper), v, w, rhs)
         except RuntimeError:
             J_new = math.nan    # a singular system is a rejected step
         else:
-            new = v + du
-            m = float(op.w @ (new * new))
+            new += v
+            m = float(w.dot(new * new))
             # a finite mass means every entry is finite
             if not (m > 0.0 and math.isfinite(m)):
                 raise _degenerate()
@@ -324,6 +341,7 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
             lam, defect, res, nehari = op.stationarity(v, nl=nl, masses=masses)
             sigma = min(sigma / SHIFT_FACTOR, res)
             trace.append((solves, J))
+            unshifted = None
         else:
             rejected += 1
             sigma = max(SHIFT_FACTOR * sigma, res, SHIFT_FLOOR)
@@ -350,7 +368,7 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
         raise ValueError(f"mass must be positive and finite, got {a}")
     if config is None:
         config = SolverConfig()
-    op = energy_mod.Discretization(grid, model)
+    op = energy_mod.discretization(grid, model)
     starts: list[np.ndarray] = []
     if warm_start is not None:
         if warm_start.grid != grid:

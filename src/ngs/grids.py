@@ -113,8 +113,9 @@ def mass(u: GridFunction) -> float:
 def kinetic_values(grid: RadialGrid, values: np.ndarray) -> float:
     """The kinetic form of RadialGrid on a node array; exactly nonnegative."""
     dv = values[1:] - values[:-1]
-    return float(grid.edge_weights @ (dv * dv)
-                 + grid.edge_weight_R * values[-1] * values[-1])
+    dv *= dv
+    last = float(values[-1])
+    return float(grid.edge_weights.dot(dv)) + grid.edge_weight_R * last * last
 
 
 def kinetic(u: GridFunction) -> float:
@@ -143,8 +144,10 @@ def tridiagonal_apply(rows, values: np.ndarray) -> np.ndarray:
     """Product of the matrix with (lower, diag, upper) rows and a node array."""
     lower, diag, upper = rows
     out = diag * values
-    out[:-1] += upper[:-1] * values[1:]
-    out[1:] += lower[1:] * values[:-1]
+    tmp = upper[:-1] * values[1:]
+    out[:-1] += tmp
+    np.multiply(lower[1:], values[:-1], out=tmp)
+    out[1:] += tmp
     return out
 
 
@@ -226,10 +229,15 @@ def load_profile(path) -> GridFunction:
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"profile {path} is empty")
         if [col.strip() for col in header[:2]] != ["r", "u"]:
             raise ValueError(f"expected profile header 'r,u', got {header!r}")
         for row in reader:
+            if len(row) < 2:
+                raise ValueError(f"profile {path} line {reader.line_num}: "
+                                 f"expected r,u, got {row!r}")
             rows.append((float(row[0]), float(row[1])))
     if len(rows) != grid.n:
         raise ValueError(

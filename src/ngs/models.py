@@ -92,15 +92,18 @@ class NonlinearityModel:
                                    np.zeros_like(s) if derivative else None)
         g = G = gs = dg = None
         for coef, sigma in self.terms:
-            p = coef * _abs_power(s, sigma)
+            p = _abs_power(s, sigma)   # a fresh array, scaled in place
+            if coef != 1.0:
+                p *= coef
             ps = p * s
             pss = ps * s
             Gs = pss / (sigma + 2.0)
             g = ps if g is None else g + ps
             G = Gs if G is None else G + Gs
             gs = pss if gs is None else gs + pss
-            dp = (sigma + 1.0) * p if derivative else None
-            dg = dp if dg is None else dg + dp
+            if derivative:
+                p *= sigma + 1.0
+                dg = p if dg is None else dg + p
         return NonlinearValues(g, G, gs, dg)
 
     def g(self, s):
@@ -334,18 +337,31 @@ def make_model(N: int, nonlinearity: dict, potential: dict, base_dir=None) -> Mo
 
 
 def _read_potential_csv(path) -> tuple[tuple, tuple]:
+    """The r and V columns of a potential table; ModelFormatError names the file."""
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ModelFormatError(f"cannot read potential table {path}: {exc}") from exc
     rows = []
-    with open(path, newline="") as fh:
+    with fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ModelFormatError(f"potential table {path} is empty")
         if [c.strip() for c in header[:2]] != ["r", "V"]:
             raise ModelFormatError(
-                f"potential table must have header 'r,V', got {header!r}"
+                f"potential table {path} must have header 'r,V', got {header!r}"
             )
         for row in reader:
             if not row:
                 continue
-            rows.append((float(row[0]), float(row[1])))
+            try:
+                rows.append((float(row[0]), float(row[1])))
+            except (IndexError, ValueError) as exc:
+                raise ModelFormatError(
+                    f"potential table {path} line {reader.line_num}: expected two "
+                    f"numbers r,V, got {row!r}", line=reader.line_num,
+                ) from exc
     return tuple(r for r, _ in rows), tuple(v for _, v in rows)
 
 

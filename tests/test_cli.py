@@ -719,3 +719,33 @@ def test_table_length_mismatch_is_bad_model_file(tmp_path, argv):
     assert "12 radii but 11 values" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("table, where", [
+    (None, "cannot read potential table"),
+    ("", "is empty"),
+    ("r,V\n0.0,-1.0\n1.0\n", "line 3"),
+], ids=["missing", "empty", "one-column"])
+def test_unreadable_potential_table_is_bad_model_file(tmp_path, table, where):
+    model = model_with(tmp_path, {"potential": {"kind": "tabulated", "table": "table.csv"}})
+    if table is not None:
+        (tmp_path / "table.csv").write_text(table)
+    proc = run_cli("validate", "--model", model)
+    assert proc.returncode == 64, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("ngs: bad model file: ")
+    assert "table.csv" in proc.stderr and where in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: "",
+    lambda text: text.replace("\n", "\n0.5\n", 2),
+], ids=["empty", "one-column"])
+def test_solve_verify_of_a_truncated_profile_fails_verification(solve_dir, tmp_path, edit):
+    out = tmp_path / "run"
+    shutil.copytree(solve_dir, out)
+    _tamper(out, "profile.csv", edit)
+    proc = run_cli("solve", "--out", out, "--verify")
+    assert proc.returncode == 1, proc.stdout
+    assert "verification failed: cannot replay the run record" in proc.stderr
+    assert "Traceback" not in proc.stderr

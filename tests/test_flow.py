@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
 from helpers import MODELS_DIR, ZERO_G, bumps, free_power, harmonic_v, power_g, well_v
-from ngs import flow, grids
+from ngs import curves, energy, flow, grids
 from ngs.energy import (
     Discretization,
     evaluate,
@@ -17,7 +17,7 @@ from ngs.energy import (
 )
 from ngs.flow import SolverConfig, bordered_solve, gaussian_start, minimize
 from ngs.grids import GridFunction, RadialGrid, kinetic, mass
-from ngs.models import NonlinearityModel, load_model, make_model
+from ngs.models import NonlinearityModel, PotentialModel, load_model, make_model
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +278,61 @@ def test_unit_costs_of_minimize(monkeypatch, small_grid):
     accepted = solves - sum(res.all_start_rejected_steps)
     assert counts["tridiagonal_apply"] == starts + accepted
     assert counts["evaluate"] == starts + solves - counts["singular"]
+
+
+# --- one shared operator per (grid, model) ---
+
+def test_scan_and_threshold_build_the_operator_and_start_shapes_once(monkeypatch,
+                                                                     small_grid):
+    # a warm 12-mass scan and a threshold bisection on one (grid, model):
+    # one -Lap, one V at the nodes, one Gaussian per start width
+    counts = dict.fromkeys(("laplacian_tridiagonal", "V_on"), 0)
+    for owner, name in ((grids, "laplacian_tridiagonal"), (PotentialModel, "V_on")):
+        def spy(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+    energy.discretization.cache_clear()
+    flow._gaussian_shape.cache_clear()
+    model = load_model(MODELS_DIR / "gaussian_well_cubic.json")
+    curve = curves.scan(np.linspace(0.5, 6.0, 12), model, small_grid)
+    found = curves.threshold_a0(model, small_grid)
+    assert not curve.partial and found.evaluations
+    assert counts == {"laplacian_tridiagonal": 1, "V_on": 1}
+    shapes = flow._gaussian_shape.cache_info()
+    assert shapes.misses == len(flow._start_widths(SolverConfig().starts)) == 3
+    assert shapes.hits > 0
+
+
+def test_shared_operator_and_start_shapes_are_read_only(small_grid, well_cubic):
+    op = energy.discretization(small_grid, well_cubic)
+    shape, _ = flow._gaussian_shape(small_grid, 1.0)
+    for arr in (op.V, *op.lap, shape):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
+def test_operator_is_shared_by_value_of_grid_and_model(small_grid):
+    path = MODELS_DIR / "gaussian_well_cubic.json"
+    op = energy.discretization(small_grid, load_model(path))
+    assert energy.discretization(RadialGrid(1, 16.0, 400), load_model(path)) is op
+    assert energy.discretization(RadialGrid(1, 16.0, 800), load_model(path)) is not op
+    assert energy.discretization(small_grid, load_model(MODELS_DIR / "harmonic_cubic.json")) \
+        is not op
+
+
+@pytest.mark.parametrize("name, a", [("gaussian_well_mixed", 3.0), ("quintic_free", 2.7)])
+def test_minimize_on_a_cold_and_a_warm_cache_agree_to_the_bit(small_grid, name, a):
+    model = load_model(MODELS_DIR / f"{name}.json")
+    energy.discretization.cache_clear()
+    flow._gaussian_shape.cache_clear()
+    cold = minimize(a, model, small_grid)
+    warm = minimize(a, model, small_grid)
+    assert energy.discretization.cache_info().hits >= 1
+    assert cold.u.values.tobytes() == warm.u.values.tobytes()
+    assert (cold.energy, cold.lam) == (warm.energy, warm.lam)
+    assert cold.all_start_energies == warm.all_start_energies
+    assert cold.all_start_solves == warm.all_start_solves
 
 
 # --- shifted bordered Newton ---
