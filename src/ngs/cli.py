@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -82,6 +83,7 @@ def _add_common(parser: argparse.ArgumentParser, handler, replay, *,
                              "manifest instead of recomputing; needs only --out")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ngs", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"ngs {__version__}")
@@ -114,6 +116,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("validate",
                        help="structural classification of a model file")
     _add_common(p, _cmd_validate, _replay_validate, needs_out=False, solver=False)
+    parser.required_flags = [(a, a.required) for p in sub.choices.values() for a in p._actions]
     return parser
 
 
@@ -398,7 +401,12 @@ def _replay_validate(out_dir: Path, manifest: dict):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()   # one per process, shared by every call
+    try:
+        args = parser.parse_args(argv)
+    finally:   # a --verify relaxes the required flags (_Replay) for its own parse only
+        for action, flag in parser.required_flags:
+            action.required = flag
     args.argv = argv   # the manifest's record of the command line
     if args.verify:
         return _verify_dir(args)

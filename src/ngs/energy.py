@@ -67,12 +67,12 @@ class Discretization:
     rows of the discrete -Laplacian W^-1 K and V at the nodes. J, Pohozaev
     and the spectrum use the kinetic form u^T K u of the grid; the defect,
     multiplier, residual and Nehari use -Lap = W^-1 K of the same K, so a
-    zero of the defect is an exact constrained critical point of J. V and
-    the -Lap rows are read-only, so that one instance per (grid, model)
-    value can be shared: discretization() returns it, and the solver, the
-    spectrum and the GridFunction functions below all read that one
-    instance, so they report bit-identical values. A potential that is not
-    finite at every node raises NumericalError.
+    zero of the defect is an exact constrained critical point of J. V, the
+    Pohozaev weight r V'(r) and the -Lap rows are read-only, so that one
+    instance per (grid, model) value can be shared: discretization()
+    returns it, and the solver, the spectrum and the GridFunction functions
+    below all read that one instance, so they report bit-identical values.
+    A potential that is not finite at every node raises NumericalError.
     """
 
     def __init__(self, grid: grids.RadialGrid, model):
@@ -82,8 +82,9 @@ class Discretization:
         self.model = model
         self.w = grid.w
         self.V = model.potential.V_on(grid)
+        self.xdV = model.potential.dV_dot_x(grid.r)
         self.lap = grids.laplacian_tridiagonal(grid)
-        for arr in (self.V, *self.lap):
+        for arr in (self.V, self.xdV, *self.lap):
             arr.flags.writeable = False
 
     def masses(self, v: np.ndarray) -> tuple[float, float]:
@@ -138,7 +139,7 @@ class Discretization:
         return Stationarity(lam, defect, res, quad + lam * m - gu)
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=8)
 def discretization(grid: grids.RadialGrid, model) -> Discretization:
     """The one shared, read-only Discretization of a (grid, model) value."""
     return Discretization(grid, model)
@@ -180,10 +181,10 @@ def pohozaev_residual(u: GridFunction, model, nl=None) -> float:
 
     P(u) = |grad u|^2 - (1/2) int <grad V, x> u^2 + N int [G(u) - g(u)u/2],
     exactly the t-derivative of the discrete fiber energy at t = 1, which is
-    how it is computed. nl holds the nonlinearity's values at u, if the
-    caller has them.
+    how it is computed, with the shared Discretization's r V'(r). nl holds
+    the nonlinearity's values at u, if the caller has them.
     """
-    return fiber_energy_derivative(u, 1.0, model, nl)
+    return fiber_energy_derivative(u, 1.0, model, nl, discretization(u.grid, model).xdV)
 
 
 def identity_residuals(u: GridFunction, model, lam: float | None = None) -> IdentityResiduals:
@@ -222,15 +223,16 @@ def _fiber_energy_cached(u, t, model, kin) -> float:
     return val
 
 
-def fiber_energy_derivative(u: GridFunction, t: float, model, nl=None) -> float:
-    """Exact t-derivative of the discrete fiber energy; nl is the
-    nonlinearity at t^(N/2) u, if the caller has it."""
+def fiber_energy_derivative(u: GridFunction, t: float, model, nl=None, xdV=None) -> float:
+    """Exact t-derivative of the discrete fiber energy; nl is the nonlinearity
+    at t^(N/2) u and xdV is <grad V, x> at r / t, if the caller has them."""
     _check_t(t)
     g = u.grid
     N = g.N
     val = t * grids.kinetic(u)
     usq = u.values * u.values
-    val -= grids.integrate(g, model.potential.dV_dot_x(g.r / t) * usq) / (2.0 * t)
+    xdV = model.potential.dV_dot_x(g.r / t) if xdV is None else xdV
+    val -= grids.integrate(g, xdV * usq) / (2.0 * t)
     if nl is None:
         nl = model.nonlinearity.evaluate(t ** (0.5 * N) * u.values)
     val += N * t ** (-N - 1.0) * grids.integrate(g, nl.G - 0.5 * nl.gs)

@@ -21,9 +21,10 @@ along the slow dilation mode of a mass-critical problem:
 sigma starts at the start field's residual res and falls with it, so near
 a minimizer the steps are Newton's and converge quadratically. A start ends
 once res meets tol_grad, J is below stop_energy_below, or max_iters solves
-(accepted plus rejected) have run. Its endpoint must keep the sign of the
-start field: no entry that was nonnegative there may be below
--SIGN_REL_TOL times the endpoint's peak. A start that ends on a
+(accepted plus rejected) have run. Its endpoint, negated if its
+largest-magnitude entry is negative (-u is the same state as u), must
+keep the sign of the start field: no entry that was nonnegative there
+may be below -SIGN_REL_TOL times the endpoint's peak. A start that ends on a
 sign-changing field is not converged ("sign-change"), since it has reached
 another critical point. A non-finite J, residual or shift, or a trial
 field of zero or non-finite mass, raises NumericalError.
@@ -42,9 +43,9 @@ is evaluated after the loop.
 The package's three LAPACK routines, dgtsv here and in
 curves.quadratic_form_infimum, which also calls dpttrf and dstebz, are
 those of SciPy's compiled extension scipy.linalg._flapack, loaded by
-_load_flapack alone: importing the scipy.linalg package around it (SciPy's
-array-API layer, numpy.f2py) would be most of the CLI's start-up. They are
-the same Fortran objects as scipy.linalg.lapack's dgtsv, dpttrf and dstebz.
+_load_flapack alone: importing the packages around it (scipy, and
+scipy.linalg's array-API layer and numpy.f2py) would be most of the CLI's
+start-up. They are the same Fortran objects as scipy.linalg.lapack's.
 """
 from __future__ import annotations
 
@@ -57,7 +58,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from . import energy as energy_mod
 from . import grids
@@ -69,10 +69,11 @@ from .models import NonlinearValues
 def _load_flapack():
     """SciPy's LAPACK extension scipy.linalg._flapack, without scipy.linalg.
 
-    The extension is found in SciPy's linalg directory and registered in
-    sys.modules under its own name, or taken from there if an import of
-    scipy.linalg has loaded it already; either way one instance exists per
-    process, and a later "from scipy.linalg import _flapack" (which
+    The extension is found in SciPy's linalg directory, which find_spec
+    locates without running scipy/__init__, and registered in sys.modules
+    under its own name, or taken from there if an import of scipy.linalg
+    has loaded it already; either way one instance exists per process, and
+    a later "from scipy.linalg import _flapack" (which
     scipy.linalg.lapack runs) resolves to it through sys.modules. Only the
     package attribute scipy.linalg._flapack stays unset when ngs loads the
     extension first, so code outside ngs reaches the routines through
@@ -82,7 +83,7 @@ def _load_flapack():
     if name in sys.modules:
         return sys.modules[name]
     finder = importlib.machinery.FileFinder(
-        os.path.join(scipy.__path__[0], "linalg"),
+        os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg"),
         (importlib.machinery.ExtensionFileLoader,
          importlib.machinery.EXTENSION_SUFFIXES))
     spec = finder.find_spec(name)
@@ -346,8 +347,11 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
             rejected += 1
             sigma = max(SHIFT_FACTOR * sigma, res, SHIFT_FLOOR)
     converged = reason is None
-    if reason in (None, "energy-floor") and not _keeps_sign(start, v):
-        converged, reason = False, "sign-change"
+    if reason in (None, "energy-floor"):
+        if v[np.argmax(np.abs(v))] < 0.0:    # -u is u's state: J, lam, res are even
+            v, nl = -v, nl._replace(g=-nl.g)
+        if not _keeps_sign(start, v):
+            converged, reason = False, "sign-change"
     return _StartOutcome(values=v, J=J, lam=lam, residual=res, nehari=nehari, nl=nl,
                          converged=converged, reason=reason, solves=solves,
                          rejected=rejected, trace=trace)

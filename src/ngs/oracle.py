@@ -8,7 +8,8 @@ bisection places on the separatrix between profiles that cross zero
 beyond the matching radius that profile continues with the exact solution
 of the linearized far-field equation, so mass integrals see no blow-up
 contamination. Scaled copies and the mass/energy scaling laws they obey are
-derived from the frequency-1 base profile analytically.
+derived from the frequency-1 base profile analytically. Only N >= 2 imports
+SciPy (scipy.integrate, which loads scipy.optimize too, and scipy.special).
 """
 from __future__ import annotations
 
@@ -16,8 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.special import k0
 
 from . import energy
 from .errors import BracketError, MassCriticalError, SupportOverflowError
@@ -86,6 +85,7 @@ def _integrate_profile(N: int, p: float, b: float, dense: bool):
 
     r0 = _SERIES_R
     y0 = [b + r0 * r0 * (b - b**p) / (2.0 * N), r0 * (b - b**p) / N]
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(
         rhs, (r0, SHOOT_R_MAX), y0, method="DOP853", rtol=1e-12, atol=1e-14,
         events=[crosses_zero, turns_around], dense_output=dense,
@@ -162,6 +162,7 @@ def shoot_Up(p: float, N: int, grid: RadialGrid) -> PowerSolution:
     u_star = float(sol.sol(r_star)[0])
 
     if N == 2:
+        from scipy.special import k0
         c = u_star / k0(r_star)
 
         def tail(r):

@@ -6,7 +6,9 @@ process (run_module): one per exit code 0, 1 and 64, and the numerical
 failure, whose stderr must be free of the RuntimeWarnings that pytest
 would capture in process.
 """
+import contextlib
 import hashlib
+import io
 import json
 import shutil
 import subprocess
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 
 from helpers import MODELS_DIR, run_cli
+from ngs import cli
 
 
 def run_module(*argv):
@@ -380,6 +383,22 @@ def test_verify_without_out_is_usage_error():
     proc = run_cli("validate", "--verify")
     assert proc.returncode == 64
     assert "the following arguments are required: --out" in proc.stderr
+
+
+def test_verify_relaxes_the_required_flags_of_its_own_run_only(validate_dir, tmp_path):
+    # main parses with one parser per process: the flags that a --verify
+    # relaxes are required again in the next run, and its help is unchanged
+    assert run_cli("validate", "--out", validate_dir, "--verify").returncode == 0
+    assert run_cli("solve", "--out", tmp_path / "none", "--verify").returncode == 1
+    for _ in range(2):
+        proc = run_cli("solve", "--out", tmp_path / "x")
+        assert proc.returncode == 64
+        assert "the following arguments are required: --model, --mass" in proc.stderr
+    fresh = io.StringIO()
+    with contextlib.redirect_stdout(fresh), pytest.raises(SystemExit):
+        cli._build_parser.__wrapped__().parse_args(["solve", "--help"])
+    assert run_cli("solve", "--help").stdout == fresh.getvalue()
+    assert not (tmp_path / "x").exists()
 
 
 def _copy_scan(scan_dir, tmp_path):

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import ZERO_V, bumps, crank_negative, dilate, free_power, harmonic_v, power_g
+from helpers import (MODELS_DIR, ZERO_V, bumps, crank_negative, dilate, free_power,
+                     harmonic_v, power_g)
 from ngs.energy import (
     euler_lagrange_residual,
     evaluate,
@@ -19,7 +20,7 @@ from ngs.energy import (
 )
 from ngs.errors import BracketError, SupportOverflowError
 from ngs.grids import GridFunction, RadialGrid, kinetic, mass
-from ngs.models import make_model
+from ngs.models import load_model, make_model
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +137,16 @@ def test_pohozaev_reduces_to_kinetic_without_g_and_V(grid12):
     linear = make_model(1, {"kind": "zero", "params": []}, ZERO_V)
     u = unit_gaussian(grid12)
     assert pohozaev_residual(u, linear) == kinetic(u)
+
+
+@pytest.mark.parametrize("name", ["gaussian_well_cubic", "gaussian_well_mixed",
+                                  "gaussian_well_deep", "harmonic_cubic", "tabulated_well"])
+def test_pohozaev_reads_the_shared_weight_to_the_bit(grid12, name):
+    # r V'(r) is evaluated once per operator; the t = 1 fiber derivative,
+    # which evaluates it afresh, agrees with it bit for bit
+    model = load_model(MODELS_DIR / f"{name}.json")
+    u = bumps(grid12, np.random.default_rng(7))
+    assert pohozaev_residual(u, model) == fiber_energy_derivative(u, 1.0, model)
 
 
 def test_identity_residuals_serialization(grid12, free_cubic):

@@ -304,10 +304,31 @@ def test_scan_and_threshold_build_the_operator_and_start_shapes_once(monkeypatch
     assert shapes.hits > 0
 
 
+def test_five_models_on_one_grid_build_one_operator_each(monkeypatch, small_grid):
+    # perfbench's ground_state pass cycles through five models on one grid;
+    # the operator cache holds all five, so a second round builds no -Lap
+    built = []
+
+    def spy(grid, _fn=grids.laplacian_tridiagonal):
+        built.append(grid)
+        return _fn(grid)
+
+    monkeypatch.setattr(grids, "laplacian_tridiagonal", spy)
+    energy.discretization.cache_clear()
+    cases = [(load_model(MODELS_DIR / f"{name}.json"), a) for name, a in (
+        ("power3_free", 4.0), ("gaussian_well_cubic", 3.0), ("gaussian_well_mixed", 3.0),
+        ("harmonic_cubic", 2.0), ("gaussian_well_deep", 2.0))]
+    for _ in range(2):
+        for model, a in cases:
+            assert minimize(a, model, small_grid).converged
+    assert len(built) == 5
+    assert energy.discretization.cache_info().misses == 5
+
+
 def test_shared_operator_and_start_shapes_are_read_only(small_grid, well_cubic):
     op = energy.discretization(small_grid, well_cubic)
     shape, _ = flow._gaussian_shape(small_grid, 1.0)
-    for arr in (op.V, *op.lap, shape):
+    for arr in (op.V, op.xdV, *op.lap, shape):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
 
@@ -474,6 +495,24 @@ def test_sign_changing_newton_endpoint_is_rejected(small_grid):
     assert res.converged
     assert res.start_index > 0
     assert abs(2.0 * res.energy - eigvals.real[order[0]]) <= 1e-9
+
+
+@pytest.mark.parametrize("a, reasons", [(3.0, [None, None, None]),
+                                        (1.0, [None, None, "sign-change"])])
+def test_start_that_ends_on_the_negated_state_is_converged(a, reasons):
+    # at a = 3 starts 0 and 2 end within 6e-11 of -u*, the state start 1
+    # reaches; J, lambda, the residual and both identities are even in u, so
+    # they converged. At a = 1 start 2 ends on a state that changes sign
+    # (J = 0.1068 against 0.0094)
+    model = load_model(MODELS_DIR / "power2_free_3d.json")
+    res = minimize(a, model, RadialGrid(3, 20.0, 2000))
+    assert res.all_start_reasons == reasons
+    assert res.reason == "no-minimizer-regime"
+    assert res.start_index == 0
+    peak = res.u.values[np.argmax(np.abs(res.u.values))]
+    assert peak > 0.0
+    assert flow._keeps_sign(np.ones_like(res.u.values), res.u.values)
+    assert res.residuals.pohozaev == pohozaev_residual(res.u, model)
 
 
 def test_newton_attempts_and_rejections_are_reported(cubic_free_solution, grid20):

@@ -5,9 +5,10 @@ included, and every module-level import must be used. An import kept only
 to re-export a name carries "# noqa: F401" on its line. No module imports
 scipy.sparse: every linear system of the package is tridiagonal, solved by
 LAPACK dgtsv in flow.bordered_solve and in the spectrum's Rayleigh-quotient
-iteration. Importing the CLI loads no SciPy subpackage, scipy.linalg
-included (flow loads its LAPACK extension alone), and no process-pool
-machinery: every command runs in one process. Every
+iteration. Importing the CLI, or running the N = 1 oracle, loads no SciPy
+module but the LAPACK extension, which flow loads alone (not even the
+scipy package), and no process-pool machinery: every command runs in one
+process. Every
 module-level public function, method and property is named in code outside
 the tests (a docstring or a comment does not count), so no helper lives in
 the package for the tests alone.
@@ -127,18 +128,22 @@ def test_no_module_imports_scipy_sparse():
 
 
 def test_cli_import_skips_unused_scipy_subpackages():
-    code = (
-        "import sys; import ngs.cli; "
-        "print(' '.join(m for m in ('scipy.linalg', 'scipy.special', "
-        "'scipy.optimize', 'scipy.interpolate', 'scipy.integrate', "
-        "'multiprocessing', 'concurrent.futures.process') "
-        "if m in sys.modules))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], cwd=SRC.parent, capture_output=True,
-        text=True, check=True,
-    ).stdout.split()
-    assert out == [], f"import ngs.cli loaded {out}"
+    # of SciPy only the LAPACK extension, not even the scipy package: after
+    # importing the CLI, and after the N = 1 oracle's closed form too
+    for run in ("import ngs.cli",
+                "import ngs.cli; from ngs import grids, oracle; "
+                "oracle.shoot_Up(3.0, 1, grids.RadialGrid(1, 20.0, 2000))"):
+        code = (
+            f"import sys; {run}; "
+            "print(' '.join(m for m in sys.modules "
+            "if m.partition('.')[0] == 'scipy' and m != 'scipy.linalg._flapack' "
+            "or m in ('multiprocessing', 'concurrent.futures.process')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], cwd=SRC.parent, capture_output=True,
+            text=True, check=True,
+        ).stdout.split()
+        assert out == [], f"{run} loaded {out}"
 
 
 def test_scipy_linalg_imported_after_the_cli_shares_its_lapack():
