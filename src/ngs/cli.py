@@ -39,7 +39,7 @@ from .errors import BracketError, ModelFormatError, NumericalError
 from .flow import SolverConfig, minimize
 from .grids import RadialGrid, load_profile, save_profile
 from .models import classify_V, classify_g, load_model, make_model
-from .utils import round_floats, sha256_file, write_json
+from .utils import round_floats, sha256_file, write_csv, write_json
 
 MANIFEST_NAME = "manifest.json"
 
@@ -182,10 +182,7 @@ def _cmd_solve(args, run: _Run) -> int:
     out_dir = run.make_out(mass=args.mass)
     run.write_record("result.json", result.to_dict())
     save_profile(result.u, out_dir / "profile.csv")
-    with open(out_dir / "trace.csv", "w", newline="") as fh:
-        fh.write("iter,J\n")
-        for it, j in result.energy_trace:
-            fh.write(f"{it},{j:.12g}\n")
+    write_csv(out_dir / "trace.csv", ("iter", "J"), result.energy_trace)
 
     tag = "converged" if result.converged else (result.reason or "not converged")
     print(f"a = {args.mass:.12g}: J = {result.energy:.12g}, "
@@ -205,8 +202,6 @@ def _cmd_solve(args, run: _Run) -> int:
 def _cmd_scan(args, run: _Run) -> int:
     if not args.a_min < args.a_max < math.inf:
         raise ValueError("--a-min must be below --a-max, both finite")
-    if args.a_min <= 0:
-        raise ValueError("masses must be positive")
     if args.steps < 3:
         raise ValueError("--steps must be at least 3")
     masses = np.linspace(args.a_min, args.a_max, args.steps)

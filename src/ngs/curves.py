@@ -21,6 +21,7 @@ from .flow import DEADBAND, SolverConfig, dgtsv, dpttrf, dstebz, minimize
 from .flow import vanishing_diagnostic  # noqa: F401  (re-exported)
 from .grids import RadialGrid, kinetic_values
 from .models import Model
+from .utils import read_csv, write_csv
 
 
 @dataclass(frozen=True)
@@ -86,35 +87,18 @@ def scan(a_values, model: Model, grid: RadialGrid,
     return EnergyCurve(points=tuple(points))
 
 
+# the columns of curve.csv, in CurvePoint's field order, and their cell types
+CURVE_COLUMNS = {"a": float, "C_a": float, "lambda": float, "converged": bool,
+                 "nehari": float, "pohozaev": float}
+
+
 def write_curve_csv(curve: EnergyCurve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("a,C_a,lambda,converged,nehari,pohozaev\n")
-        for pt in curve.points:
-            fh.write(
-                f"{pt.a:.12g},{pt.energy:.12g},{pt.lam:.12g},"
-                f"{'true' if pt.converged else 'false'},"
-                f"{pt.nehari:.12g},{pt.pohozaev:.12g}\n"
-            )
+    write_csv(path, CURVE_COLUMNS, (vars(pt).values() for pt in curve.points))
 
 
 def read_curve_csv(path) -> list:
     """Rows of a written curve file, as CurvePoint instances."""
-    points = []
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if header != "a,C_a,lambda,converged,nehari,pohozaev":
-            raise ValueError(f"unexpected curve header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            a, c, lam, conv, neh, poh = line.split(",")
-            points.append(CurvePoint(
-                a=float(a), energy=float(c), lam=float(lam),
-                converged=conv == "true", nehari=float(neh),
-                pohozaev=float(poh),
-            ))
-    return points
+    return [CurvePoint(*row) for row in read_csv(path, CURVE_COLUMNS)]
 
 
 @dataclass(frozen=True)
@@ -174,10 +158,7 @@ def subadditivity_check(curve: EnergyCurve, tol: float = 1e-6) -> SubadditivityR
 
 
 def write_subadditivity_csv(report: SubadditivityReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("a,b,gap\n")
-        for r in report.rows:
-            fh.write(f"{r.a:.12g},{r.b:.12g},{r.gap:.12g}\n")
+    write_csv(path, ("a", "b", "gap"), ((r.a, r.b, r.gap) for r in report.rows))
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,14 @@ N = 1 grid is the plain uniform grid of the line.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .utils import read_csv, write_csv
 
 # surface measure of the unit sphere; the N = 1 entry is 2 because a radius
 # pairs the points {-r, +r} under the full-line convention
@@ -203,18 +204,18 @@ def gn_check(u: GridFunction, constant: float | None = None) -> GNReport:
     return GNReport(lhs=lhs, ratio=ratio, exceeds=ratio > 1.0)
 
 
+PROFILE_COLUMNS = {"r": float, "u": float}
+
+
 def save_profile(u: GridFunction, path) -> list[Path]:
     """Write the profile as CSV "r,u" plus a JSON sidecar with grid metadata.
 
-    Returns the paths written (CSV first). The sidecar shares the CSV stem.
+    Returns the paths written (CSV first). The sidecar shares the CSV stem
+    and keeps R exactly, so it is written by json.dump and not rounded.
     """
     path = Path(path)
     side = path.with_suffix(".json")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "u"])
-        for rj, vj in zip(u.grid.r, u.values):
-            writer.writerow([f"{rj:.12g}", f"{vj:.12g}"])
+    write_csv(path, PROFILE_COLUMNS, zip(u.grid.r.tolist(), u.values.tolist()))
     with open(side, "w") as fh:
         json.dump(dataclasses.asdict(u.grid), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -223,27 +224,12 @@ def save_profile(u: GridFunction, path) -> list[Path]:
 
 def load_profile(path) -> GridFunction:
     path = Path(path)
-    side = path.with_suffix(".json")
-    with open(side) as fh:
+    with open(path.with_suffix(".json")) as fh:
         grid = RadialGrid.from_dict(json.load(fh))
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"profile {path} is empty")
-        if [col.strip() for col in header[:2]] != ["r", "u"]:
-            raise ValueError(f"expected profile header 'r,u', got {header!r}")
-        for row in reader:
-            if len(row) < 2:
-                raise ValueError(f"profile {path} line {reader.line_num}: "
-                                 f"expected r,u, got {row!r}")
-            rows.append((float(row[0]), float(row[1])))
+    rows = read_csv(path, PROFILE_COLUMNS)
     if len(rows) != grid.n:
-        raise ValueError(
-            f"profile has {len(rows)} rows but sidecar grid expects {grid.n}"
-        )
-    r_file = np.array([row[0] for row in rows])
+        raise ValueError(f"profile has {len(rows)} rows but sidecar grid expects {grid.n}")
+    r_file, values = np.array(rows).T
     if not np.allclose(r_file, grid.r, rtol=1e-10, atol=1e-12):
         raise ValueError("profile radii disagree with the sidecar grid")
-    return GridFunction(grid, [row[1] for row in rows])
+    return GridFunction(grid, values)

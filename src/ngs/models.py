@@ -8,7 +8,6 @@ general continuous g is not supported.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -20,6 +19,7 @@ import numpy as np
 
 from .errors import ModelFormatError, NumericalError
 from .grids import RadialGrid
+from .utils import read_csv
 
 # relative tolerance for declaring a tabulated potential settled at its tail
 TAIL_TOL = 1e-3
@@ -188,6 +188,11 @@ class PotentialModel:
             object.__setattr__(self, "params", ())
         if not np.all(np.isfinite(self.params)):
             raise ValueError("potential parameters must be finite")
+        # hashed once, as the discretization cache hashes models on every lookup
+        object.__setattr__(self, "_table_hash", hash((self.table_r, self.table_v)))
+
+    def __hash__(self):
+        return hash((self.kind, self.params, self._table_hash))
 
     # --- evaluation ---
 
@@ -318,51 +323,27 @@ def make_model(N: int, nonlinearity: dict, potential: dict, base_dir=None) -> Mo
     nl = NonlinearityModel(kind=nonlinearity["kind"], terms=terms, N=N)
     kind = potential["kind"]
     if kind == "tabulated":
-        if "table" in potential and isinstance(potential["table"], dict):
-            tr = tuple(float(x) for x in potential["table"]["r"])
-            tv = tuple(float(x) for x in potential["table"]["V"])
-        elif "table" in potential:
-            table_path = Path(potential["table"])
-            if base_dir is not None and not table_path.is_absolute():
-                table_path = Path(base_dir) / table_path
-            tr, tv = _read_potential_csv(table_path)
+        table = potential.get("table")
+        if isinstance(table, dict):
+            tr, tv = table["r"], table["V"]
+        elif table is not None:   # a CSV file, relative to the model file
+            path = Path(base_dir or "", table)
+            try:
+                rows = read_csv(path, {"r": float, "V": float})
+            except OSError as exc:
+                raise ModelFormatError(f"cannot read potential table {path}: {exc}") from exc
+            except ValueError as exc:
+                raise ModelFormatError(f"potential table {exc}") from exc
+            tr, tv = [r for r, _ in rows], [v for _, v in rows]
         else:
             raise ModelFormatError("tabulated potential needs a 'table' entry")
-        pot = PotentialModel(kind=kind, params=(), table_r=tr, table_v=tv)
+        pot = PotentialModel(kind=kind, params=(), table_r=tuple(map(float, tr)),
+                             table_v=tuple(map(float, tv)))
     else:
         pot = PotentialModel(
             kind=kind, params=tuple(float(x) for x in potential.get("params", []))
         )
     return Model(N=N, nonlinearity=nl, potential=pot)
-
-
-def _read_potential_csv(path) -> tuple[tuple, tuple]:
-    """The r and V columns of a potential table; ModelFormatError names the file."""
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ModelFormatError(f"cannot read potential table {path}: {exc}") from exc
-    rows = []
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ModelFormatError(f"potential table {path} is empty")
-        if [c.strip() for c in header[:2]] != ["r", "V"]:
-            raise ModelFormatError(
-                f"potential table {path} must have header 'r,V', got {header!r}"
-            )
-        for row in reader:
-            if not row:
-                continue
-            try:
-                rows.append((float(row[0]), float(row[1])))
-            except (IndexError, ValueError) as exc:
-                raise ModelFormatError(
-                    f"potential table {path} line {reader.line_num}: expected two "
-                    f"numbers r,V, got {row!r}", line=reader.line_num,
-                ) from exc
-    return tuple(r for r, _ in rows), tuple(v for _, v in rows)
 
 
 def load_model(path) -> Model:

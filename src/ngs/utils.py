@@ -1,6 +1,7 @@
-"""Small shared helpers for deterministic file output."""
+"""Small shared helpers for deterministic file output: JSON and CSV records."""
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -46,3 +47,55 @@ def sha256_file(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _cell(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return f"{value:.12g}"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    return str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header line and rows as CSV with LF line ends: floats with 12
+    significant digits, bools as true or false, any other cell as str prints it."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
+def _parse_bool(cell: str) -> bool:
+    if cell not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {cell!r}")
+    return cell == "true"
+
+
+def read_csv(path, columns: dict) -> list[list]:
+    """The rows of a CSV file whose header starts with the names of columns.
+
+    columns maps each name to its cells' type: float, int, or bool, which
+    reads write_csv's true/false. Blank lines and further columns are
+    skipped; any line end reads. A missing or wrong header, a short row, a
+    cell that does not parse or malformed CSV raise ValueError naming the
+    file and the line.
+    """
+    names = list(columns)
+    parsers = [_parse_bool if kind is bool else kind for kind in columns.values()]
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is not None and [cell.strip() for cell in header[:len(names)]] != names:
+                raise ValueError(f"expected header {','.join(names)}, got {header!r}")
+            for row in filter(None, reader):   # blank lines read as []
+                if len(row) < len(names):
+                    raise ValueError(f"expected {','.join(names)}, got {row!r}")
+                rows.append([parse(cell) for parse, cell in zip(parsers, row)])
+        except (csv.Error, ValueError) as exc:   # UnicodeDecodeError too
+            raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
+    if header is None:
+        raise ValueError(f"{path} is empty")
+    return rows

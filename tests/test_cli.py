@@ -298,6 +298,16 @@ def test_scan_needs_three_steps(tmp_path):
     assert "steps" in proc.stderr
 
 
+def test_scan_from_a_zero_mass_is_usage_error(tmp_path):
+    # curves.scan rejects the mass before any solve, so no --out is made
+    out = tmp_path / "x"
+    proc = run_cli("scan", "--model", MODELS_DIR / "gaussian_well_cubic.json",
+                   "--a-min", "0", "--a-max", "2", "--steps", "3", "--out", out)
+    assert proc.returncode == 64
+    assert proc.stderr == "ngs: masses must be positive\n"
+    assert not out.exists()
+
+
 # --- scan ---
 
 @pytest.fixture(scope="module")
@@ -744,7 +754,10 @@ def test_table_length_mismatch_is_bad_model_file(tmp_path, argv):
     (None, "cannot read potential table"),
     ("", "is empty"),
     ("r,V\n0.0,-1.0\n1.0\n", "line 3"),
-], ids=["missing", "empty", "one-column"])
+    ("r,V\n0.0,-1.0\n1.0,\"" + "x" * 200_000, "field larger than field limit"),
+    ("r,V\n0.0,abc\n", "line 2"),
+    ("r,V\n0.0,true\n", "line 2"),
+], ids=["missing", "empty", "one-column", "overlong-field", "non-numeric", "boolean"])
 def test_unreadable_potential_table_is_bad_model_file(tmp_path, table, where):
     model = model_with(tmp_path, {"potential": {"kind": "tabulated", "table": "table.csv"}})
     if table is not None:
@@ -759,7 +772,8 @@ def test_unreadable_potential_table_is_bad_model_file(tmp_path, table, where):
 @pytest.mark.parametrize("edit", [
     lambda text: "",
     lambda text: text.replace("\n", "\n0.5\n", 2),
-], ids=["empty", "one-column"])
+    lambda text: text + '1.0,"' + "x" * 200_000,
+], ids=["empty", "one-column", "overlong-field"])
 def test_solve_verify_of_a_truncated_profile_fails_verification(solve_dir, tmp_path, edit):
     out = tmp_path / "run"
     shutil.copytree(solve_dir, out)

@@ -1,4 +1,5 @@
 """Energy-curve scans, subadditivity, thresholds, and the spectral floor."""
+import dataclasses
 import math
 
 import numpy as np
@@ -206,6 +207,15 @@ def test_curve_csv_roundtrip(free_curve, tmp_path):
         assert math.isclose(orig.energy, back.energy, rel_tol=1e-11)
         assert math.isclose(orig.lam, back.lam, rel_tol=1e-11)
         assert back.converged
+
+
+def test_curve_csv_roundtrip_keeps_an_unconverged_row(free_curve, tmp_path):
+    first, middle, last = free_curve.points
+    curve = EnergyCurve((first, dataclasses.replace(middle, converged=False), last))
+    path = tmp_path / "curve.csv"
+    write_curve_csv(curve, path)
+    assert path.read_text().splitlines()[2].split(",")[3] == "false"
+    assert [pt.converged for pt in read_curve_csv(path)] == [True, False, True]
 
 
 def test_subadditivity_csv_format(free_curve, tmp_path):

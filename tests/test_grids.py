@@ -200,6 +200,19 @@ def test_profile_roundtrip(tmp_path):
     assert np.max(np.abs(v.values - u.values)) <= 1e-11 * np.max(np.abs(u.values))
 
 
+@pytest.mark.parametrize("edit, where", [
+    (lambda lines: lines[:2] + ["0.5,abc"] + lines[3:], "line 3: could not convert"),
+    (lambda lines: lines[:3] + ["0.5"] + lines[4:], "line 4: expected r,u"),
+    (lambda lines: ["r,v"] + lines[1:], "line 1: expected header r,u"),
+    (lambda lines: lines + ['1.0,"' + "x" * 200_000], "line 202: field larger"),
+], ids=["non-numeric", "one-column", "header", "overlong-field"])
+def test_malformed_profile_names_file_and_line(tmp_path, edit, where):
+    path = save_profile(gaussian(RadialGrid(1, 9.0, 200)), tmp_path / "prof.csv")[0]
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=f"prof.csv {where}"):
+        load_profile(path)
+
+
 # --- property tests ---
 
 @settings(deadline=None, max_examples=30)

@@ -127,6 +127,13 @@ def test_no_module_imports_scipy_sparse():
     assert not offenders, f"scipy.sparse imported: {offenders}"
 
 
+def test_only_utils_reads_and_writes_csv():
+    # every CSV record goes through utils.write_csv and utils.read_csv
+    importers = sorted(name for name, (_, tree) in TREES.items()
+                       if "csv" in _imported_modules(tree))
+    assert importers == ["utils"]
+
+
 def test_cli_import_skips_unused_scipy_subpackages():
     # of SciPy only the LAPACK extension, not even the scipy package: after
     # importing the CLI, and after the N = 1 oracle's closed form too

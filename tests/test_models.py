@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import MODELS_DIR, ZERO_G, ZERO_V, harmonic_v, power_g, well_v
 from ngs.curves import quadratic_form_infimum
+from ngs.energy import discretization
 from ngs.errors import ModelFormatError
 from ngs.grids import RadialGrid
 from ngs.models import (
@@ -322,6 +323,13 @@ def test_tabulated_csv_resolved_relative_to_model(tmp_path):
     m = load_model(tmp_path / "m.json")
     assert m.potential.kind == "tabulated"
     assert math.isclose(float(m.potential.V(0.0)), -1.0, rel_tol=1e-12)
+
+
+def test_tabulated_models_loaded_apart_share_one_discretization():
+    a, b = (load_model(MODELS_DIR / "tabulated_well.json") for _ in range(2))
+    assert a is not b and a == b and hash(a) == hash(b)
+    grid = RadialGrid(a.N, 20.0, 256)
+    assert discretization(grid, a) is discretization(grid, b)
 
 
 def test_fingerprint_separates_potentials():

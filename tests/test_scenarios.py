@@ -3,13 +3,16 @@ import hashlib
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import run_cli
+from ngs.grids import load_profile
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -36,6 +39,21 @@ def test_scenario_passes_offline_verification(name, full):
     proc = run_cli(cmd, *flags, "--out", SCENARIOS / name, "--verify", cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     assert "verification OK" in proc.stdout
+
+
+def test_crlf_solve_scenario_loads_and_verifies(tmp_path):
+    # profiles written before the one CSV writer end their lines in CRLF
+    out = tmp_path / "solve_cubic_free"
+    shutil.copytree(SCENARIOS / out.name, out)
+    profile = out / "profile.csv"
+    profile.write_bytes(profile.read_bytes().replace(b"\n", b"\r\n"))
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["outputs"]["profile.csv"] = hashlib.sha256(profile.read_bytes()).hexdigest()
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    crlf, lf = load_profile(profile), load_profile(SCENARIOS / out.name / "profile.csv")
+    assert np.array_equal(crlf.values, lf.values) and crlf.grid == lf.grid
+    proc = run_cli("solve", "--out", out, "--verify")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_solve_scenario_matches_oracle():
