@@ -282,10 +282,22 @@ def quadratic_form_infimum(model: Model, grid: RadialGrid) -> float:
     value is dstebz's for l1 alone (range 2, il = iu = 1, abstol 0, order
     "E"), as scipy.linalg.eigh_tridiagonal(select="i", select_range=(0, 0))
     computes it, to the bit. A nonzero dstebz info raises NumericalError.
+
+    T's diagonal and off-diagonal are the shared energy.Discretization's d
+    and e, and the certified value is kept on that instance
+    (spectral_floor): a second call on an equal (grid, model) while the
+    instance is cached returns it without a LAPACK call. A failure is
+    never kept.
     """
     disc = discretization(grid, model)
-    lower, diag, upper = disc.lap
-    d, e = diag + disc.V, -np.sqrt(upper[:-1] * lower[1:])
+    if disc.spectral_floor is None:
+        disc.spectral_floor = _certified_floor(disc)
+    return disc.spectral_floor
+
+
+def _certified_floor(disc) -> float:
+    """The lowest eigenvalue of disc's T; see quadratic_form_infimum."""
+    grid, (lower, _, upper), d, e = disc.grid, disc.lap, disc.d, disc.e
     y, mu = np.exp(-0.5 * grid.r**2), math.nan
     for solves in range(SPECTRUM_MAX_SOLVES + 1):
         m, vm = disc.masses(y)

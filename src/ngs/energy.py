@@ -67,12 +67,18 @@ class Discretization:
     rows of the discrete -Laplacian W^-1 K and V at the nodes. J, Pohozaev
     and the spectrum use the kinetic form u^T K u of the grid; the defect,
     multiplier, residual and Nehari use -Lap = W^-1 K of the same K, so a
-    zero of the defect is an exact constrained critical point of J. V, the
-    Pohozaev weight r V'(r) and the -Lap rows are read-only, so that one
-    instance per (grid, model) value can be shared: discretization()
-    returns it, and the solver, the spectrum and the GridFunction functions
-    below all read that one instance, so they report bit-identical values.
-    A potential that is not finite at every node raises NumericalError.
+    zero of the defect is an exact constrained critical point of J. d and e
+    are the diagonal and off-diagonal of the symmetric tridiagonal
+    W^1/2 (-Lap + V) W^-1/2: d = diag(-Lap) + V is also the solver's step
+    diagonal before its shifts. V, the Pohozaev weight r V'(r), the -Lap
+    rows, d and e are read-only, so that one instance per (grid, model)
+    value can be shared: discretization() returns it, and the solver, the
+    spectrum and the GridFunction functions below all read that one
+    instance, so they report bit-identical values. spectral_floor is None
+    until curves.quadratic_form_infimum certifies the lowest eigenvalue of
+    that tridiagonal, which it then keeps, so the floor is computed at most
+    once per instance and leaves the cache with it. A potential that is not
+    finite at every node raises NumericalError.
     """
 
     def __init__(self, grid: grids.RadialGrid, model):
@@ -83,9 +89,12 @@ class Discretization:
         self.w = grid.w
         self.V = model.potential.V_on(grid)
         self.xdV = model.potential.dV_dot_x(grid.r)
-        self.lap = grids.laplacian_tridiagonal(grid)
-        for arr in (self.V, self.xdV, *self.lap):
+        self.lap = lower, diag, upper = grids.laplacian_tridiagonal(grid)
+        self.d = diag + self.V
+        self.e = -np.sqrt(upper[:-1] * lower[1:])
+        for arr in (self.V, self.xdV, *self.lap, self.d, self.e):
             arr.flags.writeable = False
+        self.spectral_floor: float | None = None
 
     def masses(self, v: np.ndarray) -> tuple[float, float]:
         """The mass w^T v^2 of v and w^T (V v^2), which energy and stationarity share."""

@@ -31,7 +31,9 @@ field of zero or non-finite mass, raises NumericalError.
 
 Every value the solver reports comes from the one shared
 energy.Discretization of (grid, model) (energy.discretization), the instance
-energy.evaluate and the identity functions read, so they agree bit for bit.
+energy.evaluate, the identity functions and the spectrum read, so they agree
+bit for bit; its d = diag(-Lap) + V is the step's diagonal before
+lam - g'(u) + sigma.
 Each trial field evaluates its nonlinearity g, G, g s, g'
 (models.NonlinearityModel.evaluate), masses w^T u^2, w^T (V u^2) and kinetic
 form once; an accepted one adds one -Lap u for its stationarity, and the
@@ -41,7 +43,8 @@ and nonlinearity give the reported Nehari and Pohozaev defects, so nothing
 is evaluated after the loop.
 
 The package's three LAPACK routines, dgtsv here and in
-curves.quadratic_form_infimum, which also calls dpttrf and dstebz, are
+curves.quadratic_form_infimum, which also calls dpttrf and dstebz once per
+shared Discretization, are
 those of SciPy's compiled extension scipy.linalg._flapack, loaded by
 _load_flapack alone: importing the packages around it (scipy, and
 scipy.linalg's array-API layer and numpy.f2py) would be most of the CLI's
@@ -292,8 +295,7 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
     """Shifted bordered Newton steps from the mass-a field v; see the module."""
     nonlinearity = op.model.nonlinearity
     w = op.w
-    lower, diag, upper = op.lap
-    fixed = diag + op.V
+    lower, _, upper = op.lap
     floor = config.stop_energy_below
     start = v
     # each iterate's nonlinearity, masses and stationarity are computed once
@@ -320,7 +322,7 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
             break
         solves += 1
         if unshifted is None:
-            unshifted = fixed + lam
+            unshifted = op.d + lam
             unshifted -= nl.dg
             rhs = -defect
         try:

@@ -72,6 +72,18 @@ def _parse_bool(cell: str) -> bool:
     return cell == "true"
 
 
+def _by_columns(rows: list, parsers: list) -> list[list] | None:
+    """rows with each column converted in one pass, or None if a row is
+    short or a cell does not parse."""
+    if min(map(len, rows), default=len(parsers)) < len(parsers):
+        return None
+    try:
+        cols = [list(map(parse, col)) for parse, col in zip(parsers, zip(*rows))]
+    except ValueError:
+        return None
+    return list(map(list, zip(*cols)))
+
+
 def read_csv(path, columns: dict) -> list[list]:
     """The rows of a CSV file whose header starts with the names of columns.
 
@@ -79,21 +91,28 @@ def read_csv(path, columns: dict) -> list[list]:
     reads write_csv's true/false. Blank lines and further columns are
     skipped; any line end reads. A missing or wrong header, a short row, a
     cell that does not parse or malformed CSV raise ValueError naming the
-    file and the line.
+    file and the line. Each column is converted in one pass; the rows are
+    read again one by one only to name the line of a short row or of a cell
+    that does not parse.
     """
     names = list(columns)
     parsers = [_parse_bool if kind is bool else kind for kind in columns.values()]
-    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
             if header is not None and [cell.strip() for cell in header[:len(names)]] != names:
                 raise ValueError(f"expected header {','.join(names)}, got {header!r}")
-            for row in filter(None, reader):   # blank lines read as []
-                if len(row) < len(names):
-                    raise ValueError(f"expected {','.join(names)}, got {row!r}")
-                rows.append([parse(cell) for parse, cell in zip(parsers, row)])
+            rows = _by_columns(list(filter(None, reader)), parsers)   # blank lines read as []
+            if rows is None:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+                rows = []
+                for row in filter(None, reader):
+                    if len(row) < len(names):
+                        raise ValueError(f"expected {','.join(names)}, got {row!r}")
+                    rows.append([parse(cell) for parse, cell in zip(parsers, row)])
         except (csv.Error, ValueError) as exc:   # UnicodeDecodeError too
             raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
     if header is None:

@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 import contextlib
+import csv
 import io
 import math
 import os
@@ -122,6 +123,18 @@ def subadditivity_rows_by_scan(curve: EnergyCurve) -> tuple:
                                and pts[k].converged),
             ))
     return tuple(rows)
+
+
+def read_csv_row_by_row(path, columns: dict) -> list[list]:
+    """utils.read_csv's rows as a plain row-by-row reader gives them, with
+    each cell's type: the reference for its column-wise conversion."""
+    parse = {float: float, int: int, bool: lambda cell: {"true": True, "false": False}[cell]}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        assert next(reader)[:len(columns)] == list(columns)
+        return [[(cell, type(cell)) for cell in
+                 (parse[kind](text) for kind, text in zip(columns.values(), row))]
+                for row in reader if row]
 
 
 def run_cli(*argv, cwd=None):

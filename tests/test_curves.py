@@ -13,10 +13,12 @@ from helpers import (
     free_power,
     harmonic_v,
     power_g,
+    read_csv_row_by_row,
     subadditivity_rows_by_scan,
     well_v,
 )
 from ngs.curves import (
+    CURVE_COLUMNS,
     CurvePoint,
     EnergyCurve,
     quadratic_form_infimum,
@@ -28,12 +30,13 @@ from ngs.curves import (
     write_curve_csv,
     write_subadditivity_csv,
 )
-from ngs import curves, flow
+from ngs import curves, energy, flow
 from ngs.energy import Discretization
 from ngs.errors import BracketError, NumericalError
 from ngs.flow import DEADBAND, SolverConfig, minimize
 from ngs.grids import GridFunction, RadialGrid, kinetic, mass
 from ngs.models import load_model, make_model
+from ngs.utils import read_csv
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +219,10 @@ def test_curve_csv_roundtrip_keeps_an_unconverged_row(free_curve, tmp_path):
     write_curve_csv(curve, path)
     assert path.read_text().splitlines()[2].split(",")[3] == "false"
     assert [pt.converged for pt in read_curve_csv(path)] == [True, False, True]
+    rows = read_csv(path, CURVE_COLUMNS)
+    assert [[(c, type(c)) for c in row] for row in rows] == \
+        read_csv_row_by_row(path, CURVE_COLUMNS)
+    assert read_curve_csv(path) == [CurvePoint(*row) for row in rows]
 
 
 def test_subadditivity_csv_format(free_curve, tmp_path):
@@ -351,13 +358,34 @@ def _no_dstebz(*args):
     raise AssertionError("the certified Rayleigh-quotient iteration fell back to dstebz")
 
 
+def _no_dpttrf(*args):
+    raise AssertionError("the Rayleigh-quotient iteration settled and tried a certificate")
+
+
+def _spy(monkeypatch, name, fn=None):
+    """Replace curves.<name> by fn, flow's LAPACK routine by default, and
+    return the list its calls are appended to."""
+    calls = []
+    fn = getattr(flow, name) if fn is None else fn
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(curves, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("name", BUNDLED_WITH_POTENTIAL)
 def test_spectral_floor_is_scipy_eigh_tridiagonal_to_the_bit(name, grid20, monkeypatch):
     # with the certificate failing, the fallback makes the dstebz call
-    # eigh_tridiagonal makes
-    monkeypatch.setattr(curves, "dpttrf", lambda d, e: (d, e, 1))
+    # eigh_tridiagonal makes; a kept floor would skip both
+    energy.discretization.cache_clear()
+    certificates = _spy(monkeypatch, "dpttrf", lambda d, e: (d, e, 1))
+    fallbacks = _spy(monkeypatch, "dstebz")
     model = load_model(MODELS_DIR / f"{name}.json")
     assert quadratic_form_infimum(model, grid20) == _eigh_tridiagonal_floor(model, grid20)
+    assert len(certificates) == 1 and len(fallbacks) == 1
 
 
 @pytest.mark.parametrize("name", [*BUNDLED_WITH_POTENTIAL, "N=2 well"])
@@ -375,6 +403,7 @@ def test_spectral_floor_is_certified_rayleigh_quotient(name, monkeypatch):
         shifted.append(d.copy())
         return flow.dpttrf(d, e)
 
+    energy.discretization.cache_clear()
     monkeypatch.setattr(curves, "dpttrf", dpttrf)
     monkeypatch.setattr(curves, "dstebz", _no_dstebz)
     q = quadratic_form_infimum(model, grid)
@@ -387,33 +416,79 @@ def test_spectral_floor_is_certified_rayleigh_quotient(name, monkeypatch):
     assert s < exact and 1e-10 < q - s < 2e-10
 
 
-def test_spectral_floor_excited_state_falls_back_to_the_bit():
-    # from the width-1 Gaussian the iteration misses the barely bound N = 3
-    # ground state (-0.0094); the certificate rejects what it finds instead
+def test_spectral_floor_excited_state_falls_back_to_the_bit(monkeypatch):
+    # from the width-1 Gaussian the iteration does not settle on the barely
+    # bound N = 3 ground state (-0.0094) within SPECTRUM_MAX_SOLVES solves,
+    # so no certificate is tried and the fallback finds it
+    energy.discretization.cache_clear()
+    solves, fallbacks = _spy(monkeypatch, "dgtsv"), _spy(monkeypatch, "dstebz")
+    monkeypatch.setattr(curves, "dpttrf", _no_dpttrf)
     model, grid = make_model(3, ZERO_G, well_v(depth=3.0, width=1.0)), RadialGrid(3, 20.0, 2000)
     expected = _eigh_tridiagonal_floor(model, grid)
     assert -0.01 < expected < -0.009
     assert quadratic_form_infimum(model, grid) == expected
+    assert len(solves) == curves.SPECTRUM_MAX_SOLVES and len(fallbacks) == 1
 
 
 @pytest.mark.parametrize("fault", ["zero-pivot", "cap", "underflow"])
 def test_spectral_floor_falls_back_to_the_bit(fault, grid20, monkeypatch):
+    energy.discretization.cache_clear()
     grid = grid20
+    zero_pivot = None
     if fault == "zero-pivot":
-        monkeypatch.setattr(curves, "dgtsv", lambda dl, d, du, b, **kw: (None, d, du, b, 1))
+        zero_pivot = lambda dl, d, du, b, **kw: (None, d, du, b, 1)   # noqa: E731
     elif fault == "cap":   # gaussian_well_deep needs 3 solves
         monkeypatch.setattr(curves, "SPECTRUM_MAX_SOLVES", 2)
     else:   # the Gaussian start is 0 at every node from r = h/2 = 78 on
         grid = RadialGrid(1, 1e4, 64)
+    solves = _spy(monkeypatch, "dgtsv", zero_pivot)
+    certificates, fallbacks = _spy(monkeypatch, "dpttrf"), _spy(monkeypatch, "dstebz")
     model = load_model(MODELS_DIR / "gaussian_well_deep.json")
     assert quadratic_form_infimum(model, grid) == _eigh_tridiagonal_floor(model, grid)
+    # each fault is met before any certificate, and the fallback runs
+    assert len(solves) == {"zero-pivot": 1, "cap": 2, "underflow": 0}[fault]
+    assert not certificates and len(fallbacks) == 1
 
 
 def test_spectral_floor_raises_on_lapack_failure(small_grid, well_cubic, monkeypatch):
-    monkeypatch.setattr(curves, "dpttrf", lambda d, e: (d, e, 1))
-    monkeypatch.setattr(curves, "dstebz", lambda *args: (0, np.zeros(1), None, None, 3))
+    energy.discretization.cache_clear()
+    certificates = _spy(monkeypatch, "dpttrf", lambda d, e: (d, e, 1))
+    fallbacks = _spy(monkeypatch, "dstebz", lambda *args: (0, np.zeros(1), None, None, 3))
     with pytest.raises(NumericalError, match="info = 3"):
         quadratic_form_infimum(well_cubic, small_grid)
+    assert len(certificates) == 1 and len(fallbacks) == 1
+
+
+def test_spectral_floor_failure_is_never_kept(small_grid, well_cubic, monkeypatch):
+    # every call on the failing (grid, model) runs the fallback again and raises
+    energy.discretization.cache_clear()
+    monkeypatch.setattr(curves, "dpttrf", lambda d, e: (d, e, 1))
+    fallbacks = _spy(monkeypatch, "dstebz", lambda *args: (0, np.zeros(1), None, None, 3))
+    for calls in (1, 2, 3):
+        with pytest.raises(NumericalError, match="info = 3"):
+            quadratic_form_infimum(well_cubic, small_grid)
+        assert len(fallbacks) == calls
+    assert energy.discretization(small_grid, well_cubic).spectral_floor is None
+
+
+@pytest.mark.parametrize("name", ["gaussian_well_deep", "tabulated_well"])
+def test_spectral_floor_is_certified_once_per_grid_and_model(name, grid20, monkeypatch):
+    # the floor is kept on the shared Discretization: a second call, also
+    # with an equal model loaded apart, makes no LAPACK call and returns the
+    # same float; once the cache is cleared it is computed again
+    energy.discretization.cache_clear()
+    calls = [_spy(monkeypatch, routine) for routine in ("dgtsv", "dpttrf", "dstebz")]
+    path = MODELS_DIR / f"{name}.json"
+    first = quadratic_form_infimum(load_model(path), grid20)
+    made = [len(c) for c in calls]
+    assert made[0] > 0 and made[1] == 1
+    again = quadratic_form_infimum(load_model(path), grid20)
+    assert again == first and type(again) is float
+    assert [len(c) for c in calls] == made
+    assert energy.discretization(grid20, load_model(path)).spectral_floor == first
+    energy.discretization.cache_clear()
+    assert quadratic_form_infimum(load_model(path), grid20) == first
+    assert [len(c) for c in calls] == [2 * k for k in made]
 
 
 def test_spectral_floor_never_undershoots_potential_floor(small_grid, well_cubic):

@@ -328,7 +328,7 @@ def test_five_models_on_one_grid_build_one_operator_each(monkeypatch, small_grid
 def test_shared_operator_and_start_shapes_are_read_only(small_grid, well_cubic):
     op = energy.discretization(small_grid, well_cubic)
     shape, _ = flow._gaussian_shape(small_grid, 1.0)
-    for arr in (op.V, op.xdV, *op.lap, shape):
+    for arr in (op.V, op.xdV, *op.lap, op.d, op.e, shape):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import bumps
+from helpers import MODELS_DIR, bumps, read_csv_row_by_row
 from ngs.grids import (
+    PROFILE_COLUMNS,
     SPHERE_MEASURE,
     GridFunction,
     RadialGrid,
@@ -19,6 +20,7 @@ from ngs.grids import (
     save_profile,
     tridiagonal_apply,
 )
+from ngs.utils import read_csv
 
 
 def gaussian(grid, scale=1.0):
@@ -198,6 +200,18 @@ def test_profile_roundtrip(tmp_path):
     assert v.grid.N == 3 and v.grid.n == 200
     assert math.isclose(v.grid.R, 9.0, rel_tol=1e-12)
     assert np.max(np.abs(v.values - u.values)) <= 1e-11 * np.max(np.abs(u.values))
+
+
+def test_scenario_profile_reads_as_row_by_row():
+    # utils.read_csv converts each column in one pass; the cells and their
+    # types are those a row-by-row reader gives
+    path = MODELS_DIR.parent / "scenarios" / "solve_cubic_free" / "profile.csv"
+    rows = read_csv(path, PROFILE_COLUMNS)
+    assert len(rows) == 2000
+    assert [[(c, type(c)) for c in row] for row in rows] == \
+        read_csv_row_by_row(path, PROFILE_COLUMNS)
+    values = load_profile(path).values
+    assert values.tolist() == [u for _, u in rows]
 
 
 @pytest.mark.parametrize("edit, where", [
