@@ -1,0 +1,172 @@
+"""Hash the solver's outputs on fixed cases, in a parent revision and in this checkout.
+
+    python3 scripts/output_digest.py --parent <rev>
+
+The parent is unpacked with `git archive <rev>` into a temporary directory,
+as bench_pairs.py does; the change is this checkout's working tree as it
+stands. Each tree runs the same fixed cases in a child interpreter that
+imports ngs from that tree's src/ and reads that tree's models/:
+
+* minimize on the five models of perfbench's ground_state workload at their
+  centre masses (R = 20, n = 2000);
+* quintic_free probes at a = 2.685, 2.71 and 2.735 with the threshold
+  probe's config (stop_energy_below = -15 DEADBAND);
+* minimize on power2_free_3d at a = 20 (N = 3) and tabulated_well at a = 3;
+* a 12-mass scan of gaussian_well_cubic from 0.5 to 6;
+* threshold_a0 on quintic_free over (2.685, 2.735), and on
+  gaussian_well_cubic over the default bracket;
+* quadratic_form_infimum on the four ground_state models with a potential.
+
+A case's digest is one SHA-256 over everything its call returns: every
+float as float.hex, every int, bool and string, and every array's dtype,
+shape and bytes, field by field. The script prints each case's digest for
+both trees, exits 0 when all agree and 1, naming each case that differs,
+when any does.
+"""
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+GROUND_STATE = (("power3_free", 4.0), ("gaussian_well_cubic", 3.0),
+                ("gaussian_well_mixed", 3.0), ("harmonic_cubic", 2.0),
+                ("gaussian_well_deep", 2.0))
+
+
+def _unpack(rev: str, dest: Path) -> None:
+    with tempfile.TemporaryFile() as archive:
+        subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
+                       stdout=archive)
+        archive.seek(0)
+        with tarfile.open(fileobj=archive) as tar:
+            tar.extractall(dest, filter="data")
+
+
+def _feed(h, obj) -> None:
+    """Add obj to the hash h, recursing into containers and records."""
+    import numpy as np
+
+    if isinstance(obj, np.ndarray):
+        h.update(f"array {obj.dtype.str} {obj.shape}:".encode())
+        h.update(np.ascontiguousarray(obj).tobytes())
+    elif isinstance(obj, (float, np.floating)):
+        h.update(b"f" + float(obj).hex().encode())
+    elif obj is None or isinstance(obj, (bool, int, str, np.bool_, np.integer)):
+        h.update(f"{type(obj).__name__} {obj!r};".encode())
+    elif isinstance(obj, dict):
+        h.update(b"{")
+        for key in sorted(obj):
+            _feed(h, key)
+            _feed(h, obj[key])
+        h.update(b"}")
+    elif isinstance(obj, (list, tuple)):
+        h.update(b"[")
+        for item in obj:
+            _feed(h, item)
+        h.update(b"]")
+    elif dataclasses.is_dataclass(obj):
+        h.update(type(obj).__name__.encode() + b"(")
+        for f in dataclasses.fields(obj):
+            _feed(h, f.name)
+            _feed(h, getattr(obj, f.name))
+        h.update(b")")
+    elif hasattr(obj, "grid") and hasattr(obj, "values"):   # a GridFunction
+        _feed(h, ("GridFunction", obj.grid, obj.values))
+    else:
+        raise TypeError(f"cannot hash a {type(obj).__name__}")
+
+
+def _cases(models_dir: Path) -> dict:
+    """Name -> zero-argument call, for the ngs package importable here."""
+    import numpy as np
+
+    from ngs import curves, flow
+    from ngs.grids import RadialGrid
+    from ngs.models import load_model
+
+    def model(name):
+        return load_model(models_dir / f"{name}.json")
+
+    grid = RadialGrid(1, 20.0, 2000)
+    probe = flow.SolverConfig(stop_energy_below=-15.0 * flow.DEADBAND)
+    cases = {}
+    for name, a in GROUND_STATE:
+        cases[f"minimize {name} a={a:g}"] = (
+            lambda name=name, a=a: flow.minimize(a, model(name), grid))
+    for a in (2.685, 2.71, 2.735):
+        cases[f"minimize quintic_free a={a:g} probe"] = (
+            lambda a=a: flow.minimize(a, model("quintic_free"), grid, probe))
+    cases["minimize power2_free_3d a=20"] = lambda: flow.minimize(
+        20.0, model("power2_free_3d"), RadialGrid(3, 20.0, 2000))
+    tabulated = model("tabulated_well")
+    cases["minimize tabulated_well a=3"] = lambda: flow.minimize(
+        3.0, tabulated, RadialGrid(tabulated.N, 20.0, 2000))
+    cases["scan gaussian_well_cubic 0.5..6 x12"] = lambda: curves.scan(
+        np.linspace(0.5, 6.0, 12), model("gaussian_well_cubic"), grid)
+    cases["threshold_a0 quintic_free (2.685, 2.735)"] = lambda: curves.threshold_a0(
+        model("quintic_free"), grid, bracket=(2.685, 2.735))
+    cases["threshold_a0 gaussian_well_cubic default bracket"] = (
+        lambda: curves.threshold_a0(model("gaussian_well_cubic"), grid))
+    for name, _ in GROUND_STATE[1:]:
+        cases[f"quadratic_form_infimum {name}"] = (
+            lambda name=name: curves.quadratic_form_infimum(model(name), grid))
+    return cases
+
+
+def digests(models_dir: Path) -> dict:
+    """Case name -> SHA-256 hex digest of what the case returns."""
+    out = {}
+    for name, call in _cases(models_dir).items():
+        h = hashlib.sha256()
+        _feed(h, call())
+        out[name] = h.hexdigest()
+    return out
+
+
+def _digests_in(tree: Path) -> dict:
+    """digests() run by a child interpreter that imports ngs from tree."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    proc = subprocess.run([sys.executable, __file__, "--child", str(tree / "models")],
+                          cwd=tree, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"output_digest: the cases failed in {tree}:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--parent", help="the revision to compare this checkout with")
+    group.add_argument("--child", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child is not None:
+        print(json.dumps(digests(args.child)))
+        return 0
+
+    with tempfile.TemporaryDirectory(prefix="output_digest-") as tmp:
+        _unpack(args.parent, Path(tmp))
+        parent = _digests_in(Path(tmp))
+    change = _digests_in(ROOT)
+    differ = [name for name in parent if parent[name] != change.get(name)]
+    for name in parent:
+        verdict = "differs" if name in differ else "same"
+        print(f"{name}: parent {parent[name][:16]} change {change.get(name, '-')[:16]} {verdict}")
+    if differ:
+        print(f"{len(differ)} of {len(parent)} cases differ: {', '.join(differ)}",
+              file=sys.stderr)
+        return 1
+    print(f"all {len(parent)} cases identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -98,7 +98,7 @@ def write_curve_csv(curve: EnergyCurve, path) -> None:
 
 def read_curve_csv(path) -> list:
     """Rows of a written curve file, as CurvePoint instances."""
-    return [CurvePoint(*row) for row in read_csv(path, CURVE_COLUMNS)]
+    return [CurvePoint(*row) for row in zip(*read_csv(path, CURVE_COLUMNS))]
 
 
 @dataclass(frozen=True)

@@ -70,15 +70,18 @@ class Discretization:
     zero of the defect is an exact constrained critical point of J. d and e
     are the diagonal and off-diagonal of the symmetric tridiagonal
     W^1/2 (-Lap + V) W^-1/2: d = diag(-Lap) + V is also the solver's step
-    diagonal before its shifts. V, the Pohozaev weight r V'(r), the -Lap
-    rows, d and e are read-only, so that one instance per (grid, model)
-    value can be shared: discretization() returns it, and the solver, the
-    spectrum and the GridFunction functions below all read that one
-    instance, so they report bit-identical values. spectral_floor is None
-    until curves.quadratic_form_infimum certifies the lowest eigenvalue of
-    that tridiagonal, which it then keeps, so the floor is computed at most
-    once per instance and leaves the cache with it. A potential that is not
-    finite at every node raises NumericalError.
+    diagonal before its shifts, and sub, sup (views of the -Lap rows) and
+    w2 = 2 W are the solver's dgtsv bands and border weights.
+    zero_potential records whether V is zero at every node, where masses
+    and stationarity_terms skip the passes over V. V, the Pohozaev weight
+    r V'(r), the -Lap rows, d, e and w2 are read-only, so that one instance
+    per (grid, model) value can be shared: discretization() returns it, and
+    the solver, the spectrum and the GridFunction functions below all read
+    that one instance, so they report bit-identical values. spectral_floor
+    is None until curves.quadratic_form_infimum certifies the lowest
+    eigenvalue of that tridiagonal, which it then keeps, so the floor is
+    computed at most once per instance and leaves the cache with it. A
+    potential that is not finite at every node raises NumericalError.
     """
 
     def __init__(self, grid: grids.RadialGrid, model):
@@ -92,31 +95,73 @@ class Discretization:
         self.lap = lower, diag, upper = grids.laplacian_tridiagonal(grid)
         self.d = diag + self.V
         self.e = -np.sqrt(upper[:-1] * lower[1:])
-        for arr in (self.V, self.xdV, *self.lap, self.d, self.e):
+        self.sub, self.sup = lower[1:], upper[:-1]
+        self.w2 = 2.0 * self.w
+        for arr in (self.V, self.xdV, *self.lap, self.d, self.e, self.w2):
             arr.flags.writeable = False
+        self.zero_potential = not self.V.any()
         self.spectral_floor: float | None = None
 
-    def masses(self, v: np.ndarray) -> tuple[float, float]:
-        """The mass w^T v^2 of v and w^T (V v^2), which energy and stationarity share."""
-        usq = v * v
-        m = float(self.w.dot(usq))
-        usq *= self.V
-        return m, float(self.w.dot(usq))
+    def masses(self, v: np.ndarray, usq: np.ndarray | None = None) -> tuple[float, float]:
+        """The mass w^T v^2 of v and w^T (V v^2), which energy and stationarity share.
 
-    def energy(self, v: np.ndarray, G: np.ndarray | None = None,
-               masses: tuple[float, float] | None = None) -> EnergyReport:
-        """J of v, its parts and the mass; G is G(v), if the caller has it."""
-        if G is None:
-            G = self.model.nonlinearity.G(v)
-        m, vm = self.masses(v) if masses is None else masses
+        usq is v * v, if the caller has it; it is read, not written. With
+        V zero at every node the second value is 0.0, the bits w^T (v^2 0)
+        has, without forming v^2 V.
+        """
+        if usq is None:
+            usq = v * v
+        m = float(self.w.dot(usq))
+        if self.zero_potential:
+            return m, 0.0
+        return m, float(self.w.dot(usq * self.V))
+
+    def energy_terms(self, v: np.ndarray, G: np.ndarray,
+                     vm: float) -> tuple[float, float, float, float]:
+        """(1/2)|grad v|^2, int G(v), I and J of v, from G = G(v) and
+        vm = w^T (V v^2), as plain floats for the solver's trial fields."""
         kin = 0.5 * grids.kinetic_values(self.grid, v)
-        pot = 0.5 * vm
         nonlin = float(self.w.dot(G))
         I = kin - nonlin
-        return EnergyReport(kin, pot, nonlin, I + pot, I, m)
+        return kin, nonlin, I, I + 0.5 * vm
+
+    def energy(self, v: np.ndarray) -> EnergyReport:
+        """J of v, its parts and the mass."""
+        m, vm = self.masses(v)
+        kin, nonlin, I, J = self.energy_terms(v, self.model.nonlinearity.G(v), vm)
+        return EnergyReport(kin, 0.5 * vm, nonlin, J, I, m)
+
+    def stationarity_terms(self, v: np.ndarray, lam: float | None, g: np.ndarray,
+                           gs: np.ndarray, m: float,
+                           vm: float) -> tuple[float, np.ndarray, float, float]:
+        """The multiplier (unless lam is given), -F, residual and Nehari of v.
+
+        g and gs are g(v) and g(v) v, m and vm are masses(v). -F is
+        g(v) - ((V + lam) v + (-Lap v)), the exact negation of the defect
+        F, and the Newton step's right-hand side; with V zero at every node
+        (V + lam) v is lam v, the same bits. See stationarity.
+        """
+        if m <= 0.0:
+            raise ValueError("stationarity needs a field with positive mass")
+        lap_v = grids.tridiagonal_apply(self.lap, v)
+        tmp = v * lap_v
+        quad = float(self.w.dot(tmp)) + vm
+        gu = float(self.w.dot(gs))
+        if lam is None:
+            lam = (gu - quad) / m
+        if self.zero_potential:
+            neg_f = lam * v
+        else:
+            neg_f = self.V + lam
+            neg_f *= v
+        neg_f += lap_v
+        np.subtract(g, neg_f, out=neg_f)
+        np.multiply(neg_f, neg_f, out=tmp)
+        res = math.sqrt(self.w.dot(tmp) / m)
+        return lam, neg_f, res, quad + lam * m - gu
 
     def stationarity(self, v: np.ndarray, lam: float | None = None,
-                     nl=None, masses: tuple[float, float] | None = None) -> Stationarity:
+                     nl=None) -> Stationarity:
         """The multiplier (unless lam is given), defect, residual and Nehari of v.
 
         The defect is -Lap v + (V + lam) v - g(v), the residual its weighted
@@ -125,27 +170,14 @@ class Discretization:
         <v, -Lap v>_w from the one -Lap v the defect needs. The multiplier
         zeroes that Nehari defect, so it is exactly the least-squares
         minimizer of the residual over lam. nl holds the nonlinearity's
-        values at v (models.NonlinearValues), if the caller has them; so
-        does masses for masses(v).
+        values at v (models.NonlinearValues), if the caller has them.
         """
         if nl is None:
             nl = self.model.nonlinearity.evaluate(v)
-        m, vm = self.masses(v) if masses is None else masses
-        if m <= 0.0:
-            raise ValueError("stationarity needs a field with positive mass")
-        lap_v = grids.tridiagonal_apply(self.lap, v)
-        tmp = v * lap_v
-        quad = float(self.w.dot(tmp)) + vm
-        gu = float(self.w.dot(nl.gs))
-        if lam is None:
-            lam = (gu - quad) / m
-        defect = self.V + lam   # -Lap v + (V + lam) v - g(v), in one array
-        defect *= v
-        defect += lap_v
-        defect -= nl.g
-        np.multiply(defect, defect, out=tmp)
-        res = math.sqrt(self.w.dot(tmp) / m)
-        return Stationarity(lam, defect, res, quad + lam * m - gu)
+        lam, neg_f, res, nehari = self.stationarity_terms(v, lam, nl.g, nl.gs,
+                                                          *self.masses(v))
+        np.negative(neg_f, out=neg_f)
+        return Stationarity(lam, neg_f, res, nehari)
 
 
 @functools.lru_cache(maxsize=8)

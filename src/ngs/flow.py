@@ -33,14 +33,22 @@ Every value the solver reports comes from the one shared
 energy.Discretization of (grid, model) (energy.discretization), the instance
 energy.evaluate, the identity functions and the spectrum read, so they agree
 bit for bit; its d = diag(-Lap) + V is the step's diagonal before
-lam - g'(u) + sigma.
-Each trial field evaluates its nonlinearity g, G, g s, g'
-(models.NonlinearityModel.evaluate), masses w^T u^2, w^T (V u^2) and kinetic
-form once; an accepted one adds one -Lap u for its stationarity, and the
-step's unshifted diagonal L - sigma and right-hand side -F, which a
-rejected trial reuses with a larger sigma. The winner's last stationarity
-and nonlinearity give the reported Nehari and Pohozaev defects, so nothing
-is evaluated after the loop.
+lam - g'(u) + sigma, and it keeps dgtsv's off-diagonal bands and 2 w.
+Each trial field, once rescaled, takes its square u u once: it gives the
+masses w^T u^2 and w^T (V u^2) and the even integer powers of the
+nonlinearity g, G, g s, g' (models.NonlinearityModel.arrays, the arrays
+evaluate returns), which with the kinetic form give J. With V zero at every
+node (Discretization.zero_potential) w^T (V u^2) is 0.0 and (V + lam) u is
+lam u, the same bits without their passes. An accepted field adds one
+-Lap u for its stationarity, which forms the step's right-hand side
+-F = g - ((V + lam) u + (-Lap u)) directly, and the step's unshifted
+diagonal L - sigma and border row 2 (w u)^T, which a rejected trial reuses
+with a larger sigma. The loop builds no result object per trial, only
+floats and arrays. One argmax |u| of the end field gives both its
+negation test and the peak of its sign test, and of minimize's
+boundary-contact test. The winner's last stationarity and nonlinearity
+give the reported Nehari and Pohozaev defects, so nothing is evaluated
+after the loop.
 
 The package's three LAPACK routines, dgtsv here and in
 curves.quadratic_form_infimum, which also calls dpttrf and dstebz once per
@@ -191,24 +199,23 @@ class GroundStateResult:
         }
 
 
-def bordered_solve(rows, u: np.ndarray, w: np.ndarray,
+def bordered_solve(bands, u: np.ndarray, c: np.ndarray,
                    rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve [L, u; 2 (w u)^T, 0] [x; mu] = [rhs; 0] for tridiagonal L.
+    """Solve [L, u; c^T, 0] [x; mu] = [rhs; 0] for tridiagonal L.
 
-    L has the (lower, diag, upper) rows. One solve serves both right-hand
-    sides, L p = rhs and L q = u; the border row then gives mu and
-    x = p - mu q, formed in the buffer of q. Raises RuntimeError if L or the
-    border is singular.
+    bands are dgtsv's (sub, diag, sup) of L: its n - 1 sub- and
+    superdiagonal entries and its diagonal, which the solve overwrites. One
+    solve serves both right-hand sides, L p = rhs and L q = u; the border
+    row then gives mu and x = p - mu q, formed in the buffer of q. Raises
+    RuntimeError if L or the border is singular.
     """
-    lower, diag, upper = rows
-    # dgtsv overwrites this Fortran-ordered buffer of ours, not a copy of it
-    x, info = dgtsv(lower[1:], diag, upper[:-1], np.array((rhs, u)).T,
-                    overwrite_b=True)[3:]
+    sub, diag, sup = bands
+    # dgtsv overwrites diag and this Fortran-ordered buffer of ours, not copies
+    x, info = dgtsv(sub, diag, sup, np.array((rhs, u)).T,
+                    overwrite_d=True, overwrite_b=True)[3:]
     if info > 0:
         raise RuntimeError(f"tridiagonal system is singular: zero pivot at row {info}")
     p, q = x.T
-    c = 2.0 * w
-    c *= u
     den = float(c.dot(q))
     if den == 0.0:
         raise RuntimeError("bordered system is singular")
@@ -234,9 +241,17 @@ def vanishing_diagnostic(u: GridFunction) -> float:
     Small values flag spreading: the density is everywhere locally thin,
     the discrete signature of a vanishing minimizing sequence.
     """
-    cum = np.concatenate(([0.0], np.cumsum(u.grid.w * u.values**2)))
+    cum = np.empty(u.grid.n + 1)   # the running mass, from 0 before the first node
+    cum[0] = 0.0
+    np.cumsum(u.grid.w * u.values**2, out=cum[1:])
     lo, hi = _ball_bounds(u.grid)
     return float((cum[hi] - cum[lo]).max())
+
+
+@functools.lru_cache(maxsize=16)
+def _edge_start(grid: RadialGrid) -> int:
+    """The first node of the boundary-contact zone r >= 0.95 R."""
+    return int(np.searchsorted(grid.r, 0.95 * grid.R, side="left"))
 
 
 @functools.lru_cache(maxsize=16)
@@ -272,6 +287,7 @@ class _StartOutcome:
     residual: float
     nehari: float
     nl: NonlinearValues      # the nonlinearity at values
+    peak: float              # max |values|
     converged: bool
     reason: str | None
     solves: int
@@ -279,10 +295,16 @@ class _StartOutcome:
     trace: list
 
 
-def _keeps_sign(old: np.ndarray, new: np.ndarray) -> bool:
-    """No entry that was nonnegative in old is below -SIGN_REL_TOL max|new|."""
-    floor = -SIGN_REL_TOL * float(np.max(np.abs(new)))
-    return not np.any((new < floor) & (old >= 0.0))
+def _keeps_sign(old: np.ndarray, new: np.ndarray, peak: float) -> bool:
+    """No entry that was nonnegative in old is below -SIGN_REL_TOL peak.
+
+    peak is max |new|. If no entry of new is below that floor, old needs no
+    look; otherwise the entries below it must all have been negative in
+    old. A Gaussian start is nonnegative at every node, so its field keeps
+    its sign exactly when the first test holds.
+    """
+    floor = -SIGN_REL_TOL * peak
+    return new.min() >= floor or not np.any((new < floor) & (old >= 0.0))
 
 
 def _degenerate() -> NumericalError:
@@ -294,16 +316,16 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
                config: SolverConfig) -> _StartOutcome:
     """Shifted bordered Newton steps from the mass-a field v; see the module."""
     nonlinearity = op.model.nonlinearity
-    w = op.w
-    lower, _, upper = op.lap
+    w, w2, sub, sup = op.w, op.w2, op.sub, op.sup
     floor = config.stop_energy_below
     start = v
-    # each iterate's nonlinearity, masses and stationarity are computed once
-    # and carried into the step from it
-    nl = nonlinearity.evaluate(v, derivative=True)
-    masses = op.masses(v)
-    J = op.energy(v, nl.G, masses).J
-    lam, defect, res, nehari = op.stationarity(v, nl=nl, masses=masses)
+    # each iterate's square, nonlinearity, masses and stationarity are
+    # computed once and carried into the step from it
+    usq = v * v
+    m, vm = op.masses(v, usq)
+    g, G, gs, dg = nonlinearity.arrays(v, True, usq)
+    J = op.energy_terms(v, G, vm)[3]
+    lam, rhs, res, nehari = op.stationarity_terms(v, None, g, gs, m, vm)
     sigma = res
     trace = [(0, J)]
     solves = rejected = 0
@@ -323,25 +345,27 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
         solves += 1
         if unshifted is None:
             unshifted = op.d + lam
-            unshifted -= nl.dg
-            rhs = -defect
+            unshifted -= dg
+            c = w2 * v
         try:
-            new, _ = bordered_solve((lower, unshifted + sigma, upper), v, w, rhs)
+            new, _ = bordered_solve((sub, unshifted + sigma, sup), v, c, rhs)
         except RuntimeError:
             J_new = math.nan    # a singular system is a rejected step
         else:
             new += v
-            m = float(w.dot(new * new))
+            raw = float(w.dot(new * new))
             # a finite mass means every entry is finite
-            if not (m > 0.0 and math.isfinite(m)):
+            if not (raw > 0.0 and math.isfinite(raw)):
                 raise _degenerate()
-            new *= math.sqrt(a / m)
-            nl_new = nonlinearity.evaluate(new, derivative=True)
-            masses_new = op.masses(new)
-            J_new = op.energy(new, nl_new.G, masses_new).J
+            new *= math.sqrt(a / raw)
+            usq = new * new   # after the rescaling: its masses and its powers
+            m_new, vm_new = op.masses(new, usq)
+            nl_new = nonlinearity.arrays(new, True, usq)
+            J_new = op.energy_terms(new, nl_new[1], vm_new)[3]
         if J_new <= J + 1e-12 * (1.0 + abs(J)):
-            v, nl, masses, J = new, nl_new, masses_new, J_new
-            lam, defect, res, nehari = op.stationarity(v, nl=nl, masses=masses)
+            v, m, vm, J = new, m_new, vm_new, J_new
+            g, G, gs, dg = nl_new
+            lam, rhs, res, nehari = op.stationarity_terms(v, None, g, gs, m, vm)
             sigma = min(sigma / SHIFT_FACTOR, res)
             trace.append((solves, J))
             unshifted = None
@@ -349,12 +373,15 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
             rejected += 1
             sigma = max(SHIFT_FACTOR * sigma, res, SHIFT_FLOOR)
     converged = reason is None
+    k = int(np.argmax(np.abs(v)))
+    peak = abs(float(v[k]))
     if reason in (None, "energy-floor"):
-        if v[np.argmax(np.abs(v))] < 0.0:    # -u is u's state: J, lam, res are even
-            v, nl = -v, nl._replace(g=-nl.g)
-        if not _keeps_sign(start, v):
+        if v[k] < 0.0:    # -u is u's state: J, lam, res are even
+            v, g = -v, -g
+        if not _keeps_sign(start, v, peak):
             converged, reason = False, "sign-change"
-    return _StartOutcome(values=v, J=J, lam=lam, residual=res, nehari=nehari, nl=nl,
+    return _StartOutcome(values=v, J=J, lam=lam, residual=res, nehari=nehari,
+                         nl=NonlinearValues(g, G, gs, dg), peak=peak,
                          converged=converged, reason=reason, solves=solves,
                          rejected=rejected, trace=trace)
 
@@ -417,9 +444,8 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
             "converged starts disagree beyond 1e-6; all basin energies reported"
         )
     # out has mass a > 0, and n >= 64 puts the last node in the edge zone
-    peak = float(np.max(np.abs(out.values)))
-    edge_zone = grid.r >= 0.95 * grid.R
-    contact = float(np.max(np.abs(out.values[edge_zone]))) > BOUNDARY_REL_TOL * peak
+    edge = out.values[_edge_start(grid):]
+    contact = float(np.max(np.abs(edge))) > BOUNDARY_REL_TOL * out.peak
     if contact:
         warnings.append(
             "profile has not decayed near the domain edge; consider a larger R"

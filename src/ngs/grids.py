@@ -226,10 +226,9 @@ def load_profile(path) -> GridFunction:
     path = Path(path)
     with open(path.with_suffix(".json")) as fh:
         grid = RadialGrid.from_dict(json.load(fh))
-    rows = read_csv(path, PROFILE_COLUMNS)
-    if len(rows) != grid.n:
-        raise ValueError(f"profile has {len(rows)} rows but sidecar grid expects {grid.n}")
-    r_file, values = np.array(rows).T
+    r_file, values = map(np.array, read_csv(path, PROFILE_COLUMNS))
+    if len(values) != grid.n:
+        raise ValueError(f"profile has {len(values)} rows but sidecar grid expects {grid.n}")
     if not np.allclose(r_file, grid.r, rtol=1e-10, atol=1e-12):
         raise ValueError("profile radii disagree with the sidecar grid")
     return GridFunction(grid, values)

@@ -28,13 +28,16 @@ TAIL_TOL = 1e-3
 DVX_DECAY_TOL = 1e-6
 
 
-def _abs_power(s: np.ndarray, sigma: float) -> np.ndarray:
-    """|s|^sigma; for integer sigma products of s*s (and |s|), faster than pow."""
+def _abs_power(s: np.ndarray, sigma: float, sq: np.ndarray | None = None) -> np.ndarray:
+    """|s|^sigma; for integer sigma products of s*s (and |s|), faster than pow.
+
+    sq is s * s, if the caller has it; for sigma = 2 the result is sq itself.
+    """
     if not float(sigma).is_integer():
         return np.abs(s) ** sigma
     half, odd = divmod(int(sigma), 2)
     p = np.abs(s) if odd else None
-    s2 = s * s if half else None
+    s2 = (s * s if sq is None else sq) if half else None
     for _ in range(half):
         p = s2 if p is None else p * s2
     return p
@@ -79,20 +82,29 @@ class NonlinearityModel:
                     f"{4.0 / (self.N - 2):g} in dimension {self.N}"
                 )
 
-    def evaluate(self, s, derivative: bool = False) -> NonlinearValues:
+    def evaluate(self, s, derivative: bool = False, sq=None) -> NonlinearValues:
         """g(s), G(s), g(s) s and, if derivative, g'(s), from one power per term.
 
         Per term, p = coef |s|^sigma gives g = p s, g s = p s^2,
         G = p s^2 / (sigma + 2) and g' = (sigma + 1) p. The methods g, G
-        and g_times_s return these same arrays, bit for bit.
+        and g_times_s return these same arrays, bit for bit. sq is s * s,
+        if the caller has it: the even integer powers are its products, as
+        they are of a fresh s * s, so the bits are the same. evaluate takes
+        sq over: it may return or overwrite it.
         """
+        return NonlinearValues(*self.arrays(s, derivative, sq))
+
+    def arrays(self, s, derivative: bool = False, sq=None) -> tuple:
+        """evaluate's four arrays as a plain tuple, for the solver's trial fields."""
         s = np.asarray(s, dtype=float)
         if not self.terms:
-            return NonlinearValues(*(np.zeros_like(s) for _ in range(3)),
-                                   np.zeros_like(s) if derivative else None)
+            return (*(np.zeros_like(s) for _ in range(3)),
+                    np.zeros_like(s) if derivative else None)
         g = G = gs = dg = None
         for coef, sigma in self.terms:
-            p = _abs_power(s, sigma)   # a fresh array, scaled in place
+            p = _abs_power(s, sigma, sq)   # a fresh array or sq, scaled in place
+            if p is sq:
+                sq = None   # taken over: a later term squares s again
             if coef != 1.0:
                 p *= coef
             ps = p * s
@@ -104,7 +116,7 @@ class NonlinearityModel:
             if derivative:
                 p *= sigma + 1.0
                 dg = p if dg is None else dg + p
-        return NonlinearValues(g, G, gs, dg)
+        return g, G, gs, dg
 
     def g(self, s):
         return self.evaluate(s).g
@@ -329,12 +341,11 @@ def make_model(N: int, nonlinearity: dict, potential: dict, base_dir=None) -> Mo
         elif table is not None:   # a CSV file, relative to the model file
             path = Path(base_dir or "", table)
             try:
-                rows = read_csv(path, {"r": float, "V": float})
+                tr, tv = read_csv(path, {"r": float, "V": float})
             except OSError as exc:
                 raise ModelFormatError(f"cannot read potential table {path}: {exc}") from exc
             except ValueError as exc:
                 raise ModelFormatError(f"potential table {exc}") from exc
-            tr, tv = [r for r, _ in rows], [v for _, v in rows]
         else:
             raise ModelFormatError("tabulated potential needs a 'table' entry")
         pot = PotentialModel(kind=kind, params=(), table_r=tuple(map(float, tr)),

@@ -73,27 +73,29 @@ def _parse_bool(cell: str) -> bool:
 
 
 def _by_columns(rows: list, parsers: list) -> list[list] | None:
-    """rows with each column converted in one pass, or None if a row is
+    """The columns of rows, each converted in one pass, or None if a row is
     short or a cell does not parse."""
-    if min(map(len, rows), default=len(parsers)) < len(parsers):
+    if not rows:
+        return [[] for _ in parsers]
+    if min(map(len, rows)) < len(parsers):
         return None
     try:
-        cols = [list(map(parse, col)) for parse, col in zip(parsers, zip(*rows))]
+        return [list(map(parse, col)) for parse, col in zip(parsers, zip(*rows))]
     except ValueError:
         return None
-    return list(map(list, zip(*cols)))
 
 
 def read_csv(path, columns: dict) -> list[list]:
-    """The rows of a CSV file whose header starts with the names of columns.
+    """The columns of a CSV file whose header starts with the names of columns.
 
     columns maps each name to its cells' type: float, int, or bool, which
-    reads write_csv's true/false. Blank lines and further columns are
-    skipped; any line end reads. A missing or wrong header, a short row, a
-    cell that does not parse or malformed CSV raise ValueError naming the
-    file and the line. Each column is converted in one pass; the rows are
-    read again one by one only to name the line of a short row or of a cell
-    that does not parse.
+    reads write_csv's true/false. The result holds one list per name, in
+    order, of that column's converted cells. Blank lines and further
+    columns are skipped; any line end reads. A missing or wrong header, a
+    short row, a cell that does not parse or malformed CSV raise ValueError
+    naming the file and the line. Each column is converted in one pass; the
+    rows are read again one by one only to name the line of a short row or
+    of a cell that does not parse.
     """
     names = list(columns)
     parsers = [_parse_bool if kind is bool else kind for kind in columns.values()]
@@ -103,8 +105,8 @@ def read_csv(path, columns: dict) -> list[list]:
             header = next(reader, None)
             if header is not None and [cell.strip() for cell in header[:len(names)]] != names:
                 raise ValueError(f"expected header {','.join(names)}, got {header!r}")
-            rows = _by_columns(list(filter(None, reader)), parsers)   # blank lines read as []
-            if rows is None:
+            cols = _by_columns(list(filter(None, reader)), parsers)   # blank lines read as []
+            if cols is None:
                 fh.seek(0)
                 reader = csv.reader(fh)
                 next(reader)
@@ -113,8 +115,9 @@ def read_csv(path, columns: dict) -> list[list]:
                     if len(row) < len(names):
                         raise ValueError(f"expected {','.join(names)}, got {row!r}")
                     rows.append([parse(cell) for parse, cell in zip(parsers, row)])
+                cols = [list(col) for col in zip(*rows)]
         except (csv.Error, ValueError) as exc:   # UnicodeDecodeError too
             raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
     if header is None:
         raise ValueError(f"{path} is empty")
-    return rows
+    return cols

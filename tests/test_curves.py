@@ -219,10 +219,10 @@ def test_curve_csv_roundtrip_keeps_an_unconverged_row(free_curve, tmp_path):
     write_curve_csv(curve, path)
     assert path.read_text().splitlines()[2].split(",")[3] == "false"
     assert [pt.converged for pt in read_curve_csv(path)] == [True, False, True]
-    rows = read_csv(path, CURVE_COLUMNS)
-    assert [[(c, type(c)) for c in row] for row in rows] == \
-        read_csv_row_by_row(path, CURVE_COLUMNS)
-    assert read_curve_csv(path) == [CurvePoint(*row) for row in rows]
+    cols = read_csv(path, CURVE_COLUMNS)
+    assert [[(c, type(c)) for c in col] for col in cols] == \
+        list(map(list, zip(*read_csv_row_by_row(path, CURVE_COLUMNS))))
+    assert read_curve_csv(path) == [CurvePoint(*row) for row in zip(*cols)]
 
 
 def test_subadditivity_csv_format(free_curve, tmp_path):

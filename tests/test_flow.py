@@ -1,4 +1,5 @@
 """Constrained minimizer: step mechanics, convergence, failure reporting."""
+import dataclasses
 import math
 
 import numpy as np
@@ -255,13 +256,14 @@ def test_nehari_pohozaev_hold_at_convergence(well_solution, well_cubic,
 def test_unit_costs_of_minimize(monkeypatch, small_grid):
     # one dgtsv call per solve, accepted or rejected, one -Lap v per start
     # field and per accepted step, and one nonlinearity evaluation per start
-    # field and per trial field of a non-singular solve; nothing is
-    # evaluated again after the loop. No positive definite factor is made:
-    # flow loads dpttrf for the spectrum's certificate alone
+    # field and per trial field of a non-singular solve (NonlinearityModel
+    # .arrays, which evaluate wraps); nothing is evaluated again after the
+    # loop. No positive definite factor is made: flow loads dpttrf for the
+    # spectrum's certificate alone
     assert not hasattr(flow, "dpttrs")
-    counts = dict.fromkeys(("dgtsv", "dpttrf", "tridiagonal_apply", "evaluate", "singular"), 0)
+    counts = dict.fromkeys(("dgtsv", "dpttrf", "tridiagonal_apply", "arrays", "singular"), 0)
     for owner, name in ((flow, "dgtsv"), (flow, "dpttrf"), (grids, "tridiagonal_apply"),
-                        (NonlinearityModel, "evaluate")):
+                        (NonlinearityModel, "arrays")):
         def spy(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             counts[_name] += 1
             out = _fn(*args, **kwargs)
@@ -277,7 +279,7 @@ def test_unit_costs_of_minimize(monkeypatch, small_grid):
     assert counts["dpttrf"] == 0
     accepted = solves - sum(res.all_start_rejected_steps)
     assert counts["tridiagonal_apply"] == starts + accepted
-    assert counts["evaluate"] == starts + solves - counts["singular"]
+    assert counts["arrays"] == starts + solves - counts["singular"]
 
 
 # --- one shared operator per (grid, model) ---
@@ -360,9 +362,9 @@ def test_minimize_on_a_cold_and_a_warm_cache_agree_to_the_bit(small_grid, name, 
 
 def test_exactly_singular_tridiagonal_is_a_singular_newton_attempt():
     # two equal rows: elimination meets an exactly zero pivot in row 2
-    rows = (np.array([0.0, 1.0, 0.0]), np.ones(3), np.array([1.0, 0.0, 0.0]))
+    bands = (np.array([1.0, 0.0]), np.ones(3), np.array([1.0, 0.0]))
     with pytest.raises(RuntimeError, match="singular"):
-        bordered_solve(rows, np.ones(3), np.ones(3), np.ones(3))
+        bordered_solve(bands, np.ones(3), np.full(3, 2.0), np.ones(3))
 
 
 @settings(deadline=None, max_examples=60)
@@ -373,7 +375,8 @@ def test_bordered_solve_matches_dense_solve(seed, n):
     diag = np.abs(lower) + np.abs(upper) + rng.uniform(0.1, 2.0, n)
     u, w = rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 2.0, n)
     rhs = rng.normal(size=n)
-    x, mu = bordered_solve((lower, diag, upper), u, w, rhs)
+    # the solve overwrites the diagonal it is given
+    x, mu = bordered_solve((lower[1:], diag.copy(), upper[:-1]), u, 2.0 * w * u, rhs)
     dense = np.zeros((n + 1, n + 1))
     dense[:n, :n] = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
     dense[:n, n] = u
@@ -462,12 +465,12 @@ def test_sign_guard_is_relative_to_the_field():
     old = np.exp(-np.linspace(0.0, 10.0, 50) ** 2)
     tail = old.copy()
     tail[-5:] = -1e-40
-    assert flow._keeps_sign(old, tail)
+    assert flow._keeps_sign(old, tail, tail.max())
     lobe = old.copy()
     lobe[30:35] = -1e-3 * old.max()
-    assert not flow._keeps_sign(old, lobe)
+    assert not flow._keeps_sign(old, lobe, lobe.max())
     # an entry that was already negative may stay so
-    assert flow._keeps_sign(lobe, lobe)
+    assert flow._keeps_sign(lobe, lobe, lobe.max())
 
 
 def test_sign_changing_newton_endpoint_is_rejected(small_grid):
@@ -511,8 +514,45 @@ def test_start_that_ends_on_the_negated_state_is_converged(a, reasons):
     assert res.start_index == 0
     peak = res.u.values[np.argmax(np.abs(res.u.values))]
     assert peak > 0.0
-    assert flow._keeps_sign(np.ones_like(res.u.values), res.u.values)
+    assert flow._keeps_sign(np.ones_like(res.u.values), res.u.values, peak)
     assert res.residuals.pohozaev == pohozaev_residual(res.u, model)
+
+
+def test_gaussian_start_sign_test_matches_keeps_sign(small_grid, well_cubic):
+    # a Gaussian start is nonnegative at every node, so whether its end
+    # field keeps its sign is whether no entry is below the floor; a start
+    # with negative entries still needs the masked test
+    rng = np.random.default_rng(7)
+    old = gaussian_start(small_grid, 1.0, 1.0).values
+    verdicts = set()
+    for _ in range(20):
+        new = old * rng.uniform(0.5, 2.0)
+        new[rng.integers(0, len(new), 3)] = -rng.uniform(0.0, 1.5e-6, 3) * new.max()
+        peak = float(np.max(np.abs(new)))
+        floor = -flow.SIGN_REL_TOL * peak
+        masked = not np.any((new < floor) & (old >= 0.0))
+        assert flow._keeps_sign(old, new, peak) == (new.min() >= floor) == masked
+        verdicts.add(masked)
+    assert verdicts == {True, False}
+    # a warm start with negative tail entries ends where it starts (its J is
+    # below the stop energy): only the masked test accepts it
+    v = old.copy()
+    v[-20:] = -1e-3 * v.max()
+    v *= math.sqrt(1.0 / float(small_grid.w @ (v * v)))
+    res = minimize(1.0, well_cubic, small_grid,
+                   SolverConfig(starts=1, stop_energy_below=math.inf),
+                   warm_start=GridFunction(small_grid, v))
+    assert res.all_start_reasons == ["energy-floor"] and res.iterations == 0
+    assert res.u.values.min() < -flow.SIGN_REL_TOL * np.max(np.abs(res.u.values))
+    # a Gaussian start that ends on a sign-changing state (J = 0.1068 against
+    # 0.0094, see above) fails the first test
+    grid = RadialGrid(3, 20.0, 2000)
+    op = energy.discretization(grid, load_model(MODELS_DIR / "power2_free_3d.json"))
+    start = gaussian_start(grid, flow._start_widths(3)[2], 1.0).values
+    out = flow._run_start(op, start, 1.0, SolverConfig())
+    assert out.reason == "sign-change" and not out.converged
+    assert out.peak == float(np.max(np.abs(out.values)))
+    assert out.values.min() < -flow.SIGN_REL_TOL * out.peak
 
 
 def test_newton_attempts_and_rejections_are_reported(cubic_free_solution, grid20):
@@ -571,3 +611,27 @@ def test_subthreshold_quintic_starts_reach_one_local_minimizer(grid20):
     L = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
     q = np.linalg.solve(L, u)
     assert 2.0 * float((op.w * u) @ q) < 0.0
+
+
+@pytest.mark.parametrize("name, N, a, config", [
+    ("power3_free", 1, 4.0, SolverConfig()),
+    ("quintic_free", 1, 2.71, QUINTIC_PROBE),
+    ("power2_free_3d", 3, 20.0, SolverConfig()),
+], ids=["power3_free", "quintic_free-probe", "power2_free_3d"])
+def test_zero_potential_path_is_the_general_path_to_the_bit(monkeypatch, name, N, a, config):
+    # with V zero at every node the masses skip w^T (V u^2) and the defect
+    # forms lam u for (V + lam) u; forcing the general path changes no bit
+    grid = RadialGrid(N, 20.0, 2000)
+    model = load_model(MODELS_DIR / f"{name}.json")
+    op = energy.discretization(grid, model)
+    assert op.zero_potential
+    fast = minimize(a, model, grid, config)
+    monkeypatch.setattr(op, "zero_potential", False)
+    general = minimize(a, model, grid, config)
+    assert sum(general.all_start_solves) > 0
+    for f in dataclasses.fields(flow.GroundStateResult):
+        if f.name == "u":
+            assert fast.u.values.tobytes() == general.u.values.tobytes()
+            assert fast.u.grid == general.u.grid
+        else:
+            assert getattr(fast, f.name) == getattr(general, f.name), f.name

@@ -204,14 +204,14 @@ def test_profile_roundtrip(tmp_path):
 
 def test_scenario_profile_reads_as_row_by_row():
     # utils.read_csv converts each column in one pass; the cells and their
-    # types are those a row-by-row reader gives
+    # types are those a row-by-row reader gives, by column
     path = MODELS_DIR.parent / "scenarios" / "solve_cubic_free" / "profile.csv"
-    rows = read_csv(path, PROFILE_COLUMNS)
-    assert len(rows) == 2000
-    assert [[(c, type(c)) for c in row] for row in rows] == \
-        read_csv_row_by_row(path, PROFILE_COLUMNS)
+    cols = read_csv(path, PROFILE_COLUMNS)
+    assert [len(col) for col in cols] == [2000, 2000]
+    assert [[(c, type(c)) for c in col] for col in cols] == \
+        list(map(list, zip(*read_csv_row_by_row(path, PROFILE_COLUMNS))))
     values = load_profile(path).values
-    assert values.tolist() == [u for _, u in rows]
+    assert values.tolist() == cols[1]
 
 
 @pytest.mark.parametrize("edit, where", [

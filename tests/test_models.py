@@ -118,7 +118,7 @@ term_lists = st.lists(
 # integer exponents take the product path of evaluate, the others pow
 fused_term_lists = st.lists(
     st.tuples(st.floats(0.01, 5.0),
-              st.one_of(st.floats(0.05, 3.9), st.sampled_from([3.0, 4.0]))),
+              st.one_of(st.floats(0.05, 3.9), st.sampled_from([1.0, 2.0, 2.5, 3.0, 4.0]))),
     min_size=1, max_size=2,
 )
 
@@ -139,6 +139,10 @@ def test_fused_evaluation_is_bitwise_the_separate_methods(terms, values, derivat
         assert got.tobytes() == method(s).tobytes()
     if not derivative:
         assert fused.dg is None
+    # a caller's square s * s serves the even integer powers, to the bit
+    with_square = m.evaluate(s, derivative=derivative, sq=s * s)
+    for got, ref in zip(with_square, fused):
+        assert (got is None and ref is None) or got.tobytes() == ref.tobytes()
     # and they are the closed forms, to rounding
     gs = sum((c * np.abs(s) ** (sigma + 2.0) for c, sigma in terms), np.zeros_like(s))
     G = sum((c * np.abs(s) ** (sigma + 2.0) / (sigma + 2.0) for c, sigma in terms),
