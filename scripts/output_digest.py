@@ -15,7 +15,8 @@ imports ngs from that tree's src/ and reads that tree's models/:
 * a 12-mass scan of gaussian_well_cubic from 0.5 to 6;
 * threshold_a0 on quintic_free over (2.685, 2.735), and on
   gaussian_well_cubic over the default bracket;
-* quadratic_form_infimum on the four ground_state models with a potential.
+* quadratic_form_infimum on the four ground_state models with a potential,
+  and on the depth-3, width-1 Gaussian well with g = 0 in N = 2 and N = 3.
 
 A case's digest is one SHA-256 over everything its call returns: every
 float as float.hex, every int, bool and string, and every array's dtype,
@@ -91,7 +92,7 @@ def _cases(models_dir: Path) -> dict:
 
     from ngs import curves, flow
     from ngs.grids import RadialGrid
-    from ngs.models import load_model
+    from ngs.models import load_model, make_model
 
     def model(name):
         return load_model(models_dir / f"{name}.json")
@@ -119,6 +120,11 @@ def _cases(models_dir: Path) -> dict:
     for name, _ in GROUND_STATE[1:]:
         cases[f"quadratic_form_infimum {name}"] = (
             lambda name=name: curves.quadratic_form_infimum(model(name), grid))
+    for N in (2, 3):
+        well = make_model(N, {"kind": "zero", "params": []},
+                          {"kind": "gaussian_well", "params": [3.0, 1.0]})
+        cases[f"quadratic_form_infimum N={N} well"] = (
+            lambda well=well, N=N: curves.quadratic_form_infimum(well, RadialGrid(N, 20.0, 2000)))
     return cases
 
 

@@ -17,9 +17,9 @@ import numpy as np
 
 from .energy import discretization
 from .errors import BracketError, NumericalError
-from .flow import DEADBAND, SolverConfig, dgtsv, dpttrf, dstebz, minimize
+from .flow import DEADBAND, SolverConfig, dstebz, minimize
 from .flow import vanishing_diagnostic  # noqa: F401  (re-exported)
-from .grids import RadialGrid, kinetic_values
+from .grids import RadialGrid
 from .models import Model
 from .utils import read_csv, write_csv
 
@@ -251,13 +251,6 @@ def threshold_a0(model: Model, grid: RadialGrid,
     )
 
 
-# quadratic_form_infimum's Rayleigh-quotient iteration: its cap on solves, and
-# its stop test and certificate margin in ulps of mu's terms and of ||T||
-SPECTRUM_MAX_SOLVES = 8
-SPECTRUM_STOP_ULPS = 8.0
-SPECTRUM_MARGIN_ULPS = 16.0
-
-
 def quadratic_form_infimum(model: Model, grid: RadialGrid) -> float:
     """Infimum of (|grad u|^2 + int V u^2) / |u|^2 on the grid, exactly.
 
@@ -266,56 +259,20 @@ def quadratic_form_infimum(model: Model, grid: RadialGrid) -> float:
     inf V as K >= 0, is the lowest eigenvalue l1 of -Lap + V = W^-1 (K + W V)
     and of the symmetric tridiagonal T = W^-1/2 (K + W V) W^-1/2.
 
-    Rayleigh-quotient iteration (Parlett, The Symmetric Eigenvalue Problem,
-    ch. 4) starts from x = sqrt(w) times the width-1 Gaussian. Each step
-    solves (T - mu) x' = x as (-Lap + V - mu) y' = y in y = W^-1/2 x, one
-    dgtsv call, and mu is the form at y, free of the cancellation in
-    x^T T x. Once mu moves by at most SPECTRUM_STOP_ULPS ulps of
-    (kinetic + |potential term|) / mass, dpttrf certifies T - (mu - delta)
-    positive definite, where delta, 16 eps times max |T_ii| + 2 max
-    |T_i,i+1| >= ||T||_inf, covers its backward error: no eigenvalue is
-    below mu - delta (Sylvester's law of inertia), and mu is a Rayleigh
-    quotient, so mu - delta < l1 <= mu up to the rounding of mu.
-
-    If the certificate fails (the iteration found an excited state), a
-    dgtsv pivot is zero or SPECTRUM_MAX_SOLVES solves do not converge, the
-    value is dstebz's for l1 alone (range 2, il = iu = 1, abstol 0, order
-    "E"), as scipy.linalg.eigh_tridiagonal(select="i", select_range=(0, 0))
-    computes it, to the bit. A nonzero dstebz info raises NumericalError.
+    The value is LAPACK dstebz's bisection for l1 alone (range 2,
+    il = iu = 1, abstol 0, order "E"), as
+    scipy.linalg.eigh_tridiagonal(select="i", select_range=(0, 0)) computes
+    it, to the bit. A nonzero dstebz info raises NumericalError.
 
     T's diagonal and off-diagonal are the shared energy.Discretization's d
-    and e, and the certified value is kept on that instance
-    (spectral_floor): a second call on an equal (grid, model) while the
-    instance is cached returns it without a LAPACK call. A failure is
-    never kept.
+    and e, and the value is kept on that instance (spectral_floor): a
+    second call on an equal (grid, model) while the instance is cached
+    returns it without a LAPACK call. A failure is never kept.
     """
     disc = discretization(grid, model)
     if disc.spectral_floor is None:
-        disc.spectral_floor = _certified_floor(disc)
-    return disc.spectral_floor
-
-
-def _certified_floor(disc) -> float:
-    """The lowest eigenvalue of disc's T; see quadratic_form_infimum."""
-    grid, (lower, _, upper), d, e = disc.grid, disc.lap, disc.d, disc.e
-    y, mu = np.exp(-0.5 * grid.r**2), math.nan
-    for solves in range(SPECTRUM_MAX_SOLVES + 1):
-        m, vm = disc.masses(y)
-        if not m > 0.0:   # the start underflows on a very coarse grid
-            break
-        kin = kinetic_values(grid, y)
-        last, mu = mu, (kin + vm) / m
-        if abs(mu - last) <= SPECTRUM_STOP_ULPS * math.ulp(1.0) * (kin + abs(vm)) / m:
-            delta = SPECTRUM_MARGIN_ULPS * math.ulp(1.0) * (max(d.max(), -d.min()) - 2 * e.min())
-            if dpttrf(d - (mu - delta), e)[2] == 0:
-                return mu
-            break
-        if solves == SPECTRUM_MAX_SOLVES:
-            break
-        y, info = dgtsv(lower[1:], d - mu, upper[:-1], y / math.sqrt(m), overwrite_b=True)[3:]
+        _, w, _, _, info = dstebz(disc.d, disc.e, 2, 0.0, 1.0, 1, 1, 0.0, "E")
         if info != 0:
-            break
-    _, w, _, _, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "E")
-    if info != 0:
-        raise NumericalError(f"LAPACK dstebz failed: info = {info}")
-    return float(w[0])
+            raise NumericalError(f"LAPACK dstebz failed: info = {info}")
+        disc.spectral_floor = float(w[0])
+    return disc.spectral_floor

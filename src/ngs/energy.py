@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import grids
-from .errors import BracketError
+from .errors import BracketError, NumericalError
 from .grids import GridFunction
 
 # admissible range for the fiber-map parameter t, which is also the bracket
@@ -78,10 +78,11 @@ class Discretization:
     per (grid, model) value can be shared: discretization() returns it, and
     the solver, the spectrum and the GridFunction functions below all read
     that one instance, so they report bit-identical values. spectral_floor
-    is None until curves.quadratic_form_infimum certifies the lowest
-    eigenvalue of that tridiagonal, which it then keeps, so the floor is
-    computed at most once per instance and leaves the cache with it. A
-    potential that is not finite at every node raises NumericalError.
+    is None until curves.quadratic_form_infimum computes the lowest
+    eigenvalue of that tridiagonal with one dstebz call, which it then
+    keeps, so the floor is computed at most once per instance and leaves
+    the cache with it. A potential, -Lap row, d or e that is not finite at
+    every node raises NumericalError.
     """
 
     def __init__(self, grid: grids.RadialGrid, model):
@@ -92,9 +93,12 @@ class Discretization:
         self.w = grid.w
         self.V = model.potential.V_on(grid)
         self.xdV = model.potential.dV_dot_x(grid.r)
-        self.lap = lower, diag, upper = grids.laplacian_tridiagonal(grid)
-        self.d = diag + self.V
-        self.e = -np.sqrt(upper[:-1] * lower[1:])
+        with np.errstate(all="ignore"):   # tested below
+            self.lap = lower, diag, upper = grids.laplacian_tridiagonal(grid)
+            self.d = diag + self.V
+            self.e = -np.sqrt(upper[:-1] * lower[1:])
+        if not all(np.isfinite(arr).all() for arr in (*self.lap, self.d, self.e)):
+            raise NumericalError("the discrete -Laplacian is not finite on the grid")
         self.sub, self.sup = lower[1:], upper[:-1]
         self.w2 = 2.0 * self.w
         for arr in (self.V, self.xdV, *self.lap, self.d, self.e, self.w2):

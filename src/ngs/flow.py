@@ -50,9 +50,8 @@ boundary-contact test. The winner's last stationarity and nonlinearity
 give the reported Nehari and Pohozaev defects, so nothing is evaluated
 after the loop.
 
-The package's three LAPACK routines, dgtsv here and in
-curves.quadratic_form_infimum, which also calls dpttrf and dstebz once per
-shared Discretization, are
+The package's two LAPACK routines, dgtsv here and dstebz, which
+curves.quadratic_form_infimum calls once per shared Discretization, are
 those of SciPy's compiled extension scipy.linalg._flapack, loaded by
 _load_flapack alone: importing the packages around it (scipy, and
 scipy.linalg's array-API layer and numpy.f2py) would be most of the CLI's
@@ -107,7 +106,7 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-dgtsv, dpttrf, dstebz = _flapack.dgtsv, _flapack.dpttrf, _flapack.dstebz
+dgtsv, dstebz = _flapack.dgtsv, _flapack.dstebz
 
 # Fixed constants of the solver. They shape how a run is carried out and
 # judged, not the problem; no caller needs other values, so they stay out

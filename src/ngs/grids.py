@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,7 +42,8 @@ class RadialGrid:
     shell measure times squared slope, summed over the interior faces. The
     Dirichlet zero sits on the face at R, half a cell beyond the last node,
     so the slope there is u_n / (h/2) over half a cell: edge_weight_R is
-    2 |S^{N-1}| R^{N-1} / h. No flux crosses the face at the origin.
+    2 |S^{N-1}| R^{N-1} / h. No flux crosses the face at the origin. A
+    radius, cell volume or face weight off the float range raises ValueError.
     """
 
     N: int
@@ -57,11 +59,18 @@ class RadialGrid:
             raise ValueError(f"need at least 64 nodes, got {self.n}")
         h = self.R / self.n
         faces = np.linspace(0.0, self.R, self.n + 1)
-        r = 0.5 * (faces[:-1] + faces[1:])
         om = SPHERE_MEASURE[self.N]
-        w = (om / self.N) * np.diff(faces**self.N)
-        edge = om * faces[1:-1] ** (self.N - 1) / h
-        edge_R = 2.0 * om * self.R ** (self.N - 1) / h
+        with np.errstate(all="ignore"):   # tested below
+            r = 0.5 * (faces[:-1] + faces[1:])
+            w = (om / self.N) * np.diff(faces**self.N)
+            edge = om * faces[1:-1] ** (self.N - 1) / h
+        # a finite w bounds R^N and so R^(N-1), on which float ** would raise
+        finite = np.isfinite(r[-1]) and np.isfinite(w).all() and np.isfinite(edge).all()
+        edge_R = 2.0 * om * self.R ** (self.N - 1) / h if finite else math.inf
+        if not (edge_R < math.inf and (w > 0).all()):
+            raise ValueError(f"the grid R = {self.R:g}, n = {self.n}, N = {self.N} leaves "
+                             "the float range: its cell volumes and face weights must "
+                             "be finite and positive")
         for name, val in (("h", h), ("r", r), ("w", w), ("edge_weights", edge),
                           ("edge_weight_R", edge_R)):
             object.__setattr__(self, name, val)

@@ -560,6 +560,32 @@ def test_overflowing_potential_exits_1_without_warning(tmp_path, argv):
     assert not out.exists()
 
 
+# a grid whose cell volumes or face weights leave the float range is a usage
+# error (64); one whose -Lap rows overflow is a numerical failure (1)
+DEGENERATE_GRIDS = [
+    *(("power2_free_3d", argv, R, 64, "leaves the float range") for R in ("1e200", "1e150")
+      for argv in (("validate",), ("spectrum",), ("solve", "--mass", "1"))),
+    *(("gaussian_well_cubic", argv, "1e-300", 1, "-Laplacian is not finite")
+      for argv in (("solve", "--mass", "1"), ("spectrum",), ("threshold",))),
+]
+
+
+@pytest.mark.parametrize("name, argv, R, code, message", DEGENERATE_GRIDS,
+                         ids=[f"{argv[0]}-R={R}" for _, argv, R, _, _ in DEGENERATE_GRIDS])
+def test_degenerate_grid_exits_without_traceback_or_warning(tmp_path, name, argv, R, code,
+                                                            message):
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        proc = run_cli(argv[0], "--model", MODELS_DIR / f"{name}.json", *argv[1:],
+                       "--grid-R", R, "--out", out)
+    assert proc.returncode == code, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("ngs: ") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr and "finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_validate_reads_an_overflowing_r_dV_as_not_decayed(tmp_path):
     # r^300 is finite up to R = 10.64, but 300 r^300 is not
     model = model_with(tmp_path, {"potential": {"kind": "power_coercive",

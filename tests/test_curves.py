@@ -354,16 +354,8 @@ def _eigh_tridiagonal_floor(model, grid):
                                          select="i", select_range=(0, 0))[0]
 
 
-def _no_dstebz(*args):
-    raise AssertionError("the certified Rayleigh-quotient iteration fell back to dstebz")
-
-
-def _no_dpttrf(*args):
-    raise AssertionError("the Rayleigh-quotient iteration settled and tried a certificate")
-
-
-def _spy(monkeypatch, name, fn=None):
-    """Replace curves.<name> by fn, flow's LAPACK routine by default, and
+def _spy(monkeypatch, owner, name, fn=None):
+    """Replace owner.<name> by fn, flow's LAPACK routine by default, and
     return the list its calls are appended to."""
     calls = []
     fn = getattr(flow, name) if fn is None else fn
@@ -372,102 +364,49 @@ def _spy(monkeypatch, name, fn=None):
         calls.append(args)
         return fn(*args, **kwargs)
 
-    monkeypatch.setattr(curves, name, spy)
+    monkeypatch.setattr(owner, name, spy)
     return calls
 
 
-@pytest.mark.parametrize("name", BUNDLED_WITH_POTENTIAL)
-def test_spectral_floor_is_scipy_eigh_tridiagonal_to_the_bit(name, grid20, monkeypatch):
-    # with the certificate failing, the fallback makes the dstebz call
-    # eigh_tridiagonal makes; a kept floor would skip both
+def _spectrum_case(case):
+    """(model, grid): a bundled model on R = 20, n = 2000, the depth-3 well
+    in N = 2 or 3 on R = 20, n = 2000, or gaussian_well_deep on the coarse
+    R = 1e4, n = 64 grid."""
+    if case in ("N=2 well", "N=3 well"):
+        N = int(case[2])
+        return make_model(N, ZERO_G, well_v(depth=3.0, width=1.0)), RadialGrid(N, 20.0, 2000)
+    if case == "coarse":
+        return load_model(MODELS_DIR / "gaussian_well_deep.json"), RadialGrid(1, 1e4, 64)
+    return load_model(MODELS_DIR / f"{case}.json"), RadialGrid(1, 20.0, 2000)
+
+
+@pytest.mark.parametrize("case", [*BUNDLED_WITH_POTENTIAL, "N=2 well", "N=3 well", "coarse"])
+def test_spectral_floor_is_scipy_eigh_tridiagonal_to_the_bit(case, monkeypatch):
+    # the one dstebz call eigh_tridiagonal makes, and no tridiagonal solve;
+    # a kept floor would skip it
     energy.discretization.cache_clear()
-    certificates = _spy(monkeypatch, "dpttrf", lambda d, e: (d, e, 1))
-    fallbacks = _spy(monkeypatch, "dstebz")
-    model = load_model(MODELS_DIR / f"{name}.json")
-    assert quadratic_form_infimum(model, grid20) == _eigh_tridiagonal_floor(model, grid20)
-    assert len(certificates) == 1 and len(fallbacks) == 1
-
-
-@pytest.mark.parametrize("name", [*BUNDLED_WITH_POTENTIAL, "N=2 well"])
-def test_spectral_floor_is_certified_rayleigh_quotient(name, monkeypatch):
-    # R = 20, n = 2000: every bundled model with a potential, and the N = 2
-    # well, is certified without dstebz
-    if name == "N=2 well":
-        model = make_model(2, ZERO_G, well_v(depth=3.0, width=1.0))
-        grid = RadialGrid(2, 20.0, 2000)
-    else:
-        model, grid = load_model(MODELS_DIR / f"{name}.json"), RadialGrid(1, 20.0, 2000)
-    shifted = []
-
-    def dpttrf(d, e):
-        shifted.append(d.copy())
-        return flow.dpttrf(d, e)
-
-    energy.discretization.cache_clear()
-    monkeypatch.setattr(curves, "dpttrf", dpttrf)
-    monkeypatch.setattr(curves, "dstebz", _no_dstebz)
-    q = quadratic_form_infimum(model, grid)
-    exact = _eigh_tridiagonal_floor(model, grid)
-    assert abs(q - exact) <= 1e-10
-    # the one certificate: T - s positive definite for s = q - delta < exact,
-    # with delta = 16 eps ||T|| of about 1.5e-10
-    (d,) = shifted
-    s = float(np.mean(_tridiagonal(model, grid)[0] - d))
-    assert s < exact and 1e-10 < q - s < 2e-10
-
-
-def test_spectral_floor_excited_state_falls_back_to_the_bit(monkeypatch):
-    # from the width-1 Gaussian the iteration does not settle on the barely
-    # bound N = 3 ground state (-0.0094) within SPECTRUM_MAX_SOLVES solves,
-    # so no certificate is tried and the fallback finds it
-    energy.discretization.cache_clear()
-    solves, fallbacks = _spy(monkeypatch, "dgtsv"), _spy(monkeypatch, "dstebz")
-    monkeypatch.setattr(curves, "dpttrf", _no_dpttrf)
-    model, grid = make_model(3, ZERO_G, well_v(depth=3.0, width=1.0)), RadialGrid(3, 20.0, 2000)
-    expected = _eigh_tridiagonal_floor(model, grid)
-    assert -0.01 < expected < -0.009
-    assert quadratic_form_infimum(model, grid) == expected
-    assert len(solves) == curves.SPECTRUM_MAX_SOLVES and len(fallbacks) == 1
-
-
-@pytest.mark.parametrize("fault", ["zero-pivot", "cap", "underflow"])
-def test_spectral_floor_falls_back_to_the_bit(fault, grid20, monkeypatch):
-    energy.discretization.cache_clear()
-    grid = grid20
-    zero_pivot = None
-    if fault == "zero-pivot":
-        zero_pivot = lambda dl, d, du, b, **kw: (None, d, du, b, 1)   # noqa: E731
-    elif fault == "cap":   # gaussian_well_deep needs 3 solves
-        monkeypatch.setattr(curves, "SPECTRUM_MAX_SOLVES", 2)
-    else:   # the Gaussian start is 0 at every node from r = h/2 = 78 on
-        grid = RadialGrid(1, 1e4, 64)
-    solves = _spy(monkeypatch, "dgtsv", zero_pivot)
-    certificates, fallbacks = _spy(monkeypatch, "dpttrf"), _spy(monkeypatch, "dstebz")
-    model = load_model(MODELS_DIR / "gaussian_well_deep.json")
+    solves, calls = _spy(monkeypatch, flow, "dgtsv"), _spy(monkeypatch, curves, "dstebz")
+    model, grid = _spectrum_case(case)
     assert quadratic_form_infimum(model, grid) == _eigh_tridiagonal_floor(model, grid)
-    # each fault is met before any certificate, and the fallback runs
-    assert len(solves) == {"zero-pivot": 1, "cap": 2, "underflow": 0}[fault]
-    assert not certificates and len(fallbacks) == 1
+    assert len(calls) == 1 and not solves
 
 
 def test_spectral_floor_raises_on_lapack_failure(small_grid, well_cubic, monkeypatch):
     energy.discretization.cache_clear()
-    certificates = _spy(monkeypatch, "dpttrf", lambda d, e: (d, e, 1))
-    fallbacks = _spy(monkeypatch, "dstebz", lambda *args: (0, np.zeros(1), None, None, 3))
+    calls = _spy(monkeypatch, curves, "dstebz", lambda *args: (0, np.zeros(1), None, None, 3))
     with pytest.raises(NumericalError, match="info = 3"):
         quadratic_form_infimum(well_cubic, small_grid)
-    assert len(certificates) == 1 and len(fallbacks) == 1
+    assert len(calls) == 1
 
 
 def test_spectral_floor_failure_is_never_kept(small_grid, well_cubic, monkeypatch):
-    # every call on the failing (grid, model) runs the fallback again and raises
+    # every call on the failing (grid, model) calls dstebz again and raises
     energy.discretization.cache_clear()
-    monkeypatch.setattr(curves, "dpttrf", lambda d, e: (d, e, 1))
-    fallbacks = _spy(monkeypatch, "dstebz", lambda *args: (0, np.zeros(1), None, None, 3))
-    for calls in (1, 2, 3):
+    calls = _spy(monkeypatch, curves, "dstebz", lambda *args: (0, np.zeros(1), None, None, 3))
+    for count in (1, 2, 3):
         with pytest.raises(NumericalError, match="info = 3"):
             quadratic_form_infimum(well_cubic, small_grid)
-        assert len(fallbacks) == calls
+        assert len(calls) == count
     assert energy.discretization(small_grid, well_cubic).spectral_floor is None
 
 
@@ -477,18 +416,17 @@ def test_spectral_floor_is_certified_once_per_grid_and_model(name, grid20, monke
     # with an equal model loaded apart, makes no LAPACK call and returns the
     # same float; once the cache is cleared it is computed again
     energy.discretization.cache_clear()
-    calls = [_spy(monkeypatch, routine) for routine in ("dgtsv", "dpttrf", "dstebz")]
+    solves, calls = _spy(monkeypatch, flow, "dgtsv"), _spy(monkeypatch, curves, "dstebz")
     path = MODELS_DIR / f"{name}.json"
     first = quadratic_form_infimum(load_model(path), grid20)
-    made = [len(c) for c in calls]
-    assert made[0] > 0 and made[1] == 1
+    assert len(calls) == 1 and not solves
     again = quadratic_form_infimum(load_model(path), grid20)
     assert again == first and type(again) is float
-    assert [len(c) for c in calls] == made
+    assert len(calls) == 1 and not solves
     assert energy.discretization(grid20, load_model(path)).spectral_floor == first
     energy.discretization.cache_clear()
     assert quadratic_form_infimum(load_model(path), grid20) == first
-    assert [len(c) for c in calls] == [2 * k for k in made]
+    assert len(calls) == 2 and not solves
 
 
 def test_spectral_floor_never_undershoots_potential_floor(small_grid, well_cubic):

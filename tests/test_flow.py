@@ -258,11 +258,10 @@ def test_unit_costs_of_minimize(monkeypatch, small_grid):
     # field and per accepted step, and one nonlinearity evaluation per start
     # field and per trial field of a non-singular solve (NonlinearityModel
     # .arrays, which evaluate wraps); nothing is evaluated again after the
-    # loop. No positive definite factor is made: flow loads dpttrf for the
-    # spectrum's certificate alone
-    assert not hasattr(flow, "dpttrs")
-    counts = dict.fromkeys(("dgtsv", "dpttrf", "tridiagonal_apply", "arrays", "singular"), 0)
-    for owner, name in ((flow, "dgtsv"), (flow, "dpttrf"), (grids, "tridiagonal_apply"),
+    # loop. No positive definite factor is made: flow loads no routine for one
+    assert not hasattr(flow, "dpttrs") and not hasattr(flow, "dpttrf")
+    counts = dict.fromkeys(("dgtsv", "tridiagonal_apply", "arrays", "singular"), 0)
+    for owner, name in ((flow, "dgtsv"), (grids, "tridiagonal_apply"),
                         (NonlinearityModel, "arrays")):
         def spy(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             counts[_name] += 1
@@ -276,7 +275,6 @@ def test_unit_costs_of_minimize(monkeypatch, small_grid):
     solves = sum(res.all_start_solves)
     starts = len(res.all_start_solves)
     assert counts["dgtsv"] == solves
-    assert counts["dpttrf"] == 0
     accepted = solves - sum(res.all_start_rejected_steps)
     assert counts["tridiagonal_apply"] == starts + accepted
     assert counts["arrays"] == starts + solves - counts["singular"]

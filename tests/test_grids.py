@@ -1,5 +1,6 @@
 """Discretization layer: quadrature, Laplacian, gradient norm, interpolation bound."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,24 @@ def test_grid_rejects_bad_parameters():
         RadialGrid(1, -1.0, 128)
     with pytest.raises(ValueError):
         RadialGrid(1, 10.0, 63)
+
+
+@pytest.mark.parametrize("N, R", [(3, 1e200), (3, 1e150), (3, 1e-300), (2, 1.7e308),
+                                  (1, 1.7e308), (1, 1e-310)])
+def test_grid_off_the_float_range_is_rejected_without_warning(N, R):
+    # a cell volume or face weight that overflows, or a cell volume that
+    # underflows to 0, is refused before any operator is built
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="leaves the float range"):
+            RadialGrid(N, R, 2000)
+
+
+@pytest.mark.parametrize("N, R", [(1, 1e-300), (1, 1e154), (3, 1e-100), (3, 1e100)])
+def test_grid_near_the_float_range_keeps_float_weights(N, R):
+    g = RadialGrid(N, R, 2000)
+    assert type(g.h) is float and type(g.edge_weight_R) is float
+    assert np.isfinite(g.w).all() and (g.w > 0).all() and np.isfinite(g.edge_weights).all()
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])

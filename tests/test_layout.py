@@ -4,14 +4,12 @@ The import graph of src/ngs must be acyclic, imports inside functions
 included, and every module-level import must be used. An import kept only
 to re-export a name carries "# noqa: F401" on its line. No module imports
 scipy.sparse: every linear system of the package is tridiagonal, solved by
-LAPACK dgtsv in flow.bordered_solve and in the spectrum's Rayleigh-quotient
-iteration. Importing the CLI, or running the N = 1 oracle, loads no SciPy
-module but the LAPACK extension, which flow loads alone (not even the
-scipy package), and no process-pool machinery: every command runs in one
-process. Every
-module-level public function, method and property is named in code outside
-the tests (a docstring or a comment does not count), so no helper lives in
-the package for the tests alone.
+LAPACK dgtsv in flow.bordered_solve. Importing the CLI, or running the N = 1
+oracle, loads no SciPy module but the LAPACK extension, which flow loads
+alone (not even the scipy package), and no process-pool machinery: every
+command runs in one process. Every module-level public function, method and
+property is named in code outside the tests (a docstring or a comment does
+not count), so no helper lives in the package for the tests alone.
 """
 import ast
 import re
@@ -162,7 +160,6 @@ def test_scipy_linalg_imported_after_the_cli_shares_its_lapack():
         "from scipy.linalg import eigh_tridiagonal; "
         "assert scipy.linalg.lapack.dgtsv is ngs.flow.dgtsv; "
         "assert scipy.linalg.lapack.dstebz is ngs.flow.dstebz; "
-        "assert scipy.linalg.lapack.dpttrf is ngs.flow.dpttrf; "
         "w = eigh_tridiagonal(np.full(3, 2.0), np.full(2, -1.0), eigvals_only=True); "
         "assert np.allclose(w, 2.0 - np.sqrt(2.0) * np.array([1.0, 0.0, -1.0]))"
     )
