@@ -9,6 +9,10 @@ imports ngs from that tree's src/ and reads that tree's models/:
 
 * minimize on the five models of perfbench's ground_state workload at their
   centre masses (R = 20, n = 2000);
+* on each of those five winners: energy.evaluate, identity_residuals,
+  pohozaev_residual and lagrange_multiplier, euler_lagrange_residual and
+  nehari_residual at the winner's lambda, and the shared Discretization's
+  d and e;
 * quintic_free probes at a = 2.685, 2.71 and 2.735 with the threshold
   probe's config (stop_energy_below = -15 DEADBAND);
 * minimize on power2_free_3d at a = 20 (N = 3) and tabulated_well at a = 3;
@@ -90,12 +94,25 @@ def _cases(models_dir: Path) -> dict:
     """Name -> zero-argument call, for the ngs package importable here."""
     import numpy as np
 
-    from ngs import curves, flow
+    from ngs import curves, energy, flow
     from ngs.grids import RadialGrid
     from ngs.models import load_model, make_model
 
     def model(name):
         return load_model(models_dir / f"{name}.json")
+
+    def identities(name, a):
+        m = model(name)
+        res = flow.minimize(a, m, grid)
+        u, lam = res.u, res.lam
+        op = energy.discretization(grid, m)
+        return {"evaluate": energy.evaluate(u, m),
+                "identity_residuals": energy.identity_residuals(u, m),
+                "pohozaev_residual": energy.pohozaev_residual(u, m),
+                "lagrange_multiplier": energy.lagrange_multiplier(u, m),
+                "euler_lagrange_residual": energy.euler_lagrange_residual(u, m, lam),
+                "nehari_residual": energy.nehari_residual(u, m, lam),
+                "d": op.d, "e": op.e}
 
     grid = RadialGrid(1, 20.0, 2000)
     probe = flow.SolverConfig(stop_energy_below=-15.0 * flow.DEADBAND)
@@ -103,6 +120,8 @@ def _cases(models_dir: Path) -> dict:
     for name, a in GROUND_STATE:
         cases[f"minimize {name} a={a:g}"] = (
             lambda name=name, a=a: flow.minimize(a, model(name), grid))
+    for name, a in GROUND_STATE:
+        cases[f"identities {name} a={a:g}"] = lambda name=name, a=a: identities(name, a)
     for a in (2.685, 2.71, 2.735):
         cases[f"minimize quintic_free a={a:g} probe"] = (
             lambda a=a: flow.minimize(a, model("quintic_free"), grid, probe))

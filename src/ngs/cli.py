@@ -34,7 +34,7 @@ from .curves import (
     write_curve_csv,
     write_subadditivity_csv,
 )
-from .energy import evaluate
+from .energy import discretization, evaluate
 from .errors import BracketError, ModelFormatError, NumericalError
 from .flow import SolverConfig, minimize
 from .grids import RadialGrid, load_profile, save_profile
@@ -257,6 +257,7 @@ def _cmd_spectrum(args, run: _Run) -> int:
 
 
 def _classification_payload(model, grid) -> dict:
+    discretization(grid, model)   # raises, as every other command does, where no -Lap exists
     return {
         "model_fingerprint": model.fingerprint(),
         "N": model.N,

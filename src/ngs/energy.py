@@ -52,10 +52,10 @@ class IdentityResiduals:
 
 
 class Stationarity(NamedTuple):
-    """Multiplier, defect vector, residual and Nehari defect of one field."""
+    """Multiplier, -F, residual and Nehari defect of one field."""
 
     lam: float
-    defect: np.ndarray
+    neg_defect: np.ndarray   # -F = g(v) - (-Lap + V + lam) v, the Newton right-hand side
     residual: float
     nehari: float
 
@@ -64,25 +64,26 @@ class Discretization:
     """The discrete functionals of one model on one grid, on node arrays.
 
     Built once per (grid, model) from the grid's quadrature weights W, the
-    rows of the discrete -Laplacian W^-1 K and V at the nodes. J, Pohozaev
-    and the spectrum use the kinetic form u^T K u of the grid; the defect,
-    multiplier, residual and Nehari use -Lap = W^-1 K of the same K, so a
-    zero of the defect is an exact constrained critical point of J. d and e
-    are the diagonal and off-diagonal of the symmetric tridiagonal
-    W^1/2 (-Lap + V) W^-1/2: d = diag(-Lap) + V is also the solver's step
-    diagonal before its shifts, and sub, sup (views of the -Lap rows) and
-    w2 = 2 W are the solver's dgtsv bands and border weights.
-    zero_potential records whether V is zero at every node, where masses
-    and stationarity_terms skip the passes over V. V, the Pohozaev weight
-    r V'(r), the -Lap rows, d, e and w2 are read-only, so that one instance
+    discrete -Laplacian W^-1 K as LAPACK's bands lap = (sub, diag, sup) and
+    V at the nodes. J, Pohozaev and the spectrum use the kinetic form
+    u^T K u of the grid; the defect, multiplier, residual and Nehari use
+    -Lap = W^-1 K of the same K, so a zero of the defect is an exact
+    constrained critical point of J. d and e are the diagonal and
+    off-diagonal of the symmetric tridiagonal W^1/2 (-Lap + V) W^-1/2:
+    d = diag(-Lap) + V is also the solver's step diagonal before its
+    shifts, and sub, sup and w2 = 2 W are its dgtsv bands and border
+    weights. zero_potential records whether V is zero at every node, where
+    masses and stationarity skip the passes over V. V, the Pohozaev weight
+    r V'(r), the bands, d, e and w2 are read-only, so that one instance
     per (grid, model) value can be shared: discretization() returns it, and
     the solver, the spectrum and the GridFunction functions below all read
     that one instance, so they report bit-identical values. spectral_floor
     is None until curves.quadratic_form_infimum computes the lowest
     eigenvalue of that tridiagonal with one dstebz call, which it then
     keeps, so the floor is computed at most once per instance and leaves
-    the cache with it. A potential, -Lap row, d or e that is not finite at
-    every node raises NumericalError.
+    the cache with it. A potential, band, d or e that is not finite at
+    every node raises NumericalError; r V'(r), which only the Pohozaev
+    defect reads, may be.
     """
 
     def __init__(self, grid: grids.RadialGrid, model):
@@ -92,14 +93,13 @@ class Discretization:
         self.model = model
         self.w = grid.w
         self.V = model.potential.V_on(grid)
-        self.xdV = model.potential.dV_dot_x(grid.r)
         with np.errstate(all="ignore"):   # tested below
-            self.lap = lower, diag, upper = grids.laplacian_tridiagonal(grid)
+            self.xdV = model.potential.dV_dot_x(grid.r)
+            self.lap = sub, diag, sup = grids.laplacian_tridiagonal(grid)
             self.d = diag + self.V
-            self.e = -np.sqrt(upper[:-1] * lower[1:])
+            self.e = -np.sqrt(sup * sub)
         if not all(np.isfinite(arr).all() for arr in (*self.lap, self.d, self.e)):
             raise NumericalError("the discrete -Laplacian is not finite on the grid")
-        self.sub, self.sup = lower[1:], upper[:-1]
         self.w2 = 2.0 * self.w
         for arr in (self.V, self.xdV, *self.lap, self.d, self.e, self.w2):
             arr.flags.writeable = False
@@ -120,30 +120,26 @@ class Discretization:
             return m, 0.0
         return m, float(self.w.dot(usq * self.V))
 
-    def energy_terms(self, v: np.ndarray, G: np.ndarray,
-                     vm: float) -> tuple[float, float, float, float]:
-        """(1/2)|grad v|^2, int G(v), I and J of v, from G = G(v) and
-        vm = w^T (V v^2), as plain floats for the solver's trial fields."""
+    def energy(self, v: np.ndarray, G: np.ndarray, m: float, vm: float) -> EnergyReport:
+        """J of v and its parts, from G = G(v) and the masses m, vm of v."""
         kin = 0.5 * grids.kinetic_values(self.grid, v)
         nonlin = float(self.w.dot(G))
         I = kin - nonlin
-        return kin, nonlin, I, I + 0.5 * vm
+        return EnergyReport(kin, 0.5 * vm, nonlin, I + 0.5 * vm, I, m)
 
-    def energy(self, v: np.ndarray) -> EnergyReport:
-        """J of v, its parts and the mass."""
-        m, vm = self.masses(v)
-        kin, nonlin, I, J = self.energy_terms(v, self.model.nonlinearity.G(v), vm)
-        return EnergyReport(kin, 0.5 * vm, nonlin, J, I, m)
-
-    def stationarity_terms(self, v: np.ndarray, lam: float | None, g: np.ndarray,
-                           gs: np.ndarray, m: float,
-                           vm: float) -> tuple[float, np.ndarray, float, float]:
+    def stationarity(self, v: np.ndarray, lam: float | None, g: np.ndarray,
+                     gs: np.ndarray, m: float, vm: float) -> Stationarity:
         """The multiplier (unless lam is given), -F, residual and Nehari of v.
 
-        g and gs are g(v) and g(v) v, m and vm are masses(v). -F is
-        g(v) - ((V + lam) v + (-Lap v)), the exact negation of the defect
-        F, and the Newton step's right-hand side; with V zero at every node
-        (V + lam) v is lam v, the same bits. See stationarity.
+        g and gs are g(v) and g(v) v, m and vm are masses(v). The defect F
+        is -Lap v + (V + lam) v - g(v), the residual its weighted L2 norm
+        relative to ||v||, and the Nehari defect
+        |grad v|^2 + int (V + lam) v^2 - int g(v) v, with |grad v|^2 taken as
+        <v, -Lap v>_w from the one -Lap v the defect needs. The multiplier
+        zeroes that Nehari defect, so it is exactly the least-squares
+        minimizer of the residual over lam. -F is formed directly as
+        g(v) - ((V + lam) v + (-Lap v)), the exact negation of F; with V
+        zero at every node (V + lam) v is lam v, the same bits.
         """
         if m <= 0.0:
             raise ValueError("stationarity needs a field with positive mass")
@@ -162,26 +158,7 @@ class Discretization:
         np.subtract(g, neg_f, out=neg_f)
         np.multiply(neg_f, neg_f, out=tmp)
         res = math.sqrt(self.w.dot(tmp) / m)
-        return lam, neg_f, res, quad + lam * m - gu
-
-    def stationarity(self, v: np.ndarray, lam: float | None = None,
-                     nl=None) -> Stationarity:
-        """The multiplier (unless lam is given), defect, residual and Nehari of v.
-
-        The defect is -Lap v + (V + lam) v - g(v), the residual its weighted
-        L2 norm relative to ||v||, and the Nehari defect
-        |grad v|^2 + int (V + lam) v^2 - int g(v) v, with |grad v|^2 taken as
-        <v, -Lap v>_w from the one -Lap v the defect needs. The multiplier
-        zeroes that Nehari defect, so it is exactly the least-squares
-        minimizer of the residual over lam. nl holds the nonlinearity's
-        values at v (models.NonlinearValues), if the caller has them.
-        """
-        if nl is None:
-            nl = self.model.nonlinearity.evaluate(v)
-        lam, neg_f, res, nehari = self.stationarity_terms(v, lam, nl.g, nl.gs,
-                                                          *self.masses(v))
-        np.negative(neg_f, out=neg_f)
-        return Stationarity(lam, neg_f, res, nehari)
+        return Stationarity(lam, neg_f, res, quad + lam * m - gu)
 
 
 @functools.lru_cache(maxsize=8)
@@ -194,7 +171,16 @@ def evaluate(u: GridFunction, model) -> EnergyReport:
     """All functional values of u under the given model."""
     if np.isnan(u.values).any():
         raise ValueError("field contains NaN")
-    return discretization(u.grid, model).energy(u.values)
+    op = discretization(u.grid, model)
+    return op.energy(u.values, model.nonlinearity.G(u.values), *op.masses(u.values))
+
+
+def _stationarity(u: GridFunction, model, lam: float | None, nl=None) -> Stationarity:
+    """Discretization.stationarity of u; nl is the nonlinearity at u, if known."""
+    op = discretization(u.grid, model)
+    if nl is None:
+        nl = model.nonlinearity.evaluate(u.values)
+    return op.stationarity(u.values, lam, nl.g, nl.gs, *op.masses(u.values))
 
 
 def lagrange_multiplier(u: GridFunction, model) -> float:
@@ -202,12 +188,12 @@ def lagrange_multiplier(u: GridFunction, model) -> float:
 
     See Discretization.stationarity.
     """
-    return discretization(u.grid, model).stationarity(u.values).lam
+    return _stationarity(u, model, None).lam
 
 
 def euler_lagrange_residual(u: GridFunction, model, lam: float) -> float:
     """Weighted L2 norm of -Lap u + (V + lam) u - g(u), relative to ||u||."""
-    return discretization(u.grid, model).stationarity(u.values, lam).residual
+    return _stationarity(u, model, lam).residual
 
 
 def nehari_residual(u: GridFunction, model, lam: float) -> float:
@@ -218,7 +204,7 @@ def nehari_residual(u: GridFunction, model, lam: float) -> float:
     stationarity comes from the residual and the Pohozaev identity, or from
     the defect at a lam found independently of u (an oracle's, say).
     """
-    return discretization(u.grid, model).stationarity(u.values, lam).nehari
+    return _stationarity(u, model, lam).nehari
 
 
 def pohozaev_residual(u: GridFunction, model, nl=None) -> float:
@@ -235,7 +221,7 @@ def pohozaev_residual(u: GridFunction, model, nl=None) -> float:
 def identity_residuals(u: GridFunction, model, lam: float | None = None) -> IdentityResiduals:
     """Nehari and Pohozaev defects of u from one evaluation of the nonlinearity."""
     nl = model.nonlinearity.evaluate(u.values)
-    st = discretization(u.grid, model).stationarity(u.values, lam, nl=nl)
+    st = _stationarity(u, model, lam, nl)
     return IdentityResiduals(
         nehari=st.nehari,
         pohozaev=pohozaev_residual(u, model, nl),

@@ -33,18 +33,17 @@ Every value the solver reports comes from the one shared
 energy.Discretization of (grid, model) (energy.discretization), the instance
 energy.evaluate, the identity functions and the spectrum read, so they agree
 bit for bit; its d = diag(-Lap) + V is the step's diagonal before
-lam - g'(u) + sigma, and it keeps dgtsv's off-diagonal bands and 2 w.
-Each trial field, once rescaled, takes its square u u once: it gives the
-masses w^T u^2 and w^T (V u^2) and the even integer powers of the
-nonlinearity g, G, g s, g' (models.NonlinearityModel.arrays, the arrays
-evaluate returns), which with the kinetic form give J. With V zero at every
-node (Discretization.zero_potential) w^T (V u^2) is 0.0 and (V + lam) u is
+lam - g'(u) + sigma, its -Lap bands give dgtsv's off-diagonals, and it
+keeps 2 w. Each trial field, once rescaled, takes its square u u once: it
+gives the masses w^T u^2 and w^T (V u^2) and the even integer powers of the
+nonlinearity g, G, g s, g' (models.NonlinearityModel.evaluate), which with
+the kinetic form give J. With V zero at every node
+(Discretization.zero_potential) w^T (V u^2) is 0.0 and (V + lam) u is
 lam u, the same bits without their passes. An accepted field adds one
 -Lap u for its stationarity, which forms the step's right-hand side
 -F = g - ((V + lam) u + (-Lap u)) directly, and the step's unshifted
 diagonal L - sigma and border row 2 (w u)^T, which a rejected trial reuses
-with a larger sigma. The loop builds no result object per trial, only
-floats and arrays. One argmax |u| of the end field gives both its
+with a larger sigma. One argmax |u| of the end field gives both its
 negation test and the peak of its sign test, and of minimize's
 boundary-contact test. The winner's last stationarity and nonlinearity
 give the reported Nehari and Pohozaev defects, so nothing is evaluated
@@ -273,8 +272,11 @@ def _start_widths(count: int) -> list[float]:
     # 1, 2, 1/2, 4, 1/4, ... times the base width
     out = []
     for i in range(count):
-        k = (i + 1) // 2
-        out.append(INITIAL_WIDTH * (2.0**k if i % 2 == 1 else 2.0**-k))
+        k = (i + 1) // 2 * (1 if i % 2 == 1 else -1)
+        width = INITIAL_WIDTH * 2.0**k if k < 1024 else math.inf   # 2.0**1024 raises
+        if not 0.0 < width < math.inf:
+            raise ValueError(f"start width 2^{k} is not finite and positive; use fewer starts")
+        out.append(width)
     return out
 
 
@@ -315,16 +317,16 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
                config: SolverConfig) -> _StartOutcome:
     """Shifted bordered Newton steps from the mass-a field v; see the module."""
     nonlinearity = op.model.nonlinearity
-    w, w2, sub, sup = op.w, op.w2, op.sub, op.sup
+    (sub, _, sup), w, w2 = op.lap, op.w, op.w2
     floor = config.stop_energy_below
     start = v
     # each iterate's square, nonlinearity, masses and stationarity are
     # computed once and carried into the step from it
     usq = v * v
     m, vm = op.masses(v, usq)
-    g, G, gs, dg = nonlinearity.arrays(v, True, usq)
-    J = op.energy_terms(v, G, vm)[3]
-    lam, rhs, res, nehari = op.stationarity_terms(v, None, g, gs, m, vm)
+    nl = nonlinearity.evaluate(v, True, usq)
+    J = op.energy(v, nl.G, m, vm).J
+    lam, rhs, res, nehari = op.stationarity(v, None, nl.g, nl.gs, m, vm)
     sigma = res
     trace = [(0, J)]
     solves = rejected = 0
@@ -344,7 +346,7 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
         solves += 1
         if unshifted is None:
             unshifted = op.d + lam
-            unshifted -= dg
+            unshifted -= nl.dg
             c = w2 * v
         try:
             new, _ = bordered_solve((sub, unshifted + sigma, sup), v, c, rhs)
@@ -359,12 +361,11 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
             new *= math.sqrt(a / raw)
             usq = new * new   # after the rescaling: its masses and its powers
             m_new, vm_new = op.masses(new, usq)
-            nl_new = nonlinearity.arrays(new, True, usq)
-            J_new = op.energy_terms(new, nl_new[1], vm_new)[3]
+            nl_new = nonlinearity.evaluate(new, True, usq)
+            J_new = op.energy(new, nl_new.G, m_new, vm_new).J
         if J_new <= J + 1e-12 * (1.0 + abs(J)):
-            v, m, vm, J = new, m_new, vm_new, J_new
-            g, G, gs, dg = nl_new
-            lam, rhs, res, nehari = op.stationarity_terms(v, None, g, gs, m, vm)
+            v, m, vm, J, nl = new, m_new, vm_new, J_new, nl_new
+            lam, rhs, res, nehari = op.stationarity(v, None, nl.g, nl.gs, m, vm)
             sigma = min(sigma / SHIFT_FACTOR, res)
             trace.append((solves, J))
             unshifted = None
@@ -376,13 +377,12 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
     peak = abs(float(v[k]))
     if reason in (None, "energy-floor"):
         if v[k] < 0.0:    # -u is u's state: J, lam, res are even
-            v, g = -v, -g
+            v, nl = -v, nl._replace(g=-nl.g)
         if not _keeps_sign(start, v, peak):
             converged, reason = False, "sign-change"
     return _StartOutcome(values=v, J=J, lam=lam, residual=res, nehari=nehari,
-                         nl=NonlinearValues(g, G, gs, dg), peak=peak,
-                         converged=converged, reason=reason, solves=solves,
-                         rejected=rejected, trace=trace)
+                         nl=nl, peak=peak, converged=converged, reason=reason,
+                         solves=solves, rejected=rejected, trace=trace)
 
 
 def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = None,

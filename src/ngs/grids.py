@@ -134,29 +134,30 @@ def kinetic(u: GridFunction) -> float:
 
 
 def laplacian_tridiagonal(grid: RadialGrid):
-    """Rows of the discrete -Laplacian W^-1 K: (lower, diag, upper) arrays.
+    """The discrete -Laplacian W^-1 K as LAPACK's bands (sub, diag, sup).
 
-    K is the symmetric stiffness of the kinetic form (u^T K u = kinetic) and
-    W the cell volumes, so <u, -Lap v>_w = u^T K v: the operator is the
-    gradient of the kinetic form and W-symmetric. Row j is the flux balance
-    of cell j. Sign pattern is an M-matrix: diag > 0, off-diagonals <= 0.
+    sub and sup are its n - 1 entries below and above the diagonal. K is the
+    symmetric stiffness of the kinetic form (u^T K u = kinetic) and W the
+    cell volumes, so <u, -Lap v>_w = u^T K v: the operator is the gradient
+    of the kinetic form and W-symmetric. Row j is the flux balance of cell
+    j. Sign pattern is an M-matrix: diag > 0, off-diagonals <= 0.
     """
-    # faces 0..R: no flux at the origin; the Dirichlet face at R is diagonal only
-    face = np.concatenate(([0.0], grid.edge_weights, [0.0]))
-    lower = -face[:-1] / grid.w
-    upper = -face[1:] / grid.w
-    diag = -(lower + upper)
+    # no flux through the face at 0; the Dirichlet face at R is diagonal only
+    sub = -grid.edge_weights / grid.w[1:]
+    sup = -grid.edge_weights / grid.w[:-1]
+    diag = np.concatenate(([0.0], -sub))
+    diag[:-1] -= sup
     diag[-1] += grid.edge_weight_R / grid.w[-1]
-    return lower, diag, upper
+    return sub, diag, sup
 
 
-def tridiagonal_apply(rows, values: np.ndarray) -> np.ndarray:
-    """Product of the matrix with (lower, diag, upper) rows and a node array."""
-    lower, diag, upper = rows
+def tridiagonal_apply(bands, values: np.ndarray) -> np.ndarray:
+    """Product of the matrix with bands (sub, diag, sup) and a node array."""
+    sub, diag, sup = bands
     out = diag * values
-    tmp = upper[:-1] * values[1:]
+    tmp = sup * values[1:]
     out[:-1] += tmp
-    np.multiply(lower[1:], values[:-1], out=tmp)
+    np.multiply(sub, values[:-1], out=tmp)
     out[1:] += tmp
     return out
 

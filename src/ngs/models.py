@@ -92,14 +92,10 @@ class NonlinearityModel:
         they are of a fresh s * s, so the bits are the same. evaluate takes
         sq over: it may return or overwrite it.
         """
-        return NonlinearValues(*self.arrays(s, derivative, sq))
-
-    def arrays(self, s, derivative: bool = False, sq=None) -> tuple:
-        """evaluate's four arrays as a plain tuple, for the solver's trial fields."""
         s = np.asarray(s, dtype=float)
         if not self.terms:
-            return (*(np.zeros_like(s) for _ in range(3)),
-                    np.zeros_like(s) if derivative else None)
+            return NonlinearValues(*(np.zeros_like(s) for _ in range(3)),
+                                   np.zeros_like(s) if derivative else None)
         g = G = gs = dg = None
         for coef, sigma in self.terms:
             p = _abs_power(s, sigma, sq)   # a fresh array or sq, scaled in place
@@ -116,7 +112,7 @@ class NonlinearityModel:
             if derivative:
                 p *= sigma + 1.0
                 dg = p if dg is None else dg + p
-        return g, G, gs, dg
+        return NonlinearValues(g, G, gs, dg)
 
     def g(self, s):
         return self.evaluate(s).g

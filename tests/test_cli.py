@@ -266,11 +266,12 @@ INFINITE_COEF = {"nonlinearity": {"kind": "power_sum",
     (None, ("threshold", "--a-hi", "inf", *SMALL)),
     (None, ("solve", "--mass", "1", "--tol", "inf", *SMALL)),
     (None, ("scan", "--a-min", "1", "--a-max", "inf", "--steps", "3", *SMALL)),
+    (None, ("solve", "--mass", "1", "--starts", "2050", "--grid-n", "64")),
 ], ids=["nan-table-solve", "nan-table-validate", "infinite-well-solve",
         "infinite-coefficient-validate", "infinite-radius-solve",
         "infinite-radius-spectrum", "infinite-mass-solve",
         "infinite-bracket-threshold", "infinite-tolerance-solve",
-        "infinite-mass-range-scan"])
+        "infinite-mass-range-scan", "infinite-start-width-solve"])
 def test_nonfinite_input_is_usage_error(tmp_path, override, argv):
     model = model_with(tmp_path, override or {})
     proc = run_cli(argv[0], "--model", model, *argv[1:], "--out", tmp_path / "x")
@@ -561,12 +562,12 @@ def test_overflowing_potential_exits_1_without_warning(tmp_path, argv):
 
 
 # a grid whose cell volumes or face weights leave the float range is a usage
-# error (64); one whose -Lap rows overflow is a numerical failure (1)
+# error (64); one whose -Lap bands overflow is a numerical failure (1)
 DEGENERATE_GRIDS = [
     *(("power2_free_3d", argv, R, 64, "leaves the float range") for R in ("1e200", "1e150")
       for argv in (("validate",), ("spectrum",), ("solve", "--mass", "1"))),
     *(("gaussian_well_cubic", argv, "1e-300", 1, "-Laplacian is not finite")
-      for argv in (("solve", "--mass", "1"), ("spectrum",), ("threshold",))),
+      for argv in (("solve", "--mass", "1"), ("spectrum",), ("threshold",), ("validate",))),
 ]
 
 

@@ -345,8 +345,8 @@ BUNDLED_WITH_POTENTIAL = ["harmonic", "gaussian_well_deep", "gaussian_well_cubic
 def _tridiagonal(model, grid):
     # the diagonal and off-diagonal of the T quadratic_form_infimum builds
     disc = Discretization(grid, model)
-    lower, diag, upper = disc.lap
-    return diag + disc.V, -np.sqrt(upper[:-1] * lower[1:])
+    sub, diag, sup = disc.lap
+    return diag + disc.V, -np.sqrt(sup * sub)
 
 
 def _eigh_tridiagonal_floor(model, grid):

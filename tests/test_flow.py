@@ -11,6 +11,7 @@ from helpers import MODELS_DIR, ZERO_G, bumps, free_power, harmonic_v, power_g, 
 from ngs import curves, energy, flow, grids
 from ngs.energy import (
     Discretization,
+    euler_lagrange_residual,
     evaluate,
     lagrange_multiplier,
     nehari_residual,
@@ -101,20 +102,20 @@ def test_step_matches_dense_shifted_bordered_solve(N, n, seed):
     op = Discretization(grid, model)
     v = bumps(grid, np.random.default_rng(seed)).values
     v = v * math.sqrt(a / float(grid.w @ (v * v)))
-    lam, defect, res, _ = op.stationarity(v)
-    lower, diag, upper = op.lap
-    dg = model.nonlinearity.evaluate(v, derivative=True).dg
+    nl = model.nonlinearity.evaluate(v, derivative=True)
+    lam, neg_defect, res, _ = op.stationarity(v, None, nl.g, nl.gs, *op.masses(v))
+    sub, diag, sup = op.lap
     dense = np.zeros((n + 1, n + 1))
-    dense[:n, :n] = (np.diag(diag + op.V + lam - dg + res)
-                     + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1))
+    dense[:n, :n] = (np.diag(diag + op.V + lam - nl.dg + res)
+                     + np.diag(sub, -1) + np.diag(sup, 1))
     dense[:n, n] = v
     dense[n, :n] = 2.0 * grid.w * v
-    ref = v + np.linalg.solve(dense, np.append(-defect, 0.0))[:n]
+    ref = v + np.linalg.solve(dense, np.append(neg_defect, 0.0))[:n]
     ref *= math.sqrt(a / float(grid.w @ (ref * ref)))
     out = flow._run_start(op, v, a, SolverConfig(max_iters=1))
     assert (out.solves, out.rejected) == (1, 0)
     assert np.max(np.abs(out.values - ref)) <= 1e-10 * np.max(np.abs(ref))
-    assert out.trace[1] == (1, op.energy(out.values).J)
+    assert out.trace[1] == (1, evaluate(GridFunction(grid, out.values), model).J)
 
 
 # --- linear limit ---
@@ -257,12 +258,12 @@ def test_unit_costs_of_minimize(monkeypatch, small_grid):
     # one dgtsv call per solve, accepted or rejected, one -Lap v per start
     # field and per accepted step, and one nonlinearity evaluation per start
     # field and per trial field of a non-singular solve (NonlinearityModel
-    # .arrays, which evaluate wraps); nothing is evaluated again after the
-    # loop. No positive definite factor is made: flow loads no routine for one
+    # .evaluate); nothing is evaluated again after the loop. No positive
+    # definite factor is made: flow loads no routine for one
     assert not hasattr(flow, "dpttrs") and not hasattr(flow, "dpttrf")
-    counts = dict.fromkeys(("dgtsv", "tridiagonal_apply", "arrays", "singular"), 0)
+    counts = dict.fromkeys(("dgtsv", "tridiagonal_apply", "evaluate", "singular"), 0)
     for owner, name in ((flow, "dgtsv"), (grids, "tridiagonal_apply"),
-                        (NonlinearityModel, "arrays")):
+                        (NonlinearityModel, "evaluate")):
         def spy(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             counts[_name] += 1
             out = _fn(*args, **kwargs)
@@ -277,7 +278,7 @@ def test_unit_costs_of_minimize(monkeypatch, small_grid):
     assert counts["dgtsv"] == solves
     accepted = solves - sum(res.all_start_rejected_steps)
     assert counts["tridiagonal_apply"] == starts + accepted
-    assert counts["arrays"] == starts + solves - counts["singular"]
+    assert counts["evaluate"] == starts + solves - counts["singular"]
 
 
 # --- one shared operator per (grid, model) ---
@@ -477,8 +478,8 @@ def test_sign_changing_newton_endpoint_is_rejected(small_grid):
     # second eigenvector, a critical point that is no ground state
     model = load_model(MODELS_DIR / "harmonic.json")
     op = Discretization(small_grid, model)
-    lower, diag, upper = op.lap
-    A = np.diag(diag + op.V) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+    sub, diag, sup = op.lap
+    A = np.diag(diag + op.V) + np.diag(sub, -1) + np.diag(sup, 1)
     eigvals, eigvecs = np.linalg.eig(A)
     order = np.argsort(eigvals.real)
     psi = eigvecs[:, order[2]].real
@@ -578,8 +579,10 @@ def test_rejected_initial_attempt_leaves_the_start_bit_for_bit(monkeypatch, smal
     out = flow._run_start(op, v, 1.0, SolverConfig(max_iters=3))
     assert (out.solves, out.rejected, out.reason) == (3, 3, "max-iters")
     assert np.array_equal(out.values, v)
-    assert out.trace == [(0, op.energy(v).J)]
-    assert out.residual == op.stationarity(v).residual
+    u = GridFunction(small_grid, v)
+    assert out.trace == [(0, evaluate(u, well_cubic).J)]
+    assert out.residual == euler_lagrange_residual(u, well_cubic,
+                                                   lagrange_multiplier(u, well_cubic))
 
 
 # --- Newton on the mass-critical quintic, below the soliton mass ---
@@ -601,12 +604,12 @@ def test_subthreshold_quintic_starts_reach_one_local_minimizer(grid20):
     # eigenvalue and <u, L^-1 u>_w < 0, so the tangent Morse index is 0
     op = Discretization(grid20, model)
     u = res.u.values
-    lower, diag, upper = op.lap
+    sub, diag, sup = op.lap
     diag = diag + op.V + res.lam - model.nonlinearity.evaluate(u, derivative=True).dg
-    negative = eigvalsh_tridiagonal(diag, -np.sqrt(lower[1:] * upper[:-1]),
+    negative = eigvalsh_tridiagonal(diag, -np.sqrt(sub * sup),
                                     select="v", select_range=(-np.inf, 0.0))
     assert len(negative) == 1
-    L = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+    L = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
     q = np.linalg.solve(L, u)
     assert 2.0 * float((op.w * u) @ q) < 0.0
 

@@ -163,11 +163,20 @@ def test_laplacian_is_linear():
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_kinetic_matches_laplacian_quadratic_form(N):
     # -Lap is W^-1 K of the kinetic form, so <u, -Lap u>_w is |grad u|^2
-    # up to rounding at every resolution
+    # up to rounding at every resolution. Its bands (sub, diag, sup) have
+    # LAPACK's lengths (n - 1, n, n - 1), W sub and W sup are the one
+    # symmetric off-diagonal of K, and the product is the dense one's
     for n in (256, 512):
         g = RadialGrid(N, 12.0, n)
         u = gaussian(g)
-        qf = integrate(g, u.values * tridiagonal_apply(laplacian_tridiagonal(g), u.values))
+        bands = sub, diag, sup = laplacian_tridiagonal(g)
+        assert (len(sub), len(diag), len(sup)) == (n - 1, n, n - 1)
+        np.testing.assert_allclose(g.w[1:] * sub, g.w[:-1] * sup, rtol=1e-14)
+        lap_u = tridiagonal_apply(bands, u.values)
+        dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+        np.testing.assert_allclose(lap_u, dense @ u.values,
+                                   rtol=0, atol=1e-12 * np.max(np.abs(lap_u)))
+        qf = integrate(g, u.values * lap_u)
         assert abs(kinetic(u) - qf) <= 1e-12 * kinetic(u)
 
 
