@@ -24,9 +24,11 @@ imports ngs from that tree's src/ and reads that tree's models/:
 
 A case's digest is one SHA-256 over everything its call returns: every
 float as float.hex, every int, bool and string, and every array's dtype,
-shape and bytes, field by field. The script prints each case's digest for
-both trees, exits 0 when all agree and 1, naming each case that differs,
-when any does.
+shape and bytes, field by field. A record, a dataclass or a NamedTuple,
+feeds its type name and then each field's name and value, so its digest
+does not depend on which of the two declares it. The script prints each
+case's digest for both trees, exits 0 when all agree and 1, naming each
+case that differs, when any does.
 """
 from __future__ import annotations
 
@@ -73,17 +75,20 @@ def _feed(h, obj) -> None:
             _feed(h, key)
             _feed(h, obj[key])
         h.update(b"}")
+    elif dataclasses.is_dataclass(obj) or hasattr(obj, "_fields"):
+        # a record, a dataclass or a NamedTuple alike; before the plain tuples
+        names = (obj._fields if hasattr(obj, "_fields")
+                 else [f.name for f in dataclasses.fields(obj)])
+        h.update(type(obj).__name__.encode() + b"(")
+        for name in names:
+            _feed(h, name)
+            _feed(h, getattr(obj, name))
+        h.update(b")")
     elif isinstance(obj, (list, tuple)):
         h.update(b"[")
         for item in obj:
             _feed(h, item)
         h.update(b"]")
-    elif dataclasses.is_dataclass(obj):
-        h.update(type(obj).__name__.encode() + b"(")
-        for f in dataclasses.fields(obj):
-            _feed(h, f.name)
-            _feed(h, getattr(obj, f.name))
-        h.update(b")")
     elif hasattr(obj, "grid") and hasattr(obj, "values"):   # a GridFunction
         _feed(h, ("GridFunction", obj.grid, obj.values))
     else:

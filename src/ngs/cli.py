@@ -8,7 +8,7 @@ also writes a manifest with content hashes and every input; --verify with
 
 Exit codes: 0 success/converged, 1 failure, partial result or numerical
 breakdown, 2 converged to the spread no-minimizer regime, 3 vanishing
-suspected, 64 usage errors including malformed model files.
+suspected, 64 usage errors, malformed model files and unallocatable sizes.
 """
 from __future__ import annotations
 
@@ -240,7 +240,7 @@ def _cmd_threshold(args, run: _Run) -> int:
     found = threshold_a0(run.model, run.grid, run.config,
                          bracket=(args.a_lo, args.a_hi))
     run.make_out()
-    run.write_record("threshold.json", dataclasses.asdict(found))
+    run.write_record("threshold.json", found._asdict())
     qualifier = "at or below" if found.below_lower_bracket else "within"
     print(f"a0 = {found.a0:.6g} ({qualifier} the bracket, half-width "
           f"{found.half_width:.3g}, {len(found.evaluations)} evaluations)")
@@ -261,8 +261,8 @@ def _classification_payload(model, grid) -> dict:
     return {
         "model_fingerprint": model.fingerprint(),
         "N": model.N,
-        "nonlinearity": dataclasses.asdict(classify_g(model.nonlinearity)),
-        "potential": dataclasses.asdict(classify_V(model.potential, grid)),
+        "nonlinearity": classify_g(model.nonlinearity)._asdict(),
+        "potential": classify_V(model.potential, grid)._asdict(),
     }
 
 
@@ -314,7 +314,7 @@ def _verify_dir(args) -> int:
 
         if not failures:
             failures.extend(args.replay(out_dir, manifest))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, MemoryError) as exc:
         failures = [f"cannot replay the run record: {type(exc).__name__}: {exc}"]
 
     if failures:
@@ -418,7 +418,7 @@ def main(argv=None) -> int:
     except ModelFormatError as exc:
         print(f"ngs: bad model file: {exc}", file=sys.stderr)
         return 64
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:   # MemoryError: a --grid-n or --steps too large
         print(f"ngs: {exc}", file=sys.stderr)
         return 64
     except BracketError as exc:

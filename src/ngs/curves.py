@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from .models import Model
 from .utils import read_csv, write_csv
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     a: float
     energy: float
     lam: float
@@ -34,8 +33,7 @@ class CurvePoint:
     pohozaev: float
 
 
-@dataclass(frozen=True)
-class EnergyCurve:
+class EnergyCurve(NamedTuple):
     """Scan output: one point per mass, in increasing mass order."""
 
     points: tuple
@@ -93,7 +91,7 @@ CURVE_COLUMNS = {"a": float, "C_a": float, "lambda": float, "converged": bool,
 
 
 def write_curve_csv(curve: EnergyCurve, path) -> None:
-    write_csv(path, CURVE_COLUMNS, (vars(pt).values() for pt in curve.points))
+    write_csv(path, CURVE_COLUMNS, curve.points)
 
 
 def read_curve_csv(path) -> list:
@@ -101,16 +99,14 @@ def read_curve_csv(path) -> list:
     return [CurvePoint(*row) for row in zip(*read_csv(path, CURVE_COLUMNS))]
 
 
-@dataclass(frozen=True)
-class SubadditivityRow:
+class SubadditivityRow(NamedTuple):
     a: float
     b: float
     gap: float
     all_converged: bool
 
 
-@dataclass(frozen=True)
-class SubadditivityReport:
+class SubadditivityReport(NamedTuple):
     """Gaps C(a+b) - C(a) - C(b) over pairs resolvable on the scanned grid."""
 
     rows: tuple
@@ -161,8 +157,7 @@ def write_subadditivity_csv(report: SubadditivityReport, path) -> None:
     write_csv(path, ("a", "b", "gap"), ((r.a, r.b, r.gap) for r in report.rows))
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(NamedTuple):
     """Bisection estimate of the threshold mass; its fields are threshold.json's keys."""
 
     a0: float

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -37,8 +36,7 @@ class EnergyReport(NamedTuple):
     mass: float
 
 
-@dataclass(frozen=True)
-class IdentityResiduals:
+class IdentityResiduals(NamedTuple):
     nehari: float
     pohozaev: float
     lagrange_lambda: float

@@ -64,7 +64,8 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,8 +156,7 @@ class SolverConfig:
             raise ValueError("max_iters must be at least 1")
 
 
-@dataclass
-class GroundStateResult:
+class GroundStateResult(NamedTuple):
     u: GridFunction
     a: float
     lam: float
@@ -165,16 +165,16 @@ class GroundStateResult:
     energy_trace: list               # (solve, J) of the start and each accepted step
     converged: bool
     start_index: int
-    reason: str | None = None
-    iterations: int = 0              # solves of the winning start, accepted or not
-    residual_norm: float = math.inf
-    all_start_energies: list = field(default_factory=list)
-    all_start_solves: list = field(default_factory=list)           # one dgtsv each
-    all_start_rejected_steps: list = field(default_factory=list)
+    reason: str | None
+    iterations: int                  # solves of the winning start, accepted or not
+    residual_norm: float
+    all_start_energies: list
+    all_start_solves: list           # one dgtsv each
+    all_start_rejected_steps: list
     # each start's own end reason, None if it converged; not in to_dict
-    all_start_reasons: list = field(default_factory=list)
-    start_disagreement: bool = False
-    warnings: list = field(default_factory=list)
+    all_start_reasons: list
+    start_disagreement: bool
+    warnings: list
 
     def to_dict(self) -> dict:
         return {
@@ -280,8 +280,7 @@ def _start_widths(count: int) -> list[float]:
     return out
 
 
-@dataclass
-class _StartOutcome:
+class _StartOutcome(NamedTuple):
     values: np.ndarray
     J: float
     lam: float

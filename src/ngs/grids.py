@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -185,8 +186,7 @@ def even_extension(u: GridFunction):
     return fn
 
 
-@dataclass(frozen=True)
-class GNReport:
+class GNReport(NamedTuple):
     """Interpolation-inequality monitor output."""
 
     lhs: float

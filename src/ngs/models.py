@@ -386,8 +386,7 @@ def load_model(path) -> Model:
 # --- hypothesis classifiers ---
 
 
-@dataclass(frozen=True)
-class GClassification:
+class GClassification(NamedTuple):
     """Growth-hypothesis flags for a nonlinearity in dimension N.
 
     Fields are named after the paper's hypotheses; they are validate's keys.
@@ -433,8 +432,7 @@ def classify_g(model: NonlinearityModel) -> GClassification:
     )
 
 
-@dataclass(frozen=True)
-class VClassification:
+class VClassification(NamedTuple):
     """Potential-hypothesis flags, sampled on a grid.
 
     Fields are named after the paper's hypotheses; they are validate's keys.

@@ -14,7 +14,7 @@ SciPy (scipy.integrate, which loads scipy.optimize too, and scipy.special).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ def _sobolev_limit(N: int) -> float:
     return math.inf if N <= 2 else (N + 2.0) / (N - 2.0)
 
 
-@dataclass(frozen=True)
-class PowerSolution:
+class PowerSolution(NamedTuple):
     """A positive decaying radial profile solving -Lap U + lam U = |U|^(p-1) U."""
 
     p: float
@@ -58,7 +57,7 @@ class PowerSolution:
     highorder_residual: float
     # the profile as a function of radius, off the grid too: the closed form
     # for N = 1, the dense integrator output and its tail for N >= 2
-    profile_fn: object = field(repr=False, compare=False)
+    profile_fn: object
 
 
 def _free_model(p: float, N: int) -> Model:

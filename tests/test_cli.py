@@ -587,6 +587,25 @@ def test_degenerate_grid_exits_without_traceback_or_warning(tmp_path, name, argv
     assert not out.exists()
 
 
+# 10^18 nodes or masses ask for 6.9 EiB, which no machine can allocate: the
+# request fails at once and nothing is allocated
+HUGE = "1000000000000000000"
+
+
+@pytest.mark.parametrize("argv", [("validate", "--grid-n", HUGE),
+                                  ("solve", "--mass", "4", "--grid-n", HUGE),
+                                  ("scan", "--a-min", "1", "--a-max", "2", "--steps", HUGE)],
+                         ids=["validate", "solve", "scan"])
+def test_a_size_past_memory_is_a_usage_error(tmp_path, argv):
+    out = tmp_path / "x"
+    proc = run_cli(argv[0], "--model", MODELS_DIR / "power3_free.json", *argv[1:],
+                   "--out", out)
+    assert proc.returncode == 64, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("ngs: ") and proc.stderr.count("\n") == 1
+    assert "allocate" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_validate_reads_an_overflowing_r_dV_as_not_decayed(tmp_path):
     # r^300 is finite up to R = 10.64, but 300 r^300 is not
     model = model_with(tmp_path, {"potential": {"kind": "power_coercive",
@@ -646,6 +665,19 @@ def test_threshold_verify_reports_malformed_record(tmp_path, key, value):
     assert proc.returncode == 1
     assert proc.stderr.startswith("verification failed: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_verify_of_a_record_with_a_grid_past_memory_fails_verification(tmp_path):
+    out = tmp_path / "spec"
+    shutil.copytree(MODELS_DIR.parent / "scenarios" / "spectrum_harmonic", out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["grid"]["n"] = int(HUGE)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    proc = run_cli("spectrum", "--out", out, "--verify")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("verification failed: cannot replay the run record: "
+                                  "MemoryError")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_spectrum_harmonic(tmp_path):

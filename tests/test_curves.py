@@ -1,5 +1,4 @@
 """Energy-curve scans, subadditivity, thresholds, and the spectral floor."""
-import dataclasses
 import math
 
 import numpy as np
@@ -214,7 +213,7 @@ def test_curve_csv_roundtrip(free_curve, tmp_path):
 
 def test_curve_csv_roundtrip_keeps_an_unconverged_row(free_curve, tmp_path):
     first, middle, last = free_curve.points
-    curve = EnergyCurve((first, dataclasses.replace(middle, converged=False), last))
+    curve = EnergyCurve((first, middle._replace(converged=False), last))
     path = tmp_path / "curve.csv"
     write_curve_csv(curve, path)
     assert path.read_text().splitlines()[2].split(",")[3] == "false"

@@ -1,5 +1,4 @@
 """Constrained minimizer: step mechanics, convergence, failure reporting."""
-import dataclasses
 import math
 
 import numpy as np
@@ -630,9 +629,9 @@ def test_zero_potential_path_is_the_general_path_to_the_bit(monkeypatch, name, N
     monkeypatch.setattr(op, "zero_potential", False)
     general = minimize(a, model, grid, config)
     assert sum(general.all_start_solves) > 0
-    for f in dataclasses.fields(flow.GroundStateResult):
-        if f.name == "u":
+    for field in flow.GroundStateResult._fields:
+        if field == "u":
             assert fast.u.values.tobytes() == general.u.values.tobytes()
             assert fast.u.grid == general.u.grid
         else:
-            assert getattr(fast, f.name) == getattr(general, f.name), f.name
+            assert getattr(fast, field) == getattr(general, field), field

@@ -9,7 +9,9 @@ oracle, loads no SciPy module but the LAPACK extension, which flow loads
 alone (not even the scipy package), and no process-pool machinery: every
 command runs in one process. Every module-level public function, method and
 property is named in code outside the tests (a docstring or a comment does
-not count), so no helper lives in the package for the tests alone.
+not count), so no helper lives in the package for the tests alone. A
+dataclass defines __post_init__; a record that validates nothing is a
+NamedTuple.
 """
 import ast
 import re
@@ -130,6 +132,25 @@ def test_only_utils_reads_and_writes_csv():
     importers = sorted(name for name, (_, tree) in TREES.items()
                        if "csv" in _imported_modules(tree))
     assert importers == ["utils"]
+
+
+def _is_dataclass_decorator(node) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    return (isinstance(target, ast.Name) and target.id == "dataclass"
+            or isinstance(target, ast.Attribute) and target.attr == "dataclass")
+
+
+def test_every_dataclass_validates_in_post_init():
+    # a dataclass is kept for a value whose __post_init__ checks or
+    # normalizes its fields; a record that validates nothing is a NamedTuple
+    plain = sorted(
+        f"{name}.{node.name}" for name, (_, tree) in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(map(_is_dataclass_decorator, node.decorator_list))
+        and not any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
+                    for item in node.body))
+    assert not plain, f"dataclasses without __post_init__ (make them NamedTuples): {plain}"
 
 
 def test_cli_import_skips_unused_scipy_subpackages():
