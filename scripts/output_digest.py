@@ -20,7 +20,9 @@ imports ngs from that tree's src/ and reads that tree's models/:
 * threshold_a0 on quintic_free over (2.685, 2.735), and on
   gaussian_well_cubic over the default bracket;
 * quadratic_form_infimum on the four ground_state models with a potential,
-  and on the depth-3, width-1 Gaussian well with g = 0 in N = 2 and N = 3.
+  and on the depth-3, width-1 Gaussian well with g = 0 in N = 2 and N = 3;
+* oracle.shoot_Up for (p, N) = (3, 2) and (7/3, 3) (R = 20, n = 400), its
+  record without profile_fn, which is a function.
 
 A case's digest is one SHA-256 over everything its call returns: every
 float as float.hex, every int, bool and string, and every array's dtype,
@@ -99,7 +101,7 @@ def _cases(models_dir: Path) -> dict:
     """Name -> zero-argument call, for the ngs package importable here."""
     import numpy as np
 
-    from ngs import curves, energy, flow
+    from ngs import curves, energy, flow, oracle
     from ngs.grids import RadialGrid
     from ngs.models import load_model, make_model
 
@@ -149,6 +151,9 @@ def _cases(models_dir: Path) -> dict:
                           {"kind": "gaussian_well", "params": [3.0, 1.0]})
         cases[f"quadratic_form_infimum N={N} well"] = (
             lambda well=well, N=N: curves.quadratic_form_infimum(well, RadialGrid(N, 20.0, 2000)))
+    for p, N in ((3.0, 2), (7.0 / 3.0, 3)):
+        cases[f"shoot_Up p={p:.4g} N={N}"] = lambda p=p, N=N: oracle.shoot_Up(
+            p, N, RadialGrid(N, 20.0, 400))._replace(profile_fn=None)
     return cases
 
 

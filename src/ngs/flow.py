@@ -125,7 +125,7 @@ SIGN_REL_TOL = 1e-6
 # and its floor after a rejection
 SHIFT_FACTOR = 4.0
 SHIFT_FLOOR = 1e-8
-# below this fraction of a in every ball of radius VANISHING_RADIUS, the
+# below this fraction of a in every window |r - r0| <= VANISHING_RADIUS, the
 # profile has spread out
 VANISHING_FRACTION = 0.05
 VANISHING_RADIUS = 1.0
@@ -225,7 +225,7 @@ def bordered_solve(bands, u: np.ndarray, c: np.ndarray,
 
 @functools.lru_cache(maxsize=16)
 def _ball_bounds(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Node ranges [lo, hi) of vanishing_diagnostic's balls; shared, so read-only."""
+    """Node ranges [lo, hi) of vanishing_diagnostic's windows; shared, so read-only."""
     centers = np.concatenate(([0.0], grid.r))
     lo = np.searchsorted(grid.r, centers - VANISHING_RADIUS, side="left")
     hi = np.searchsorted(grid.r, centers + VANISHING_RADIUS, side="right")
@@ -234,10 +234,12 @@ def _ball_bounds(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def vanishing_diagnostic(u: GridFunction) -> float:
-    """Largest mass any ball of radius VANISHING_RADIUS captures.
+    """Largest mass any window |r - r0| <= VANISHING_RADIUS captures.
 
-    Small values flag spreading: the density is everywhere locally thin,
-    the discrete signature of a vanishing minimizing sequence.
+    r0 is 0 or a node. For N = 1 a window is an interval and its mirror
+    image; for N >= 2 it is a shell, a ball only at r0 = 0. Small values flag
+    spreading: the density is everywhere locally thin, the discrete
+    signature of a vanishing minimizing sequence.
     """
     cum = np.empty(u.grid.n + 1)   # the running mass, from 0 before the first node
     cum[0] = 0.0

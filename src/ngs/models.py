@@ -134,7 +134,9 @@ class NonlinearityModel:
         }
 
 
-_POTENTIAL_KINDS = ("zero", "harmonic", "gaussian_well", "power_coercive", "tabulated")
+# each kind and the most params it takes
+_POTENTIAL_KINDS = {"zero": 0, "harmonic": 1, "gaussian_well": 2, "power_coercive": 2,
+                    "tabulated": 0}
 
 
 @dataclass(frozen=True)
@@ -154,6 +156,9 @@ class PotentialModel:
     def __post_init__(self):
         if self.kind not in _POTENTIAL_KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
+        if len(self.params) > _POTENTIAL_KINDS[self.kind]:
+            raise ValueError(f"too many params for {self.kind}: got {len(self.params)}, "
+                             f"it takes at most {_POTENTIAL_KINDS[self.kind]}")
         if self.kind == "harmonic":
             k = self.params[0] if self.params else 1.0
             if not k > 0:
@@ -325,11 +330,18 @@ class Model:
 
 
 def make_model(N: int, nonlinearity: dict, potential: dict, base_dir=None) -> Model:
+    if isinstance(N, bool) or N not in (1, 2, 3):   # 1.5 or true is no dimension
+        raise ModelFormatError(f"N must be the integer 1, 2 or 3, got {N!r}")
+    N = int(N)
+    for name, section in (("nonlinearity", nonlinearity), ("potential", potential)):
+        if not isinstance(section, dict):
+            raise ModelFormatError(f"{name} must be a JSON object")
     terms = tuple(
         (float(t["coef"]), float(t["sigma"])) for t in nonlinearity.get("terms", [])
     )
     nl = NonlinearityModel(kind=nonlinearity["kind"], terms=terms, N=N)
     kind = potential["kind"]
+    params = tuple(float(x) for x in potential.get("params", []))
     if kind == "tabulated":
         table = potential.get("table")
         if isinstance(table, dict):
@@ -344,12 +356,10 @@ def make_model(N: int, nonlinearity: dict, potential: dict, base_dir=None) -> Mo
                 raise ModelFormatError(f"potential table {exc}") from exc
         else:
             raise ModelFormatError("tabulated potential needs a 'table' entry")
-        pot = PotentialModel(kind=kind, params=(), table_r=tuple(map(float, tr)),
+        pot = PotentialModel(kind=kind, params=params, table_r=tuple(map(float, tr)),
                              table_v=tuple(map(float, tv)))
     else:
-        pot = PotentialModel(
-            kind=kind, params=tuple(float(x) for x in potential.get("params", []))
-        )
+        pot = PotentialModel(kind=kind, params=params)
     return Model(N=N, nonlinearity=nl, potential=pot)
 
 
@@ -370,7 +380,7 @@ def load_model(path) -> Model:
         ) from exc
     try:
         return make_model(
-            N=int(data["N"]),
+            N=data["N"],
             nonlinearity=data["nonlinearity"],
             potential=data["potential"],
             base_dir=path.parent,

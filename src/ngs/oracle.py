@@ -2,14 +2,14 @@
 
 Solves the radial profile equation U'' + (N-1)/r U' = U - U^p. For N = 1 the
 profile is the closed-form soliton beta0 sech^(2/(p-1))((p-1) r / 2) and
-nothing is integrated. For N >= 2 it is shot from the center value, which
-bisection places on the separatrix between profiles that cross zero
-(overshoot) and profiles that turn around while positive (undershoot);
-beyond the matching radius that profile continues with the exact solution
-of the linearized far-field equation, so mass integrals see no blow-up
-contamination. Scaled copies and the mass/energy scaling laws they obey are
-derived from the frequency-1 base profile analytically. Only N >= 2 imports
-SciPy (scipy.integrate, which loads scipy.optimize too, and scipy.special).
+nothing is integrated. For N >= 2 it is shot from the center value to one
+stop, where it crosses zero (overshoot) or turns around while positive
+(undershoot), and Brent's method on the signed miss there places the center
+value on the separatrix; beyond the matching radius that profile continues
+with the exact solution of the linearized far-field equation, so mass
+integrals see no blow-up contamination. Scaled copies and the mass/energy
+scaling laws they obey follow from the frequency-1 profile analytically.
+Only N >= 2 imports SciPy: scipy.integrate, scipy.optimize, scipy.special.
 """
 from __future__ import annotations
 
@@ -24,14 +24,14 @@ from .grids import GridFunction, RadialGrid
 from .models import Model, NonlinearityModel, PotentialModel
 
 _SERIES_R = 1e-6
-# end of the shooting interval, and the stopping width of the bisection on
-# the center value relative to its lower bound
+# end of the shooting interval, and Brent's tolerance on the center value
+# relative to its lower bound
 SHOOT_R_MAX = 40.0
 SHOOT_REL_TOL = 1e-14
 # where the profile has decayed to this fraction of its center value is the
 # matching radius: for N >= 2 the shot profile hands over to the exact
 # linearized tail there, since past it the neglected nonlinearity is below
-# the bisection noise floor; for every N it bounds the residual's stencil
+# the shooting noise floor; for every N it bounds the residual's stencil
 # window and the grid radius a rescale asks for
 TAIL_FRAC = 1e-5
 
@@ -66,31 +66,30 @@ def _free_model(p: float, N: int) -> Model:
 
 
 def _integrate_profile(N: int, p: float, b: float, dense: bool):
+    """Shoot the profile from center value b to its one stop, and its miss.
+
+    The stop is u u' rising through 0: where u crosses zero (an overshoot)
+    or turns while positive (an undershoot). The miss there is u + u', one
+    of which is 0: negative for an overshoot, positive for an undershoot,
+    and 0.0 if neither happens before SHOOT_R_MAX.
+    """
     def rhs(r, y):
         u, du = y
         return [du, u - np.sign(u) * abs(u) ** p - (N - 1) / r * du]
 
-    def crosses_zero(r, y):
-        return y[0]
-
-    crosses_zero.terminal = True
-    crosses_zero.direction = -1
-
-    def turns_around(r, y):
-        return y[1]
-
-    turns_around.terminal = True
-    turns_around.direction = 1
+    def stops(r, y):
+        return y[0] * y[1]
+    stops.terminal = True
+    stops.direction = 1
 
     r0 = _SERIES_R
     y0 = [b + r0 * r0 * (b - b**p) / (2.0 * N), r0 * (b - b**p) / N]
     from scipy.integrate import solve_ivp
     sol = solve_ivp(
         rhs, (r0, SHOOT_R_MAX), y0, method="DOP853", rtol=1e-12, atol=1e-14,
-        events=[crosses_zero, turns_around], dense_output=dense,
+        events=stops, dense_output=dense,
     )
-    overshoot = len(sol.t_events[0]) > 0
-    return overshoot, sol
+    return float(sol.y_events[0].sum()), sol   # no stop: an empty sum, 0.0
 
 
 def _stencil_residual(fn, N: int, p: float, lam: float, r_hi: float) -> float:
@@ -132,28 +131,24 @@ def shoot_Up(p: float, N: int, grid: RadialGrid) -> PowerSolution:
         r_star = math.acosh(TAIL_FRAC ** -k) / k
         return _package(p, N, 1.0, soliton, beta0, r_star, grid)
 
-    lo = hi = beta0
+    hi = beta0
     for _ in range(64):
         hi *= 1.3
-        overshoot, _sol = _integrate_profile(N, p, hi, dense=False)
-        if overshoot:
+        if _integrate_profile(N, p, hi, dense=False)[0] < 0:
             break
     else:
         raise BracketError("could not bracket the shooting parameter from above")
-    overshoot, _sol = _integrate_profile(N, p, lo, dense=False)
-    if overshoot:
-        raise BracketError("lower shooting bracket unexpectedly overshoots")
-    for _ in range(200):
-        if hi - lo <= SHOOT_REL_TOL * beta0:
-            break
-        mid = 0.5 * (lo + hi)
-        overshoot, _sol = _integrate_profile(N, p, mid, dense=False)
-        if overshoot:
-            hi = mid
-        else:
-            lo = mid
-    b = 0.5 * (lo + hi)
-    _overshoot, sol = _integrate_profile(N, p, b, dense=True)
+    from scipy.optimize import brentq
+
+    def signed_square(b):   # the miss grows like sqrt|b - b*|: this is near linear
+        miss = _integrate_profile(N, p, b, dense=False)[0]
+        return miss * abs(miss)
+
+    try:
+        b = brentq(signed_square, beta0, hi, xtol=SHOOT_REL_TOL * beta0)
+    except ValueError as exc:
+        raise BracketError("lower shooting bracket unexpectedly overshoots") from exc
+    sol = _integrate_profile(N, p, b, dense=True)[1]
 
     above = np.where(sol.y[0] >= TAIL_FRAC * b)[0]
     r_star = sol.t[above[-1]] if len(above) else sol.t[-1]

@@ -10,6 +10,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -807,6 +808,26 @@ def test_table_length_mismatch_is_bad_model_file(tmp_path, argv):
     assert "12 radii but 11 values" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("override, where", [
+    ({"N": math.inf}, "N must be the integer 1, 2 or 3, got inf"),
+    ({"N": 1.5}, "N must be the integer 1, 2 or 3, got 1.5"),
+    ({"N": True}, "N must be the integer 1, 2 or 3, got True"),
+    ({"nonlinearity": None}, "nonlinearity must be a JSON object"),
+    ({"nonlinearity": [1, 2]}, "nonlinearity must be a JSON object"),
+    ({"potential": None}, "potential must be a JSON object"),
+    ({"potential": {"kind": "harmonic", "params": [1.0, 99.0]}},
+     "too many params for harmonic: got 2, it takes at most 1"),
+], ids=["N-infinite", "N-fractional", "N-boolean", "nonlinearity-null",
+        "nonlinearity-list", "potential-null", "potential-extra-params"])
+def test_malformed_model_entry_is_bad_model_file(tmp_path, override, where):
+    # each is one usage line, never a traceback, and never read as another
+    # model (N = 1.5 or true as N = 1, extra params dropped)
+    proc = run_cli("validate", "--model", model_with(tmp_path, override), "--grid-n", "64")
+    assert proc.returncode == 64, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("ngs: bad model file: ")
+    assert proc.stderr.count("\n") == 1 and where in proc.stderr
 
 
 @pytest.mark.parametrize("table, where", [

@@ -281,6 +281,20 @@ def test_tabulated_interpolation_and_limits():
     assert math.isclose(float(p.V(mid)), expect, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("potential", [
+    {"kind": "zero", "params": [1.0]},
+    {"kind": "harmonic", "params": [1.0, 99.0]},
+    {"kind": "gaussian_well", "params": [1.0, 1.0, 2.0]},
+    {"kind": "power_coercive", "params": [1.0, 2.0, 3.0]},
+    {**tab_dict(np.linspace(0, 5, 10), [0.0] * 10), "params": [1.0]},
+], ids=["zero", "harmonic", "gaussian_well", "power_coercive", "tabulated"])
+def test_extra_potential_params_are_rejected(potential):
+    # a param the kind does not take is an error, not dropped: a run's
+    # manifest records the params it ran with, which must be the file's
+    with pytest.raises(ValueError, match="too many params for "):
+        make_model(1, ZERO_G, potential)
+
+
 def test_tabulated_unsettled_tail_flagged(grid):
     r = np.linspace(0.0, 20.0, 41)
     m = make_model(1, ZERO_V, tab_dict(r, -1.0 + 0.3 * np.sin(r)))

@@ -64,9 +64,10 @@ def test_line_center_is_first_integral_value(p, monkeypatch):
     r = sol.profile.grid.r
     assert np.max(np.abs(sol.profile.values - _line_soliton(p, 1.0, r))) \
         <= 4 * np.spacing(beta0)
-    # the integrator agrees that beta0 is the separatrix
-    assert _integrate_profile(1, p, beta0 * (1 + 1e-12), dense=False)[0]
-    assert not _integrate_profile(1, p, beta0 * (1 - 1e-12), dense=False)[0]
+    # the integrator agrees that beta0 is the separatrix: its miss is
+    # negative (an overshoot) just above and positive (an undershoot) below
+    assert _integrate_profile(1, p, beta0 * (1 + 1e-12), dense=False)[0] < 0
+    assert _integrate_profile(1, p, beta0 * (1 - 1e-12), dense=False)[0] > 0
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 5.0])
@@ -95,11 +96,40 @@ def test_line_matching_radius_is_where_the_tail_starts():
 
 
 def test_three_d_profile_is_pinned(n3_sol):
-    # the N >= 2 bisection is untouched by the N = 1 closed form; these pins
-    # are the center value and profile bytes it gave before that change
-    assert n3_sol.center_value.hex() == "0x1.1597c27ee4ceep+2"
+    # the center value and profile bytes of Brent's search on the signed
+    # miss; the bisection it replaced gave OLD_CENTER, to 1e-14 relative
+    OLD_CENTER = float.fromhex("0x1.1597c27ee4ceep+2")
+    assert n3_sol.center_value.hex() == "0x1.1597c27ee4ceap+2"
+    assert abs(n3_sol.center_value - OLD_CENTER) <= 1e-14 * OLD_CENTER
     digest = hashlib.sha256(n3_sol.profile.values.tobytes()).hexdigest()
-    assert digest == "41c2b1b53d369b61df5db86f9ce1b120c8ae88dc766b0085b052313fca6f66e0"
+    assert digest == "6339de8d15fb8b44cc7b5fbf391775831101693d7dc1367da2ad14ba054a7f9a"
+
+
+@pytest.mark.parametrize("p,N", [(3.0, 2), (3.0, 3), (7.0 / 3.0, 3)],
+                         ids=["p3-N2", "p3-N3", "p7/3-N3"])
+def test_three_d_separatrix_is_certified(p, N, monkeypatch):
+    # one stop event and Brent's method on the signed miss take at most 32
+    # integrations; the integrator overshoots just above the center value
+    # and undershoots just below
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _integrate_profile(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_integrate_profile", counted)
+    b = shoot_Up(p, N, RadialGrid(N, 20.0, 400)).center_value
+    assert len(calls) <= 32
+    assert _integrate_profile(N, p, b * (1 + 1e-12), dense=False)[0] < 0
+    assert _integrate_profile(N, p, b * (1 - 1e-12), dense=False)[0] > 0
+
+
+def test_overshooting_lower_bracket_is_a_bracket_error(monkeypatch):
+    # beta0 bounds the N >= 2 center value from below; were it to overshoot,
+    # Brent's method would find no sign change, and the search says so
+    monkeypatch.setattr(oracle, "_integrate_profile", lambda N, p, b, dense: (-1.0, None))
+    with pytest.raises(BracketError, match="lower shooting bracket unexpectedly overshoots"):
+        shoot_Up(3.0, 3, RadialGrid(3, 10.0, 200))
 
 
 def test_three_d_profile_shape(n3_sol):
