@@ -22,7 +22,10 @@ imports ngs from that tree's src/ and reads that tree's models/:
 * quadratic_form_infimum on the four ground_state models with a potential,
   and on the depth-3, width-1 Gaussian well with g = 0 in N = 2 and N = 3;
 * oracle.shoot_Up for (p, N) = (3, 2) and (7/3, 3) (R = 20, n = 400), its
-  record without profile_fn, which is a function.
+  record without profile_fn, which is a function;
+* the two read paths: grids.load_profile of the solve_cubic_free
+  scenario's profile.csv, and load_model of tabulated_well (its
+  fingerprint, its table, and its Discretization's V on R = 20, n = 2000).
 
 A case's digest is one SHA-256 over everything its call returns: every
 float as float.hex, every int, bool and string, and every array's dtype,
@@ -101,7 +104,7 @@ def _cases(models_dir: Path) -> dict:
     """Name -> zero-argument call, for the ngs package importable here."""
     import numpy as np
 
-    from ngs import curves, energy, flow, oracle
+    from ngs import curves, energy, flow, grids, oracle
     from ngs.grids import RadialGrid
     from ngs.models import load_model, make_model
 
@@ -147,13 +150,22 @@ def _cases(models_dir: Path) -> dict:
         cases[f"quadratic_form_infimum {name}"] = (
             lambda name=name: curves.quadratic_form_infimum(model(name), grid))
     for N in (2, 3):
-        well = make_model(N, {"kind": "zero", "params": []},
+        well = make_model(N, {"kind": "zero", "terms": []},
                           {"kind": "gaussian_well", "params": [3.0, 1.0]})
         cases[f"quadratic_form_infimum N={N} well"] = (
             lambda well=well, N=N: curves.quadratic_form_infimum(well, RadialGrid(N, 20.0, 2000)))
     for p, N in ((3.0, 2), (7.0 / 3.0, 3)):
         cases[f"shoot_Up p={p:.4g} N={N}"] = lambda p=p, N=N: oracle.shoot_Up(
             p, N, RadialGrid(N, 20.0, 400))._replace(profile_fn=None)
+    cases["load_profile solve_cubic_free"] = lambda: grids.load_profile(
+        models_dir.parent / "scenarios" / "solve_cubic_free" / "profile.csv")
+
+    def read_tabulated():
+        m = model("tabulated_well")
+        return {"fingerprint": m.fingerprint(), "table": (m.potential.table_r, m.potential.table_v),
+                "V": energy.discretization(RadialGrid(m.N, 20.0, 2000), m).V}
+
+    cases["load_model tabulated_well"] = read_tabulated
     return cases
 
 

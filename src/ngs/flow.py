@@ -249,12 +249,6 @@ def vanishing_diagnostic(u: GridFunction) -> float:
 
 
 @functools.lru_cache(maxsize=16)
-def _edge_start(grid: RadialGrid) -> int:
-    """The first node of the boundary-contact zone r >= 0.95 R."""
-    return int(np.searchsorted(grid.r, 0.95 * grid.R, side="left"))
-
-
-@functools.lru_cache(maxsize=16)
 def _gaussian_shape(grid: RadialGrid, width: float) -> tuple[np.ndarray, float]:
     """The unit-peak Gaussian of a width on the grid and its mass; shared, so read-only."""
     vals = np.exp(-grid.r**2 / (2.0 * width * width))
@@ -443,8 +437,8 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
         warnings.append(
             "converged starts disagree beyond 1e-6; all basin energies reported"
         )
-    # out has mass a > 0, and n >= 64 puts the last node in the edge zone
-    edge = out.values[_edge_start(grid):]
+    # the edge zone r >= 0.95 R holds the last node (n >= 64); out has mass a > 0
+    edge = out.values[np.searchsorted(grid.r, 0.95 * grid.R):]
     contact = float(np.max(np.abs(edge))) > BOUNDARY_REL_TOL * out.peak
     if contact:
         warnings.append(

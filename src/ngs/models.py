@@ -201,11 +201,6 @@ class PotentialModel:
             object.__setattr__(self, "params", ())
         if not np.all(np.isfinite(self.params)):
             raise ValueError("potential parameters must be finite")
-        # hashed once, as the discretization cache hashes models on every lookup
-        object.__setattr__(self, "_table_hash", hash((self.table_r, self.table_v)))
-
-    def __hash__(self):
-        return hash((self.kind, self.params, self._table_hash))
 
     # --- evaluation ---
 
@@ -329,19 +324,43 @@ class Model:
                      potential=PotentialModel.zero())
 
 
+def _section(name: str, section, keys: tuple[str, ...]) -> dict:
+    """section, if it is a JSON object with no key outside keys."""
+    if not isinstance(section, dict):
+        raise ModelFormatError(f"{name} must be a JSON object")
+    unknown = [key for key in section if key not in keys]
+    if unknown:
+        raise ModelFormatError(f"{name} has unknown key {unknown[0]!r}")
+    return section
+
+
+def _list(name: str, values) -> list:
+    if not isinstance(values, list):
+        raise ModelFormatError(f"{name} must be a JSON list, got {values!r}")
+    return values
+
+
+def _number(name: str, x) -> float:
+    """x as a float, if it is a number: a string or a bool is not, an np.float64 is."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ModelFormatError(f"{name} must be a number, got {x!r}")
+    return float(x)
+
+
 def make_model(N: int, nonlinearity: dict, potential: dict, base_dir=None) -> Model:
     if isinstance(N, bool) or N not in (1, 2, 3):   # 1.5 or true is no dimension
         raise ModelFormatError(f"N must be the integer 1, 2 or 3, got {N!r}")
     N = int(N)
-    for name, section in (("nonlinearity", nonlinearity), ("potential", potential)):
-        if not isinstance(section, dict):
-            raise ModelFormatError(f"{name} must be a JSON object")
-    terms = tuple(
-        (float(t["coef"]), float(t["sigma"])) for t in nonlinearity.get("terms", [])
-    )
-    nl = NonlinearityModel(kind=nonlinearity["kind"], terms=terms, N=N)
-    kind = potential["kind"]
-    params = tuple(float(x) for x in potential.get("params", []))
+    _section("nonlinearity", nonlinearity, ("kind", "terms"))
+    kind = _section("potential", potential, ("kind", "params", "table"))["kind"]
+    if "table" in potential and kind != "tabulated":
+        raise ModelFormatError("potential has unknown key 'table': only tabulated takes one")
+    terms = [_section("nonlinearity term", t, ("coef", "sigma"))
+             for t in _list("nonlinearity terms", nonlinearity.get("terms", []))]
+    nl = NonlinearityModel(kind=nonlinearity["kind"], N=N, terms=tuple(
+        (_number("coef", t["coef"]), _number("sigma", t["sigma"])) for t in terms))
+    params = tuple(_number("potential param", x)
+                   for x in _list("potential params", potential.get("params", [])))
     if kind == "tabulated":
         table = potential.get("table")
         if isinstance(table, dict):
@@ -379,6 +398,7 @@ def load_model(path) -> Model:
             column=exc.colno,
         ) from exc
     try:
+        _section("top level", data, ("N", "nonlinearity", "potential"))
         return make_model(
             N=data["N"],
             nonlinearity=data["nonlinearity"],

@@ -72,19 +72,6 @@ def _parse_bool(cell: str) -> bool:
     return cell == "true"
 
 
-def _by_columns(rows: list, parsers: list) -> list[list] | None:
-    """The columns of rows, each converted in one pass, or None if a row is
-    short or a cell does not parse."""
-    if not rows:
-        return [[] for _ in parsers]
-    if min(map(len, rows)) < len(parsers):
-        return None
-    try:
-        return [list(map(parse, col)) for parse, col in zip(parsers, zip(*rows))]
-    except ValueError:
-        return None
-
-
 def read_csv(path, columns: dict) -> list[list]:
     """The columns of a CSV file whose header starts with the names of columns.
 
@@ -93,9 +80,7 @@ def read_csv(path, columns: dict) -> list[list]:
     order, of that column's converted cells. Blank lines and further
     columns are skipped; any line end reads. A missing or wrong header, a
     short row, a cell that does not parse or malformed CSV raise ValueError
-    naming the file and the line. Each column is converted in one pass; the
-    rows are read again one by one only to name the line of a short row or
-    of a cell that does not parse.
+    naming the file and the line. The file is read once, row by row.
     """
     names = list(columns)
     parsers = [_parse_bool if kind is bool else kind for kind in columns.values()]
@@ -105,17 +90,12 @@ def read_csv(path, columns: dict) -> list[list]:
             header = next(reader, None)
             if header is not None and [cell.strip() for cell in header[:len(names)]] != names:
                 raise ValueError(f"expected header {','.join(names)}, got {header!r}")
-            cols = _by_columns(list(filter(None, reader)), parsers)   # blank lines read as []
-            if cols is None:
-                fh.seek(0)
-                reader = csv.reader(fh)
-                next(reader)
-                rows = []
-                for row in filter(None, reader):
-                    if len(row) < len(names):
-                        raise ValueError(f"expected {','.join(names)}, got {row!r}")
-                    rows.append([parse(cell) for parse, cell in zip(parsers, row)])
-                cols = [list(col) for col in zip(*rows)]
+            cols = [[] for _ in names]
+            for row in filter(None, reader):   # blank lines read as []
+                if len(row) < len(names):
+                    raise ValueError(f"expected {','.join(names)}, got {row!r}")
+                for col, parse, cell in zip(cols, parsers, row):
+                    col.append(parse(cell))
         except (csv.Error, ValueError) as exc:   # UnicodeDecodeError too
             raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
     if header is None:

@@ -19,7 +19,7 @@ from ngs.models import Model, make_model
 
 MODELS_DIR = Path(__file__).resolve().parents[1] / "models"
 
-ZERO_G = {"kind": "zero", "params": []}
+ZERO_G = {"kind": "zero", "terms": []}
 ZERO_V = {"kind": "zero", "params": []}
 
 

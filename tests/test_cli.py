@@ -810,6 +810,9 @@ def test_table_length_mismatch_is_bad_model_file(tmp_path, argv):
     assert not out.exists()
 
 
+CUBIC = {"kind": "power_sum", "terms": [{"coef": 1.0, "sigma": 2.0}]}
+
+
 @pytest.mark.parametrize("override, where", [
     ({"N": math.inf}, "N must be the integer 1, 2 or 3, got inf"),
     ({"N": 1.5}, "N must be the integer 1, 2 or 3, got 1.5"),
@@ -819,15 +822,42 @@ def test_table_length_mismatch_is_bad_model_file(tmp_path, argv):
     ({"potential": None}, "potential must be a JSON object"),
     ({"potential": {"kind": "harmonic", "params": [1.0, 99.0]}},
      "too many params for harmonic: got 2, it takes at most 1"),
+    ({"potential": {"kind": "harmonic", "param": [3.0]}}, "potential has unknown key 'param'"),
+    ({"potential": {"kind": "harmonic", "params": [3.0], "table": "t.csv"}},
+     "potential has unknown key 'table'"),
+    ({"nonlinearity": {"kind": "power_sum", "terms": [{"coef": 1.0, "sigma": 2.0, "extra": 5}]}},
+     "nonlinearity term has unknown key 'extra'"),
+    ({"nonlinearity": {**CUBIC, "termz": []}}, "nonlinearity has unknown key 'termz'"),
+    ({"nonlinearity": {**CUBIC, "sigma": 4.0}}, "nonlinearity has unknown key 'sigma'"),
+    ({"extra": 5}, "top level has unknown key 'extra'"),
+    ({"potential": {"kind": "gaussian_well", "params": "12"}},
+     "potential params must be a JSON list, got '12'"),
+    ({"potential": {"kind": "harmonic", "params": "2"}},
+     "potential params must be a JSON list, got '2'"),
+    ({"nonlinearity": {"kind": "power_sum", "terms": {"coef": 1.0, "sigma": 2.0}}},
+     "nonlinearity terms must be a JSON list"),
+    ({"nonlinearity": {"kind": "power_sum", "terms": [{"coef": True, "sigma": 2.0}]}},
+     "coef must be a number, got True"),
+    ({"nonlinearity": {"kind": "power_sum", "terms": [{"coef": 1.0, "sigma": "2"}]}},
+     "sigma must be a number, got '2'"),
+    ({"potential": {"kind": "harmonic", "params": [True]}},
+     "potential param must be a number, got True"),
 ], ids=["N-infinite", "N-fractional", "N-boolean", "nonlinearity-null",
-        "nonlinearity-list", "potential-null", "potential-extra-params"])
+        "nonlinearity-list", "potential-null", "potential-extra-params",
+        "potential-key", "table-not-tabulated", "term-key", "nonlinearity-termz",
+        "nonlinearity-sigma", "top-level-key", "params-string", "params-one-char",
+        "terms-object", "coef-boolean", "sigma-string", "param-boolean"])
 def test_malformed_model_entry_is_bad_model_file(tmp_path, override, where):
     # each is one usage line, never a traceback, and never read as another
-    # model (N = 1.5 or true as N = 1, extra params dropped)
-    proc = run_cli("validate", "--model", model_with(tmp_path, override), "--grid-n", "64")
+    # model (N = 1.5 or true as N = 1, extra params dropped, a misspelt key
+    # as its default, a string one character at a time)
+    out = tmp_path / "out"
+    proc = run_cli("validate", "--model", model_with(tmp_path, override), "--grid-n", "64",
+                   "--out", out)
     assert proc.returncode == 64, proc.stdout + proc.stderr
     assert proc.stderr.startswith("ngs: bad model file: ")
     assert proc.stderr.count("\n") == 1 and where in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("table, where", [

@@ -30,7 +30,7 @@ def free_cubic():
 
 @pytest.fixture(scope="module")
 def harmonic_linear():
-    return make_model(1, {"kind": "zero", "params": []}, harmonic_v(1.0))
+    return make_model(1, {"kind": "zero", "terms": []}, harmonic_v(1.0))
 
 
 def unit_gaussian(grid):
@@ -50,7 +50,7 @@ def test_evaluate_zero_field(grid12, free_cubic):
 
 
 def test_evaluate_gaussian_free(grid12):
-    linear = make_model(1, {"kind": "zero", "params": []}, ZERO_V)
+    linear = make_model(1, {"kind": "zero", "terms": []}, ZERO_V)
     rep = evaluate(unit_gaussian(grid12), linear)
     assert abs(rep.J - 0.25) <= 1e-4
     assert rep.J == rep.I
@@ -134,7 +134,7 @@ def test_pohozaev_generic_gaussian_not_stationary(grid12, free_cubic):
 
 
 def test_pohozaev_reduces_to_kinetic_without_g_and_V(grid12):
-    linear = make_model(1, {"kind": "zero", "params": []}, ZERO_V)
+    linear = make_model(1, {"kind": "zero", "terms": []}, ZERO_V)
     u = unit_gaussian(grid12)
     assert pohozaev_residual(u, linear) == kinetic(u)
 

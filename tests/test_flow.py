@@ -340,6 +340,10 @@ def test_operator_is_shared_by_value_of_grid_and_model(small_grid):
     assert energy.discretization(RadialGrid(1, 16.0, 800), load_model(path)) is not op
     assert energy.discretization(small_grid, load_model(MODELS_DIR / "harmonic_cubic.json")) \
         is not op
+    # a tabulated potential compares and hashes by its table's values
+    table = MODELS_DIR / "tabulated_well.json"
+    assert energy.discretization(small_grid, load_model(table)) \
+        is energy.discretization(small_grid, load_model(table))
 
 
 @pytest.mark.parametrize("name, a", [("gaussian_well_mixed", 3.0), ("quintic_free", 2.7)])

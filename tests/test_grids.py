@@ -1,4 +1,5 @@
 """Discretization layer: quadrature, Laplacian, gradient norm, interpolation bound."""
+import csv
 import math
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import MODELS_DIR, bumps, read_csv_row_by_row
+from ngs import utils
 from ngs.grids import (
     PROFILE_COLUMNS,
     SPHERE_MEASURE,
@@ -231,8 +233,8 @@ def test_profile_roundtrip(tmp_path):
 
 
 def test_scenario_profile_reads_as_row_by_row():
-    # utils.read_csv converts each column in one pass; the cells and their
-    # types are those a row-by-row reader gives, by column
+    # utils.read_csv returns one list per column; the cells and their types
+    # are those a plain row-by-row reader gives, by column
     path = MODELS_DIR.parent / "scenarios" / "solve_cubic_free" / "profile.csv"
     cols = read_csv(path, PROFILE_COLUMNS)
     assert [len(col) for col in cols] == [2000, 2000]
@@ -253,6 +255,18 @@ def test_malformed_profile_names_file_and_line(tmp_path, edit, where):
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     with pytest.raises(ValueError, match=f"prof.csv {where}"):
         load_profile(path)
+
+
+def test_a_malformed_file_is_read_once(tmp_path, monkeypatch):
+    # the row that fails is named from the one pass, not from a second read
+    path = save_profile(gaussian(RadialGrid(1, 9.0, 200)), tmp_path / "prof.csv")[0]
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + ["0.5,abc"] + lines[3:]) + "\n")
+    readers, reader = [], csv.reader
+    monkeypatch.setattr(utils.csv, "reader", lambda *a: readers.append(a) or reader(*a))
+    with pytest.raises(ValueError, match="prof.csv line 3: could not convert"):
+        read_csv(path, PROFILE_COLUMNS)
+    assert len(readers) == 1
 
 
 # --- property tests ---

@@ -255,22 +255,22 @@ def tab_dict(r, v):
 def test_tabulated_needs_enough_samples():
     r = np.linspace(0, 5, 7)
     with pytest.raises(ValueError):
-        make_model(1, ZERO_V, tab_dict(r, -np.exp(-r)))
+        make_model(1, ZERO_G, tab_dict(r, -np.exp(-r)))
 
 
 def test_tabulated_radii_validated():
     v = [0.0] * 10
     with pytest.raises(ValueError):
-        make_model(1, ZERO_V, tab_dict(np.linspace(1, 5, 10), v))
+        make_model(1, ZERO_G, tab_dict(np.linspace(1, 5, 10), v))
     bad = list(np.linspace(0, 5, 10))
     bad[4] = bad[3]
     with pytest.raises(ValueError):
-        make_model(1, ZERO_V, tab_dict(bad, v))
+        make_model(1, ZERO_G, tab_dict(bad, v))
 
 
 def test_tabulated_interpolation_and_limits():
     r = np.linspace(0.0, 25.0, 251)
-    m = make_model(1, ZERO_V, tab_dict(r, -np.exp(-(r**2))))
+    m = make_model(1, ZERO_G, tab_dict(r, -np.exp(-(r**2))))
     p = m.potential
     assert np.allclose(p.V(r), -np.exp(-(r**2)))
     assert abs(p.V_inf) <= 1e-12          # mean over the settled tail
@@ -297,7 +297,7 @@ def test_extra_potential_params_are_rejected(potential):
 
 def test_tabulated_unsettled_tail_flagged(grid):
     r = np.linspace(0.0, 20.0, 41)
-    m = make_model(1, ZERO_V, tab_dict(r, -1.0 + 0.3 * np.sin(r)))
+    m = make_model(1, ZERO_G, tab_dict(r, -1.0 + 0.3 * np.sin(r)))
     assert not m.potential.tail_settled()
     assert not classify_V(m.potential, grid).V1
 
@@ -359,8 +359,8 @@ def test_fingerprint_separates_potentials():
 
 def test_harmonic_and_well_parameter_validation():
     with pytest.raises(ValueError):
-        make_model(1, ZERO_V, harmonic_v(-1.0))
+        make_model(1, ZERO_G, harmonic_v(-1.0))
     with pytest.raises(ValueError):
-        make_model(1, ZERO_V, well_v(-2.0))
+        make_model(1, ZERO_G, well_v(-2.0))
     with pytest.raises(ValueError):
-        make_model(1, ZERO_V, {"kind": "gaussian_well", "params": []})
+        make_model(1, ZERO_G, {"kind": "gaussian_well", "params": []})
