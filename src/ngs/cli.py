@@ -73,7 +73,8 @@ def _add_common(parser: argparse.ArgumentParser, handler, replay, *,
         parser.add_argument("--tol", dest="tol_grad", type=float, default=None,
                             metavar="TOL", help="stationarity residual tolerance")
         parser.add_argument("--max-iters", type=int, default=None,
-                            help="cap on the linear solves of one start")
+                            help="cap on the linear solves of one start, on n/2 "
+                                 "and n together")
         parser.add_argument("--starts", type=int, default=None,
                             help="number of initial profiles")
     parser.add_argument("--out", required=needs_out, default=None, metavar="DIR",
@@ -185,9 +186,13 @@ def _cmd_solve(args, run: _Run) -> int:
     write_csv(out_dir / "trace.csv", ("iter", "J"), result.energy_trace)
 
     tag = "converged" if result.converged else (result.reason or "not converged")
+    solves = f"{result.iterations} solves"
+    if result.start_grid_n != run.grid.n:
+        solves = (f"{result.all_start_solves[result.start_index]} solves on "
+                  f"n = {result.start_grid_n}, then {solves} on n = {run.grid.n}")
     print(f"a = {args.mass:.12g}: J = {result.energy:.12g}, "
           f"lambda = {result.lam:.12g}, residual = {result.residual_norm:.3g} "
-          f"({tag}, {result.iterations} solves)")
+          f"({tag}, {solves})")
     for note in result.warnings:
         print(f"note: {note}")
     if result.converged:

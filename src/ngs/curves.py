@@ -210,12 +210,10 @@ def threshold_a0(model: Model, grid: RadialGrid,
     this keeps quadrature noise from steering the bisection. Each probe runs
     a minimization with an early exit once the energy is decisively
     negative (below -15 DEADBAND, in place of config.stop_energy_below),
-    since the probe only needs a sign. A probe's energy is the lowest J any
-    start reached, converged or not: every field on the mass sphere bounds
-    the infimum from above, so one start below -DEADBAND proves the
-    minimum negative. Its converged and reason are those of the start that
-    reached it: minimize's, unless that start's J is below the winner's
-    beyond 1e-12 (1 + |J|).
+    since the probe only needs a sign. A probe's energy, converged and
+    reason are minimize's: a start that ends below that floor wins over any
+    converged start, and every field on the mass sphere bounds the infimum
+    from above, so one such field proves the minimum negative.
     """
     a_lo, a_hi = float(bracket[0]), float(bracket[1])
     if not 0 < a_lo < a_hi < math.inf:
@@ -228,13 +226,9 @@ def threshold_a0(model: Model, grid: RadialGrid,
 
     def probe(a: float) -> float:
         res = minimize(a, model, grid, probe_config)
-        J = min(res.all_start_energies)
-        converged, reason = res.converged, res.reason
-        if J < res.energy - 1e-12 * (1.0 + abs(J)):
-            reason = res.all_start_reasons[res.all_start_energies.index(J)]
-            converged = reason is None
-        evaluations.append({"a": a, "J": J, "converged": converged, "reason": reason})
-        return J
+        evaluations.append({"a": a, "J": res.energy, "converged": res.converged,
+                            "reason": res.reason})
+        return res.energy
 
     a0, half_width, below = bisect_threshold(probe, (a_lo, a_hi), DEADBAND)
     note = ("energy already negative at the lower bracket; the threshold is "

@@ -29,6 +29,17 @@ sign-changing field is not converged ("sign-change"), since it has reached
 another critical point. A non-finite J, residual or shift, or a trial
 field of zero or non-finite mass, raises NumericalError.
 
+minimize runs its starts on the half grid of n/2 cells when n is even and
+n/2 >= 64, and finishes only the winner on n: each start, built on n, is
+restricted by pair averages and rescaled to mass a; the winner, among the
+starts that converged or ended on the energy floor, is prolonged by linear
+interpolation between cell centres, rescaled, and run as one more start on
+n with the solves its search left and the sign of its start on n. The
+starts take about as many solves on n/2 as on n, each on half the nodes,
+and the finish one or two more on n. Its J and the winner's J on n/2 give
+Richardson's estimate (C - C_half)/3 of the h^2 error (Richardson, Phil.
+Trans. R. Soc. A 210, 1911; Brandt, Math. Comp. 31, 1977).
+
 Every value the solver reports comes from the one shared
 energy.Discretization of (grid, model) (energy.discretization), the instance
 energy.evaluate, the identity functions and the spectrum read, so they agree
@@ -162,12 +173,15 @@ class GroundStateResult(NamedTuple):
     lam: float
     energy: float                    # J[u], the curve-value estimate
     residuals: energy_mod.IdentityResiduals
-    energy_trace: list               # (solve, J) of the start and each accepted step
+    # the run on n that gives u: the winner's finish, or the winner itself
+    # when the starts ran on n
+    energy_trace: list               # (solve, J) of its start and each accepted step
     converged: bool
     start_index: int
     reason: str | None
-    iterations: int                  # solves of the winning start, accepted or not
+    iterations: int                  # solves of that run on n, accepted or not
     residual_norm: float
+    # the starts, on the grid of start_grid_n cells
     all_start_energies: list
     all_start_solves: list           # one dgtsv each
     all_start_rejected_steps: list
@@ -175,13 +189,23 @@ class GroundStateResult(NamedTuple):
     all_start_reasons: list
     start_disagreement: bool
     warnings: list
+    start_grid_n: int
+    # the search winner's J on n/2, if both it and the finish converged
+    energy_half_grid: float | None
 
     def to_dict(self) -> dict:
+        # Richardson's estimate of C_true - C for an h^2 error; not a bound
+        half = self.energy_half_grid
+        estimate = None if half is None else (self.energy - half) / 3.0
         return {
             "a": self.a,
             "mass": grids.mass(self.u),
             "lambda": self.lam,
             "C_a_estimate": self.energy,
+            "C_a_half_grid": self.energy_half_grid,
+            "C_a_extrapolated": None if estimate is None else self.energy + estimate,
+            "discretization_error_estimate": estimate,
+            "start_grid_n": self.start_grid_n,
             "residuals": self.residuals.to_dict(),
             "converged": self.converged,
             "reason": self.reason,
@@ -309,12 +333,20 @@ def _degenerate() -> NumericalError:
 
 
 def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
-               config: SolverConfig) -> _StartOutcome:
-    """Shifted bordered Newton steps from the mass-a field v; see the module."""
+               config: SolverConfig, max_iters: int | None = None,
+               start: np.ndarray | None = None) -> _StartOutcome:
+    """Shifted bordered Newton steps from the mass-a field v; see the module.
+
+    max_iters, if given, caps the solves in place of config.max_iters, and
+    the end field must keep the sign of start (default v): a finish on n
+    has the solves its search left, and the sign of the start it came from.
+    """
     nonlinearity = op.model.nonlinearity
     (sub, _, sup), w, w2 = op.lap, op.w, op.w2
     floor = config.stop_energy_below
-    start = v
+    cap = config.max_iters if max_iters is None else max_iters
+    if start is None:
+        start = v
     # each iterate's square, nonlinearity, masses and stationarity are
     # computed once and carried into the step from it
     usq = v * v
@@ -335,7 +367,7 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
         if floor is not None and J < floor:
             reason = "energy-floor"
             break
-        if solves == config.max_iters:
+        if solves == cap:
             reason = "max-iters"
             break
         solves += 1
@@ -380,16 +412,74 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
                          solves=solves, rejected=rejected, trace=trace)
 
 
+def _winner(outcomes: list) -> int:
+    """The first start within 1e-12 (1 + |J_min|) of the lowest J of the pool.
+
+    The pool is the starts that converged or ended on the energy floor, or
+    every start if none did; the rounding margin keeps rounding noise from
+    choosing among starts that reached the same state.
+    """
+    pool = [i for i, o in enumerate(outcomes)
+            if o.converged or o.reason == "energy-floor"] or range(len(outcomes))
+    J_min = min(outcomes[i].J for i in pool)
+    return next(i for i in pool if outcomes[i].J <= J_min + 1e-12 * (1.0 + abs(J_min)))
+
+
+@functools.lru_cache(maxsize=16)
+def _half_grid(grid: RadialGrid) -> RadialGrid | None:
+    """The grid of n/2 cells minimize searches on, or None: n odd or n/2 < 64.
+
+    Cached, as _ball_bounds is: building it takes about 50 us at n/2 = 1000.
+    """
+    if grid.n % 2 or grid.n // 2 < 64:
+        return None
+    return RadialGrid(grid.N, grid.R, grid.n // 2)
+
+
+def _restrict(values: np.ndarray) -> np.ndarray:
+    """Pair averages: coarse cell k is the union of fine cells 2k and 2k + 1."""
+    return 0.5 * (values[0::2] + values[1::2])
+
+
+def _prolong(values: np.ndarray) -> np.ndarray:
+    """Linear interpolation from n/2 cell centres to n.
+
+    Fine node 2k, at a quarter coarse cell inside coarse node k, takes
+    3/4 c_k + 1/4 c_{k-1}, and node 2k + 1 takes 3/4 c_k + 1/4 c_{k+1}, with
+    the grid's boundary conventions as ghosts: c_{-1} = c_0 (even reflection
+    at 0) and c_{n/2} = -c_{n/2-1} (the zero on the face at R).
+    """
+    out = np.empty(2 * len(values))
+    out[0] = values[0]
+    out[1:-1:2] = 0.75 * values[:-1] + 0.25 * values[1:]
+    out[2::2] = 0.75 * values[1:] + 0.25 * values[:-1]
+    out[-1] = 0.5 * values[-1]
+    return out
+
+
+def _with_mass(values: np.ndarray, grid: RadialGrid, a: float) -> np.ndarray:
+    m = float(grid.w.dot(values * values))
+    if not m > 0.0:
+        raise ValueError(f"a start has no mass on the grid of {grid.n} cells")
+    return values * math.sqrt(a / m)
+
+
 def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = None,
              warm_start: GridFunction | None = None) -> GroundStateResult:
     """Best-of-starts constrained minimization of J at mass a.
 
     Initial profiles are mass-a Gaussians of staggered widths, optionally
-    preceded by a caller-supplied warm start (rescaled to mass a). The
+    preceded by a caller-supplied warm start (rescaled to mass a), all built
+    on grid. When n is even and n/2 >= 64, each start is restricted to the
+    half grid of n/2 cells by pair averages and rescaled to mass a, the
+    starts run there, and the winner is prolonged to n, rescaled and
+    finished there with the solves its search left of config.max_iters;
+    otherwise the starts run on n and the winner is not finished. The
     winner is the first start, in start order, whose J is within
-    1e-12 (1 + |J_min|) of the lowest, among the converged starts if any
-    converged. Never raises on non-convergence; inspect converged/reason on
-    the result. Raises NumericalError if a start reaches a degenerate field.
+    1e-12 (1 + |J_min|) of the lowest, among the starts that converged or
+    ended below config.stop_energy_below if any did. Never raises on
+    non-convergence; inspect converged/reason on the result. Raises
+    NumericalError if a start reaches a degenerate field.
     """
     if not 0 < a < math.inf:
         raise ValueError(f"mass must be positive and finite, got {a}")
@@ -406,31 +496,31 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
         starts.append(warm_start.values * math.sqrt(a / m))
     for width in _start_widths(config.starts - len(starts)):
         starts.append(gaussian_start(grid, width, a).values)
+    half = _half_grid(grid)
+    search, searched = op, starts
+    if half is not None:
+        search = energy_mod.discretization(half, model)
+        # built on n and restricted: a narrow Gaussian with mass on n can
+        # underflow where it is sampled at the half grid's nodes
+        searched = [_with_mass(_restrict(v), half, a) for v in starts]
 
     # an overflow surfaces as a non-finite energy, residual or mass, which
     # raises NumericalError; NumPy need not warn about it too
     with np.errstate(over="ignore", invalid="ignore"):
-        outcomes = [_run_start(op, v, a, config) for v in starts]
-
-    converged_idx = [i for i, o in enumerate(outcomes) if o.converged]
-    pool = converged_idx or range(len(outcomes))
-    best = min(pool, key=lambda i: outcomes[i].J)
-    # the first start within rounding of the lowest J wins, so that rounding
-    # noise does not choose among starts that reached the same state
-    J_min = outcomes[best].J
-    best = next((i for i in pool
-                 if outcomes[i].J <= J_min + 1e-12 * (1.0 + abs(J_min))), best)
-    out = outcomes[best]
+        outcomes = [_run_start(search, v, a, config) for v in searched]
+        best = _winner(outcomes)
+        won = out = outcomes[best]
+        if half is not None:
+            out = _run_start(op, _with_mass(_prolong(won.values), grid, a), a, config,
+                             max_iters=config.max_iters - won.solves, start=starts[best])
     u = GridFunction(grid, out.values)
 
     # the winner's last stationarity and nonlinearity give its identities
     residuals = energy_mod.IdentityResiduals(
         out.nehari, energy_mod.pohozaev_residual(u, model, out.nl), out.lam)
 
-    disagreement = False
-    if len(converged_idx) > 1:
-        spread = [outcomes[i].J for i in converged_idx]
-        disagreement = bool(max(spread) - min(spread) > 1e-6)
+    spread = [o.J for o in outcomes if o.converged]
+    disagreement = len(spread) > 1 and max(spread) - min(spread) > 1e-6
 
     warnings = []
     if disagreement:
@@ -474,4 +564,7 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
         all_start_reasons=[o.reason for o in outcomes],
         start_disagreement=disagreement,
         warnings=warnings,
+        start_grid_n=search.grid.n,
+        energy_half_grid=(won.J if half is not None and won.converged and out.converged
+                          else None),
     )

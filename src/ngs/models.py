@@ -364,7 +364,9 @@ def make_model(N: int, nonlinearity: dict, potential: dict, base_dir=None) -> Mo
     if kind == "tabulated":
         table = potential.get("table")
         if isinstance(table, dict):
-            tr, tv = table["r"], table["V"]
+            _section("potential table", table, ("r", "V"))
+            tr, tv = ([_number(f"table {key}", x) for x in _list(f"table {key}", table[key])]
+                      for key in ("r", "V"))
         elif table is not None:   # a CSV file, relative to the model file
             path = Path(base_dir or "", table)
             try:

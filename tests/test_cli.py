@@ -86,22 +86,38 @@ def test_solve_oracle_case_artifacts(solve_dir):
     assert abs(result["lambda"] - 1.0) <= 1e-3
     assert abs(result["mass"] - 4.0) <= 1e-12 * 4.0
     assert set(result["residuals"]) == {"nehari", "pohozaev", "lambda"}
-    # the winner's solves are its iterations; every solve is accepted or not
-    assert result["iterations"] == result["all_start_solves"][result["start_index"]]
-    rejected = result["all_start_rejected_steps"][result["start_index"]]
-    assert result["trace_length"] == result["iterations"] - rejected + 1
+    # the starts ran on n/2 and the winner was finished on n: the finish's
+    # solves are the iterations, each accepted here, and the trace holds
+    # its start and its accepted steps
+    assert result["start_grid_n"] == 600
+    assert (result["iterations"], result["trace_length"]) == (2, 3)
+    assert result["iterations"] + result["all_start_solves"][result["start_index"]] <= 1000
 
     assert (solve_dir / "profile.csv").is_file()
     assert (solve_dir / "profile.json").is_file()
     trace = (solve_dir / "trace.csv").read_text().splitlines()
     assert trace[0] == "iter,J"
-    assert len(trace) > 2
+    assert len(trace) == result["trace_length"] + 1 > 2
 
     manifest = json.loads((solve_dir / "manifest.json").read_text())
     assert manifest["subcommand"] == "solve"
     assert set(manifest["outputs"]) == {
         "result.json", "profile.csv", "profile.json", "trace.csv"
     }
+
+
+def test_solve_prints_the_solves_on_both_grids(tmp_path):
+    # the starts ran on n/2 and the winner's finish on n: the summary line
+    # names both, not only the finish's solves that result.json calls
+    # iterations
+    out = tmp_path / "run"
+    proc = run_cli("solve", "--model", MODELS_DIR / "power3_free.json", "--mass", "4",
+                   *SMALL, "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads((out / "result.json").read_text())
+    searched = result["all_start_solves"][result["start_index"]]
+    assert (f"(converged, {searched} solves on n = 200, then {result['iterations']} "
+            f"solves on n = 400)") in proc.stdout
 
 
 def test_manifest_records_the_parsed_command_line(solve_dir):
@@ -842,11 +858,20 @@ CUBIC = {"kind": "power_sum", "terms": [{"coef": 1.0, "sigma": 2.0}]}
      "sigma must be a number, got '2'"),
     ({"potential": {"kind": "harmonic", "params": [True]}},
      "potential param must be a number, got True"),
+    ({"potential": {"kind": "tabulated", "table": {"r": "01234567", "V": [0.0] * 8}}},
+     "table r must be a JSON list, got '01234567'"),
+    ({"potential": {"kind": "tabulated", "table": {"r": list(range(8)), "V": [0.0] * 8,
+                                                   "v": [-1.0] * 8}}},
+     "potential table has unknown key 'v'"),
+    ({"potential": {"kind": "tabulated", "table": {"r": list(range(8)),
+                                                   "V": [0.0] * 7 + [True]}}},
+     "table V must be a number, got True"),
 ], ids=["N-infinite", "N-fractional", "N-boolean", "nonlinearity-null",
         "nonlinearity-list", "potential-null", "potential-extra-params",
         "potential-key", "table-not-tabulated", "term-key", "nonlinearity-termz",
         "nonlinearity-sigma", "top-level-key", "params-string", "params-one-char",
-        "terms-object", "coef-boolean", "sigma-string", "param-boolean"])
+        "terms-object", "coef-boolean", "sigma-string", "param-boolean",
+        "table-string", "table-key", "table-boolean"])
 def test_malformed_model_entry_is_bad_model_file(tmp_path, override, where):
     # each is one usage line, never a traceback, and never read as another
     # model (N = 1.5 or true as N = 1, extra params dropped, a misspelt key

@@ -264,19 +264,20 @@ def test_threshold_brackets_quintic_soliton_mass(small_grid):
 
 
 def test_threshold_probe_keeps_the_lowest_start(grid20):
-    # at this mass one quintic start converges to J = +4.0e-6 and wins in
-    # minimize, while the others stop below the probe's floor; any of their
-    # fields proves the minimum negative, so the probe records the lowest J,
-    # with the label of the start that reached it, not the winner's
+    # at this mass every quintic start stops below the probe's floor on the
+    # half grid; minimize finishes the lowest on n, where it is still below,
+    # and the probe records minimize's J and label: a field that proves the
+    # minimum negative
     model = free_power(1, 4.0)
     a = 2.720640427521
     probe = SolverConfig(stop_energy_below=-15.0 * DEADBAND)
     res = minimize(a, model, grid20, probe)
-    assert res.energy > 0
-    assert min(res.all_start_energies) < -15.0 * DEADBAND
+    assert res.all_start_reasons == ["energy-floor"] * 3
+    assert res.all_start_energies[res.start_index] == min(res.all_start_energies)
+    assert res.reason == "energy-floor" and res.energy < -15.0 * DEADBAND
     out = threshold_a0(model, grid20, bracket=(2.70, a))
-    assert out.evaluations[0] == {"a": a, "J": min(res.all_start_energies),
-                                  "converged": False, "reason": "energy-floor"}
+    assert out.evaluations[0] == {"a": a, "J": res.energy, "converged": False,
+                                  "reason": "energy-floor"}
 
 
 def test_threshold_bracket_validation(small_grid, well_cubic):

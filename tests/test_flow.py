@@ -70,12 +70,14 @@ def test_default_solve_cap_ends_a_stalled_start():
 # --- single step mechanics ---
 
 def test_converged_profile_is_a_fixed_point(well_solution, well_cubic):
-    # a converged profile, given as the warm start, ends its start unmoved
+    # a converged profile, as a start on its own grid, ends unmoved with no
+    # solve (minimize would restrict it to the half grid first)
     u = well_solution.u
-    res = minimize(1.0, well_cubic, u.grid, SolverConfig(starts=1), warm_start=u)
-    assert res.converged
-    assert res.iterations == 0
-    rel = float(np.max(np.abs(res.u.values - u.values)) / np.max(np.abs(u.values)))
+    out = flow._run_start(energy.discretization(u.grid, well_cubic), u.values, 1.0,
+                          SolverConfig())
+    assert out.converged
+    assert out.solves == 0
+    rel = float(np.max(np.abs(out.values - u.values)) / np.max(np.abs(u.values)))
     assert rel <= 1e-14
 
 
@@ -257,8 +259,9 @@ def test_unit_costs_of_minimize(monkeypatch, small_grid):
     # one dgtsv call per solve, accepted or rejected, one -Lap v per start
     # field and per accepted step, and one nonlinearity evaluation per start
     # field and per trial field of a non-singular solve (NonlinearityModel
-    # .evaluate); nothing is evaluated again after the loop. No positive
-    # definite factor is made: flow loads no routine for one
+    # .evaluate), counting the finish on n as one more start whose accepted
+    # steps are its trace; nothing is evaluated again after the loop. No
+    # positive definite factor is made: flow loads no routine for one
     assert not hasattr(flow, "dpttrs") and not hasattr(flow, "dpttrf")
     counts = dict.fromkeys(("dgtsv", "tridiagonal_apply", "evaluate", "singular"), 0)
     for owner, name in ((flow, "dgtsv"), (grids, "tridiagonal_apply"),
@@ -271,11 +274,12 @@ def test_unit_costs_of_minimize(monkeypatch, small_grid):
             return out
         monkeypatch.setattr(owner, name, spy)
     res = minimize(4.0, load_model(MODELS_DIR / "power3_free.json"), small_grid)
-    assert res.converged
-    solves = sum(res.all_start_solves)
-    starts = len(res.all_start_solves)
+    assert res.converged and res.iterations > 0
+    solves = sum(res.all_start_solves) + res.iterations
+    starts = len(res.all_start_solves) + 1
     assert counts["dgtsv"] == solves
-    accepted = solves - sum(res.all_start_rejected_steps)
+    accepted = (sum(res.all_start_solves) - sum(res.all_start_rejected_steps)
+                + len(res.energy_trace) - 1)
     assert counts["tridiagonal_apply"] == starts + accepted
     assert counts["evaluate"] == starts + solves - counts["singular"]
 
@@ -285,7 +289,8 @@ def test_unit_costs_of_minimize(monkeypatch, small_grid):
 def test_scan_and_threshold_build_the_operator_and_start_shapes_once(monkeypatch,
                                                                      small_grid):
     # a warm 12-mass scan and a threshold bisection on one (grid, model):
-    # one -Lap, one V at the nodes, one Gaussian per start width
+    # one -Lap and one V at the nodes on the grid and on the half grid of
+    # the search, and one Gaussian per start width, built on the grid
     counts = dict.fromkeys(("laplacian_tridiagonal", "V_on"), 0)
     for owner, name in ((grids, "laplacian_tridiagonal"), (PotentialModel, "V_on")):
         def spy(*args, _fn=getattr(owner, name), _name=name, **kwargs):
@@ -298,7 +303,7 @@ def test_scan_and_threshold_build_the_operator_and_start_shapes_once(monkeypatch
     curve = curves.scan(np.linspace(0.5, 6.0, 12), model, small_grid)
     found = curves.threshold_a0(model, small_grid)
     assert not curve.partial and found.evaluations
-    assert counts == {"laplacian_tridiagonal": 1, "V_on": 1}
+    assert counts == {"laplacian_tridiagonal": 2, "V_on": 2}
     shapes = flow._gaussian_shape.cache_info()
     assert shapes.misses == len(flow._start_widths(SolverConfig().starts)) == 3
     assert shapes.hits > 0
@@ -306,7 +311,8 @@ def test_scan_and_threshold_build_the_operator_and_start_shapes_once(monkeypatch
 
 def test_five_models_on_one_grid_build_one_operator_each(monkeypatch, small_grid):
     # perfbench's ground_state pass cycles through five models on one grid;
-    # the operator cache holds all five, so a second round builds no -Lap
+    # the operator cache holds all five on the grid and on the half grid
+    # of the search, so a second round builds no -Lap
     built = []
 
     def spy(grid, _fn=grids.laplacian_tridiagonal):
@@ -321,8 +327,8 @@ def test_five_models_on_one_grid_build_one_operator_each(monkeypatch, small_grid
     for _ in range(2):
         for model, a in cases:
             assert minimize(a, model, small_grid).converged
-    assert len(built) == 5
-    assert energy.discretization.cache_info().misses == 5
+    assert sorted(grid.n for grid in built) == [200] * 5 + [400] * 5
+    assert energy.discretization.cache_info().misses == 10
 
 
 def test_shared_operator_and_start_shapes_are_read_only(small_grid, well_cubic):
@@ -408,11 +414,12 @@ def test_newton_finishes_a_cold_start_within_a_few_checks(cubic_free_solution):
     # few solves instead of hundreds of linear flow steps
     res, _ = cubic_free_solution
     assert res.converged
-    assert res.iterations <= 10
+    # the winner's search on n/2 and its finish on n
+    assert res.all_start_solves[res.start_index] + res.iterations <= 10
+    assert res.iterations <= 2
     assert res.residual_norm <= SolverConfig().tol_grad
     # every start, not only the winner
     assert len(res.all_start_solves) == SolverConfig().starts
-    assert res.iterations == res.all_start_solves[res.start_index]
     assert max(res.all_start_solves) <= 10
     assert res.to_dict()["all_start_solves"] == res.all_start_solves
 
@@ -442,7 +449,7 @@ def test_tied_starts_report_the_first(grid20):
     res = minimize(3.0, load_model(MODELS_DIR / "gaussian_well_mixed.json"), grid20)
     assert res.converged
     assert res.start_index == 0
-    assert res.iterations == 4
+    assert (res.all_start_solves[0], res.iterations) == (4, 2)
     res = minimize(4.0, load_model(MODELS_DIR / "power3_free.json"), grid20)
     assert res.converged
     assert res.start_index == 0
@@ -568,8 +575,10 @@ def test_newton_attempts_and_rejections_are_reported(cubic_free_solution, grid20
     rejected, solves = res.all_start_rejected_steps, res.all_start_solves
     assert sum(rejected) > 0
     assert all(0 <= r < s for r, s in zip(rejected, solves))
-    assert res.iterations == solves[res.start_index]
-    assert len(res.energy_trace) == res.iterations - rejected[res.start_index] + 1
+    # the finish on n has the solves the winner's search left: here one,
+    # accepted, so its trace holds its start and that step
+    assert res.iterations + solves[res.start_index] <= QUINTIC_PROBE.max_iters
+    assert (res.iterations, len(res.energy_trace)) == (1, 2)
 
 
 def test_rejected_initial_attempt_leaves_the_start_bit_for_bit(monkeypatch, small_grid,
@@ -586,6 +595,78 @@ def test_rejected_initial_attempt_leaves_the_start_bit_for_bit(monkeypatch, smal
     assert out.trace == [(0, evaluate(u, well_cubic).J)]
     assert out.residual == euler_lagrange_residual(u, well_cubic,
                                                    lagrange_multiplier(u, well_cubic))
+
+
+# --- starts on the half grid, one finish on n ---
+
+def test_prolongation_interpolates_between_cell_centres():
+    # exact for a + b r at the interior nodes; the end nodes take the even
+    # reflection at 0 (c_-1 = c_0) and the zero on the face at R
+    # (c_n/2 = -c_n/2-1)
+    grid = RadialGrid(1, 20.0, 400)
+    half = flow._half_grid(grid)
+    coarse = 0.7 - 0.3 * half.r
+    fine = flow._prolong(coarse)
+    assert fine.shape == (400,)
+    assert np.max(np.abs(fine[1:-1] - (0.7 - 0.3 * grid.r[1:-1]))) <= 1e-13
+    assert fine[0] == coarse[0]
+    assert fine[-1] == 0.5 * coarse[-1]
+    # pair averages undo it on a linear field, away from the two ghosts
+    assert np.max(np.abs(flow._restrict(fine)[1:-1] - coarse[1:-1])) <= 1e-13
+
+
+@pytest.mark.parametrize("n, searched", [(2000, 1000), (128, 64), (2001, 2001), (127, 127)])
+def test_starts_run_on_the_half_grid_when_n_is_even_and_n_half_at_least_64(n, searched):
+    res = minimize(4.0, load_model(MODELS_DIR / "power3_free.json"), RadialGrid(1, 20.0, n))
+    assert res.converged
+    assert res.u.grid.n == n
+    d = res.to_dict()
+    assert d["start_grid_n"] == res.start_grid_n == searched
+    estimates = (d["C_a_half_grid"], d["C_a_extrapolated"], d["discretization_error_estimate"])
+    if searched == n:
+        assert estimates == (None, None, None)
+    else:
+        half, extrapolated, estimate = estimates
+        assert estimate == (res.energy - half) / 3.0 and extrapolated == res.energy + estimate
+
+
+def test_warm_start_with_no_mass_on_the_half_grid_is_rejected(small_grid, well_cubic):
+    # its pair averages cancel, so its restriction cannot be rescaled to mass a
+    v = np.where(np.arange(small_grid.n) % 2, -1.0, 1.0)
+    with pytest.raises(ValueError, match="no mass on the grid of 200 cells"):
+        minimize(1.0, well_cubic, small_grid, warm_start=GridFunction(small_grid, v))
+
+
+@pytest.mark.parametrize("max_iters", [2, 5, 6])
+def test_search_and_finish_share_the_solve_cap(max_iters):
+    # at n = 256 the starts need 5 or 6 solves on n/2 and the finish 1 more
+    # on n; with fewer the winner's solves on both grids stop at the cap
+    res = minimize(4.0, load_model(MODELS_DIR / "power3_free.json"),
+                   RadialGrid(1, 20.0, 256), SolverConfig(max_iters=max_iters))
+    assert res.start_grid_n == 128
+    assert res.reason == "max-iters" and not res.converged
+    assert res.all_start_solves[res.start_index] + res.iterations <= max_iters
+    assert max(res.all_start_solves) <= max_iters
+    assert res.to_dict()["C_a_extrapolated"] is None
+
+
+def test_a_start_below_the_energy_floor_wins_over_a_converged_one():
+    # at this mass and resolution one quintic start converges above the
+    # probe's floor on the half grid and two stop below it: the lowest of
+    # those wins, its finish on n stays below the floor, and the probe
+    # reads minimize's negative J
+    model = free_power(1, 4.0)
+    grid = RadialGrid(1, 20.0, 400)
+    a = 2.715
+    res = minimize(a, model, grid, QUINTIC_PROBE)
+    reasons, J = res.all_start_reasons, res.all_start_energies
+    assert reasons == ["energy-floor", None, "energy-floor"]
+    assert J[1] > 0 > J[0] > J[2]
+    assert res.start_index == 2
+    assert res.reason == "energy-floor" and res.energy < QUINTIC_PROBE.stop_energy_below
+    found = curves.threshold_a0(model, grid, bracket=(2.70, a))
+    assert found.evaluations[0] == {"a": a, "J": res.energy, "converged": False,
+                                    "reason": "energy-floor"}
 
 
 # --- Newton on the mass-critical quintic, below the soliton mass ---
