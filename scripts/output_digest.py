@@ -16,6 +16,8 @@ imports ngs from that tree's src/ and reads that tree's models/:
 * quintic_free probes at a = 2.685, 2.71 and 2.735 with the threshold
   probe's config (stop_energy_below = -15 DEADBAND);
 * minimize on power2_free_3d at a = 20 (N = 3) and tabulated_well at a = 3;
+* minimize on power3_free at a = 4 on n = 2001 (R = 20): odd n, so its
+  starts run on n with no finish on the half grid;
 * a 12-mass scan of gaussian_well_cubic from 0.5 to 6;
 * threshold_a0 on quintic_free over (2.685, 2.735), and on
   gaussian_well_cubic over the default bracket;
@@ -137,6 +139,8 @@ def _cases(models_dir: Path) -> dict:
             lambda a=a: flow.minimize(a, model("quintic_free"), grid, probe))
     cases["minimize power2_free_3d a=20"] = lambda: flow.minimize(
         20.0, model("power2_free_3d"), RadialGrid(3, 20.0, 2000))
+    cases["minimize power3_free a=4 n=2001"] = lambda: flow.minimize(
+        4.0, model("power3_free"), RadialGrid(1, 20.0, 2001))
     tabulated = model("tabulated_well")
     cases["minimize tabulated_well a=3"] = lambda: flow.minimize(
         3.0, tabulated, RadialGrid(tabulated.N, 20.0, 2000))

@@ -21,24 +21,28 @@ along the slow dilation mode of a mass-critical problem:
 sigma starts at the start field's residual res and falls with it, so near
 a minimizer the steps are Newton's and converge quadratically. A start ends
 once res meets tol_grad, J is below stop_energy_below, or max_iters solves
-(accepted plus rejected) have run. Its endpoint, negated if its
-largest-magnitude entry is negative (-u is the same state as u), must
-keep the sign of the start field: no entry that was nonnegative there
-may be below -SIGN_REL_TOL times the endpoint's peak. A start that ends on a
-sign-changing field is not converged ("sign-change"), since it has reached
-another critical point. A non-finite J, residual or shift, or a trial
-field of zero or non-finite mass, raises NumericalError.
+(accepted plus rejected) have run. Unless it ran out of solves, its end
+field, negated if its largest-magnitude entry is negative (-u is the same
+state as u), must have one sign: an entry below -SIGN_REL_TOL times its
+peak ends it "sign-change", not converged, whatever the start field was:
+it has reached another critical point. For the discrete J, as for the continuum one,
+J(|u|) <= J(u), as the kinetic form of |u| is at most that of u on every
+face (||a| - |b|| <= |a - b|) and V u^2 and G are even. So if u is a
+minimizer, |u| is a nonnegative one, and since -Lap is an M-matrix and
+g(0) = 0, a zero node of |u| would zero its neighbours and all of |u|:
+|u| > 0, and no face of u changes sign. A non-finite J, residual or
+shift, or a trial field of zero or non-finite mass, raises NumericalError.
 
 minimize runs its starts on the half grid of n/2 cells when n is even and
 n/2 >= 64, and finishes only the winner on n: each start, built on n, is
 restricted by pair averages and rescaled to mass a; the winner, among the
 starts that converged or ended on the energy floor, is prolonged by linear
 interpolation between cell centres, rescaled, and run as one more start on
-n with the solves its search left and the sign of its start on n. The
-starts take about as many solves on n/2 as on n, each on half the nodes,
-and the finish one or two more on n. Its J and the winner's J on n/2 give
-Richardson's estimate (C - C_half)/3 of the h^2 error (Richardson, Phil.
-Trans. R. Soc. A 210, 1911; Brandt, Math. Comp. 31, 1977).
+n, with its own max_iters and the same end test. The starts take about as
+many solves on n/2 as on n, each on half the nodes, and the finish one or
+two more on n. Its J and the winner's J on n/2 give Richardson's estimate
+(C - C_half)/3 of the h^2 error (Richardson, Phil. Trans. R. Soc. A 210,
+1911; Brandt, Math. Comp. 31, 1977).
 
 Every value the solver reports comes from the one shared
 energy.Discretization of (grid, model) (energy.discretization), the instance
@@ -52,9 +56,9 @@ the kinetic form give J. With V zero at every node
 (Discretization.zero_potential) w^T (V u^2) is 0.0 and (V + lam) u is
 lam u, the same bits without their passes. An accepted field adds one
 -Lap u for its stationarity, which forms the step's right-hand side
--F = g - ((V + lam) u + (-Lap u)) directly, and the step's unshifted
-diagonal L - sigma and border row 2 (w u)^T, which a rejected trial reuses
-with a larger sigma. One argmax |u| of the end field gives both its
+-F = g - ((V + lam) u + (-Lap u)) directly; each solve forms its diagonal
+d + lam - g'(u) + sigma and border row 2 (w u)^T afresh, as a rejected
+trial changes only sigma. One argmax |u| of the end field gives both its
 negation test and the peak of its sign test, and of minimize's
 boundary-contact test. The winner's last stationarity and nonlinearity
 give the reported Nehari and Pohozaev defects, so nothing is evaluated
@@ -127,10 +131,10 @@ dgtsv, dstebz = _flapack.dgtsv, _flapack.dstebz
 BOUNDARY_REL_TOL = 1e-6
 # base of the start widths 1, 2, 1/2, 4, ...: SolverConfig.starts widens them
 INITIAL_WIDTH = 1.0
-# a start may not end with an entry negative that was not negative in its
-# start field, beyond this fraction of the end field's peak: exponentially
+# no entry of a run's end field, negated to a positive peak, may be below
+# minus this fraction of the peak, whatever its start field: exponentially
 # small tail entries round to either sign, a negative lobe is another
-# critical point
+# critical point, never a ground state
 SIGN_REL_TOL = 1e-6
 # the shift's factor per accepted (divided) or rejected (multiplied) step,
 # and its floor after a rejection
@@ -185,8 +189,7 @@ class GroundStateResult(NamedTuple):
     all_start_energies: list
     all_start_solves: list           # one dgtsv each
     all_start_rejected_steps: list
-    # each start's own end reason, None if it converged; not in to_dict
-    all_start_reasons: list
+    all_start_reasons: list          # each start's own end reason, None if it converged
     start_disagreement: bool
     warnings: list
     start_grid_n: int
@@ -215,6 +218,7 @@ class GroundStateResult(NamedTuple):
             "all_start_energies": list(self.all_start_energies),
             "all_start_solves": list(self.all_start_solves),
             "all_start_rejected_steps": list(self.all_start_rejected_steps),
+            "all_start_reasons": list(self.all_start_reasons),
             "start_disagreement": self.start_disagreement,
             "warnings": list(self.warnings),
             "trace_length": len(self.energy_trace),
@@ -315,38 +319,17 @@ class _StartOutcome(NamedTuple):
     trace: list
 
 
-def _keeps_sign(old: np.ndarray, new: np.ndarray, peak: float) -> bool:
-    """No entry that was nonnegative in old is below -SIGN_REL_TOL peak.
-
-    peak is max |new|. If no entry of new is below that floor, old needs no
-    look; otherwise the entries below it must all have been negative in
-    old. A Gaussian start is nonnegative at every node, so its field keeps
-    its sign exactly when the first test holds.
-    """
-    floor = -SIGN_REL_TOL * peak
-    return new.min() >= floor or not np.any((new < floor) & (old >= 0.0))
-
-
 def _degenerate() -> NumericalError:
     return NumericalError("the solver reached a degenerate field (non-finite "
                           "energy, residual or mass)")
 
 
 def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
-               config: SolverConfig, max_iters: int | None = None,
-               start: np.ndarray | None = None) -> _StartOutcome:
-    """Shifted bordered Newton steps from the mass-a field v; see the module.
-
-    max_iters, if given, caps the solves in place of config.max_iters, and
-    the end field must keep the sign of start (default v): a finish on n
-    has the solves its search left, and the sign of the start it came from.
-    """
+               config: SolverConfig) -> _StartOutcome:
+    """Shifted bordered Newton steps from the mass-a field v; see the module."""
     nonlinearity = op.model.nonlinearity
     (sub, _, sup), w, w2 = op.lap, op.w, op.w2
     floor = config.stop_energy_below
-    cap = config.max_iters if max_iters is None else max_iters
-    if start is None:
-        start = v
     # each iterate's square, nonlinearity, masses and stationarity are
     # computed once and carried into the step from it
     usq = v * v
@@ -358,7 +341,6 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
     trace = [(0, J)]
     solves = rejected = 0
     reason = None
-    unshifted = None    # the step's diagonal without sigma, once per iterate
     while True:
         if not (math.isfinite(J) and math.isfinite(res) and math.isfinite(sigma)):
             raise _degenerate()
@@ -367,16 +349,15 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
         if floor is not None and J < floor:
             reason = "energy-floor"
             break
-        if solves == cap:
+        if solves == config.max_iters:
             reason = "max-iters"
             break
         solves += 1
-        if unshifted is None:
-            unshifted = op.d + lam
-            unshifted -= nl.dg
-            c = w2 * v
+        diag = op.d + lam
+        diag -= nl.dg
+        diag += sigma
         try:
-            new, _ = bordered_solve((sub, unshifted + sigma, sup), v, c, rhs)
+            new, _ = bordered_solve((sub, diag, sup), v, w2 * v, rhs)
         except RuntimeError:
             J_new = math.nan    # a singular system is a rejected step
         else:
@@ -395,7 +376,6 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
             lam, rhs, res, nehari = op.stationarity(v, None, nl.g, nl.gs, m, vm)
             sigma = min(sigma / SHIFT_FACTOR, res)
             trace.append((solves, J))
-            unshifted = None
         else:
             rejected += 1
             sigma = max(SHIFT_FACTOR * sigma, res, SHIFT_FLOOR)
@@ -405,7 +385,7 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
     if reason in (None, "energy-floor"):
         if v[k] < 0.0:    # -u is u's state: J, lam, res are even
             v, nl = -v, nl._replace(g=-nl.g)
-        if not _keeps_sign(start, v, peak):
+        if v.min() < -SIGN_REL_TOL * peak:
             converged, reason = False, "sign-change"
     return _StartOutcome(values=v, J=J, lam=lam, residual=res, nehari=nehari,
                          nl=nl, peak=peak, converged=converged, reason=reason,
@@ -472,9 +452,9 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
     preceded by a caller-supplied warm start (rescaled to mass a), all built
     on grid. When n is even and n/2 >= 64, each start is restricted to the
     half grid of n/2 cells by pair averages and rescaled to mass a, the
-    starts run there, and the winner is prolonged to n, rescaled and
-    finished there with the solves its search left of config.max_iters;
-    otherwise the starts run on n and the winner is not finished. The
+    starts run there, and the winner is prolonged to n, rescaled and run
+    as one more start on n; otherwise the starts run on n and the winner
+    is not finished. Each run has config.max_iters solves. The
     winner is the first start, in start order, whose J is within
     1e-12 (1 + |J_min|) of the lowest, among the starts that converged or
     ended below config.stop_energy_below if any did. Never raises on
@@ -490,10 +470,7 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
     if warm_start is not None:
         if warm_start.grid != grid:
             raise ValueError("warm start lives on another grid")
-        m = grids.mass(warm_start)
-        if m <= 0:
-            raise ValueError("warm start has zero mass")
-        starts.append(warm_start.values * math.sqrt(a / m))
+        starts.append(_with_mass(warm_start.values, grid, a))
     for width in _start_widths(config.starts - len(starts)):
         starts.append(gaussian_start(grid, width, a).values)
     half = _half_grid(grid)
@@ -511,8 +488,7 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
         best = _winner(outcomes)
         won = out = outcomes[best]
         if half is not None:
-            out = _run_start(op, _with_mass(_prolong(won.values), grid, a), a, config,
-                             max_iters=config.max_iters - won.solves, start=starts[best])
+            out = _run_start(op, _with_mass(_prolong(won.values), grid, a), a, config)
     u = GridFunction(grid, out.values)
 
     # the winner's last stationarity and nonlinearity give its identities

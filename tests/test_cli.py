@@ -489,12 +489,12 @@ def test_scan_sign_summary(tmp_path, model, sign):
 
 
 def test_scan_partial_curve_exits_1(tmp_path):
-    # a budget below the 3-5 solves each cold start needs: no mass can
-    # converge, so none warm-starts the next
+    # a budget below the 3-5 solves each cold start needs and the 1-2 of
+    # its finish: no mass can converge, so none warm-starts the next
     out = tmp_path / "partial"
     proc = run_cli("scan", "--model", MODELS_DIR / "gaussian_well_cubic.json",
                    "--a-min", "0.5", "--a-max", "1.5", "--steps", "3",
-                   *SMALL, "--max-iters", "2", "--out", out)
+                   *SMALL, "--max-iters", "1", "--out", out)
     assert proc.returncode == 1
     assert "partial curve" in proc.stdout
     lines = (out / "curve.csv").read_text().splitlines()[1:]

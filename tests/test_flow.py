@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from helpers import MODELS_DIR, ZERO_G, bumps, free_power, harmonic_v, power_g, well_v
 from ngs import curves, energy, flow, grids
@@ -175,8 +175,9 @@ def test_every_start_converges_in_a_few_solves(name, N, a, most):
 
 
 def test_iteration_budget_reports_not_raises(small_grid, well_cubic):
-    # below the 4-5 solves each start, from its Gaussian, needs
-    cfg = SolverConfig(max_iters=2)
+    # below the 4-5 solves each start, from its Gaussian, needs, and the 1-2
+    # the finish on n needs from the prolonged winner
+    cfg = SolverConfig(max_iters=1)
     res = minimize(1.0, well_cubic, small_grid, config=cfg)
     assert not res.converged
     assert res.reason == "max-iters"
@@ -470,43 +471,59 @@ def test_wide_start_converges_at_its_first_newton_attempt(small_grid, name, a):
     assert out.solves <= 6
 
 
-def test_sign_guard_is_relative_to_the_field():
-    old = np.exp(-np.linspace(0.0, 10.0, 50) ** 2)
-    tail = old.copy()
+def test_sign_guard_is_relative_to_the_field(small_grid, well_cubic):
+    # the end field alone decides: tail entries rounded negative far below
+    # its peak pass, a negative lobe does not, whatever the start field
+    op = Discretization(small_grid, well_cubic)
+    start = gaussian_start(small_grid, 1.0, 1.0).values
+    tail = start.copy()
     tail[-5:] = -1e-40
-    assert flow._keeps_sign(old, tail, tail.max())
-    lobe = old.copy()
-    lobe[30:35] = -1e-3 * old.max()
-    assert not flow._keeps_sign(old, lobe, lobe.max())
-    # an entry that was already negative may stay so
-    assert flow._keeps_sign(lobe, lobe, lobe.max())
+    lobe = start.copy()
+    lobe[30:35] = -1e-3 * lobe.max()
+    for v, reason in [(tail, "energy-floor"), (lobe, "sign-change")]:
+        v *= math.sqrt(1.0 / float(small_grid.w @ (v * v)))
+        out = flow._run_start(op, v, 1.0, SolverConfig(stop_energy_below=math.inf))
+        assert (out.solves, out.reason, out.converged) == (0, reason, False)
 
 
-def test_sign_changing_newton_endpoint_is_rejected(small_grid):
-    # in the linear harmonic trap, start from the third eigenvector with its
-    # deepest negative entry set to 0: the steps end on the sign-changing
-    # second eigenvector, a critical point that is no ground state
-    model = load_model(MODELS_DIR / "harmonic.json")
-    op = Discretization(small_grid, model)
+def _harmonic_modes(grid, model, count):
+    """The lowest eigenvalues of -Lap + V and their eigenvectors, mass 1, first entry > 0."""
+    op = Discretization(grid, model)
     sub, diag, sup = op.lap
-    A = np.diag(diag + op.V) + np.diag(sub, -1) + np.diag(sup, 1)
-    eigvals, eigvecs = np.linalg.eig(A)
-    order = np.argsort(eigvals.real)
-    psi = eigvecs[:, order[2]].real
-    psi *= np.sign(psi[0])
-    v = psi.copy()
-    v[np.argmin(psi)] = 0.0
-    v *= math.sqrt(1.0 / float(op.w @ (v * v)))
-    out = flow._run_start(op, v, 1.0, SolverConfig())
+    # -Lap + V is W^-1 K + V, similar to a symmetric tridiagonal by W^1/2
+    lam, y = eigh_tridiagonal(diag + op.V, -np.sqrt(sub * sup),
+                              select="i", select_range=(0, count - 1))
+    psi = y / np.sqrt(grid.w)[:, None]
+    psi *= np.sign(psi[0]) / np.sqrt(grid.w @ (psi * psi))
+    return lam, psi.T
+
+
+def test_sign_changing_newton_endpoint_is_rejected(small_grid, grid20):
+    # in the linear harmonic trap the third eigenvector is a critical point
+    # that changes sign: the steps end where they start, and it is no
+    # ground state
+    model = load_model(MODELS_DIR / "harmonic.json")
+    lam, psi = _harmonic_modes(small_grid, model, 3)
+    out = flow._run_start(Discretization(small_grid, model), psi[2], 1.0, SolverConfig())
     assert out.residual <= SolverConfig().tol_grad
-    assert abs(2.0 * out.J - eigvals.real[order[1]]) <= 1e-9
+    assert abs(2.0 * out.J - lam[2]) <= 1e-9
     assert not out.converged
     assert out.reason == "sign-change"
     # as a warm start it loses to the Gaussians, which reach the ground state
-    res = minimize(1.0, model, small_grid, warm_start=GridFunction(small_grid, v))
+    res = minimize(1.0, model, small_grid, warm_start=GridFunction(small_grid, psi[2]))
     assert res.converged
     assert res.start_index > 0
-    assert abs(2.0 * res.energy - eigvals.real[order[0]]) <= 1e-9
+    assert abs(2.0 * res.energy - lam[0]) <= 1e-9
+    # alone, the second eigenvector with its largest lobe positive ends on
+    # itself on both grids, at J = lambda_2 / 2, five times C_a: its
+    # negative lobe makes it a sign change, not a converged minimum
+    lam, psi = _harmonic_modes(grid20, model, 2)
+    v = psi[1] * np.sign(psi[1][np.argmax(np.abs(psi[1]))])
+    res = minimize(1.0, model, grid20, SolverConfig(starts=1),
+                   warm_start=GridFunction(grid20, v))
+    assert abs(2.0 * res.energy - lam[1]) <= 1e-9
+    assert res.all_start_reasons == ["sign-change"]
+    assert not res.converged and res.reason == "sign-change"
 
 
 @pytest.mark.parametrize("a, reasons", [(3.0, [None, None, None]),
@@ -523,38 +540,25 @@ def test_start_that_ends_on_the_negated_state_is_converged(a, reasons):
     assert res.start_index == 0
     peak = res.u.values[np.argmax(np.abs(res.u.values))]
     assert peak > 0.0
-    assert flow._keeps_sign(np.ones_like(res.u.values), res.u.values, peak)
+    assert res.u.values.min() >= -flow.SIGN_REL_TOL * peak
     assert res.residuals.pohozaev == pohozaev_residual(res.u, model)
 
 
 def test_gaussian_start_sign_test_matches_keeps_sign(small_grid, well_cubic):
-    # a Gaussian start is nonnegative at every node, so whether its end
-    # field keeps its sign is whether no entry is below the floor; a start
-    # with negative entries still needs the masked test
-    rng = np.random.default_rng(7)
-    old = gaussian_start(small_grid, 1.0, 1.0).values
-    verdicts = set()
-    for _ in range(20):
-        new = old * rng.uniform(0.5, 2.0)
-        new[rng.integers(0, len(new), 3)] = -rng.uniform(0.0, 1.5e-6, 3) * new.max()
-        peak = float(np.max(np.abs(new)))
-        floor = -flow.SIGN_REL_TOL * peak
-        masked = not np.any((new < floor) & (old >= 0.0))
-        assert flow._keeps_sign(old, new, peak) == (new.min() >= floor) == masked
-        verdicts.add(masked)
-    assert verdicts == {True, False}
     # a warm start with negative tail entries ends where it starts (its J is
-    # below the stop energy): only the masked test accepts it
-    v = old.copy()
+    # below the stop energy), on the half grid and on n: its end field is
+    # below the floor, so it is a sign change, whatever its start field was
+    v = gaussian_start(small_grid, 1.0, 1.0).values.copy()
     v[-20:] = -1e-3 * v.max()
     v *= math.sqrt(1.0 / float(small_grid.w @ (v * v)))
     res = minimize(1.0, well_cubic, small_grid,
                    SolverConfig(starts=1, stop_energy_below=math.inf),
                    warm_start=GridFunction(small_grid, v))
-    assert res.all_start_reasons == ["energy-floor"] and res.iterations == 0
+    assert res.all_start_reasons == ["sign-change"] and res.iterations == 0
+    assert res.reason == "sign-change" and not res.converged
     assert res.u.values.min() < -flow.SIGN_REL_TOL * np.max(np.abs(res.u.values))
     # a Gaussian start that ends on a sign-changing state (J = 0.1068 against
-    # 0.0094, see above) fails the first test
+    # 0.0094, see above) has an end field below the floor
     grid = RadialGrid(3, 20.0, 2000)
     op = energy.discretization(grid, load_model(MODELS_DIR / "power2_free_3d.json"))
     start = gaussian_start(grid, flow._start_widths(3)[2], 1.0).values
@@ -568,6 +572,7 @@ def test_newton_attempts_and_rejections_are_reported(cubic_free_solution, grid20
     res, _ = cubic_free_solution
     d = res.to_dict()
     assert d["all_start_solves"] == res.all_start_solves
+    assert d["all_start_reasons"] == res.all_start_reasons == [None, None, None]
     assert d["all_start_rejected_steps"] == res.all_start_rejected_steps == [0, 0, 0]
     assert not any(key.startswith(("newton", "all_start_newton")) for key in d)
     # below its threshold the quintic rejects steps on the way, each still a solve
@@ -575,9 +580,8 @@ def test_newton_attempts_and_rejections_are_reported(cubic_free_solution, grid20
     rejected, solves = res.all_start_rejected_steps, res.all_start_solves
     assert sum(rejected) > 0
     assert all(0 <= r < s for r, s in zip(rejected, solves))
-    # the finish on n has the solves the winner's search left: here one,
-    # accepted, so its trace holds its start and that step
-    assert res.iterations + solves[res.start_index] <= QUINTIC_PROBE.max_iters
+    # the finish on n takes one solve, accepted, so its trace holds its
+    # start and that step
     assert (res.iterations, len(res.energy_trace)) == (1, 2)
 
 
@@ -637,17 +641,31 @@ def test_warm_start_with_no_mass_on_the_half_grid_is_rejected(small_grid, well_c
         minimize(1.0, well_cubic, small_grid, warm_start=GridFunction(small_grid, v))
 
 
-@pytest.mark.parametrize("max_iters", [2, 5, 6])
-def test_search_and_finish_share_the_solve_cap(max_iters):
-    # at n = 256 the starts need 5 or 6 solves on n/2 and the finish 1 more
-    # on n; with fewer the winner's solves on both grids stop at the cap
+@pytest.mark.parametrize("max_iters, solves, reason",
+                         [(2, [2, 2, 2], "max-iters"), (5, [5, 5, 5], None),
+                          (6, [5, 5, 6], None)], ids=["2", "5", "6"])
+def test_each_run_has_its_own_solve_cap(max_iters, solves, reason):
+    # at n = 256 the starts need 5 or 6 solves on n/2 and the finish 2 on n;
+    # the cap stops each start on n/2, and the finish still has its own
     res = minimize(4.0, load_model(MODELS_DIR / "power3_free.json"),
                    RadialGrid(1, 20.0, 256), SolverConfig(max_iters=max_iters))
     assert res.start_grid_n == 128
-    assert res.reason == "max-iters" and not res.converged
-    assert res.all_start_solves[res.start_index] + res.iterations <= max_iters
-    assert max(res.all_start_solves) <= max_iters
-    assert res.to_dict()["C_a_extrapolated"] is None
+    assert res.all_start_solves == solves
+    assert res.iterations == 2
+    assert res.reason == reason and res.converged == (reason is None)
+    assert (res.to_dict()["C_a_extrapolated"] is None) == (max_iters == 2)
+
+
+def test_the_finish_has_its_own_solve_cap():
+    # no start reaches tol_grad = 1e-15 in 20 solves on n/2; the prolonged
+    # winner still has 20 solves on n, and reaches the rounding floor there
+    res = minimize(1.0, load_model(MODELS_DIR / "gaussian_well_cubic.json"),
+                   RadialGrid(1, 20.0, 400), SolverConfig(tol_grad=1e-15, max_iters=20))
+    assert res.start_grid_n == 200
+    assert res.all_start_reasons == ["max-iters"] * 3
+    assert res.all_start_solves == [20] * 3
+    assert res.iterations == 20 and res.reason == "max-iters"
+    assert res.residual_norm <= 1e-12
 
 
 def test_a_start_below_the_energy_floor_wins_over_a_converged_one():
