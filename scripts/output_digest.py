@@ -13,6 +13,11 @@ imports ngs from that tree's src/ and reads that tree's models/:
   pohozaev_residual and lagrange_multiplier, euler_lagrange_residual and
   nehari_residual at the winner's lambda, and the shared Discretization's
   d and e;
+* off a minimizer, on the Gaussian start of width 2 and mass 3 on R = 20,
+  n = 2000, for gaussian_well_mixed (N = 1) and power2_free_3d (N = 3,
+  V = 0): energy.evaluate, identity_residuals at lambda = None and at 0.5,
+  euler_lagrange_residual and nehari_residual at 0.5, and energy.evaluate
+  of the zero field;
 * quintic_free probes at a = 2.685, 2.71 and 2.735 with the threshold
   probe's config (stop_energy_below = -15 DEADBAND);
 * minimize on power2_free_3d at a = 20 (N = 3) and tabulated_well at a = 3;
@@ -126,6 +131,19 @@ def _cases(models_dir: Path) -> dict:
                 "nehari_residual": energy.nehari_residual(u, m, lam),
                 "d": op.d, "e": op.e}
 
+    def off_minimizer():
+        out = {}
+        for name in ("gaussian_well_mixed", "power2_free_3d"):
+            m = model(name)
+            u = flow.gaussian_start(RadialGrid(m.N, 20.0, 2000), 2.0, 3.0)
+            out[name] = {"evaluate": energy.evaluate(u, m),
+                         "identity_residuals": energy.identity_residuals(u, m),
+                         "identity_residuals 0.5": energy.identity_residuals(u, m, 0.5),
+                         "euler_lagrange_residual": energy.euler_lagrange_residual(u, m, 0.5),
+                         "nehari_residual": energy.nehari_residual(u, m, 0.5),
+                         "evaluate zero": energy.evaluate(u.with_values(0.0 * u.values), m)}
+        return out
+
     grid = RadialGrid(1, 20.0, 2000)
     probe = flow.SolverConfig(stop_energy_below=-15.0 * flow.DEADBAND)
     cases = {}
@@ -134,6 +152,7 @@ def _cases(models_dir: Path) -> dict:
             lambda name=name, a=a: flow.minimize(a, model(name), grid))
     for name, a in GROUND_STATE:
         cases[f"identities {name} a={a:g}"] = lambda name=name, a=a: identities(name, a)
+    cases["identities off a minimizer"] = off_minimizer
     for a in (2.685, 2.71, 2.735):
         cases[f"minimize quintic_free a={a:g} probe"] = (
             lambda a=a: flow.minimize(a, model("quintic_free"), grid, probe))

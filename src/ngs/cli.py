@@ -300,7 +300,7 @@ def _verify_dir(args) -> int:
         print(f"verification failed: no {MANIFEST_NAME} in {out_dir}",
               file=sys.stderr)
         return 1
-    # a truncated or incomplete record fails verification; it is no crash
+    # a truncated, incomplete or unreplayable record fails verification; it is no crash
     try:
         manifest = json.loads(manifest_path.read_text())
         failures = []
@@ -319,7 +319,8 @@ def _verify_dir(args) -> int:
 
         if not failures:
             failures.extend(args.replay(out_dir, manifest))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, MemoryError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, MemoryError,
+            NumericalError) as exc:
         failures = [f"cannot replay the run record: {type(exc).__name__}: {exc}"]
 
     if failures:

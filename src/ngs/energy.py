@@ -17,6 +17,7 @@ import numpy as np
 from . import grids
 from .errors import BracketError, NumericalError
 from .grids import GridFunction
+from .models import NonlinearValues
 
 # admissible range for the fiber-map parameter t, which is also the bracket
 # fiber_minimize scans on FIBER_SAMPLES log-spaced points
@@ -50,12 +51,14 @@ class IdentityResiduals(NamedTuple):
 
 
 class Stationarity(NamedTuple):
-    """Multiplier, -F, residual and Nehari defect of one field."""
+    """Multiplier, -F, residual, Nehari defect, J and nonlinearity of one field."""
 
     lam: float
     neg_defect: np.ndarray   # -F = g(v) - (-Lap + V + lam) v, the Newton right-hand side
     residual: float
     nehari: float
+    J: float
+    nl: NonlinearValues      # from Discretization.energy, with g'
 
 
 class Discretization:
@@ -71,7 +74,7 @@ class Discretization:
     d = diag(-Lap) + V is also the solver's step diagonal before its
     shifts, and sub, sup and w2 = 2 W are its dgtsv bands and border
     weights. zero_potential records whether V is zero at every node, where
-    masses and stationarity skip the passes over V. V, the Pohozaev weight
+    energy and stationarity skip the passes over V. V, the Pohozaev weight
     r V'(r), the bands, d, e and w2 are read-only, so that one instance
     per (grid, model) value can be shared: discretization() returns it, and
     the solver, the spectrum and the GridFunction functions below all read
@@ -104,34 +107,30 @@ class Discretization:
         self.zero_potential = not self.V.any()
         self.spectral_floor: float | None = None
 
-    def masses(self, v: np.ndarray, usq: np.ndarray | None = None) -> tuple[float, float]:
-        """The mass w^T v^2 of v and w^T (V v^2), which energy and stationarity share.
+    def energy(self, v: np.ndarray) -> tuple[EnergyReport, NonlinearValues, float]:
+        """J of v and its parts, the nonlinearity at v with g', and w^T (V v^2).
 
-        usq is v * v, if the caller has it; it is read, not written. With
-        V zero at every node the second value is 0.0, the bits w^T (v^2 0)
-        has, without forming v^2 V.
+        v v is formed once: it gives the mass w^T v^2 and w^T (V v^2), and
+        then NonlinearityModel.evaluate takes it over for the even integer
+        powers, so it is read before it is handed on; this is the one caller
+        that passes the square. With V zero at every node w^T (V v^2) is
+        0.0, the bits w^T (v^2 0) has, without forming v^2 V.
         """
-        if usq is None:
-            usq = v * v
+        usq = v * v
         m = float(self.w.dot(usq))
-        if self.zero_potential:
-            return m, 0.0
-        return m, float(self.w.dot(usq * self.V))
-
-    def energy(self, v: np.ndarray, G: np.ndarray, m: float, vm: float) -> EnergyReport:
-        """J of v and its parts, from G = G(v) and the masses m, vm of v."""
+        vm = 0.0 if self.zero_potential else float(self.w.dot(usq * self.V))
+        nl = self.model.nonlinearity.evaluate(v, True, usq)
         kin = 0.5 * grids.kinetic_values(self.grid, v)
-        nonlin = float(self.w.dot(G))
+        nonlin = float(self.w.dot(nl.G))
         I = kin - nonlin
-        return EnergyReport(kin, 0.5 * vm, nonlin, I + 0.5 * vm, I, m)
+        return EnergyReport(kin, 0.5 * vm, nonlin, I + 0.5 * vm, I, m), nl, vm
 
-    def stationarity(self, v: np.ndarray, lam: float | None, g: np.ndarray,
-                     gs: np.ndarray, m: float, vm: float) -> Stationarity:
+    def stationarity(self, v: np.ndarray, e: tuple, lam: float | None = None) -> Stationarity:
         """The multiplier (unless lam is given), -F, residual and Nehari of v.
 
-        g and gs are g(v) and g(v) v, m and vm are masses(v). The defect F
-        is -Lap v + (V + lam) v - g(v), the residual its weighted L2 norm
-        relative to ||v||, and the Nehari defect
+        e is energy(v), whose J and nonlinearity the record carries. The
+        defect F is -Lap v + (V + lam) v - g(v), the residual its weighted
+        L2 norm relative to ||v||, and the Nehari defect
         |grad v|^2 + int (V + lam) v^2 - int g(v) v, with |grad v|^2 taken as
         <v, -Lap v>_w from the one -Lap v the defect needs. The multiplier
         zeroes that Nehari defect, so it is exactly the least-squares
@@ -139,12 +138,14 @@ class Discretization:
         g(v) - ((V + lam) v + (-Lap v)), the exact negation of F; with V
         zero at every node (V + lam) v is lam v, the same bits.
         """
+        report, nl, vm = e
+        m = report.mass
         if m <= 0.0:
             raise ValueError("stationarity needs a field with positive mass")
         lap_v = grids.tridiagonal_apply(self.lap, v)
         tmp = v * lap_v
         quad = float(self.w.dot(tmp)) + vm
-        gu = float(self.w.dot(gs))
+        gu = float(self.w.dot(nl.gs))
         if lam is None:
             lam = (gu - quad) / m
         if self.zero_potential:
@@ -153,10 +154,10 @@ class Discretization:
             neg_f = self.V + lam
             neg_f *= v
         neg_f += lap_v
-        np.subtract(g, neg_f, out=neg_f)
+        np.subtract(nl.g, neg_f, out=neg_f)
         np.multiply(neg_f, neg_f, out=tmp)
         res = math.sqrt(self.w.dot(tmp) / m)
-        return Stationarity(lam, neg_f, res, quad + lam * m - gu)
+        return Stationarity(lam, neg_f, res, quad + lam * m - gu, report.J, nl)
 
 
 # a minimize uses two entries, its grid and the half grid of its search, so
@@ -171,16 +172,13 @@ def evaluate(u: GridFunction, model) -> EnergyReport:
     """All functional values of u under the given model."""
     if np.isnan(u.values).any():
         raise ValueError("field contains NaN")
-    op = discretization(u.grid, model)
-    return op.energy(u.values, model.nonlinearity.G(u.values), *op.masses(u.values))
+    return discretization(u.grid, model).energy(u.values)[0]
 
 
-def _stationarity(u: GridFunction, model, lam: float | None, nl=None) -> Stationarity:
-    """Discretization.stationarity of u; nl is the nonlinearity at u, if known."""
+def _stationarity(u: GridFunction, model, lam: float | None) -> Stationarity:
+    """Discretization.stationarity of u."""
     op = discretization(u.grid, model)
-    if nl is None:
-        nl = model.nonlinearity.evaluate(u.values)
-    return op.stationarity(u.values, lam, nl.g, nl.gs, *op.masses(u.values))
+    return op.stationarity(u.values, op.energy(u.values), lam)
 
 
 def lagrange_multiplier(u: GridFunction, model) -> float:
@@ -220,11 +218,10 @@ def pohozaev_residual(u: GridFunction, model, nl=None) -> float:
 
 def identity_residuals(u: GridFunction, model, lam: float | None = None) -> IdentityResiduals:
     """Nehari and Pohozaev defects of u from one evaluation of the nonlinearity."""
-    nl = model.nonlinearity.evaluate(u.values)
-    st = _stationarity(u, model, lam, nl)
+    st = _stationarity(u, model, lam)
     return IdentityResiduals(
         nehari=st.nehari,
-        pohozaev=pohozaev_residual(u, model, nl),
+        pohozaev=pohozaev_residual(u, model, st.nl),
         lagrange_lambda=st.lam,
     )
 

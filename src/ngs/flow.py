@@ -49,20 +49,20 @@ energy.Discretization of (grid, model) (energy.discretization), the instance
 energy.evaluate, the identity functions and the spectrum read, so they agree
 bit for bit; its d = diag(-Lap) + V is the step's diagonal before
 lam - g'(u) + sigma, its -Lap bands give dgtsv's off-diagonals, and it
-keeps 2 w. Each trial field, once rescaled, takes its square u u once: it
-gives the masses w^T u^2 and w^T (V u^2) and the even integer powers of the
-nonlinearity g, G, g s, g' (models.NonlinearityModel.evaluate), which with
-the kinetic form give J. With V zero at every node
+keeps 2 w. Its energy(u), taken by the start field and by each trial field
+once rescaled, squares u once for the masses w^T u^2 and w^T (V u^2) and the
+even integer powers of g, G, g s, g' (models.NonlinearityModel.evaluate),
+which with the kinetic form give J. Its stationarity(u, energy(u)), taken
+by the start field and by each accepted one, adds one -Lap u and forms the
+multiplier, residual, Nehari defect and the step's right-hand side
+-F = g - ((V + lam) u + (-Lap u)) directly. With V zero at every node
 (Discretization.zero_potential) w^T (V u^2) is 0.0 and (V + lam) u is
-lam u, the same bits without their passes. An accepted field adds one
--Lap u for its stationarity, which forms the step's right-hand side
--F = g - ((V + lam) u + (-Lap u)) directly; each solve forms its diagonal
+lam u, the same bits without their passes. Each solve forms its diagonal
 d + lam - g'(u) + sigma and border row 2 (w u)^T afresh, as a rejected
 trial changes only sigma. One argmax |u| of the end field gives both its
 negation test and the peak of its sign test, and of minimize's
-boundary-contact test. The winner's last stationarity and nonlinearity
-give the reported Nehari and Pohozaev defects, so nothing is evaluated
-after the loop.
+boundary-contact test. The winner's last stationarity gives the reported
+Nehari and Pohozaev defects, so nothing is evaluated after the loop.
 
 The package's two LAPACK routines, dgtsv here and dstebz, which
 curves.quadratic_form_infimum calls once per shared Discretization, are
@@ -327,39 +327,33 @@ def _degenerate() -> NumericalError:
 def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
                config: SolverConfig) -> _StartOutcome:
     """Shifted bordered Newton steps from the mass-a field v; see the module."""
-    nonlinearity = op.model.nonlinearity
     (sub, _, sup), w, w2 = op.lap, op.w, op.w2
     floor = config.stop_energy_below
-    # each iterate's square, nonlinearity, masses and stationarity are
-    # computed once and carried into the step from it
-    usq = v * v
-    m, vm = op.masses(v, usq)
-    nl = nonlinearity.evaluate(v, True, usq)
-    J = op.energy(v, nl.G, m, vm).J
-    lam, rhs, res, nehari = op.stationarity(v, None, nl.g, nl.gs, m, vm)
-    sigma = res
-    trace = [(0, J)]
+    # the accepted field's stationarity st gives the step; a trial field gets only its energy
+    st = op.stationarity(v, op.energy(v))
+    sigma = st.residual
+    trace = [(0, st.J)]
     solves = rejected = 0
     reason = None
     while True:
-        if not (math.isfinite(J) and math.isfinite(res) and math.isfinite(sigma)):
+        if not (math.isfinite(st.J) and math.isfinite(st.residual) and math.isfinite(sigma)):
             raise _degenerate()
-        if res <= config.tol_grad:
+        if st.residual <= config.tol_grad:
             break
-        if floor is not None and J < floor:
+        if floor is not None and st.J < floor:
             reason = "energy-floor"
             break
         if solves == config.max_iters:
             reason = "max-iters"
             break
         solves += 1
-        diag = op.d + lam
-        diag -= nl.dg
+        diag = op.d + st.lam
+        diag -= st.nl.dg
         diag += sigma
         try:
-            new, _ = bordered_solve((sub, diag, sup), v, w2 * v, rhs)
+            new, _ = bordered_solve((sub, diag, sup), v, w2 * v, st.neg_defect)
         except RuntimeError:
-            J_new = math.nan    # a singular system is a rejected step
+            trial = None    # a singular system is a rejected step
         else:
             new += v
             raw = float(w.dot(new * new))
@@ -367,29 +361,25 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
             if not (raw > 0.0 and math.isfinite(raw)):
                 raise _degenerate()
             new *= math.sqrt(a / raw)
-            usq = new * new   # after the rescaling: its masses and its powers
-            m_new, vm_new = op.masses(new, usq)
-            nl_new = nonlinearity.evaluate(new, True, usq)
-            J_new = op.energy(new, nl_new.G, m_new, vm_new).J
-        if J_new <= J + 1e-12 * (1.0 + abs(J)):
-            v, m, vm, J, nl = new, m_new, vm_new, J_new, nl_new
-            lam, rhs, res, nehari = op.stationarity(v, None, nl.g, nl.gs, m, vm)
-            sigma = min(sigma / SHIFT_FACTOR, res)
-            trace.append((solves, J))
+            trial = op.energy(new)
+        if trial is not None and trial[0].J <= st.J + 1e-12 * (1.0 + abs(st.J)):
+            v, st = new, op.stationarity(new, trial)
+            sigma = min(sigma / SHIFT_FACTOR, st.residual)
+            trace.append((solves, st.J))
         else:
             rejected += 1
-            sigma = max(SHIFT_FACTOR * sigma, res, SHIFT_FLOOR)
+            sigma = max(SHIFT_FACTOR * sigma, st.residual, SHIFT_FLOOR)
     converged = reason is None
     k = int(np.argmax(np.abs(v)))
     peak = abs(float(v[k]))
     if reason in (None, "energy-floor"):
         if v[k] < 0.0:    # -u is u's state: J, lam, res are even
-            v, nl = -v, nl._replace(g=-nl.g)
+            v, st = -v, st._replace(nl=st.nl._replace(g=-st.nl.g))
         if v.min() < -SIGN_REL_TOL * peak:
             converged, reason = False, "sign-change"
-    return _StartOutcome(values=v, J=J, lam=lam, residual=res, nehari=nehari,
-                         nl=nl, peak=peak, converged=converged, reason=reason,
-                         solves=solves, rejected=rejected, trace=trace)
+    return _StartOutcome(values=v, J=st.J, lam=st.lam, residual=st.residual,
+                         nehari=st.nehari, nl=st.nl, peak=peak, converged=converged,
+                         reason=reason, solves=solves, rejected=rejected, trace=trace)
 
 
 def _winner(outcomes: list) -> int:

@@ -88,9 +88,9 @@ class NonlinearityModel:
         Per term, p = coef |s|^sigma gives g = p s, g s = p s^2,
         G = p s^2 / (sigma + 2) and g' = (sigma + 1) p. The methods g, G
         and g_times_s return these same arrays, bit for bit. sq is s * s,
-        if the caller has it: the even integer powers are its products, as
-        they are of a fresh s * s, so the bits are the same. evaluate takes
-        sq over: it may return or overwrite it.
+        which only energy.Discretization.energy passes: the even integer
+        powers are its products, as they are of a fresh s * s, so the bits
+        are the same. evaluate takes sq over: it may return or overwrite it.
         """
         s = np.asarray(s, dtype=float)
         if not self.terms:

@@ -685,16 +685,22 @@ def test_threshold_verify_reports_malformed_record(tmp_path, key, value):
 
 
 def test_verify_of_a_record_with_a_grid_past_memory_fails_verification(tmp_path):
-    out = tmp_path / "spec"
-    shutil.copytree(MODELS_DIR.parent / "scenarios" / "spectrum_harmonic", out)
-    manifest = json.loads((out / "manifest.json").read_text())
-    manifest["grid"]["n"] = int(HUGE)
-    (out / "manifest.json").write_text(json.dumps(manifest))
-    proc = run_cli("spectrum", "--out", out, "--verify")
-    assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert proc.stderr.startswith("verification failed: cannot replay the run record: "
-                                  "MemoryError")
-    assert proc.stderr.count("\n") == 1
+    # and one whose potential is not finite on its grid: the replay raises
+    # MemoryError or NumericalError, and either fails verification in one line
+    for key, value, error in (("grid", {"n": int(HUGE)}, "MemoryError"),
+                              ("model", {"potential": {"kind": "power_coercive",
+                                                       "params": [1.0, 400.0]}},
+                               "NumericalError: potential must be finite on the grid")):
+        out = tmp_path / key
+        shutil.copytree(MODELS_DIR.parent / "scenarios" / "spectrum_harmonic", out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest[key].update(value)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        proc = run_cli("spectrum", "--out", out, "--verify")
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert proc.stderr.startswith("verification failed: cannot replay the run record: "
+                                      + error)
+        assert proc.stderr.count("\n") == 1
 
 
 def test_spectrum_harmonic(tmp_path):

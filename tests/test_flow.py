@@ -103,15 +103,14 @@ def test_step_matches_dense_shifted_bordered_solve(N, n, seed):
     op = Discretization(grid, model)
     v = bumps(grid, np.random.default_rng(seed)).values
     v = v * math.sqrt(a / float(grid.w @ (v * v)))
-    nl = model.nonlinearity.evaluate(v, derivative=True)
-    lam, neg_defect, res, _ = op.stationarity(v, None, nl.g, nl.gs, *op.masses(v))
+    st = op.stationarity(v, op.energy(v))
     sub, diag, sup = op.lap
     dense = np.zeros((n + 1, n + 1))
-    dense[:n, :n] = (np.diag(diag + op.V + lam - nl.dg + res)
+    dense[:n, :n] = (np.diag(diag + op.V + st.lam - st.nl.dg + st.residual)
                      + np.diag(sub, -1) + np.diag(sup, 1))
     dense[:n, n] = v
     dense[n, :n] = 2.0 * grid.w * v
-    ref = v + np.linalg.solve(dense, np.append(neg_defect, 0.0))[:n]
+    ref = v + np.linalg.solve(dense, np.append(st.neg_defect, 0.0))[:n]
     ref *= math.sqrt(a / float(grid.w @ (ref * ref)))
     out = flow._run_start(op, v, a, SolverConfig(max_iters=1))
     assert (out.solves, out.rejected) == (1, 0)
@@ -256,13 +255,15 @@ def test_nehari_pohozaev_hold_at_convergence(well_solution, well_cubic,
         assert res.residuals.pohozaev == pohozaev_residual(res.u, model)
 
 
-def test_unit_costs_of_minimize(monkeypatch, small_grid):
+def test_unit_costs_of_minimize(monkeypatch, small_grid, grid20):
     # one dgtsv call per solve, accepted or rejected, one -Lap v per start
     # field and per accepted step, and one nonlinearity evaluation per start
     # field and per trial field of a non-singular solve (NonlinearityModel
     # .evaluate), counting the finish on n as one more start whose accepted
     # steps are its trace; nothing is evaluated again after the loop. No
-    # positive definite factor is made: flow loads no routine for one
+    # positive definite factor is made: flow loads no routine for one. The
+    # quintic probe rejects 11 of its 55 solves, so a -Lap v per trial,
+    # not per accepted step, would show there; power3_free rejects none
     assert not hasattr(flow, "dpttrs") and not hasattr(flow, "dpttrf")
     counts = dict.fromkeys(("dgtsv", "tridiagonal_apply", "evaluate", "singular"), 0)
     for owner, name in ((flow, "dgtsv"), (grids, "tridiagonal_apply"),
@@ -274,15 +275,23 @@ def test_unit_costs_of_minimize(monkeypatch, small_grid):
                 counts["singular"] += 1
             return out
         monkeypatch.setattr(owner, name, spy)
-    res = minimize(4.0, load_model(MODELS_DIR / "power3_free.json"), small_grid)
-    assert res.converged and res.iterations > 0
-    solves = sum(res.all_start_solves) + res.iterations
-    starts = len(res.all_start_solves) + 1
-    assert counts["dgtsv"] == solves
-    accepted = (sum(res.all_start_solves) - sum(res.all_start_rejected_steps)
-                + len(res.energy_trace) - 1)
-    assert counts["tridiagonal_apply"] == starts + accepted
-    assert counts["evaluate"] == starts + solves - counts["singular"]
+    for name, a, grid, config in (("power3_free", 4.0, small_grid, SolverConfig()),
+                                  ("quintic_free", 2.71, grid20, QUINTIC_PROBE)):
+        counts.update(dict.fromkeys(counts, 0))
+        res = minimize(a, load_model(MODELS_DIR / f"{name}.json"), grid, config)
+        assert res.iterations > 0
+        solves = sum(res.all_start_solves) + res.iterations
+        starts = len(res.all_start_solves) + 1
+        assert counts["dgtsv"] == solves
+        accepted = (sum(res.all_start_solves) - sum(res.all_start_rejected_steps)
+                    + len(res.energy_trace) - 1)
+        assert counts["tridiagonal_apply"] == starts + accepted
+        assert counts["evaluate"] == starts + solves - counts["singular"]
+        if name == "power3_free":
+            assert res.converged
+        else:
+            assert (solves, sum(res.all_start_rejected_steps)) == (55, 11)
+            assert (counts["tridiagonal_apply"], counts["evaluate"]) == (48, 59)
 
 
 # --- one shared operator per (grid, model) ---
