@@ -22,7 +22,10 @@ imports ngs from that tree's src/ and reads that tree's models/:
   probe's config (stop_energy_below = -15 DEADBAND);
 * minimize on power2_free_3d at a = 20 (N = 3) and tabulated_well at a = 3;
 * minimize on power3_free at a = 4 on n = 2001 (R = 20): odd n, so its
-  starts run on n with no finish on the half grid;
+  starts run on n with no finish;
+* minimize on power3_free at a = 4 on n = 1000 (R = 20): the quarter
+  grid's spacing 0.08 is above flow.SEARCH_SPACING, so its starts run on
+  n/2;
 * a 12-mass scan of gaussian_well_cubic from 0.5 to 6;
 * threshold_a0 on quintic_free over (2.685, 2.735), and on
   gaussian_well_cubic over the default bracket;
@@ -38,7 +41,9 @@ A case's digest is one SHA-256 over everything its call returns: every
 float as float.hex, every int, bool and string, and every array's dtype,
 shape and bytes, field by field. A record, a dataclass or a NamedTuple,
 feeds its type name and then each field's name and value, so its digest
-does not depend on which of the two declares it. The script prints each
+does not depend on which of the two declares it; a field in
+RENAMED_FIELDS is fed under its new name in both trees, so a rename alone
+makes no case differ. The script prints each
 case's digest for both trees, exits 0 when all agree and 1, naming each
 case that differs, when any does.
 """
@@ -59,6 +64,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GROUND_STATE = (("power3_free", 4.0), ("gaussian_well_cubic", 3.0),
                 ("gaussian_well_mixed", 3.0), ("harmonic_cubic", 2.0),
                 ("gaussian_well_deep", 2.0))
+# record fields renamed since earlier revisions: old name -> new name
+RENAMED_FIELDS = {"energy_half_grid": "energy_search_grid"}
 
 
 def _unpack(rev: str, dest: Path) -> None:
@@ -93,7 +100,7 @@ def _feed(h, obj) -> None:
                  else [f.name for f in dataclasses.fields(obj)])
         h.update(type(obj).__name__.encode() + b"(")
         for name in names:
-            _feed(h, name)
+            _feed(h, RENAMED_FIELDS.get(name, name))
             _feed(h, getattr(obj, name))
         h.update(b")")
     elif isinstance(obj, (list, tuple)):
@@ -160,6 +167,8 @@ def _cases(models_dir: Path) -> dict:
         20.0, model("power2_free_3d"), RadialGrid(3, 20.0, 2000))
     cases["minimize power3_free a=4 n=2001"] = lambda: flow.minimize(
         4.0, model("power3_free"), RadialGrid(1, 20.0, 2001))
+    cases["minimize power3_free a=4 n=1000"] = lambda: flow.minimize(
+        4.0, model("power3_free"), RadialGrid(1, 20.0, 1000))
     tabulated = model("tabulated_well")
     cases["minimize tabulated_well a=3"] = lambda: flow.minimize(
         3.0, tabulated, RadialGrid(tabulated.N, 20.0, 2000))

@@ -73,8 +73,8 @@ def _add_common(parser: argparse.ArgumentParser, handler, replay, *,
         parser.add_argument("--tol", dest="tol_grad", type=float, default=None,
                             metavar="TOL", help="stationarity residual tolerance")
         parser.add_argument("--max-iters", type=int, default=None,
-                            help="cap on the linear solves of each start on n/2, "
-                                 "and of the finish on n")
+                            help="cap on the linear solves of each start on the "
+                                 "search grid, and of the finish on n")
         parser.add_argument("--starts", type=int, default=None,
                             help="number of initial profiles")
     parser.add_argument("--out", required=needs_out, default=None, metavar="DIR",

@@ -160,8 +160,8 @@ class Discretization:
         return Stationarity(lam, neg_f, res, quad + lam * m - gu, report.J, nl)
 
 
-# a minimize uses two entries, its grid and the half grid of its search, so
-# five models over both keep their operators and spectral floors
+# a minimize uses two entries, its grid and the n/2 or n/4 grid of its
+# search, so five models over both keep their operators and spectral floors
 @functools.lru_cache(maxsize=16)
 def discretization(grid: grids.RadialGrid, model) -> Discretization:
     """The one shared, read-only Discretization of a (grid, model) value."""

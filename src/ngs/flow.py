@@ -33,16 +33,20 @@ g(0) = 0, a zero node of |u| would zero its neighbours and all of |u|:
 |u| > 0, and no face of u changes sign. A non-finite J, residual or
 shift, or a trial field of zero or non-finite mass, raises NumericalError.
 
-minimize runs its starts on the half grid of n/2 cells when n is even and
-n/2 >= 64, and finishes only the winner on n: each start, built on n, is
-restricted by pair averages and rescaled to mass a; the winner, among the
+minimize runs its starts on a coarser search grid and finishes only the
+winner on n. The search grid halves n once when n is even and n/2 >= 64,
+and a second time when n/2 is even, n/4 >= 64 and the spacing R/(n/4) is
+at most SEARCH_SPACING: n/4 = 500 at the default R = 20, n = 2000, and
+n/2 on coarser grids. Each start, built on n, is restricted by pair
+averages once per level and rescaled to mass a; the winner, among the
 starts that converged or ended on the energy floor, is prolonged by linear
-interpolation between cell centres, rescaled, and run as one more start on
-n, with its own max_iters and the same end test. The starts take about as
-many solves on n/2 as on n, each on half the nodes, and the finish one or
-two more on n. Its J and the winner's J on n/2 give Richardson's estimate
-(C - C_half)/3 of the h^2 error (Richardson, Phil. Trans. R. Soc. A 210,
-1911; Brandt, Math. Comp. 31, 1977).
+interpolation between cell centres once per level, rescaled, and run as
+one more start on n, with its own max_iters and the same end test. The
+starts take about as many solves on the search grid as on n, each on a
+half or a quarter of the nodes, and the finish one or two more on n. Its J
+and the winner's J on the search grid, r = 2 or 4 times coarser, give
+Richardson's estimate (C - C_s)/(r^2 - 1) of the h^2 error (Richardson,
+Phil. Trans. R. Soc. A 210, 1911; Brandt, Math. Comp. 31, 1977).
 
 Every value the solver reports comes from the one shared
 energy.Discretization of (grid, model) (energy.discretization), the instance
@@ -147,6 +151,11 @@ VANISHING_RADIUS = 1.0
 # energies above -DEADBAND are "not negative" here and in threshold_a0, so
 # that quadrature noise cannot decide a sign
 DEADBAND = 1e-6
+# the widest spacing R/(n/4) on which minimize runs its starts on n/4, a
+# lattice guard for the mass-critical quintic: at R = 20, n = 2000 its
+# threshold probes read the same signs from n/4 = 500 (spacing 0.04) as from
+# n/2, while on n/8 (0.08) a start collapses on the lattice at a = 2.71
+SEARCH_SPACING = 0.04
 
 
 @dataclass(frozen=True)
@@ -185,7 +194,7 @@ class GroundStateResult(NamedTuple):
     reason: str | None
     iterations: int                  # solves of that run on n, accepted or not
     residual_norm: float
-    # the starts, on the grid of start_grid_n cells
+    # the starts, on the search grid of start_grid_n cells
     all_start_energies: list
     all_start_solves: list           # one dgtsv each
     all_start_rejected_steps: list
@@ -193,19 +202,20 @@ class GroundStateResult(NamedTuple):
     start_disagreement: bool
     warnings: list
     start_grid_n: int
-    # the search winner's J on n/2, if both it and the finish converged
-    energy_half_grid: float | None
+    # the search winner's J on start_grid_n, if both it and the finish converged
+    energy_search_grid: float | None
 
     def to_dict(self) -> dict:
         # Richardson's estimate of C_true - C for an h^2 error; not a bound
-        half = self.energy_half_grid
-        estimate = None if half is None else (self.energy - half) / 3.0
+        coarse = self.energy_search_grid
+        ratio = self.u.grid.n // self.start_grid_n
+        estimate = None if coarse is None else (self.energy - coarse) / (ratio * ratio - 1)
         return {
             "a": self.a,
             "mass": grids.mass(self.u),
             "lambda": self.lam,
             "C_a_estimate": self.energy,
-            "C_a_half_grid": self.energy_half_grid,
+            "C_a_search_grid": self.energy_search_grid,
             "C_a_extrapolated": None if estimate is None else self.energy + estimate,
             "discretization_error_estimate": estimate,
             "start_grid_n": self.start_grid_n,
@@ -396,14 +406,19 @@ def _winner(outcomes: list) -> int:
 
 
 @functools.lru_cache(maxsize=16)
-def _half_grid(grid: RadialGrid) -> RadialGrid | None:
-    """The grid of n/2 cells minimize searches on, or None: n odd or n/2 < 64.
+def _search_grid(grid: RadialGrid) -> RadialGrid | None:
+    """The grid of n/2 or n/4 cells minimize searches on, or None: n odd or n/2 < 64.
 
-    Cached, as _ball_bounds is: building it takes about 50 us at n/2 = 1000.
+    n/4 when n/2 is even, n/4 >= 64 and R/(n/4) <= SEARCH_SPACING. Cached,
+    as _ball_bounds is: building it takes about 50 us at 1000 cells.
     """
-    if grid.n % 2 or grid.n // 2 < 64:
+    n = grid.n
+    if n % 2 or n // 2 < 64:
         return None
-    return RadialGrid(grid.N, grid.R, grid.n // 2)
+    n //= 2
+    if n % 2 == 0 and n // 2 >= 64 and grid.R / (n // 2) <= SEARCH_SPACING:
+        n //= 2
+    return RadialGrid(grid.N, grid.R, n)
 
 
 def _restrict(values: np.ndarray) -> np.ndarray:
@@ -412,7 +427,7 @@ def _restrict(values: np.ndarray) -> np.ndarray:
 
 
 def _prolong(values: np.ndarray) -> np.ndarray:
-    """Linear interpolation from n/2 cell centres to n.
+    """Linear interpolation from the cell centres of n/2 cells to n cells.
 
     Fine node 2k, at a quarter coarse cell inside coarse node k, takes
     3/4 c_k + 1/4 c_{k-1}, and node 2k + 1 takes 3/4 c_k + 1/4 c_{k+1}, with
@@ -441,10 +456,12 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
     Initial profiles are mass-a Gaussians of staggered widths, optionally
     preceded by a caller-supplied warm start (rescaled to mass a), all built
     on grid. When n is even and n/2 >= 64, each start is restricted to the
-    half grid of n/2 cells by pair averages and rescaled to mass a, the
-    starts run there, and the winner is prolonged to n, rescaled and run
-    as one more start on n; otherwise the starts run on n and the winner
-    is not finished. Each run has config.max_iters solves. The
+    search grid of n/2 cells, or of n/4 where its spacing R/(n/4) is at
+    most SEARCH_SPACING (module docstring), by pair averages once per level
+    and rescaled to mass a, the starts run there, and the winner is
+    prolonged to n, rescaled and run as one more start on n; otherwise the
+    starts run on n and the winner is not finished. Each run has
+    config.max_iters solves. The
     winner is the first start, in start order, whose J is within
     1e-12 (1 + |J_min|) of the lowest, among the starts that converged or
     ended below config.stop_energy_below if any did. Never raises on
@@ -463,13 +480,17 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
         starts.append(_with_mass(warm_start.values, grid, a))
     for width in _start_widths(config.starts - len(starts)):
         starts.append(gaussian_start(grid, width, a).values)
-    half = _half_grid(grid)
+    coarse = _search_grid(grid)
     search, searched = op, starts
-    if half is not None:
-        search = energy_mod.discretization(half, model)
-        # built on n and restricted: a narrow Gaussian with mass on n can
-        # underflow where it is sampled at the half grid's nodes
-        searched = [_with_mass(_restrict(v), half, a) for v in starts]
+    if coarse is not None:
+        search = energy_mod.discretization(coarse, model)
+        # built on n and restricted once per level: a narrow Gaussian with
+        # mass on n can underflow where it is sampled at the search grid's nodes
+        searched = []
+        for v in starts:
+            while len(v) > coarse.n:
+                v = _restrict(v)
+            searched.append(_with_mass(v, coarse, a))
 
     # an overflow surfaces as a non-finite energy, residual or mass, which
     # raises NumericalError; NumPy need not warn about it too
@@ -477,8 +498,11 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
         outcomes = [_run_start(search, v, a, config) for v in searched]
         best = _winner(outcomes)
         won = out = outcomes[best]
-        if half is not None:
-            out = _run_start(op, _with_mass(_prolong(won.values), grid, a), a, config)
+        if coarse is not None:
+            v = won.values
+            while len(v) < grid.n:
+                v = _prolong(v)
+            out = _run_start(op, _with_mass(v, grid, a), a, config)
     u = GridFunction(grid, out.values)
 
     # the winner's last stationarity and nonlinearity give its identities
@@ -531,6 +555,6 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
         start_disagreement=disagreement,
         warnings=warnings,
         start_grid_n=search.grid.n,
-        energy_half_grid=(won.J if half is not None and won.converged and out.converged
-                          else None),
+        energy_search_grid=(won.J if coarse is not None and won.converged and out.converged
+                            else None),
     )

@@ -257,14 +257,14 @@ def test_criterion_9_refinement_order(matrix, grid20):
 
 
 def test_criterion_10_richardson_extrapolation(grid20):
-    # the starts run on n/2, so the winner's converged J there and the
-    # finished J on n give (C - C_half)/3, Richardson's estimate of the h^2
+    # the starts run on n/4, so the winner's converged J there and the
+    # finished J on n give (C - C_s)/15, Richardson's estimate of the h^2
     # error, with no extra solve
     res = minimize(4.0, load_model(MODELS_DIR / "power3_free.json"), grid20)
     d = res.to_dict()
     exact = -2.0 / 3.0
     err = abs(d["C_a_extrapolated"] - exact)
-    ok = res.converged and d["start_grid_n"] == 1000 and err <= 1e-8
+    ok = res.converged and d["start_grid_n"] == 500 and err <= 1e-8
     record(10, ok, f"power3_free a=4: |C_extrapolated - exact| {err:.2e} at n=2000 "
                    f"(tol 1e-8), raw |C - exact| {abs(res.energy - exact):.2e}, "
                    f"estimate {d['discretization_error_estimate']:.3e}")

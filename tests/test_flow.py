@@ -262,7 +262,7 @@ def test_unit_costs_of_minimize(monkeypatch, small_grid, grid20):
     # .evaluate), counting the finish on n as one more start whose accepted
     # steps are its trace; nothing is evaluated again after the loop. No
     # positive definite factor is made: flow loads no routine for one. The
-    # quintic probe rejects 11 of its 55 solves, so a -Lap v per trial,
+    # quintic probe rejects 12 of its 58 solves, so a -Lap v per trial,
     # not per accepted step, would show there; power3_free rejects none
     assert not hasattr(flow, "dpttrs") and not hasattr(flow, "dpttrf")
     counts = dict.fromkeys(("dgtsv", "tridiagonal_apply", "evaluate", "singular"), 0)
@@ -290,8 +290,8 @@ def test_unit_costs_of_minimize(monkeypatch, small_grid, grid20):
         if name == "power3_free":
             assert res.converged
         else:
-            assert (solves, sum(res.all_start_rejected_steps)) == (55, 11)
-            assert (counts["tridiagonal_apply"], counts["evaluate"]) == (48, 59)
+            assert (solves, sum(res.all_start_rejected_steps)) == (58, 12)
+            assert (counts["tridiagonal_apply"], counts["evaluate"]) == (50, 62)
 
 
 # --- one shared operator per (grid, model) ---
@@ -523,16 +523,25 @@ def test_sign_changing_newton_endpoint_is_rejected(small_grid, grid20):
     assert res.converged
     assert res.start_index > 0
     assert abs(2.0 * res.energy - lam[0]) <= 1e-9
-    # alone, the second eigenvector with its largest lobe positive ends on
-    # itself on both grids, at J = lambda_2 / 2, five times C_a: its
-    # negative lobe makes it a sign change, not a converged minimum
+    # the second eigenvector with its largest lobe positive ends on itself,
+    # at J = lambda_2 / 2, five times C_a: its negative lobe makes it a sign
+    # change, not a converged minimum
     lam, psi = _harmonic_modes(grid20, model, 2)
     v = psi[1] * np.sign(psi[1][np.argmax(np.abs(psi[1]))])
+    out = flow._run_start(Discretization(grid20, model), v, 1.0, SolverConfig())
+    assert out.solves == 0 and out.residual <= SolverConfig().tol_grad
+    assert abs(2.0 * out.J - lam[1]) <= 1e-9
+    assert (out.reason, out.converged) == ("sign-change", False)
+    # alone as minimize's warm start, it is a sign change on the search
+    # grid too; the finish on n, from that prolonged field, leaves the
+    # saddle and converges to the ground state, never to lambda_2 / 2
     res = minimize(1.0, model, grid20, SolverConfig(starts=1),
                    warm_start=GridFunction(grid20, v))
-    assert abs(2.0 * res.energy - lam[1]) <= 1e-9
+    assert res.start_grid_n == 500
     assert res.all_start_reasons == ["sign-change"]
-    assert not res.converged and res.reason == "sign-change"
+    assert res.converged and res.iterations == 38
+    assert abs(2.0 * res.energy - lam[0]) <= 1e-9
+    assert abs(2.0 * res.energy - lam[1]) > 1.0
 
 
 @pytest.mark.parametrize("a, reasons", [(3.0, [None, None, None]),
@@ -589,9 +598,9 @@ def test_newton_attempts_and_rejections_are_reported(cubic_free_solution, grid20
     rejected, solves = res.all_start_rejected_steps, res.all_start_solves
     assert sum(rejected) > 0
     assert all(0 <= r < s for r, s in zip(rejected, solves))
-    # the finish on n takes one solve, accepted, so its trace holds its
-    # start and that step
-    assert (res.iterations, len(res.energy_trace)) == (1, 2)
+    # the finish on n takes two solves, both accepted, so its trace holds
+    # its start and those steps
+    assert (res.iterations, len(res.energy_trace)) == (2, 3)
 
 
 def test_rejected_initial_attempt_leaves_the_start_bit_for_bit(monkeypatch, small_grid,
@@ -610,14 +619,14 @@ def test_rejected_initial_attempt_leaves_the_start_bit_for_bit(monkeypatch, smal
                                                    lagrange_multiplier(u, well_cubic))
 
 
-# --- starts on the half grid, one finish on n ---
+# --- starts on the search grid, one finish on n ---
 
 def test_prolongation_interpolates_between_cell_centres():
     # exact for a + b r at the interior nodes; the end nodes take the even
     # reflection at 0 (c_-1 = c_0) and the zero on the face at R
     # (c_n/2 = -c_n/2-1)
     grid = RadialGrid(1, 20.0, 400)
-    half = flow._half_grid(grid)
+    half = flow._search_grid(grid)
     coarse = 0.7 - 0.3 * half.r
     fine = flow._prolong(coarse)
     assert fine.shape == (400,)
@@ -628,19 +637,27 @@ def test_prolongation_interpolates_between_cell_centres():
     assert np.max(np.abs(flow._restrict(fine)[1:-1] - coarse[1:-1])) <= 1e-13
 
 
-@pytest.mark.parametrize("n, searched", [(2000, 1000), (128, 64), (2001, 2001), (127, 127)])
-def test_starts_run_on_the_half_grid_when_n_is_even_and_n_half_at_least_64(n, searched):
-    res = minimize(4.0, load_model(MODELS_DIR / "power3_free.json"), RadialGrid(1, 20.0, n))
+@pytest.mark.parametrize("R, n, searched", [(20.0, 2000, 500), (20.0, 4000, 1000),
+                                             (20.0, 1000, 500), (16.0, 400, 200),
+                                             (20.0, 128, 64), (20.0, 2001, 2001),
+                                             (20.0, 127, 127)])
+def test_starts_run_on_the_search_grid(R, n, searched):
+    # n/4 where R/(n/4) <= SEARCH_SPACING (20/500 is 0.04 in floating point),
+    # else n/2 when n is even and n/2 >= 64 (R = 20, n = 1000: the quarter's
+    # spacing 0.08 is refused), else n
+    res = minimize(4.0, load_model(MODELS_DIR / "power3_free.json"), RadialGrid(1, R, n))
     assert res.converged
     assert res.u.grid.n == n
     d = res.to_dict()
     assert d["start_grid_n"] == res.start_grid_n == searched
-    estimates = (d["C_a_half_grid"], d["C_a_extrapolated"], d["discretization_error_estimate"])
+    estimates = (d["C_a_search_grid"], d["C_a_extrapolated"], d["discretization_error_estimate"])
     if searched == n:
         assert estimates == (None, None, None)
     else:
-        half, extrapolated, estimate = estimates
-        assert estimate == (res.energy - half) / 3.0 and extrapolated == res.energy + estimate
+        coarse, extrapolated, estimate = estimates
+        r = n // searched
+        assert estimate == (res.energy - coarse) / (r * r - 1)
+        assert extrapolated == res.energy + estimate
 
 
 def test_warm_start_with_no_mass_on_the_half_grid_is_rejected(small_grid, well_cubic):
@@ -723,6 +740,19 @@ def test_subthreshold_quintic_starts_reach_one_local_minimizer(grid20):
     L = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
     q = np.linalg.solve(L, u)
     assert 2.0 * float((op.w * u) @ q) < 0.0
+
+
+def test_quintic_probe_signs_across_the_threshold(grid20):
+    # the probes search on n/4 = 500 cells (spacing 0.04): no start may
+    # collapse on that lattice below sqrt(3) pi / 2 = 2.7207 and read a
+    # negative J, and above it the probes still certify negativity
+    model = free_power(1, 4.0)
+    signs = ""
+    for a in (2.712, 2.7145, 2.717, 2.7195, 2.722, 2.7245, 2.727):
+        res = minimize(a, model, grid20, QUINTIC_PROBE)
+        assert res.start_grid_n == 500
+        signs += "-" if res.energy < -flow.DEADBAND else "+"
+    assert signs == "++++---"
 
 
 @pytest.mark.parametrize("name, N, a, config", [
