@@ -18,6 +18,11 @@ imports ngs from that tree's src/ and reads that tree's models/:
   V = 0): energy.evaluate, identity_residuals at lambda = None and at 0.5,
   euler_lagrange_residual and nehari_residual at 0.5, and energy.evaluate
   of the zero field;
+* the shared Discretization's energy(v) on the width-1 Gaussian start of
+  mass 3 (R = 20, n = 2000) of every bundled model: its EnergyReport, all
+  four NonlinearValues arrays (g, G, g s, g') and w^T (V v^2), which covers
+  the non-integer exponent of gaussian_well_mixed, the quintic's subnormal
+  tail and the zero nonlinearity of harmonic;
 * quintic_free probes at a = 2.685, 2.71 and 2.735 with the threshold
   probe's config (stop_energy_below = -15 DEADBAND);
 * minimize on power2_free_3d at a = 20 (N = 3) and tabulated_well at a = 3;
@@ -151,6 +156,15 @@ def _cases(models_dir: Path) -> dict:
                          "evaluate zero": energy.evaluate(u.with_values(0.0 * u.values), m)}
         return out
 
+    def energy_on_starts():
+        out = {}
+        for path in sorted(models_dir.glob("*.json")):
+            m = load_model(path)
+            g = RadialGrid(m.N, 20.0, 2000)
+            v = flow.gaussian_start(g, 1.0, 3.0).values
+            out[path.stem] = energy.discretization(g, m).energy(v)
+        return out
+
     grid = RadialGrid(1, 20.0, 2000)
     probe = flow.SolverConfig(stop_energy_below=-15.0 * flow.DEADBAND)
     cases = {}
@@ -160,6 +174,7 @@ def _cases(models_dir: Path) -> dict:
     for name, a in GROUND_STATE:
         cases[f"identities {name} a={a:g}"] = lambda name=name, a=a: identities(name, a)
     cases["identities off a minimizer"] = off_minimizer
+    cases["Discretization.energy on every model's width-1 start"] = energy_on_starts
     for a in (2.685, 2.71, 2.735):
         cases[f"minimize quintic_free a={a:g} probe"] = (
             lambda a=a: flow.minimize(a, model("quintic_free"), grid, probe))

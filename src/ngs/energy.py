@@ -58,7 +58,7 @@ class Stationarity(NamedTuple):
     residual: float
     nehari: float
     J: float
-    nl: NonlinearValues      # from Discretization.energy, with g'
+    nl: NonlinearValues      # from Discretization.energy
 
 
 class Discretization:
@@ -110,16 +110,13 @@ class Discretization:
     def energy(self, v: np.ndarray) -> tuple[EnergyReport, NonlinearValues, float]:
         """J of v and its parts, the nonlinearity at v with g', and w^T (V v^2).
 
-        v v is formed once: it gives the mass w^T v^2 and w^T (V v^2), and
-        then NonlinearityModel.evaluate takes it over for the even integer
-        powers, so it is read before it is handed on; this is the one caller
-        that passes the square. With V zero at every node w^T (V v^2) is
-        0.0, the bits w^T (v^2 0) has, without forming v^2 V.
+        With V zero at every node w^T (V v^2) is 0.0, the bits w^T (v^2 0)
+        has, without forming v^2 V.
         """
         usq = v * v
         m = float(self.w.dot(usq))
         vm = 0.0 if self.zero_potential else float(self.w.dot(usq * self.V))
-        nl = self.model.nonlinearity.evaluate(v, True, usq)
+        nl = self.model.nonlinearity.evaluate(v)
         kin = 0.5 * grids.kinetic_values(self.grid, v)
         nonlin = float(self.w.dot(nl.G))
         I = kin - nonlin

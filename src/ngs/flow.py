@@ -49,24 +49,17 @@ Richardson's estimate (C - C_s)/(r^2 - 1) of the h^2 error (Richardson,
 Phil. Trans. R. Soc. A 210, 1911; Brandt, Math. Comp. 31, 1977).
 
 Every value the solver reports comes from the one shared
-energy.Discretization of (grid, model) (energy.discretization), the instance
-energy.evaluate, the identity functions and the spectrum read, so they agree
-bit for bit; its d = diag(-Lap) + V is the step's diagonal before
-lam - g'(u) + sigma, its -Lap bands give dgtsv's off-diagonals, and it
-keeps 2 w. Its energy(u), taken by the start field and by each trial field
-once rescaled, squares u once for the masses w^T u^2 and w^T (V u^2) and the
-even integer powers of g, G, g s, g' (models.NonlinearityModel.evaluate),
-which with the kinetic form give J. Its stationarity(u, energy(u)), taken
-by the start field and by each accepted one, adds one -Lap u and forms the
-multiplier, residual, Nehari defect and the step's right-hand side
--F = g - ((V + lam) u + (-Lap u)) directly. With V zero at every node
-(Discretization.zero_potential) w^T (V u^2) is 0.0 and (V + lam) u is
-lam u, the same bits without their passes. Each solve forms its diagonal
-d + lam - g'(u) + sigma and border row 2 (w u)^T afresh, as a rejected
-trial changes only sigma. One argmax |u| of the end field gives both its
-negation test and the peak of its sign test, and of minimize's
-boundary-contact test. The winner's last stationarity gives the reported
-Nehari and Pohozaev defects, so nothing is evaluated after the loop.
+energy.Discretization of (grid, model) (energy.discretization), which
+energy.evaluate, the identity functions and the spectrum read too, so they
+agree bit for bit. Its d = diag(-Lap) + V, -Lap bands and 2 w give the
+step's diagonal before lam - g'(u) + sigma, dgtsv's off-diagonals and the
+border row. Each field is evaluated once: the start field and each trial
+field, once rescaled, take one Discretization.energy (J and the
+nonlinearity with g'), and the start field and each accepted trial one
+Discretization.stationarity (multiplier, -F, residual and Nehari defect),
+so a rejected trial costs no -Lap u. A run returns its last Stationarity
+with its end field; the winner's gives the reported lambda, residual and
+identities, so nothing is evaluated after the loop.
 
 The package's two LAPACK routines, dgtsv here and dstebz, which
 curves.quadratic_form_infimum calls once per shared Discretization, are
@@ -92,7 +85,6 @@ from . import energy as energy_mod
 from . import grids
 from .errors import NumericalError
 from .grids import GridFunction, RadialGrid
-from .models import NonlinearValues
 
 
 def _load_flapack():
@@ -202,7 +194,7 @@ class GroundStateResult(NamedTuple):
     start_disagreement: bool
     warnings: list
     start_grid_n: int
-    # the search winner's J on start_grid_n, if both it and the finish converged
+    # the search winner's J on start_grid_n, if both it and the result converged
     energy_search_grid: float | None
 
     def to_dict(self) -> dict:
@@ -316,12 +308,8 @@ def _start_widths(count: int) -> list[float]:
 
 class _StartOutcome(NamedTuple):
     values: np.ndarray
-    J: float
-    lam: float
-    residual: float
-    nehari: float
-    nl: NonlinearValues      # the nonlinearity at values
-    peak: float              # max |values|
+    st: energy_mod.Stationarity   # the run's last, at values
+    peak: float                   # max |values|
     converged: bool
     reason: str | None
     solves: int
@@ -383,13 +371,13 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
     k = int(np.argmax(np.abs(v)))
     peak = abs(float(v[k]))
     if reason in (None, "energy-floor"):
-        if v[k] < 0.0:    # -u is u's state: J, lam, res are even
-            v, st = -v, st._replace(nl=st.nl._replace(g=-st.nl.g))
+        if v[k] < 0.0:    # -u is u's state: J, lam, res are even, g and F odd
+            v, st = -v, st._replace(neg_defect=-st.neg_defect,
+                                    nl=st.nl._replace(g=-st.nl.g))
         if v.min() < -SIGN_REL_TOL * peak:
             converged, reason = False, "sign-change"
-    return _StartOutcome(values=v, J=st.J, lam=st.lam, residual=st.residual,
-                         nehari=st.nehari, nl=st.nl, peak=peak, converged=converged,
-                         reason=reason, solves=solves, rejected=rejected, trace=trace)
+    return _StartOutcome(values=v, st=st, peak=peak, converged=converged, reason=reason,
+                         solves=solves, rejected=rejected, trace=trace)
 
 
 def _winner(outcomes: list) -> int:
@@ -401,8 +389,8 @@ def _winner(outcomes: list) -> int:
     """
     pool = [i for i, o in enumerate(outcomes)
             if o.converged or o.reason == "energy-floor"] or range(len(outcomes))
-    J_min = min(outcomes[i].J for i in pool)
-    return next(i for i in pool if outcomes[i].J <= J_min + 1e-12 * (1.0 + abs(J_min)))
+    J_min = min(outcomes[i].st.J for i in pool)
+    return next(i for i in pool if outcomes[i].st.J <= J_min + 1e-12 * (1.0 + abs(J_min)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -503,13 +491,13 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
             while len(v) < grid.n:
                 v = _prolong(v)
             out = _run_start(op, _with_mass(v, grid, a), a, config)
-    u = GridFunction(grid, out.values)
+    u, st = GridFunction(grid, out.values), out.st
 
     # the winner's last stationarity and nonlinearity give its identities
     residuals = energy_mod.IdentityResiduals(
-        out.nehari, energy_mod.pohozaev_residual(u, model, out.nl), out.lam)
+        st.nehari, energy_mod.pohozaev_residual(u, model, st.nl), st.lam)
 
-    spread = [o.J for o in outcomes if o.converged]
+    spread = [o.st.J for o in outcomes if o.converged]
     disagreement = len(spread) > 1 and max(spread) - min(spread) > 1e-6
 
     warnings = []
@@ -529,32 +517,32 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
     reason = out.reason
     if math.isfinite(model.potential.V_inf):
         vd_frac = vanishing_diagnostic(u) / a
-        if vd_frac < VANISHING_FRACTION and out.J < -DEADBAND:
+        if vd_frac < VANISHING_FRACTION and st.J < -DEADBAND:
             converged = False
             reason = "vanishing-suspected"
-        elif (vd_frac < VANISHING_FRACTION or contact) and out.J >= -DEADBAND:
+        elif (vd_frac < VANISHING_FRACTION or contact) and st.J >= -DEADBAND:
             converged = False
             reason = "no-minimizer-regime"
 
     return GroundStateResult(
         u=u,
         a=a,
-        lam=out.lam,
-        energy=out.J,
+        lam=st.lam,
+        energy=st.J,
         residuals=residuals,
         energy_trace=out.trace,
         converged=converged,
         start_index=best,
         reason=None if converged else reason,
         iterations=out.solves,
-        residual_norm=out.residual,
-        all_start_energies=[o.J for o in outcomes],
+        residual_norm=st.residual,
+        all_start_energies=[o.st.J for o in outcomes],
         all_start_solves=[o.solves for o in outcomes],
         all_start_rejected_steps=[o.rejected for o in outcomes],
         all_start_reasons=[o.reason for o in outcomes],
         start_disagreement=disagreement,
         warnings=warnings,
         start_grid_n=search.grid.n,
-        energy_search_grid=(won.J if coarse is not None and won.converged and out.converged
+        energy_search_grid=(won.st.J if coarse is not None and won.converged and converged
                             else None),
     )

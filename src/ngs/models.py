@@ -28,28 +28,25 @@ TAIL_TOL = 1e-3
 DVX_DECAY_TOL = 1e-6
 
 
-def _abs_power(s: np.ndarray, sigma: float, sq: np.ndarray | None = None) -> np.ndarray:
-    """|s|^sigma; for integer sigma products of s*s (and |s|), faster than pow.
-
-    sq is s * s, if the caller has it; for sigma = 2 the result is sq itself.
-    """
+def _abs_power(s: np.ndarray, sigma: float) -> np.ndarray:
+    """|s|^sigma; for integer sigma products of s*s (and |s|), faster than pow."""
     if not float(sigma).is_integer():
         return np.abs(s) ** sigma
     half, odd = divmod(int(sigma), 2)
     p = np.abs(s) if odd else None
-    s2 = (s * s if sq is None else sq) if half else None
+    s2 = s * s if half else None
     for _ in range(half):
         p = s2 if p is None else p * s2
     return p
 
 
 class NonlinearValues(NamedTuple):
-    """A nonlinearity at the nodes: g, G, g(s) s and g' (None unless asked)."""
+    """A nonlinearity at the nodes: g, G, g(s) s and g'."""
 
     g: np.ndarray
     G: np.ndarray
     gs: np.ndarray
-    dg: np.ndarray | None
+    dg: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -82,25 +79,19 @@ class NonlinearityModel:
                     f"{4.0 / (self.N - 2):g} in dimension {self.N}"
                 )
 
-    def evaluate(self, s, derivative: bool = False, sq=None) -> NonlinearValues:
-        """g(s), G(s), g(s) s and, if derivative, g'(s), from one power per term.
+    def evaluate(self, s) -> NonlinearValues:
+        """g(s), G(s), g(s) s and g'(s), from one power per term.
 
         Per term, p = coef |s|^sigma gives g = p s, g s = p s^2,
         G = p s^2 / (sigma + 2) and g' = (sigma + 1) p. The methods g, G
-        and g_times_s return these same arrays, bit for bit. sq is s * s,
-        which only energy.Discretization.energy passes: the even integer
-        powers are its products, as they are of a fresh s * s, so the bits
-        are the same. evaluate takes sq over: it may return or overwrite it.
+        and g_times_s return these same arrays, bit for bit.
         """
         s = np.asarray(s, dtype=float)
         if not self.terms:
-            return NonlinearValues(*(np.zeros_like(s) for _ in range(3)),
-                                   np.zeros_like(s) if derivative else None)
+            return NonlinearValues(*(np.zeros_like(s) for _ in range(4)))
         g = G = gs = dg = None
         for coef, sigma in self.terms:
-            p = _abs_power(s, sigma, sq)   # a fresh array or sq, scaled in place
-            if p is sq:
-                sq = None   # taken over: a later term squares s again
+            p = _abs_power(s, sigma)   # a fresh array, scaled in place
             if coef != 1.0:
                 p *= coef
             ps = p * s
@@ -109,9 +100,8 @@ class NonlinearityModel:
             g = ps if g is None else g + ps
             G = Gs if G is None else G + Gs
             gs = pss if gs is None else gs + pss
-            if derivative:
-                p *= sigma + 1.0
-                dg = p if dg is None else dg + p
+            p *= sigma + 1.0
+            dg = p if dg is None else dg + p
         return NonlinearValues(g, G, gs, dg)
 
     def g(self, s):

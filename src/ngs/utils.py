@@ -51,15 +51,16 @@ def sha256_file(path) -> str:
 
 def _cell(value) -> str:
     if isinstance(value, (float, np.floating)):
-        return f"{value:.12g}"
+        return repr(float(value))   # the shortest string that reads back to value
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     return str(value)
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a header line and rows as CSV with LF line ends: floats with 12
-    significant digits, bools as true or false, any other cell as str prints it."""
+    """Write a header line and rows as CSV with LF line ends: floats in the
+    shortest digits that read back to the same float, bools as true or false,
+    any other cell as str prints it."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

@@ -514,8 +514,8 @@ def test_sign_changing_newton_endpoint_is_rejected(small_grid, grid20):
     model = load_model(MODELS_DIR / "harmonic.json")
     lam, psi = _harmonic_modes(small_grid, model, 3)
     out = flow._run_start(Discretization(small_grid, model), psi[2], 1.0, SolverConfig())
-    assert out.residual <= SolverConfig().tol_grad
-    assert abs(2.0 * out.J - lam[2]) <= 1e-9
+    assert out.st.residual <= SolverConfig().tol_grad
+    assert abs(2.0 * out.st.J - lam[2]) <= 1e-9
     assert not out.converged
     assert out.reason == "sign-change"
     # as a warm start it loses to the Gaussians, which reach the ground state
@@ -529,8 +529,8 @@ def test_sign_changing_newton_endpoint_is_rejected(small_grid, grid20):
     lam, psi = _harmonic_modes(grid20, model, 2)
     v = psi[1] * np.sign(psi[1][np.argmax(np.abs(psi[1]))])
     out = flow._run_start(Discretization(grid20, model), v, 1.0, SolverConfig())
-    assert out.solves == 0 and out.residual <= SolverConfig().tol_grad
-    assert abs(2.0 * out.J - lam[1]) <= 1e-9
+    assert out.solves == 0 and out.st.residual <= SolverConfig().tol_grad
+    assert abs(2.0 * out.st.J - lam[1]) <= 1e-9
     assert (out.reason, out.converged) == ("sign-change", False)
     # alone as minimize's warm start, it is a sign change on the search
     # grid too; the finish on n, from that prolonged field, leaves the
@@ -615,8 +615,8 @@ def test_rejected_initial_attempt_leaves_the_start_bit_for_bit(monkeypatch, smal
     assert np.array_equal(out.values, v)
     u = GridFunction(small_grid, v)
     assert out.trace == [(0, evaluate(u, well_cubic).J)]
-    assert out.residual == euler_lagrange_residual(u, well_cubic,
-                                                   lagrange_multiplier(u, well_cubic))
+    assert out.st.residual == euler_lagrange_residual(u, well_cubic,
+                                                      lagrange_multiplier(u, well_cubic))
 
 
 # --- starts on the search grid, one finish on n ---
@@ -658,6 +658,23 @@ def test_starts_run_on_the_search_grid(R, n, searched):
         r = n // searched
         assert estimate == (res.energy - coarse) / (r * r - 1)
         assert extrapolated == res.energy + estimate
+
+
+@pytest.mark.parametrize("a, kept", [(8.0, False), (20.0, True)])
+def test_richardson_fields_need_a_converged_result(a, kept):
+    # at a = 8 the finish converges on B_20, but J >= 0 and the state is
+    # relabelled no-minimizer-regime: it gets no h^2 error bar; at a = 20
+    # the state converges and keeps it
+    res = minimize(a, load_model(MODELS_DIR / "power2_free_3d.json"),
+                   RadialGrid(3, 20.0, 2000))
+    assert res.converged == kept
+    assert res.reason == (None if kept else "no-minimizer-regime")
+    d = res.to_dict()
+    estimates = (d["C_a_search_grid"], d["C_a_extrapolated"], d["discretization_error_estimate"])
+    if kept:
+        assert None not in estimates
+    else:
+        assert estimates == (None, None, None)
 
 
 def test_warm_start_with_no_mass_on_the_half_grid_is_rejected(small_grid, well_cubic):
@@ -733,7 +750,7 @@ def test_subthreshold_quintic_starts_reach_one_local_minimizer(grid20):
     op = Discretization(grid20, model)
     u = res.u.values
     sub, diag, sup = op.lap
-    diag = diag + op.V + res.lam - model.nonlinearity.evaluate(u, derivative=True).dg
+    diag = diag + op.V + res.lam - model.nonlinearity.evaluate(u).dg
     negative = eigvalsh_tridiagonal(diag, -np.sqrt(sub * sup),
                                     select="v", select_range=(-np.inf, 0.0))
     assert len(negative) == 1

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import MODELS_DIR, bumps, read_csv_row_by_row
 from ngs import utils
+from ngs.energy import euler_lagrange_residual
+from ngs.flow import minimize
 from ngs.grids import (
     PROFILE_COLUMNS,
     SPHERE_MEASURE,
@@ -23,6 +25,7 @@ from ngs.grids import (
     save_profile,
     tridiagonal_apply,
 )
+from ngs.models import load_model
 from ngs.utils import read_csv
 
 
@@ -230,6 +233,17 @@ def test_profile_roundtrip(tmp_path):
     assert v.grid.N == 3 and v.grid.n == 200
     assert math.isclose(v.grid.R, 9.0, rel_tol=1e-12)
     assert np.max(np.abs(v.values - u.values)) <= 1e-11 * np.max(np.abs(u.values))
+
+
+def test_a_saved_solution_replays_its_residual(tmp_path):
+    # profiles hold round-trip digits, so a solution read back has the run's
+    # own residual, bit for bit; from 12 digits it read 4.5e-8 > tol_grad
+    model = load_model(MODELS_DIR / "power3_free.json")
+    res = minimize(4.0, model, RadialGrid(1, 20.0, 2000))
+    save_profile(res.u, tmp_path / "prof.csv")
+    u = load_profile(tmp_path / "prof.csv")
+    assert u.values.tobytes() == res.u.values.tobytes()
+    assert euler_lagrange_residual(u, model, res.lam) == res.residual_norm
 
 
 def test_scenario_profile_reads_as_row_by_row():

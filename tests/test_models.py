@@ -67,10 +67,10 @@ def test_dg_is_the_derivative_of_g():
     m = NonlinearityModel(kind="power_sum", terms=((0.5, 1.0), (1.0, 2.5)), N=1)
     s = np.linspace(-3, 3, 41)
     h = 1e-6
-    dg = m.evaluate(s, derivative=True).dg
+    dg = m.evaluate(s).dg
     assert np.allclose(dg, (m.g(s + h) - m.g(s - h)) / (2 * h), rtol=1e-6, atol=1e-5)
     zero = NonlinearityModel(kind="zero", terms=(), N=1)
-    assert np.array_equal(zero.evaluate(s, derivative=True).dg, np.zeros_like(s))
+    assert np.array_equal(zero.evaluate(s).dg, np.zeros_like(s))
 
 
 # --- growth classification ---
@@ -127,32 +127,24 @@ fused_term_lists = st.lists(
 @given(st.one_of(st.just(()), fused_term_lists),
        st.lists(st.one_of(st.floats(-50.0, 50.0),
                           st.sampled_from([0.0, -0.0, 1e-200, -1e-200, 1e10, -1e10])),
-                min_size=1, max_size=40),
-       st.booleans())
-def test_fused_evaluation_is_bitwise_the_separate_methods(terms, values, derivative):
+                min_size=1, max_size=40))
+def test_fused_evaluation_is_bitwise_the_separate_methods(terms, values):
     # one power per term serves g, G, g s and g'; the methods that return
     # one of them must give exactly the fused bits
     m = NonlinearityModel(kind="power_sum" if terms else "zero", terms=tuple(terms), N=1)
     s = np.array(values)
-    fused = m.evaluate(s, derivative=derivative)
+    fused = m.evaluate(s)
     for got, method in ((fused.g, m.g), (fused.G, m.G), (fused.gs, m.g_times_s)):
         assert got.tobytes() == method(s).tobytes()
-    if not derivative:
-        assert fused.dg is None
-    # a caller's square s * s serves the even integer powers, to the bit
-    with_square = m.evaluate(s, derivative=derivative, sq=s * s)
-    for got, ref in zip(with_square, fused):
-        assert (got is None and ref is None) or got.tobytes() == ref.tobytes()
     # and they are the closed forms, to rounding
     gs = sum((c * np.abs(s) ** (sigma + 2.0) for c, sigma in terms), np.zeros_like(s))
     G = sum((c * np.abs(s) ** (sigma + 2.0) / (sigma + 2.0) for c, sigma in terms),
             np.zeros_like(s))
     assert np.allclose(fused.gs, gs, rtol=1e-13, atol=1e-300)
     assert np.allclose(fused.G, G, rtol=1e-13, atol=1e-300)
-    if derivative:
-        dg = sum((c * (sigma + 1.0) * np.abs(s) ** sigma for c, sigma in terms),
-                 np.zeros_like(s))
-        assert np.allclose(fused.dg, dg, rtol=1e-13, atol=1e-300)
+    dg = sum((c * (sigma + 1.0) * np.abs(s) ** sigma for c, sigma in terms),
+             np.zeros_like(s))
+    assert np.allclose(fused.dg, dg, rtol=1e-13, atol=1e-300)
 
 
 @settings(deadline=None, max_examples=60)
