@@ -25,7 +25,9 @@ imports ngs from that tree's src/ and reads that tree's models/:
   tail and the zero nonlinearity of harmonic;
 * quintic_free probes at a = 2.685, 2.71 and 2.735 with the threshold
   probe's config (stop_energy_below = -15 DEADBAND);
-* minimize on power2_free_3d at a = 20 (N = 3) and tabulated_well at a = 3;
+* minimize on power2_free_3d at a = 20 and at a = 3 (N = 3), and on
+  tabulated_well at a = 3; at a = 3 a start that stops at flow.SEARCH_TOL
+  fails the one-sign test there and goes on to tol_grad, where it converges;
 * minimize on power3_free at a = 4 on n = 2001 (R = 20): odd n, so its
   starts run on n with no finish;
 * minimize on power3_free at a = 4 on n = 1000 (R = 20): the quarter
@@ -178,8 +180,9 @@ def _cases(models_dir: Path) -> dict:
     for a in (2.685, 2.71, 2.735):
         cases[f"minimize quintic_free a={a:g} probe"] = (
             lambda a=a: flow.minimize(a, model("quintic_free"), grid, probe))
-    cases["minimize power2_free_3d a=20"] = lambda: flow.minimize(
-        20.0, model("power2_free_3d"), RadialGrid(3, 20.0, 2000))
+    for a in (20.0, 3.0):
+        cases[f"minimize power2_free_3d a={a:g}"] = lambda a=a: flow.minimize(
+            a, model("power2_free_3d"), RadialGrid(3, 20.0, 2000))
     cases["minimize power3_free a=4 n=2001"] = lambda: flow.minimize(
         4.0, model("power3_free"), RadialGrid(1, 20.0, 2001))
     cases["minimize power3_free a=4 n=1000"] = lambda: flow.minimize(

@@ -74,7 +74,8 @@ def _add_common(parser: argparse.ArgumentParser, handler, replay, *,
                             metavar="TOL", help="stationarity residual tolerance")
         parser.add_argument("--max-iters", type=int, default=None,
                             help="cap on the linear solves of each start on the "
-                                 "search grid, and of the finish on n")
+                                 "search grid, those past its search tolerance "
+                                 "included, and of the finish on n")
         parser.add_argument("--starts", type=int, default=None,
                             help="number of initial profiles")
     parser.add_argument("--out", required=needs_out, default=None, metavar="DIR",

@@ -18,14 +18,15 @@ along the slow dilation mode of a mass-critical problem:
   accepted, and then sigma <- min(sigma / 4, res);
 - any other step, or one whose system is singular, is rejected, and then
   sigma <- max(4 sigma, res, 1e-8).
-sigma starts at the start field's residual res and falls with it, so near
-a minimizer the steps are Newton's and converge quadratically. A start ends
-once res meets tol_grad, J is below stop_energy_below, or max_iters solves
-(accepted plus rejected) have run. Unless it ran out of solves, its end
-field, negated if its largest-magnitude entry is negative (-u is the same
-state as u), must have one sign: an entry below -SIGN_REL_TOL times its
-peak ends it "sign-change", not converged, whatever the start field was:
-it has reached another critical point. For the discrete J, as for the continuum one,
+sigma starts at the start field's residual res, or at a shift given (see
+below), and falls with it, so near a minimizer the steps are Newton's and
+converge quadratically. A start ends once res meets tol_grad, J is below
+stop_energy_below, or max_iters solves (accepted plus rejected) have run.
+Unless it ran out of solves, its end field, negated if its
+largest-magnitude entry is negative (-u is the same state as u), must have
+one sign: an entry below -SIGN_REL_TOL times its peak ends it
+"sign-change", not converged, whatever the start field was: it has reached
+another critical point. For the discrete J, as for the continuum one,
 J(|u|) <= J(u), as the kinetic form of |u| is at most that of u on every
 face (||a| - |b|| <= |a - b|) and V u^2 and G are even. So if u is a
 minimizer, |u| is a nonnegative one, and since -Lap is an M-matrix and
@@ -41,12 +42,21 @@ n/2 on coarser grids. Each start, built on n, is restricted by pair
 averages once per level and rescaled to mass a; the winner, among the
 starts that converged or ended on the energy floor, is prolonged by linear
 interpolation between cell centres once per level, rescaled, and run as
-one more start on n, with its own max_iters and the same end test. The
-starts take about as many solves on the search grid as on n, each on a
-half or a quarter of the nodes, and the finish one or two more on n. Its J
+one more start on n, with its own max_iters and the same end test. Its J
 and the winner's J on the search grid, r = 2 or 4 times coarser, give
 Richardson's estimate (C - C_s)/(r^2 - 1) of the h^2 error (Richardson,
-Phil. Trans. R. Soc. A 210, 1911; Brandt, Math. Comp. 31, 1977).
+Phil. Trans. R. Soc. A 210, 1911; Brandt, Math. Comp. 31, 1977). As the
+search only picks the basin, its starts stop at max(tol_grad, SEARCH_TOL)
+(inexact inner solves: Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal.
+19, 1982), unless stop_energy_below is set: a probe reads every end, on
+the floor or above it. One that stopped above tol_grad goes on to it
+there, from its field and shift and within its max_iters, once its end is
+read: it wins (C_s is its J), it failed the one-sign test, or its J is
+over 1e-6 above the winner's (a disagreement). To the winner choice a
+loose start is within 1e-6, not rounding, of the lowest J, so the basin's
+first start wins; choice and resumes repeat until none is read. The
+finish starts at the shift a converged winner ended on, or else at its
+residual, which keeps it off the saddle a sign-changing winner sits on.
 
 Every value the solver reports comes from the one shared
 energy.Discretization of (grid, model) (energy.discretization), which
@@ -74,9 +84,10 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -148,6 +159,9 @@ DEADBAND = 1e-6
 # threshold probes read the same signs from n/4 = 500 (spacing 0.04) as from
 # n/2, while on n/8 (0.08) a start collapses on the lattice at a = 2.71
 SEARCH_SPACING = 0.04
+# the residual the searched starts stop at, if above tol_grad: a prolonged
+# winner starts near 1e-2 on n whatever it ended on (module docstring)
+SEARCH_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -166,10 +180,11 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.tol_grad < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        if self.starts < 1:
-            raise ValueError("need at least one start")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        # a cap of 2.5 or inf solves is never reached, and 2.5 starts have no widths
+        for name in ("max_iters", "starts"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 class GroundStateResult(NamedTuple):
@@ -191,11 +206,15 @@ class GroundStateResult(NamedTuple):
     all_start_solves: list           # one dgtsv each
     all_start_rejected_steps: list
     all_start_reasons: list          # each start's own end reason, None if it converged
+    all_start_residuals: list        # each start's final residual: SEARCH_TOL-loose, or not
     start_disagreement: bool
     warnings: list
-    start_grid_n: int
     # the search winner's J on start_grid_n, if both it and the result converged
     energy_search_grid: float | None
+
+    @property
+    def start_grid_n(self) -> int:   # the starts' grid: u's search grid, or u's own
+        return (_search_grid(self.u.grid) or self.u.grid).n
 
     def to_dict(self) -> dict:
         # Richardson's estimate of C_true - C for an h^2 error; not a bound
@@ -221,6 +240,7 @@ class GroundStateResult(NamedTuple):
             "all_start_solves": list(self.all_start_solves),
             "all_start_rejected_steps": list(self.all_start_rejected_steps),
             "all_start_reasons": list(self.all_start_reasons),
+            "all_start_residuals": list(self.all_start_residuals),
             "start_disagreement": self.start_disagreement,
             "warnings": list(self.warnings),
             "trace_length": len(self.energy_trace),
@@ -315,6 +335,7 @@ class _StartOutcome(NamedTuple):
     solves: int
     rejected: int
     trace: list
+    sigma: float                  # the shift the run ended on
 
 
 def _degenerate() -> NumericalError:
@@ -322,16 +343,20 @@ def _degenerate() -> NumericalError:
                           "energy, residual or mass)")
 
 
-def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
-               config: SolverConfig) -> _StartOutcome:
-    """Shifted bordered Newton steps from the mass-a field v; see the module."""
+def _run_start(op: energy_mod.Discretization, v: np.ndarray | None, a: float,
+               config: SolverConfig, sigma: float | None = None, prior=None) -> _StartOutcome:
+    """Shifted bordered Newton steps from the mass-a field v, or on from prior, a run
+    stopped at SEARCH_TOL, with its field, shift, counts and trace; see the module."""
     (sub, _, sup), w, w2 = op.lap, op.w, op.w2
     floor = config.stop_energy_below
-    # the accepted field's stationarity st gives the step; a trial field gets only its energy
-    st = op.stationarity(v, op.energy(v))
-    sigma = st.residual
-    trace = [(0, st.J)]
-    solves = rejected = 0
+    if prior is None:
+        # the accepted field's stationarity st gives the step; a trial field gets only its energy
+        st = op.stationarity(v, op.energy(v))
+        sigma = st.residual if sigma is None else sigma
+        trace, solves, rejected = [(0, st.J)], 0, 0
+    else:
+        v, st, sigma = prior.values, prior.st, prior.sigma
+        solves, rejected, trace = prior.solves, prior.rejected, list(prior.trace)
     reason = None
     while True:
         if not (math.isfinite(st.J) and math.isfinite(st.residual) and math.isfinite(sigma)):
@@ -377,20 +402,22 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray, a: float,
         if v.min() < -SIGN_REL_TOL * peak:
             converged, reason = False, "sign-change"
     return _StartOutcome(values=v, st=st, peak=peak, converged=converged, reason=reason,
-                         solves=solves, rejected=rejected, trace=trace)
+                         solves=solves, rejected=rejected, trace=trace, sigma=sigma)
 
 
-def _winner(outcomes: list) -> int:
+def _winner(outcomes: list, loose: set) -> int:
     """The first start within 1e-12 (1 + |J_min|) of the lowest J of the pool.
 
     The pool is the starts that converged or ended on the energy floor, or
     every start if none did; the rounding margin keeps rounding noise from
-    choosing among starts that reached the same state.
+    choosing among starts that reached the same state. For a start in loose,
+    stopped at SEARCH_TOL, it is 1e-6, within which converged starts agree.
     """
     pool = [i for i, o in enumerate(outcomes)
             if o.converged or o.reason == "energy-floor"] or range(len(outcomes))
     J_min = min(outcomes[i].st.J for i in pool)
-    return next(i for i in pool if outcomes[i].st.J <= J_min + 1e-12 * (1.0 + abs(J_min)))
+    return next(i for i in pool if outcomes[i].st.J <= J_min + (
+        1e-6 if i in loose else 1e-12 * (1.0 + abs(J_min))))
 
 
 @functools.lru_cache(maxsize=16)
@@ -448,11 +475,12 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
     most SEARCH_SPACING (module docstring), by pair averages once per level
     and rescaled to mass a, the starts run there, and the winner is
     prolonged to n, rescaled and run as one more start on n; otherwise the
-    starts run on n and the winner is not finished. Each run has
-    config.max_iters solves. The
-    winner is the first start, in start order, whose J is within
-    1e-12 (1 + |J_min|) of the lowest, among the starts that converged or
-    ended below config.stop_energy_below if any did. Never raises on
+    starts run on n and the winner is not finished. Searched starts, but a
+    probe's, stop at SEARCH_TOL and go on where read (module docstring).
+    Each run has config.max_iters solves. The winner is the first start,
+    in start order, whose J is within 1e-12 (1 + |J_min|) of the lowest,
+    1e-6 if stopped at SEARCH_TOL, among the starts that converged or ended
+    below config.stop_energy_below if any did. Never raises on
     non-convergence; inspect converged/reason on the result. Raises
     NumericalError if a start reaches a degenerate field.
     """
@@ -469,9 +497,11 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
     for width in _start_widths(config.starts - len(starts)):
         starts.append(gaussian_start(grid, width, a).values)
     coarse = _search_grid(grid)
-    search, searched = op, starts
+    search, searched, loose = op, starts, config
     if coarse is not None:
         search = energy_mod.discretization(coarse, model)
+        if config.stop_energy_below is None:
+            loose = replace(config, tol_grad=max(config.tol_grad, SEARCH_TOL))
         # built on n and restricted once per level: a narrow Gaussian with
         # mass on n can underflow where it is sampled at the search grid's nodes
         searched = []
@@ -483,14 +513,23 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
     # an overflow surfaces as a non-finite energy, residual or mass, which
     # raises NumericalError; NumPy need not warn about it too
     with np.errstate(over="ignore", invalid="ignore"):
-        outcomes = [_run_start(search, v, a, config) for v in searched]
-        best = _winner(outcomes)
+        outcomes = [_run_start(search, v, a, loose) for v in searched]
+        pending = {i for i, o in enumerate(outcomes)
+                   if config.tol_grad < o.st.residual <= loose.tol_grad}
+        best = _winner(outcomes, pending)
+        while read := {i for i in pending if i == best or not outcomes[i].converged
+                       or outcomes[i].st.J > outcomes[best].st.J + 1e-6}:
+            for i in read:
+                outcomes[i] = _run_start(search, None, a, config, prior=outcomes[i])
+            pending -= read
+            best = _winner(outcomes, pending)
         won = out = outcomes[best]
         if coarse is not None:
             v = won.values
             while len(v) < grid.n:
                 v = _prolong(v)
-            out = _run_start(op, _with_mass(v, grid, a), a, config)
+            out = _run_start(op, _with_mass(v, grid, a), a, config,
+                             won.sigma if won.converged else None)
     u, st = GridFunction(grid, out.values), out.st
 
     # the winner's last stationarity and nonlinearity give its identities
@@ -540,9 +579,9 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
         all_start_solves=[o.solves for o in outcomes],
         all_start_rejected_steps=[o.rejected for o in outcomes],
         all_start_reasons=[o.reason for o in outcomes],
+        all_start_residuals=[o.st.residual for o in outcomes],
         start_disagreement=disagreement,
         warnings=warnings,
-        start_grid_n=search.grid.n,
         energy_search_grid=(won.st.J if coarse is not None and won.converged and converged
                             else None),
     )

@@ -33,11 +33,21 @@ def round_floats(obj):
     return obj
 
 
+def _json_text(obj, indent: str = "") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) of round_floats output with str
+    keys, without the reference cycle json's indenting closures leave per call."""
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        return "{\n" + ",\n".join(f"{inner}{json.dumps(k)}: {_json_text(v, inner)}"
+                                   for k, v in sorted(obj.items())) + f"\n{indent}}}"
+    if isinstance(obj, list) and obj:
+        return "[\n" + ",\n".join(inner + _json_text(v, inner) for v in obj) + f"\n{indent}]"
+    return json.dumps(obj)
+
+
 def write_json(path, payload) -> Path:
     path = Path(path)
-    text = json.dumps(round_floats(payload), indent=2, sort_keys=True,
-                      allow_nan=False)
-    path.write_text(text + "\n")
+    path.write_text(_json_text(round_floats(payload)) + "\n")
     return path
 
 

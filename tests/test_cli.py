@@ -88,9 +88,10 @@ def test_solve_oracle_case_artifacts(solve_dir):
     assert set(result["residuals"]) == {"nehari", "pohozaev", "lambda"}
     # the starts ran on n/2 and the winner was finished on n: the finish's
     # solves are the iterations, each accepted here, and the trace holds
-    # its start and its accepted steps
+    # its start and its accepted steps. The finish goes on with the shift
+    # the converged winner ended on, so one Newton step is enough
     assert result["start_grid_n"] == 600
-    assert (result["iterations"], result["trace_length"]) == (2, 3)
+    assert (result["iterations"], result["trace_length"]) == (1, 2)
     assert result["iterations"] + result["all_start_solves"][result["start_index"]] <= 1000
 
     assert (solve_dir / "profile.csv").is_file()
@@ -475,6 +476,20 @@ def test_scan_verify_reports_malformed_manifest(scan_dirs, tmp_path, drop):
     assert check.returncode == 1
     assert check.stderr.startswith("verification failed: ")
     assert "Traceback" not in check.stderr
+
+
+@pytest.mark.parametrize("key", ["starts", "max_iters"])
+def test_scan_verify_reports_a_count_that_is_not_an_integer(scan_dirs, tmp_path, key):
+    # a start count of 2.5 used to fail inside the start widths with a
+    # TypeError, and a cap of 2.5 solves to replay forever: neither count is
+    # ever reached. The config rejects both, so the record cannot be replayed
+    out, manifest = _copy_scan(scan_dirs[0], tmp_path)
+    manifest["config"][key] = 2.5
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    check = _verify_scan(out)
+    assert check.returncode == 1
+    assert check.stderr == ("verification failed: cannot replay the run record: "
+                            f"ValueError: {key} must be an integer of at least 1, got 2.5\n")
 
 
 @pytest.mark.parametrize("model,sign", [

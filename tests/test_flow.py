@@ -58,6 +58,18 @@ def test_config_rejects_bad_fields():
         SolverConfig(max_iters=-1)
 
 
+@pytest.mark.parametrize("field", [{"max_iters": 2.5}, {"max_iters": math.inf},
+                                   {"starts": 2.5}],
+                         ids=["max_iters-2.5", "max_iters-inf", "starts-2.5"])
+def test_config_rejects_counts_that_are_not_integers(field):
+    # no solve count equals a cap of 2.5 or inf, so a run that misses
+    # tol_grad (tol_grad = 1e-15 on power3_free a = 4, R = 20, n = 400)
+    # never stopped; 2.5 starts failed inside the start widths
+    with pytest.raises(ValueError, match="must be an integer of at least 1"):
+        SolverConfig(**field)
+    assert SolverConfig(max_iters=np.int64(5), starts=np.int32(2)).max_iters == 5
+
+
 def test_default_solve_cap_ends_a_stalled_start():
     # on R = 1e-3 the -Lap entries reach 1.2e10 (1.6e13 at n = 2000), so the
     # residual stalls at its rounding floor above tol_grad; the default cap
@@ -169,8 +181,23 @@ def test_every_start_converges_in_a_few_solves(name, N, a, most):
     assert res.converged
     assert len(res.all_start_solves) == 3
     assert max(res.all_start_solves) <= most
-    J = res.all_start_energies
-    assert max(J) - min(J) <= 1e-12 * abs(min(J))
+    _assert_one_basin(res, 1e-12 * abs(res.energy))
+
+
+def _assert_one_basin(res, tie):
+    """Every start reached the winner's state on the search grid.
+
+    A start that went on to tol_grad ties with the winner's J within tie; one
+    left at SEARCH_TOL has a residual at most that and a J at most 1e-6 above.
+    """
+    J_star = res.all_start_energies[res.start_index]
+    assert res.all_start_residuals[res.start_index] <= SolverConfig().tol_grad
+    for J, residual in zip(res.all_start_energies, res.all_start_residuals):
+        if residual <= SolverConfig().tol_grad:
+            assert abs(J - J_star) <= tie
+        else:
+            assert residual <= flow.SEARCH_TOL
+            assert J_star <= J <= J_star + 1e-6
 
 
 def test_iteration_budget_reports_not_raises(small_grid, well_cubic):
@@ -203,7 +230,8 @@ def test_result_serialization_keys(well_solution):
     d = well_solution.to_dict()
     for key in ("a", "mass", "lambda", "C_a_estimate", "residuals", "converged",
                 "reason", "iterations", "residual_norm", "all_start_energies",
-                "all_start_solves", "all_start_rejected_steps", "trace_length"):
+                "all_start_solves", "all_start_rejected_steps", "all_start_reasons",
+                "all_start_residuals", "trace_length"):
         assert key in d
     assert set(d["residuals"]) == {"nehari", "pohozaev", "lambda"}
     assert d["converged"] is True
@@ -258,16 +286,19 @@ def test_nehari_pohozaev_hold_at_convergence(well_solution, well_cubic,
 def test_unit_costs_of_minimize(monkeypatch, small_grid, grid20):
     # one dgtsv call per solve, accepted or rejected, one -Lap v per start
     # field and per accepted step, and one nonlinearity evaluation per start
-    # field and per trial field of a non-singular solve (NonlinearityModel
-    # .evaluate), counting the finish on n as one more start whose accepted
-    # steps are its trace; nothing is evaluated again after the loop. No
-    # positive definite factor is made: flow loads no routine for one. The
-    # quintic probe rejects 12 of its 58 solves, so a -Lap v per trial,
-    # not per accepted step, would show there; power3_free rejects none
+    # field and per trial field of a non-singular solve
+    # (NonlinearityModel.evaluate), counting the finish on n as one more
+    # start whose accepted steps are its trace. A start that goes on from
+    # SEARCH_TOL is one more run but reuses its end field's evaluation, and
+    # nothing is evaluated again after the loop. No positive definite factor
+    # is made: flow loads no routine for one. The quintic probe, whose
+    # starts run to tol_grad, rejects 12 of its 58 solves, so a -Lap v per
+    # trial, not per accepted step, would show there; power3_free rejects none
     assert not hasattr(flow, "dpttrs") and not hasattr(flow, "dpttrf")
-    counts = dict.fromkeys(("dgtsv", "tridiagonal_apply", "evaluate", "singular"), 0)
+    counts = dict.fromkeys(("dgtsv", "tridiagonal_apply", "evaluate", "singular",
+                            "_run_start"), 0)
     for owner, name in ((flow, "dgtsv"), (grids, "tridiagonal_apply"),
-                        (NonlinearityModel, "evaluate")):
+                        (NonlinearityModel, "evaluate"), (flow, "_run_start")):
         def spy(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             counts[_name] += 1
             out = _fn(*args, **kwargs)
@@ -275,13 +306,16 @@ def test_unit_costs_of_minimize(monkeypatch, small_grid, grid20):
                 counts["singular"] += 1
             return out
         monkeypatch.setattr(owner, name, spy)
-    for name, a, grid, config in (("power3_free", 4.0, small_grid, SolverConfig()),
-                                  ("quintic_free", 2.71, grid20, QUINTIC_PROBE)):
+    for name, a, grid, config, runs in (
+            ("power3_free", 4.0, small_grid, SolverConfig(), 5),
+            ("quintic_free", 2.71, grid20, QUINTIC_PROBE, 4)):
         counts.update(dict.fromkeys(counts, 0))
         res = minimize(a, load_model(MODELS_DIR / f"{name}.json"), grid, config)
         assert res.iterations > 0
         solves = sum(res.all_start_solves) + res.iterations
         starts = len(res.all_start_solves) + 1
+        # the starts, the finish and each start that went on to tol_grad
+        assert counts["_run_start"] == runs
         assert counts["dgtsv"] == solves
         accepted = (sum(res.all_start_solves) - sum(res.all_start_rejected_steps)
                     + len(res.energy_trace) - 1)
@@ -408,8 +442,7 @@ def test_newton_finish_converges_free_cubic(cubic_free_solution):
     res, model = cubic_free_solution
     assert res.converged
     assert res.residual_norm <= SolverConfig().tol_grad
-    spread = max(res.all_start_energies) - min(res.all_start_energies)
-    assert spread <= 1e-12
+    _assert_one_basin(res, 1e-12)
     tail = [J for i, J in res.energy_trace if i >= 10]
     for a, b in zip(tail, tail[1:]):
         assert b <= a + 1e-9 * (1.0 + abs(a))
@@ -463,6 +496,68 @@ def test_tied_starts_report_the_first(grid20):
     res = minimize(4.0, load_model(MODELS_DIR / "power3_free.json"), grid20)
     assert res.converged
     assert res.start_index == 0
+
+
+def _spy_on_resumed(monkeypatch) -> list:
+    """The J of each run minimize takes on from SEARCH_TOL, where it stopped."""
+    loose = []
+
+    def spy(op, v, a, config, sigma=None, prior=None, _fn=flow._run_start):
+        if prior is not None:
+            loose.append(prior.st.J)
+        return _fn(op, v, a, config, sigma, prior)
+    monkeypatch.setattr(flow, "_run_start", spy)
+    return loose
+
+
+def test_starts_in_two_basins_still_disagree(monkeypatch, grid20):
+    # a warm start in the ring well at r = 8 and a width-1 Gaussian in the
+    # deeper central well reach two states. The Gaussian's is lower and wins;
+    # the warm start's J at SEARCH_TOL is far above it, so that start goes
+    # on to tol_grad too, and the warning names the two converged energies
+    r = np.linspace(0.0, 30.0, 3001)
+    V = -1.2 * np.exp(-r**2) - np.exp(-(r - 8.0) ** 2)
+    model = make_model(1, power_g((1.0, 2.0)),
+                       {"kind": "tabulated", "table": {"r": r.tolist(), "V": V.tolist()}})
+    loose = _spy_on_resumed(monkeypatch)
+    warm = GridFunction(grid20, np.exp(-(grid20.r - 8.0) ** 2))
+    res = minimize(3.0, model, grid20, SolverConfig(starts=2), warm_start=warm)
+    assert res.converged and res.start_index == 1
+    J = res.all_start_energies
+    assert J[1] < J[0] - 0.5
+    assert len(loose) == 2
+    assert max(res.all_start_residuals) <= SolverConfig().tol_grad
+    assert res.start_disagreement
+    assert "converged starts disagree beyond 1e-6; all basin energies reported" in res.warnings
+
+
+def test_a_loose_end_that_changes_sign_goes_on(grid20):
+    # the ground state with a lobe of -1e-5 times its peak at r = 12 meets
+    # SEARCH_TOL on the search grid with no solve (residual 8.3e-4), lobe
+    # and all, and a J within 1e-6 of the ground state's: that end fails the
+    # one-sign test, so the start goes on to tol_grad, converges and wins
+    model = load_model(MODELS_DIR / "gaussian_well_cubic.json")
+    u = minimize(3.0, model, grid20).u.values
+    v = u - 1e-5 * u.max() * np.exp(-(grid20.r - 12.0) ** 2)
+    res = minimize(3.0, model, grid20, SolverConfig(starts=2),
+                   warm_start=GridFunction(grid20, v))
+    assert res.all_start_reasons == [None, None]
+    assert res.start_index == 0 and res.all_start_solves[0] > 0
+    assert max(res.all_start_residuals) <= SolverConfig().tol_grad
+
+
+def test_loose_starts_in_one_basin_do_not_disagree(monkeypatch):
+    # at SEARCH_TOL two of power2_free_3d's starts at a = 20 sit 9.4e-5 and
+    # 1.4e-4 above the winner's J, beyond the warning's 1e-6: they go on to
+    # tol_grad, tie with the winner and raise no warning
+    loose = _spy_on_resumed(monkeypatch)
+    res = minimize(20.0, load_model(MODELS_DIR / "power2_free_3d.json"),
+                   RadialGrid(3, 20.0, 2000))
+    assert res.converged and not res.start_disagreement
+    assert not any("disagree" in w for w in res.warnings)
+    J_star = res.all_start_energies[res.start_index]
+    assert sum(J > J_star + 1e-6 for J in loose) == 2
+    _assert_one_basin(res, 1e-12 * abs(J_star))
 
 
 @pytest.mark.parametrize("name, a", [("power3_free", 4.0), ("gaussian_well_cubic", 3.0),
@@ -684,19 +779,26 @@ def test_warm_start_with_no_mass_on_the_half_grid_is_rejected(small_grid, well_c
         minimize(1.0, well_cubic, small_grid, warm_start=GridFunction(small_grid, v))
 
 
-@pytest.mark.parametrize("max_iters, solves, reason",
-                         [(2, [2, 2, 2], "max-iters"), (5, [5, 5, 5], None),
-                          (6, [5, 5, 6], None)], ids=["2", "5", "6"])
-def test_each_run_has_its_own_solve_cap(max_iters, solves, reason):
-    # at n = 256 the starts need 5 or 6 solves on n/2 and the finish 2 on n;
-    # the cap stops each start on n/2, and the finish still has its own
+@pytest.mark.parametrize("max_iters, solves, reasons, reason",
+                         [(2, [2, 2, 2], ["max-iters"] * 3, "max-iters"),
+                          (3, [3, 3, 3], ["max-iters"] * 3, None),
+                          (4, [4, 4, 4], ["max-iters"] * 3, None),
+                          (5, [5, 3, 5], [None] * 3, None),
+                          (6, [5, 3, 5], [None] * 3, None)], ids=["2", "3", "4", "5", "6"])
+def test_each_run_has_its_own_solve_cap(max_iters, solves, reasons, reason):
+    # at n = 256 the starts reach SEARCH_TOL on n/2 after 3, 3 and 5 solves,
+    # and the winner, start 0, reaches tol_grad after 5; the finish takes 2
+    # on n. The cap counts a start's solves past SEARCH_TOL too: at 3 start
+    # 0 meets SEARCH_TOL on its last solve, at 4 it runs out on its way on
+    # and start 1, the next winner, after it. The finish has its own cap
     res = minimize(4.0, load_model(MODELS_DIR / "power3_free.json"),
                    RadialGrid(1, 20.0, 256), SolverConfig(max_iters=max_iters))
     assert res.start_grid_n == 128
     assert res.all_start_solves == solves
+    assert res.all_start_reasons == reasons
     assert res.iterations == 2
     assert res.reason == reason and res.converged == (reason is None)
-    assert (res.to_dict()["C_a_extrapolated"] is None) == (max_iters == 2)
+    assert (res.to_dict()["C_a_extrapolated"] is None) == (max_iters < 5)
 
 
 def test_the_finish_has_its_own_solve_cap():
