@@ -1,6 +1,6 @@
 """Hash the solver's outputs on fixed cases, in a parent revision and in this checkout.
 
-    python3 scripts/output_digest.py --parent <rev>
+    python3 scripts/output_digest.py --parent <rev> [--tolerances]
 
 The parent is unpacked with `git archive <rev>` into a temporary directory,
 as bench_pairs.py does; the change is this checkout's working tree as it
@@ -34,8 +34,8 @@ imports ngs from that tree's src/ and reads that tree's models/:
   grid's spacing 0.08 is above flow.SEARCH_SPACING, so its starts run on
   n/2;
 * a 12-mass scan of gaussian_well_cubic from 0.5 to 6;
-* threshold_a0 on quintic_free over (2.685, 2.735), and on
-  gaussian_well_cubic over the default bracket;
+* threshold_a0 on quintic_free over (2.685, 2.735) and over the default
+  bracket, and on gaussian_well_cubic over the default bracket;
 * quadratic_form_infimum on the four ground_state models with a potential,
   and on the depth-3, width-1 Gaussian well with g = 0 in N = 2 and N = 3;
 * oracle.shoot_Up for (p, N) = (3, 2) and (7/3, 3) (R = 20, n = 400), its
@@ -44,15 +44,24 @@ imports ngs from that tree's src/ and reads that tree's models/:
   scenario's profile.csv, and load_model of tabulated_well (its
   fingerprint, its table, and its Discretization's V on R = 20, n = 2000).
 
-A case's digest is one SHA-256 over everything its call returns: every
-float as float.hex, every int, bool and string, and every array's dtype,
-shape and bytes, field by field. A record, a dataclass or a NamedTuple,
-feeds its type name and then each field's name and value, so its digest
+A case's fields are the leaves of what its call returns, each named by
+its path (for example evaluations[2].J or u.values): an array is one
+field, and so is every float, int, bool, string and None. A record, a
+dataclass or a NamedTuple, names its fields as a dict does, so its digest
 does not depend on which of the two declares it; a field in
-RENAMED_FIELDS is fed under its new name in both trees, so a rename alone
-makes no case differ. The script prints each
-case's digest for both trees, exits 0 when all agree and 1, naming each
-case that differs, when any does.
+RENAMED_FIELDS is named by its new name in both trees, so a rename alone
+makes no case differ. A case's digest is one SHA-256 over every field's
+path and value: a float as float.hex, an array's dtype, shape and bytes.
+The script prints each case's digest for both trees, exits 0 when all
+agree and 1, naming each case that differs, when any does.
+
+With --tolerances it also prints, for each case, every field that moved:
+its worst absolute and worst relative change from parent to change; an
+array's worst entry counts. A relative change is
+|change - parent| / |parent|, inf where the parent reads 0 and the change
+does not. Fields that are not numbers (strings, flags, None) and fields
+present on one side only print as differing, without a size. A case whose
+fields all agree prints one line.
 """
 from __future__ import annotations
 
@@ -60,6 +69,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -84,41 +94,108 @@ def _unpack(rev: str, dest: Path) -> None:
             tar.extractall(dest, filter="data")
 
 
-def _feed(h, obj) -> None:
-    """Add obj to the hash h, recursing into containers and records."""
+def _join(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
+
+
+def _leaves(obj, path: str, out: dict) -> None:
+    """Add each leaf of obj to out under its path, recursing into containers and records.
+
+    An array is one leaf; a float, int, bool, string or None is one leaf, a
+    NumPy scalar as the Python one. A record, a dataclass or a NamedTuple,
+    names its leaves by field, as a dict does by key.
+    """
     import numpy as np
 
     if isinstance(obj, np.ndarray):
-        h.update(f"array {obj.dtype.str} {obj.shape}:".encode())
-        h.update(np.ascontiguousarray(obj).tobytes())
-    elif isinstance(obj, (float, np.floating)):
-        h.update(b"f" + float(obj).hex().encode())
-    elif obj is None or isinstance(obj, (bool, int, str, np.bool_, np.integer)):
-        h.update(f"{type(obj).__name__} {obj!r};".encode())
+        out[path] = obj
+    elif isinstance(obj, (np.floating, np.integer, np.bool_)):
+        out[path] = obj.item()
+    elif obj is None or isinstance(obj, (bool, int, float, str)):
+        out[path] = obj
     elif isinstance(obj, dict):
-        h.update(b"{")
         for key in sorted(obj):
-            _feed(h, key)
-            _feed(h, obj[key])
-        h.update(b"}")
+            _leaves(obj[key], _join(path, key), out)
     elif dataclasses.is_dataclass(obj) or hasattr(obj, "_fields"):
-        # a record, a dataclass or a NamedTuple alike; before the plain tuples
+        # before the plain tuples, which a NamedTuple also is
         names = (obj._fields if hasattr(obj, "_fields")
                  else [f.name for f in dataclasses.fields(obj)])
-        h.update(type(obj).__name__.encode() + b"(")
         for name in names:
-            _feed(h, RENAMED_FIELDS.get(name, name))
-            _feed(h, getattr(obj, name))
-        h.update(b")")
+            _leaves(getattr(obj, name), _join(path, RENAMED_FIELDS.get(name, name)), out)
     elif isinstance(obj, (list, tuple)):
-        h.update(b"[")
-        for item in obj:
-            _feed(h, item)
-        h.update(b"]")
+        for i, item in enumerate(obj):
+            _leaves(item, f"{path}[{i}]", out)
     elif hasattr(obj, "grid") and hasattr(obj, "values"):   # a GridFunction
-        _feed(h, ("GridFunction", obj.grid, obj.values))
+        _leaves(obj.grid, _join(path, "grid"), out)
+        _leaves(obj.values, _join(path, "values"), out)
     else:
-        raise TypeError(f"cannot hash a {type(obj).__name__}")
+        raise TypeError(f"cannot walk a {type(obj).__name__}")
+
+
+def _digest(leaves: dict) -> str:
+    """SHA-256 over each leaf's path and value: float.hex, an array's dtype,
+    shape and bytes, and the type and repr of anything else."""
+    import numpy as np
+
+    h = hashlib.sha256()
+    for path, leaf in leaves.items():
+        h.update(f"{path}=".encode())
+        if isinstance(leaf, np.ndarray):
+            h.update(f"array {leaf.dtype.str} {leaf.shape}:".encode())
+            h.update(np.ascontiguousarray(leaf).tobytes())
+        elif isinstance(leaf, float):
+            h.update(b"f" + leaf.hex().encode())
+        else:
+            h.update(f"{type(leaf).__name__} {leaf!r};".encode())
+    return h.hexdigest()
+
+
+def _change(parent, change) -> tuple[float, float] | None:
+    """(worst absolute, worst relative) change between two numeric leaves.
+
+    None when either leaf is not a number or a list of numbers of the
+    other's length; NaN against NaN is no change, against a number inf.
+    """
+    def numbers(leaf):
+        items = leaf if isinstance(leaf, list) else [leaf]
+        if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in items):
+            return items
+        return None
+
+    p, c = numbers(parent), numbers(change)
+    if p is None or c is None or len(p) != len(c) or (
+            isinstance(parent, list) != isinstance(change, list)):
+        return None
+    worst_abs = worst_rel = 0.0
+    for x, y in zip(p, c):
+        if x == y or (x != x and y != y):
+            continue
+        diff = abs(y - x)
+        if diff != diff:
+            diff = math.inf
+        worst_abs = max(worst_abs, diff)
+        worst_rel = max(worst_rel, diff / abs(x) if x not in (0, math.inf, -math.inf)
+                        else math.inf)
+    return worst_abs, worst_rel
+
+
+def _print_tolerances(parent: dict, change: dict) -> None:
+    """Each case's moved fields with their worst changes, or one line if none moved."""
+    for case, fields in parent.items():
+        other = change.get(case, {})
+        moved = []
+        for path in [*fields, *(p for p in other if p not in fields)]:
+            if path not in fields or path not in other:
+                moved.append(f"  {path}: {'change' if path in fields else 'parent'} lacks it")
+            elif fields[path] != other[path]:
+                sizes = _change(fields[path], other[path])
+                moved.append(f"  {path}: differs" if sizes is None else
+                             f"  {path}: abs {sizes[0]:.3g} rel {sizes[1]:.3g}")
+        if moved:
+            print(f"{case}: {len(moved)} of {len(fields)} fields moved")
+            print("\n".join(moved))
+        else:
+            print(f"{case}: all {len(fields)} fields identical")
 
 
 def _cases(models_dir: Path) -> dict:
@@ -194,6 +271,8 @@ def _cases(models_dir: Path) -> dict:
         np.linspace(0.5, 6.0, 12), model("gaussian_well_cubic"), grid)
     cases["threshold_a0 quintic_free (2.685, 2.735)"] = lambda: curves.threshold_a0(
         model("quintic_free"), grid, bracket=(2.685, 2.735))
+    cases["threshold_a0 quintic_free default bracket"] = lambda: curves.threshold_a0(
+        model("quintic_free"), grid)
     cases["threshold_a0 gaussian_well_cubic default bracket"] = (
         lambda: curves.threshold_a0(model("gaussian_well_cubic"), grid))
     for name, _ in GROUND_STATE[1:]:
@@ -219,20 +298,25 @@ def _cases(models_dir: Path) -> dict:
     return cases
 
 
-def digests(models_dir: Path) -> dict:
-    """Case name -> SHA-256 hex digest of what the case returns."""
-    out = {}
+def digests(models_dir: Path, leaves: bool = False) -> dict:
+    """{"digests": case -> SHA-256 hex digest of what the case returns,
+    "leaves": case -> its leaves by path, arrays as lists, if leaves is set}."""
+    out = {"digests": {}, "leaves": {}}
     for name, call in _cases(models_dir).items():
-        h = hashlib.sha256()
-        _feed(h, call())
-        out[name] = h.hexdigest()
+        found = {}
+        _leaves(call(), "", found)
+        out["digests"][name] = _digest(found)
+        if leaves:
+            out["leaves"][name] = {path: getattr(leaf, "tolist", lambda: leaf)()
+                                   for path, leaf in found.items()}
     return out
 
 
-def _digests_in(tree: Path) -> dict:
+def _digests_in(tree: Path, leaves: bool) -> dict:
     """digests() run by a child interpreter that imports ngs from tree."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    proc = subprocess.run([sys.executable, __file__, "--child", str(tree / "models")],
+    argv = [sys.executable, __file__, "--child", str(tree / "models")]
+    proc = subprocess.run(argv + ["--tolerances"] * leaves,
                           cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"output_digest: the cases failed in {tree}:\n{proc.stderr}")
@@ -244,15 +328,21 @@ def main(argv=None) -> int:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--parent", help="the revision to compare this checkout with")
     group.add_argument("--child", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--tolerances", action="store_true",
+                        help="also print each moved field's worst absolute and "
+                             "relative change")
     args = parser.parse_args(argv)
     if args.child is not None:
-        print(json.dumps(digests(args.child)))
+        print(json.dumps(digests(args.child, args.tolerances)))
         return 0
 
     with tempfile.TemporaryDirectory(prefix="output_digest-") as tmp:
         _unpack(args.parent, Path(tmp))
-        parent = _digests_in(Path(tmp))
-    change = _digests_in(ROOT)
+        parent_out = _digests_in(Path(tmp), args.tolerances)
+    change_out = _digests_in(ROOT, args.tolerances)
+    if args.tolerances:
+        _print_tolerances(parent_out["leaves"], change_out["leaves"])
+    parent, change = parent_out["digests"], change_out["digests"]
     differ = [name for name in parent if parent[name] != change.get(name)]
     for name in parent:
         verdict = "differs" if name in differ else "same"

@@ -77,7 +77,10 @@ def _add_common(parser: argparse.ArgumentParser, handler, replay, *,
                                  "search grid, those past its search tolerance "
                                  "included, and of the finish on n")
         parser.add_argument("--starts", type=int, default=None,
-                            help="number of initial profiles")
+                            help="number of initial profiles, a warm start "
+                                 "included: a scan mass or threshold probe "
+                                 "that continues an earlier one runs it and "
+                                 "starts - 1 Gaussians")
     parser.add_argument("--out", required=needs_out, default=None, metavar="DIR",
                         help="output directory")
     parser.add_argument("--verify", action=_Replay, nargs=0, default=False,

@@ -165,7 +165,9 @@ class ThresholdResult(NamedTuple):
     below_lower_bracket: bool
     bracket: tuple
     deadband: float
-    evaluations: tuple   # one {"a", "J", "converged", "reason"} dict per probe
+    # one {"a", "J", "converged", "reason", "warm_from"} dict per probe, in
+    # probe order; warm_from is the mass of the probe it continued, or None
+    evaluations: tuple
     note: str
 
 
@@ -214,6 +216,14 @@ def threshold_a0(model: Model, grid: RadialGrid,
     reason are minimize's: a start that ends below that floor wins over any
     converged start, and every field on the mass sphere bounds the infimum
     from above, so one such field proves the minimum negative.
+
+    Probes continue one another, as scan continues its masses: each probe's
+    warm start is the end profile of the nearest earlier probe in mass (the
+    lower of two equally near) whose finish converged, read converged or
+    labelled no-minimizer-regime or vanishing-suspected; its mass is the
+    probe's warm_from, None when no probe qualifies. A probe that ended on
+    the floor, on max-iters or on sign-change seeds nothing. config.starts
+    counts the warm start, so a warm probe runs it and starts - 1 Gaussians.
     """
     a_lo, a_hi = float(bracket[0]), float(bracket[1])
     if not 0 < a_lo < a_hi < math.inf:
@@ -223,11 +233,15 @@ def threshold_a0(model: Model, grid: RadialGrid,
     probe_config = dataclasses.replace(config, stop_energy_below=-15.0 * DEADBAND)
 
     evaluations = []
+    seeds = {}   # mass -> end profile, of each probe whose finish converged
 
     def probe(a: float) -> float:
-        res = minimize(a, model, grid, probe_config)
+        warm_from = min(seeds, key=lambda b: (abs(b - a), b), default=None)
+        res = minimize(a, model, grid, probe_config, warm_start=seeds.get(warm_from))
         evaluations.append({"a": a, "J": res.energy, "converged": res.converged,
-                            "reason": res.reason})
+                            "reason": res.reason, "warm_from": warm_from})
+        if res.converged or res.reason in ("no-minimizer-regime", "vanishing-suspected"):
+            seeds[a] = res.u
         return res.energy
 
     a0, half_width, below = bisect_threshold(probe, (a_lo, a_hi), DEADBAND)

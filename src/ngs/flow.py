@@ -552,9 +552,11 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
             "profile has not decayed near the domain edge; consider a larger R"
         )
 
+    # the regime labels read a converged finish only: one that ran out of
+    # solves or changed sign keeps its own reason
     converged = out.converged
     reason = out.reason
-    if math.isfinite(model.potential.V_inf):
+    if converged and math.isfinite(model.potential.V_inf):
         vd_frac = vanishing_diagnostic(u) / a
         if vd_frac < VANISHING_FRACTION and st.J < -DEADBAND:
             converged = False

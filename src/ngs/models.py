@@ -87,8 +87,10 @@ class NonlinearityModel:
         and g_times_s return these same arrays, bit for bit.
         """
         s = np.asarray(s, dtype=float)
-        if not self.terms:
-            return NonlinearValues(*(np.zeros_like(s) for _ in range(4)))
+        if not self.terms:   # one shared zero array, read-only, in all four fields
+            zero = np.zeros_like(s)
+            zero.flags.writeable = False
+            return NonlinearValues(zero, zero, zero, zero)
         g = G = gs = dg = None
         for coef, sigma in self.terms:
             p = _abs_power(s, sigma)   # a fresh array, scaled in place

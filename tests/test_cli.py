@@ -201,27 +201,61 @@ def test_solve_below_threshold_exits_2(tmp_path):
     assert abs(result["C_a_estimate"]) < 1e-2
 
 
-def test_solve_flat_runaway_exits_3(tmp_path):
-    # potential sloping to a plateau far out: mass drifts outward forever
-    r_tab = np.arange(0.0, 122.0, 1.0)
-    v_tab = np.where(r_tab < 1.0, 0.0,
-                     np.where(r_tab < 3.0, -(r_tab - 1.0) / 2.0, -1.0))
-    model = {
+def _tabulated_cubic(tmp_path, r_tab, v_tab):
+    model_path = tmp_path / "tabulated.json"
+    model_path.write_text(json.dumps({
         "N": 1,
         "nonlinearity": {"kind": "power_sum",
                          "terms": [{"coef": 1.0, "sigma": 2.0}]},
         "potential": {"kind": "tabulated",
                       "table": {"r": r_tab.tolist(), "V": v_tab.tolist()}},
-    }
-    model_path = tmp_path / "runaway.json"
-    model_path.write_text(json.dumps(model))
+    }))
+    return model_path
+
+
+def test_solve_flat_runaway_exits_3(tmp_path):
+    # a shallow well 200 wide: at this small mass the minimizer converges with
+    # one sign, spread over the whole well, and no window |r - r0| <= 1 holds
+    # 5% of its mass, while J < 0
+    r_tab = np.arange(0.0, 222.0, 1.0)
+    model_path = _tabulated_cubic(tmp_path, r_tab, np.where(r_tab < 200.0, -0.05, 0.0))
     out = tmp_path / "run"
-    proc = run_cli("solve", "--model", model_path, "--mass", "0.25",
-                   "--grid-R", "120", "--grid-n", "1000",
-                   "--max-iters", "80000", "--starts", "1", "--out", out)
+    proc = run_cli("solve", "--model", model_path, "--mass", "0.01",
+                   "--grid-R", "220", "--grid-n", "1100", "--out", out)
     assert proc.returncode == 3, proc.stdout + proc.stderr
     result = json.loads((out / "result.json").read_text())
     assert result["reason"] == "vanishing-suspected"
+    assert result["residual_norm"] <= 1e-8
+    assert result["all_start_reasons"] == [None] * 3
+    assert result["C_a_estimate"] < -1e-6
+
+
+def test_solve_sign_changing_finish_keeps_its_reason(tmp_path):
+    # a potential sloping to a plateau far out: the single start's finish
+    # ends on a field whose minimum is the negative of its peak, which is
+    # no ground state, spread or not
+    r_tab = np.arange(0.0, 122.0, 1.0)
+    v_tab = np.where(r_tab < 1.0, 0.0,
+                     np.where(r_tab < 3.0, -(r_tab - 1.0) / 2.0, -1.0))
+    out = tmp_path / "run"
+    proc = run_cli("solve", "--model", _tabulated_cubic(tmp_path, r_tab, v_tab),
+                   "--mass", "0.25", "--grid-R", "120", "--grid-n", "1000",
+                   "--max-iters", "80000", "--starts", "1", "--out", out)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert json.loads((out / "result.json").read_text())["reason"] == "sign-change"
+
+
+def test_solve_out_of_solves_keeps_its_reason(tmp_path):
+    # below the quintic's threshold, but every run stops after 3 solves: the
+    # spread regime is not reached, so no regime label and no exit 2
+    out = tmp_path / "run"
+    proc = run_cli("solve", "--model", MODELS_DIR / "quintic_free.json",
+                   "--mass", "2.5", "--max-iters", "3", "--out", out)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    result = json.loads((out / "result.json").read_text())
+    assert result["reason"] == "max-iters"
+    assert result["all_start_reasons"] == ["max-iters"] * 3
+    assert result["residual_norm"] > 1e-8
 
 
 # --- usage errors ---

@@ -277,7 +277,68 @@ def test_threshold_probe_keeps_the_lowest_start(grid20):
     assert res.reason == "energy-floor" and res.energy < -15.0 * DEADBAND
     out = threshold_a0(model, grid20, bracket=(2.70, a))
     assert out.evaluations[0] == {"a": a, "J": res.energy, "converged": False,
-                                  "reason": "energy-floor"}
+                                  "reason": "energy-floor", "warm_from": None}
+
+
+def _spy_on_probes(monkeypatch):
+    """(a, warm_start, result) of each minimize that threshold_a0 calls."""
+    calls = []
+    inner = curves.minimize
+
+    def spy(a, *args, warm_start=None, **kwargs):
+        res = inner(a, *args, warm_start=warm_start, **kwargs)
+        calls.append((a, warm_start, res))
+        return res
+
+    monkeypatch.setattr(curves, "minimize", spy)
+    return calls
+
+
+def test_threshold_probe_continues_from_the_nearest_converged_probe(grid20):
+    # the upper end stops on the floor and the lower end reaches the spread
+    # state: the midpoint starts from the lower end's profile
+    out = threshold_a0(free_power(1, 4.0), grid20, bracket=(2.685, 2.735))
+    warm = [e["warm_from"] for e in out.evaluations]
+    assert [e["a"] for e in out.evaluations] == [2.735, 2.685, 2.71]
+    assert out.evaluations[0]["reason"] == "energy-floor"
+    assert out.evaluations[1]["reason"] == "no-minimizer-regime"
+    assert warm == [None, None, 2.685]
+
+
+def test_threshold_probe_on_the_floor_seeds_nothing(grid20, monkeypatch):
+    # the midpoint 2.708 rounds nearer the upper end, which ends on the
+    # floor; it starts from the lower end's profile all the same
+    calls = _spy_on_probes(monkeypatch)
+    out = threshold_a0(free_power(1, 4.0), grid20, bracket=(2.683, 2.733))
+    (a_hi, cold_hi, hi), (a_lo, cold_lo, lo), (mid, warm, _) = calls
+    assert cold_hi is None and cold_lo is None
+    assert hi.reason == "energy-floor" and lo.reason == "no-minimizer-regime"
+    assert abs(a_hi - mid) < abs(mid - a_lo)
+    assert warm is lo.u
+    assert out.evaluations[2]["warm_from"] == a_lo
+    # on every bracket, a seed is the profile of a probe that did not stop
+    # on the floor
+    calls.clear()
+    threshold_a0(free_power(1, 4.0), grid20, bracket=(2.5, 3.0))
+    seeds = [warm for _, warm, _ in calls if warm is not None]
+    assert seeds and all(
+        any(warm is res.u and res.reason != "energy-floor" for _, _, res in calls)
+        for warm in seeds)
+
+
+def test_threshold_warm_probe_with_one_start_runs_the_warm_start_alone(grid20, monkeypatch):
+    calls = _spy_on_probes(monkeypatch)
+    out = threshold_a0(free_power(1, 4.0), grid20, SolverConfig(starts=1),
+                       bracket=(2.685, 2.735))
+    assert [e["warm_from"] for e in out.evaluations] == [None, None, 2.685]
+    assert [len(res.all_start_solves) for _, _, res in calls] == [1, 1, 1]
+    # the midpoint's one start is the lower end's profile, not the width-1
+    # Gaussian, which takes 18 solves to the state the profile reaches in 5
+    mid, warm, res = calls[2]
+    assert warm is calls[1][2].u
+    cold = minimize(mid, free_power(1, 4.0), grid20,
+                    SolverConfig(starts=1, stop_energy_below=-15.0 * DEADBAND))
+    assert res.all_start_solves[0] < cold.all_start_solves[0]
 
 
 def test_threshold_bracket_validation(small_grid, well_cubic):

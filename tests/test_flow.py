@@ -829,7 +829,7 @@ def test_a_start_below_the_energy_floor_wins_over_a_converged_one():
     assert res.reason == "energy-floor" and res.energy < QUINTIC_PROBE.stop_energy_below
     found = curves.threshold_a0(model, grid, bracket=(2.70, a))
     assert found.evaluations[0] == {"a": a, "J": res.energy, "converged": False,
-                                    "reason": "energy-floor"}
+                                    "reason": "energy-floor", "warm_from": None}
 
 
 # --- Newton on the mass-critical quintic, below the soliton mass ---
