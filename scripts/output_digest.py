@@ -45,10 +45,10 @@ imports ngs from that tree's src/ and reads that tree's models/:
   fingerprint, its table, and its Discretization's V on R = 20, n = 2000).
 
 A case's fields are the leaves of what its call returns, each named by
-its path (for example evaluations[2].J or u.values): an array is one
+its path (for example evaluations[2].C_a or u.values): an array is one
 field, and so is every float, int, bool, string and None. A record, a
 dataclass or a NamedTuple, names its fields as a dict does, so its digest
-does not depend on which of the two declares it; a field in
+does not depend on which of the two declares it; a field or dict key in
 RENAMED_FIELDS is named by its new name in both trees, so a rename alone
 makes no case differ. A case's digest is one SHA-256 over every field's
 path and value: a float as float.hex, an array's dtype, shape and bytes.
@@ -81,8 +81,10 @@ ROOT = Path(__file__).resolve().parent.parent
 GROUND_STATE = (("power3_free", 4.0), ("gaussian_well_cubic", 3.0),
                 ("gaussian_well_mixed", 3.0), ("harmonic_cubic", 2.0),
                 ("gaussian_well_deep", 2.0))
-# record fields renamed since earlier revisions: old name -> new name
-RENAMED_FIELDS = {"energy_half_grid": "energy_search_grid"}
+# record fields and dict keys renamed since earlier revisions: old name -> new
+# name. The curve points' energy and the threshold probes' J are flow.State's
+# C_a; GroundStateResult.energy and EnergyReport.J read C_a in both trees too
+RENAMED_FIELDS = {"energy_half_grid": "energy_search_grid", "energy": "C_a", "J": "C_a"}
 
 
 def _unpack(rev: str, dest: Path) -> None:
@@ -115,7 +117,7 @@ def _leaves(obj, path: str, out: dict) -> None:
         out[path] = obj
     elif isinstance(obj, dict):
         for key in sorted(obj):
-            _leaves(obj[key], _join(path, key), out)
+            _leaves(obj[key], _join(path, RENAMED_FIELDS.get(key, key)), out)
     elif dataclasses.is_dataclass(obj) or hasattr(obj, "_fields"):
         # before the plain tuples, which a NamedTuple also is
         names = (obj._fields if hasattr(obj, "_fields")

@@ -41,10 +41,10 @@ def main() -> None:
 
     print(f"{'a':>6} {'C_a':>14} {'E_a (V=0)':>14} {'gap':>12} {'lambda':>12}")
     for pc, pe in zip(trapped.points, free.points):
-        print(f"{pc.a:>6.3f} {pc.energy:>14.8f} {pe.energy:>14.8f} "
-              f"{pc.energy - pe.energy:>12.4e} {pc.lam:>12.6f}")
+        print(f"{pc.a:>6.3f} {pc.C_a:>14.8f} {pe.C_a:>14.8f} "
+              f"{pc.C_a - pe.C_a:>12.4e} {pc.lam:>12.6f}")
 
-    diffs = np.diff([pt.energy for pt in trapped.points])
+    diffs = np.diff([pt.C_a for pt in trapped.points])
     report = subadditivity_check(trapped)
     print(f"\nnonincreasing: {bool(np.all(diffs <= 1e-8))} "
           f"(max forward difference {diffs.max():+.2e})")
@@ -54,7 +54,7 @@ def main() -> None:
               f"strict at {report.strict_count}")
     else:
         print("subadditivity: no compatible pairs on this mass ladder")
-    below = sum(pc.energy < pe.energy for pc, pe in
+    below = sum(pc.C_a < pe.C_a for pc, pe in
                 zip(trapped.points, free.points))
     print(f"trapping: C_a < E_a at {below}/{len(trapped.points)} masses")
 

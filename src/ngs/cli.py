@@ -249,7 +249,8 @@ def _cmd_threshold(args, run: _Run) -> int:
     found = threshold_a0(run.model, run.grid, run.config,
                          bracket=(args.a_lo, args.a_hi))
     run.make_out()
-    run.write_record("threshold.json", found._asdict())
+    run.write_record("threshold.json", {
+        **found._asdict(), "evaluations": [e._asdict() for e in found.evaluations]})
     qualifier = "at or below" if found.below_lower_bracket else "within"
     print(f"a0 = {found.a0:.6g} ({qualifier} the bracket, half-width "
           f"{found.half_width:.3g}, {len(found.evaluations)} evaluations)")
@@ -344,10 +345,11 @@ def _replay_solve(out_dir: Path, manifest: dict):
     """Re-evaluate the stored profile against the stored energy."""
     model, _ = _recorded_inputs(manifest)
     stored = json.loads((out_dir / "result.json").read_text())
+    # C_a_estimate: the name result.json gave C_a before flow.State
+    c = stored["C_a"] if "C_a" in stored else stored["C_a_estimate"]
     j = evaluate(load_profile(out_dir / "profile.csv"), model).J
-    if abs(j - stored["C_a_estimate"]) > max(1e-8, 1e-8 * abs(stored["C_a_estimate"])):
-        yield (f"stored profile evaluates to J = {j:.12g}, result.json says "
-               f"{stored['C_a_estimate']:.12g}")
+    if abs(j - c) > max(1e-8, 1e-8 * abs(c)):
+        yield f"stored profile evaluates to J = {j:.12g}, result.json says {c:.12g}"
 
 
 def _replay_scan(out_dir: Path, manifest: dict):
@@ -361,9 +363,9 @@ def _replay_scan(out_dir: Path, manifest: dict):
     for idx in sorted({0, len(usable) // 2, len(usable) - 1} if usable else ()):
         pt = usable[idx]
         res = minimize(pt.a, model, grid, config)
-        if abs(res.energy - pt.energy) > max(1e-7, 1e-5 * abs(pt.energy)):
+        if abs(res.energy - pt.C_a) > max(1e-7, 1e-5 * abs(pt.C_a)):
             yield (f"spot check at a = {pt.a:.6g}: recomputed C = "
-                   f"{res.energy:.12g} vs stored {pt.energy:.12g}")
+                   f"{res.energy:.12g} vs stored {pt.C_a:.12g}")
 
 
 def _replay_threshold(out_dir: Path, manifest: dict):
@@ -373,7 +375,8 @@ def _replay_threshold(out_dir: Path, manifest: dict):
     def recorded(a: float) -> float:
         for e in stored["evaluations"]:
             if math.isclose(e["a"], a, rel_tol=1e-9):
-                return e["J"]
+                # J: the name a probe gave C_a before flow.State
+                return e["C_a"] if "C_a" in e else e["J"]
         raise LookupError(f"no recorded probe at a = {a:.12g}")
 
     try:

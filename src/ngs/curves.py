@@ -17,24 +17,15 @@ import numpy as np
 
 from .energy import discretization
 from .errors import BracketError, NumericalError
-from .flow import DEADBAND, SolverConfig, dstebz, minimize
+from .flow import DEADBAND, STATE_COLUMNS, SolverConfig, State, dstebz, minimize
 from .flow import vanishing_diagnostic  # noqa: F401  (re-exported)
 from .grids import RadialGrid
 from .models import Model
 from .utils import read_csv, write_csv
 
 
-class CurvePoint(NamedTuple):
-    a: float
-    energy: float
-    lam: float
-    converged: bool
-    nehari: float
-    pohozaev: float
-
-
 class EnergyCurve(NamedTuple):
-    """Scan output: one point per mass, in increasing mass order."""
+    """Scan output: one flow.State per mass, in increasing mass order."""
 
     points: tuple
 
@@ -47,7 +38,7 @@ class EnergyCurve(NamedTuple):
         return tuple(pt.a for pt in self.points if not pt.converged)
 
     def energies(self) -> np.ndarray:
-        return np.array([pt.energy for pt in self.points])
+        return np.array([pt.C_a for pt in self.points])
 
     def monotone_violations(self, tol: float = 0.0) -> int:
         e = self.energies()
@@ -58,9 +49,9 @@ def scan(a_values, model: Model, grid: RadialGrid,
          config: SolverConfig | None = None) -> EnergyCurve:
     """Minimize at each mass in a_values and assemble the energy curve.
 
-    Each mass is warm-started from the last converged minimizer (rescaled
-    to the new mass), which keeps the solver on the same branch along the
-    curve.
+    Each mass is warm-started from the end profile (rescaled to the new
+    mass) of its warm_from, the last mass whose finish converged, as in
+    threshold_a0, which keeps the solver on the same branch along the curve.
     """
     a_values = [float(a) for a in a_values]
     if len(a_values) < 3:
@@ -73,30 +64,23 @@ def scan(a_values, model: Model, grid: RadialGrid,
         config = SolverConfig()
 
     points = []
-    prev = None
+    prev = warm_from = None
     for a in a_values:
         res = minimize(a, model, grid, config, warm_start=prev)
-        points.append(CurvePoint(
-            a=a, energy=res.energy, lam=res.lam, converged=res.converged,
-            nehari=res.residuals.nehari, pohozaev=res.residuals.pohozaev,
-        ))
-        if res.converged:
-            prev = res.u
+        points.append(res.state(warm_from))
+        if res.finish_converged:
+            prev, warm_from = res.u, a
     return EnergyCurve(points=tuple(points))
 
 
-# the columns of curve.csv, in CurvePoint's field order, and their cell types
-CURVE_COLUMNS = {"a": float, "C_a": float, "lambda": float, "converged": bool,
-                 "nehari": float, "pohozaev": float}
-
-
 def write_curve_csv(curve: EnergyCurve, path) -> None:
-    write_csv(path, CURVE_COLUMNS, curve.points)
+    write_csv(path, STATE_COLUMNS, curve.points)
 
 
 def read_curve_csv(path) -> list:
-    """Rows of a written curve file, as CurvePoint instances."""
-    return [CurvePoint(*row) for row in zip(*read_csv(path, CURVE_COLUMNS))]
+    """Rows of a written curve file, as flow.State records; a file of the six
+    columns scans wrote before State (a to pohozaev) reads None in the rest."""
+    return [State(*row) for row in zip(*read_csv(path, STATE_COLUMNS, required=6))]
 
 
 class SubadditivityRow(NamedTuple):
@@ -144,7 +128,7 @@ def subadditivity_check(curve: EnergyCurve, tol: float = 1e-6) -> SubadditivityR
     for i, j, k, target in zip(first.tolist(), second.tolist(), nearest.tolist(),
                                targets.tolist()):
         if math.isclose(a_arr[k], target, rel_tol=1e-9, abs_tol=1e-12):
-            gap = pts[k].energy - pts[i].energy - pts[j].energy
+            gap = pts[k].C_a - pts[i].C_a - pts[j].C_a
             rows.append(SubadditivityRow(
                 a=pts[i].a, b=pts[j].a, gap=gap,
                 all_converged=(pts[i].converged and pts[j].converged
@@ -165,9 +149,7 @@ class ThresholdResult(NamedTuple):
     below_lower_bracket: bool
     bracket: tuple
     deadband: float
-    # one {"a", "J", "converged", "reason", "warm_from"} dict per probe, in
-    # probe order; warm_from is the mass of the probe it continued, or None
-    evaluations: tuple
+    evaluations: tuple   # one flow.State per probe, in probe order
     note: str
 
 
@@ -219,11 +201,11 @@ def threshold_a0(model: Model, grid: RadialGrid,
 
     Probes continue one another, as scan continues its masses: each probe's
     warm start is the end profile of the nearest earlier probe in mass (the
-    lower of two equally near) whose finish converged, read converged or
-    labelled no-minimizer-regime or vanishing-suspected; its mass is the
-    probe's warm_from, None when no probe qualifies. A probe that ended on
-    the floor, on max-iters or on sign-change seeds nothing. config.starts
-    counts the warm start, so a warm probe runs it and starts - 1 Gaussians.
+    lower of two equally near) whose finish converged
+    (GroundStateResult.finish_converged); its mass is the probe's warm_from,
+    None when no probe qualifies. A probe that ended on the floor, on
+    max-iters or on sign-change seeds nothing. config.starts counts the warm
+    start, so a warm probe runs it and starts - 1 Gaussians.
     """
     a_lo, a_hi = float(bracket[0]), float(bracket[1])
     if not 0 < a_lo < a_hi < math.inf:
@@ -238,9 +220,8 @@ def threshold_a0(model: Model, grid: RadialGrid,
     def probe(a: float) -> float:
         warm_from = min(seeds, key=lambda b: (abs(b - a), b), default=None)
         res = minimize(a, model, grid, probe_config, warm_start=seeds.get(warm_from))
-        evaluations.append({"a": a, "J": res.energy, "converged": res.converged,
-                            "reason": res.reason, "warm_from": warm_from})
-        if res.converged or res.reason in ("no-minimizer-regime", "vanishing-suspected"):
+        evaluations.append(res.state(warm_from))
+        if res.finish_converged:
             seeds[a] = res.u
         return res.energy
 

@@ -42,13 +42,6 @@ class IdentityResiduals(NamedTuple):
     pohozaev: float
     lagrange_lambda: float
 
-    def to_dict(self) -> dict:
-        return {
-            "nehari": self.nehari,
-            "pohozaev": self.pohozaev,
-            "lambda": self.lagrange_lambda,
-        }
-
 
 class Stationarity(NamedTuple):
     """Multiplier, -F, residual, Nehari defect, J and nonlinearity of one field."""

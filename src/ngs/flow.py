@@ -187,6 +187,27 @@ class SolverConfig:
                 raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
+# a solved state's scalars as result.json, a curve.csv row and a threshold.json
+# probe write them, with the type utils.read_csv parses each with (None: an empty
+# cell); warm_from is the mass whose end profile the state started from, or None
+STATE_COLUMNS = {"a": float, "C_a": float, "lambda": float, "converged": bool,
+                 "nehari": float, "pohozaev": float, "reason": str, "residual_norm": float,
+                 "iterations": int, "start_index": int, "start_grid_n": int,
+                 "C_a_search_grid": float, "C_a_extrapolated": float,
+                 "discretization_error_estimate": float, "mass": float,
+                 "start_disagreement": bool, "warm_from": float}
+
+
+class State(NamedTuple("State", [("lam" if name == "lambda" else name, kind)
+                                 for name, kind in STATE_COLUMNS.items()])):
+    """One record per solved state; its field lambda is lam, a keyword in Python."""
+
+    __slots__ = ()
+
+    def _asdict(self) -> dict:
+        return dict(zip(STATE_COLUMNS, self))
+
+
 class GroundStateResult(NamedTuple):
     u: GridFunction
     a: float
@@ -216,35 +237,31 @@ class GroundStateResult(NamedTuple):
     def start_grid_n(self) -> int:   # the starts' grid: u's search grid, or u's own
         return (_search_grid(self.u.grid) or self.u.grid).n
 
-    def to_dict(self) -> dict:
+    @property
+    def finish_converged(self) -> bool:
+        """The run on n converged, regime-labelled or not: scan and threshold_a0 continue its u."""
+        return self.converged or self.reason in ("no-minimizer-regime", "vanishing-suspected")
+
+    def state(self, warm_from: float | None = None) -> State:
+        """The record of this state, which started from the end profile of mass warm_from."""
         # Richardson's estimate of C_true - C for an h^2 error; not a bound
         coarse = self.energy_search_grid
         ratio = self.u.grid.n // self.start_grid_n
         estimate = None if coarse is None else (self.energy - coarse) / (ratio * ratio - 1)
-        return {
-            "a": self.a,
-            "mass": grids.mass(self.u),
-            "lambda": self.lam,
-            "C_a_estimate": self.energy,
-            "C_a_search_grid": self.energy_search_grid,
-            "C_a_extrapolated": None if estimate is None else self.energy + estimate,
-            "discretization_error_estimate": estimate,
-            "start_grid_n": self.start_grid_n,
-            "residuals": self.residuals.to_dict(),
-            "converged": self.converged,
-            "reason": self.reason,
-            "start_index": self.start_index,
-            "iterations": self.iterations,
-            "residual_norm": self.residual_norm,
-            "all_start_energies": list(self.all_start_energies),
-            "all_start_solves": list(self.all_start_solves),
-            "all_start_rejected_steps": list(self.all_start_rejected_steps),
-            "all_start_reasons": list(self.all_start_reasons),
-            "all_start_residuals": list(self.all_start_residuals),
-            "start_disagreement": self.start_disagreement,
-            "warnings": list(self.warnings),
-            "trace_length": len(self.energy_trace),
-        }
+        # in STATE_COLUMNS order; _make builds no argument tuple or keyword dict besides it
+        return State._make((
+            self.a, self.energy, self.lam, self.converged, self.residuals.nehari,
+            self.residuals.pohozaev, self.reason, self.residual_norm, self.iterations,
+            self.start_index, self.start_grid_n, coarse,
+            None if estimate is None else self.energy + estimate, estimate,
+            grids.mass(self.u), self.start_disagreement, warm_from))
+
+    def to_dict(self) -> dict:
+        """result.json: the state, each all_start_ list, the warnings and the trace length."""
+        return {**self.state()._asdict(),
+                **{name: list(getattr(self, name)) for name in self._fields
+                   if name.startswith("all_start_") or name == "warnings"},
+                "trace_length": len(self.energy_trace)}
 
 
 def bordered_solve(bands, u: np.ndarray, c: np.ndarray,

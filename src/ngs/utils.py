@@ -64,13 +64,13 @@ def _cell(value) -> str:
         return repr(float(value))   # the shortest string that reads back to value
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def write_csv(path, header, rows) -> None:
     """Write a header line and rows as CSV with LF line ends: floats in the
     shortest digits that read back to the same float, bools as true or false,
-    any other cell as str prints it."""
+    None as an empty cell, any other cell as str prints it."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -83,32 +83,38 @@ def _parse_bool(cell: str) -> bool:
     return cell == "true"
 
 
-def read_csv(path, columns: dict) -> list[list]:
-    """The columns of a CSV file whose header starts with the names of columns.
+def read_csv(path, columns: dict, required: int | None = None) -> list[list]:
+    """The columns of a CSV file whose header starts with the names of columns,
+    or with the first required of them at least.
 
-    columns maps each name to its cells' type: float, int, or bool, which
-    reads write_csv's true/false. The result holds one list per name, in
-    order, of that column's converted cells. Blank lines and further
-    columns are skipped; any line end reads. A missing or wrong header, a
-    short row, a cell that does not parse or malformed CSV raise ValueError
-    naming the file and the line. The file is read once, row by row.
+    columns maps each name to its cells' type: float, int, str, or bool,
+    which reads write_csv's true/false. The result holds one list per name,
+    in order, of that column's cells; a cell past the first required columns
+    reads None where it is empty or the header stops short of its name.
+    Blank lines and further columns are skipped; any line end reads. A
+    missing or wrong header, a short row, a cell that does not parse or
+    malformed CSV raise ValueError naming the file and the line. The file is
+    read once, row by row.
     """
     names = list(columns)
+    required = len(names) if required is None else required
     parsers = [_parse_bool if kind is bool else kind for kind in columns.values()]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
-            if header is not None and [cell.strip() for cell in header[:len(names)]] != names:
-                raise ValueError(f"expected header {','.join(names)}, got {header!r}")
+            if header is not None:
+                header = [cell.strip() for cell in header[:len(names)]]
+                if header != names[:max(len(header), required)]:
+                    raise ValueError(f"expected header {','.join(names)}, got {header!r}")
             cols = [[] for _ in names]
             for row in filter(None, reader):   # blank lines read as []
-                if len(row) < len(names):
-                    raise ValueError(f"expected {','.join(names)}, got {row!r}")
-                for col, parse, cell in zip(cols, parsers, row):
-                    col.append(parse(cell))
+                if len(row) < len(header):
+                    raise ValueError(f"expected {','.join(header)}, got {row!r}")
+                for k, (col, parse, cell) in enumerate(zip(cols, parsers, row[:len(header)])):
+                    col.append(parse(cell) if cell or k < required else None)
         except (csv.Error, ValueError) as exc:   # UnicodeDecodeError too
             raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
     if header is None:
         raise ValueError(f"{path} is empty")
-    return cols
+    return [col or [None] * len(cols[0]) for col in cols]

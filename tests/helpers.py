@@ -118,7 +118,7 @@ def subadditivity_rows_by_scan(curve: EnergyCurve) -> tuple:
                 continue
             rows.append(SubadditivityRow(
                 a=pts[i].a, b=pts[j].a,
-                gap=pts[k].energy - pts[i].energy - pts[j].energy,
+                gap=pts[k].C_a - pts[i].C_a - pts[j].C_a,
                 all_converged=(pts[i].converged and pts[j].converged
                                and pts[k].converged),
             ))
@@ -128,12 +128,14 @@ def subadditivity_rows_by_scan(curve: EnergyCurve) -> tuple:
 def read_csv_row_by_row(path, columns: dict) -> list[list]:
     """utils.read_csv's rows as a plain row-by-row reader gives them, with
     each cell's type: the reference for its column-wise conversion."""
-    parse = {float: float, int: int, bool: lambda cell: {"true": True, "false": False}[cell]}
+    parse = {float: float, int: int, str: str,
+             bool: lambda cell: {"true": True, "false": False}[cell]}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         assert next(reader)[:len(columns)] == list(columns)
         return [[(cell, type(cell)) for cell in
-                 (parse[kind](text) for kind, text in zip(columns.values(), row))]
+                 (parse[kind](text) if text else None
+                  for kind, text in zip(columns.values(), row))]
                 for row in reader if row]
 
 

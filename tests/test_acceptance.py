@@ -28,7 +28,7 @@ from ngs.energy import (
     fiber_minimize,
     pohozaev_residual,
 )
-from ngs.flow import minimize
+from ngs.flow import SolverConfig, minimize
 from ngs.grids import RadialGrid, mass
 from ngs.grids import kinetic as grids_kinetic
 from ngs.models import load_model, make_model
@@ -137,11 +137,11 @@ def test_criterion_4_curve_structure(well_curves):
     attained_rows = [r for r in report.rows if r.all_converged]
     strict = all(r.gap < 0 for r in attained_rows)
     below = all(
-        c.energy < e.energy
+        c.C_a < e.C_a
         for c, e in zip(trapped.points, free.points)
-        if e.converged and e.energy < 0
+        if e.converged and e.C_a < 0
     )
-    n_compared = sum(1 for e in free.points if e.converged and e.energy < 0)
+    n_compared = sum(1 for e in free.points if e.converged and e.C_a < 0)
     ok = (not trapped.partial and mono == 0 and report.ok and strict
           and len(attained_rows) == len(report.rows) and below and n_compared == 12)
     worst_gap = max((r.gap for r in report.rows), default=float("nan"))
@@ -182,11 +182,18 @@ def test_criterion_6_coercive_compactness(grid20):
     model = load_model(MODELS_DIR / "harmonic_cubic.json")
     details = []
     ok = True
+    tol = SolverConfig().tol_grad
     for a in (0.1, 1.0, 10.0):
         res = minimize(a, model, grid20)
-        spread = max(res.all_start_energies) - min(res.all_start_energies)
+        # a start left at flow.SEARCH_TOL ends within 1e-6 of the winner by
+        # construction, so the spread bounds the starts that reached tol_grad
+        pairs = list(zip(res.all_start_energies, res.all_start_residuals))
+        tight = [J for J, r in pairs if r <= tol]
+        loose = ", ".join(f"{r:.1e}" for _, r in pairs if r > tol) or "none"
+        spread = max(tight) - min(tight)
         ok = ok and res.converged and not res.start_disagreement and spread <= 1e-6
-        details.append(f"a={a:g}: J={res.energy:.6f} spread {spread:.1e}")
+        details.append(f"a={a:g}: J={res.energy:.6f} spread {spread:.1e} over "
+                       f"{len(tight)} starts at tol_grad (loose residuals: {loose})")
     linear = make_model(1, ZERO_G, harmonic_v(1.0))
     lres = minimize(1.0, linear, grid20)
     eig_err = abs(-lres.lam - 1.0)

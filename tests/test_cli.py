@@ -21,6 +21,7 @@ import pytest
 
 from helpers import MODELS_DIR, run_cli
 from ngs import cli
+from ngs.flow import STATE_COLUMNS
 
 
 def run_module(*argv):
@@ -85,7 +86,7 @@ def test_solve_oracle_case_artifacts(solve_dir):
     assert result["reason"] is None
     assert abs(result["lambda"] - 1.0) <= 1e-3
     assert abs(result["mass"] - 4.0) <= 1e-12 * 4.0
-    assert set(result["residuals"]) == {"nehari", "pohozaev", "lambda"}
+    assert {"nehari", "pohozaev"} <= set(result) and "residuals" not in result
     # the starts ran on n/2 and the winner was finished on n: the finish's
     # solves are the iterations, each accepted here, and the trace holds
     # its start and its accepted steps. The finish goes on with the shift
@@ -175,7 +176,7 @@ def test_verify_catches_semantic_tampering(solve_dir):
     manifest_orig = manifest_path.read_bytes()
     try:
         doctored = json.loads(result_orig)
-        doctored["C_a_estimate"] = doctored["C_a_estimate"] - 0.1
+        doctored["C_a"] = doctored["C_a"] - 0.1
         result_path.write_text(json.dumps(doctored, indent=2, sort_keys=True) + "\n")
         manifest = json.loads(manifest_orig)
         manifest["outputs"]["result.json"] = hashlib.sha256(
@@ -198,7 +199,7 @@ def test_solve_below_threshold_exits_2(tmp_path):
     assert proc.returncode == 2
     result = json.loads((out / "result.json").read_text())
     assert result["reason"] == "no-minimizer-regime"
-    assert abs(result["C_a_estimate"]) < 1e-2
+    assert abs(result["C_a"]) < 1e-2
 
 
 def _tabulated_cubic(tmp_path, r_tab, v_tab):
@@ -227,7 +228,7 @@ def test_solve_flat_runaway_exits_3(tmp_path):
     assert result["reason"] == "vanishing-suspected"
     assert result["residual_norm"] <= 1e-8
     assert result["all_start_reasons"] == [None] * 3
-    assert result["C_a_estimate"] < -1e-6
+    assert result["C_a"] < -1e-6
 
 
 def test_solve_sign_changing_finish_keeps_its_reason(tmp_path):
@@ -380,7 +381,8 @@ def scan_dirs(tmp_path_factory):
 def test_scan_outputs_and_summary(scan_dirs):
     out = scan_dirs[0]
     lines = (out / "curve.csv").read_text().splitlines()
-    assert lines[0] == "a,C_a,lambda,converged,nehari,pohozaev"
+    assert lines[0] == ",".join(STATE_COLUMNS)
+    assert lines[0].startswith("a,C_a,lambda,converged,nehari,pohozaev,")
     assert len(lines) == 4
     assert (out / "subadditivity.csv").read_text().splitlines()[0] == "a,b,gap"
     gp = (out / "curve.gp").read_text()
@@ -491,6 +493,50 @@ def test_scan_verify_accepts_manifest_with_former_config_keys(scan_dirs, tmp_pat
     check = _verify_scan(out)
     assert check.returncode == 0, check.stderr
     assert "verification OK" in check.stdout
+
+
+def test_scan_verify_reads_a_curve_of_the_six_former_columns(scan_dirs, tmp_path):
+    # curve.csv as scans wrote it before one record per state: the columns
+    # a, C_a, lambda, converged, nehari, pohozaev alone
+    out, manifest = _copy_scan(scan_dirs[0], tmp_path)
+    curve = out / "curve.csv"
+    curve.write_text("".join(",".join(line.split(",")[:6]) + "\n"
+                             for line in curve.read_text().splitlines()))
+    assert curve.read_text().splitlines()[0] == "a,C_a,lambda,converged,nehari,pohozaev"
+    manifest["outputs"]["curve.csv"] = hashlib.sha256(curve.read_bytes()).hexdigest()
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    check = _verify_scan(out)
+    assert check.returncode == 0, check.stderr
+    assert "verification OK" in check.stdout
+    # a spot check still compares its C_a: a doctored six-column row fails
+    lines = curve.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[1] = repr(float(cells[1]) - 0.1)
+    curve.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
+    manifest["outputs"]["curve.csv"] = hashlib.sha256(curve.read_bytes()).hexdigest()
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    check = _verify_scan(out)
+    assert check.returncode == 1
+    assert "spot check at a = 0.5" in check.stderr
+
+
+def test_solve_scan_and_threshold_write_one_record(solve_dir, scan_dirs, tmp_path):
+    # result.json's keys but the per-start lists, the warnings, the trace
+    # length and the stamp, the curve.csv header and a probe's keys are the
+    # one field list of flow.State
+    result = json.loads((solve_dir / "result.json").read_text())
+    extras = {"all_start_energies", "all_start_solves", "all_start_rejected_steps",
+              "all_start_reasons", "all_start_residuals", "warnings", "trace_length",
+              "model_fingerprint", "grid"}
+    header = (scan_dirs[0] / "curve.csv").read_text().splitlines()[0].split(",")
+    out = tmp_path / "thr"
+    proc = run_cli("threshold", "--model", MODELS_DIR / "gaussian_well_cubic.json",
+                   *SMALL, "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    probes = json.loads((out / "threshold.json").read_text())["evaluations"]
+    assert header == list(STATE_COLUMNS)
+    assert [key for key in result if key not in extras] == sorted(header)
+    assert all(list(probe) == sorted(header) for probe in probes)
 
 
 @pytest.mark.parametrize("drop", [None, ("config", "tol_grad"), (None, "model"),

@@ -17,8 +17,6 @@ from helpers import (
     well_v,
 )
 from ngs.curves import (
-    CURVE_COLUMNS,
-    CurvePoint,
     EnergyCurve,
     quadratic_form_infimum,
     read_curve_csv,
@@ -32,7 +30,7 @@ from ngs.curves import (
 from ngs import curves, energy, flow
 from ngs.energy import Discretization
 from ngs.errors import BracketError, NumericalError
-from ngs.flow import DEADBAND, SolverConfig, minimize
+from ngs.flow import DEADBAND, STATE_COLUMNS, SolverConfig, State, minimize
 from ngs.grids import GridFunction, RadialGrid, kinetic, mass
 from ngs.models import load_model, make_model
 from ngs.utils import read_csv
@@ -120,14 +118,14 @@ def test_free_curve_matches_closed_form(free_curve):
     for pt in free_curve.points:
         assert pt.converged
         exact = -pt.a**3 / 96.0
-        assert abs(pt.energy - exact) <= 1e-3 * abs(exact)
+        assert abs(pt.C_a - exact) <= 1e-3 * abs(exact)
     assert not free_curve.partial
     assert free_curve.failed_masses == ()
 
 
 def test_free_curve_cubic_homogeneity(free_curve):
-    c4 = free_curve.points[1].energy
-    c8 = free_curve.points[2].energy
+    c4 = free_curve.points[1].C_a
+    c8 = free_curve.points[2].C_a
     assert abs(c8 / c4 - 8.0) <= 2e-2
 
 
@@ -148,17 +146,18 @@ def test_free_curve_strictly_subadditive(free_curve):
 
 
 def test_doubling_beats_splitting(free_curve):
-    c2, c4, c8 = (pt.energy for pt in free_curve.points)
+    c2, c4, c8 = (pt.C_a for pt in free_curve.points)
     assert c4 < 2.0 * c2
     assert c8 < 2.0 * c4
 
 
+def _point(a: float, C_a: float, converged: bool) -> State:
+    """A state of mass a, energy C_a and the converged flag; None in every other field."""
+    return State(*[None] * len(State._fields))._replace(a=a, C_a=C_a, converged=converged)
+
+
 def test_synthetic_flat_curve_has_zero_gaps():
-    pts = tuple(
-        CurvePoint(a=float(a), energy=0.0, lam=0.0, converged=True,
-                   nehari=0.0, pohozaev=0.0)
-        for a in (1, 2, 3, 4)
-    )
+    pts = tuple(_point(float(a), 0.0, True) for a in (1, 2, 3, 4))
     curve = EnergyCurve(points=pts)
     report = subadditivity_check(curve)
     assert report.ok
@@ -169,8 +168,7 @@ def test_synthetic_flat_curve_has_zero_gaps():
 
 def _synthetic_curve(masses, rng) -> EnergyCurve:
     return EnergyCurve(points=tuple(
-        CurvePoint(a=float(a), energy=float(rng.normal()), lam=0.0,
-                   converged=bool(rng.random() < 0.8), nehari=0.0, pohozaev=0.0)
+        _point(float(a), float(rng.normal()), bool(rng.random() < 0.8))
         for a in masses
     ))
 
@@ -206,7 +204,7 @@ def test_curve_csv_roundtrip(free_curve, tmp_path):
     points = read_curve_csv(path)
     assert len(points) == 3
     for orig, back in zip(free_curve.points, points):
-        assert math.isclose(orig.energy, back.energy, rel_tol=1e-11)
+        assert math.isclose(orig.C_a, back.C_a, rel_tol=1e-11)
         assert math.isclose(orig.lam, back.lam, rel_tol=1e-11)
         assert back.converged
 
@@ -218,10 +216,22 @@ def test_curve_csv_roundtrip_keeps_an_unconverged_row(free_curve, tmp_path):
     write_curve_csv(curve, path)
     assert path.read_text().splitlines()[2].split(",")[3] == "false"
     assert [pt.converged for pt in read_curve_csv(path)] == [True, False, True]
-    cols = read_csv(path, CURVE_COLUMNS)
+    cols = read_csv(path, STATE_COLUMNS, required=6)
     assert [[(c, type(c)) for c in col] for col in cols] == \
-        list(map(list, zip(*read_csv_row_by_row(path, CURVE_COLUMNS))))
-    assert read_curve_csv(path) == [CurvePoint(*row) for row in zip(*cols)]
+        list(map(list, zip(*read_csv_row_by_row(path, STATE_COLUMNS))))
+    assert read_curve_csv(path) == [State(*row) for row in zip(*cols)]
+
+
+def test_curve_csv_reads_back_the_states_with_their_none_cells(free_curve, tmp_path):
+    first, middle, last = free_curve.points
+    assert first.warm_from is None and first.reason is None
+    failed = last._replace(converged=False, reason="max-iters", C_a_search_grid=None,
+                           C_a_extrapolated=None, discretization_error_estimate=None)
+    curve = EnergyCurve((first, middle, failed))
+    path = tmp_path / "curve.csv"
+    write_curve_csv(curve, path)
+    assert read_curve_csv(path) == list(curve.points)
+    assert path.read_text().splitlines()[1].endswith(",")   # warm_from None: an empty cell
 
 
 def test_subadditivity_csv_format(free_curve, tmp_path):
@@ -257,9 +267,9 @@ def test_threshold_brackets_quintic_soliton_mass(small_grid):
     assert not out.below_lower_bracket
     assert 2.5 <= out.a0 <= 3.0
     assert out.half_width <= 0.02 * out.a0
-    first_a = out.evaluations[0]["a"]
+    first_a = out.evaluations[0].a
     assert first_a == 6.0
-    signs = {e["a"]: (e["J"] < -out.deadband) for e in out.evaluations}
+    signs = {e.a: (e.C_a < -out.deadband) for e in out.evaluations}
     assert signs[6.0] and not signs[1e-3]
 
 
@@ -276,8 +286,8 @@ def test_threshold_probe_keeps_the_lowest_start(grid20):
     assert res.all_start_energies[res.start_index] == min(res.all_start_energies)
     assert res.reason == "energy-floor" and res.energy < -15.0 * DEADBAND
     out = threshold_a0(model, grid20, bracket=(2.70, a))
-    assert out.evaluations[0] == {"a": a, "J": res.energy, "converged": False,
-                                  "reason": "energy-floor", "warm_from": None}
+    assert out.evaluations[0] == res.state()
+    assert out.evaluations[0].warm_from is None
 
 
 def _spy_on_probes(monkeypatch):
@@ -298,10 +308,10 @@ def test_threshold_probe_continues_from_the_nearest_converged_probe(grid20):
     # the upper end stops on the floor and the lower end reaches the spread
     # state: the midpoint starts from the lower end's profile
     out = threshold_a0(free_power(1, 4.0), grid20, bracket=(2.685, 2.735))
-    warm = [e["warm_from"] for e in out.evaluations]
-    assert [e["a"] for e in out.evaluations] == [2.735, 2.685, 2.71]
-    assert out.evaluations[0]["reason"] == "energy-floor"
-    assert out.evaluations[1]["reason"] == "no-minimizer-regime"
+    warm = [e.warm_from for e in out.evaluations]
+    assert [e.a for e in out.evaluations] == [2.735, 2.685, 2.71]
+    assert out.evaluations[0].reason == "energy-floor"
+    assert out.evaluations[1].reason == "no-minimizer-regime"
     assert warm == [None, None, 2.685]
 
 
@@ -315,7 +325,7 @@ def test_threshold_probe_on_the_floor_seeds_nothing(grid20, monkeypatch):
     assert hi.reason == "energy-floor" and lo.reason == "no-minimizer-regime"
     assert abs(a_hi - mid) < abs(mid - a_lo)
     assert warm is lo.u
-    assert out.evaluations[2]["warm_from"] == a_lo
+    assert out.evaluations[2].warm_from == a_lo
     # on every bracket, a seed is the profile of a probe that did not stop
     # on the floor
     calls.clear()
@@ -326,11 +336,27 @@ def test_threshold_probe_on_the_floor_seeds_nothing(grid20, monkeypatch):
         for warm in seeds)
 
 
+def test_scan_continues_from_a_labelled_finish_as_threshold_does(grid20, monkeypatch):
+    # below the quintic's threshold every mass converges on n to the spread
+    # state, labelled no-minimizer-regime: each continues the last, as a
+    # threshold probe would, and records that mass as its warm_from
+    calls = _spy_on_probes(monkeypatch)
+    curve = scan([2.5, 2.55, 2.6, 2.65], free_power(1, 4.0), grid20)
+    assert [pt.reason for pt in curve.points] == ["no-minimizer-regime"] * 4
+    assert calls[0][1] is None
+    assert all(warm is res.u for (_, warm, _), (_, _, res) in zip(calls[1:], calls))
+    assert [pt.warm_from for pt in curve.points] == [None, 2.5, 2.55, 2.6]
+
+
+def test_scan_records_the_mass_each_state_continued(free_curve):
+    assert [pt.warm_from for pt in free_curve.points] == [None, 2.0, 4.0]
+
+
 def test_threshold_warm_probe_with_one_start_runs_the_warm_start_alone(grid20, monkeypatch):
     calls = _spy_on_probes(monkeypatch)
     out = threshold_a0(free_power(1, 4.0), grid20, SolverConfig(starts=1),
                        bracket=(2.685, 2.735))
-    assert [e["warm_from"] for e in out.evaluations] == [None, None, 2.685]
+    assert [e.warm_from for e in out.evaluations] == [None, None, 2.685]
     assert [len(res.all_start_solves) for _, _, res in calls] == [1, 1, 1]
     # the midpoint's one start is the lower end's profile, not the width-1
     # Gaussian, which takes 18 solves to the state the profile reaches in 5

@@ -13,7 +13,6 @@ from ngs.energy import (
     fiber_energy_derivative,
     fiber_map,
     fiber_minimize,
-    identity_residuals,
     lagrange_multiplier,
     nehari_residual,
     pohozaev_residual,
@@ -147,13 +146,6 @@ def test_pohozaev_reads_the_shared_weight_to_the_bit(grid12, name):
     model = load_model(MODELS_DIR / f"{name}.json")
     u = bumps(grid12, np.random.default_rng(7))
     assert pohozaev_residual(u, model) == fiber_energy_derivative(u, 1.0, model)
-
-
-def test_identity_residuals_serialization(grid12, free_cubic):
-    u = sech_field(grid12)
-    res = identity_residuals(u, free_cubic, lam=1.0)
-    d = res.to_dict()
-    assert set(d) == {"nehari", "pohozaev", "lambda"}
 
 
 def test_least_squares_multiplier_zeroes_nehari(grid12, free_cubic):

@@ -228,12 +228,12 @@ def test_warm_start_cuts_iterations(small_grid, well_cubic, well_solution):
 
 def test_result_serialization_keys(well_solution):
     d = well_solution.to_dict()
-    for key in ("a", "mass", "lambda", "C_a_estimate", "residuals", "converged",
+    for key in ("a", "mass", "lambda", "C_a", "nehari", "pohozaev", "converged",
                 "reason", "iterations", "residual_norm", "all_start_energies",
                 "all_start_solves", "all_start_rejected_steps", "all_start_reasons",
                 "all_start_residuals", "trace_length"):
         assert key in d
-    assert set(d["residuals"]) == {"nehari", "pohozaev", "lambda"}
+    assert "residuals" not in d
     assert d["converged"] is True
     assert d["reason"] is None
 
@@ -828,8 +828,8 @@ def test_a_start_below_the_energy_floor_wins_over_a_converged_one():
     assert res.start_index == 2
     assert res.reason == "energy-floor" and res.energy < QUINTIC_PROBE.stop_energy_below
     found = curves.threshold_a0(model, grid, bracket=(2.70, a))
-    assert found.evaluations[0] == {"a": a, "J": res.energy, "converged": False,
-                                    "reason": "energy-floor", "warm_from": None}
+    assert found.evaluations[0] == res.state()
+    assert found.evaluations[0].warm_from is None
 
 
 # --- Newton on the mass-critical quintic, below the soliton mass ---

@@ -261,9 +261,10 @@ def test_scenario_profile_reads_as_row_by_row():
 @pytest.mark.parametrize("edit, where", [
     (lambda lines: lines[:2] + ["0.5,abc"] + lines[3:], "line 3: could not convert"),
     (lambda lines: lines[:3] + ["0.5"] + lines[4:], "line 4: expected r,u"),
+    (lambda lines: lines[:4] + ["0.5,"] + lines[5:], "line 5: could not convert"),
     (lambda lines: ["r,v"] + lines[1:], "line 1: expected header r,u"),
     (lambda lines: lines + ['1.0,"' + "x" * 200_000], "line 202: field larger"),
-], ids=["non-numeric", "one-column", "header", "overlong-field"])
+], ids=["non-numeric", "one-column", "empty-cell", "header", "overlong-field"])
 def test_malformed_profile_names_file_and_line(tmp_path, edit, where):
     path = save_profile(gaussian(RadialGrid(1, 9.0, 200)), tmp_path / "prof.csv")[0]
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")

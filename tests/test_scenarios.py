@@ -61,7 +61,7 @@ def test_solve_scenario_matches_oracle():
         stored = json.load(fh)
     # g = u^3, a = 4: multiplier 1 and C_4 = -2/3 exactly
     assert abs(stored["lambda"] - 1.0) <= 1e-3
-    assert abs(stored["C_a_estimate"] + 2.0 / 3.0) <= 1e-3 * (2.0 / 3.0)
+    assert abs(stored["C_a"] + 2.0 / 3.0) <= 1e-3 * (2.0 / 3.0)
     assert stored["converged"]
 
 
