@@ -49,9 +49,10 @@ its path (for example evaluations[2].C_a or u.values): an array is one
 field, and so is every float, int, bool, string and None. A record, a
 dataclass or a NamedTuple, names its fields as a dict does, so its digest
 does not depend on which of the two declares it; a field or dict key in
-RENAMED_FIELDS is named by its new name in both trees, so a rename alone
-makes no case differ. A case's digest is one SHA-256 over every field's
-path and value: a float as float.hex, an array's dtype, shape and bytes.
+RENAMED_FIELDS, and a whole path in RENAMED_PATHS, is named by its new name
+in both trees, so a rename alone makes no case differ. A case's digest is
+one SHA-256 over every field's path and value: a float as float.hex, an
+array's dtype, shape and bytes.
 The script prints each case's digest for both trees, exits 0 when all
 agree and 1, naming each case that differs, when any does.
 
@@ -83,8 +84,12 @@ GROUND_STATE = (("power3_free", 4.0), ("gaussian_well_cubic", 3.0),
                 ("gaussian_well_deep", 2.0))
 # record fields and dict keys renamed since earlier revisions: old name -> new
 # name. The curve points' energy and the threshold probes' J are flow.State's
-# C_a; GroundStateResult.energy and EnergyReport.J read C_a in both trees too
-RENAMED_FIELDS = {"energy_half_grid": "energy_search_grid", "energy": "C_a", "J": "C_a"}
+# C_a; GroundStateResult.energy (a field before C_a) and EnergyReport.J read C_a too
+RENAMED_FIELDS = {"energy_half_grid": "C_a_search_grid",
+                  "energy_search_grid": "C_a_search_grid", "energy": "C_a", "J": "C_a"}
+# leaf paths renamed since earlier revisions: GroundStateResult's residuals
+# record became its nehari and pohozaev fields (its lagrange_lambda is lam)
+RENAMED_PATHS = {"residuals.nehari": "nehari", "residuals.pohozaev": "pohozaev"}
 
 
 def _unpack(rev: str, dest: Path) -> None:
@@ -307,6 +312,7 @@ def digests(models_dir: Path, leaves: bool = False) -> dict:
     for name, call in _cases(models_dir).items():
         found = {}
         _leaves(call(), "", found)
+        found = {RENAMED_PATHS.get(path, path): leaf for path, leaf in found.items()}
         out["digests"][name] = _digest(found)
         if leaves:
             out["leaves"][name] = {path: getattr(leaf, "tolist", lambda: leaf)()

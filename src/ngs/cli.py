@@ -194,7 +194,7 @@ def _cmd_solve(args, run: _Run) -> int:
     if result.start_grid_n != run.grid.n:
         solves = (f"{result.all_start_solves[result.start_index]} solves on "
                   f"n = {result.start_grid_n}, then {solves} on n = {run.grid.n}")
-    print(f"a = {args.mass:.12g}: J = {result.energy:.12g}, "
+    print(f"a = {args.mass:.12g}: J = {result.C_a:.12g}, "
           f"lambda = {result.lam:.12g}, residual = {result.residual_norm:.3g} "
           f"({tag}, {solves})")
     for note in result.warnings:
@@ -363,9 +363,9 @@ def _replay_scan(out_dir: Path, manifest: dict):
     for idx in sorted({0, len(usable) // 2, len(usable) - 1} if usable else ()):
         pt = usable[idx]
         res = minimize(pt.a, model, grid, config)
-        if abs(res.energy - pt.C_a) > max(1e-7, 1e-5 * abs(pt.C_a)):
+        if abs(res.C_a - pt.C_a) > max(1e-7, 1e-5 * abs(pt.C_a)):
             yield (f"spot check at a = {pt.a:.6g}: recomputed C = "
-                   f"{res.energy:.12g} vs stored {pt.C_a:.12g}")
+                   f"{res.C_a:.12g} vs stored {pt.C_a:.12g}")
 
 
 def _replay_threshold(out_dir: Path, manifest: dict):

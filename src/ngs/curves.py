@@ -45,13 +45,35 @@ class EnergyCurve(NamedTuple):
         return int(np.sum(np.diff(e) > tol))
 
 
+def _continuation(model: Model, grid: RadialGrid, config: SolverConfig | None):
+    """(solve, states): solve(a) minimizes at a, adds its flow.State to states, returns C_a.
+
+    Masses continue one another: each mass's warm start is the end profile
+    of the nearest earlier mass (the lower of two equally near) whose finish
+    converged (GroundStateResult.finish_converged); that mass is its state's
+    warm_from, None when no mass qualifies. A mass that ended on the floor,
+    on max-iters or on sign-change seeds nothing. config.starts counts the
+    warm start, so a warm mass runs it and starts - 1 Gaussians.
+    """
+    states, seeds = [], {}   # seeds: mass -> end profile, of each mass whose finish converged
+
+    def solve(a: float) -> float:
+        warm_from = min(seeds, key=lambda b: (abs(b - a), b), default=None)
+        res = minimize(a, model, grid, config, warm_start=seeds.get(warm_from))
+        states.append(res.state(warm_from))
+        if res.finish_converged:
+            seeds[a] = res.u
+        return res.C_a
+
+    return solve, states
+
+
 def scan(a_values, model: Model, grid: RadialGrid,
          config: SolverConfig | None = None) -> EnergyCurve:
     """Minimize at each mass in a_values and assemble the energy curve.
 
-    Each mass is warm-started from the end profile (rescaled to the new
-    mass) of its warm_from, the last mass whose finish converged, as in
-    threshold_a0, which keeps the solver on the same branch along the curve.
+    Each mass continues the last one whose finish converged (_continuation),
+    which keeps the solver on the same branch along the curve.
     """
     a_values = [float(a) for a in a_values]
     if len(a_values) < 3:
@@ -60,16 +82,10 @@ def scan(a_values, model: Model, grid: RadialGrid,
         raise ValueError("masses must be positive")
     if any(b <= a for a, b in zip(a_values, a_values[1:])):
         raise ValueError("masses must be strictly increasing")
-    if config is None:
-        config = SolverConfig()
 
-    points = []
-    prev = warm_from = None
+    solve, points = _continuation(model, grid, config)
     for a in a_values:
-        res = minimize(a, model, grid, config, warm_start=prev)
-        points.append(res.state(warm_from))
-        if res.finish_converged:
-            prev, warm_from = res.u, a
+        solve(a)
     return EnergyCurve(points=tuple(points))
 
 
@@ -197,15 +213,8 @@ def threshold_a0(model: Model, grid: RadialGrid,
     since the probe only needs a sign. A probe's energy, converged and
     reason are minimize's: a start that ends below that floor wins over any
     converged start, and every field on the mass sphere bounds the infimum
-    from above, so one such field proves the minimum negative.
-
-    Probes continue one another, as scan continues its masses: each probe's
-    warm start is the end profile of the nearest earlier probe in mass (the
-    lower of two equally near) whose finish converged
-    (GroundStateResult.finish_converged); its mass is the probe's warm_from,
-    None when no probe qualifies. A probe that ended on the floor, on
-    max-iters or on sign-change seeds nothing. config.starts counts the warm
-    start, so a warm probe runs it and starts - 1 Gaussians.
+    from above, so one such field proves the minimum negative. Probes
+    continue one another, as scan's masses do (_continuation).
     """
     a_lo, a_hi = float(bracket[0]), float(bracket[1])
     if not 0 < a_lo < a_hi < math.inf:
@@ -214,17 +223,7 @@ def threshold_a0(model: Model, grid: RadialGrid,
         config = SolverConfig()
     probe_config = dataclasses.replace(config, stop_energy_below=-15.0 * DEADBAND)
 
-    evaluations = []
-    seeds = {}   # mass -> end profile, of each probe whose finish converged
-
-    def probe(a: float) -> float:
-        warm_from = min(seeds, key=lambda b: (abs(b - a), b), default=None)
-        res = minimize(a, model, grid, probe_config, warm_start=seeds.get(warm_from))
-        evaluations.append(res.state(warm_from))
-        if res.finish_converged:
-            seeds[a] = res.u
-        return res.energy
-
+    probe, evaluations = _continuation(model, grid, probe_config)
     a0, half_width, below = bisect_threshold(probe, (a_lo, a_hi), DEADBAND)
     note = ("energy already negative at the lower bracket; the threshold is "
             "at or below a_lo") if below else ""

@@ -208,34 +208,26 @@ class State(NamedTuple("State", [("lam" if name == "lambda" else name, kind)
         return dict(zip(STATE_COLUMNS, self))
 
 
-class GroundStateResult(NamedTuple):
-    u: GridFunction
-    a: float
-    lam: float
-    energy: float                    # J[u], the curve-value estimate
-    residuals: energy_mod.IdentityResiduals
-    # the run on n that gives u: the winner's finish, or the winner itself
-    # when the starts ran on n
-    energy_trace: list               # (solve, J) of its start and each accepted step
-    converged: bool
-    start_index: int
-    reason: str | None
-    iterations: int                  # solves of that run on n, accepted or not
-    residual_norm: float
-    # the starts, on the search grid of start_grid_n cells
-    all_start_energies: list
-    all_start_solves: list           # one dgtsv each
-    all_start_rejected_steps: list
-    all_start_reasons: list          # each start's own end reason, None if it converged
-    all_start_residuals: list        # each start's final residual: SEARCH_TOL-loose, or not
-    start_disagreement: bool
-    warnings: list
-    # the search winner's J on start_grid_n, if both it and the result converged
-    energy_search_grid: float | None
+class GroundStateResult(NamedTuple("GroundStateResult", [
+        *zip(State._fields[:-1], STATE_COLUMNS.values()),   # State's, but warm_from
+        # the run on n that gives u: the winner's finish, or the winner itself
+        # when the starts ran on n; iterations counts its solves, accepted or not
+        ("u", GridFunction),
+        ("energy_trace", list),                # (solve, J) of its start and each accepted step
+        # the starts, on the search grid of start_grid_n cells
+        ("all_start_energies", list),
+        ("all_start_solves", list),            # one dgtsv each
+        ("all_start_rejected_steps", list),
+        ("all_start_reasons", list),           # each start's own end reason, None if it converged
+        ("all_start_residuals", list),         # each one's last residual: SEARCH_TOL-loose, or not
+        ("warnings", list)])):
+    """minimize's result: its State's fields but warm_from, then its run and starts."""
+
+    __slots__ = ()
 
     @property
-    def start_grid_n(self) -> int:   # the starts' grid: u's search grid, or u's own
-        return (_search_grid(self.u.grid) or self.u.grid).n
+    def energy(self) -> float:   # C_a, under the name perfbench reads
+        return self.C_a
 
     @property
     def finish_converged(self) -> bool:
@@ -244,17 +236,7 @@ class GroundStateResult(NamedTuple):
 
     def state(self, warm_from: float | None = None) -> State:
         """The record of this state, which started from the end profile of mass warm_from."""
-        # Richardson's estimate of C_true - C for an h^2 error; not a bound
-        coarse = self.energy_search_grid
-        ratio = self.u.grid.n // self.start_grid_n
-        estimate = None if coarse is None else (self.energy - coarse) / (ratio * ratio - 1)
-        # in STATE_COLUMNS order; _make builds no argument tuple or keyword dict besides it
-        return State._make((
-            self.a, self.energy, self.lam, self.converged, self.residuals.nehari,
-            self.residuals.pohozaev, self.reason, self.residual_norm, self.iterations,
-            self.start_index, self.start_grid_n, coarse,
-            None if estimate is None else self.energy + estimate, estimate,
-            grids.mass(self.u), self.start_disagreement, warm_from))
+        return State._make((*self[:len(State._fields) - 1], warm_from))
 
     def to_dict(self) -> dict:
         """result.json: the state, each all_start_ list, the warnings and the trace length."""
@@ -549,10 +531,6 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
                              won.sigma if won.converged else None)
     u, st = GridFunction(grid, out.values), out.st
 
-    # the winner's last stationarity and nonlinearity give its identities
-    residuals = energy_mod.IdentityResiduals(
-        st.nehari, energy_mod.pohozaev_residual(u, model, st.nl), st.lam)
-
     spread = [o.st.J for o in outcomes if o.converged]
     disagreement = len(spread) > 1 and max(spread) - min(spread) > 1e-6
 
@@ -582,25 +560,23 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
             converged = False
             reason = "no-minimizer-regime"
 
+    # the search winner's J, if both it and the result converged, and from it
+    # Richardson's estimate of C_true - C for an h^2 error; not a bound
+    coarse_J = won.st.J if coarse is not None and won.converged and converged else None
+    ratio = grid.n // (coarse or grid).n
+    estimate = None if coarse_J is None else (st.J - coarse_J) / (ratio * ratio - 1)
+
+    # the winner's last stationarity and nonlinearity give its identities
     return GroundStateResult(
-        u=u,
-        a=a,
-        lam=st.lam,
-        energy=st.J,
-        residuals=residuals,
-        energy_trace=out.trace,
-        converged=converged,
-        start_index=best,
-        reason=None if converged else reason,
-        iterations=out.solves,
-        residual_norm=st.residual,
+        a=a, C_a=st.J, lam=st.lam, converged=converged, nehari=st.nehari,
+        pohozaev=energy_mod.pohozaev_residual(u, model, st.nl),
+        reason=reason, residual_norm=st.residual,
+        iterations=out.solves, start_index=best, start_grid_n=(coarse or grid).n,
+        C_a_search_grid=coarse_J, C_a_extrapolated=None if estimate is None else st.J + estimate,
+        discretization_error_estimate=estimate, mass=grids.mass(u),
+        start_disagreement=disagreement, u=u, energy_trace=out.trace,
         all_start_energies=[o.st.J for o in outcomes],
         all_start_solves=[o.solves for o in outcomes],
         all_start_rejected_steps=[o.rejected for o in outcomes],
         all_start_reasons=[o.reason for o in outcomes],
-        all_start_residuals=[o.st.residual for o in outcomes],
-        start_disagreement=disagreement,
-        warnings=warnings,
-        energy_search_grid=(won.st.J if coarse is not None and won.converged and converged
-                            else None),
-    )
+        all_start_residuals=[o.st.residual for o in outcomes], warnings=warnings)

@@ -271,16 +271,26 @@ def test_nehari_pohozaev_hold_at_convergence(well_solution, well_cubic,
     mixed_solution = (minimize(3.0, mixed, small_grid), mixed)
     assert mixed_solution[0].converged
     for res, model in ((well_solution, well_cubic), cubic_free_solution, mixed_solution):
-        assert abs(res.residuals.nehari) <= 1e-4
-        assert abs(res.residuals.pohozaev) <= 1e-3
+        assert abs(res.nehari) <= 1e-4
+        assert abs(res.pohozaev) <= 1e-3
         # the reported energy and multiplier are those of the reported
         # profile, bit for bit
         assert res.energy == evaluate(res.u, model).J
         assert res.lam == lagrange_multiplier(res.u, model)
         # the identities minimize reads off the winner's last stationarity
         # are those the identity functions compute afresh, bit for bit
-        assert res.residuals.nehari == nehari_residual(res.u, model, res.lam)
-        assert res.residuals.pohozaev == pohozaev_residual(res.u, model)
+        assert res.nehari == nehari_residual(res.u, model, res.lam)
+        assert res.pohozaev == pohozaev_residual(res.u, model)
+
+
+def test_ground_state_result_is_the_state_then_its_run(well_solution):
+    # minimize's record holds State's fields but warm_from, in their order,
+    # so state() copies them across with no per-field map
+    k = len(flow.State._fields) - 1
+    assert flow.GroundStateResult._fields[:k] == flow.State._fields[:-1]
+    res = well_solution
+    assert res.state(1.5) == flow.State(*res[:k], 1.5)
+    assert res.energy == res.C_a
 
 
 def test_unit_costs_of_minimize(monkeypatch, small_grid, grid20):
@@ -654,7 +664,7 @@ def test_start_that_ends_on_the_negated_state_is_converged(a, reasons):
     peak = res.u.values[np.argmax(np.abs(res.u.values))]
     assert peak > 0.0
     assert res.u.values.min() >= -flow.SIGN_REL_TOL * peak
-    assert res.residuals.pohozaev == pohozaev_residual(res.u, model)
+    assert res.pohozaev == pohozaev_residual(res.u, model)
 
 
 def test_gaussian_start_sign_test_matches_keeps_sign(small_grid, well_cubic):
