@@ -33,6 +33,12 @@ imports ngs from that tree's src/ and reads that tree's models/:
 * minimize on power3_free at a = 4 on n = 1000 (R = 20): the quarter
   grid's spacing 0.08 is above flow.SEARCH_SPACING, so its starts run on
   n/2;
+* minimize on the three ends that no case above reaches, in N = 1 with
+  g(s) = s^3: vanishing-suspected on a flat well of depth 0.05 and width
+  200 at a = 0.01 (R = 220, n = 1100); sign-change on a potential that
+  slopes from 0 at r = 1 to a plateau of -1 from r = 3 on, at a = 0.25
+  (R = 120, n = 1000, one start, max_iters = 80000); and max-iters on
+  power3_free at a = 4 on n = 256 (R = 20) with max_iters = 2;
 * a 12-mass scan of gaussian_well_cubic from 0.5 to 6;
 * threshold_a0 on quintic_free over (2.685, 2.735) and over the default
   bracket, and on gaussian_well_cubic over the default bracket;
@@ -274,6 +280,20 @@ def _cases(models_dir: Path) -> dict:
     tabulated = model("tabulated_well")
     cases["minimize tabulated_well a=3"] = lambda: flow.minimize(
         3.0, tabulated, RadialGrid(tabulated.N, 20.0, 2000))
+    def tabulated_cubic(r, V):
+        return make_model(1, {"kind": "power_sum", "terms": [{"coef": 1.0, "sigma": 2.0}]},
+                          {"kind": "tabulated", "table": {"r": r.tolist(), "V": V.tolist()}})
+
+    r = np.arange(0.0, 222.0, 1.0)
+    flat = tabulated_cubic(r, np.where(r < 200.0, -0.05, 0.0))
+    cases["minimize flat well a=0.01 vanishing-suspected"] = lambda: flow.minimize(
+        0.01, flat, RadialGrid(1, 220.0, 1100))
+    r = np.arange(0.0, 122.0, 1.0)
+    slope = tabulated_cubic(r, np.where(r < 1.0, 0.0, np.where(r < 3.0, -(r - 1.0) / 2.0, -1.0)))
+    cases["minimize slope a=0.25 sign-change"] = lambda: flow.minimize(
+        0.25, slope, RadialGrid(1, 120.0, 1000), flow.SolverConfig(max_iters=80000, starts=1))
+    cases["minimize power3_free a=4 n=256 max-iters"] = lambda: flow.minimize(
+        4.0, model("power3_free"), RadialGrid(1, 20.0, 256), flow.SolverConfig(max_iters=2))
     cases["scan gaussian_well_cubic 0.5..6 x12"] = lambda: curves.scan(
         np.linspace(0.5, 6.0, 12), model("gaussian_well_cubic"), grid)
     cases["threshold_a0 quintic_free (2.685, 2.735)"] = lambda: curves.threshold_a0(

@@ -6,9 +6,9 @@ change of the curve), spectrum (infimum of the quadratic form), validate
 also writes a manifest with content hashes and every input; --verify with
 --out alone replays a directory against it instead of recomputing.
 
-Exit codes: 0 success/converged, 1 failure, partial result or numerical
-breakdown, 2 converged to the spread no-minimizer regime, 3 vanishing
-suspected, 64 usage errors, malformed model files and unallocatable sizes.
+Exit codes: 0 success, 1 failure, partial result or numerical breakdown,
+64 usage errors, malformed model files and unallocatable sizes; solve exits
+with its end reason's code in flow.REASONS, the README's exit code table.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from .curves import (
 )
 from .energy import discretization, evaluate
 from .errors import BracketError, ModelFormatError, NumericalError
-from .flow import SolverConfig, minimize
+from .flow import REASONS, SolverConfig, minimize
 from .grids import RadialGrid, load_profile, save_profile
 from .models import classify_V, classify_g, load_model, make_model
 from .utils import round_floats, sha256_file, write_csv, write_json
@@ -189,7 +189,7 @@ def _cmd_solve(args, run: _Run) -> int:
     save_profile(result.u, out_dir / "profile.csv")
     write_csv(out_dir / "trace.csv", ("iter", "J"), result.energy_trace)
 
-    tag = "converged" if result.converged else (result.reason or "not converged")
+    tag = result.reason or "converged"
     solves = f"{result.iterations} solves"
     if result.start_grid_n != run.grid.n:
         solves = (f"{result.all_start_solves[result.start_index]} solves on "
@@ -199,13 +199,7 @@ def _cmd_solve(args, run: _Run) -> int:
           f"({tag}, {solves})")
     for note in result.warnings:
         print(f"note: {note}")
-    if result.converged:
-        return 0
-    if result.reason == "no-minimizer-regime":
-        return 2
-    if result.reason == "vanishing-suspected":
-        return 3
-    return 1
+    return REASONS[result.reason][0]
 
 
 def _cmd_scan(args, run: _Run) -> int:
@@ -239,8 +233,9 @@ def _cmd_scan(args, run: _Run) -> int:
     print(f"subadditive: {'yes' if report.ok else f'NO ({len(report.violations)} violations)'} "
           f"({len(report.rows)} testable pairs, {report.strict_count} strictly negative gaps)")
     if curve.partial:
-        failed = ", ".join(f"{a:.6g}" for a in curve.failed_masses)
-        print(f"partial curve: no convergence at a = {failed}")
+        failed = ", ".join(f"a = {pt.a:.6g} ({pt.reason})"
+                           for pt in curve.points if not pt.converged)
+        print(f"partial curve: {failed}")
         return 1
     return 0
 

@@ -33,10 +33,6 @@ class EnergyCurve(NamedTuple):
     def partial(self) -> bool:
         return any(not pt.converged for pt in self.points)
 
-    @property
-    def failed_masses(self) -> tuple:
-        return tuple(pt.a for pt in self.points if not pt.converged)
-
     def energies(self) -> np.ndarray:
         return np.array([pt.C_a for pt in self.points])
 

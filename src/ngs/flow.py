@@ -208,6 +208,16 @@ class State(NamedTuple("State", [("lam" if name == "lambda" else name, kind)
         return dict(zip(STATE_COLUMNS, self))
 
 
+# every end reason of a state -> (the exit code ngs solve gives it, whether its
+# run on n converged, so that scan and threshold_a0 continue its profile). A
+# run's own end decides first (_run_start: energy-floor, max-iters, then
+# sign-change); the regime labels of minimize apply only to a finish that
+# converged, so a run that ran out of solves or changed sign keeps its reason
+REASONS = {None: (0, True), "no-minimizer-regime": (2, True),
+           "vanishing-suspected": (3, True), "energy-floor": (1, False),
+           "max-iters": (1, False), "sign-change": (1, False)}
+
+
 class GroundStateResult(NamedTuple("GroundStateResult", [
         *zip(State._fields[:-1], STATE_COLUMNS.values()),   # State's, but warm_from
         # the run on n that gives u: the winner's finish, or the winner itself
@@ -232,7 +242,7 @@ class GroundStateResult(NamedTuple("GroundStateResult", [
     @property
     def finish_converged(self) -> bool:
         """The run on n converged, regime-labelled or not: scan and threshold_a0 continue its u."""
-        return self.converged or self.reason in ("no-minimizer-regime", "vanishing-suspected")
+        return REASONS[self.reason][1]
 
     def state(self, warm_from: float | None = None) -> State:
         """The record of this state, which started from the end profile of mass warm_from."""
@@ -329,12 +339,15 @@ class _StartOutcome(NamedTuple):
     values: np.ndarray
     st: energy_mod.Stationarity   # the run's last, at values
     peak: float                   # max |values|
-    converged: bool
     reason: str | None
     solves: int
     rejected: int
     trace: list
     sigma: float                  # the shift the run ended on
+
+    @property
+    def converged(self) -> bool:
+        return self.reason is None
 
 
 def _degenerate() -> NumericalError:
@@ -391,7 +404,6 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray | None, a: float,
         else:
             rejected += 1
             sigma = max(SHIFT_FACTOR * sigma, st.residual, SHIFT_FLOOR)
-    converged = reason is None
     k = int(np.argmax(np.abs(v)))
     peak = abs(float(v[k]))
     if reason in (None, "energy-floor"):
@@ -399,8 +411,8 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray | None, a: float,
             v, st = -v, st._replace(neg_defect=-st.neg_defect,
                                     nl=st.nl._replace(g=-st.nl.g))
         if v.min() < -SIGN_REL_TOL * peak:
-            converged, reason = False, "sign-change"
-    return _StartOutcome(values=v, st=st, peak=peak, converged=converged, reason=reason,
+            reason = "sign-change"
+    return _StartOutcome(values=v, st=st, peak=peak, reason=reason,
                          solves=solves, rejected=rejected, trace=trace, sigma=sigma)
 
 
@@ -413,7 +425,7 @@ def _winner(outcomes: list, loose: set) -> int:
     stopped at SEARCH_TOL, it is 1e-6, within which converged starts agree.
     """
     pool = [i for i, o in enumerate(outcomes)
-            if o.converged or o.reason == "energy-floor"] or range(len(outcomes))
+            if o.reason in (None, "energy-floor")] or range(len(outcomes))
     J_min = min(outcomes[i].st.J for i in pool)
     return next(i for i in pool if outcomes[i].st.J <= J_min + (
         1e-6 if i in loose else 1e-12 * (1.0 + abs(J_min))))
@@ -547,28 +559,24 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
             "profile has not decayed near the domain edge; consider a larger R"
         )
 
-    # the regime labels read a converged finish only: one that ran out of
-    # solves or changed sign keeps its own reason
-    converged = out.converged
+    # the regime labels read a converged finish only (REASONS)
     reason = out.reason
-    if converged and math.isfinite(model.potential.V_inf):
+    if reason is None and math.isfinite(model.potential.V_inf):
         vd_frac = vanishing_diagnostic(u) / a
         if vd_frac < VANISHING_FRACTION and st.J < -DEADBAND:
-            converged = False
             reason = "vanishing-suspected"
         elif (vd_frac < VANISHING_FRACTION or contact) and st.J >= -DEADBAND:
-            converged = False
             reason = "no-minimizer-regime"
 
     # the search winner's J, if both it and the result converged, and from it
     # Richardson's estimate of C_true - C for an h^2 error; not a bound
-    coarse_J = won.st.J if coarse is not None and won.converged and converged else None
+    coarse_J = won.st.J if coarse is not None and won.converged and reason is None else None
     ratio = grid.n // (coarse or grid).n
     estimate = None if coarse_J is None else (st.J - coarse_J) / (ratio * ratio - 1)
 
     # the winner's last stationarity and nonlinearity give its identities
     return GroundStateResult(
-        a=a, C_a=st.J, lam=st.lam, converged=converged, nehari=st.nehari,
+        a=a, C_a=st.J, lam=st.lam, converged=reason is None, nehari=st.nehari,
         pohozaev=energy_mod.pohozaev_residual(u, model, st.nl),
         reason=reason, residual_norm=st.residual,
         iterations=out.solves, start_index=best, start_grid_n=(coarse or grid).n,

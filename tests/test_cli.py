@@ -11,6 +11,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -21,7 +22,7 @@ import pytest
 
 from helpers import MODELS_DIR, run_cli
 from ngs import cli
-from ngs.flow import STATE_COLUMNS
+from ngs.flow import REASONS, STATE_COLUMNS
 
 
 def run_module(*argv):
@@ -257,6 +258,18 @@ def test_solve_out_of_solves_keeps_its_reason(tmp_path):
     assert result["reason"] == "max-iters"
     assert result["all_start_reasons"] == ["max-iters"] * 3
     assert result["residual_norm"] > 1e-8
+
+
+def test_reason_exit_codes_match_the_readme_table():
+    # each end reason, and converged for None, is named in exactly one row
+    # of the README's exit code table: the row of its code in flow.REASONS
+    readme = (MODELS_DIR.parent / "README.md").read_text()
+    section = readme.split("### Exit codes\n", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| (\d+) \| (.*) \|$", section, re.M)
+    assert [int(code) for code, _ in rows] == [0, 1, 2, 3, 64]
+    for reason, (code, _) in REASONS.items():
+        named = [int(c) for c, text in rows if f"`{reason or 'converged'}`" in text]
+        assert named == [code], reason
 
 
 # --- usage errors ---
@@ -594,6 +607,18 @@ def test_scan_partial_curve_exits_1(tmp_path):
     assert "partial curve" in proc.stdout
     lines = (out / "curve.csv").read_text().splitlines()[1:]
     assert all(line.split(",")[3] == "false" for line in lines)
+
+
+def test_scan_partial_line_names_each_mass_with_its_reason(tmp_path):
+    # below the quintic's threshold every finish converges to the spread
+    # regime: each mass is unconverged by its label, not by its run
+    proc = run_cli("scan", "--model", MODELS_DIR / "quintic_free.json",
+                   "--a-min", "1", "--a-max", "2", "--steps", "3",
+                   "--grid-n", "400", "--out", tmp_path / "x")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines()[-1] == (
+        "partial curve: a = 1 (no-minimizer-regime), a = 1.5 (no-minimizer-regime), "
+        "a = 2 (no-minimizer-regime)")
 
 
 # --- threshold and spectrum ---

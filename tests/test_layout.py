@@ -261,3 +261,46 @@ def test_every_public_function_is_named_outside_the_tests():
                 unnamed.append(qualified)
     assert TEST_ONLY_FUNCTIONS <= defined
     assert not unnamed, f"public functions or methods only the tests name: {unnamed}"
+
+
+def _reason_literals(tree) -> set:
+    """The strings a module assigns to a name reason, alone or in a tuple, or passes as reason=."""
+    pairs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs += zip(target.elts, node.value.elts)
+                else:
+                    pairs.append((target, node.value))
+        elif isinstance(node, ast.keyword) and node.arg == "reason":
+            pairs.append((ast.Name("reason"), node.value))
+    return {value.value for target, value in pairs
+            if isinstance(target, ast.Name) and target.id == "reason"
+            and isinstance(value, ast.Constant) and isinstance(value.value, str)}
+
+
+def _compared_strings(tree) -> set:
+    """The string constants a module compares with, alone or in a tuple, list or set."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            for operand in (node.left, *node.comparators):
+                items = operand.elts if isinstance(operand, (ast.Tuple, ast.List, ast.Set)) \
+                    else [operand]
+                out.update(item.value for item in items
+                           if isinstance(item, ast.Constant) and isinstance(item.value, str))
+    return out
+
+
+def test_every_reason_is_a_row_of_the_table():
+    # flow.REASONS is the one map from an end reason to its exit code and
+    # continuation: every reason the package assigns has its row, every row
+    # but None's is assigned, and cli and curves compare with no reason
+    from ngs.flow import REASONS
+
+    assigned = set().union(*(_reason_literals(tree) for _, tree in TREES.values()))
+    assert assigned == set(REASONS) - {None}
+    for module in ("cli", "curves"):
+        compared = _compared_strings(TREES[module][1]) & set(REASONS)
+        assert not compared, f"{module}.py compares with reasons {compared}"
