@@ -40,6 +40,8 @@ imports ngs from that tree's src/ and reads that tree's models/:
   (R = 120, n = 1000, one start, max_iters = 80000); and max-iters on
   power3_free at a = 4 on n = 256 (R = 20) with max_iters = 2;
 * a 12-mass scan of gaussian_well_cubic from 0.5 to 6;
+* a 3-mass scan of quintic_free from 1 to 2 (R = 20, n = 400), whose every
+  mass ends no-minimizer-regime and continues the one before;
 * threshold_a0 on quintic_free over (2.685, 2.735) and over the default
   bracket, and on gaussian_well_cubic over the default bracket;
 * quadratic_form_infimum on the four ground_state models with a potential,
@@ -296,6 +298,8 @@ def _cases(models_dir: Path) -> dict:
         4.0, model("power3_free"), RadialGrid(1, 20.0, 256), flow.SolverConfig(max_iters=2))
     cases["scan gaussian_well_cubic 0.5..6 x12"] = lambda: curves.scan(
         np.linspace(0.5, 6.0, 12), model("gaussian_well_cubic"), grid)
+    cases["scan quintic_free 1..2 x3 n=400 no-minimizer-regime"] = lambda: curves.scan(
+        np.linspace(1.0, 2.0, 3), model("quintic_free"), RadialGrid(1, 20.0, 400))
     cases["threshold_a0 quintic_free (2.685, 2.735)"] = lambda: curves.threshold_a0(
         model("quintic_free"), grid, bracket=(2.685, 2.735))
     cases["threshold_a0 quintic_free default bracket"] = lambda: curves.threshold_a0(

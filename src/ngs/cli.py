@@ -7,8 +7,8 @@ also writes a manifest with content hashes and every input; --verify with
 --out alone replays a directory against it instead of recomputing.
 
 Exit codes: 0 success, 1 failure, partial result or numerical breakdown,
-64 usage errors, malformed model files and unallocatable sizes; solve exits
-with its end reason's code in flow.REASONS, the README's exit code table.
+64 usage errors, malformed model files and unallocatable sizes; solve and
+scan exit with the codes of flow.REASONS, the README's exit code table.
 """
 from __future__ import annotations
 
@@ -232,12 +232,12 @@ def _cmd_scan(args, run: _Run) -> int:
     print(f"monotone nonincreasing: {'yes' if mono == 0 else f'no ({mono} increases)'}")
     print(f"subadditive: {'yes' if report.ok else f'NO ({len(report.violations)} violations)'} "
           f"({len(report.rows)} testable pairs, {report.strict_count} strictly negative gaps)")
-    if curve.partial:
-        failed = ", ".join(f"a = {pt.a:.6g} ({pt.reason})"
-                           for pt in curve.points if not pt.converged)
-        print(f"partial curve: {failed}")
-        return 1
-    return 0
+    codes = [REASONS[pt.reason][0] for pt in curve.points]
+    code = 1 if 1 in codes else max(codes)
+    if code:
+        failed = ", ".join(f"a = {pt.a:.6g} ({pt.reason})" for pt in curve.points if pt.reason)
+        print(f"{'partial curve' if code == 1 else 'no minimizer'}: {failed}")
+    return code
 
 
 def _cmd_threshold(args, run: _Run) -> int:
@@ -348,13 +348,15 @@ def _replay_solve(out_dir: Path, manifest: dict):
 
 
 def _replay_scan(out_dir: Path, manifest: dict):
-    """Re-minimize the first, middle and last converged masses."""
+    """Re-minimize the first, middle and last masses that scan continues (flow.REASONS)."""
     model, grid = _recorded_inputs(manifest)
     # rebuilt from the fields the command line sets alone, so manifests
     # that record further (older) config keys still replay
     config = SolverConfig(**{name: manifest["config"][name]
                              for name in _CONFIG_FIELDS})
-    usable = [pt for pt in read_curve_csv(out_dir / "curve.csv") if pt.converged]
+    # a six-column row has no reason cell, so its converged cell decides
+    usable = [pt for pt in read_curve_csv(out_dir / "curve.csv")
+              if (REASONS[pt.reason][1] if pt.reason else pt.converged)]
     for idx in sorted({0, len(usable) // 2, len(usable) - 1} if usable else ()):
         pt = usable[idx]
         res = minimize(pt.a, model, grid, config)

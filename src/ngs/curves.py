@@ -17,7 +17,7 @@ import numpy as np
 
 from .energy import discretization
 from .errors import BracketError, NumericalError
-from .flow import DEADBAND, STATE_COLUMNS, SolverConfig, State, dstebz, minimize
+from .flow import DEADBAND, REASONS, STATE_COLUMNS, SolverConfig, State, dstebz, minimize
 from .flow import vanishing_diagnostic  # noqa: F401  (re-exported)
 from .grids import RadialGrid
 from .models import Model
@@ -46,7 +46,7 @@ def _continuation(model: Model, grid: RadialGrid, config: SolverConfig | None):
 
     Masses continue one another: each mass's warm start is the end profile
     of the nearest earlier mass (the lower of two equally near) whose finish
-    converged (GroundStateResult.finish_converged); that mass is its state's
+    converged, regime-labelled or not (flow.REASONS); that mass is its state's
     warm_from, None when no mass qualifies. A mass that ended on the floor,
     on max-iters or on sign-change seeds nothing. config.starts counts the
     warm start, so a warm mass runs it and starts - 1 Gaussians.
@@ -57,7 +57,7 @@ def _continuation(model: Model, grid: RadialGrid, config: SolverConfig | None):
         warm_from = min(seeds, key=lambda b: (abs(b - a), b), default=None)
         res = minimize(a, model, grid, config, warm_start=seeds.get(warm_from))
         states.append(res.state(warm_from))
-        if res.finish_converged:
+        if REASONS[res.reason][1]:
             seeds[a] = res.u
         return res.C_a
 

@@ -209,13 +209,16 @@ class State(NamedTuple("State", [("lam" if name == "lambda" else name, kind)
 
 
 # every end reason of a state -> (the exit code ngs solve gives it, whether its
-# run on n converged, so that scan and threshold_a0 continue its profile). A
-# run's own end decides first (_run_start: energy-floor, max-iters, then
-# sign-change); the regime labels of minimize apply only to a finish that
-# converged, so a run that ran out of solves or changed sign keeps its reason
+# run on n converged, so that scan and threshold_a0 continue its profile and
+# scan --verify spot-checks it). A run's own end decides first (_run_start:
+# energy-floor, max-iters, then sign-change); minimize's regime labels apply
+# only to a finish that converged. A scan exits 1 if any mass's code is 1, else
+# with its masses' largest code: a failed run outranks a label, 3 outranks 2
 REASONS = {None: (0, True), "no-minimizer-regime": (2, True),
            "vanishing-suspected": (3, True), "energy-floor": (1, False),
            "max-iters": (1, False), "sign-change": (1, False)}
+# the ends after which a start's field is read: _run_start's one-sign test, _winner's pool
+_READ_ENDS = (None, "energy-floor")
 
 
 class GroundStateResult(NamedTuple("GroundStateResult", [
@@ -238,11 +241,6 @@ class GroundStateResult(NamedTuple("GroundStateResult", [
     @property
     def energy(self) -> float:   # C_a, under the name perfbench reads
         return self.C_a
-
-    @property
-    def finish_converged(self) -> bool:
-        """The run on n converged, regime-labelled or not: scan and threshold_a0 continue its u."""
-        return REASONS[self.reason][1]
 
     def state(self, warm_from: float | None = None) -> State:
         """The record of this state, which started from the end profile of mass warm_from."""
@@ -406,7 +404,7 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray | None, a: float,
             sigma = max(SHIFT_FACTOR * sigma, st.residual, SHIFT_FLOOR)
     k = int(np.argmax(np.abs(v)))
     peak = abs(float(v[k]))
-    if reason in (None, "energy-floor"):
+    if reason in _READ_ENDS:
         if v[k] < 0.0:    # -u is u's state: J, lam, res are even, g and F odd
             v, st = -v, st._replace(neg_defect=-st.neg_defect,
                                     nl=st.nl._replace(g=-st.nl.g))
@@ -425,7 +423,7 @@ def _winner(outcomes: list, loose: set) -> int:
     stopped at SEARCH_TOL, it is 1e-6, within which converged starts agree.
     """
     pool = [i for i, o in enumerate(outcomes)
-            if o.reason in (None, "energy-floor")] or range(len(outcomes))
+            if o.reason in _READ_ENDS] or range(len(outcomes))
     J_min = min(outcomes[i].st.J for i in pool)
     return next(i for i in pool if outcomes[i].st.J <= J_min + (
         1e-6 if i in loose else 1e-12 * (1.0 + abs(J_min))))

@@ -9,6 +9,7 @@ would capture in process.
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import re
@@ -22,7 +23,8 @@ import pytest
 
 from helpers import MODELS_DIR, run_cli
 from ngs import cli
-from ngs.flow import REASONS, STATE_COLUMNS
+from ngs.curves import EnergyCurve
+from ngs.flow import REASONS, STATE_COLUMNS, State
 
 
 def run_module(*argv):
@@ -615,10 +617,66 @@ def test_scan_partial_line_names_each_mass_with_its_reason(tmp_path):
     proc = run_cli("scan", "--model", MODELS_DIR / "quintic_free.json",
                    "--a-min", "1", "--a-max", "2", "--steps", "3",
                    "--grid-n", "400", "--out", tmp_path / "x")
-    assert proc.returncode == 1, proc.stderr
+    assert proc.returncode == 2, proc.stderr
     assert proc.stdout.splitlines()[-1] == (
-        "partial curve: a = 1 (no-minimizer-regime), a = 1.5 (no-minimizer-regime), "
+        "no minimizer: a = 1 (no-minimizer-regime), a = 1.5 (no-minimizer-regime), "
         "a = 2 (no-minimizer-regime)")
+
+
+# a scan's exit codes from best to worst: a failed mass (1) beats either
+# regime label, 3 beats 2, and a curve of converged masses exits 0
+SCAN_RANK = (0, 2, 3, 1)
+
+
+@pytest.mark.parametrize("first, last",
+                         itertools.combinations_with_replacement(REASONS, 2), ids=str)
+def test_scan_exits_with_the_code_of_its_worst_mass(tmp_path, monkeypatch, first, last):
+    # a synthetic 3-mass curve, whose middle mass converged, from a spy in
+    # place of curves.scan: no solve runs
+    def fake_scan(masses, model, grid, config):
+        return EnergyCurve(points=tuple(
+            State._make([None] * len(State._fields))._replace(
+                a=float(a), C_a=-float(a), converged=reason is None, reason=reason)
+            for a, reason in zip(masses, (first, None, last))))
+
+    monkeypatch.setattr(cli, "scan", fake_scan)
+    proc = run_cli("scan", "--model", MODELS_DIR / "gaussian_well_cubic.json",
+                   "--a-min", "1", "--a-max", "3", "--steps", "3", *SMALL,
+                   "--out", tmp_path / "x")
+    expected = max(REASONS[first][0], REASONS[last][0], key=SCAN_RANK.index)
+    assert proc.returncode == expected, proc.stdout + proc.stderr
+    last_line = proc.stdout.splitlines()[-1]
+    if expected == 0:
+        assert last_line.startswith("subadditive: ")
+    else:
+        named = ", ".join(f"a = {a} ({r})" for a, r in ((1, first), (3, last)) if r)
+        prefix = "partial curve" if expected == 1 else "no minimizer"
+        assert last_line == f"{prefix}: {named}"
+
+
+def test_scan_verify_spot_checks_regime_labelled_rows(tmp_path):
+    # every finish of this curve converged and carries no-minimizer-regime:
+    # scan continues each, so --verify re-minimizes and compares them too
+    out = tmp_path / "x"
+    argv = ("scan", "--model", MODELS_DIR / "quintic_free.json", "--a-min", "1",
+            "--a-max", "2", "--steps", "3", "--grid-n", "400", "--out", out)
+    run_cli(*argv)   # its exit code: test_scan_partial_line_names_each_mass_with_its_reason
+    rows = [line.split(",") for line in (out / "curve.csv").read_text().splitlines()[1:]]
+    assert [row[6] for row in rows] == ["no-minimizer-regime"] * 3
+    assert run_cli(*argv, "--verify").returncode == 0
+
+    def raise_middle_energy(text):
+        lines = text.splitlines()
+        row = lines[2].split(",")
+        assert row[0] == "1.5"
+        row[1] = repr(float(row[1]) + 1e-3)
+        lines[2] = ",".join(row)
+        return "\n".join(lines) + "\n"
+
+    _tamper(out, "curve.csv", raise_middle_energy)
+    check = run_cli(*argv, "--verify")
+    assert check.returncode == 1, check.stdout
+    assert "verification failed: spot check at a = 1.5: recomputed C = " in check.stderr
 
 
 # --- threshold and spectrum ---
