@@ -22,7 +22,8 @@ imports ngs from that tree's src/ and reads that tree's models/:
   mass 3 (R = 20, n = 2000) of every bundled model: its EnergyReport, all
   four NonlinearValues arrays (g, G, g s, g') and w^T (V v^2), which covers
   the non-integer exponent of gaussian_well_mixed, the quintic's subnormal
-  tail and the zero nonlinearity of harmonic;
+  tail and the zero nonlinearity of harmonic; and its stationarity there,
+  off a minimizer: lambda, residual, Nehari defect and ||-F||_w;
 * quintic_free probes at a = 2.685, 2.71 and 2.735 with the threshold
   probe's config (stop_energy_below = -15 DEADBAND);
 * minimize on power2_free_3d at a = 20 and at a = 3 (N = 3), and on
@@ -256,7 +257,14 @@ def _cases(models_dir: Path) -> dict:
             m = load_model(path)
             g = RadialGrid(m.N, 20.0, 2000)
             v = flow.gaussian_start(g, 1.0, 3.0).values
-            out[path.stem] = energy.discretization(g, m).energy(v)
+            op = energy.discretization(g, m)
+            e = op.energy(v)
+            st = op.stationarity(v, e)
+            # the report, the nonlinearity and w^T (V v^2): the entries that
+            # every revision's energy(v) starts with
+            out[path.stem] = {"evaluation": e[:3], "lambda": st.lam, "residual": st.residual,
+                              "nehari": st.nehari,
+                              "defect_norm": float(np.sqrt(g.w @ st.neg_defect**2))}
         return out
 
     grid = RadialGrid(1, 20.0, 2000)

@@ -44,7 +44,7 @@ class IdentityResiduals(NamedTuple):
 
 
 class Stationarity(NamedTuple):
-    """Multiplier, -F, residual, Nehari defect, J and nonlinearity of one field."""
+    """Multiplier, -F, residual, Nehari defect, J, nonlinearity and w v of one field."""
 
     lam: float
     neg_defect: np.ndarray   # -F = g(v) - (-Lap + V + lam) v, the Newton right-hand side
@@ -52,6 +52,7 @@ class Stationarity(NamedTuple):
     nehari: float
     J: float
     nl: NonlinearValues      # from Discretization.energy
+    wv: np.ndarray           # w v, from Discretization.energy: the Newton step's border row
 
 
 class Discretization:
@@ -61,21 +62,21 @@ class Discretization:
     discrete -Laplacian W^-1 K as LAPACK's bands lap = (sub, diag, sup) and
     V at the nodes. J, Pohozaev and the spectrum use the kinetic form
     u^T K u of the grid; the defect, multiplier, residual and Nehari use
-    -Lap = W^-1 K of the same K, so a zero of the defect is an exact
-    constrained critical point of J. d and e are the diagonal and
-    off-diagonal of the symmetric tridiagonal W^1/2 (-Lap + V) W^-1/2:
-    d = diag(-Lap) + V is also the solver's step diagonal before its
-    shifts, and sub, sup and w2 = 2 W are its dgtsv bands and border
-    weights. zero_potential records whether V is zero at every node, where
-    energy and stationarity skip the passes over V. V, the Pohozaev weight
-    r V'(r), the bands, d, e and w2 are read-only, so that one instance
-    per (grid, model) value can be shared: discretization() returns it, and
-    the solver, the spectrum and the GridFunction functions below all read
-    that one instance, so they report bit-identical values. spectral_floor
-    is None until curves.quadratic_form_infimum computes the lowest
-    eigenvalue of that tridiagonal with one dstebz call, which it then
-    keeps, so the floor is computed at most once per instance and leaves
-    the cache with it. A potential, band, d or e that is not finite at
+    -Lap u = W^-1 K u, formed from the face fluxes of that same form
+    (grids.neg_laplacian), so a zero of the defect is an exact constrained
+    critical point of J. d and e are the diagonal and off-diagonal of the
+    symmetric tridiagonal W^1/2 (-Lap + V) W^-1/2: d = diag(-Lap) + V is
+    also the solver's step diagonal before its shifts, and sub and sup are
+    its dgtsv off-diagonals. zero_potential records whether V is zero at
+    every node, where energy and stationarity skip the passes over V. V,
+    the Pohozaev weight r V'(r), the bands, d and e are read-only, so that
+    one instance per (grid, model) value can be shared: discretization()
+    returns it, and the solver, the spectrum and the GridFunction functions
+    below all read that one instance, so they report bit-identical values.
+    spectral_floor is None until curves.quadratic_form_infimum computes
+    the lowest eigenvalue of that tridiagonal with one dstebz call, which it
+    then keeps, so the floor is computed at most once per instance and
+    leaves the cache with it. A potential, band, d or e that is not finite at
     every node raises NumericalError; r V'(r), which only the Pohozaev
     defect reads, may be.
     """
@@ -94,47 +95,49 @@ class Discretization:
             self.e = -np.sqrt(sup * sub)
         if not all(np.isfinite(arr).all() for arr in (*self.lap, self.d, self.e)):
             raise NumericalError("the discrete -Laplacian is not finite on the grid")
-        self.w2 = 2.0 * self.w
-        for arr in (self.V, self.xdV, *self.lap, self.d, self.e, self.w2):
+        for arr in (self.V, self.xdV, *self.lap, self.d, self.e):
             arr.flags.writeable = False
         self.zero_potential = not self.V.any()
         self.spectral_floor: float | None = None
 
-    def energy(self, v: np.ndarray) -> tuple[EnergyReport, NonlinearValues, float]:
-        """J of v and its parts, the nonlinearity at v with g', and w^T (V v^2).
+    def energy(self, v: np.ndarray) -> tuple[EnergyReport, NonlinearValues, float,
+                                             np.ndarray, np.ndarray]:
+        """J of v and its parts, the nonlinearity at v with g', w^T (V v^2), and
+        w v and the face fluxes of v, which stationarity reads.
 
-        With V zero at every node w^T (V v^2) is 0.0, the bits w^T (v^2 0)
-        has, without forming v^2 V.
+        The mass is (w v)^T v and w^T (V v^2) is (w v)^T (V v); with V zero at
+        every node it is 0.0, the bits that product has, without forming V v.
         """
-        usq = v * v
-        m = float(self.w.dot(usq))
-        vm = 0.0 if self.zero_potential else float(self.w.dot(usq * self.V))
+        wv = self.w * v
+        m = float(wv.dot(v))
+        vm = 0.0 if self.zero_potential else float(wv.dot(self.V * v))
         nl = self.model.nonlinearity.evaluate(v)
-        kin = 0.5 * grids.kinetic_values(self.grid, v)
+        kin, flux = grids.kinetic_values(self.grid, v)
+        kin *= 0.5
         nonlin = float(self.w.dot(nl.G))
         I = kin - nonlin
-        return EnergyReport(kin, 0.5 * vm, nonlin, I + 0.5 * vm, I, m), nl, vm
+        return EnergyReport(kin, 0.5 * vm, nonlin, I + 0.5 * vm, I, m), nl, vm, wv, flux
 
     def stationarity(self, v: np.ndarray, e: tuple, lam: float | None = None) -> Stationarity:
         """The multiplier (unless lam is given), -F, residual and Nehari of v.
 
-        e is energy(v), whose J and nonlinearity the record carries. The
+        e is energy(v), whose J, nonlinearity and w v the record carries. The
         defect F is -Lap v + (V + lam) v - g(v), the residual its weighted
         L2 norm relative to ||v||, and the Nehari defect
         |grad v|^2 + int (V + lam) v^2 - int g(v) v, with |grad v|^2 taken as
-        <v, -Lap v>_w from the one -Lap v the defect needs. The multiplier
-        zeroes that Nehari defect, so it is exactly the least-squares
-        minimizer of the residual over lam. -F is formed directly as
-        g(v) - ((V + lam) v + (-Lap v)), the exact negation of F; with V
-        zero at every node (V + lam) v is lam v, the same bits.
+        (w v)^T (-Lap v) from the one -Lap v the defect needs, formed from the
+        face fluxes of energy(v). The multiplier zeroes that Nehari defect, so
+        it is exactly the least-squares minimizer of the residual over lam.
+        -F is formed directly as g(v) - ((V + lam) v + (-Lap v)), the exact
+        negation of F; with V zero at every node (V + lam) v is lam v, the
+        same bits.
         """
-        report, nl, vm = e
+        report, nl, vm, wv, flux = e
         m = report.mass
         if m <= 0.0:
             raise ValueError("stationarity needs a field with positive mass")
-        lap_v = grids.tridiagonal_apply(self.lap, v)
-        tmp = v * lap_v
-        quad = float(self.w.dot(tmp)) + vm
+        lap_v = grids.neg_laplacian(self.grid, v, flux)
+        quad = float(wv.dot(lap_v)) + vm
         gu = float(self.w.dot(nl.gs))
         if lam is None:
             lam = (gu - quad) / m
@@ -145,9 +148,9 @@ class Discretization:
             neg_f *= v
         neg_f += lap_v
         np.subtract(nl.g, neg_f, out=neg_f)
-        np.multiply(neg_f, neg_f, out=tmp)
-        res = math.sqrt(self.w.dot(tmp) / m)
-        return Stationarity(lam, neg_f, res, quad + lam * m - gu, report.J, nl)
+        np.multiply(neg_f, neg_f, out=lap_v)   # -Lap v is spent: its buffer takes F^2
+        res = math.sqrt(self.w.dot(lap_v) / m)
+        return Stationarity(lam, neg_f, res, quad + lam * m - gu, report.J, nl, wv)
 
 
 # a minimize uses two entries, its grid and the n/2 or n/4 grid of its

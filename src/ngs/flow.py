@@ -37,39 +37,42 @@ shift, or a trial field of zero or non-finite mass, raises NumericalError.
 minimize runs its starts on a coarser search grid and finishes only the
 winner on n. The search grid halves n once when n is even and n/2 >= 64,
 and a second time when n/2 is even, n/4 >= 64 and the spacing R/(n/4) is
-at most SEARCH_SPACING: n/4 = 500 at the default R = 20, n = 2000, and
-n/2 on coarser grids. Each start, built on n, is restricted by pair
-averages once per level and rescaled to mass a; the winner, among the
-starts that converged or ended on the energy floor, is prolonged by linear
-interpolation between cell centres once per level, rescaled, and run as
-one more start on n, with its own max_iters and the same end test. Its J
-and the winner's J on the search grid, r = 2 or 4 times coarser, give
-Richardson's estimate (C - C_s)/(r^2 - 1) of the h^2 error (Richardson,
-Phil. Trans. R. Soc. A 210, 1911; Brandt, Math. Comp. 31, 1977). As the
-search only picks the basin, its starts stop at max(tol_grad, SEARCH_TOL)
-(inexact inner solves: Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal.
-19, 1982), unless stop_energy_below is set: a probe reads every end, on
-the floor or above it. One that stopped above tol_grad goes on to it
-there, from its field and shift and within its max_iters, once its end is
-read: it wins (C_s is its J), it failed the one-sign test, or its J is
-over 1e-6 above the winner's (a disagreement). To the winner choice a
-loose start is within 1e-6, not rounding, of the lowest J, so the basin's
-first start wins; choice and resumes repeat until none is read. The
-finish starts at the shift a converged winner ended on, or else at its
-residual, which keeps it off the saddle a sign-changing winner sits on.
+at most SEARCH_SPACING: n/4 = 500 at the default R = 20, n = 2000, and n/2
+on coarser grids. Each start, built on n, is restricted by pair averages
+once per level and rescaled to mass a, a Gaussian's once per (grid, width)
+at mass 1 and cached; the winner, among the starts that converged or ended
+on the energy floor, is prolonged by linear interpolation between cell
+centres once per level, rescaled, and run as one more start on n, with its
+own max_iters and the same end test. Its J and the winner's J on the
+search grid, r = 2 or 4 times coarser, give Richardson's estimate
+(C - C_s)/(r^2 - 1) of the h^2 error (Richardson, Phil. Trans. R. Soc. A 210,
+1911; Brandt, Math. Comp. 31, 1977). As the search only picks the basin,
+its starts stop at max(tol_grad, SEARCH_TOL) (inexact inner solves: Dembo,
+Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982), unless
+stop_energy_below is set: a probe reads every end, on the floor or above
+it. One that stopped above tol_grad goes on to it there, from its field
+and shift and within its max_iters, once its end is read: it wins (C_s is
+its J), it failed the one-sign test, or its J is over 1e-6 above the
+winner's (a disagreement). To the winner choice a loose start is within
+1e-6, not rounding, of the lowest J, so the basin's first start wins;
+choice and resumes repeat until none is read. The finish starts at the
+shift a converged winner ended on, or else at its residual, which keeps it
+off the saddle a sign-changing winner sits on.
 
 Every value the solver reports comes from the one shared
 energy.Discretization of (grid, model) (energy.discretization), which
 energy.evaluate, the identity functions and the spectrum read too, so they
-agree bit for bit. Its d = diag(-Lap) + V, -Lap bands and 2 w give the
-step's diagonal before lam - g'(u) + sigma, dgtsv's off-diagonals and the
-border row. Each field is evaluated once: the start field and each trial
-field, once rescaled, take one Discretization.energy (J and the
-nonlinearity with g'), and the start field and each accepted trial one
-Discretization.stationarity (multiplier, -F, residual and Nehari defect),
-so a rejected trial costs no -Lap u. A run returns its last Stationarity
-with its end field; the winner's gives the reported lambda, residual and
-identities, so nothing is evaluated after the loop.
+agree bit for bit. Its d = diag(-Lap) + V and -Lap bands give the step's
+diagonal d - g'(u) + (lam + sigma) and dgtsv's off-diagonals. Each field
+is evaluated once: the start field and each trial field, once rescaled,
+take one Discretization.energy (J, the nonlinearity with g', w u and the
+kinetic form's face fluxes), and the start field and each accepted trial
+one Discretization.stationarity (multiplier, -F, residual and Nehari
+defect from the one -Lap u those fluxes give), so a rejected trial costs
+no -Lap u. The border row is that w u: the bits of mu and the step are
+those of the mass gradient 2 w u, as doubling is exact. A run returns its
+last Stationarity with its end field; the winner's gives the reported
+lambda, residual and identities, so nothing is evaluated after the loop.
 
 The package's two LAPACK routines, dgtsv here and dstebz, which
 curves.quadratic_form_infimum calls once per shared Discretization, are
@@ -270,7 +273,7 @@ def bordered_solve(bands, u: np.ndarray, c: np.ndarray,
                     overwrite_d=True, overwrite_b=True)[3:]
     if info > 0:
         raise RuntimeError(f"tridiagonal system is singular: zero pivot at row {info}")
-    p, q = x.T
+    p, q = x[:, 0], x[:, 1]   # contiguous: x is Fortran-ordered
     den = float(c.dot(q))
     if den == 0.0:
         raise RuntimeError("bordered system is singular")
@@ -305,16 +308,9 @@ def vanishing_diagnostic(u: GridFunction) -> float:
     return float((cum[hi] - cum[lo]).max())
 
 
-@functools.lru_cache(maxsize=16)
-def _gaussian_shape(grid: RadialGrid, width: float) -> tuple[np.ndarray, float]:
-    """The unit-peak Gaussian of a width on the grid and its mass; shared, so read-only."""
-    vals = np.exp(-grid.r**2 / (2.0 * width * width))
-    vals.flags.writeable = False
-    return vals, float(grid.w @ (vals * vals))
-
-
 def gaussian_start(grid: RadialGrid, width: float, a: float) -> GridFunction:
-    vals, m = _gaussian_shape(grid, width)
+    vals = np.exp(-grid.r**2 / (2.0 * width * width))
+    m = float(grid.w @ (vals * vals))
     if not m > 0.0:
         raise ValueError(f"the start of width {width:g} has no mass on the grid: "
                          f"its Gaussian underflows; use fewer starts")
@@ -357,7 +353,7 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray | None, a: float,
                config: SolverConfig, sigma: float | None = None, prior=None) -> _StartOutcome:
     """Shifted bordered Newton steps from the mass-a field v, or on from prior, a run
     stopped at SEARCH_TOL, with its field, shift, counts and trace; see the module."""
-    (sub, _, sup), w, w2 = op.lap, op.w, op.w2
+    (sub, _, sup), w = op.lap, op.w
     floor = config.stop_energy_below
     if prior is None:
         # the accepted field's stationarity st gives the step; a trial field gets only its energy
@@ -380,11 +376,10 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray | None, a: float,
             reason = "max-iters"
             break
         solves += 1
-        diag = op.d + st.lam
-        diag -= st.nl.dg
-        diag += sigma
+        diag = op.d - st.nl.dg
+        diag += st.lam + sigma
         try:
-            new, _ = bordered_solve((sub, diag, sup), v, w2 * v, st.neg_defect)
+            new, _ = bordered_solve((sub, diag, sup), v, st.wv, st.neg_defect)
         except RuntimeError:
             trial = None    # a singular system is a rejected step
         else:
@@ -406,7 +401,7 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray | None, a: float,
     peak = abs(float(v[k]))
     if reason in _READ_ENDS:
         if v[k] < 0.0:    # -u is u's state: J, lam, res are even, g and F odd
-            v, st = -v, st._replace(neg_defect=-st.neg_defect,
+            v, st = -v, st._replace(neg_defect=-st.neg_defect, wv=-st.wv,
                                     nl=st.nl._replace(g=-st.nl.g))
         if v.min() < -SIGN_REL_TOL * peak:
             reason = "sign-change"
@@ -473,6 +468,36 @@ def _with_mass(values: np.ndarray, grid: RadialGrid, a: float) -> np.ndarray:
     return values * math.sqrt(a / m)
 
 
+def _restricted(values: np.ndarray, grid: RadialGrid, a: float) -> np.ndarray:
+    """A start built on grid, restricted by pair averages once per level to the
+    search grid and rescaled to mass a there, or as it is if minimize does not search."""
+    coarse = _search_grid(grid)
+    if coarse is None:
+        return values
+    while len(values) > coarse.n:
+        values = _restrict(values)
+    return _with_mass(values, coarse, a)
+
+
+@functools.lru_cache(maxsize=16)
+def _start_shape(grid: RadialGrid, width: float) -> np.ndarray:
+    """The mass-1 Gaussian start of a width, _restricted. Built on grid: a narrow
+    Gaussian with mass on n can underflow where it is sampled at the search grid's
+    nodes. Cached, so a scan or a bisection builds each once; shared, so read-only."""
+    v = _restricted(gaussian_start(grid, width, 1.0).values, grid, 1.0)
+    v.flags.writeable = False
+    return v
+
+
+@functools.lru_cache(maxsize=16)
+def _configs(config: SolverConfig | None) -> tuple[SolverConfig, SolverConfig]:
+    """config or SolverConfig(), and the config of starts on a search grid (module
+    docstring). Cached, so a scan or a bisection builds and checks each once."""
+    config = SolverConfig() if config is None else config
+    return config, (config if config.stop_energy_below is not None else
+                    replace(config, tol_grad=max(config.tol_grad, SEARCH_TOL)))
+
+
 def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = None,
              warm_start: GridFunction | None = None) -> GroundStateResult:
     """Best-of-starts constrained minimization of J at mass a.
@@ -495,29 +520,18 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
     """
     if not 0 < a < math.inf:
         raise ValueError(f"mass must be positive and finite, got {a}")
-    if config is None:
-        config = SolverConfig()
+    config, loose = _configs(config)
     op = energy_mod.discretization(grid, model)
-    starts: list[np.ndarray] = []
+    searched: list[np.ndarray] = []
     if warm_start is not None:
         if warm_start.grid != grid:
             raise ValueError("warm start lives on another grid")
-        starts.append(_with_mass(warm_start.values, grid, a))
-    for width in _start_widths(config.starts - len(starts)):
-        starts.append(gaussian_start(grid, width, a).values)
+        searched.append(_with_mass(warm_start.values, grid, a))
+    shapes = [_start_shape(grid, width) for width in _start_widths(config.starts - len(searched))]
+    searched = [_restricted(v, grid, a) for v in searched] + [s * math.sqrt(a) for s in shapes]
     coarse = _search_grid(grid)
-    search, searched, loose = op, starts, config
-    if coarse is not None:
-        search = energy_mod.discretization(coarse, model)
-        if config.stop_energy_below is None:
-            loose = replace(config, tol_grad=max(config.tol_grad, SEARCH_TOL))
-        # built on n and restricted once per level: a narrow Gaussian with
-        # mass on n can underflow where it is sampled at the search grid's nodes
-        searched = []
-        for v in starts:
-            while len(v) > coarse.n:
-                v = _restrict(v)
-            searched.append(_with_mass(v, coarse, a))
+    search = op if coarse is None else energy_mod.discretization(coarse, model)
+    loose = config if coarse is None else loose
 
     # an overflow surfaces as a non-finite energy, residual or mass, which
     # raises NumericalError; NumPy need not warn about it too

@@ -121,17 +121,19 @@ def mass(u: GridFunction) -> float:
     return float(u.grid.w @ (u.values * u.values))
 
 
-def kinetic_values(grid: RadialGrid, values: np.ndarray) -> float:
-    """The kinetic form of RadialGrid on a node array; exactly nonnegative."""
+def kinetic_values(grid: RadialGrid, values: np.ndarray) -> tuple[float, np.ndarray]:
+    """The kinetic form of RadialGrid on a node array, exactly nonnegative, and
+    its interior face fluxes edge_weights[j] (u_{j+1} - u_j), which neg_laplacian
+    turns into -Lap u."""
     dv = values[1:] - values[:-1]
-    dv *= dv
+    flux = grid.edge_weights * dv
     last = float(values[-1])
-    return float(grid.edge_weights.dot(dv)) + grid.edge_weight_R * last * last
+    return float(flux.dot(dv)) + grid.edge_weight_R * last * last, flux
 
 
 def kinetic(u: GridFunction) -> float:
     """Squared L2 norm of the gradient: the kinetic form of RadialGrid."""
-    return kinetic_values(u.grid, u.values)
+    return kinetic_values(u.grid, u.values)[0]
 
 
 def laplacian_tridiagonal(grid: RadialGrid):
@@ -141,7 +143,8 @@ def laplacian_tridiagonal(grid: RadialGrid):
     symmetric stiffness of the kinetic form (u^T K u = kinetic) and W the
     cell volumes, so <u, -Lap v>_w = u^T K v: the operator is the gradient
     of the kinetic form and W-symmetric. Row j is the flux balance of cell
-    j. Sign pattern is an M-matrix: diag > 0, off-diagonals <= 0.
+    j. Sign pattern is an M-matrix: diag > 0, off-diagonals <= 0. The bands
+    are what dgtsv and dstebz read; neg_laplacian applies the operator.
     """
     # no flux through the face at 0; the Dirichlet face at R is diagonal only
     sub = -grid.edge_weights / grid.w[1:]
@@ -152,14 +155,19 @@ def laplacian_tridiagonal(grid: RadialGrid):
     return sub, diag, sup
 
 
-def tridiagonal_apply(bands, values: np.ndarray) -> np.ndarray:
-    """Product of the matrix with bands (sub, diag, sup) and a node array."""
-    sub, diag, sup = bands
-    out = diag * values
-    tmp = sup * values[1:]
-    out[:-1] += tmp
-    np.multiply(sub, values[:-1], out=tmp)
-    out[1:] += tmp
+def neg_laplacian(grid: RadialGrid, values: np.ndarray, flux: np.ndarray) -> np.ndarray:
+    """-Lap u = W^-1 K u from the node array u and its face fluxes f (kinetic_values).
+
+    K u, half the gradient of the kinetic form, is f_{j-1} - f_j in cell j,
+    with no flux through the face at 0 and edge_weight_R u_n through the face
+    at R: two passes, and the product with laplacian_tridiagonal's bands up
+    to rounding.
+    """
+    out = np.empty(len(values))
+    np.subtract(flux[:-1], flux[1:], out=out[1:-1])
+    out[0] = -flux[0]
+    out[-1] = flux[-1] + grid.edge_weight_R * values[-1]
+    out /= grid.w
     return out
 
 

@@ -59,22 +59,16 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))   # the shortest string that reads back to value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    return "" if value is None else str(value)
-
-
 def write_csv(path, header, rows) -> None:
-    """Write a header line and rows as CSV with LF line ends: floats in the
-    shortest digits that read back to the same float, bools as true or false,
-    None as an empty cell, any other cell as str prints it."""
+    """Write a header line and rows as CSV with LF line ends: floats, Python's
+    or NumPy's float64, in the shortest digits that read back to the same
+    float (csv writes a float as repr does), bools as true or false, None as
+    an empty cell, any other cell as str prints it."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_cell(v) for v in row] for row in rows)
+        writer.writerows([("true" if v else "false") if isinstance(v, (bool, np.bool_)) else v
+                          for v in row] for row in rows)
 
 
 def _parse_bool(cell: str) -> bool:

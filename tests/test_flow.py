@@ -305,9 +305,9 @@ def test_unit_costs_of_minimize(monkeypatch, small_grid, grid20):
     # starts run to tol_grad, rejects 12 of its 58 solves, so a -Lap v per
     # trial, not per accepted step, would show there; power3_free rejects none
     assert not hasattr(flow, "dpttrs") and not hasattr(flow, "dpttrf")
-    counts = dict.fromkeys(("dgtsv", "tridiagonal_apply", "evaluate", "singular",
+    counts = dict.fromkeys(("dgtsv", "neg_laplacian", "evaluate", "singular",
                             "_run_start"), 0)
-    for owner, name in ((flow, "dgtsv"), (grids, "tridiagonal_apply"),
+    for owner, name in ((flow, "dgtsv"), (grids, "neg_laplacian"),
                         (NonlinearityModel, "evaluate"), (flow, "_run_start")):
         def spy(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             counts[_name] += 1
@@ -329,13 +329,13 @@ def test_unit_costs_of_minimize(monkeypatch, small_grid, grid20):
         assert counts["dgtsv"] == solves
         accepted = (sum(res.all_start_solves) - sum(res.all_start_rejected_steps)
                     + len(res.energy_trace) - 1)
-        assert counts["tridiagonal_apply"] == starts + accepted
+        assert counts["neg_laplacian"] == starts + accepted
         assert counts["evaluate"] == starts + solves - counts["singular"]
         if name == "power3_free":
             assert res.converged
         else:
             assert (solves, sum(res.all_start_rejected_steps)) == (58, 12)
-            assert (counts["tridiagonal_apply"], counts["evaluate"]) == (50, 62)
+            assert (counts["neg_laplacian"], counts["evaluate"]) == (50, 62)
 
 
 # --- one shared operator per (grid, model) ---
@@ -344,7 +344,8 @@ def test_scan_and_threshold_build_the_operator_and_start_shapes_once(monkeypatch
                                                                      small_grid):
     # a warm 12-mass scan and a threshold bisection on one (grid, model):
     # one -Lap and one V at the nodes on the grid and on the half grid of
-    # the search, and one Gaussian per start width, built on the grid
+    # the search, and one start shape per width, built on the grid and
+    # restricted to the half grid
     counts = dict.fromkeys(("laplacian_tridiagonal", "V_on"), 0)
     for owner, name in ((grids, "laplacian_tridiagonal"), (PotentialModel, "V_on")):
         def spy(*args, _fn=getattr(owner, name), _name=name, **kwargs):
@@ -352,13 +353,13 @@ def test_scan_and_threshold_build_the_operator_and_start_shapes_once(monkeypatch
             return _fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, spy)
     energy.discretization.cache_clear()
-    flow._gaussian_shape.cache_clear()
+    flow._start_shape.cache_clear()
     model = load_model(MODELS_DIR / "gaussian_well_cubic.json")
     curve = curves.scan(np.linspace(0.5, 6.0, 12), model, small_grid)
     found = curves.threshold_a0(model, small_grid)
     assert not curve.partial and found.evaluations
     assert counts == {"laplacian_tridiagonal": 2, "V_on": 2}
-    shapes = flow._gaussian_shape.cache_info()
+    shapes = flow._start_shape.cache_info()
     assert shapes.misses == len(flow._start_widths(SolverConfig().starts)) == 3
     assert shapes.hits > 0
 
@@ -387,8 +388,7 @@ def test_five_models_on_one_grid_build_one_operator_each(monkeypatch, small_grid
 
 def test_shared_operator_and_start_shapes_are_read_only(small_grid, well_cubic):
     op = energy.discretization(small_grid, well_cubic)
-    shape, _ = flow._gaussian_shape(small_grid, 1.0)
-    for arr in (op.V, op.xdV, *op.lap, op.d, op.e, shape):
+    for arr in (op.V, op.xdV, *op.lap, op.d, op.e, flow._start_shape(small_grid, 1.0)):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
 
@@ -410,7 +410,7 @@ def test_operator_is_shared_by_value_of_grid_and_model(small_grid):
 def test_minimize_on_a_cold_and_a_warm_cache_agree_to_the_bit(small_grid, name, a):
     model = load_model(MODELS_DIR / f"{name}.json")
     energy.discretization.cache_clear()
-    flow._gaussian_shape.cache_clear()
+    flow._start_shape.cache_clear()
     cold = minimize(a, model, small_grid)
     warm = minimize(a, model, small_grid)
     assert energy.discretization.cache_info().hits >= 1
@@ -446,6 +446,25 @@ def test_bordered_solve_matches_dense_solve(seed, n):
     ref = np.linalg.solve(dense, np.append(rhs, 0.0))
     err = np.max(np.abs(np.append(x, mu) - ref))
     assert err <= 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_border_row_w_v_gives_the_bits_of_2_w_v(N):
+    # the step's border row is w v, half the mass gradient 2 w v: mu and the
+    # step are quotients of dot products with the row, and doubling it is
+    # exact, so both rows give the same bits on seeded random fields
+    grid = RadialGrid(N, 10.0, 200)
+    op = Discretization(grid, make_model(N, power_g((1.0, 1.0)), well_v(depth=2.0, width=1.5)))
+    rng = np.random.default_rng(N)
+    sub, _, sup = op.lap
+    for _ in range(5):
+        v = bumps(grid, rng).values
+        diag = op.d + rng.uniform(0.1, 10.0)
+        rhs = rng.standard_normal(grid.n)
+        # the solve overwrites the diagonal it is given
+        x, mu = bordered_solve((sub, diag.copy(), sup), v, grid.w * v, rhs)
+        x2, mu2 = bordered_solve((sub, diag, sup), v, 2.0 * grid.w * v, rhs)
+        assert (x.tobytes(), mu) == (x2.tobytes(), mu2)
 
 
 def test_newton_finish_converges_free_cubic(cubic_free_solution):

@@ -5,11 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import MODELS_DIR, bumps, read_csv_row_by_row
+from helpers import MODELS_DIR, bumps, free_power, read_csv_row_by_row
 from ngs import utils
-from ngs.energy import euler_lagrange_residual
+from ngs.energy import euler_lagrange_residual, evaluate
 from ngs.flow import minimize
 from ngs.grids import (
     PROFILE_COLUMNS,
@@ -19,11 +19,12 @@ from ngs.grids import (
     gn_check,
     integrate,
     kinetic,
+    kinetic_values,
     laplacian_tridiagonal,
     load_profile,
     mass,
+    neg_laplacian,
     save_profile,
-    tridiagonal_apply,
 )
 from ngs.models import load_model
 from ngs.utils import read_csv
@@ -36,6 +37,11 @@ def gaussian(grid, scale=1.0):
 def normalized_gaussian(grid):
     # unit full-line mass in 1d
     return GridFunction(grid, math.pi ** (-0.25) * np.exp(-0.5 * grid.r**2))
+
+
+def neg_lap(grid, values):
+    """-Lap of a node array from its face fluxes, as Discretization.stationarity forms it."""
+    return neg_laplacian(grid, values, kinetic_values(grid, values)[1])
 
 
 # --- construction ---
@@ -131,7 +137,7 @@ def test_laplacian_of_affine_segment_vanishes():
     g = RadialGrid(1, 10.0, 256)
     # tent peaked at r=3, gone by r=6; affine pieces have zero second difference
     vals = np.clip(1.0 - np.abs(g.r - 3.0) / 3.0, 0.0, None)
-    lu = tridiagonal_apply(laplacian_tridiagonal(g), vals)
+    lu = neg_lap(g, vals)
     interior = (g.r > 0.5) & (np.abs(g.r - 3.0) > 0.2) & (np.abs(g.r - 6.0) > 0.2) \
         & (g.r < 9.0)
     assert np.max(np.abs(lu[interior])) <= 1e-10
@@ -146,8 +152,7 @@ def test_laplacian_gaussian_second_order(N, factor):
         g = RadialGrid(N, 12.0, n)
         u = gaussian(g)
         exact = (factor - g.r**2) * np.exp(-0.5 * g.r**2)
-        errs.append(np.max(np.abs(tridiagonal_apply(laplacian_tridiagonal(g), u.values)
-                                  - exact)))
+        errs.append(np.max(np.abs(neg_lap(g, u.values) - exact)))
         hs.append(g.h)
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert errs[-1] <= 1e-3
@@ -159,9 +164,8 @@ def test_laplacian_is_linear():
     rng = np.random.default_rng(3)
     u, v = bumps(g, rng), bumps(g, rng)
     a, b = 2.5, -1.25
-    lap = laplacian_tridiagonal(g)
-    lhs = tridiagonal_apply(lap, a * u.values + b * v.values)
-    rhs = a * tridiagonal_apply(lap, u.values) + b * tridiagonal_apply(lap, v.values)
+    lhs = neg_lap(g, a * u.values + b * v.values)
+    rhs = a * neg_lap(g, u.values) + b * neg_lap(g, v.values)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
 
@@ -170,19 +174,43 @@ def test_kinetic_matches_laplacian_quadratic_form(N):
     # -Lap is W^-1 K of the kinetic form, so <u, -Lap u>_w is |grad u|^2
     # up to rounding at every resolution. Its bands (sub, diag, sup) have
     # LAPACK's lengths (n - 1, n, n - 1), W sub and W sup are the one
-    # symmetric off-diagonal of K, and the product is the dense one's
+    # symmetric off-diagonal of K, and the face-flux -Lap u is the product
+    # with the dense matrix of the bands
     for n in (256, 512):
         g = RadialGrid(N, 12.0, n)
         u = gaussian(g)
-        bands = sub, diag, sup = laplacian_tridiagonal(g)
+        sub, diag, sup = laplacian_tridiagonal(g)
         assert (len(sub), len(diag), len(sup)) == (n - 1, n, n - 1)
         np.testing.assert_allclose(g.w[1:] * sub, g.w[:-1] * sup, rtol=1e-14)
-        lap_u = tridiagonal_apply(bands, u.values)
+        lap_u = neg_lap(g, u.values)
         dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
         np.testing.assert_allclose(lap_u, dense @ u.values,
                                    rtol=0, atol=1e-12 * np.max(np.abs(lap_u)))
         qf = integrate(g, u.values * lap_u)
         assert abs(kinetic(u) - qf) <= 1e-12 * kinetic(u)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_face_flux_laplacian_is_the_band_product_on_random_fields(N):
+    # on seeded random fields of random scale: -Lap v from the face fluxes
+    # equals the product with the bands dgtsv and dstebz read to 1e-13 of
+    # its size, <v, -Lap v>_w is twice the energy's kinetic part, the kinetic
+    # form, to rounding, and that form is nonnegative, on a constant field too
+    rng = np.random.default_rng(N)
+    model = free_power(N, 1.0)
+    for n in (64, 201, 500):
+        g = RadialGrid(N, 10.0, n)
+        sub, diag, sup = laplacian_tridiagonal(g)
+        dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+        for v in (*(rng.standard_normal(n) * 10.0 ** rng.uniform(-50, 50) for _ in range(4)),
+                  np.full(n, rng.uniform(-1.0, 1.0))):
+            kin, flux = kinetic_values(g, v)
+            lap_v = neg_laplacian(g, v, flux)
+            ref = dense @ v
+            assert np.max(np.abs(lap_v - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert kin >= 0.0
+            assert kin == 2.0 * evaluate(GridFunction(g, v), model).kinetic
+            assert abs(float((g.w * v) @ lap_v) - kin) <= 1e-12 * kin
 
 
 # --- interpolation-inequality monitor ---
@@ -282,6 +310,22 @@ def test_a_malformed_file_is_read_once(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="prof.csv line 3: could not convert"):
         read_csv(path, PROFILE_COLUMNS)
     assert len(readers) == 1
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.floats(), min_size=1, max_size=6))
+@example([0.0, -0.0, 5e-324, -2.2250738585072e-308, math.inf, -math.inf, math.nan])
+def test_csv_cells_are_round_trip_floats_words_and_empty(tmp_path_factory, xs):
+    # write_csv hands floats to csv, which prints a Python float and a NumPy
+    # float64 alike as repr(float(x)), the shortest digits that read back to
+    # x; a bool or NumPy bool reads true or false, None an empty cell
+    path = tmp_path_factory.getbasetemp() / "cells.csv"
+    utils.write_csv(path, ("x", "x64", "pos", "pos_np", "none", "k"),
+                    ((x, np.float64(x), x > 0, np.bool_(x > 0), None, k)
+                     for k, x in enumerate(xs)))
+    rows = "".join(f"{x!r},{x!r},{str(x > 0).lower()},{str(x > 0).lower()},,{k}\n"
+                   for k, x in enumerate(xs))
+    assert path.read_text() == "x,x64,pos,pos_np,none,k\n" + rows
 
 
 # --- property tests ---
