@@ -10,7 +10,8 @@ imports ngs from that tree's src/ and reads that tree's models/:
 * minimize on the five models of perfbench's ground_state workload at their
   centre masses (R = 20, n = 2000);
 * on each of those five winners: energy.evaluate, identity_residuals,
-  pohozaev_residual and lagrange_multiplier, euler_lagrange_residual and
+  pohozaev_residual, fiber_energy_derivative at t = 1, which computes the
+  Pohozaev defect afresh, and lagrange_multiplier, euler_lagrange_residual and
   nehari_residual at the winner's lambda, and the shared Discretization's
   d and e;
 * off a minimizer, on the Gaussian start of width 2 and mass 3 on R = 20,
@@ -19,11 +20,12 @@ imports ngs from that tree's src/ and reads that tree's models/:
   euler_lagrange_residual and nehari_residual at 0.5, and energy.evaluate
   of the zero field;
 * the shared Discretization's energy(v) on the width-1 Gaussian start of
-  mass 3 (R = 20, n = 2000) of every bundled model: its EnergyReport, all
-  four NonlinearValues arrays (g, G, g s, g') and w^T (V v^2), which covers
-  the non-integer exponent of gaussian_well_mixed, the quintic's subnormal
-  tail and the zero nonlinearity of harmonic; and its stationarity there,
-  off a minimizer: lambda, residual, Nehari defect and ||-F||_w;
+  mass 3 (R = 20, n = 2000) of every bundled model: its EnergyReport, its
+  NonlinearValues (the arrays g and g' and the sums w^T G and w^T (g v v))
+  and w^T (V v^2), with the array NonlinearityModel.G(v), which covers the
+  non-integer exponent of gaussian_well_mixed, the quintic's subnormal tail
+  and the zero nonlinearity of harmonic; and its stationarity there, off a
+  minimizer: lambda, residual, Nehari defect and ||-F||_w;
 * quintic_free probes at a = 2.685, 2.71 and 2.735 with the threshold
   probe's config (stop_energy_below = -15 DEADBAND);
 * minimize on power2_free_3d at a = 20 and at a = 3 (N = 3), and on
@@ -233,6 +235,7 @@ def _cases(models_dir: Path) -> dict:
         return {"evaluate": energy.evaluate(u, m),
                 "identity_residuals": energy.identity_residuals(u, m),
                 "pohozaev_residual": energy.pohozaev_residual(u, m),
+                "fiber_energy_derivative": energy.fiber_energy_derivative(u, 1.0, m),
                 "lagrange_multiplier": energy.lagrange_multiplier(u, m),
                 "euler_lagrange_residual": energy.euler_lagrange_residual(u, m, lam),
                 "nehari_residual": energy.nehari_residual(u, m, lam),
@@ -262,7 +265,8 @@ def _cases(models_dir: Path) -> dict:
             st = op.stationarity(v, e)
             # the report, the nonlinearity and w^T (V v^2): the entries that
             # every revision's energy(v) starts with
-            out[path.stem] = {"evaluation": e[:3], "lambda": st.lam, "residual": st.residual,
+            out[path.stem] = {"evaluation": e[:3], "G": m.nonlinearity.G(v),
+                              "lambda": st.lam, "residual": st.residual,
                               "nehari": st.nehari,
                               "defect_norm": float(np.sqrt(g.w @ st.neg_defect**2))}
         return out

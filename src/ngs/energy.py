@@ -44,15 +44,18 @@ class IdentityResiduals(NamedTuple):
 
 
 class Stationarity(NamedTuple):
-    """Multiplier, -F, residual, Nehari defect, J, nonlinearity and w v of one field."""
+    """Multiplier, -F, residual and Nehari defect of one field, with the J, kinetic
+    term, nonlinearity and w v of its Discretization.energy, which give its Pohozaev
+    defect (Discretization.pohozaev)."""
 
     lam: float
     neg_defect: np.ndarray   # -F = g(v) - (-Lap + V + lam) v, the Newton right-hand side
     residual: float
     nehari: float
     J: float
-    nl: NonlinearValues      # from Discretization.energy
-    wv: np.ndarray           # w v, from Discretization.energy: the Newton step's border row
+    nl: NonlinearValues
+    wv: np.ndarray           # w v: the Newton step's border row
+    kinetic: float           # (1/2) |grad v|^2
 
 
 class Discretization:
@@ -64,11 +67,13 @@ class Discretization:
     u^T K u of the grid; the defect, multiplier, residual and Nehari use
     -Lap u = W^-1 K u, formed from the face fluxes of that same form
     (grids.neg_laplacian), so a zero of the defect is an exact constrained
-    critical point of J. d and e are the diagonal and off-diagonal of the
-    symmetric tridiagonal W^1/2 (-Lap + V) W^-1/2: d = diag(-Lap) + V is
-    also the solver's step diagonal before its shifts, and sub and sup are
-    its dgtsv off-diagonals. zero_potential records whether V is zero at
-    every node, where energy and stationarity skip the passes over V. V,
+    critical point of J; the Pohozaev defect reads the kinetic form, w v
+    and the nonlinearity's sums that J took. d and e are the diagonal and
+    off-diagonal of the symmetric tridiagonal W^1/2 (-Lap + V) W^-1/2:
+    d = diag(-Lap) + V is also the solver's step diagonal before its shifts,
+    and sub and sup are its dgtsv off-diagonals. zero_potential records
+    whether V is zero at every node, where energy and stationarity skip the
+    passes over V. V,
     the Pohozaev weight r V'(r), the bands, d and e are read-only, so that
     one instance per (grid, model) value can be shared: discretization()
     returns it, and the solver, the spectrum and the GridFunction functions
@@ -111,17 +116,17 @@ class Discretization:
         wv = self.w * v
         m = float(wv.dot(v))
         vm = 0.0 if self.zero_potential else float(wv.dot(self.V * v))
-        nl = self.model.nonlinearity.evaluate(v)
+        nl = self.model.nonlinearity.evaluate(v, self.w)
         kin, flux = grids.kinetic_values(self.grid, v)
         kin *= 0.5
-        nonlin = float(self.w.dot(nl.G))
-        I = kin - nonlin
-        return EnergyReport(kin, 0.5 * vm, nonlin, I + 0.5 * vm, I, m), nl, vm, wv, flux
+        I = kin - nl.int_G
+        return EnergyReport(kin, 0.5 * vm, nl.int_G, I + 0.5 * vm, I, m), nl, vm, wv, flux
 
     def stationarity(self, v: np.ndarray, e: tuple, lam: float | None = None) -> Stationarity:
         """The multiplier (unless lam is given), -F, residual and Nehari of v.
 
-        e is energy(v), whose J, nonlinearity and w v the record carries. The
+        e is energy(v), whose J, kinetic term, nonlinearity and w v the record
+        carries, and whose sum w^T (g(v) v) the Nehari defect reads. The
         defect F is -Lap v + (V + lam) v - g(v), the residual its weighted
         L2 norm relative to ||v||, and the Nehari defect
         |grad v|^2 + int (V + lam) v^2 - int g(v) v, with |grad v|^2 taken as
@@ -138,7 +143,7 @@ class Discretization:
             raise ValueError("stationarity needs a field with positive mass")
         lap_v = grids.neg_laplacian(self.grid, v, flux)
         quad = float(wv.dot(lap_v)) + vm
-        gu = float(self.w.dot(nl.gs))
+        gu = nl.int_gs
         if lam is None:
             lam = (gu - quad) / m
         if self.zero_potential:
@@ -150,7 +155,16 @@ class Discretization:
         np.subtract(nl.g, neg_f, out=neg_f)
         np.multiply(neg_f, neg_f, out=lap_v)   # -Lap v is spent: its buffer takes F^2
         res = math.sqrt(self.w.dot(lap_v) / m)
-        return Stationarity(lam, neg_f, res, quad + lam * m - gu, report.J, nl, wv)
+        return Stationarity(lam, neg_f, res, quad + lam * m - gu, report.J, nl, wv,
+                            report.kinetic)
+
+    def pohozaev(self, v: np.ndarray, kinetic: float, wv: np.ndarray,
+                 nl: NonlinearValues) -> float:
+        """The Pohozaev defect of v from energy(v)'s kinetic term (1/2)|grad v|^2,
+        w v and nonlinearity: the t = 1 fiber slope (_fiber_slope) with the shared
+        r V'(r), one product and one dot of its own. Doubling the halved form is
+        exact, so fiber_energy_derivative(u, 1.0) gives the same bits."""
+        return _fiber_slope(1.0, self.grid.N, 2.0 * kinetic, wv, v, self.xdV, nl)
 
 
 # a minimize uses two entries, its grid and the n/2 or n/4 grid of its
@@ -198,15 +212,16 @@ def nehari_residual(u: GridFunction, model, lam: float) -> float:
     return _stationarity(u, model, lam).nehari
 
 
-def pohozaev_residual(u: GridFunction, model, nl=None) -> float:
+def pohozaev_residual(u: GridFunction, model) -> float:
     """Signed defect of the multiplier-free stationarity identity.
 
     P(u) = |grad u|^2 - (1/2) int <grad V, x> u^2 + N int [G(u) - g(u)u/2],
-    exactly the t-derivative of the discrete fiber energy at t = 1, which is
-    how it is computed, with the shared Discretization's r V'(r). nl holds
-    the nonlinearity's values at u, if the caller has them.
+    exactly the t-derivative of the discrete fiber energy at t = 1, computed
+    as Discretization.pohozaev from one Discretization.energy of u.
     """
-    return fiber_energy_derivative(u, 1.0, model, nl, discretization(u.grid, model).xdV)
+    op = discretization(u.grid, model)
+    report, nl, _, wv, _ = op.energy(u.values)
+    return op.pohozaev(u.values, report.kinetic, wv, nl)
 
 
 def identity_residuals(u: GridFunction, model, lam: float | None = None) -> IdentityResiduals:
@@ -214,7 +229,7 @@ def identity_residuals(u: GridFunction, model, lam: float | None = None) -> Iden
     st = _stationarity(u, model, lam)
     return IdentityResiduals(
         nehari=st.nehari,
-        pohozaev=pohozaev_residual(u, model, st.nl),
+        pohozaev=discretization(u.grid, model).pohozaev(u.values, st.kinetic, st.wv, st.nl),
         lagrange_lambda=st.lam,
     )
 
@@ -240,24 +255,27 @@ def _fiber_energy_cached(u, t, model, kin) -> float:
     val = 0.5 * t * t * kin
     val += 0.5 * grids.integrate(g, model.potential.V(g.r / t) * usq)
     scaled = t ** (0.5 * N) * u.values
-    val -= t ** (-N) * grids.integrate(g, model.nonlinearity.G(scaled))
+    val -= t ** (-N) * model.nonlinearity.evaluate(scaled, g.w).int_G
     return val
 
 
-def fiber_energy_derivative(u: GridFunction, t: float, model, nl=None, xdV=None) -> float:
-    """Exact t-derivative of the discrete fiber energy; nl is the nonlinearity
-    at t^(N/2) u and xdV is <grad V, x> at r / t, if the caller has them."""
+def _fiber_slope(t: float, N: int, kin: float, wv: np.ndarray, v: np.ndarray,
+                 xdV: np.ndarray, nl: NonlinearValues) -> float:
+    """d/dt J[u_t] from |grad u|^2, w u, u, <grad V, x> at r / t and the
+    nonlinearity's sums at t^(N/2) u: every Pohozaev defect is this arithmetic."""
+    val = t * kin
+    val -= float(wv.dot(xdV * v)) / (2.0 * t)
+    val += N * t ** (-N - 1.0) * (nl.int_G - 0.5 * nl.int_gs)
+    return val
+
+
+def fiber_energy_derivative(u: GridFunction, t: float, model) -> float:
+    """Exact t-derivative of the discrete fiber energy."""
     _check_t(t)
     g = u.grid
-    N = g.N
-    val = t * grids.kinetic(u)
-    usq = u.values * u.values
-    xdV = model.potential.dV_dot_x(g.r / t) if xdV is None else xdV
-    val -= grids.integrate(g, xdV * usq) / (2.0 * t)
-    if nl is None:
-        nl = model.nonlinearity.evaluate(t ** (0.5 * N) * u.values)
-    val += N * t ** (-N - 1.0) * grids.integrate(g, nl.G - 0.5 * nl.gs)
-    return val
+    nl = model.nonlinearity.evaluate(t ** (0.5 * g.N) * u.values, g.w)
+    return _fiber_slope(t, g.N, grids.kinetic(u), g.w * u.values, u.values,
+                        model.potential.dV_dot_x(g.r / t), nl)
 
 
 def fiber_map(u: GridFunction, t: float) -> GridFunction:

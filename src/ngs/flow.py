@@ -65,14 +65,19 @@ energy.evaluate, the identity functions and the spectrum read too, so they
 agree bit for bit. Its d = diag(-Lap) + V and -Lap bands give the step's
 diagonal d - g'(u) + (lam + sigma) and dgtsv's off-diagonals. Each field
 is evaluated once: the start field and each trial field, once rescaled,
-take one Discretization.energy (J, the nonlinearity with g', w u and the
-kinetic form's face fluxes), and the start field and each accepted trial
-one Discretization.stationarity (multiplier, -F, residual and Nehari
-defect from the one -Lap u those fluxes give), so a rejected trial costs
-no -Lap u. The border row is that w u: the bits of mu and the step are
+take one Discretization.energy (J, g and g' with the weighted sums of G
+and g(u) u, w u and the kinetic form's face fluxes), and the start field
+and each accepted trial one Discretization.stationarity (multiplier, -F,
+residual and Nehari defect from the one -Lap u those fluxes give), so a
+rejected trial costs no -Lap u. The border row is that w u: the bits of mu and the step are
 those of the mass gradient 2 w u, as doubling is exact. A run returns its
 last Stationarity with its end field; the winner's gives the reported
-lambda, residual and identities, so nothing is evaluated after the loop.
+lambda, residual and Nehari defect, and its kinetic form, w u and the
+nonlinearity's two sums give the Pohozaev defect (one product and one
+dot), so no field is evaluated after the loop. The vanishing label first
+sums the mass in the window about the end field's peak, which _run_start
+found, and takes vanishing_diagnostic's running sums only when that
+window is thinner than VANISHING_FRACTION of a.
 
 The package's two LAPACK routines, dgtsv here and dstebz, which
 curves.quadratic_form_infimum calls once per shared Discretization, are
@@ -284,13 +289,15 @@ def bordered_solve(bands, u: np.ndarray, c: np.ndarray,
 
 
 @functools.lru_cache(maxsize=16)
-def _ball_bounds(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Node ranges [lo, hi) of vanishing_diagnostic's windows; shared, so read-only."""
+def _ball_bounds(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, int]:
+    """Node ranges [lo, hi) of vanishing_diagnostic's windows, the window about
+    node k at index k + 1, and the first node of minimize's edge zone r >= 0.95 R;
+    shared, so read-only."""
     centers = np.concatenate(([0.0], grid.r))
     lo = np.searchsorted(grid.r, centers - VANISHING_RADIUS, side="left")
     hi = np.searchsorted(grid.r, centers + VANISHING_RADIUS, side="right")
     lo.flags.writeable = hi.flags.writeable = False
-    return lo, hi
+    return lo, hi, int(np.searchsorted(grid.r, 0.95 * grid.R))
 
 
 def vanishing_diagnostic(u: GridFunction) -> float:
@@ -304,7 +311,7 @@ def vanishing_diagnostic(u: GridFunction) -> float:
     cum = np.empty(u.grid.n + 1)   # the running mass, from 0 before the first node
     cum[0] = 0.0
     np.cumsum(u.grid.w * u.values**2, out=cum[1:])
-    lo, hi = _ball_bounds(u.grid)
+    lo, hi, _ = _ball_bounds(u.grid)
     return float((cum[hi] - cum[lo]).max())
 
 
@@ -333,6 +340,7 @@ class _StartOutcome(NamedTuple):
     values: np.ndarray
     st: energy_mod.Stationarity   # the run's last, at values
     peak: float                   # max |values|
+    top: int                      # the index of that peak
     reason: str | None
     solves: int
     rejected: int
@@ -405,7 +413,7 @@ def _run_start(op: energy_mod.Discretization, v: np.ndarray | None, a: float,
                                     nl=st.nl._replace(g=-st.nl.g))
         if v.min() < -SIGN_REL_TOL * peak:
             reason = "sign-change"
-    return _StartOutcome(values=v, st=st, peak=peak, reason=reason,
+    return _StartOutcome(values=v, st=st, peak=peak, top=k, reason=reason,
                          solves=solves, rejected=rejected, trace=trace, sigma=sigma)
 
 
@@ -564,8 +572,8 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
             "converged starts disagree beyond 1e-6; all basin energies reported"
         )
     # the edge zone r >= 0.95 R holds the last node (n >= 64); out has mass a > 0
-    edge = out.values[np.searchsorted(grid.r, 0.95 * grid.R):]
-    contact = float(np.max(np.abs(edge))) > BOUNDARY_REL_TOL * out.peak
+    lo, hi, edge = _ball_bounds(grid)
+    contact = float(np.max(np.abs(out.values[edge:]))) > BOUNDARY_REL_TOL * out.peak
     if contact:
         warnings.append(
             "profile has not decayed near the domain edge; consider a larger R"
@@ -574,10 +582,15 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
     # the regime labels read a converged finish only (REASONS)
     reason = out.reason
     if reason is None and math.isfinite(model.potential.V_inf):
-        vd_frac = vanishing_diagnostic(u) / a
-        if vd_frac < VANISHING_FRACTION and st.J < -DEADBAND:
+        # the window about the peak, if it holds the fraction beyond the rounding
+        # of vanishing_diagnostic's running sums, bounds their largest: thin is false
+        i, j = lo[out.top + 1], hi[out.top + 1]
+        thin = (float(st.wv[i:j].dot(out.values[i:j]))
+                < VANISHING_FRACTION * a * (1.0 + 1e-9)
+                and vanishing_diagnostic(u) / a < VANISHING_FRACTION)
+        if thin and st.J < -DEADBAND:
             reason = "vanishing-suspected"
-        elif (vd_frac < VANISHING_FRACTION or contact) and st.J >= -DEADBAND:
+        elif (thin or contact) and st.J >= -DEADBAND:
             reason = "no-minimizer-regime"
 
     # the search winner's J, if both it and the result converged, and from it
@@ -586,10 +599,10 @@ def minimize(a: float, model, grid: RadialGrid, config: SolverConfig | None = No
     ratio = grid.n // (coarse or grid).n
     estimate = None if coarse_J is None else (st.J - coarse_J) / (ratio * ratio - 1)
 
-    # the winner's last stationarity and nonlinearity give its identities
+    # the winner's last stationarity gives its identities
     return GroundStateResult(
         a=a, C_a=st.J, lam=st.lam, converged=reason is None, nehari=st.nehari,
-        pohozaev=energy_mod.pohozaev_residual(u, model, st.nl),
+        pohozaev=op.pohozaev(out.values, st.kinetic, st.wv, st.nl),
         reason=reason, residual_norm=st.residual,
         iterations=out.solves, start_index=best, start_grid_n=(coarse or grid).n,
         C_a_search_grid=coarse_J, C_a_extrapolated=None if estimate is None else st.J + estimate,

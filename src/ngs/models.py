@@ -28,25 +28,29 @@ TAIL_TOL = 1e-3
 DVX_DECAY_TOL = 1e-6
 
 
-def _abs_power(s: np.ndarray, sigma: float) -> np.ndarray:
-    """|s|^sigma; for integer sigma products of s*s (and |s|), faster than pow."""
+def _scaled_power(s: np.ndarray, coef: float, sigma: float) -> np.ndarray:
+    """coef |s|^sigma, a fresh array; for integer sigma products of s*s (and
+    |s|), faster than pow."""
     if not float(sigma).is_integer():
-        return np.abs(s) ** sigma
-    half, odd = divmod(int(sigma), 2)
-    p = np.abs(s) if odd else None
-    s2 = s * s if half else None
-    for _ in range(half):
-        p = s2 if p is None else p * s2
+        p = np.abs(s) ** sigma
+    else:
+        half, odd = divmod(int(sigma), 2)
+        p = np.abs(s) if odd else None
+        s2 = s * s if half else None
+        for _ in range(half):
+            p = s2 if p is None else p * s2
+    if coef != 1.0:
+        p *= coef
     return p
 
 
 class NonlinearValues(NamedTuple):
-    """A nonlinearity at the nodes: g, G, g(s) s and g'."""
+    """A nonlinearity at the nodes: g and g', and the weighted sums of G and g(s) s."""
 
     g: np.ndarray
-    G: np.ndarray
-    gs: np.ndarray
     dg: np.ndarray
+    int_G: float    # w^T G(s)
+    int_gs: float   # w^T (g(s) s)
 
 
 @dataclass(frozen=True)
@@ -79,42 +83,51 @@ class NonlinearityModel:
                     f"{4.0 / (self.N - 2):g} in dimension {self.N}"
                 )
 
-    def evaluate(self, s) -> NonlinearValues:
-        """g(s), G(s), g(s) s and g'(s), from one power per term.
+    def evaluate(self, s, w: np.ndarray) -> NonlinearValues:
+        """g(s) and g'(s), and w^T G(s) and w^T (g(s) s), from one power per term.
 
-        Per term, p = coef |s|^sigma gives g = p s, g s = p s^2,
-        G = p s^2 / (sigma + 2) and g' = (sigma + 1) p. The methods g, G
-        and g_times_s return these same arrays, bit for bit.
+        Per term, p = coef |s|^sigma gives g = p s and g' = (sigma + 1) p, and
+        the one dot t = w^T (p s^2) gives w^T (g s) = t and w^T G = t / (sigma + 2):
+        no G or g s array is formed. The method g returns the same g, bit for
+        bit; G and g_times_s sum the arrays, so their weighted sums agree with
+        these to rounding, and bit for bit for one term with sigma = 2.
         """
         s = np.asarray(s, dtype=float)
-        if not self.terms:   # one shared zero array, read-only, in all four fields
+        if not self.terms:   # one shared zero array, read-only, in both array fields
             zero = np.zeros_like(s)
             zero.flags.writeable = False
-            return NonlinearValues(zero, zero, zero, zero)
-        g = G = gs = dg = None
+            return NonlinearValues(zero, zero, 0.0, 0.0)
+        g = dg = None
+        int_G = int_gs = 0.0
         for coef, sigma in self.terms:
-            p = _abs_power(s, sigma)   # a fresh array, scaled in place
-            if coef != 1.0:
-                p *= coef
+            p = _scaled_power(s, coef, sigma)
             ps = p * s
-            pss = ps * s
-            Gs = pss / (sigma + 2.0)
+            t = float(w.dot(ps * s))
+            int_G += t / (sigma + 2.0)
+            int_gs += t
             g = ps if g is None else g + ps
-            G = Gs if G is None else G + Gs
-            gs = pss if gs is None else gs + pss
             p *= sigma + 1.0
             dg = p if dg is None else dg + p
-        return NonlinearValues(g, G, gs, dg)
+        return NonlinearValues(g, dg, int_G, int_gs)
+
+    def _sum(self, s, term) -> np.ndarray:
+        """The sum over terms of term(sigma, coef |s|^sigma, s), from the first term's array."""
+        s = np.asarray(s, dtype=float)
+        out = None
+        for coef, sigma in self.terms:
+            t = term(sigma, _scaled_power(s, coef, sigma), s)
+            out = t if out is None else out + t
+        return np.zeros_like(s) if out is None else out
 
     def g(self, s):
-        return self.evaluate(s).g
+        return self._sum(s, lambda sigma, p, s: p * s)
 
     def G(self, s):
         """Exact antiderivative of g with G(0) = 0."""
-        return self.evaluate(s).G
+        return self._sum(s, lambda sigma, p, s: p * s * s / (sigma + 2.0))
 
     def g_times_s(self, s):
-        return self.evaluate(s).gs
+        return self._sum(s, lambda sigma, p, s: p * s * s)
 
     def is_zero(self) -> bool:
         return self.kind == "zero" or not self.terms

@@ -192,7 +192,10 @@ def test_criterion_6_coercive_compactness(grid20):
         spread = max(res.all_start_energies) - min(res.all_start_energies)
         ok = (ok and res.converged and not res.start_disagreement
               and tight == config.starts and spread <= 1e-6)
-        details.append(f"a={a:g}: J={res.C_a:.6f} spread {spread:.1e}, "
+        # the starts reach one state: below 1e-12 the spread is rounding
+        # noise, which any change of rounding moves, so it prints as a bound
+        shown = "< 1e-12" if spread < 1e-12 else f"{spread:.1e}"
+        details.append(f"a={a:g}: J={res.C_a:.6f} spread {shown}, "
                        f"{tight} of {config.starts} starts at tol_grad")
     linear = make_model(1, ZERO_G, harmonic_v(1.0))
     lres = minimize(1.0, linear, grid20)

@@ -62,14 +62,16 @@ def test_diagnostic_captures_compact_support(small_grid):
 
 
 def test_cached_ball_bounds_match_a_fresh_search():
-    # the bounds are cached per grid; R = 16, n = 400 has 1/h = 25, so ball
-    # edges fall on node radii up to rounding
+    # the bounds, and the first node of minimize's edge zone r >= 0.95 R, are
+    # cached per grid; R = 16, n = 400 has 1/h = 25, so ball edges fall on
+    # node radii up to rounding
     shapes = ((1, 16.0, 400), (2, 20.0, 1000), (3, 12.5, 333), (1, 16.0, 400 * 2))
     for _ in range(2):    # the second round reads the cache
         for N, R, n in shapes:
             grid = RadialGrid(N, R, n)
             centers = np.concatenate(([0.0], grid.r))
-            lo, hi = flow._ball_bounds(grid)
+            lo, hi, edge = flow._ball_bounds(grid)
+            assert edge == np.searchsorted(grid.r, 0.95 * grid.R)
             assert np.array_equal(lo, np.searchsorted(
                 grid.r, centers - flow.VANISHING_RADIUS, side="left"))
             assert np.array_equal(hi, np.searchsorted(

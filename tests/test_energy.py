@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (MODELS_DIR, ZERO_V, bumps, crank_negative, dilate, free_power,
                      harmonic_v, power_g)
 from ngs.energy import (
+    discretization,
     euler_lagrange_residual,
     evaluate,
     fiber_energy,
@@ -18,7 +20,7 @@ from ngs.energy import (
     pohozaev_residual,
 )
 from ngs.errors import BracketError, SupportOverflowError
-from ngs.grids import GridFunction, RadialGrid, kinetic, mass
+from ngs.grids import GridFunction, RadialGrid, integrate, kinetic, mass
 from ngs.models import load_model, make_model
 
 
@@ -146,6 +148,20 @@ def test_pohozaev_reads_the_shared_weight_to_the_bit(grid12, name):
     model = load_model(MODELS_DIR / f"{name}.json")
     u = bumps(grid12, np.random.default_rng(7))
     assert pohozaev_residual(u, model) == fiber_energy_derivative(u, 1.0, model)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.9).filter(
+           lambda sigma: not sigma.is_integer())), min_size=1, max_size=2),
+       st.sampled_from([1, 2, 3]), st.floats(0.1, 5.0), st.floats(0.3, 3.0))
+def test_energy_integral_of_G_is_the_quadrature_of_the_G_array(terms, N, amp, width):
+    # the energy divides each term's one dot by sigma + 2 after it; the
+    # quadrature of G divides before, node by node: the sums agree to rounding
+    model = make_model(N, power_g(*terms), ZERO_V)
+    grid = RadialGrid(N, 12.0, 300)
+    v = amp * np.exp(-grid.r**2 / (2.0 * width * width))
+    got = discretization(grid, model).energy(v)[0].nonlinear_term
+    assert math.isclose(got, integrate(grid, model.nonlinearity.G(v)), rel_tol=1e-14)
 
 
 def test_least_squares_multiplier_zeroes_nehari(grid12, free_cubic):

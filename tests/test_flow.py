@@ -12,6 +12,8 @@ from ngs.energy import (
     Discretization,
     euler_lagrange_residual,
     evaluate,
+    fiber_energy_derivative,
+    identity_residuals,
     lagrange_multiplier,
     nehari_residual,
     pohozaev_residual,
@@ -266,21 +268,31 @@ def test_rejects_warm_start_on_other_grid(small_grid, well_cubic):
 
 def test_nehari_pohozaev_hold_at_convergence(well_solution, well_cubic,
                                             cubic_free_solution, small_grid):
-    # the two-term model covers the sum over terms of the nonlinearity
-    mixed = load_model(MODELS_DIR / "gaussian_well_mixed.json")
-    mixed_solution = (minimize(3.0, mixed, small_grid), mixed)
-    assert mixed_solution[0].converged
-    for res, model in ((well_solution, well_cubic), cubic_free_solution, mixed_solution):
-        assert abs(res.nehari) <= 1e-4
-        assert abs(res.pohozaev) <= 1e-3
+    # and every bundled model at a = 3: power2_free_3d on its own N = 3 grid
+    # (R = 20 truncates its spread state, so its Pohozaev defect stays large),
+    # quintic_free as a threshold probe, which ends on its energy floor
+    cases = [(well_solution, well_cubic), cubic_free_solution]
+    for path in sorted(MODELS_DIR.glob("*.json")):
+        model = load_model(path)
+        grid = small_grid if model.N == 1 else RadialGrid(model.N, 20.0, 2000)
+        config = QUINTIC_PROBE if path.stem == "quintic_free" else None
+        cases.append((minimize(3.0, model, grid, config), model))
+    assert len(cases) == 12
+    for res, model in cases:
+        if model.N == 1 and res.reason != "energy-floor":
+            assert res.converged
+            assert abs(res.nehari) <= 1e-4
+            assert abs(res.pohozaev) <= 1e-3
         # the reported energy and multiplier are those of the reported
         # profile, bit for bit
         assert res.energy == evaluate(res.u, model).J
         assert res.lam == lagrange_multiplier(res.u, model)
-        # the identities minimize reads off the winner's last stationarity
+        # the identities minimize reads off the winner's last evaluation
         # are those the identity functions compute afresh, bit for bit
         assert res.nehari == nehari_residual(res.u, model, res.lam)
-        assert res.pohozaev == pohozaev_residual(res.u, model)
+        assert (res.pohozaev == pohozaev_residual(res.u, model)
+                == identity_residuals(res.u, model).pohozaev
+                == fiber_energy_derivative(res.u, 1.0, model))
 
 
 def test_ground_state_result_is_the_state_then_its_run(well_solution):
@@ -295,20 +307,24 @@ def test_ground_state_result_is_the_state_then_its_run(well_solution):
 
 def test_unit_costs_of_minimize(monkeypatch, small_grid, grid20):
     # one dgtsv call per solve, accepted or rejected, one -Lap v per start
-    # field and per accepted step, and one nonlinearity evaluation per start
-    # field and per trial field of a non-singular solve
-    # (NonlinearityModel.evaluate), counting the finish on n as one more
-    # start whose accepted steps are its trace. A start that goes on from
-    # SEARCH_TOL is one more run but reuses its end field's evaluation, and
-    # nothing is evaluated again after the loop. No positive definite factor
+    # field and per accepted step, and one nonlinearity evaluation and one
+    # kinetic form per start field and per trial field of a non-singular
+    # solve (NonlinearityModel.evaluate, grids.kinetic_values), counting the
+    # finish on n as one more start whose accepted steps are its trace. A
+    # start that goes on from SEARCH_TOL is one more run but reuses its end
+    # field's evaluation, and nothing is evaluated again after the loop: the
+    # Pohozaev defect reads the winner's kinetic form, and power3_free's peak
+    # window holds the vanishing fraction, so its running sums are never
+    # taken (flow.vanishing_diagnostic). No positive definite factor
     # is made: flow loads no routine for one. The quintic probe, whose
     # starts run to tol_grad, rejects 12 of its 58 solves, so a -Lap v per
     # trial, not per accepted step, would show there; power3_free rejects none
     assert not hasattr(flow, "dpttrs") and not hasattr(flow, "dpttrf")
     counts = dict.fromkeys(("dgtsv", "neg_laplacian", "evaluate", "singular",
-                            "_run_start"), 0)
+                            "_run_start", "kinetic_values", "vanishing_diagnostic"), 0)
     for owner, name in ((flow, "dgtsv"), (grids, "neg_laplacian"),
-                        (NonlinearityModel, "evaluate"), (flow, "_run_start")):
+                        (NonlinearityModel, "evaluate"), (flow, "_run_start"),
+                        (grids, "kinetic_values"), (flow, "vanishing_diagnostic")):
         def spy(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             counts[_name] += 1
             out = _fn(*args, **kwargs)
@@ -331,8 +347,10 @@ def test_unit_costs_of_minimize(monkeypatch, small_grid, grid20):
                     + len(res.energy_trace) - 1)
         assert counts["neg_laplacian"] == starts + accepted
         assert counts["evaluate"] == starts + solves - counts["singular"]
+        assert counts["kinetic_values"] == counts["evaluate"]
         if name == "power3_free":
             assert res.converged
+            assert counts["vanishing_diagnostic"] == 0
         else:
             assert (solves, sum(res.all_start_rejected_steps)) == (58, 12)
             assert (counts["neg_laplacian"], counts["evaluate"]) == (50, 62)
@@ -881,7 +899,7 @@ def test_subthreshold_quintic_starts_reach_one_local_minimizer(grid20):
     op = Discretization(grid20, model)
     u = res.u.values
     sub, diag, sup = op.lap
-    diag = diag + op.V + res.lam - model.nonlinearity.evaluate(u).dg
+    diag = diag + op.V + res.lam - model.nonlinearity.evaluate(u, op.w).dg
     negative = eigvalsh_tridiagonal(diag, -np.sqrt(sub * sup),
                                     select="v", select_range=(-np.inf, 0.0))
     assert len(negative) == 1

@@ -67,10 +67,11 @@ def test_dg_is_the_derivative_of_g():
     m = NonlinearityModel(kind="power_sum", terms=((0.5, 1.0), (1.0, 2.5)), N=1)
     s = np.linspace(-3, 3, 41)
     h = 1e-6
-    dg = m.evaluate(s).dg
+    w = np.ones_like(s)
+    dg = m.evaluate(s, w).dg
     assert np.allclose(dg, (m.g(s + h) - m.g(s - h)) / (2 * h), rtol=1e-6, atol=1e-5)
     zero = NonlinearityModel(kind="zero", terms=(), N=1)
-    assert np.array_equal(zero.evaluate(s).dg, np.zeros_like(s))
+    assert np.array_equal(zero.evaluate(s, w).dg, np.zeros_like(s))
 
 
 # --- growth classification ---
@@ -129,19 +130,25 @@ fused_term_lists = st.lists(
                           st.sampled_from([0.0, -0.0, 1e-200, -1e-200, 1e10, -1e10])),
                 min_size=1, max_size=40))
 def test_fused_evaluation_is_bitwise_the_separate_methods(terms, values):
-    # one power per term serves g, G, g s and g'; the methods that return
-    # one of them must give exactly the fused bits
+    # one power per term serves g, g' and the weighted sums of G and g s; g
+    # must be the method's bits, and the sums those of the methods' arrays:
+    # to rounding, as each term's sum is divided by sigma + 2 after the dot,
+    # and bit for bit for g s of one term, whose array is that term's
     m = NonlinearityModel(kind="power_sum" if terms else "zero", terms=tuple(terms), N=1)
     s = np.array(values)
-    fused = m.evaluate(s)
-    for got, method in ((fused.g, m.g), (fused.G, m.G), (fused.gs, m.g_times_s)):
-        assert got.tobytes() == method(s).tobytes()
-    # and they are the closed forms, to rounding
+    w = np.linspace(0.5, 2.0, len(s))
+    fused = m.evaluate(s, w)
+    assert fused.g.tobytes() == m.g(s).tobytes()
+    assert math.isclose(fused.int_gs, float(w @ m.g_times_s(s)), rel_tol=1e-13)
+    assert math.isclose(fused.int_G, float(w @ m.G(s)), rel_tol=1e-13)
+    if len(terms) == 1:
+        assert fused.int_gs == float(w @ m.g_times_s(s))
+    # and the methods are the closed forms, to rounding
     gs = sum((c * np.abs(s) ** (sigma + 2.0) for c, sigma in terms), np.zeros_like(s))
     G = sum((c * np.abs(s) ** (sigma + 2.0) / (sigma + 2.0) for c, sigma in terms),
             np.zeros_like(s))
-    assert np.allclose(fused.gs, gs, rtol=1e-13, atol=1e-300)
-    assert np.allclose(fused.G, G, rtol=1e-13, atol=1e-300)
+    assert np.allclose(m.g_times_s(s), gs, rtol=1e-13, atol=1e-300)
+    assert np.allclose(m.G(s), G, rtol=1e-13, atol=1e-300)
     dg = sum((c * (sigma + 1.0) * np.abs(s) ** sigma for c, sigma in terms),
              np.zeros_like(s))
     assert np.allclose(fused.dg, dg, rtol=1e-13, atol=1e-300)
